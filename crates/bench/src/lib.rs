@@ -17,7 +17,6 @@
 //! | `ablation_windows`    | §5.2           | stride / window-range sweeps |
 //! | `ablation_integral`   | beyond paper   | summed-area-table signatures vs DP vs naive |
 //! | `robustness_curves`   | §1.1           | perturbation dose–response, WALRUS vs WBIIS |
-//! | `parallel_throughput` | beyond paper   | serial vs parallel batch ingest & query latency over thread counts → `BENCH_parallel.json` |
 //!
 //! Every binary prints a plain-text table (and machine-readable CSV lines
 //! prefixed `csv,`) so results can be diffed against EXPERIMENTS.md.

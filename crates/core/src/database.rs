@@ -186,6 +186,22 @@ impl ImageDatabase {
         self.params.threads = threads;
     }
 
+    /// Adopts the three runtime-only knobs of `from` — `threads`, `budgets`
+    /// and `prefilter`, the [`WalrusParams`] fields a snapshot does not
+    /// store — leaving every persisted parameter as it is. Every reopen path
+    /// calls this, so what the caller asked for survives loading a snapshot.
+    pub fn set_runtime_knobs(&mut self, from: &WalrusParams) -> Result<()> {
+        let merged = WalrusParams {
+            threads: from.threads,
+            budgets: from.budgets,
+            prefilter: from.prefilter,
+            ..self.params
+        };
+        merged.validate()?;
+        self.params = merged;
+        Ok(())
+    }
+
     /// Overrides the signature-prefilter knob ([`WalrusParams::prefilter`])
     /// on an existing database. Like [`ImageDatabase::set_threads`] this is
     /// a runtime knob, not persisted, and — because the prefilter is

@@ -80,20 +80,22 @@ pub struct WalrusParams {
     /// processing. `0` = auto (the `WALRUS_THREADS` environment variable,
     /// then available hardware parallelism); `1` forces fully serial
     /// execution. Results are byte-identical for every value. This is a
-    /// runtime knob: snapshots do not persist it, and loaded databases
-    /// come back with `0` (auto).
+    /// runtime knob: snapshots do not persist it, so a bare snapshot file
+    /// loads with `0` (auto) and a store directory reopens with whatever
+    /// the caller of `open` passes.
     pub threads: usize,
     /// Per-request resource ceilings (max decoded pixels, regions per
     /// image, index candidates, WAL record bytes), enforced at decode,
     /// extraction, probe, and append time. Like `threads` this is a runtime
-    /// knob: snapshots do not persist it, and loaded databases come back
-    /// with the defaults.
+    /// knob: snapshots do not persist it, a bare snapshot file loads with
+    /// the defaults and a store reopens with the caller's.
     pub budgets: Budgets,
     /// Binary-signature prefilter during index probes: `None` = auto (the
     /// `WALRUS_PREFILTER` environment variable, default on), `Some(x)` =
     /// forced. The prefilter is admissible — rankings are bit-identical
     /// either way — so this only trades popcount tests against exact
-    /// geometry tests. Runtime knob: not persisted by snapshots.
+    /// geometry tests. Runtime knob: not persisted by snapshots, taken from
+    /// the caller on every store reopen.
     pub prefilter: Option<bool>,
 }
 

@@ -92,7 +92,9 @@ pub struct DurableDatabase {
 impl DurableDatabase {
     /// Opens (or initializes) a store directory on the real filesystem.
     /// `params` is used only when creating a fresh store; an existing
-    /// snapshot's parameters always win. Idempotent IO (reads, full-file
+    /// snapshot's parameters always win, except for the runtime-only knobs
+    /// a snapshot does not store (`threads`, `budgets`, `prefilter`), which
+    /// are always the caller's. Idempotent IO (reads, full-file
     /// writes, fsyncs) is wrapped in [`RetryIo`], so transient OS errors
     /// (EINTR-style) are absorbed with bounded backoff.
     pub fn open(dir: impl AsRef<Path>, params: WalrusParams) -> Result<(Self, RecoveryReport)> {
@@ -117,10 +119,11 @@ impl DurableDatabase {
         let mut report = RecoveryReport::default();
 
         let (db, snapshot_lsn) = if io.exists(&snapshot_path) {
-            let loaded = persist::load_from_file_with(io.as_ref(), &snapshot_path)?;
+            let (mut db, lsn) = persist::load_from_file_with(io.as_ref(), &snapshot_path)?;
+            db.set_runtime_knobs(&params)?;
             report.snapshot_loaded = true;
-            report.snapshot_lsn = loaded.1;
-            loaded
+            report.snapshot_lsn = lsn;
+            (db, lsn)
         } else {
             (ImageDatabase::new(params)?, 0)
         };

@@ -1,10 +1,9 @@
 //! Long-lived bounded worker pool for serving workloads.
 //!
-//! The scoped primitives in the crate root ([`parallel_map`] and friends)
-//! spawn workers per call, which is right for batch compute but wrong for a
-//! network server that handles many small requests: per-request thread spawn
-//! costs microseconds-to-milliseconds and gives the OS no admission control.
-//! [`WorkerPool`] is the serving counterpart:
+//! The data-parallel primitives in the crate root ([`parallel_map`] and
+//! friends) split one computation across the caller and the crate's parked
+//! helper threads; they never own a request. [`WorkerPool`] is the serving
+//! half, which does:
 //!
 //! * a fixed set of named OS threads that live as long as the pool;
 //! * a **bounded** FIFO job queue — when it is full, [`WorkerPool::try_execute`]
@@ -16,9 +15,13 @@
 //!   in-flight work with a deadline, then [`WorkerPool::shutdown`] wakes the
 //!   workers, drops whatever is still queued, and joins the threads.
 //!
-//! Jobs are `FnOnce() + Send + 'static` boxes: unlike the scoped primitives
-//! there is no borrowing from the caller's stack, because the pool outlives
-//! any one call site.
+//! Jobs are `FnOnce() + Send + 'static` boxes: unlike the data-parallel
+//! primitives there is no borrowing from the caller's stack, because the pool
+//! outlives any one call site.
+//!
+//! A worker counts as busy in the crate's load gauge for as long as it is
+//! inside a job, so a section opened from a job takes helpers only while
+//! CPUs are spare: with every worker on a request, sections run inline.
 //!
 //! [`parallel_map`]: crate::parallel_map
 
@@ -204,10 +207,13 @@ fn worker_loop(shared: Arc<Shared>) {
             }
         };
         let Some(job) = job else { return };
-        // Isolate panics: the job owns its data (FnOnce + 'static), so
-        // unwind safety concerns don't cross the boundary into pool state.
-        if catch_unwind(AssertUnwindSafe(job)).is_err() {
-            shared.panics.fetch_add(1, Ordering::Relaxed);
+        {
+            let _busy = crate::helper_set().enter();
+            // Isolate panics: the job owns its data (FnOnce + 'static), so
+            // unwind safety concerns don't cross the boundary into pool state.
+            if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                shared.panics.fetch_add(1, Ordering::Relaxed);
+            }
         }
         let mut state = shared.state.lock().expect("pool lock");
         state.active -= 1;

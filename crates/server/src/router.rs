@@ -200,6 +200,16 @@ fn metrics_text(state: &AppState) -> Response {
         ("walrus_cache_entries".to_string(), state.cache.len() as u64),
         ("walrus_cache_capacity".to_string(), state.cache.capacity() as u64),
     ];
+    // Process-wide, like the helper threads themselves: a flat
+    // `threads_started_total` under load is the "no thread creation on the
+    // request path" invariant, observable.
+    let parallel = walrus_parallel::stats();
+    named.extend([
+        ("walrus_parallel_helpers".to_string(), parallel.helpers as u64),
+        ("walrus_parallel_threads_started_total".to_string(), parallel.threads_started as u64),
+        ("walrus_parallel_sections_inline_total".to_string(), parallel.sections_inline as u64),
+        ("walrus_parallel_sections_shared_total".to_string(), parallel.sections_shared as u64),
+    ]);
     for h in &health {
         named.push((format!("walrus_shard_healthy{{shard=\"{}\"}}", h.shard), h.healthy as u64));
         named.push((format!("walrus_shard_images{{shard=\"{}\"}}", h.shard), h.images as u64));
@@ -1053,6 +1063,39 @@ mod tests {
         assert!(String::from_utf8(resp.body)
             .unwrap()
             .contains("\"wal_records_since_checkpoint\":0"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn parallel_pool_counters_render_and_are_monotone() {
+        const NAMES: [&str; 4] = [
+            "walrus_parallel_helpers",
+            "walrus_parallel_threads_started_total",
+            "walrus_parallel_sections_inline_total",
+            "walrus_parallel_sections_shared_total",
+        ];
+        let dir = tmp_dir("metrics-parallel");
+        let state = test_state(&dir);
+        let scrape = || {
+            let resp = handle(&state, &request("GET", "/metrics", Vec::new()));
+            let text = String::from_utf8(resp.body).unwrap();
+            NAMES.map(|name| {
+                let value = text
+                    .lines()
+                    .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+                    .unwrap_or_else(|| panic!("{name} missing from:\n{text}"));
+                value.parse::<u64>().unwrap()
+            })
+        };
+        let before = scrape();
+        handle(&state, &request("POST", "/ingest", ppm_bytes(0)));
+        assert_eq!(handle(&state, &request("POST", "/query?k=3", ppm_bytes(0))).status, 200);
+        let after = scrape();
+        assert_eq!(after[0], before[0], "the helper set never resizes");
+        assert!(after[1] <= after[0], "at most one thread per helper, ever");
+        for i in 1..NAMES.len() {
+            assert!(after[i] >= before[i], "{} went backwards", NAMES[i]);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -37,7 +37,7 @@ use walrus_core::sharded::{shard_dir_name, shard_of};
 use walrus_core::storage::{Fault, FaultIo, FaultKind, ALL_CRASH_MODES};
 use walrus_core::wal::WAL_HEADER_LEN;
 use walrus_core::{
-    extract_regions, ImageDatabase, QueryOutcome, Region, Result, ResultStatus, ShardedStore,
+    extract_regions, DurableDatabase, ImageDatabase, QueryOutcome, Region, Result, ResultStatus, ShardedStore,
     StorageIo, WalrusError, WalrusParams,
 };
 use walrus_imagery::ppm::write_ppm;
@@ -170,6 +170,65 @@ fn sharded_answers_are_bit_identical_to_monolithic() {
             );
         }
     }
+}
+
+/// The three runtime-only knobs (`threads`, `budgets`, `prefilter`) are not
+/// in a snapshot, so a reopen must take them from its caller — on the
+/// monolithic store, on every shard, after `recover_shard` and after a
+/// rebalance — while the persisted parameters still win.
+#[test]
+fn reopen_keeps_the_callers_runtime_knobs() {
+    let created = sweep_params();
+    let mut reopened = WalrusParams {
+        threads: 1,
+        prefilter: Some(false),
+        // A persisted parameter the store must *not* take from the caller.
+        tau: created.tau / 2.0,
+        ..created
+    };
+    reopened.budgets.max_decoded_pixels = 16 * 16;
+    let assert_knobs = |got: WalrusParams, ctx: &str| {
+        assert_eq!(got.threads, 1, "{ctx}: threads");
+        assert_eq!(got.budgets, reopened.budgets, "{ctx}: budgets");
+        assert_eq!(got.prefilter, Some(false), "{ctx}: prefilter");
+        assert_eq!(got.tau, created.tau, "{ctx}: a persisted parameter must win");
+    };
+    let assert_refuses_oversized = |result: Result<QueryOutcome>, ctx: &str| match result {
+        Err(WalrusError::BudgetExceeded { what: "decoded pixels", used, limit }) => {
+            assert_eq!((used, limit), (32 * 32, 16 * 16), "{ctx}");
+        }
+        other => panic!("{ctx}: expected BudgetExceeded, got {other:?}"),
+    };
+
+    // Monolithic: create → checkpoint → reopen.
+    let io = Arc::new(FaultIo::new());
+    let (mut mono, _) = DurableDatabase::open_with(io.clone(), "mono", created).unwrap();
+    mono.insert_image("a", &scene(0.1)).unwrap();
+    mono.checkpoint().unwrap();
+    drop(mono);
+    let (mono, report) = DurableDatabase::open_with(io, "mono", reopened).unwrap();
+    assert!(report.snapshot_loaded);
+    assert_knobs(*mono.db().params(), "monolithic");
+    assert_refuses_oversized(mono.query(&scene(0.1)), "monolithic");
+
+    // Sharded: the same, then repair one shard in place and rebalance.
+    let shards = shard_count();
+    let io = Arc::new(FaultIo::new());
+    let (store, _) = ShardedStore::open_with(io.clone(), "db", created, shards).unwrap();
+    for i in 0..8 {
+        store.insert_image(&format!("img{i}"), &scene(i as f32 / 8.0)).unwrap();
+    }
+    store.checkpoint().unwrap();
+    drop(store);
+    let (store, _) = ShardedStore::open_with(io, "db", reopened, 0).unwrap();
+    assert_knobs(store.params(), "sharded");
+    assert_refuses_oversized(store.query(&scene(0.1)), "sharded");
+    store.recover_shard(0).unwrap();
+    assert_knobs(store.params(), "after recover_shard");
+    assert_refuses_oversized(store.query(&scene(0.1)), "after recover_shard");
+    store.rebalance(shards + 1).unwrap();
+    assert_knobs(store.params(), "after rebalance");
+    assert_refuses_oversized(store.query(&scene(0.1)), "after rebalance");
 }
 
 /// The shard-parallel batch path must be indistinguishable on disk from
