@@ -12,6 +12,18 @@ fn points(n: usize, dims: usize, seed: u64) -> Vec<Vec<f32>> {
     (0..n).map(|_| (0..dims).map(|_| rng.gen::<f32>()).collect()).collect()
 }
 
+/// `n` points in 50 tight clusters — the shape WALRUS signatures have (many
+/// regions of similar texture), so an ε = 0.085 probe near a cluster scans
+/// whole leaves and returns a few hundred hits. Uniform 12-d points at that
+/// ε return next to none and never exercise a leaf scan.
+fn clustered(n: usize, dims: usize, seed: u64) -> Vec<Vec<f32>> {
+    let centres = points(50, dims, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xC1);
+    (0..n)
+        .map(|i| centres[i % 50].iter().map(|c| c + (rng.gen::<f32>() - 0.5) * 0.06).collect())
+        .collect()
+}
+
 fn build(pts: &[Vec<f32>]) -> RStarTree<usize> {
     let mut t = RStarTree::with_dims(pts[0].len()).unwrap();
     for (i, p) in pts.iter().enumerate() {
@@ -41,6 +53,18 @@ fn bench_queries(c: &mut Criterion) {
             let mut total = 0usize;
             for q in &queries {
                 total += tree.search_within(q, 0.085).unwrap().len();
+            }
+            total
+        })
+    });
+    let pts = clustered(25_000, 12, 7);
+    let clustered_tree = build(&pts);
+    let near: Vec<&Vec<f32>> = pts.iter().step_by(250).collect();
+    group.bench_function("within_eps_0.085_clustered_25k", |b| {
+        b.iter(|| {
+            let mut total = 0usize;
+            for q in &near {
+                total += clustered_tree.search_within(q, 0.085).unwrap().len();
             }
             total
         })

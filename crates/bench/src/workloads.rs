@@ -83,12 +83,6 @@ pub fn flower_query() -> Image {
     query
 }
 
-/// A translated/scaled variant set of the query's flower, for robustness
-/// experiments: `(query, variants)`.
-pub fn flower_query_with_variants(n: usize) -> (Image, Vec<Image>) {
-    flower_query_scenario(0xF10_3E5, 128, 96, n).expect("scenario generation is infallible")
-}
-
 /// Precision of a ranked id list against the flower class.
 pub fn precision_at(dataset: &SyntheticDataset, ids: &[usize], k: usize) -> f64 {
     let k = k.min(ids.len());
@@ -159,12 +153,5 @@ mod tests {
         let d = retrieval_dataset(Scale::Quick);
         let q = flower_query();
         assert!(d.images.iter().all(|i| i.image != q));
-    }
-
-    #[test]
-    fn variants_generated() {
-        let (q, vs) = flower_query_with_variants(3);
-        assert_eq!(vs.len(), 3);
-        assert!(vs.iter().all(|v| v.width() == q.width()));
     }
 }

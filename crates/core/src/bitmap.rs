@@ -111,12 +111,30 @@ impl RegionBitmap {
 
     /// Number of image pixels in set cells.
     pub fn area(&self) -> usize {
+        self.area_of(self.bits.iter().copied())
+    }
+
+    /// Pixel area of the cells set in `words`, a bit set laid out like this
+    /// bitmap's own. Integer-exact against summing [`Self::cell_pixels`]
+    /// over the set cells.
+    fn area_of(&self, words: impl Iterator<Item = u64>) -> usize {
+        if self.width % self.gw == 0 && self.height % self.gh == 0 {
+            // The grid divides the image: every cell has the same extent.
+            let cells: usize = words.map(|w| w.count_ones() as usize).sum();
+            return cells * (self.width / self.gw) * (self.height / self.gh);
+        }
+        // Cells differ by a pixel: tabulate column widths and row heights
+        // once, then walk the cells in bit order.
+        let extents = |len: usize, cells: usize| -> Vec<usize> {
+            (0..cells).map(|c| (c + 1) * len / cells - c * len / cells).collect()
+        };
+        let (col_w, row_h) = (extents(self.width, self.gw), extents(self.height, self.gh));
+        let mut cells = (0..self.gh).flat_map(|cy| (0..self.gw).map(move |cx| (cx, cy)));
         let mut total = 0;
-        for cy in 0..self.gh {
-            for cx in 0..self.gw {
-                if self.get_cell(cx, cy) {
-                    let (_, _, w, h) = self.cell_pixels(cx, cy);
-                    total += w * h;
+        for word in words {
+            for (bit, (cx, cy)) in (0..64).zip(&mut cells) {
+                if word >> bit & 1 == 1 {
+                    total += col_w[cx] * row_h[cy];
                 }
             }
         }
@@ -128,16 +146,28 @@ impl RegionBitmap {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Unions `other` into `self`. Panics when layouts differ.
-    pub fn union_in_place(&mut self, other: &RegionBitmap) {
+    fn assert_same_layout(&self, other: &RegionBitmap) {
         assert_eq!(
             (self.width, self.height, self.gw, self.gh),
             (other.width, other.height, other.gw, other.gh),
             "bitmap layouts differ"
         );
+    }
+
+    /// Unions `other` into `self`. Panics when layouts differ.
+    pub fn union_in_place(&mut self, other: &RegionBitmap) {
+        self.assert_same_layout(other);
         for (a, b) in self.bits.iter_mut().zip(&other.bits) {
             *a |= b;
         }
+    }
+
+    /// Makes `self` an empty bitmap with `like`'s layout, keeping its
+    /// allocation — an accumulator reused from one union to the next.
+    pub fn reset_like(&mut self, like: &RegionBitmap) {
+        (self.width, self.height, self.gw, self.gh) = (like.width, like.height, like.gw, like.gh);
+        self.bits.clear();
+        self.bits.resize(like.bits.len(), 0);
     }
 
     /// The union of `self` and `other`.
@@ -149,21 +179,8 @@ impl RegionBitmap {
 
     /// Pixel area of the union without materializing it.
     pub fn union_area(&self, other: &RegionBitmap) -> usize {
-        assert_eq!(
-            (self.width, self.height, self.gw, self.gh),
-            (other.width, other.height, other.gw, other.gh),
-            "bitmap layouts differ"
-        );
-        let mut total = 0;
-        for cy in 0..self.gh {
-            for cx in 0..self.gw {
-                if self.get_cell(cx, cy) || other.get_cell(cx, cy) {
-                    let (_, _, w, h) = self.cell_pixels(cx, cy);
-                    total += w * h;
-                }
-            }
-        }
-        total
+        self.assert_same_layout(other);
+        self.area_of(self.bits.iter().zip(&other.bits).map(|(a, b)| a | b))
     }
 
     /// True when no cell is set.
@@ -318,6 +335,67 @@ mod tests {
         b.mark_window(0, 0, 32, 32);
         b.mark_window(16, 16, 16, 16);
         assert_eq!(b.area(), area1, "re-marking covered space adds nothing");
+    }
+
+    /// The definition `area` and `union_area` must reproduce: the pixel
+    /// extent of every cell set in either bitmap, summed cell by cell.
+    fn area_by_cells(a: &RegionBitmap, b: &RegionBitmap) -> usize {
+        let mut total = 0;
+        for cy in 0..a.grid_height() {
+            for cx in 0..a.grid_width() {
+                if a.get_cell(cx, cy) || b.get_cell(cx, cy) {
+                    let (_, _, w, h) = a.cell_pixels(cx, cy);
+                    total += w * h;
+                }
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn area_matches_per_cell_reference_on_any_geometry() {
+        let mut state = 0x5EEDu64;
+        let mut next = move |below: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % below
+        };
+        // Dividing grids, non-dividing ones, width < grid (clamped to
+        // 1-pixel cells), more than 64 cells per row.
+        let geometries = [
+            (128, 96, 16),
+            (64, 64, 16),
+            (100, 75, 16),
+            (130, 97, 16),
+            (10, 10, 3),
+            (4, 2, 16),
+            (7, 5, 16),
+            (1000, 3, 96),
+            (33, 200, 9),
+        ];
+        for (width, height, grid) in geometries {
+            for _ in 0..40 {
+                let mut a = RegionBitmap::new(width, height, grid);
+                let mut b = RegionBitmap::new(width, height, grid);
+                for bitmap in [&mut a, &mut b] {
+                    for _ in 0..next(4) {
+                        let (x, y) = (next(width), next(height));
+                        bitmap.mark_window(x, y, 1 + next(width / 2 + 1), 1 + next(height / 2 + 1));
+                    }
+                }
+                let empty = RegionBitmap::new(width, height, grid);
+                assert_eq!(a.area(), area_by_cells(&a, &empty), "{width}x{height}/{grid}");
+                assert_eq!(a.union_area(&b), area_by_cells(&a, &b), "{width}x{height}/{grid}");
+                assert_eq!(a.union(&b).area(), a.union_area(&b));
+                let mut acc = RegionBitmap::new(1, 1, 1);
+                acc.reset_like(&a);
+                assert_eq!(acc, empty);
+                acc.union_in_place(&a);
+                assert_eq!(acc, a);
+            }
+            let mut full = RegionBitmap::new(width, height, grid);
+            full.mark_window(0, 0, width, height);
+            assert_eq!(full.area(), width * height);
+        }
     }
 
     #[test]

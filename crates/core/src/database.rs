@@ -14,11 +14,11 @@
 //! the number of distinct images containing at least one matching region.
 
 use crate::extract::{extract_regions, extract_regions_guarded};
-use crate::matching::{self, MatchPair};
+use crate::matching::{self, MatchPair, QuickScratch};
 use crate::params::{SignatureKind, WalrusParams};
 use crate::region::Region;
 use crate::{Result, WalrusError};
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::sync::Arc;
 use walrus_guard::{Budgets, Guard, Interrupt};
 use walrus_imagery::Image;
@@ -32,6 +32,12 @@ use walrus_wavelet::{BinarySignature, QueryCode};
 /// the popcount test can only reject candidates the exact test would also
 /// reject.
 const PREFILTER_SLACK: f32 = 1e-4;
+
+thread_local! {
+    /// Quick matching's union accumulators, reused from one candidate image
+    /// to the next on whichever thread scores it.
+    static QUICK_SCRATCH: RefCell<QuickScratch> = RefCell::new(QuickScratch::default());
+}
 
 /// A region's address in the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -664,7 +670,7 @@ impl ImageDatabase {
                         }
                     }
                 };
-                Ok((hits.into_iter().map(|(_, (key, _))| *key).collect(), stats))
+                Ok((hits.into_iter().map(|(key, _)| *key).collect(), stats))
             },
         );
         match probe_out.interrupted {
@@ -684,16 +690,7 @@ impl ImageDatabase {
         }
         probes.sort_unstable_by_key(|(qi, _)| *qi);
 
-        // Deterministic merge: group hits by target image in (query region,
-        // hit) order — exactly the order the serial loop produced.
-        let mut by_image: HashMap<usize, Vec<MatchPair>> = HashMap::new();
-        let mut total_hits = 0usize;
-        for (qi, keys) in &probes {
-            total_hits += keys.len();
-            for key in keys {
-                by_image.entry(key.image).or_default().push(MatchPair { q: *qi, t: key.region });
-            }
-        }
+        let total_hits: usize = probes.iter().map(|(_, keys)| keys.len()).sum();
         if let Some(s) = &probe_span {
             s.add("probes", probes.len() as u64);
             s.add("nodes_visited", probe_stats.nodes_visited as u64);
@@ -711,30 +708,61 @@ impl ImageDatabase {
             });
         }
 
+        // Deterministic merge: a counting sort of the hits on target image
+        // id (every indexed id is below `images.len()`). It is stable, so an
+        // image's pairs stay in (query region, hit) order — exactly the
+        // order the serial loop produced — and candidates come out in
+        // ascending-id order, reproducible run to run.
+        let mut offsets = vec![0usize; self.images.len()];
+        for key in probes.iter().flat_map(|(_, keys)| keys) {
+            offsets[key.image] += 1;
+        }
+        let mut start = 0;
+        for offset in &mut offsets {
+            start += std::mem::replace(offset, start);
+        }
+        let mut pairs = vec![MatchPair { q: 0, t: 0 }; total_hits];
+        for (qi, keys) in &probes {
+            for key in keys {
+                pairs[offsets[key.image]] = MatchPair { q: *qi, t: key.region };
+                offsets[key.image] += 1;
+            }
+        }
+        // `offsets[id]` is now where image `id`'s run ends and the next begins.
+        let mut candidates = Vec::new();
+        let mut start = 0;
+        for (image_id, &end) in offsets.iter().enumerate() {
+            if end > start {
+                candidates.push((image_id, start..end));
+            }
+            start = end;
+        }
+
         // Step 2 (paper §5.5): score each candidate image, fanned out
-        // across the pool in ascending-id order so results are reproducible
-        // run to run (the serial path's HashMap order was not). A dead image
-        // slot would mean the index and the image store desynced; that is a
-        // bug, but it degrades to an impossible score (filtered below)
-        // rather than a panic inside the worker pool.
-        let mut candidates: Vec<(usize, Vec<MatchPair>)> = by_image.into_iter().collect();
-        candidates.sort_unstable_by_key(|(id, _)| *id);
+        // across the pool. A dead image slot would mean the index and the
+        // image store desynced; that is a bug, but it degrades to an
+        // impossible score (filtered below) rather than a panic inside the
+        // worker pool.
         let distinct_images = candidates.len();
         let match_span = guard.span("match");
-        let score_out = parallel_map_partial(threads, guard, &candidates, |_, (image_id, pairs)| {
+        let score_out = parallel_map_partial(threads, guard, &candidates, |_, (image_id, run)| {
             let Some(img) = self.images.get(*image_id).and_then(|s| s.as_ref()) else {
                 debug_assert!(false, "index points at dead image slot {image_id}");
                 return (*image_id, f64::NEG_INFINITY, 0);
             };
-            let score = matching::score(
-                params,
-                q_regions,
-                &img.regions,
-                pairs,
-                query_area,
-                img.width * img.height,
-            );
-            (*image_id, score.similarity, pairs.len())
+            let pairs = &pairs[run.clone()];
+            let similarity = QUICK_SCRATCH.with_borrow_mut(|scratch| {
+                matching::similarity(
+                    params,
+                    scratch,
+                    q_regions,
+                    &img.regions,
+                    pairs,
+                    query_area,
+                    img.width * img.height,
+                )
+            });
+            (*image_id, similarity, pairs.len())
         });
         match score_out.interrupted {
             Some(Interrupt::Cancelled) => return Err(WalrusError::Cancelled),

@@ -46,6 +46,23 @@ pub struct MatchScore {
     pub pairs_used: Vec<MatchPair>,
 }
 
+fn similarity_of(
+    kind: SimilarityKind,
+    covered_q: usize,
+    covered_t: usize,
+    q_area: usize,
+    t_area: usize,
+) -> f64 {
+    let similarity = match kind {
+        SimilarityKind::Symmetric => (covered_q + covered_t) as f64 / (q_area + t_area) as f64,
+        SimilarityKind::QueryFraction => covered_q as f64 / q_area as f64,
+        SimilarityKind::MinImage => {
+            (covered_q + covered_t) as f64 / (2 * q_area.min(t_area)) as f64
+        }
+    };
+    similarity.clamp(0.0, 1.0)
+}
+
 fn finish(
     kind: SimilarityKind,
     covered_q: usize,
@@ -54,19 +71,48 @@ fn finish(
     t_area: usize,
     pairs_used: Vec<MatchPair>,
 ) -> MatchScore {
-    let similarity = match kind {
-        SimilarityKind::Symmetric => (covered_q + covered_t) as f64 / (q_area + t_area) as f64,
-        SimilarityKind::QueryFraction => covered_q as f64 / q_area as f64,
-        SimilarityKind::MinImage => {
-            (covered_q + covered_t) as f64 / (2 * q_area.min(t_area)) as f64
-        }
-    };
     MatchScore {
-        similarity: similarity.clamp(0.0, 1.0),
+        similarity: similarity_of(kind, covered_q, covered_t, q_area, t_area),
         covered_query_area: covered_q,
         covered_target_area: covered_t,
         pairs_used,
     }
+}
+
+/// The two union accumulators of quick matching. A caller scoring many
+/// candidate images keeps one and passes it to every call, so a candidate
+/// costs no allocation; the accumulators take whatever layout the next
+/// image's bitmaps have.
+#[derive(Debug, Clone)]
+pub struct QuickScratch {
+    q: RegionBitmap,
+    t: RegionBitmap,
+}
+
+impl Default for QuickScratch {
+    fn default() -> Self {
+        let empty = RegionBitmap::new(1, 1, 1);
+        Self { q: empty.clone(), t: empty }
+    }
+}
+
+/// Quick-union covered areas `(query pixels, target pixels)`: every region
+/// named by a pair is unioned into its side's accumulator — once or many
+/// times makes no difference to a union.
+pub fn quick_covered(
+    scratch: &mut QuickScratch,
+    q_regions: &[Region],
+    t_regions: &[Region],
+    pairs: &[MatchPair],
+) -> (usize, usize) {
+    let Some(first) = pairs.first() else { return (0, 0) };
+    scratch.q.reset_like(&q_regions[first.q].bitmap);
+    scratch.t.reset_like(&t_regions[first.t].bitmap);
+    for p in pairs {
+        scratch.q.union_in_place(&q_regions[p.q].bitmap);
+        scratch.t.union_in_place(&t_regions[p.t].bitmap);
+    }
+    (scratch.q.area(), scratch.t.area())
 }
 
 /// Quick-union matching (paper §5.5, "the quickest similarity metric").
@@ -78,31 +124,8 @@ pub fn score_quick(
     t_area: usize,
     kind: SimilarityKind,
 ) -> MatchScore {
-    if pairs.is_empty() {
-        return finish(kind, 0, 0, q_area, t_area, Vec::new());
-    }
-    let mut q_acc: Option<RegionBitmap> = None;
-    let mut t_acc: Option<RegionBitmap> = None;
-    let mut q_seen = vec![false; q_regions.len()];
-    let mut t_seen = vec![false; t_regions.len()];
-    for p in pairs {
-        if !q_seen[p.q] {
-            q_seen[p.q] = true;
-            match &mut q_acc {
-                Some(acc) => acc.union_in_place(&q_regions[p.q].bitmap),
-                None => q_acc = Some(q_regions[p.q].bitmap.clone()),
-            }
-        }
-        if !t_seen[p.t] {
-            t_seen[p.t] = true;
-            match &mut t_acc {
-                Some(acc) => acc.union_in_place(&t_regions[p.t].bitmap),
-                None => t_acc = Some(t_regions[p.t].bitmap.clone()),
-            }
-        }
-    }
-    let covered_q = q_acc.map_or(0, |b| b.area());
-    let covered_t = t_acc.map_or(0, |b| b.area());
+    let (covered_q, covered_t) =
+        quick_covered(&mut QuickScratch::default(), q_regions, t_regions, pairs);
     finish(kind, covered_q, covered_t, q_area, t_area, pairs.to_vec())
 }
 
@@ -122,10 +145,8 @@ pub fn score_greedy(
     let mut t_used = vec![false; t_regions.len()];
     let mut remaining: Vec<MatchPair> = pairs.to_vec();
     // Accumulators must share the source bitmaps' layout exactly.
-    let mut q_acc = q_regions[0].bitmap.clone();
-    zero_bitmap(&mut q_acc);
-    let mut t_acc = t_regions[0].bitmap.clone();
-    zero_bitmap(&mut t_acc);
+    let mut q_acc = empty_like(&q_regions[0].bitmap);
+    let mut t_acc = empty_like(&t_regions[0].bitmap);
 
     let mut covered = 0usize;
     let mut chosen = Vec::new();
@@ -230,10 +251,8 @@ pub fn score_exact(
             + q_regions[pairs[i].q].area()
             + t_regions[pairs[i].t].area();
     }
-    let mut q_acc = q_regions[0].bitmap.clone();
-    zero_bitmap(&mut q_acc);
-    let mut t_acc = t_regions[0].bitmap.clone();
-    zero_bitmap(&mut t_acc);
+    let q_acc = empty_like(&q_regions[0].bitmap);
+    let t_acc = empty_like(&t_regions[0].bitmap);
     let mut search = Search {
         q_regions,
         t_regions,
@@ -277,12 +296,32 @@ pub fn score(
     }
 }
 
-fn zero_bitmap(b: &mut RegionBitmap) {
-    let empty = RegionBitmap::new(b.width(), b.height(), b.grid_width().max(b.grid_height()));
-    // Layout equality holds because grid dims derive from the same inputs.
-    debug_assert_eq!(empty.grid_width(), b.grid_width());
-    debug_assert_eq!(empty.grid_height(), b.grid_height());
-    *b = empty;
+/// The similarity [`score`] would report, for a caller that ranks images
+/// and keeps nothing else of the score: quick matching runs through
+/// `scratch` and materialises no pair list.
+pub fn similarity(
+    params: &WalrusParams,
+    scratch: &mut QuickScratch,
+    q_regions: &[Region],
+    t_regions: &[Region],
+    pairs: &[MatchPair],
+    q_area: usize,
+    t_area: usize,
+) -> f64 {
+    match params.matching {
+        MatchingKind::Quick => {
+            let (covered_q, covered_t) = quick_covered(scratch, q_regions, t_regions, pairs);
+            similarity_of(params.similarity, covered_q, covered_t, q_area, t_area)
+        }
+        _ => score(params, q_regions, t_regions, pairs, q_area, t_area).similarity,
+    }
+}
+
+/// An empty bitmap with `b`'s layout.
+fn empty_like(b: &RegionBitmap) -> RegionBitmap {
+    let mut empty = RegionBitmap::new(1, 1, 1);
+    empty.reset_like(b);
+    empty
 }
 
 #[cfg(test)]

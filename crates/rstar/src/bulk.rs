@@ -157,9 +157,9 @@ mod tests {
         for probe in pts(20, 3) {
             let q = probe.0.min().to_vec();
             let mut a: Vec<usize> =
-                packed.search_within(&q, 0.15).unwrap().into_iter().map(|(_, &v)| v).collect();
+                packed.search_within(&q, 0.15).unwrap().into_iter().copied().collect();
             let mut b: Vec<usize> =
-                incremental.search_within(&q, 0.15).unwrap().into_iter().map(|(_, &v)| v).collect();
+                incremental.search_within(&q, 0.15).unwrap().into_iter().copied().collect();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b);

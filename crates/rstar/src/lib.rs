@@ -9,8 +9,9 @@
 //!
 //! * region signatures are ~12-dimensional points (2×2 Haar corner × 3
 //!   channels) or their cluster bounding boxes, so the tree takes its
-//!   dimensionality at *runtime* and stores rectangles as `min`/`max`
-//!   vectors;
+//!   dimensionality at *runtime*; nodes live in an arena, each owning a
+//!   fixed run of one coordinate slab and one value/child-id slab, so a
+//!   probe reads an entry's rectangle beside its neighbours';
 //! * the only queries needed are "all rectangles intersecting an
 //!   ε-extended query rectangle" and "all points within L2 distance ε",
 //!   plus k-nearest-neighbors for ranked retrieval; all are provided;
@@ -40,7 +41,7 @@
 //! assert_eq!(hits.len(), 4); // the four surrounding grid points
 //! // Nearest neighbour.
 //! let nearest = tree.nearest_k(&[0.2, 0.1], 1)?;
-//! assert_eq!(*nearest[0].1, 0);
+//! assert_eq!(*nearest[0].0, 0);
 //! # Ok::<(), walrus_rstar::RStarError>(())
 //! ```
 

@@ -17,7 +17,7 @@
 //! Deletion condenses underflowing nodes by reinserting their entries, the
 //! classic R-tree strategy, so the tree stays height-balanced.
 
-use crate::rect::Rect;
+use crate::rect::{self, Rect};
 use crate::{RStarError, Result};
 
 /// Tree shape parameters.
@@ -62,61 +62,70 @@ impl RStarParams {
     }
 }
 
-#[derive(Debug, Clone)]
-struct LeafEntry<V> {
-    rect: Rect,
-    value: V,
+/// Per-node header: how many of the node's `M + 1` entry slots are live, and
+/// whether they hold values (leaf) or child ids.
+#[derive(Debug, Clone, Copy)]
+struct NodeHead {
+    len: u32,
+    leaf: bool,
 }
 
+/// What an entry slot holds beside its rectangle.
 #[derive(Debug, Clone)]
-struct ChildEntry<V> {
-    rect: Rect,
-    node: Box<Node<V>>,
+enum Slot<V> {
+    Vacant,
+    Value(V),
+    Child(u32),
 }
 
-#[derive(Debug, Clone)]
-enum Node<V> {
-    Leaf(Vec<LeafEntry<V>>),
-    Internal(Vec<ChildEntry<V>>),
-}
-
-impl<V> Node<V> {
-    fn bounding_rect(&self) -> Option<Rect> {
-        match self {
-            Node::Leaf(entries) => {
-                let mut it = entries.iter();
-                let mut r = it.next()?.rect.clone();
-                for e in it {
-                    r.union_in_place(&e.rect);
-                }
-                Some(r)
-            }
-            Node::Internal(children) => {
-                let mut it = children.iter();
-                let mut r = it.next()?.rect.clone();
-                for c in it {
-                    r.union_in_place(&c.rect);
-                }
-                Some(r)
-            }
-        }
+impl<V> Slot<V> {
+    fn take(&mut self) -> Slot<V> {
+        std::mem::replace(self, Slot::Vacant)
     }
 
-    fn entry_count(&self) -> usize {
+    fn into_value(self) -> V {
         match self {
-            Node::Leaf(e) => e.len(),
-            Node::Internal(c) => c.len(),
+            Slot::Value(v) => v,
+            _ => unreachable!("leaf entries hold values"),
         }
+    }
+}
+
+/// Leaf entries lifted out of the tree — a forced-reinsert set, or the
+/// contents of condensed subtrees — as one coordinate run and the values
+/// beside it.
+#[derive(Debug)]
+struct Detached<V> {
+    coords: Vec<f32>,
+    values: Vec<V>,
+}
+
+impl<V> Detached<V> {
+    fn new() -> Self {
+        Self { coords: Vec::new(), values: Vec::new() }
     }
 }
 
 /// An in-memory R\*-tree mapping rectangles (or points) to values.
+///
+/// Nodes live in an arena: a node is a `u32` id, and node `n` owns a fixed
+/// run of `M + 1` entry slots (one more than a node may keep, for the
+/// overflowing entry a split or forced reinsert then takes out) in each of
+/// two parallel slabs — `coords`, `2·dims` floats per entry (lower corner
+/// then upper), and `slots`, the value or child id the entry points at.
+/// Live entries are packed at the front of the run in the node's entry
+/// order, so scanning a node is one slice walk. Dissolved nodes go on a free
+/// list and are handed out again before the slabs grow.
 #[derive(Debug, Clone)]
 pub struct RStarTree<V> {
-    root: Node<V>,
     dims: usize,
     params: RStarParams,
     len: usize,
+    root: u32,
+    heads: Vec<NodeHead>,
+    coords: Vec<f32>,
+    slots: Vec<Slot<V>>,
+    free: Vec<u32>,
 }
 
 impl<V> RStarTree<V> {
@@ -126,7 +135,23 @@ impl<V> RStarTree<V> {
         if dims == 0 {
             return Err(RStarError::BadParams("dimensionality must be >= 1".into()));
         }
-        Ok(Self { root: Node::Leaf(Vec::new()), dims, params, len: 0 })
+        let mut tree = Self::bare(dims, params);
+        tree.root = tree.alloc(true);
+        Ok(tree)
+    }
+
+    /// A tree with no nodes at all; the caller installs a root.
+    fn bare(dims: usize, params: RStarParams) -> Self {
+        Self {
+            dims,
+            params,
+            len: 0,
+            root: 0,
+            heads: Vec::new(),
+            coords: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
     }
 
     /// Creates an empty tree with default parameters.
@@ -147,12 +172,161 @@ impl<V> RStarTree<V> {
     /// Tree height (1 = a single leaf).
     pub fn height(&self) -> usize {
         let mut h = 1;
-        let mut node = &self.root;
-        while let Node::Internal(children) = node {
+        let mut node = self.root;
+        while !self.heads[node as usize].leaf {
             h += 1;
-            node = &children[0].node;
+            node = self.child(node, 0);
         }
         h
+    }
+
+    /// Floats per entry rectangle.
+    #[inline]
+    fn width(&self) -> usize {
+        2 * self.dims
+    }
+
+    /// Entry slots per node.
+    #[inline]
+    fn cap(&self) -> usize {
+        self.params.max_entries + 1
+    }
+
+    /// Floats per node in the coordinate slab.
+    #[inline]
+    fn stride(&self) -> usize {
+        self.cap() * self.width()
+    }
+
+    #[inline]
+    fn count(&self, node: u32) -> usize {
+        self.heads[node as usize].len as usize
+    }
+
+    /// The rectangles of `node`'s live entries, back to back.
+    #[inline]
+    fn rects(&self, node: u32) -> &[f32] {
+        &self.coords[node as usize * self.stride()..][..self.count(node) * self.width()]
+    }
+
+    /// What `node`'s live entries point at, parallel to [`Self::rects`].
+    #[inline]
+    fn entries(&self, node: u32) -> &[Slot<V>] {
+        &self.slots[node as usize * self.cap()..][..self.count(node)]
+    }
+
+    /// `node`'s live entries: each rectangle with what it points at.
+    #[inline]
+    fn pairs(&self, node: u32) -> impl Iterator<Item = (&[f32], &Slot<V>)> {
+        self.rects(node).chunks_exact(self.width()).zip(self.entries(node))
+    }
+
+    #[inline]
+    fn rect(&self, node: u32, i: usize) -> &[f32] {
+        &self.coords[node as usize * self.stride() + i * self.width()..][..self.width()]
+    }
+
+    fn slot_mut(&mut self, node: u32, i: usize) -> &mut Slot<V> {
+        let at = node as usize * self.cap() + i;
+        &mut self.slots[at]
+    }
+
+    fn child(&self, node: u32, i: usize) -> u32 {
+        match self.entries(node)[i] {
+            Slot::Child(c) => c,
+            _ => unreachable!("internal entries hold child ids"),
+        }
+    }
+
+    /// Hands out an empty node: a recycled one if any, else a new run at the
+    /// end of both slabs.
+    fn alloc(&mut self, leaf: bool) -> u32 {
+        let head = NodeHead { len: 0, leaf };
+        if let Some(node) = self.free.pop() {
+            self.heads[node as usize] = head;
+            return node;
+        }
+        let node = u32::try_from(self.heads.len()).expect("node ids fit in u32");
+        self.heads.push(head);
+        self.coords.resize(self.coords.len() + self.stride(), 0.0);
+        self.slots.resize_with(self.slots.len() + self.cap(), || Slot::Vacant);
+        node
+    }
+
+    /// Puts an emptied node on the free list.
+    fn release(&mut self, node: u32) {
+        self.heads[node as usize].len = 0;
+        self.free.push(node);
+    }
+
+    /// Appends an entry to `node`.
+    fn push(&mut self, node: u32, rect: &[f32], slot: Slot<V>) {
+        let i = self.count(node);
+        let at = node as usize * self.stride() + i * self.width();
+        self.coords[at..at + rect.len()].copy_from_slice(rect);
+        *self.slot_mut(node, i) = slot;
+        self.heads[node as usize].len += 1;
+    }
+
+    /// Appends `child` to `node` under the bounding rectangle of its entries.
+    fn push_child(&mut self, node: u32, child: u32) {
+        let i = self.count(node);
+        self.refresh_bound(node, i, child);
+        *self.slot_mut(node, i) = Slot::Child(child);
+        self.heads[node as usize].len += 1;
+    }
+
+    /// Recomputes entry `i` of `parent` as the bounding rectangle of
+    /// `child`'s entries (which cannot be empty).
+    fn refresh_bound(&mut self, parent: u32, i: usize, child: u32) {
+        let (w, stride) = (self.width(), self.stride());
+        let dst = parent as usize * stride + i * w;
+        let src = child as usize * stride;
+        let run = self.count(child) * w;
+        debug_assert_ne!(parent, child);
+        let (bound, entries) = if dst < src {
+            let (head, tail) = self.coords.split_at_mut(src);
+            (&mut head[dst..dst + w], &tail[..run])
+        } else {
+            let (head, tail) = self.coords.split_at_mut(dst);
+            (&mut tail[..w], &head[src..src + run])
+        };
+        bound.copy_from_slice(&entries[..w]);
+        for e in entries[w..].chunks_exact(w) {
+            rect::union_into(bound, e);
+        }
+    }
+
+    /// Moves entry `from` to position `to` (an unused slot), across nodes or
+    /// within one.
+    fn move_entry(&mut self, from: (u32, usize), to: (u32, usize)) {
+        let (w, stride) = (self.width(), self.stride());
+        let src = from.0 as usize * stride + from.1 * w;
+        self.coords.copy_within(src..src + w, to.0 as usize * stride + to.1 * w);
+        let slot = self.slot_mut(from.0, from.1).take();
+        *self.slot_mut(to.0, to.1) = slot;
+    }
+
+    /// Removes entry `i` of `node` by moving the last entry into its place.
+    fn swap_remove(&mut self, node: u32, i: usize) -> Slot<V> {
+        let last = self.count(node) - 1;
+        let taken = self.slot_mut(node, i).take();
+        if i != last {
+            self.move_entry((node, last), (node, i));
+        }
+        self.heads[node as usize].len -= 1;
+        taken
+    }
+
+    /// Removes entry `i` of `node`, keeping the order of the rest.
+    fn remove_at(&mut self, node: u32, i: usize) -> Slot<V> {
+        let (n, w) = (self.count(node), self.width());
+        let base = node as usize * self.stride();
+        self.coords.copy_within(base + (i + 1) * w..base + n * w, base + i * w);
+        let first = node as usize * self.cap();
+        self.slots[first + i..first + n].rotate_left(1);
+        self.heads[node as usize].len -= 1;
+        self.slots[first + n - 1].take()
     }
 
     /// Assembles a tree from pre-packed leaf groups (see [`crate::bulk`]).
@@ -164,35 +338,40 @@ impl<V> RStarTree<V> {
         groups: Vec<Vec<(Rect, V)>>,
     ) -> Self {
         debug_assert!(!groups.is_empty());
-        let len = groups.iter().map(|g| g.len()).sum();
-        let mut level: Vec<ChildEntry<V>> = groups
-            .into_iter()
-            .map(|g| {
-                make_child(Node::Leaf(
-                    g.into_iter().map(|(rect, value)| LeafEntry { rect, value }).collect(),
-                ))
-            })
-            .collect();
+        let mut tree = Self::bare(dims, params);
+        let mut level = Vec::with_capacity(groups.len());
+        for group in groups {
+            tree.len += group.len();
+            let leaf = tree.alloc(true);
+            for (rect, value) in group {
+                tree.push(leaf, rect.flat(), Slot::Value(value));
+            }
+            level.push(leaf);
+        }
         while level.len() > 1 {
             let mut next = Vec::with_capacity(level.len().div_ceil(params.max_entries));
-            let mut rest = level;
+            let mut rest = level.as_slice();
             while !rest.is_empty() {
                 let mut take = params.max_entries.min(rest.len());
                 let remaining = rest.len() - take;
                 if remaining > 0 && remaining < params.min_entries {
                     take = rest.len() - params.min_entries;
                 }
-                let tail = rest.split_off(take);
-                next.push(make_child(Node::Internal(rest)));
+                let (run, tail) = rest.split_at(take);
+                let parent = tree.alloc(false);
+                for &child in run {
+                    tree.push_child(parent, child);
+                }
+                next.push(parent);
                 rest = tail;
             }
             level = next;
         }
-        let root = match level.pop() {
-            Some(c) => *c.node,
-            None => Node::Leaf(Vec::new()),
+        tree.root = match level.pop() {
+            Some(root) => root,
+            None => tree.alloc(true),
         };
-        Self { root, dims, params, len }
+        tree
     }
 
     /// Inserts `rect → value`.
@@ -200,45 +379,212 @@ impl<V> RStarTree<V> {
         if rect.dims() != self.dims {
             return Err(RStarError::DimensionMismatch { expected: self.dims, got: rect.dims() });
         }
-        self.insert_entry(LeafEntry { rect, value }, true);
+        self.insert_entry(rect.flat(), value, true);
         self.len += 1;
         Ok(())
     }
 
-    fn insert_entry(&mut self, entry: LeafEntry<V>, allow_reinsert: bool) {
+    fn insert_entry(&mut self, rect: &[f32], value: V, allow_reinsert: bool) {
         let mut allow = allow_reinsert;
-        let (split, reinserts) = insert_rec(&mut self.root, entry, &self.params, &mut allow);
+        let (split, reinserts) = self.insert_rec(self.root, rect, value, &mut allow);
         if let Some(sibling) = split {
             self.grow_root(sibling);
         }
-        for e in reinserts {
+        let w = self.width();
+        for (rect, value) in reinserts.coords.chunks_exact(w).zip(reinserts.values) {
             let mut no_reinsert = false;
-            let (split, extra) = insert_rec(&mut self.root, e, &self.params, &mut no_reinsert);
-            debug_assert!(extra.is_empty());
+            let (split, extra) = self.insert_rec(self.root, rect, value, &mut no_reinsert);
+            debug_assert!(extra.values.is_empty());
             if let Some(sibling) = split {
                 self.grow_root(sibling);
             }
         }
     }
 
-    fn grow_root(&mut self, sibling: ChildEntry<V>) {
-        let old = std::mem::replace(&mut self.root, Node::Leaf(Vec::new()));
-        let old_rect = old.bounding_rect().expect("split root cannot be empty");
-        self.root =
-            Node::Internal(vec![ChildEntry { rect: old_rect, node: Box::new(old) }, sibling]);
+    fn grow_root(&mut self, sibling: u32) {
+        let old = self.root;
+        self.root = self.alloc(false);
+        self.push_child(self.root, old);
+        self.push_child(self.root, sibling);
     }
 
-    /// All `(rect, value)` pairs whose rectangle intersects `query`.
-    pub fn search_intersecting(&self, query: &Rect) -> Result<Vec<(&Rect, &V)>> {
+    /// Descends to a leaf by ChooseSubtree and appends the entry there.
+    /// Returns the sibling id when `node` split, and the forced-reinsert
+    /// set when the leaf overflowed for the first time in this insertion.
+    fn insert_rec(
+        &mut self,
+        node: u32,
+        rect: &[f32],
+        value: V,
+        allow_reinsert: &mut bool,
+    ) -> (Option<u32>, Detached<V>) {
+        let max = self.params.max_entries;
+        if self.heads[node as usize].leaf {
+            self.push(node, rect, Slot::Value(value));
+            if self.count(node) <= max {
+                return (None, Detached::new());
+            }
+            if *allow_reinsert {
+                *allow_reinsert = false;
+                return (None, self.take_farthest(node));
+            }
+            return (Some(self.split(node)), Detached::new());
+        }
+        let i = self.choose_subtree(node, rect);
+        let child = self.child(node, i);
+        let (split, reinserts) = self.insert_rec(child, rect, value, allow_reinsert);
+        self.refresh_bound(node, i, child);
+        let mut my_split = None;
+        if let Some(sibling) = split {
+            self.push_child(node, sibling);
+            if self.count(node) > max {
+                my_split = Some(self.split(node));
+            }
+        }
+        (my_split, reinserts)
+    }
+
+    /// R\* ChooseSubtree: minimum overlap enlargement when children are
+    /// leaves, otherwise minimum area enlargement (ties broken by area).
+    fn choose_subtree(&self, node: u32, rect: &[f32]) -> usize {
+        let w = self.width();
+        let children = self.rects(node);
+        let leaf_level = self.heads[self.child(node, 0) as usize].leaf;
+        let mut best = 0usize;
+        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for (i, c) in children.chunks_exact(w).enumerate() {
+            let area = rect::area(c);
+            let area_enl = rect::union_area(c, rect) - area;
+            let overlap_enl = if leaf_level {
+                let mut delta = 0.0;
+                for (j, o) in children.chunks_exact(w).enumerate() {
+                    if i != j {
+                        delta += rect::union_overlap_area(c, rect, o) - rect::overlap_area(c, o);
+                    }
+                }
+                delta
+            } else {
+                0.0
+            };
+            let key = (overlap_enl, area_enl, area);
+            if key < best_key {
+                best_key = key;
+                best = i;
+            }
+        }
+        best
+    }
+
+    /// Takes out of an overflowing leaf the `p` entries whose centres are
+    /// farthest from the node centre (the R\* forced-reinsert set). They come
+    /// back in node order, which is the order they are reinserted in.
+    fn take_farthest(&mut self, node: u32) -> Detached<V> {
+        let w = self.width();
+        let entries = self.rects(node);
+        let mut bounding = entries[..w].to_vec();
+        for e in entries[w..].chunks_exact(w) {
+            rect::union_into(&mut bounding, e);
+        }
+        let dist: Vec<f64> =
+            entries.chunks_exact(w).map(|e| rect::center_dist_sq(&bounding, e)).collect();
+        let mut picked: Vec<usize> = (0..dist.len()).collect();
+        picked.sort_by(|&a, &b| {
+            dist[b].partial_cmp(&dist[a]).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        picked.truncate(self.params.reinsert_count);
+        picked.sort_unstable();
+        let mut coords = Vec::with_capacity(picked.len() * w);
+        for &i in &picked {
+            coords.extend_from_slice(self.rect(node, i));
+        }
+        // Highest position first, so each `swap_remove` moves an entry that
+        // stays and the positions still to be taken are not disturbed.
+        let mut values: Vec<V> =
+            picked.iter().rev().map(|&i| self.swap_remove(node, i).into_value()).collect();
+        values.reverse();
+        Detached { coords, values }
+    }
+
+    /// The R\* split, for leaves and internal nodes alike: the retained half
+    /// stays in `node`, the other moves to a new sibling whose id is
+    /// returned; both keep their entries' relative order.
+    fn split(&mut self, node: u32) -> u32 {
+        let (m, w) = (self.params.min_entries, self.width());
+        let total = self.count(node);
+        debug_assert!(total >= 2 * m);
+        let entries = self.rects(node);
+        let mut bounds = vec![0.0f32; 2 * w];
+        let (bb1, bb2) = bounds.split_at_mut(w);
+        let mut order = Vec::with_capacity(total);
+
+        // Choose the split axis: the one minimizing the margin sum over all
+        // legal distributions of both (by-min and by-max) sortings. A
+        // sorting is named by the coordinate column it sorts on.
+        let mut best_axis = 0usize;
+        let mut best_margin = f64::INFINITY;
+        for axis in 0..self.dims {
+            let mut margin_sum = 0.0;
+            for column in [axis, self.dims + axis] {
+                sort_by_column(&mut order, entries, w, column);
+                for k in m..=total - m {
+                    group_bounds(entries, w, &order, k, bb1, bb2);
+                    margin_sum += rect::margin(bb1) + rect::margin(bb2);
+                }
+            }
+            if margin_sum < best_margin {
+                best_margin = margin_sum;
+                best_axis = axis;
+            }
+        }
+
+        // Choose the distribution on that axis: minimal overlap, then area.
+        let mut best = (best_axis, m);
+        let mut best_key = (f64::INFINITY, f64::INFINITY);
+        for column in [best_axis, self.dims + best_axis] {
+            sort_by_column(&mut order, entries, w, column);
+            for k in m..=total - m {
+                group_bounds(entries, w, &order, k, bb1, bb2);
+                let key = (rect::overlap_area(bb1, bb2), rect::area(bb1) + rect::area(bb2));
+                if key < best_key {
+                    best_key = key;
+                    best = (column, k);
+                }
+            }
+        }
+        let (column, k) = best;
+        sort_by_column(&mut order, entries, w, column);
+
+        // Partition according to the winning distribution.
+        let mut in_second = vec![false; total];
+        for &i in &order[k..] {
+            in_second[i] = true;
+        }
+        let sibling = self.alloc(self.heads[node as usize].leaf);
+        let (mut kept, mut moved) = (0, 0);
+        for (i, &second) in in_second.iter().enumerate() {
+            if second {
+                self.move_entry((node, i), (sibling, moved));
+                moved += 1;
+            } else {
+                if kept != i {
+                    self.move_entry((node, i), (node, kept));
+                }
+                kept += 1;
+            }
+        }
+        self.heads[node as usize].len = kept as u32;
+        self.heads[sibling as usize].len = moved as u32;
+        sibling
+    }
+
+    /// All values whose rectangle intersects `query`, in traversal order.
+    pub fn search_intersecting(&self, query: &Rect) -> Result<Vec<&V>> {
         self.search_intersecting_stats(query).map(|(out, _)| out)
     }
 
     /// [`search_intersecting`](RStarTree::search_intersecting) plus probe
     /// statistics for observability.
-    pub fn search_intersecting_stats(
-        &self,
-        query: &Rect,
-    ) -> Result<(Vec<(&Rect, &V)>, SearchStats)> {
+    pub fn search_intersecting_stats(&self, query: &Rect) -> Result<(Vec<&V>, SearchStats)> {
         self.search_intersecting_filtered_stats(query, |_| true)
     }
 
@@ -254,32 +600,28 @@ impl<V> RStarTree<V> {
         &self,
         query: &Rect,
         mut prefilter: impl FnMut(&V) -> bool,
-    ) -> Result<(Vec<(&Rect, &V)>, SearchStats)> {
+    ) -> Result<(Vec<&V>, SearchStats)> {
         if query.dims() != self.dims {
             return Err(RStarError::DimensionMismatch { expected: self.dims, got: query.dims() });
         }
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
-        search_rec(&self.root, query, &mut out, &mut stats, &mut prefilter);
+        self.search_rec(self.root, query.flat(), None, &mut out, &mut stats, &mut prefilter);
         Ok((out, stats))
     }
 
-    /// All entries whose rectangle lies within L2 distance `eps` of `point`
+    /// All values whose rectangle lies within L2 distance `eps` of `point`
     /// (for point entries this is the exact ε-ball query WALRUS issues for
     /// centroid signatures; for box entries it is the ε-extended overlap
-    /// test of Definition 4.1).
-    pub fn search_within(&self, point: &[f32], eps: f32) -> Result<Vec<(&Rect, &V)>> {
+    /// test of Definition 4.1), in traversal order.
+    pub fn search_within(&self, point: &[f32], eps: f32) -> Result<Vec<&V>> {
         self.search_within_stats(point, eps).map(|(out, _)| out)
     }
 
     /// [`search_within`](RStarTree::search_within) plus probe statistics:
     /// nodes visited during the rectangle descent, and how many rectangle
     /// candidates the exact ε-ball distance test then pruned.
-    pub fn search_within_stats(
-        &self,
-        point: &[f32],
-        eps: f32,
-    ) -> Result<(Vec<(&Rect, &V)>, SearchStats)> {
+    pub fn search_within_stats(&self, point: &[f32], eps: f32) -> Result<(Vec<&V>, SearchStats)> {
         self.search_within_filtered_stats(point, eps, |_| true)
     }
 
@@ -294,24 +636,65 @@ impl<V> RStarTree<V> {
         point: &[f32],
         eps: f32,
         mut prefilter: impl FnMut(&V) -> bool,
-    ) -> Result<(Vec<(&Rect, &V)>, SearchStats)> {
+    ) -> Result<(Vec<&V>, SearchStats)> {
         if point.len() != self.dims {
             return Err(RStarError::DimensionMismatch { expected: self.dims, got: point.len() });
         }
         let probe = Rect::point(point)?.extended(eps);
-        let eps_sq = (eps as f64) * (eps as f64);
+        let ball = Some((point, (eps as f64) * (eps as f64)));
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
-        search_rec(&self.root, &probe, &mut out, &mut stats, &mut prefilter);
-        let coarse = out.len();
-        out.retain(|(r, _)| r.min_dist_sq(point) <= eps_sq);
-        stats.pruned = coarse - out.len();
+        self.search_rec(self.root, probe.flat(), ball, &mut out, &mut stats, &mut prefilter);
         Ok((out, stats))
     }
 
-    /// The `k` entries nearest to `point` by minimum L2 distance to their
-    /// rectangle, ascending (best-first branch-and-bound).
-    pub fn nearest_k(&self, point: &[f32], k: usize) -> Result<Vec<(&Rect, &V, f64)>> {
+    /// The rectangle descent. A leaf entry that passes the prefilter is
+    /// tested against the `query` box in `f32` and then, when `ball` gives a
+    /// centre and a squared radius, against that ball in `f64`.
+    fn search_rec<'a>(
+        &'a self,
+        node: u32,
+        query: &[f32],
+        ball: Option<(&[f32], f64)>,
+        out: &mut Vec<&'a V>,
+        stats: &mut SearchStats,
+        prefilter: &mut impl FnMut(&V) -> bool,
+    ) {
+        stats.nodes_visited += 1;
+        if !self.heads[node as usize].leaf {
+            for (rect, slot) in self.pairs(node) {
+                match slot {
+                    Slot::Child(child) if rect::intersects(rect, query) => {
+                        self.search_rec(*child, query, ball, out, stats, prefilter);
+                    }
+                    _ => {}
+                }
+            }
+            return;
+        }
+        for (rect, slot) in self.pairs(node) {
+            let Slot::Value(value) = slot else { continue };
+            if !prefilter(value) {
+                stats.prefilter_rejected += 1;
+                continue;
+            }
+            stats.exact_tested += 1;
+            if !rect::intersects(rect, query) {
+                continue;
+            }
+            match ball {
+                Some((centre, eps_sq)) if rect::min_dist_sq(rect, centre) > eps_sq => {
+                    stats.pruned += 1;
+                }
+                _ => out.push(value),
+            }
+        }
+    }
+
+    /// The `k` values nearest to `point` by minimum L2 distance to their
+    /// rectangle, ascending, with that distance (best-first
+    /// branch-and-bound).
+    pub fn nearest_k(&self, point: &[f32], k: usize) -> Result<Vec<(&V, f64)>> {
         if point.len() != self.dims {
             return Err(RStarError::DimensionMismatch { expected: self.dims, got: point.len() });
         }
@@ -323,8 +706,8 @@ impl<V> RStarTree<V> {
 
         // Min-heap over (distance, frontier item).
         enum Item<'a, V> {
-            Node(&'a Node<V>),
-            Entry(&'a Rect, &'a V),
+            Node(u32),
+            Entry(&'a V),
         }
         struct Keyed<'a, V>(f64, Item<'a, V>);
         impl<V> PartialEq for Keyed<'_, V> {
@@ -345,22 +728,22 @@ impl<V> RStarTree<V> {
         }
 
         let mut heap: BinaryHeap<Reverse<Keyed<V>>> = BinaryHeap::new();
-        heap.push(Reverse(Keyed(0.0, Item::Node(&self.root))));
+        heap.push(Reverse(Keyed(0.0, Item::Node(self.root))));
         let mut out = Vec::with_capacity(k);
         while let Some(Reverse(Keyed(dist, item))) = heap.pop() {
             match item {
-                Item::Node(Node::Leaf(entries)) => {
-                    for e in entries {
-                        heap.push(Reverse(Keyed(e.rect.min_dist_sq(point), Item::Entry(&e.rect, &e.value))));
+                Item::Node(node) => {
+                    for (rect, slot) in self.pairs(node) {
+                        let item = match slot {
+                            Slot::Value(value) => Item::Entry(value),
+                            Slot::Child(child) => Item::Node(*child),
+                            Slot::Vacant => continue,
+                        };
+                        heap.push(Reverse(Keyed(rect::min_dist_sq(rect, point), item)));
                     }
                 }
-                Item::Node(Node::Internal(children)) => {
-                    for c in children {
-                        heap.push(Reverse(Keyed(c.rect.min_dist_sq(point), Item::Node(&c.node))));
-                    }
-                }
-                Item::Entry(rect, value) => {
-                    out.push((rect, value, dist.sqrt()));
+                Item::Entry(value) => {
+                    out.push((value, dist.sqrt()));
                     if out.len() == k {
                         break;
                     }
@@ -379,90 +762,127 @@ impl<V> RStarTree<V> {
         if rect.dims() != self.dims {
             return Err(RStarError::DimensionMismatch { expected: self.dims, got: rect.dims() });
         }
-        let mut orphans = Vec::new();
-        let removed = remove_rec(&mut self.root, rect, value, self.params.min_entries, &mut orphans);
+        let mut orphans = Detached::new();
+        let removed = self.remove_rec(self.root, rect.flat(), value, &mut orphans);
         if removed {
             self.len -= 1;
             // Shrink the root while it is an internal node with one child.
             loop {
-                match &mut self.root {
-                    Node::Internal(children) if children.len() == 1 => {
-                        let child = children.pop().expect("length checked");
-                        self.root = *child.node;
-                    }
-                    Node::Internal(children) if children.is_empty() => {
-                        self.root = Node::Leaf(Vec::new());
-                        break;
-                    }
-                    _ => break,
+                let root = self.root;
+                let head = self.heads[root as usize];
+                if head.leaf || head.len > 1 {
+                    break;
                 }
+                if head.len == 0 {
+                    self.heads[root as usize].leaf = true;
+                    break;
+                }
+                self.root = self.child(root, 0);
+                self.slot_mut(root, 0).take();
+                self.release(root);
             }
-            for e in orphans {
-                self.insert_entry(e, false);
+            let w = self.width();
+            for (rect, value) in orphans.coords.chunks_exact(w).zip(orphans.values) {
+                self.insert_entry(rect, value, false);
             }
         }
         Ok(removed)
     }
 
-    /// Visits every stored `(rect, value)` pair.
-    pub fn for_each(&self, mut f: impl FnMut(&Rect, &V)) {
-        fn walk<V>(node: &Node<V>, f: &mut impl FnMut(&Rect, &V)) {
-            match node {
-                Node::Leaf(entries) => {
-                    for e in entries {
-                        f(&e.rect, &e.value);
-                    }
+    /// Removes one matching entry below `node`; the entries of condensed
+    /// (underflowed) subtrees go to `orphans`. Returns whether it was found.
+    fn remove_rec(&mut self, node: u32, rect: &[f32], value: &V, orphans: &mut Detached<V>) -> bool
+    where
+        V: PartialEq,
+    {
+        if self.heads[node as usize].leaf {
+            let found = self
+                .pairs(node)
+                .position(|(r, slot)| r == rect && matches!(slot, Slot::Value(v) if v == value));
+            if let Some(i) = found {
+                self.remove_at(node, i);
+            }
+            return found.is_some();
+        }
+        for i in 0..self.count(node) {
+            if !rect::intersects(self.rect(node, i), rect) {
+                continue;
+            }
+            let child = self.child(node, i);
+            if self.remove_rec(child, rect, value, orphans) {
+                if self.count(child) < self.params.min_entries {
+                    // Condense: dissolve the child, reinsert its entries.
+                    self.remove_at(node, i);
+                    self.dissolve(child, orphans);
+                } else {
+                    self.refresh_bound(node, i, child);
                 }
-                Node::Internal(children) => {
-                    for c in children {
-                        walk(&c.node, f);
-                    }
-                }
+                return true;
             }
         }
-        walk(&self.root, &mut f);
+        false
+    }
+
+    /// Lifts every leaf entry below `node` into `out`, in traversal order,
+    /// and frees the subtree's nodes.
+    fn dissolve(&mut self, node: u32, out: &mut Detached<V>) {
+        let leaf = self.heads[node as usize].leaf;
+        if leaf {
+            out.coords.extend_from_slice(self.rects(node));
+        }
+        for i in 0..self.count(node) {
+            match self.slot_mut(node, i).take() {
+                Slot::Child(child) => self.dissolve(child, out),
+                slot => out.values.push(slot.into_value()),
+            }
+        }
+        self.release(node);
     }
 
     /// Checks structural invariants (used by tests): bounding rectangles
     /// contain their subtrees, all leaves at the same depth, node occupancy
-    /// within `[m, M]` except the root. Panics on violation.
+    /// within `[m, M]` except the root, every arena node either reachable
+    /// exactly once or on the free list, and no slot outside a node's live
+    /// run occupied. Panics on violation.
     pub fn check_invariants(&self) {
-        fn depth_of<V>(node: &Node<V>) -> usize {
-            match node {
-                Node::Leaf(_) => 1,
-                Node::Internal(children) => 1 + depth_of(&children[0].node),
-            }
-        }
-        fn walk<V>(node: &Node<V>, params: &RStarParams, is_root: bool, expected_depth: usize) -> usize {
-            match node {
-                Node::Leaf(entries) => {
-                    assert_eq!(expected_depth, 1, "leaves must share a depth");
-                    if !is_root {
-                        assert!(entries.len() >= params.min_entries, "leaf underflow");
-                    }
-                    assert!(entries.len() <= params.max_entries, "leaf overflow");
-                    entries.len()
-                }
-                Node::Internal(children) => {
-                    if !is_root {
-                        assert!(children.len() >= params.min_entries, "internal underflow");
-                    } else {
-                        assert!(children.len() >= 2, "internal root needs >= 2 children");
-                    }
-                    assert!(children.len() <= params.max_entries, "internal overflow");
-                    let mut count = 0;
-                    for c in children {
-                        let sub = c.node.bounding_rect().expect("child cannot be empty");
-                        assert!(c.rect.contains(&sub), "stale child bounding rect");
-                        count += walk(&c.node, params, false, expected_depth - 1);
-                    }
-                    count
-                }
-            }
-        }
-        let depth = depth_of(&self.root);
-        let counted = walk(&self.root, &self.params, true, depth);
+        let mut reached = vec![false; self.heads.len()];
+        let counted = self.check_node(self.root, true, self.height(), &mut reached);
         assert_eq!(counted, self.len, "length bookkeeping diverged");
+        for &node in &self.free {
+            let seen = std::mem::replace(&mut reached[node as usize], true);
+            assert!(!seen, "node {node} freed twice or still linked");
+        }
+        assert!(reached.iter().all(|&r| r), "arena node neither reachable nor free");
+        assert_eq!(self.coords.len(), self.heads.len() * self.stride());
+        assert_eq!(self.slots.len(), self.heads.len() * self.cap());
+    }
+
+    fn check_node(&self, node: u32, is_root: bool, depth: usize, reached: &mut [bool]) -> usize {
+        let seen = std::mem::replace(&mut reached[node as usize], true);
+        assert!(!seen, "node {node} linked twice");
+        let (params, n) = (&self.params, self.count(node));
+        let run = &self.slots[node as usize * self.cap()..][..self.cap()];
+        assert!(run[n..].iter().all(|s| matches!(s, Slot::Vacant)), "slot past a node's live run");
+        assert!(n <= params.max_entries, "node overflow");
+        if self.heads[node as usize].leaf {
+            assert_eq!(depth, 1, "leaves must share a depth");
+            assert!(is_root || n >= params.min_entries, "leaf underflow");
+            assert!(run[..n].iter().all(|s| matches!(s, Slot::Value(_))), "leaf holds a non-value");
+            return n;
+        }
+        assert!(n >= if is_root { 2 } else { params.min_entries }, "internal underflow");
+        let mut count = 0;
+        for i in 0..n {
+            let child = self.child(node, i);
+            let entries = self.rects(child);
+            let mut sub = entries[..self.width()].to_vec();
+            for e in entries[self.width()..].chunks_exact(self.width()) {
+                rect::union_into(&mut sub, e);
+            }
+            assert!(rect::contains(self.rect(node, i), &sub), "stale child bounding rect");
+            count += self.check_node(child, false, depth - 1, reached);
+        }
+        count
     }
 }
 
@@ -482,267 +902,30 @@ pub struct SearchStats {
     pub exact_tested: usize,
 }
 
-fn search_rec<'a, V>(
-    node: &'a Node<V>,
-    query: &Rect,
-    out: &mut Vec<(&'a Rect, &'a V)>,
-    stats: &mut SearchStats,
-    prefilter: &mut impl FnMut(&V) -> bool,
-) {
-    stats.nodes_visited += 1;
-    match node {
-        Node::Leaf(entries) => {
-            for e in entries {
-                if !prefilter(&e.value) {
-                    stats.prefilter_rejected += 1;
-                    continue;
-                }
-                stats.exact_tested += 1;
-                if e.rect.intersects(query) {
-                    out.push((&e.rect, &e.value));
-                }
-            }
-        }
-        Node::Internal(children) => {
-            for c in children {
-                if c.rect.intersects(query) {
-                    search_rec(&c.node, query, out, stats, prefilter);
-                }
-            }
-        }
-    }
-}
-
-fn insert_rec<V>(
-    node: &mut Node<V>,
-    entry: LeafEntry<V>,
-    params: &RStarParams,
-    allow_reinsert: &mut bool,
-) -> (Option<ChildEntry<V>>, Vec<LeafEntry<V>>) {
-    match node {
-        Node::Leaf(entries) => {
-            entries.push(entry);
-            if entries.len() <= params.max_entries {
-                return (None, Vec::new());
-            }
-            if *allow_reinsert {
-                *allow_reinsert = false;
-                let reinserts = take_farthest(entries, params.reinsert_count);
-                return (None, reinserts);
-            }
-            let sibling = split_entries(entries, params, |e| &e.rect);
-            (Some(make_child(Node::Leaf(sibling))), Vec::new())
-        }
-        Node::Internal(children) => {
-            let i = choose_subtree(children, &entry.rect);
-            let (split, reinserts) = insert_rec(&mut children[i].node, entry, params, allow_reinsert);
-            children[i].rect =
-                children[i].node.bounding_rect().expect("child cannot become empty on insert");
-            let mut my_split = None;
-            if let Some(sibling) = split {
-                children.push(sibling);
-                if children.len() > params.max_entries {
-                    let sibling_children = split_entries(children, params, |c| &c.rect);
-                    my_split = Some(make_child(Node::Internal(sibling_children)));
-                }
-            }
-            (my_split, reinserts)
-        }
-    }
-}
-
-fn make_child<V>(node: Node<V>) -> ChildEntry<V> {
-    let rect = node.bounding_rect().expect("split halves are non-empty");
-    ChildEntry { rect, node: Box::new(node) }
-}
-
-/// R\* ChooseSubtree: minimum overlap enlargement when children are leaves,
-/// otherwise minimum area enlargement (ties broken by area).
-fn choose_subtree<V>(children: &[ChildEntry<V>], rect: &Rect) -> usize {
-    let leaf_level = matches!(*children[0].node, Node::Leaf(_));
-    let mut best = 0usize;
-    let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for (i, c) in children.iter().enumerate() {
-        let enlarged = c.rect.union(rect);
-        let area_enl = enlarged.area() - c.rect.area();
-        let overlap_enl = if leaf_level {
-            let mut delta = 0.0;
-            for (j, o) in children.iter().enumerate() {
-                if i != j {
-                    delta += enlarged.overlap_area(&o.rect) - c.rect.overlap_area(&o.rect);
-                }
-            }
-            delta
-        } else {
-            0.0
-        };
-        let key = (overlap_enl, area_enl, c.rect.area());
-        if key < best_key {
-            best_key = key;
-            best = i;
-        }
-    }
-    best
-}
-
-/// Removes the `p` entries whose centres are farthest from the node centre
-/// (the R\* forced-reinsert set), returning them closest-first as the paper
-/// recommends for re-insertion order.
-fn take_farthest<V>(entries: &mut Vec<LeafEntry<V>>, p: usize) -> Vec<LeafEntry<V>> {
-    let mut bounding = entries[0].rect.clone();
-    for e in entries.iter().skip(1) {
-        bounding.union_in_place(&e.rect);
-    }
-    let mut order: Vec<usize> = (0..entries.len()).collect();
+/// Fills `order` with the positions of `entries` (rectangles `w` floats
+/// wide) stably sorted on coordinate `column` of each.
+fn sort_by_column(order: &mut Vec<usize>, entries: &[f32], w: usize, column: usize) {
+    order.clear();
+    order.extend(0..entries.len() / w);
     order.sort_by(|&a, &b| {
-        bounding
-            .center_dist_sq(&entries[b].rect)
-            .partial_cmp(&bounding.center_dist_sq(&entries[a].rect))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut to_remove: Vec<usize> = order.into_iter().take(p).collect();
-    to_remove.sort_unstable_by(|a, b| b.cmp(a));
-    let mut removed: Vec<LeafEntry<V>> = to_remove.into_iter().map(|i| entries.swap_remove(i)).collect();
-    removed.reverse(); // farthest removed last → reinsert closest-first
-    removed
-}
-
-/// The R\* split. Generic over leaf entries and child entries via `rect_of`.
-/// Splits `items` in place: the retained half stays, the other is returned.
-fn split_entries<T>(items: &mut Vec<T>, params: &RStarParams, rect_of: impl Fn(&T) -> &Rect) -> Vec<T> {
-    let m = params.min_entries;
-    let total = items.len();
-    debug_assert!(total >= 2 * m);
-    let dims = rect_of(&items[0]).dims();
-
-    // Choose the split axis: the one minimizing the margin sum over all
-    // legal distributions of both (by-min and by-max) sortings.
-    let mut best_axis = 0usize;
-    let mut best_margin = f64::INFINITY;
-    for axis in 0..dims {
-        let mut margin_sum = 0.0;
-        for by_max in [false, true] {
-            let order = sorted_order(items, axis, by_max, &rect_of);
-            for k in m..=total - m {
-                let (bb1, bb2) = group_rects(items, &order, k, &rect_of);
-                margin_sum += bb1.margin() + bb2.margin();
-            }
-        }
-        if margin_sum < best_margin {
-            best_margin = margin_sum;
-            best_axis = axis;
-        }
-    }
-
-    // Choose the distribution on that axis: minimal overlap, then area.
-    let mut best: Option<(Vec<usize>, usize)> = None;
-    let mut best_key = (f64::INFINITY, f64::INFINITY);
-    for by_max in [false, true] {
-        let order = sorted_order(items, best_axis, by_max, &rect_of);
-        for k in m..=total - m {
-            let (bb1, bb2) = group_rects(items, &order, k, &rect_of);
-            let key = (bb1.overlap_area(&bb2), bb1.area() + bb2.area());
-            if key < best_key {
-                best_key = key;
-                best = Some((order.clone(), k));
-            }
-        }
-    }
-    let (order, k) = best.expect("at least one distribution exists");
-
-    // Partition according to the winning distribution.
-    let mut in_second = vec![false; total];
-    for &i in &order[k..] {
-        in_second[i] = true;
-    }
-    let mut first = Vec::with_capacity(k);
-    let mut second = Vec::with_capacity(total - k);
-    for (i, item) in items.drain(..).enumerate() {
-        if in_second[i] {
-            second.push(item);
-        } else {
-            first.push(item);
-        }
-    }
-    *items = first;
-    second
-}
-
-fn sorted_order<T>(items: &[T], axis: usize, by_max: bool, rect_of: &impl Fn(&T) -> &Rect) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (ra, rb) = (rect_of(&items[a]), rect_of(&items[b]));
-        let (ka, kb) = if by_max {
-            (ra.max()[axis], rb.max()[axis])
-        } else {
-            (ra.min()[axis], rb.min()[axis])
-        };
+        let (ka, kb) = (entries[a * w + column], entries[b * w + column]);
         ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal)
     });
-    order
 }
 
-fn group_rects<T>(items: &[T], order: &[usize], k: usize, rect_of: &impl Fn(&T) -> &Rect) -> (Rect, Rect) {
-    let mut bb1 = rect_of(&items[order[0]]).clone();
-    for &i in &order[1..k] {
-        bb1.union_in_place(rect_of(&items[i]));
-    }
-    let mut bb2 = rect_of(&items[order[k]]).clone();
-    for &i in &order[k + 1..] {
-        bb2.union_in_place(rect_of(&items[i]));
-    }
-    (bb1, bb2)
-}
-
-/// Removes one matching entry; collects entries of condensed (underflowed)
-/// subtrees into `orphans`. Returns whether the entry was found.
-fn remove_rec<V: PartialEq>(
-    node: &mut Node<V>,
-    rect: &Rect,
-    value: &V,
-    min_entries: usize,
-    orphans: &mut Vec<LeafEntry<V>>,
-) -> bool {
-    match node {
-        Node::Leaf(entries) => {
-            if let Some(pos) = entries.iter().position(|e| &e.rect == rect && &e.value == value) {
-                entries.remove(pos);
-                true
-            } else {
-                false
-            }
-        }
-        Node::Internal(children) => {
-            for i in 0..children.len() {
-                if !children[i].rect.intersects(rect) {
-                    continue;
-                }
-                if remove_rec(&mut children[i].node, rect, value, min_entries, orphans) {
-                    if children[i].node.entry_count() < min_entries {
-                        // Condense: dissolve the child, reinsert its entries.
-                        let child = children.remove(i);
-                        collect_entries(*child.node, orphans);
-                    } else {
-                        children[i].rect = children[i]
-                            .node
-                            .bounding_rect()
-                            .expect("non-underflowed child is non-empty");
-                    }
-                    return true;
-                }
-            }
-            false
-        }
-    }
-}
-
-fn collect_entries<V>(node: Node<V>, out: &mut Vec<LeafEntry<V>>) {
-    match node {
-        Node::Leaf(entries) => out.extend(entries),
-        Node::Internal(children) => {
-            for c in children {
-                collect_entries(*c.node, out);
-            }
+/// Bounding rectangles of the first `k` entries in `order` and of the rest.
+fn group_bounds(
+    entries: &[f32],
+    w: usize,
+    order: &[usize],
+    k: usize,
+    bb1: &mut [f32],
+    bb2: &mut [f32],
+) {
+    for (bound, group) in [(bb1, &order[..k]), (bb2, &order[k..])] {
+        bound.copy_from_slice(&entries[group[0] * w..][..w]);
+        for &i in &group[1..] {
+            rect::union_into(bound, &entries[i * w..][..w]);
         }
     }
 }
@@ -774,6 +957,117 @@ mod tests {
         t
     }
 
+    fn lcg(seed: u64) -> impl FnMut() -> f32 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) % 100_000) as f32 / 100_000.0
+        }
+    }
+
+    /// 5 000 seeded 12-d points in 40 tight clusters — the shape WALRUS
+    /// signatures have, so an ε = 0.085 probe returns dozens of hits.
+    fn pin_points() -> Vec<Vec<f32>> {
+        let mut next = lcg(0x5EED_0013);
+        let centres: Vec<Vec<f32>> = (0..40).map(|_| (0..12).map(|_| next()).collect()).collect();
+        (0..5_000)
+            .map(|i| centres[i % 40].iter().map(|c| c + (next() - 0.5) * 0.06).collect())
+            .collect()
+    }
+
+    /// 100 seeded ε = 0.085 probes: summed `nodes_visited`, `exact_tested`,
+    /// `pruned`, hit count, and an FNV-1a of the hit values in order.
+    fn pin_probe(tree: &RStarTree<usize>, pts: &[Vec<f32>]) -> (usize, usize, usize, usize, u64) {
+        let mut next = lcg(0xBEEF_0013);
+        let (mut nodes, mut exact, mut pruned, mut hits) = (0, 0, 0, 0);
+        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |v: usize| {
+            for b in (v as u64).to_le_bytes() {
+                fnv = (fnv ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for _ in 0..100 {
+            let base = &pts[(next() * 4_999.0) as usize];
+            let q: Vec<f32> = base.iter().map(|c| c + (next() - 0.5) * 0.02).collect();
+            let (found, stats) = tree.search_within_stats(&q, 0.085).unwrap();
+            nodes += stats.nodes_visited;
+            exact += stats.exact_tested;
+            pruned += stats.pruned;
+            hits += found.len();
+            mix(found.len());
+            found.into_iter().for_each(|&v| mix(v));
+        }
+        (nodes, exact, pruned, hits, fnv)
+    }
+
+    /// The constants were captured from the boxed-node tree this arena
+    /// replaced (commit 3ec4089): the same heuristics on the same inputs
+    /// must build the same tree, entry order inside every node included.
+    #[test]
+    fn shape_is_pinned_to_the_boxed_tree() {
+        let pts = pin_points();
+        let every_third = || pts.iter().enumerate().filter(|(i, _)| i % 3 == 0);
+        let mut inc = RStarTree::with_dims(12).unwrap();
+        for (i, p) in pts.iter().enumerate() {
+            inc.insert(pt(p), i).unwrap();
+        }
+        assert_eq!(inc.height(), 4);
+        assert_eq!(pin_probe(&inc, &pts), (1646, 13503, 6805, 5695, 2064370187531075296));
+        let mut packed = crate::bulk_load(
+            12,
+            RStarParams::default(),
+            pts.iter().enumerate().map(|(i, p)| (pt(p), i)).collect(),
+        )
+        .unwrap();
+        assert_eq!(packed.height(), 4);
+        assert_eq!(pin_probe(&packed, &pts), (1840, 14107, 6805, 5695, 3184819318344533176));
+        // Condense-and-reinsert shapes the tree too.
+        for (i, p) in every_third() {
+            assert!(inc.remove(&pt(p), &i).unwrap());
+        }
+        inc.check_invariants();
+        assert_eq!(pin_probe(&inc, &pts), (1402, 9018, 4549, 3785, 1870522267695697345));
+        for (i, p) in every_third() {
+            assert!(packed.remove(&pt(p), &i).unwrap());
+        }
+        for (i, p) in every_third() {
+            packed.insert(pt(p), i).unwrap();
+        }
+        packed.check_invariants();
+        assert_eq!(pin_probe(&packed, &pts), (1655, 14000, 6805, 5695, 3147418192351728580));
+    }
+
+    /// Rounds of insert-everything / remove-everything, each removing in a
+    /// different order: dissolved nodes must come back off the free list, so
+    /// the arena never outgrows what the first round needed.
+    #[test]
+    fn arena_reuses_freed_nodes() {
+        let mut next = lcg(0xA4E7A);
+        let points: Vec<(Rect, usize)> =
+            (0..1_000).map(|i| (pt(&[next(), next(), next()]), i)).collect();
+        let mut t = RStarTree::with_dims(3).unwrap();
+        let mut high_water = 0;
+        for round in 0..10 {
+            for (r, v) in &points {
+                t.insert(r.clone(), *v).unwrap();
+            }
+            t.check_invariants();
+            // Round-specific removal order: a stride coprime to 1 000.
+            let stride = [1, 3, 7, 9, 11, 13, 17, 19, 21, 999][round];
+            for k in 0..points.len() {
+                let (r, v) = &points[k * stride % points.len()];
+                assert!(t.remove(r, v).unwrap());
+                if round == 0 {
+                    high_water = high_water.max(t.heads.len());
+                }
+            }
+            t.check_invariants();
+            assert!(t.is_empty());
+            assert!(t.heads.len() <= high_water, "round {round}: {} > {high_water}", t.heads.len());
+            assert_eq!(t.free.len(), t.heads.len() - 1, "all but the root leaf are free");
+        }
+    }
+
     #[test]
     fn empty_tree_queries() {
         let t: RStarTree<usize> = RStarTree::with_dims(2).unwrap();
@@ -790,7 +1084,7 @@ mod tests {
         t.check_invariants();
         let query = Rect::new(vec![2.5, 3.5], vec![7.0, 9.0]).unwrap();
         let mut got: Vec<usize> =
-            t.search_intersecting(&query).unwrap().into_iter().map(|(_, &v)| v).collect();
+            t.search_intersecting(&query).unwrap().into_iter().copied().collect();
         got.sort_unstable();
         let mut want: Vec<usize> = points
             .iter()
@@ -808,7 +1102,7 @@ mod tests {
         let t = build(&points);
         for (center, eps) in [([4.2f32, 4.8], 1.5f32), ([0.0, 0.0], 3.0), ([9.0, 9.0], 0.5)] {
             let mut got: Vec<usize> =
-                t.search_within(&center, eps).unwrap().into_iter().map(|(_, &v)| v).collect();
+                t.search_within(&center, eps).unwrap().into_iter().copied().collect();
             got.sort_unstable();
             let mut want: Vec<usize> = points
                 .iter()
@@ -829,14 +1123,14 @@ mod tests {
         assert_eq!(got.len(), 5);
         // Distances ascend.
         for w in got.windows(2) {
-            assert!(w[0].2 <= w[1].2);
+            assert!(w[0].1 <= w[1].1);
         }
         let mut want: Vec<(f64, usize)> = points
             .iter()
             .map(|(r, v)| (r.min_dist_sq(&q).sqrt(), *v))
             .collect();
         want.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let got_dists: Vec<f64> = got.iter().map(|g| g.2).collect();
+        let got_dists: Vec<f64> = got.iter().map(|g| g.1).collect();
         let want_dists: Vec<f64> = want.iter().take(5).map(|w| w.0).collect();
         for (a, b) in got_dists.iter().zip(&want_dists) {
             assert!((a - b).abs() < 1e-9);
@@ -855,7 +1149,7 @@ mod tests {
             t.insert(r.clone(), *v).unwrap();
         }
         let hits = t.search_intersecting(&Rect::new(vec![1.5, 1.5], vec![1.6, 1.6]).unwrap()).unwrap();
-        let mut ids: Vec<usize> = hits.iter().map(|(_, &v)| v).collect();
+        let mut ids: Vec<usize> = hits.iter().map(|&&v| v).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1]);
     }
@@ -903,7 +1197,7 @@ mod tests {
         for (r, v) in &points {
             if *v != 3 * 8 + 3 {
                 let found = t.search_within(r.min(), 0.0).unwrap();
-                assert!(found.iter().any(|(_, &got)| got == *v), "lost point {v}");
+                assert!(found.iter().any(|&&got| got == *v), "lost point {v}");
             }
         }
     }
@@ -921,15 +1215,6 @@ mod tests {
         t.insert(pt(&[0.5, 0.5]), 999).unwrap();
         assert_eq!(t.len(), 1);
         t.check_invariants();
-    }
-
-    #[test]
-    fn for_each_visits_all() {
-        let points = grid_points(7);
-        let t = build(&points);
-        let mut seen = [false; 49];
-        t.for_each(|_, &v| seen[v] = true);
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
@@ -963,8 +1248,8 @@ mod tests {
         // An admissible prefilter (accept-all) yields identical results.
         let (same, same_stats) =
             t.search_within_filtered_stats(&center, eps, |_| true).unwrap();
-        let ids = |v: &[(&Rect, &usize)]| {
-            let mut out: Vec<usize> = v.iter().map(|(_, &id)| id).collect();
+        let ids = |v: &[&usize]| {
+            let mut out: Vec<usize> = v.iter().map(|&&id| id).collect();
             out.sort_unstable();
             out
         };
@@ -999,5 +1284,73 @@ mod tests {
         t.check_invariants();
         let near_origin = t.search_within(&[0.0, 0.0], 1.0).unwrap();
         assert_eq!(near_origin.len(), 200);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Differential test against a linear scan under interleaved insert
+        /// / remove / re-insert, over point and box entries.
+        #[test]
+        fn interleaved_edits_agree_with_a_linear_scan(
+            dims in proptest::sample::select(vec![2usize, 3, 12]),
+            seed in proptest::any::<u64>(),
+        ) {
+            let mut next = lcg(seed);
+            let mut random_rect = |boxed: bool| {
+                let lo: Vec<f32> = (0..dims).map(|_| next()).collect();
+                let hi = lo.iter().map(|v| v + if boxed { next() * 0.2 } else { 0.0 }).collect();
+                Rect::new(lo, hi).unwrap()
+            };
+            let mut tree = RStarTree::with_dims(dims).unwrap();
+            // Every rectangle ever inserted, and whether it is in the tree.
+            let mut known: Vec<(Rect, bool)> = Vec::new();
+            let mut pick = lcg(seed ^ 0x9E37_79B9);
+            for step in 0..160 {
+                let at = (pick() * known.len() as f32) as usize;
+                match (pick() * 4.0) as usize {
+                    // Twice as many inserts as removals, so the tree grows.
+                    0 | 1 => {
+                        known.push((random_rect(step % 3 == 0), true));
+                        tree.insert(known.last().unwrap().0.clone(), known.len() - 1).unwrap();
+                    }
+                    2 if !known.is_empty() => {
+                        let removed = tree.remove(&known[at].0, &at).unwrap();
+                        proptest::prop_assert_eq!(removed, known[at].1);
+                        known[at].1 = false;
+                    }
+                    _ if !known.is_empty() && !known[at].1 => {
+                        tree.insert(known[at].0.clone(), at).unwrap();
+                        known[at].1 = true;
+                    }
+                    _ => {}
+                }
+                tree.check_invariants();
+                proptest::prop_assert_eq!(tree.len(), known.iter().filter(|k| k.1).count());
+
+                let probe = random_rect(true);
+                let eps = 0.05 + pick() * 0.4;
+                let live = || known.iter().enumerate().filter(|(_, k)| k.1);
+                let within = tree.search_within(probe.min(), eps).unwrap();
+                let boxed = tree.search_intersecting(&probe).unwrap();
+                // The same probe twice returns the same hits in the same order.
+                proptest::prop_assert_eq!(&within, &tree.search_within(probe.min(), eps).unwrap());
+                proptest::prop_assert_eq!(&boxed, &tree.search_intersecting(&probe).unwrap());
+                let sorted = |hits: Vec<&usize>| {
+                    let mut ids: Vec<usize> = hits.into_iter().copied().collect();
+                    ids.sort_unstable();
+                    ids
+                };
+                let eps_sq = (eps as f64) * (eps as f64);
+                let want_within: Vec<usize> = live()
+                    .filter(|(_, k)| k.0.min_dist_sq(probe.min()) <= eps_sq)
+                    .map(|(i, _)| i)
+                    .collect();
+                let want_boxed: Vec<usize> =
+                    live().filter(|(_, k)| k.0.intersects(&probe)).map(|(i, _)| i).collect();
+                proptest::prop_assert_eq!(sorted(within), want_within);
+                proptest::prop_assert_eq!(sorted(boxed), want_boxed);
+            }
+        }
     }
 }

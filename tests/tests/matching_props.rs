@@ -4,8 +4,11 @@
 
 use proptest::prelude::*;
 use walrus_core::bitmap::RegionBitmap;
-use walrus_core::matching::{score_exact, score_greedy, score_quick, MatchPair};
-use walrus_core::{Region, SimilarityKind};
+use walrus_core::matching::{
+    quick_covered, score, score_exact, score_greedy, score_quick, similarity, MatchPair,
+    QuickScratch,
+};
+use walrus_core::{Region, SimilarityKind, WalrusParams};
 
 const W: usize = 64;
 const H: usize = 48;
@@ -42,6 +45,37 @@ fn instance() -> impl Strategy<Value = Inst> {
                 .collect();
             Inst { q, t, pairs }
         })
+}
+
+/// Quick matching by its definition, allocating as it goes: clone the first
+/// region seen on a side, union in every further distinct one, and count the
+/// result's pixels cell by cell.
+fn quick_covered_by_definition(inst: &Inst) -> (usize, usize) {
+    fn covered(regions: &[Region], picked: impl Iterator<Item = usize>) -> usize {
+        let mut seen = vec![false; regions.len()];
+        let mut acc: Option<RegionBitmap> = None;
+        for i in picked {
+            if !std::mem::replace(&mut seen[i], true) {
+                acc = Some(match acc {
+                    Some(a) => a.union(&regions[i].bitmap),
+                    None => regions[i].bitmap.clone(),
+                });
+            }
+        }
+        let Some(acc) = acc else { return 0 };
+        let mut total = 0;
+        for cy in 0..acc.grid_height() {
+            for cx in 0..acc.grid_width() {
+                if acc.get_cell(cx, cy) {
+                    let (_, _, w, h) = acc.cell_pixels(cx, cy);
+                    total += w * h;
+                }
+            }
+        }
+        total
+    }
+    let (qs, ts) = (inst.pairs.iter().map(|p| p.q), inst.pairs.iter().map(|p| p.t));
+    (covered(&inst.q, qs), covered(&inst.t, ts))
 }
 
 fn one_to_one(pairs: &[MatchPair]) -> bool {
@@ -104,6 +138,28 @@ proptest! {
             let ba = f(&inst.t, &inst.q, &swapped, AREA, AREA, SimilarityKind::Symmetric);
             prop_assert!((ab.similarity - ba.similarity).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn quick_through_reused_scratch_equals_definition(inst in instance(), other in instance()) {
+        // The scratch arrives dirty, and with another image's layout: the
+        // query path scores hundreds of candidates through one pair of
+        // accumulators.
+        let mut scratch = QuickScratch::default();
+        let mut odd = RegionBitmap::new(100, 75, 16);
+        odd.mark_window(3, 5, 60, 40);
+        let odd = [Region::new(vec![0.0; 4], vec![0.0; 4], vec![0.0; 4], odd, 1)];
+        quick_covered(&mut scratch, &odd, &odd, &[MatchPair { q: 0, t: 0 }]);
+        quick_covered(&mut scratch, &other.q, &other.t, &other.pairs);
+        let got = quick_covered(&mut scratch, &inst.q, &inst.t, &inst.pairs);
+        prop_assert_eq!(got, quick_covered_by_definition(&inst));
+        let (q, t, pairs) = (&inst.q, &inst.t, &inst.pairs);
+        let full = score_quick(q, t, pairs, AREA, AREA, SimilarityKind::Symmetric);
+        prop_assert_eq!(got, (full.covered_query_area, full.covered_target_area));
+        // The query path's entry point reports the same number as `score`.
+        let params = WalrusParams::paper_defaults();
+        let direct = similarity(&params, &mut scratch, q, t, pairs, AREA, AREA);
+        prop_assert_eq!(direct.to_bits(), score(&params, q, t, pairs, AREA, AREA).similarity.to_bits());
     }
 
     #[test]

@@ -228,6 +228,13 @@ fn prefilter_counters_report_rejections_on_the_seeded_workload() {
         exact_on + rejected_on,
         "every rejected candidate must otherwise have reached the exact test"
     );
+    // A filter that is wired in but prunes next to nothing is a regression
+    // too: it must spare at least a third of the exact tests (this store
+    // measures 208 → 64, 3.25×).
+    assert!(
+        2 * exact_off >= 3 * exact_on,
+        "prefilter cut exact tests only {exact_off} -> {exact_on}, below the 1.5x floor"
+    );
 }
 
 // ---------------------------------------------------------------------------

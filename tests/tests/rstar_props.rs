@@ -39,7 +39,7 @@ proptest! {
         }
         tree.check_invariants();
         let mut got: Vec<usize> =
-            tree.search_within(&q, eps).unwrap().into_iter().map(|(_, &v)| v).collect();
+            tree.search_within(&q, eps).unwrap().into_iter().copied().collect();
         got.sort_unstable();
         let eps_sq = (eps as f64) * (eps as f64);
         let mut want: Vec<usize> = pts
@@ -74,7 +74,7 @@ proptest! {
             .search_intersecting(&probe_rect)
             .unwrap()
             .into_iter()
-            .map(|(_, &v)| v)
+            .copied()
             .collect();
         got.sort_unstable();
         let mut want: Vec<usize> = rects
@@ -96,7 +96,7 @@ proptest! {
         let got = tree.nearest_k(&q, k).unwrap();
         prop_assert_eq!(got.len(), k.min(pts.len()));
         for w in got.windows(2) {
-            prop_assert!(w[0].2 <= w[1].2 + 1e-9);
+            prop_assert!(w[0].1 <= w[1].1 + 1e-9);
         }
         let mut dists: Vec<f64> = pts
             .iter()
@@ -110,7 +110,7 @@ proptest! {
             .collect();
         dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for (g, want) in got.iter().zip(&dists) {
-            prop_assert!((g.2 - want).abs() < 1e-6, "{} vs {}", g.2, want);
+            prop_assert!((g.1 - want).abs() < 1e-6, "{} vs {}", g.1, want);
         }
     }
 
@@ -138,7 +138,7 @@ proptest! {
         for (i, r) in rects.iter().enumerate() {
             if alive[i] {
                 let hits = tree.search_within(r.min(), 0.0).unwrap();
-                prop_assert!(hits.iter().any(|(_, &v)| v == i), "lost live point {}", i);
+                prop_assert!(hits.iter().any(|&&v| v == i), "lost live point {}", i);
             }
         }
     }
