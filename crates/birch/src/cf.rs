@@ -4,7 +4,7 @@
 //! per-dimension linear sum, and the scalar sum of squared norms. CFs are
 //! additive (`CF(A ∪ B) = CF(A) + CF(B)`), which makes incremental
 //! clustering O(1) per absorption, and they suffice to compute a cluster's
-//! centroid, radius and diameter exactly.
+//! centroid and radius exactly.
 //!
 //! Accumulation is in `f64` even though input points are `f32`: SS grows as
 //! the square of coordinate magnitudes times N, and the radius formula
@@ -30,6 +30,16 @@ impl ClusteringFeature {
         let mut cf = Self::empty(point.len());
         cf.add_point(point);
         cf
+    }
+
+    /// A CF from its three sums.
+    pub(crate) fn from_parts(n: u64, ls: Vec<f64>, ss: f64) -> Self {
+        Self { n, ls, ss }
+    }
+
+    /// The three sums `(N, LS, SS)`.
+    pub(crate) fn parts(&self) -> (u64, &[f64], f64) {
+        (self.n, &self.ls, self.ss)
     }
 
     /// Dimensionality of the summarized points.
@@ -88,47 +98,10 @@ impl ClusteringFeature {
         (self.ss / n - centroid_sq).max(0.0).sqrt()
     }
 
-    /// Cluster diameter: RMS pairwise distance between member points,
-    /// `D = sqrt(2N·SS − 2‖LS‖²) / sqrt(N(N−1))`. Zero for N ≤ 1.
-    pub fn diameter(&self) -> f64 {
-        if self.n <= 1 {
-            return 0.0;
-        }
-        let n = self.n as f64;
-        let ls_sq: f64 = self.ls.iter().map(|s| s * s).sum();
-        ((2.0 * n * self.ss - 2.0 * ls_sq) / (n * (n - 1.0))).max(0.0).sqrt()
-    }
-
     /// D0 metric: Euclidean distance between centroids.
     pub fn centroid_distance(&self, other: &ClusteringFeature) -> f64 {
         let (a, b) = (self.centroid(), other.centroid());
         a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
-    }
-
-    /// D2 metric: average inter-cluster distance,
-    /// `sqrt( Σ_{a∈A,b∈B} ‖a−b‖² / (N_A·N_B) )`.
-    pub fn average_inter_distance(&self, other: &ClusteringFeature) -> f64 {
-        if self.n == 0 || other.n == 0 {
-            return 0.0;
-        }
-        let (n1, n2) = (self.n as f64, other.n as f64);
-        let cross: f64 = self.ls.iter().zip(&other.ls).map(|(a, b)| a * b).sum();
-        let num = n2 * self.ss + n1 * other.ss - 2.0 * cross;
-        (num / (n1 * n2)).max(0.0).sqrt()
-    }
-
-    /// Distance from the centroid to a raw point.
-    pub fn distance_to_point(&self, point: &[f32]) -> f64 {
-        let c = self.centroid();
-        c.iter().zip(point).map(|(x, &y)| (x - y as f64) * (x - y as f64)).sum::<f64>().sqrt()
-    }
-
-    /// Radius the cluster would have after absorbing `point`, without
-    /// mutating — the CF-tree's threshold test.
-    pub fn radius_with_point(&self, point: &[f32]) -> f64 {
-        let mut t = self.clone();
-        t.add_point(point);
-        t.radius()
     }
 
     /// Centroid as `f32` (signatures downstream are `f32`).
@@ -161,26 +134,6 @@ mod tests {
             .sum::<f64>()
             / n;
         ms.sqrt()
-    }
-
-    fn brute_diameter(points: &[Vec<f32>]) -> f64 {
-        let n = points.len();
-        if n <= 1 {
-            return 0.0;
-        }
-        let mut sum = 0.0f64;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    sum += points[i]
-                        .iter()
-                        .zip(&points[j])
-                        .map(|(&a, &b)| (a as f64 - b as f64) * (a as f64 - b as f64))
-                        .sum::<f64>();
-                }
-            }
-        }
-        (sum / (n * (n - 1)) as f64).sqrt()
     }
 
     fn sample_points() -> Vec<Vec<f32>> {
@@ -219,18 +172,18 @@ mod tests {
     }
 
     #[test]
-    fn diameter_matches_brute_force() {
-        let pts = sample_points();
-        let cf = cf_of(&pts);
-        assert!((cf.diameter() - brute_diameter(&pts)).abs() < 1e-9);
+    fn singleton_has_zero_radius() {
+        let cf = ClusteringFeature::from_point(&[3.0, -1.0]);
+        assert_eq!(cf.radius(), 0.0);
+        assert_eq!(cf.centroid(), vec![3.0, -1.0]);
     }
 
     #[test]
-    fn singleton_has_zero_radius_and_diameter() {
-        let cf = ClusteringFeature::from_point(&[3.0, -1.0]);
+    fn empty_cf_has_an_all_zero_centroid() {
+        let cf = ClusteringFeature::empty(3);
+        assert_eq!(cf.centroid(), vec![0.0; 3]);
+        assert_eq!(cf.centroid_f32(), vec![0.0f32; 3]);
         assert_eq!(cf.radius(), 0.0);
-        assert_eq!(cf.diameter(), 0.0);
-        assert_eq!(cf.centroid(), vec![3.0, -1.0]);
     }
 
     #[test]
@@ -271,35 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn average_inter_distance_brute_force() {
-        let a_pts = vec![vec![0.0f32, 0.0], vec![1.0, 0.0]];
-        let b_pts = vec![vec![0.0f32, 3.0], vec![1.0, 3.0], vec![0.5, 4.0]];
-        let mut sum = 0.0f64;
-        for p in &a_pts {
-            for q in &b_pts {
-                sum += p
-                    .iter()
-                    .zip(q)
-                    .map(|(&x, &y)| (x as f64 - y as f64) * (x as f64 - y as f64))
-                    .sum::<f64>();
-            }
-        }
-        let want = (sum / 6.0).sqrt();
-        let got = cf_of(&a_pts).average_inter_distance(&cf_of(&b_pts));
-        assert!((got - want).abs() < 1e-9, "{got} vs {want}");
-    }
-
-    #[test]
-    fn radius_with_point_is_non_mutating_preview() {
-        let mut cf = ClusteringFeature::from_point(&[0.0, 0.0]);
-        let preview = cf.radius_with_point(&[2.0, 0.0]);
-        assert_eq!(cf.count(), 1);
-        cf.add_point(&[2.0, 0.0]);
-        assert!((cf.radius() - preview).abs() < 1e-12);
-        assert!((preview - 1.0).abs() < 1e-9); // both points 1 from centroid
-    }
-
-    #[test]
     fn numerical_stability_tight_cluster_far_from_origin() {
         // 1000 points in a ball of radius ~1e-3 centred at 1000: f32
         // accumulation would produce radius garbage here.
@@ -311,11 +235,5 @@ mod tests {
         let r = cf.radius();
         assert!(r < 1e-2, "radius should stay tiny, got {r}");
         assert!(cf.centroid()[0] > 999.9 && cf.centroid()[0] < 1000.1);
-    }
-
-    #[test]
-    fn distance_to_point() {
-        let cf = ClusteringFeature::from_point(&[1.0, 1.0]);
-        assert!((cf.distance_to_point(&[4.0, 5.0]) - 5.0).abs() < 1e-9);
     }
 }

@@ -16,26 +16,25 @@
 //! Accordingly this crate implements:
 //!
 //! * [`cf`] — the clustering-feature algebra: `CF = (N, LS, SS)` with O(1)
-//!   merge, centroid, radius and diameter, plus the standard inter-cluster
-//!   distance metrics D0/D2 from the BIRCH paper.
+//!   merge, centroid and radius, plus the centroid distance D0 from the BIRCH
+//!   paper.
 //! * [`tree`] — the CF-tree: height-balanced insertion that absorbs a point
 //!   into the closest leaf entry when the merged radius stays within the
 //!   threshold, leaf/node splits seeded by the farthest entry pair, and
 //!   automatic threshold escalation + rebuild when a leaf-entry budget is
 //!   exceeded (BIRCH's memory-bound rebuilding).
-//! * [`precluster`] — the driver WALRUS calls: fit all points, harvest leaf
-//!   entries as clusters, and assign each input point to its nearest
-//!   cluster so callers can recover per-cluster membership (WALRUS needs
-//!   the member windows to build region bitmaps).
+//! * [`precluster`] — the driver WALRUS calls, over a flat row-major point
+//!   matrix: fit all points, harvest leaf entries as clusters, and assign
+//!   each input point to its nearest cluster so callers can recover
+//!   per-cluster membership (WALRUS needs the member windows to build
+//!   region bitmaps).
 
 pub mod cf;
-pub mod global;
 pub mod precluster;
 pub mod tree;
 
 pub use cf::ClusteringFeature;
-pub use global::{agglomerate_by_distance, agglomerate_to_k, GlobalClustering, Linkage};
-pub use precluster::{precluster, precluster_guarded, Cluster, Preclustering};
+pub use precluster::{precluster, precluster_flat, Cluster, Preclustering};
 pub use tree::{BirchParams, CfTree};
 pub use walrus_guard::{Guard, Interrupt};
 

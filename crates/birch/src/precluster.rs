@@ -1,14 +1,14 @@
 //! The pre-clustering driver used by WALRUS (paper §5.3).
 //!
-//! `precluster(points, ε_c, …)` runs one CF-tree pass over all points and
-//! harvests the leaf entries as clusters. Because WALRUS also needs the
+//! `precluster_flat(points, dims, ε_c, …)` runs one CF-tree pass over all
+//! points and harvests the leaf entries as clusters. Because WALRUS also needs the
 //! *membership* of each cluster (to build the region's pixel bitmap), a
 //! second linear pass assigns every input point to its nearest cluster
 //! centroid — the same refinement BIRCH performs in its optional phase 4.
 
 use crate::cf::ClusteringFeature;
 use crate::tree::{BirchParams, CfTree};
-use crate::Result;
+use crate::{BirchError, Result};
 use walrus_guard::Guard;
 
 /// How many points the guarded pre-clustering loops process between guard
@@ -61,7 +61,8 @@ pub struct Preclustering {
 
 /// Clusters `points` with a radius threshold of `epsilon` (WALRUS's `ε_c`).
 /// `budget` optionally caps the number of clusters the CF-tree may hold
-/// before escalating its threshold.
+/// before escalating its threshold. Flattens the points and runs
+/// [`precluster_flat`].
 ///
 /// ```
 /// let mut points: Vec<Vec<f32>> = Vec::new();
@@ -77,16 +78,29 @@ pub struct Preclustering {
 /// # Ok::<(), walrus_birch::BirchError>(())
 /// ```
 pub fn precluster(points: &[Vec<f32>], epsilon: f64, budget: Option<usize>) -> Result<Preclustering> {
-    precluster_guarded(points, epsilon, budget, &Guard::none())
+    let dims = points.first().map_or(0, Vec::len);
+    let mut flat = Vec::with_capacity(points.len() * dims);
+    for p in points {
+        if p.len() != dims {
+            return Err(BirchError::DimensionMismatch { expected: dims, got: p.len() });
+        }
+        flat.extend_from_slice(p);
+    }
+    if !points.is_empty() && dims == 0 {
+        return Err(BirchError::BadParams("dimensionality must be >= 1".into()));
+    }
+    precluster_flat(&flat, dims, epsilon, budget, &Guard::none())
 }
 
-/// [`precluster`] cooperating with a request [`Guard`]: both linear passes
-/// (CF-tree insertion and nearest-centroid assignment) poll the guard every
-/// [`GUARD_POLL_STRIDE`] points, returning
-/// [`BirchError::Interrupted`](crate::BirchError::Interrupted) when it
-/// trips. With an unarmed guard the result is identical to [`precluster`].
-pub fn precluster_guarded(
-    points: &[Vec<f32>],
+/// Pre-clusters the rows of a `points.len() / dims × dims` row-major matrix
+/// — the layout the sliding-window sweep produces — under a request
+/// [`Guard`]: both linear passes (CF-tree insertion and nearest-centroid
+/// assignment) poll the guard every [`GUARD_POLL_STRIDE`] points, returning
+/// [`BirchError::Interrupted`] when it trips. Member and assignment indices
+/// are row numbers.
+pub fn precluster_flat(
+    points: &[f32],
+    dims: usize,
     epsilon: f64,
     budget: Option<usize>,
     guard: &Guard,
@@ -100,44 +114,66 @@ pub fn precluster_guarded(
             rebuilds: 0,
         });
     }
-    let dims = points[0].len();
     let params = BirchParams {
         threshold: epsilon,
         max_leaf_entries: budget,
         ..BirchParams::default()
     };
+    // Rejects `dims == 0`, so the remainder below is defined.
     let mut tree = CfTree::new(dims, params)?;
-    for (i, p) in points.iter().enumerate() {
-        if i % GUARD_POLL_STRIDE == 0 {
-            guard.poll()?;
-        }
-        tree.insert(p)?;
+    if points.len() % dims != 0 {
+        return Err(BirchError::DimensionMismatch { expected: dims, got: points.len() % dims });
     }
-    let entries = tree.leaf_entry_clones();
-    let centroids: Vec<Vec<f32>> = entries.iter().map(|e| e.centroid_f32()).collect();
-
-    // Nearest-centroid assignment pass.
-    let mut assignments = Vec::with_capacity(points.len());
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); entries.len()];
-    for (i, p) in points.iter().enumerate() {
+    let count = points.len() / dims;
+    let point = |i: usize| &points[i * dims..(i + 1) * dims];
+    for i in 0..count {
         if i % GUARD_POLL_STRIDE == 0 {
             guard.poll()?;
         }
+        tree.insert(point(i))?;
+    }
+
+    // Nearest-centroid assignment pass. The harvested centroids are rounded
+    // to `f32` (they become region signatures) and widened back once, kept
+    // dimension-major (`centroids[d · k + c]`): each cluster's squared
+    // distance is still accumulated dimension by dimension, in order, but
+    // the inner loop now runs across clusters and vectorizes.
+    let k = tree.num_clusters();
+    let mut centroids = vec![0.0f64; dims * k];
+    for (c, centroid) in tree.leaf_centroids().chunks_exact(dims).enumerate() {
+        for (d, &v) in centroid.iter().enumerate() {
+            centroids[d * k + c] = v as f32 as f64;
+        }
+    }
+    let mut assignments = Vec::with_capacity(count);
+    let mut sizes = vec![0usize; k];
+    let mut dist = vec![0.0f64; k];
+    for i in 0..count {
+        if i % GUARD_POLL_STRIDE == 0 {
+            guard.poll()?;
+        }
+        dist.fill(0.0);
+        for (&p, row) in point(i).iter().zip(centroids.chunks_exact(k)) {
+            let p = p as f64;
+            for (acc, &c) in dist.iter_mut().zip(row) {
+                *acc += (c - p) * (c - p);
+            }
+        }
+        // The first minimum wins; a NaN distance is never chosen.
         let mut best = 0usize;
         let mut best_d = f64::INFINITY;
-        for (c, centroid) in centroids.iter().enumerate() {
-            let d: f64 = centroid
-                .iter()
-                .zip(p)
-                .map(|(&a, &b)| (a as f64 - b as f64) * (a as f64 - b as f64))
-                .sum();
+        for (c, &d) in dist.iter().enumerate() {
             if d < best_d {
                 best_d = d;
                 best = c;
             }
         }
         assignments.push(best);
-        members[best].push(i);
+        sizes[best] += 1;
+    }
+    let mut members: Vec<Vec<usize>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for (i, &c) in assignments.iter().enumerate() {
+        members[c].push(i);
     }
 
     // Harvest clusters with membership and signature bounding boxes,
@@ -147,18 +183,18 @@ pub fn precluster_guarded(
     // from its assigned members (the BIRCH phase-4 refinement), so the
     // centroid is guaranteed consistent with the membership — in
     // particular it always lies inside the members' bounding box.
-    let mut remap = vec![usize::MAX; entries.len()];
+    let mut remap = vec![usize::MAX; k];
     let mut clusters = Vec::new();
     for (c, member) in members.into_iter().enumerate() {
         if member.is_empty() {
             continue;
         }
         let mut cf = ClusteringFeature::empty(dims);
-        let mut bbox_min = points[member[0]].clone();
-        let mut bbox_max = points[member[0]].clone();
+        let mut bbox_min = point(member[0]).to_vec();
+        let mut bbox_max = point(member[0]).to_vec();
         for &i in &member {
-            cf.add_point(&points[i]);
-            for (d, &v) in points[i].iter().enumerate() {
+            cf.add_point(point(i));
+            for (d, &v) in point(i).iter().enumerate() {
                 if v < bbox_min[d] {
                     bbox_min[d] = v;
                 }
@@ -280,18 +316,38 @@ mod tests {
 
     #[test]
     fn guarded_precluster_matches_and_interrupts() {
-        use crate::BirchError;
         use walrus_guard::{Guard, Interrupt};
         let mut pts = blob(0.0, 0.0, 30, 0.1);
         pts.extend(blob(5.0, 5.0, 30, 0.1));
         let plain = precluster(&pts, 0.3, None).unwrap();
-        let guarded = precluster_guarded(&pts, 0.3, None, &Guard::none()).unwrap();
+        let flat: Vec<f32> = pts.concat();
+        let guarded = precluster_flat(&flat, 2, 0.3, None, &Guard::none()).unwrap();
         assert_eq!(plain.assignments, guarded.assignments);
         assert_eq!(plain.clusters.len(), guarded.clusters.len());
 
         let guard = Guard::none().trip_after(0, Interrupt::Cancelled);
-        let err = precluster_guarded(&pts, 0.3, None, &guard).unwrap_err();
+        let err = precluster_flat(&flat, 2, 0.3, None, &guard).unwrap_err();
         assert_eq!(err, BirchError::Interrupted(Interrupt::Cancelled));
+    }
+
+    #[test]
+    fn malformed_matrices_are_rejected() {
+        use crate::BirchError;
+        // A matrix whose length is not a multiple of `dims`, zero `dims`,
+        // and ragged nested rows.
+        assert_eq!(
+            precluster_flat(&[0.0; 7], 3, 0.1, None, &Guard::none()).unwrap_err(),
+            BirchError::DimensionMismatch { expected: 3, got: 1 }
+        );
+        assert!(matches!(
+            precluster_flat(&[0.0; 4], 0, 0.1, None, &Guard::none()),
+            Err(BirchError::BadParams(_))
+        ));
+        assert_eq!(
+            precluster(&[vec![0.0, 1.0], vec![2.0]], 0.1, None).unwrap_err(),
+            BirchError::DimensionMismatch { expected: 2, got: 1 }
+        );
+        assert!(matches!(precluster(&[vec![], vec![]], 0.1, None), Err(BirchError::BadParams(_))));
     }
 
     #[test]

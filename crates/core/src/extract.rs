@@ -65,7 +65,7 @@ pub fn extract_regions_guarded(
 
     let wavelet_span = guard.span("wavelet");
     let planes: Vec<&[f32]> = converted.channels().iter().map(|c| c.as_slice()).collect();
-    let signatures = sliding::compute_signatures_guarded(
+    let signatures = sliding::compute_signature_matrix(
         &planes,
         converted.width(),
         converted.height(),
@@ -86,9 +86,9 @@ pub fn extract_regions_guarded(
     }
 
     let birch_span = guard.span("birch");
-    let points: Vec<Vec<f32>> = signatures.iter().map(|s| s.coeffs.clone()).collect();
-    let clustering = walrus_birch::precluster_guarded(
-        &points,
+    let clustering = walrus_birch::precluster_flat(
+        &signatures.coeffs,
+        signatures.dims,
         params.cluster_epsilon,
         params.max_regions_per_image,
         guard,
@@ -108,16 +108,16 @@ pub fn extract_regions_guarded(
     }
 
     let mut regions = Vec::with_capacity(clustering.clusters.len());
-    for cluster in &clustering.clusters {
+    for cluster in clustering.clusters {
         let mut bitmap = RegionBitmap::new(image.width(), image.height(), params.bitmap_grid);
         for &m in &cluster.members {
-            let w = &signatures[m];
-            bitmap.mark_window(w.x, w.y, w.omega, w.omega);
+            let (x, y, omega) = signatures.windows[m];
+            bitmap.mark_window(x, y, omega, omega);
         }
         regions.push(Region::new(
             cluster.centroid(),
-            cluster.bbox_min.clone(),
-            cluster.bbox_max.clone(),
+            cluster.bbox_min,
+            cluster.bbox_max,
             bitmap,
             cluster.members.len(),
         ));

@@ -128,7 +128,8 @@ pub fn parse_netpbm_limited_prefix(bytes: &[u8], max_pixels: usize) -> Result<(I
     }
     let count = pixels.checked_mul(channels).ok_or(too_large)?;
     let scale = 1.0 / maxval as f32;
-    let data: Vec<f32> = if binary {
+    // Samples go straight into their channel planes.
+    let planes: Vec<Vec<f32>> = if binary {
         // One whitespace byte separates the header from raster data.
         cursor.pos += 1;
         let wide = maxval > 255;
@@ -141,19 +142,19 @@ pub fn parse_netpbm_limited_prefix(bytes: &[u8], max_pixels: usize) -> Result<(I
         if cursor.bytes.len() < raster_end {
             return Err(ImageError::Codec("truncated raster".into()));
         }
-        let mut data = Vec::with_capacity(count);
-        for i in 0..count {
-            let v = if wide {
-                let hi = cursor.bytes[cursor.pos + 2 * i] as u32;
-                let lo = cursor.bytes[cursor.pos + 2 * i + 1] as u32;
-                (hi << 8) | lo
-            } else {
-                cursor.bytes[cursor.pos + i] as u32
-            };
-            data.push(v as f32 * scale);
-        }
+        let raster = &cursor.bytes[cursor.pos..raster_end];
         cursor.pos = raster_end;
-        data
+        let plane = |c: usize| -> Vec<f32> {
+            let pixels = raster.chunks_exact(bytes_per * channels);
+            if wide {
+                pixels
+                    .map(|px| (((px[2 * c] as u32) << 8) | px[2 * c + 1] as u32) as f32 * scale)
+                    .collect()
+            } else {
+                pixels.map(|px| px[c] as f32 * scale).collect()
+            }
+        };
+        (0..channels).map(plane).collect()
     } else {
         // ASCII samples are at least one digit plus a separator each, so
         // `count` samples need at least `2·count − 1` remaining bytes; check
@@ -162,18 +163,13 @@ pub fn parse_netpbm_limited_prefix(bytes: &[u8], max_pixels: usize) -> Result<(I
         if remaining < count.saturating_mul(2).saturating_sub(1) {
             return Err(ImageError::Codec("truncated raster".into()));
         }
-        let mut data = Vec::with_capacity(count);
-        for _ in 0..count {
+        let mut planes = vec![Vec::with_capacity(pixels); channels];
+        for i in 0..count {
             let v: u32 = cursor.token()?.parse().map_err(|_| bad("sample"))?;
-            data.push(v.min(maxval) as f32 * scale);
+            planes[i % channels].push(v.min(maxval) as f32 * scale);
         }
-        data
+        planes
     };
-    // De-interleave into channels.
-    let mut planes = vec![Vec::with_capacity(width * height); channels];
-    for (i, v) in data.into_iter().enumerate() {
-        planes[i % channels].push(v);
-    }
     let chans = planes
         .into_iter()
         .map(|p| Channel::from_vec(width, height, p))
@@ -384,5 +380,39 @@ mod tests {
         assert_eq!(back.width(), img.width());
         assert_eq!(back.height(), img.height());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn binary_rasters_deinterleave_sample_exact() {
+        // 3×2 P6, 8-bit: every sample lands in its own channel plane, in
+        // raster order, as exactly `byte · (1 / maxval)`.
+        let raster: Vec<u8> = (0..18).map(|i| (i * 13 + 5) as u8).collect();
+        let mut bytes = b"P6\n3 2\n255\n".to_vec();
+        bytes.extend_from_slice(&raster);
+        let img = parse_netpbm(&bytes).unwrap();
+        let scale = 1.0 / 255.0f32;
+        for c in 0..3 {
+            let want: Vec<f32> = (0..6).map(|px| raster[px * 3 + c] as f32 * scale).collect();
+            assert_eq!(img.channel(c).as_slice(), &want[..]);
+        }
+    }
+
+    #[test]
+    fn sixteen_bit_color_deinterleaves_big_endian_pairs() {
+        // 2×1 P6, maxval 1000: six big-endian u16 samples.
+        let samples = [0u16, 1000, 500, 250, 1, 999];
+        let mut bytes = b"P6\n2 1\n1000\n".to_vec();
+        for v in samples {
+            bytes.extend_from_slice(&v.to_be_bytes());
+        }
+        let (img, used) = parse_netpbm_limited_prefix(&bytes, usize::MAX).unwrap();
+        assert_eq!(used, bytes.len());
+        let scale = 1.0 / 1000.0f32;
+        for c in 0..3 {
+            let want = [samples[c] as f32 * scale, samples[3 + c] as f32 * scale];
+            assert_eq!(img.channel(c).as_slice(), &want[..]);
+        }
+        // One byte short of the declared raster is rejected, not padded.
+        assert!(parse_netpbm(&bytes[..bytes.len() - 1]).is_err());
     }
 }

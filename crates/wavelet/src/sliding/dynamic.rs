@@ -28,148 +28,124 @@
 //! level-`ω` window always lie on the level-`ω/2` grid. Total work is
 //! `O(N·S·log ω_max)` versus the naive `O(N·ω²_max)`.
 
-use crate::haar2d;
 use crate::sliding::{normalize_signature_matrix, SlidingParams, WindowSignature};
 use crate::{Result, WaveletError};
 use walrus_guard::Guard;
 
-/// The per-level storage of the DP sweep: the truncated (side `m`) raw
-/// wavelet transforms of every window of one size, for one channel.
-#[derive(Debug, Clone)]
-pub struct WindowGrid {
+/// Every window signature of one sweep as flat data: a `windows × dims`
+/// row-major coefficient matrix beside the windows' roots and sizes, in the
+/// sweep's output order (window size ascending, then row-major by root).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SignatureMatrix {
+    /// Coefficients per signature: `s² × channels`, channel-major.
+    pub dims: usize,
+    /// `windows.len() × dims` coefficients; row `i` is the signature of
+    /// `windows[i]`.
+    pub coeffs: Vec<f32>,
+    /// `(x, y, ω)` — root pixel and side — of each window.
+    pub windows: Vec<(usize, usize, usize)>,
+}
+
+impl SignatureMatrix {
+    /// Number of windows.
+    pub fn len(&self) -> usize {
+        self.windows.len()
+    }
+
+    /// Whether the sweep produced no window.
+    pub fn is_empty(&self) -> bool {
+        self.windows.is_empty()
+    }
+
+    /// The signature of window `i`.
+    pub fn row(&self, i: usize) -> &[f32] {
+        &self.coeffs[i * self.dims..(i + 1) * self.dims]
+    }
+}
+
+/// Geometry of one level of the DP sweep. A level's storage is, per channel,
+/// `rows × cols` cells of `m × m` floats, row-major: the truncated raw
+/// wavelet transforms of every window of side `omega`. Level 1 is the
+/// caller's plane itself (every pixel is its own 1×1 window whose
+/// "transform" is the raw intensity — paper Figure 5's `W¹[i,j]`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Level {
     /// Window side this level represents.
-    pub omega: usize,
+    omega: usize,
     /// Stride between adjacent window roots.
-    pub dist: usize,
+    dist: usize,
     /// Number of root positions horizontally.
-    pub cols: usize,
+    cols: usize,
     /// Number of root positions vertically.
-    pub rows: usize,
+    rows: usize,
     /// Side of the stored transform corner (`min(ω, max(s, 2))`, or 1 at
     /// level 1 — the floor of 2 keeps the merge base case well-formed when
     /// `s = 1`).
-    pub m: usize,
-    data: Vec<f32>,
+    m: usize,
 }
 
-impl WindowGrid {
-    /// Level-1 grid: every pixel is its own 1×1 window whose "transform" is
-    /// the raw intensity (paper Figure 5: `W¹[i,j]` initialization).
-    pub fn level1(plane: &[f32], width: usize, height: usize) -> Self {
-        debug_assert_eq!(plane.len(), width * height);
-        Self { omega: 1, dist: 1, cols: width, rows: height, m: 1, data: plane.to_vec() }
+impl Level {
+    fn pixels(width: usize, height: usize) -> Self {
+        Self { omega: 1, dist: 1, cols: width, rows: height, m: 1 }
     }
 
-    /// Borrow the stored `m × m` transform of the window at grid cell
-    /// `(col, row)`.
-    #[inline]
-    pub fn cell(&self, col: usize, row: usize) -> &[f32] {
-        let sz = self.m * self.m;
-        let idx = (row * self.cols + col) * sz;
-        &self.data[idx..idx + sz]
+    /// The next level (`2ω`), or `None` when a `2ω` window no longer fits
+    /// in the image.
+    fn next(&self, width: usize, height: usize, params: &SlidingParams) -> Option<Self> {
+        let omega = self.omega * 2;
+        if omega > width || omega > height {
+            return None;
+        }
+        let dist = params.dist(omega);
+        Some(Self {
+            omega,
+            dist,
+            cols: (width - omega) / dist + 1,
+            rows: (height - omega) / dist + 1,
+            m: omega.min(params.s.max(2)),
+        })
     }
 
-    /// Grid cell holding the window rooted at pixel `(x, y)`; panics if the
-    /// root is not on this level's grid.
-    #[inline]
-    pub fn cell_at(&self, x: usize, y: usize) -> &[f32] {
-        debug_assert!(x % self.dist == 0 && y % self.dist == 0);
-        self.cell(x / self.dist, y / self.dist)
+    /// Floats per row of cells.
+    fn row_len(&self) -> usize {
+        self.cols * self.m * self.m
     }
 
-    /// Builds the next level (`2ω`) from this one. Returns `None` when a
-    /// `2ω` window no longer fits in the image.
-    pub fn merge_next(&self, width: usize, height: usize, params: &SlidingParams) -> Option<Self> {
-        let merged = merge_level(std::slice::from_ref(self), width, height, params, 1, &Guard::none());
-        // An unarmed guard never interrupts, so the Err arm is unreachable.
-        let mut grids = merged.unwrap_or(None)?;
-        Some(grids.remove(0))
-    }
-
-    /// Fills one output row of the next-level merge: computes the truncated
-    /// transforms of all level-`2ω` windows rooted at `y = row * dist` from
-    /// this (level-`ω`) grid. `out_row` is the `cols * m * m` row slice of
-    /// the next level's data buffer. Rows are independent, which is what
-    /// the parallel sweep exploits.
-    fn fill_merge_row(
-        &self,
-        row: usize,
-        out_row: &mut [f32],
-        omega: usize,
-        dist: usize,
-        cols: usize,
-        m: usize,
-    ) {
-        let half = omega / 2;
-        let out_sz = m * m;
-        debug_assert_eq!(out_row.len(), cols * out_sz);
-        let y = row * dist;
-        for col in 0..cols {
-            let x = col * dist;
-            let w1 = self.cell_at(x, y);
-            let w2 = self.cell_at(x + half, y);
-            let w3 = self.cell_at(x, y + half);
-            let w4 = self.cell_at(x + half, y + half);
-            let idx = col * out_sz;
-            compute_single_window(w1, w2, w3, w4, self.m, &mut out_row[idx..idx + out_sz], m);
+    /// Fills one output row of the merge into `next`: the truncated
+    /// transforms of all level-`2ω` windows rooted at `y = row · next.dist`,
+    /// from this level's cells in `data`. `out_row` is the `next.row_len()`
+    /// row slice of the next level's buffer. Rows are independent, which is
+    /// what the parallel sweep exploits.
+    ///
+    /// All sizes are powers of two, so the sub-windows' roots `x`, `x + ω/2`
+    /// lie on this level's grid at cells `col · step` and `col · step +
+    /// half_cells`: no pixel coordinate is divided back into a cell index.
+    fn fill_merge_row(&self, data: &[f32], next: &Level, row: usize, out_row: &mut [f32]) {
+        let step = next.dist / self.dist;
+        let half_cells = self.omega / self.dist;
+        let (in_sz, out_sz) = (self.m * self.m, next.m * next.m);
+        debug_assert_eq!(step * self.dist, next.dist);
+        debug_assert_eq!(half_cells * self.dist, next.omega / 2);
+        debug_assert_eq!(out_row.len(), next.row_len());
+        debug_assert!(row * step + half_cells < self.rows);
+        debug_assert!((next.cols - 1) * step + half_cells < self.cols);
+        let row_len = self.row_len();
+        let top = &data[row * step * row_len..][..row_len];
+        let bottom = &data[(row * step + half_cells) * row_len..][..row_len];
+        for (col, out) in out_row.chunks_exact_mut(out_sz).enumerate() {
+            let left = col * step * in_sz;
+            let right = left + half_cells * in_sz;
+            compute_single_window(
+                &top[left..left + in_sz],
+                &top[right..right + in_sz],
+                &bottom[left..left + in_sz],
+                &bottom[right..right + in_sz],
+                self.m,
+                out,
+                next.m,
+            );
         }
     }
-
-    /// Extracts the `s × s` signature corner of the window at `(col, row)`,
-    /// level-normalized.
-    pub fn signature(&self, col: usize, row: usize, s: usize) -> Vec<f32> {
-        debug_assert!(s <= self.m);
-        let mut sig = haar2d::corner(self.cell(col, row), self.m, s);
-        normalize_signature_matrix(&mut sig, s);
-        sig
-    }
-}
-
-/// Advances all channel grids one level (`ω → 2ω`), distributing the
-/// independent `(channel, output row)` units across up to `threads`
-/// workers. Returns `Ok(None)` when a `2ω` window no longer fits and
-/// `Err(Interrupted)` when the guard trips mid-merge (workers stop within
-/// one row task; the half-filled buffers are dropped). Every cell is
-/// computed by the same code on the same inputs regardless of the thread
-/// count, so the result is byte-identical to the serial merge.
-fn merge_level(
-    grids: &[WindowGrid],
-    width: usize,
-    height: usize,
-    params: &SlidingParams,
-    threads: usize,
-    guard: &Guard,
-) -> Result<Option<Vec<WindowGrid>>> {
-    let Some(prev) = grids.first() else { return Ok(None) };
-    let omega = prev.omega * 2;
-    if omega > width || omega > height {
-        return Ok(None);
-    }
-    let dist = params.dist(omega);
-    let cols = (width - omega) / dist + 1;
-    let rows = (height - omega) / dist + 1;
-    let m = omega.min(params.s.max(2));
-    let row_sz = cols * m * m;
-    let mut datas: Vec<Vec<f32>> = (0..grids.len()).map(|_| vec![0.0f32; rows * row_sz]).collect();
-    {
-        let tasks: Vec<(usize, usize, &mut [f32])> = datas
-            .iter_mut()
-            .enumerate()
-            .flat_map(|(c, data)| {
-                data.chunks_mut(row_sz).enumerate().map(move |(row, slice)| (c, row, slice))
-            })
-            .collect();
-        walrus_parallel::parallel_for_guarded(threads, guard, tasks, |(c, row, slice)| {
-            grids[c].fill_merge_row(row, slice, omega, dist, cols, m);
-        })
-        .map_err(WaveletError::Interrupted)?;
-    }
-    Ok(Some(
-        datas
-            .into_iter()
-            .map(|data| WindowGrid { omega, dist, cols, rows, m, data })
-            .collect(),
-    ))
 }
 
 /// The paper's `computeSingleWindow` (Figure 4): computes the truncated
@@ -273,13 +249,9 @@ pub fn compute_signatures(
     compute_signatures_with_threads(planes, width, height, params, 0)
 }
 
-/// [`compute_signatures`] with an explicit worker count. `threads = 0`
-/// resolves via [`walrus_parallel::resolve_threads`] (`WALRUS_THREADS`,
-/// then available parallelism); `threads <= 1` runs fully serial. The sweep
-/// parallelizes the two independent axes of each level — color channels and
-/// window rows — and the per-row signature assembly; the output is
-/// **byte-identical** for every thread count (work is partitioned, no
-/// floating-point re-association).
+/// [`compute_signatures`] with an explicit worker count; see
+/// [`compute_signature_matrix`], whose rows this repacks into one
+/// [`WindowSignature`] per window.
 pub fn compute_signatures_with_threads(
     planes: &[&[f32]],
     width: usize,
@@ -287,23 +259,36 @@ pub fn compute_signatures_with_threads(
     params: &SlidingParams,
     threads: usize,
 ) -> Result<Vec<WindowSignature>> {
-    compute_signatures_guarded(planes, width, height, params, threads, &Guard::none())
+    let matrix = compute_signature_matrix(planes, width, height, params, threads, &Guard::none())?;
+    Ok(matrix
+        .windows
+        .iter()
+        .zip(matrix.coeffs.chunks_exact(matrix.dims))
+        .map(|(&(x, y, omega), coeffs)| WindowSignature { x, y, omega, coeffs: coeffs.to_vec() })
+        .collect())
 }
 
-/// [`compute_signatures_with_threads`] cooperating with a request [`Guard`]:
-/// the guard is polled once per DP level and between row tasks inside each
-/// level's merge and signature assembly, so a cancelled or deadline-expired
-/// sweep stops within one row of work and returns
-/// [`WaveletError::Interrupted`]. With an unarmed guard this is exactly the
-/// unguarded sweep (same outputs, same fast paths).
-pub fn compute_signatures_guarded(
+/// The sweep itself, writing every signature straight into one
+/// [`SignatureMatrix`]. `threads = 0` resolves via
+/// [`walrus_parallel::resolve_threads`] (`WALRUS_THREADS`, then available
+/// parallelism); `threads <= 1` runs fully serial. The sweep parallelizes
+/// the two independent axes of each level — color channels and window rows —
+/// and the per-row signature assembly; the output is **byte-identical** for
+/// every thread count (work is partitioned, no floating-point
+/// re-association).
+///
+/// The [`Guard`] is polled once per DP level and between row tasks inside
+/// each level's merge and signature assembly, so a cancelled or
+/// deadline-expired sweep stops within one row of work and returns
+/// [`WaveletError::Interrupted`]. An unarmed guard costs nothing.
+pub fn compute_signature_matrix(
     planes: &[&[f32]],
     width: usize,
     height: usize,
     params: &SlidingParams,
     threads: usize,
     guard: &Guard,
-) -> Result<Vec<WindowSignature>> {
+) -> Result<SignatureMatrix> {
     params.validate()?;
     if planes.is_empty() {
         return Err(WaveletError::BadParams("no channel planes supplied".into()));
@@ -318,46 +303,90 @@ pub fn compute_signatures_guarded(
     }
     let threads = walrus_parallel::resolve_threads(threads);
 
-    let mut grids: Vec<WindowGrid> =
-        planes.iter().map(|p| WindowGrid::level1(p, width, height)).collect();
-    let mut out = Vec::with_capacity(params.total_windows(width, height));
-    let mut omega = 2usize;
-    while omega <= params.omega_max {
+    let s = params.s;
+    let dims = params.signature_dims(planes.len());
+    let total = params.total_windows(width, height);
+    let mut out = SignatureMatrix {
+        dims,
+        coeffs: vec![0.0; total * dims],
+        windows: Vec::with_capacity(total),
+    };
+    // Per-coefficient level normalization of an `s × s` corner, read off a
+    // matrix of ones: the DC term's factor is exactly 1.
+    let mut scale = vec![1.0f32; s * s];
+    normalize_signature_matrix(&mut scale, s);
+
+    // Two sets of per-channel level buffers, swapped after every merge;
+    // level 1 is read from the caller's planes.
+    let mut level = Level::pixels(width, height);
+    let mut current: Vec<Vec<f32>> = vec![Vec::new(); planes.len()];
+    let mut merged: Vec<Vec<f32>> = vec![Vec::new(); planes.len()];
+    while level.omega * 2 <= params.omega_max {
         guard.poll()?;
-        match merge_level(&grids, width, height, params, threads, guard)? {
-            Some(next) => grids = next,
-            None => return Ok(out),
-        }
-        if omega >= params.omega_min {
-            let (cols, rows, dist) = (grids[0].cols, grids[0].rows, grids[0].dist);
-            let row_ids: Vec<usize> = (0..rows).collect();
-            let per_row: Vec<Vec<WindowSignature>> =
-                walrus_parallel::try_parallel_map_guarded(threads, guard, &row_ids, |_, &row| {
-                    Ok::<_, WaveletError>(
-                        (0..cols)
-                            .map(|col| {
-                                let mut coeffs =
-                                    Vec::with_capacity(params.signature_dims(planes.len()));
-                                for g in &grids {
-                                    coeffs.extend_from_slice(&g.signature(col, row, params.s));
-                                }
-                                WindowSignature { x: col * dist, y: row * dist, omega, coeffs }
-                            })
-                            .collect(),
-                    )
-                })?;
-            for row_sigs in per_row {
-                out.extend(row_sigs);
+        let Some(next) = level.next(width, height, params) else { break };
+        let sources: Vec<&[f32]> = if level.omega == 1 {
+            planes.to_vec()
+        } else {
+            current.iter().map(Vec::as_slice).collect()
+        };
+        let tasks: Vec<(usize, usize, &mut [f32])> = merged
+            .iter_mut()
+            .enumerate()
+            .flat_map(|(c, data)| {
+                data.resize(next.rows * next.row_len(), 0.0);
+                data.chunks_exact_mut(next.row_len())
+                    .enumerate()
+                    .map(move |(row, slice)| (c, row, slice))
+            })
+            .collect();
+        walrus_parallel::parallel_for_guarded(threads, guard, tasks, |(c, row, slice)| {
+            level.fill_merge_row(sources[c], &next, row, slice);
+        })
+        .map_err(WaveletError::Interrupted)?;
+        std::mem::swap(&mut current, &mut merged);
+        level = next;
+
+        if level.omega >= params.omega_min {
+            let first = out.windows.len();
+            for row in 0..level.rows {
+                out.windows
+                    .extend((0..level.cols).map(|col| (col * level.dist, row * level.dist, level.omega)));
             }
+            debug_assert!(s <= level.m);
+            let rows = &mut out.coeffs[first * dims..out.windows.len() * dims];
+            let tasks: Vec<(usize, &mut [f32])> =
+                rows.chunks_exact_mut(level.cols * dims).enumerate().collect();
+            walrus_parallel::parallel_for_guarded(threads, guard, tasks, |(row, sigs)| {
+                // The `s × s` corner of each channel's cell, level-normalized,
+                // lands in the window's slice of the matrix row.
+                let cell_sz = level.m * level.m;
+                for (c, data) in current.iter().enumerate() {
+                    let cells = &data[row * level.row_len()..][..level.row_len()];
+                    for (cell, sig) in cells.chunks_exact(cell_sz).zip(sigs.chunks_exact_mut(dims)) {
+                        let sig = &mut sig[c * s * s..(c + 1) * s * s];
+                        for ((line, raw), factors) in sig
+                            .chunks_exact_mut(s)
+                            .zip(cell.chunks_exact(level.m))
+                            .zip(scale.chunks_exact(s))
+                        {
+                            for ((v, &r), &k) in line.iter_mut().zip(raw).zip(factors) {
+                                *v = r * k;
+                            }
+                        }
+                    }
+                }
+            })
+            .map_err(WaveletError::Interrupted)?;
         }
-        omega *= 2;
     }
+    debug_assert_eq!(out.windows.len(), total);
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::haar2d;
     use crate::sliding::compute_signatures_naive;
 
     fn demo_plane(width: usize, height: usize, salt: usize) -> Vec<f32> {
@@ -498,32 +527,23 @@ mod tests {
         // Unarmed guard: identical output.
         let plain = compute_signatures_with_threads(&[&plane[..]], 32, 32, &params, 1).unwrap();
         let guarded =
-            compute_signatures_guarded(&[&plane[..]], 32, 32, &params, 1, &Guard::none()).unwrap();
+            compute_signature_matrix(&[&plane[..]], 32, 32, &params, 1, &Guard::none()).unwrap();
         assert_eq!(plain.len(), guarded.len());
-        for (p, g) in plain.iter().zip(&guarded) {
-            assert_eq!((p.x, p.y, p.omega), (g.x, g.y, g.omega));
-            assert_eq!(p.coeffs, g.coeffs);
+        for (i, p) in plain.iter().enumerate() {
+            assert_eq!((p.x, p.y, p.omega), guarded.windows[i]);
+            assert_eq!(p.coeffs, guarded.row(i));
         }
         // Pre-tripped guard: interrupted before any level completes.
         let guard = Guard::none().trip_after(0, Interrupt::Cancelled);
-        let err = compute_signatures_guarded(&[&plane[..]], 32, 32, &params, 1, &guard)
-            .unwrap_err();
+        let err =
+            compute_signature_matrix(&[&plane[..]], 32, 32, &params, 1, &guard).unwrap_err();
         assert_eq!(err, WaveletError::Interrupted(Interrupt::Cancelled));
         // Tripping mid-sweep also interrupts (poll budget exhausted inside
         // the level loop rather than before it).
         let guard = Guard::none().trip_after(10, Interrupt::DeadlineExceeded);
-        let err = compute_signatures_guarded(&[&plane[..]], 32, 32, &params, 4, &guard)
-            .unwrap_err();
+        let err =
+            compute_signature_matrix(&[&plane[..]], 32, 32, &params, 4, &guard).unwrap_err();
         assert_eq!(err, WaveletError::Interrupted(Interrupt::DeadlineExceeded));
-    }
-
-    #[test]
-    fn level1_grid_is_the_plane() {
-        let plane = demo_plane(4, 3, 9);
-        let g = WindowGrid::level1(&plane, 4, 3);
-        assert_eq!(g.cols, 4);
-        assert_eq!(g.rows, 3);
-        assert_eq!(g.cell(2, 1), &plane[6..7]);
     }
 
     #[test]
@@ -537,18 +557,19 @@ mod tests {
     }
 
     #[test]
-    fn grid_dimensions_follow_stride_rule() {
-        let plane = demo_plane(32, 32, 11);
+    fn level_geometry_follows_stride_rule() {
         let params = SlidingParams { s: 2, omega_min: 2, omega_max: 8, stride: 4 };
-        let l1 = WindowGrid::level1(&plane, 32, 32);
-        let l2 = l1.merge_next(32, 32, &params).unwrap();
+        let l1 = Level::pixels(32, 32);
+        let l2 = l1.next(32, 32, &params).unwrap();
         assert_eq!((l2.omega, l2.dist), (2, 2));
         assert_eq!(l2.cols, (32 - 2) / 2 + 1);
-        let l4 = l2.merge_next(32, 32, &params).unwrap();
+        let l4 = l2.next(32, 32, &params).unwrap();
         assert_eq!((l4.omega, l4.dist), (4, 4));
-        let l8 = l4.merge_next(32, 32, &params).unwrap();
+        let l8 = l4.next(32, 32, &params).unwrap();
         assert_eq!((l8.omega, l8.dist), (8, 4));
         assert_eq!(l8.cols, (32 - 8) / 4 + 1);
         assert_eq!(l8.m, 2); // min(8, s) = s: the paper's NS space bound
+        assert_eq!(Level::pixels(8, 8).next(8, 8, &params).map(|l| l.rows), Some(4));
+        assert!(l8.next(8, 8, &params).is_none(), "a 16-window does not fit an 8-image");
     }
 }

@@ -25,7 +25,7 @@ pub mod integral;
 pub mod naive;
 
 pub use dynamic::{
-    compute_signatures, compute_signatures_guarded, compute_signatures_with_threads, WindowGrid,
+    compute_signature_matrix, compute_signatures, compute_signatures_with_threads, SignatureMatrix,
 };
 pub use integral::{compute_signatures_integral, SummedAreaTable};
 pub use naive::compute_signatures_naive;

@@ -2,7 +2,9 @@
 //! clustering invariants over arbitrary point clouds.
 
 use proptest::prelude::*;
-use walrus_birch::{precluster, BirchParams, CfTree, ClusteringFeature};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use walrus_birch::{precluster, precluster_flat, BirchParams, CfTree, ClusteringFeature, Guard};
 
 fn points(dims: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f32>>> {
     proptest::collection::vec(proptest::collection::vec(-2.0f32..2.0, dims), n)
@@ -118,4 +120,100 @@ proptest! {
         let total: usize = result.clusters.iter().map(|c| c.members.len()).sum();
         prop_assert_eq!(total, pts.len());
     }
+
+    #[test]
+    fn flat_precluster_equals_the_nested_adapter(
+        pts in points(5, 1..90),
+        eps in 0.0f64..0.4,
+        budget in 0usize..20,
+    ) {
+        let budget = (budget >= 4).then_some(budget);
+        let nested = precluster(&pts, eps, budget).unwrap();
+        let flat = precluster_flat(&pts.concat(), 5, eps, budget, &Guard::none()).unwrap();
+        prop_assert_eq!(&nested.assignments, &flat.assignments);
+        prop_assert_eq!(nested.final_threshold.to_bits(), flat.final_threshold.to_bits());
+        prop_assert_eq!((nested.splits, nested.rebuilds), (flat.splits, flat.rebuilds));
+        prop_assert_eq!(nested.clusters.len(), flat.clusters.len());
+        for (a, b) in nested.clusters.iter().zip(&flat.clusters) {
+            prop_assert_eq!(&a.cf, &b.cf);
+            prop_assert_eq!(&a.members, &b.members);
+            prop_assert_eq!(&a.bbox_min, &b.bbox_min);
+            prop_assert_eq!(&a.bbox_max, &b.bbox_max);
+        }
+    }
+}
+
+/// Seeded 12-d cloud shaped like window signatures: a few tight blobs, a
+/// background of noise, and exact duplicates (so equal-distance ties occur).
+fn signature_cloud(n: usize, seed: u64) -> Vec<Vec<f32>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let centers: Vec<Vec<f32>> =
+        (0..7).map(|_| (0..12).map(|_| rng.gen::<f32>()).collect()).collect();
+    let mut pts: Vec<Vec<f32>> = Vec::with_capacity(n);
+    for i in 0..n {
+        if i % 10 == 9 {
+            pts.push((0..12).map(|_| rng.gen::<f32>()).collect());
+        } else if i % 17 == 16 {
+            let earlier = pts[rng.gen_range(0..i)].clone();
+            pts.push(earlier);
+        } else {
+            let c = &centers[i % centers.len()];
+            pts.push(c.iter().map(|v| v + rng.gen_range(-0.04..0.04f32)).collect());
+        }
+    }
+    pts
+}
+
+/// `(clusters, splits, rebuilds, threshold bits, height, FNV-1a over every
+/// leaf entry's count, centroid bits and radius bits in leaf order)`.
+fn tree_shape(threshold: f64, budget: Option<usize>) -> (usize, usize, usize, u64, usize, u64) {
+    let params = BirchParams { threshold, max_leaf_entries: budget, ..BirchParams::default() };
+    let mut tree = CfTree::new(12, params).unwrap();
+    for p in signature_cloud(4_000, 0xB1C4) {
+        tree.insert(&p).unwrap();
+    }
+    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            fnv ^= b as u64;
+            fnv = fnv.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for e in tree.leaf_entry_clones() {
+        eat(e.count());
+        for c in e.centroid() {
+            eat(c.to_bits());
+        }
+        eat(e.radius().to_bits());
+    }
+    (
+        tree.num_clusters(),
+        tree.split_count(),
+        tree.rebuild_count(),
+        tree.threshold().to_bits(),
+        tree.height(),
+        fnv,
+    )
+}
+
+#[test]
+fn tree_shape_is_pinned_to_the_boxed_tree() {
+    // Constants captured by running this test at fe92441 (boxed nodes, one
+    // heap CF per entry): the arena must grow the same tree through plain
+    // insertion, through one rebuild, and through repeated escalation.
+    let got = [
+        tree_shape(0.05, None),
+        tree_shape(0.0, Some(64)),
+        tree_shape(0.02, Some(200)),
+        tree_shape(0.1, Some(300)),
+    ];
+    assert_eq!(
+        got,
+        [
+            (1830, 470, 0, 4587366580439587226, 5, 16120489090282463146),
+            (1, 56, 4, 4607742813988332594, 1, 15624502387087069621),
+            (184, 187, 3, 4602710203924229189, 3, 17171124318708279505),
+            (248, 113, 1, 4601374397249778013, 3, 88212549036892869),
+        ]
+    );
 }

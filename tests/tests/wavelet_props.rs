@@ -3,8 +3,10 @@
 //! algebra over arbitrary inputs.
 
 use proptest::prelude::*;
-use walrus_wavelet::sliding::{compute_signatures, compute_signatures_naive};
-use walrus_wavelet::{daubechies, haar1d, haar2d, SlidingParams};
+use walrus_wavelet::sliding::{
+    compute_signature_matrix, compute_signatures, compute_signatures_naive,
+};
+use walrus_wavelet::{daubechies, haar1d, haar2d, Guard, SlidingParams};
 
 /// A power-of-two in `[lo, hi]` (both powers of two).
 fn pow2_in(lo: usize, hi: usize) -> impl Strategy<Value = usize> {
@@ -98,6 +100,40 @@ proptest! {
             for (c, d) in a.coeffs.iter().zip(&b.coeffs) {
                 prop_assert!((c - d).abs() < 1e-4, "coeff {} vs {}", c, d);
             }
+        }
+    }
+
+    #[test]
+    fn matrix_sweep_equals_naive_on_any_geometry(
+        p1 in plane(41 * 37),
+        p2 in plane(41 * 37),
+        width in 16usize..=41,
+        height in 16usize..=37,
+        s in pow2_in(1, 4),
+        stride in pow2_in(1, 8),
+        threads in 1usize..=3,
+    ) {
+        // Widths and heights the strides do not divide: the last window of
+        // a row stops short of the edge, and levels below ω_min have more
+        // cells than the level above reads.
+        let params = SlidingParams { s, omega_min: s.max(2) * 2, omega_max: 16, stride };
+        let planes = [&p1[..width * height], &p2[..width * height]];
+        let matrix =
+            compute_signature_matrix(&planes, width, height, &params, threads, &Guard::none()).unwrap();
+        let naive = compute_signatures_naive(&planes, width, height, &params).unwrap();
+        prop_assert_eq!(matrix.len(), naive.len());
+        prop_assert_eq!(matrix.dims, 2 * s * s);
+        for (i, b) in naive.iter().enumerate() {
+            prop_assert_eq!(matrix.windows[i], (b.x, b.y, b.omega));
+            for (c, d) in matrix.row(i).iter().zip(&b.coeffs) {
+                prop_assert_eq!(c.to_bits(), d.to_bits(), "coeff {} vs {}", c, d);
+            }
+        }
+        // The per-window adapter repacks the same rows.
+        let adapted = compute_signatures(&planes, width, height, &params).unwrap();
+        for (i, a) in adapted.iter().enumerate() {
+            prop_assert_eq!((a.x, a.y, a.omega), matrix.windows[i]);
+            prop_assert_eq!(&a.coeffs[..], matrix.row(i));
         }
     }
 
