@@ -1,11 +1,13 @@
-//! Criterion micro-benchmarks for the R\*-tree substrate: bulk insertion,
-//! the ε-ball query WALRUS issues per query region, and kNN — on the exact
-//! data shape WALRUS produces (12-dimensional signature points in [0,1]).
+//! Criterion micro-benchmarks for the R\*-tree substrate: one-at-a-time
+//! insertion (what a live ingest pays), the STR pack (what an open pays), the
+//! ε-ball query WALRUS issues per query region — against a tree of each
+//! origin — and kNN, on the exact data shape WALRUS produces (12-dimensional
+//! signature points in [0,1]).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use walrus_rstar::{RStarTree, Rect};
+use walrus_rstar::{bulk_load, RStarParams, RStarTree, Rect};
 
 fn points(n: usize, dims: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -32,6 +34,11 @@ fn build(pts: &[Vec<f32>]) -> RStarTree<usize> {
     t
 }
 
+fn pack(pts: &[Vec<f32>]) -> RStarTree<usize> {
+    bulk_load(pts[0].len(), RStarParams::default(), pts.len(), |i| (&pts[i], &pts[i]), |i| i)
+        .unwrap()
+}
+
 fn bench_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("rstar_insert");
     for n in [1_000usize, 5_000] {
@@ -40,6 +47,9 @@ fn bench_insert(c: &mut Criterion) {
             b.iter(|| build(pts))
         });
     }
+    // What reopening the benchmark's 2 048-image store packs, in one tree.
+    let pts = clustered(46_000, 12, 7);
+    group.bench_function("pack_46k_12d_clustered", |b| b.iter(|| pack(&pts)));
     group.finish();
 }
 
@@ -57,18 +67,24 @@ fn bench_queries(c: &mut Criterion) {
             total
         })
     });
+    // The same probes against the tree live inserts grow and against the
+    // tree an open packs: same hits, fewer nodes and leaf entries visited.
     let pts = clustered(25_000, 12, 7);
-    let clustered_tree = build(&pts);
     let near: Vec<&Vec<f32>> = pts.iter().step_by(250).collect();
-    group.bench_function("within_eps_0.085_clustered_25k", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for q in &near {
-                total += clustered_tree.search_within(q, 0.085).unwrap().len();
-            }
-            total
-        })
-    });
+    for (name, tree) in [
+        ("within_eps_0.085_clustered_25k", build(&pts)),
+        ("within_eps_0.085_clustered_25k_packed", pack(&pts)),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut total = 0usize;
+                for q in &near {
+                    total += tree.search_within(q, 0.085).unwrap().len();
+                }
+                total
+            })
+        });
+    }
     group.bench_function("nearest_10", |b| {
         b.iter(|| {
             let mut total = 0usize;

@@ -15,7 +15,7 @@
 
 use crate::extract::{extract_regions, extract_regions_guarded};
 use crate::matching::{self, MatchPair, QuickScratch};
-use crate::params::{SignatureKind, WalrusParams};
+use crate::params::{MatchingKind, SignatureKind, WalrusParams};
 use crate::region::Region;
 use crate::{Result, WalrusError};
 use std::cell::RefCell;
@@ -334,48 +334,21 @@ impl ImageDatabase {
         &mut self,
         batch: Vec<(String, usize, usize, Vec<Region>)>,
     ) -> Result<Vec<usize>> {
-        let dims = self.params.signature_dims();
         for (_, _, _, regions) in &batch {
-            for r in regions {
-                if r.dims() != dims {
-                    return Err(WalrusError::BadParams(format!(
-                        "region has {} dims, database expects {dims}",
-                        r.dims()
-                    )));
-                }
-            }
+            self.check_dims(regions)?;
         }
-        let first_id = self.images.len();
-        if self.index.is_empty() {
-            // Fresh index: pack every region of the batch in one STR build.
-            let mut entries = Vec::new();
-            for (offset, (_, _, _, regions)) in batch.iter().enumerate() {
-                let id = first_id + offset;
-                for (ri, region) in regions.iter().enumerate() {
-                    entries.push((
-                        region.index_rect(self.params.signature_kind),
-                        (RegionKey { image: id, region: ri }, region.signature),
-                    ));
-                }
-            }
-            self.index = bulk_load(dims, RStarParams::default(), entries)?;
-        } else {
-            for (offset, (_, _, _, regions)) in batch.iter().enumerate() {
-                let id = first_id + offset;
-                for (ri, region) in regions.iter().enumerate() {
-                    self.index.insert(
-                        region.index_rect(self.params.signature_kind),
-                        (RegionKey { image: id, region: ri }, region.signature),
-                    )?;
-                }
-            }
-        }
+        // Fresh index: table first, then every region in one STR build.
+        let fresh = self.index.is_empty();
         let mut ids = Vec::with_capacity(batch.len());
         for (name, width, height, regions) in batch {
-            let id = self.images.len();
-            self.region_count += regions.len();
-            self.images.push(Some(IndexedImage { id, name, width, height, regions }));
+            let id = self.push_image(name, width, height, regions)?;
+            if !fresh {
+                self.index_image(id)?;
+            }
             ids.push(id);
+        }
+        if fresh {
+            self.pack_index()?;
         }
         Ok(ids)
     }
@@ -391,46 +364,120 @@ impl ImageDatabase {
         height: usize,
         regions: Vec<Region>,
     ) -> Result<usize> {
-        let dims = self.params.signature_dims();
-        for r in &regions {
-            if r.dims() != dims {
-                return Err(WalrusError::BadParams(format!(
-                    "region has {} dims, database expects {dims}",
-                    r.dims()
-                )));
-            }
-        }
-        let id = self.images.len();
-        for (ri, region) in regions.iter().enumerate() {
-            self.index.insert(
-                region.index_rect(self.params.signature_kind),
-                (RegionKey { image: id, region: ri }, region.signature),
-            )?;
-        }
-        self.region_count += regions.len();
-        self.images.push(Some(IndexedImage {
-            id,
-            name: name.to_string(),
-            width,
-            height,
-            regions,
-        }));
+        let id = self.push_image(name.to_string(), width, height, regions)?;
+        self.index_image(id)?;
         Ok(id)
     }
 
     /// Removes an image and all its regions from the index.
     pub fn remove_image(&mut self, id: usize) -> Result<()> {
+        let img = self.take_image(id)?;
+        self.unindex_image(&img)
+    }
+
+    /// Refuses regions of another signature dimensionality than the index's.
+    pub(crate) fn check_dims(&self, regions: &[Region]) -> Result<()> {
+        let dims = self.params.signature_dims();
+        match regions.iter().find(|r| r.dims() != dims) {
+            Some(r) => Err(WalrusError::BadParams(format!(
+                "region has {} dims, database expects {dims}",
+                r.dims()
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// The image-table half of an insert: validates, stores the image under
+    /// the next id and returns it. The index does not learn of it — the
+    /// caller follows with [`Self::index_image`], or with one
+    /// [`Self::pack_index`] after the last table change.
+    pub(crate) fn push_image(
+        &mut self,
+        name: String,
+        width: usize,
+        height: usize,
+        regions: Vec<Region>,
+    ) -> Result<usize> {
+        self.check_dims(&regions)?;
+        let id = self.images.len();
+        self.region_count += regions.len();
+        self.images.push(Some(IndexedImage { id, name, width, height, regions }));
+        Ok(id)
+    }
+
+    /// The image-table half of a removal: empties the slot and hands the
+    /// image back; see [`Self::push_image`] for the index's half.
+    pub(crate) fn take_image(&mut self, id: usize) -> Result<IndexedImage> {
         let slot = self.images.get_mut(id).ok_or(WalrusError::UnknownImage(id))?;
         let img = slot.take().ok_or(WalrusError::UnknownImage(id))?;
+        self.region_count -= img.regions.len();
+        Ok(img)
+    }
+
+    /// Inserts the regions of stored image `id` into the index, one by one.
+    pub(crate) fn index_image(&mut self, id: usize) -> Result<()> {
+        let img = self.images[id].as_ref().expect("callers index an image they just stored");
         for (ri, region) in img.regions.iter().enumerate() {
             let rect = region.index_rect(self.params.signature_kind);
-            let removed = self
-                .index
-                .remove(&rect, &(RegionKey { image: id, region: ri }, region.signature))?;
+            self.index.insert(rect, (RegionKey { image: id, region: ri }, region.signature))?;
+        }
+        Ok(())
+    }
+
+    /// Removes the regions of `img`, already taken out of the table, from
+    /// the index.
+    pub(crate) fn unindex_image(&mut self, img: &IndexedImage) -> Result<()> {
+        for (ri, region) in img.regions.iter().enumerate() {
+            let rect = region.index_rect(self.params.signature_kind);
+            let key = RegionKey { image: img.id, region: ri };
+            let removed = self.index.remove(&rect, &(key, region.signature))?;
             debug_assert!(removed, "index out of sync with image store");
         }
-        self.region_count -= img.regions.len();
         Ok(())
+    }
+
+    /// Rebuilds the index from the image table in one STR pack
+    /// ([`walrus_rstar::bulk_load`]) — how every path that knows the whole
+    /// region set up front gets its tree: a snapshot load, a WAL replay, a
+    /// first batch. The tree is derived state: which tree shape answers a
+    /// query never shows in the answer.
+    pub(crate) fn pack_index(&mut self) -> Result<()> {
+        let kind = self.params.signature_kind;
+        if u32::try_from(self.images.len().max(self.region_count)).is_err() {
+            return Err(WalrusError::BadParams("image table too large to index".into()));
+        }
+        // Entry `i` of the load, as (image, region): with the loader's own
+        // 8 bytes an entry, all an open holds beside the table and the tree.
+        let mut entries = Vec::with_capacity(self.region_count);
+        for img in self.images.iter().flatten() {
+            entries.extend((0..img.regions.len() as u32).map(|ri| (img.id as u32, ri)));
+        }
+        let entry = |i: usize| {
+            let (image, region) = (entries[i].0 as usize, entries[i].1 as usize);
+            let img = self.images[image].as_ref().expect("listed from live slots");
+            (RegionKey { image, region }, &img.regions[region])
+        };
+        self.index = bulk_load(
+            self.params.signature_dims(),
+            RStarParams::default(),
+            entries.len(),
+            |i| entry(i).1.index_corners(kind),
+            |i| {
+                let (key, region) = entry(i);
+                (key, region.signature)
+            },
+        )?;
+        if cfg!(debug_assertions) {
+            self.check_invariants();
+        }
+        Ok(())
+    }
+
+    /// Checks (for tests; panics on violation) that the index is a
+    /// well-formed tree with one entry per region of the image table.
+    pub fn check_invariants(&self) {
+        self.index.check_invariants();
+        assert_eq!(self.index.len(), self.region_count, "index and image table disagree");
     }
 
     /// Runs a full query: extract regions of `query`, match against the
@@ -710,9 +757,8 @@ impl ImageDatabase {
 
         // Deterministic merge: a counting sort of the hits on target image
         // id (every indexed id is below `images.len()`). It is stable, so an
-        // image's pairs stay in (query region, hit) order — exactly the
-        // order the serial loop produced — and candidates come out in
-        // ascending-id order, reproducible run to run.
+        // image's pairs stay in (query region, hit) order and candidates
+        // come out in ascending-id order, reproducible run to run.
         let mut offsets = vec![0usize; self.images.len()];
         for key in probes.iter().flat_map(|(_, keys)| keys) {
             offsets[key.image] += 1;
@@ -729,10 +775,19 @@ impl ImageDatabase {
             }
         }
         // `offsets[id]` is now where image `id`'s run ends and the next begins.
+        // Within a run, one query region's hits are in the order the tree's
+        // traversal met them, and a tree packed at open has another shape
+        // than the one live inserts grew. Greedy and exact matching break
+        // ties by position, so their runs are put in (q, t) order — pairs
+        // are distinct, so it is a total one. Quick matching is a union.
+        let order_pairs = params.matching != MatchingKind::Quick;
         let mut candidates = Vec::new();
         let mut start = 0;
         for (image_id, &end) in offsets.iter().enumerate() {
             if end > start {
+                if order_pairs {
+                    pairs[start..end].sort_unstable_by_key(|p| (p.q, p.t));
+                }
                 candidates.push((image_id, start..end));
             }
             start = end;

@@ -6,8 +6,9 @@
 //! provides the equivalent capability for the in-memory engine: the full
 //! database — parameters, image metadata, every region's signature, bbox
 //! and bitmap — round-trips through a versioned, endian-stable byte format.
-//! The R\*-tree itself is rebuilt on load (bulk re-insertion), which keeps
-//! the format independent of index implementation details.
+//! The R\*-tree is derived state: a load fills the image table and then
+//! packs the tree once ([`ImageDatabase::pack_index`]), which keeps the
+//! format independent of index implementation details.
 //!
 //! ## Format v3 (current; little-endian throughout)
 //!
@@ -57,7 +58,7 @@
 
 use crate::bitmap::RegionBitmap;
 use crate::crc32::crc32;
-use crate::database::ImageDatabase;
+use crate::database::{ImageDatabase, IndexedImage};
 use crate::params::{MatchingKind, SignatureKind, SimilarityKind, WalrusParams};
 use crate::region::Region;
 use crate::storage::{DiskIo, StorageIo};
@@ -80,20 +81,31 @@ pub fn save(db: &ImageDatabase) -> Vec<u8> {
 /// Serializes the database in the v3 format, recording `last_lsn` as the
 /// sequence number of the last WAL record already reflected in it.
 pub fn save_with_lsn(db: &ImageDatabase, last_lsn: u64) -> Vec<u8> {
-    save_envelope(db, last_lsn, VERSION_V3)
+    save_envelope(db.params(), table_of(db), last_lsn, VERSION_V3)
 }
 
 /// Serializes the database in the legacy v2 format (same checksummed
 /// envelope, regions without signature lanes). Kept so compatibility with
 /// pre-v3 snapshots stays testable and downgrades remain possible.
 pub fn save_v2(db: &ImageDatabase) -> Vec<u8> {
-    save_envelope(db, 0, VERSION_V2)
+    save_envelope(db.params(), table_of(db), 0, VERSION_V2)
 }
 
-fn save_envelope(db: &ImageDatabase, last_lsn: u64, version: u32) -> Vec<u8> {
+/// A database's image table the way the writers take one: slot by slot in
+/// id order, `None` for a tombstone.
+fn table_of(db: &ImageDatabase) -> impl ExactSizeIterator<Item = Option<&IndexedImage>> {
+    db.image_slots().iter().map(Option::as_ref)
+}
+
+fn save_envelope<'a>(
+    params: &WalrusParams,
+    table: impl ExactSizeIterator<Item = Option<&'a IndexedImage>>,
+    last_lsn: u64,
+    version: u32,
+) -> Vec<u8> {
     let mut params_block = Vec::with_capacity(128);
-    write_params(&mut params_block, db.params());
-    let images_block = write_images_block(db, version);
+    write_params(&mut params_block, params);
+    let images_block = write_images_block(table, version);
 
     let mut out = Vec::with_capacity(images_block.len() + params_block.len() + 64);
     out.extend_from_slice(MAGIC);
@@ -118,15 +130,17 @@ pub fn save_v1(db: &ImageDatabase) -> Vec<u8> {
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION_V1);
     write_params(&mut out, db.params());
-    out.extend_from_slice(&write_images_block(db, VERSION_V1));
+    out.extend_from_slice(&write_images_block(table_of(db), VERSION_V1));
     out
 }
 
-fn write_images_block(db: &ImageDatabase, version: u32) -> Vec<u8> {
+fn write_images_block<'a>(
+    table: impl ExactSizeIterator<Item = Option<&'a IndexedImage>>,
+    version: u32,
+) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096);
-    let slots = db.image_slots();
-    put_u64(&mut out, slots.len() as u64);
-    for (id, slot) in slots.iter().enumerate() {
+    put_u64(&mut out, table.len() as u64);
+    for (id, slot) in table.enumerate() {
         put_u64(&mut out, id as u64);
         match slot {
             Some(img) => {
@@ -166,7 +180,20 @@ pub fn save_to_file_with(
     path: &Path,
     last_lsn: u64,
 ) -> Result<()> {
-    atomic_write_bytes(io, path, &save_with_lsn(db, last_lsn))
+    save_table_to_file_with(io, db.params(), table_of(db), path, last_lsn)
+}
+
+/// [`save_to_file_with`] for an image table that exists only as borrowed
+/// slots (id order, `None` = tombstone) — shard migration writes each target
+/// shard's snapshot this way, straight from the source shards' images.
+pub(crate) fn save_table_to_file_with<'a>(
+    io: &dyn StorageIo,
+    params: &WalrusParams,
+    table: impl ExactSizeIterator<Item = Option<&'a IndexedImage>>,
+    path: &Path,
+    last_lsn: u64,
+) -> Result<()> {
+    atomic_write_bytes(io, path, &save_envelope(params, table, last_lsn, VERSION_V3))
 }
 
 /// Atomically replaces `path` with `bytes`: temp file → fsync → rename →
@@ -199,6 +226,16 @@ pub fn load(bytes: &[u8]) -> Result<ImageDatabase> {
 /// Like [`load`] but also returns the snapshot's `last_lsn` (0 for v1
 /// snapshots, which predate the WAL).
 pub fn load_with_lsn(bytes: &[u8]) -> Result<(ImageDatabase, u64)> {
+    let (mut db, last_lsn) = load_table(bytes)?;
+    db.pack_index()?;
+    Ok((db, last_lsn))
+}
+
+/// [`load_with_lsn`] short of the index: the returned database holds the
+/// snapshot's image table over an empty tree. For callers with more table
+/// changes to make before the one [`ImageDatabase::pack_index`] (WAL replay)
+/// or with no use for an index at all (scrub).
+pub(crate) fn load_table(bytes: &[u8]) -> Result<(ImageDatabase, u64)> {
     let mut r = Reader { bytes, pos: 0 };
     let magic = r.take(8)?;
     if magic != MAGIC {
@@ -294,7 +331,7 @@ fn read_images(r: &mut Reader<'_>, db: &mut ImageDatabase, with_signature: bool)
             for _ in 0..region_count {
                 regions.push(read_region(r, with_signature)?);
             }
-            let got = db.insert_regions(&name, width, height, regions)?;
+            let got = db.push_image(name, width, height, regions)?;
             debug_assert_eq!(got, id);
         } else {
             db.insert_tombstone();
@@ -551,6 +588,14 @@ pub(crate) fn read_region(r: &mut Reader<'_>, with_signature: bool) -> Result<Re
     let bbox_max = r.f32s()?;
     if centroid.len() != bbox_min.len() || centroid.len() != bbox_max.len() {
         return Err(corrupt("signature arity mismatch"));
+    }
+    // No checksum vouches for what the values mean (and v1 has none at
+    // all): a region the index could not hold as a rectangle stops here.
+    if centroid.iter().chain(&bbox_min).chain(&bbox_max).any(|v| !v.is_finite()) {
+        return Err(corrupt("non-finite region signature"));
+    }
+    if bbox_min.iter().zip(&bbox_max).any(|(lo, hi)| lo > hi) {
+        return Err(corrupt("inverted region bounding box"));
     }
     let width = r.u64()? as usize;
     let height = r.u64()? as usize;

@@ -25,7 +25,7 @@
 //! <dir>/snapshot.walrus.tmp   transient; left only by a crash mid-checkpoint
 //! ```
 
-use crate::database::{ImageDatabase, ImageMeta, QueryOptions};
+use crate::database::{ImageDatabase, ImageMeta, IndexedImage, QueryOptions};
 use crate::params::WalrusParams;
 use crate::persist;
 use crate::region::Region;
@@ -118,8 +118,11 @@ impl DurableDatabase {
         let wal_path = dir.join(WAL_FILE);
         let mut report = RecoveryReport::default();
 
+        // Decode → table → pack: the snapshot and then the log fill the image
+        // table, and the index — derived state — is built from it once, at
+        // the end, instead of region by region along the way.
         let (db, snapshot_lsn) = if io.exists(&snapshot_path) {
-            let (mut db, lsn) = persist::load_from_file_with(io.as_ref(), &snapshot_path)?;
+            let (mut db, lsn) = persist::load_table(&io.read(&snapshot_path)?)?;
             db.set_runtime_knobs(&params)?;
             report.snapshot_loaded = true;
             report.snapshot_lsn = lsn;
@@ -147,12 +150,17 @@ impl DurableDatabase {
                 .read(&wal_path)
                 .map_err(WalrusError::io_context("read", &wal_path))?;
             let scan = wal::read_wal(&bytes)?;
+            // The records own what they decoded: the raw log is freed before
+            // the tree is built, not after (DESIGN §6 on why that order
+            // decides the resident set).
+            let wal_bytes = bytes.len() as u64;
+            drop(bytes);
             for rec in scan.records {
                 if rec.lsn <= snapshot_lsn {
                     report.records_skipped += 1;
                     continue;
                 }
-                store.replay(rec.op)?;
+                apply_to_table(&mut store.db, rec.op)?;
                 store.next_lsn = rec.lsn + 1;
                 store.records_since_checkpoint += 1;
                 report.records_replayed += 1;
@@ -163,7 +171,7 @@ impl DurableDatabase {
             }
             if scan.torn_tail {
                 report.torn_tail_truncated = true;
-                report.truncated_bytes = bytes.len() as u64 - scan.valid_len;
+                report.truncated_bytes = wal_bytes - scan.valid_len;
                 store
                     .io
                     .truncate(&wal_path, scan.valid_len)
@@ -171,6 +179,8 @@ impl DurableDatabase {
                     .map_err(WalrusError::io_context("truncate torn tail of", &wal_path))?;
             }
         }
+
+        store.db.pack_index()?;
 
         if !report.snapshot_loaded {
             // Fresh store: persist an empty snapshot so the configuration
@@ -185,39 +195,13 @@ impl DurableDatabase {
         Ok((store, report))
     }
 
+    /// Applies an operation the log now holds: to the image table, then to
+    /// the live index.
     fn replay(&mut self, op: WalOp) -> Result<()> {
-        match op {
-            WalOp::Insert { expected_id, name, width, height, regions } => {
-                let len = self.db.image_slots().len();
-                if expected_id < len {
-                    return Err(WalrusError::Corrupt(format!(
-                        "wal replay: insert id {expected_id} below next slot {len}"
-                    )));
-                }
-                // A shard of a sharded store sees only the ids hashed to it;
-                // the gaps belong to other shards and are padded with
-                // tombstones so global id assignment is reproduced exactly.
-                // Monolithic stores log consecutive ids, so this loop is
-                // empty for them and the strict check below still holds.
-                for _ in len..expected_id {
-                    self.db.insert_tombstone();
-                }
-                let got = self.db.insert_regions(&name, width, height, regions).map_err(|e| {
-                    WalrusError::Corrupt(format!("wal replay: insert failed: {e}"))
-                })?;
-                if got != expected_id {
-                    return Err(WalrusError::Corrupt(format!(
-                        "wal replay: image got id {got}, log expected {expected_id}"
-                    )));
-                }
-            }
-            WalOp::Remove { id } => {
-                self.db.remove_image(id).map_err(|e| {
-                    WalrusError::Corrupt(format!("wal replay: remove failed: {e}"))
-                })?;
-            }
+        match apply_to_table(&mut self.db, op)? {
+            Applied::Inserted(id) => self.db.index_image(id),
+            Applied::Removed(img) => self.db.unindex_image(&img),
         }
-        Ok(())
     }
 
     fn poisoned_error(&self) -> WalrusError {
@@ -369,15 +353,7 @@ impl DurableDatabase {
         regions: Vec<Region>,
     ) -> Result<usize> {
         // Validate dimensionality before anything reaches the log.
-        let dims = self.db.params().signature_dims();
-        for r in &regions {
-            if r.dims() != dims {
-                return Err(WalrusError::BadParams(format!(
-                    "region has {} dims, database expects {dims}",
-                    r.dims()
-                )));
-            }
-        }
+        self.db.check_dims(&regions)?;
         let expected_id = self.db.image_slots().len();
         self.log_then_apply(WalOp::Insert {
             expected_id,
@@ -403,15 +379,7 @@ impl DurableDatabase {
         height: usize,
         regions: Vec<Region>,
     ) -> Result<usize> {
-        let dims = self.db.params().signature_dims();
-        for r in &regions {
-            if r.dims() != dims {
-                return Err(WalrusError::BadParams(format!(
-                    "region has {} dims, database expects {dims}",
-                    r.dims()
-                )));
-            }
-        }
+        self.db.check_dims(&regions)?;
         let len = self.db.image_slots().len();
         if id < len {
             return Err(WalrusError::BadParams(format!(
@@ -550,6 +518,49 @@ impl DurableDatabase {
     /// [`ImageDatabase::image_meta`]).
     pub fn image_meta(&self, id: usize) -> Option<ImageMeta> {
         self.db.image_meta(id)
+    }
+}
+
+/// What [`apply_to_table`] changed, for a live index to follow.
+enum Applied {
+    Inserted(usize),
+    Removed(IndexedImage),
+}
+
+/// Applies one logged operation to `db`'s image table, checking it against
+/// the table the way every replay must; the index is not touched. Open
+/// replays the whole log through this and packs the index once at the end;
+/// a live operation follows it with the matching index update.
+fn apply_to_table(db: &mut ImageDatabase, op: WalOp) -> Result<Applied> {
+    match op {
+        WalOp::Insert { expected_id, name, width, height, regions } => {
+            let len = db.image_slots().len();
+            if expected_id < len {
+                return Err(WalrusError::Corrupt(format!(
+                    "wal replay: insert id {expected_id} below next slot {len}"
+                )));
+            }
+            // A shard of a sharded store sees only the ids hashed to it;
+            // the gaps belong to other shards and are padded with
+            // tombstones so global id assignment is reproduced exactly.
+            // Monolithic stores log consecutive ids, so this loop is
+            // empty for them and the strict check below still holds.
+            for _ in len..expected_id {
+                db.insert_tombstone();
+            }
+            let got = db.push_image(name, width, height, regions).map_err(|e| {
+                WalrusError::Corrupt(format!("wal replay: insert failed: {e}"))
+            })?;
+            if got != expected_id {
+                return Err(WalrusError::Corrupt(format!(
+                    "wal replay: image got id {got}, log expected {expected_id}"
+                )));
+            }
+            Ok(Applied::Inserted(got))
+        }
+        WalOp::Remove { id } => db.take_image(id).map(Applied::Removed).map_err(|e| {
+            WalrusError::Corrupt(format!("wal replay: remove failed: {e}"))
+        }),
     }
 }
 
@@ -751,7 +762,7 @@ pub fn scrub_dir(io: &dyn StorageIo, dir: &Path) -> DirScrub {
     };
     let snapshot_path = dir.join(SNAPSHOT_FILE);
     match io.read(&snapshot_path).map_err(|e| e.to_string()).and_then(|bytes| {
-        persist::load_with_lsn(&bytes).map_err(|e| e.to_string())
+        persist::load_table(&bytes).map_err(|e| e.to_string())
     }) {
         Ok((db, _)) => {
             scrub.snapshot_ok = true;

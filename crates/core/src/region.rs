@@ -55,18 +55,22 @@ impl Region {
         self.bitmap.area()
     }
 
-    /// The rectangle this region is indexed under: a degenerate point for
-    /// centroid signatures, the signature bounding box otherwise.
-    pub fn index_rect(&self, kind: SignatureKind) -> Rect {
+    /// Lower and upper corner of what this region is indexed under: its
+    /// centroid twice (a degenerate point) for centroid signatures, the
+    /// signature bounding box otherwise.
+    pub fn index_corners(&self, kind: SignatureKind) -> (&[f32], &[f32]) {
         match kind {
-            SignatureKind::Centroid => {
-                Rect::point(&self.centroid).expect("centroid coordinates are finite")
-            }
-            SignatureKind::BoundingBox => {
-                Rect::new(self.bbox_min.clone(), self.bbox_max.clone())
-                    .expect("bbox built from finite member signatures")
-            }
+            SignatureKind::Centroid => (&self.centroid, &self.centroid),
+            SignatureKind::BoundingBox => (&self.bbox_min, &self.bbox_max),
         }
+    }
+
+    /// [`Region::index_corners`] as the rectangle a one-at-a-time index
+    /// insert takes.
+    pub fn index_rect(&self, kind: SignatureKind) -> Rect {
+        let (lo, hi) = self.index_corners(kind);
+        Rect::new(lo.to_vec(), hi.to_vec())
+            .expect("finite signatures with bbox_min ≤ bbox_max (extraction and decode ensure both)")
     }
 
     /// L2 distance between this region's centroid and another's.

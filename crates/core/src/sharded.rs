@@ -493,22 +493,15 @@ fn build_target_shard(
     let dir = root.join(shard_dir_name_at(epoch + 1, target));
     io.create_dir_all(&dir)
         .map_err(WalrusError::io_context("create target shard dir", &dir))?;
-    let mut db = ImageDatabase::new(*sources[0].params())?;
-    for id in 0..next_id {
-        if shard_of(id, target_count) != target {
-            db.insert_tombstone();
-            continue;
-        }
-        match sources[shard_of(id, sources.len())].image(id) {
-            Some(img) => {
-                let got = db.insert_regions(&img.name, img.width, img.height, img.regions.clone())?;
-                debug_assert_eq!(got, id, "dense copy keeps global ids");
-            }
-            None => db.insert_tombstone(),
-        }
-    }
+    // The target's image table, lent slot by slot from the sources: nothing
+    // is copied and no index is built — the committed layout's open packs
+    // each target's tree from the snapshot written here.
+    let table = (0..next_id).map(|id| {
+        let owner = sources[shard_of(id, sources.len())];
+        owner.image(id).filter(|_| shard_of(id, target_count) == target)
+    });
     let snapshot = dir.join(SNAPSHOT_FILE);
-    persist::save_to_file_with(io, &db, &snapshot, 0)?;
+    persist::save_table_to_file_with(io, sources[0].params(), table, &snapshot, 0)?;
     let wal_path = dir.join(WAL_FILE);
     wal::reset(io, &wal_path).map_err(WalrusError::io_context("reset wal", &wal_path))?;
     io.fsync(&dir).map_err(WalrusError::io_context("fsync target shard dir", &dir))?;

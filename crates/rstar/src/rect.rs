@@ -22,24 +22,7 @@ pub struct Rect {
 impl Rect {
     /// Creates a rectangle, validating `min[d] ≤ max[d]` and finiteness.
     pub fn new(min: Vec<f32>, max: Vec<f32>) -> Result<Self> {
-        if min.len() != max.len() {
-            return Err(RStarError::InvalidRect(format!(
-                "min has {} dims, max has {}",
-                min.len(),
-                max.len()
-            )));
-        }
-        if min.is_empty() {
-            return Err(RStarError::InvalidRect("zero-dimensional rectangle".into()));
-        }
-        for (d, (&a, &b)) in min.iter().zip(&max).enumerate() {
-            if !a.is_finite() || !b.is_finite() {
-                return Err(RStarError::InvalidRect(format!("non-finite coordinate in dim {d}")));
-            }
-            if a > b {
-                return Err(RStarError::InvalidRect(format!("min {a} > max {b} in dim {d}")));
-            }
-        }
+        check_corners(&min, &max)?;
         let mut coords = min;
         coords.extend_from_slice(&max);
         Ok(Self { coords })
@@ -99,6 +82,30 @@ impl Rect {
         debug_assert_eq!(self.dims(), point.len());
         min_dist_sq(&self.coords, point)
     }
+}
+
+/// What makes two corners a rectangle: equal, non-zero arity, finite
+/// coordinates, `min[d] ≤ max[d]`.
+pub(crate) fn check_corners(min: &[f32], max: &[f32]) -> Result<()> {
+    if min.len() != max.len() {
+        return Err(RStarError::InvalidRect(format!(
+            "min has {} dims, max has {}",
+            min.len(),
+            max.len()
+        )));
+    }
+    if min.is_empty() {
+        return Err(RStarError::InvalidRect("zero-dimensional rectangle".into()));
+    }
+    for (d, (&a, &b)) in min.iter().zip(max).enumerate() {
+        if !a.is_finite() || !b.is_finite() {
+            return Err(RStarError::InvalidRect(format!("non-finite coordinate in dim {d}")));
+        }
+        if a > b {
+            return Err(RStarError::InvalidRect(format!("min {a} > max {b} in dim {d}")));
+        }
+    }
+    Ok(())
 }
 
 /// Splits a flat rectangle into its lower and upper corners.

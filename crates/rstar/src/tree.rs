@@ -60,6 +60,19 @@ impl RStarParams {
         }
         Ok(())
     }
+
+    /// How many of `rest` ordered siblings the next packed node takes: up to
+    /// `M`, fewer when that would leave a tail shorter than `m` (possible
+    /// whenever `rest ≥ m`, which packing guarantees).
+    pub(crate) fn next_run(&self, rest: usize) -> usize {
+        let take = self.max_entries.min(rest);
+        let left = rest - take;
+        if left > 0 && left < self.min_entries {
+            rest - self.min_entries
+        } else {
+            take
+        }
+    }
 }
 
 /// Per-node header: how many of the node's `M + 1` entry slots are live, and
@@ -259,11 +272,13 @@ impl<V> RStarTree<V> {
         self.free.push(node);
     }
 
-    /// Appends an entry to `node`.
-    fn push(&mut self, node: u32, rect: &[f32], slot: Slot<V>) {
-        let i = self.count(node);
+    /// Appends an entry, its rectangle given as lower and upper corner, to
+    /// `node`.
+    fn push(&mut self, node: u32, lo: &[f32], hi: &[f32], slot: Slot<V>) {
+        let (i, dims) = (self.count(node), self.dims);
         let at = node as usize * self.stride() + i * self.width();
-        self.coords[at..at + rect.len()].copy_from_slice(rect);
+        self.coords[at..at + dims].copy_from_slice(lo);
+        self.coords[at + dims..at + 2 * dims].copy_from_slice(hi);
         *self.slot_mut(node, i) = slot;
         self.heads[node as usize].len += 1;
     }
@@ -329,48 +344,59 @@ impl<V> RStarTree<V> {
         self.slots[first + n - 1].take()
     }
 
-    /// Assembles a tree from pre-packed leaf groups (see [`crate::bulk`]).
-    /// Each group becomes one leaf; upper levels are packed from runs of
-    /// sibling nodes, rebalancing tails so occupancy stays within `[m, M]`.
-    pub(crate) fn from_packed_leaves(
+    /// Assembles a tree from STR-ordered entries (see [`crate::bulk`]): each
+    /// run of `order` that `cuts` measures off becomes one leaf, its
+    /// rectangles and values produced by `corners` / `value` as they are
+    /// written; upper levels are packed from runs of sibling nodes,
+    /// rebalancing tails so occupancy stays within `[m, M]`. The slabs are
+    /// reserved once, to the exact node count.
+    pub(crate) fn from_leaf_runs<'a>(
         dims: usize,
         params: RStarParams,
-        groups: Vec<Vec<(Rect, V)>>,
+        order: &[u32],
+        cuts: &[u32],
+        corners: impl Fn(usize) -> (&'a [f32], &'a [f32]),
+        mut value: impl FnMut(usize) -> V,
     ) -> Self {
-        debug_assert!(!groups.is_empty());
+        debug_assert!(!cuts.is_empty());
         let mut tree = Self::bare(dims, params);
-        let mut level = Vec::with_capacity(groups.len());
-        for group in groups {
-            tree.len += group.len();
-            let leaf = tree.alloc(true);
-            for (rect, value) in group {
-                tree.push(leaf, rect.flat(), Slot::Value(value));
-            }
-            level.push(leaf);
+        // Chopping `k` siblings into runs of at most `M` makes `⌈k / M⌉`
+        // parents, whatever the tail rebalancing does to their sizes.
+        let (mut nodes, mut level) = (cuts.len(), cuts.len());
+        while level > 1 {
+            level = level.div_ceil(params.max_entries);
+            nodes += level;
         }
+        tree.heads.reserve_exact(nodes);
+        tree.coords.reserve_exact(nodes * tree.stride());
+        tree.slots.reserve_exact(nodes * tree.cap());
+        tree.len = order.len();
+        let mut rest = order;
+        for &cut in cuts {
+            let (run, tail) = rest.split_at(cut as usize);
+            let leaf = tree.alloc(true);
+            for &entry in run {
+                let (lo, hi) = corners(entry as usize);
+                tree.push(leaf, lo, hi, Slot::Value(value(entry as usize)));
+            }
+            rest = tail;
+        }
+        debug_assert!(rest.is_empty(), "cuts must measure off all of order");
+        // Node ids are handed out in order, so a level is a range of ids.
+        let mut level = 0..tree.heads.len() as u32;
         while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(params.max_entries));
-            let mut rest = level.as_slice();
-            while !rest.is_empty() {
-                let mut take = params.max_entries.min(rest.len());
-                let remaining = rest.len() - take;
-                if remaining > 0 && remaining < params.min_entries {
-                    take = rest.len() - params.min_entries;
-                }
-                let (run, tail) = rest.split_at(take);
+            let first = tree.heads.len() as u32;
+            while !level.is_empty() {
+                let take = params.next_run(level.len());
                 let parent = tree.alloc(false);
-                for &child in run {
+                for child in level.by_ref().take(take) {
                     tree.push_child(parent, child);
                 }
-                next.push(parent);
-                rest = tail;
             }
-            level = next;
+            level = first..tree.heads.len() as u32;
         }
-        tree.root = match level.pop() {
-            Some(root) => root,
-            None => tree.alloc(true),
-        };
+        tree.root = level.start;
+        debug_assert_eq!(tree.heads.len(), nodes, "exact reservation miscounted");
         tree
     }
 
@@ -420,7 +446,8 @@ impl<V> RStarTree<V> {
     ) -> (Option<u32>, Detached<V>) {
         let max = self.params.max_entries;
         if self.heads[node as usize].leaf {
-            self.push(node, rect, Slot::Value(value));
+            let (lo, hi) = rect::corners(rect);
+            self.push(node, lo, hi, Slot::Value(value));
             if self.count(node) <= max {
                 return (None, Detached::new());
             }
@@ -1013,12 +1040,9 @@ mod tests {
         }
         assert_eq!(inc.height(), 4);
         assert_eq!(pin_probe(&inc, &pts), (1646, 13503, 6805, 5695, 2064370187531075296));
-        let mut packed = crate::bulk_load(
-            12,
-            RStarParams::default(),
-            pts.iter().enumerate().map(|(i, p)| (pt(p), i)).collect(),
-        )
-        .unwrap();
+        let mut packed =
+            crate::bulk_load(12, RStarParams::default(), pts.len(), |i| (&pts[i], &pts[i]), |i| i)
+                .unwrap();
         assert_eq!(packed.height(), 4);
         assert_eq!(pin_probe(&packed, &pts), (1840, 14107, 6805, 5695, 3184819318344533176));
         // Condense-and-reinsert shapes the tree too.
@@ -1350,6 +1374,75 @@ mod tests {
                     live().filter(|(_, k)| k.0.intersects(&probe)).map(|(i, _)| i).collect();
                 proptest::prop_assert_eq!(sorted(within), want_within);
                 proptest::prop_assert_eq!(sorted(boxed), want_boxed);
+            }
+        }
+
+        /// The same differential test for a packed tree — as loaded, then
+        /// under edits that land in its full leaves — at the sizes where the
+        /// tiling is delicate: none, one, a full leaf (`M` = 16), one more,
+        /// `2M − 1`, tails the `m`-rebalancing has to borrow for, and many.
+        #[test]
+        fn packed_trees_agree_with_a_linear_scan(
+            dims in proptest::sample::select(vec![2usize, 3, 12]),
+            n in proptest::sample::select(vec![0usize, 1, 16, 17, 31, 33, 37, 101, 257, 4097, 5000]),
+            boxed in proptest::sample::select(vec![false, true]),
+            seed in proptest::any::<u64>(),
+        ) {
+            let mut next = lcg(seed);
+            let mut random_rect = |boxed: bool| {
+                let lo: Vec<f32> = (0..dims).map(|_| next()).collect();
+                let hi = lo.iter().map(|v| v + if boxed { next() * 0.2 } else { 0.0 }).collect();
+                Rect::new(lo, hi).unwrap()
+            };
+            let mut known: Vec<(Rect, bool)> = (0..n).map(|_| (random_rect(boxed), true)).collect();
+            let corners = |i: usize| (known[i].0.min(), known[i].0.max());
+            let mut tree =
+                crate::bulk_load(dims, RStarParams::default(), n, corners, |i| i).unwrap();
+            if n > tree.params.max_entries {
+                // The slabs were reserved once, to the node.
+                proptest::prop_assert_eq!(tree.heads.capacity(), tree.heads.len());
+                proptest::prop_assert_eq!(tree.coords.capacity(), tree.coords.len());
+                proptest::prop_assert_eq!(tree.slots.capacity(), tree.slots.len());
+            }
+            let mut pick = lcg(seed ^ 0x9E37_79B9);
+            for step in 0..48 {
+                tree.check_invariants();
+                proptest::prop_assert_eq!(tree.len(), known.iter().filter(|k| k.1).count());
+                let probe = random_rect(true);
+                let eps = 0.05 + pick() * if dims == 12 { 0.8 } else { 0.2 };
+                let sorted = |hits: Vec<&usize>| {
+                    let mut ids: Vec<usize> = hits.into_iter().copied().collect();
+                    ids.sort_unstable();
+                    ids
+                };
+                let live = || known.iter().enumerate().filter(|(_, k)| k.1);
+                let eps_sq = (eps as f64) * (eps as f64);
+                let want_within: Vec<usize> = live()
+                    .filter(|(_, k)| k.0.min_dist_sq(probe.min()) <= eps_sq)
+                    .map(|(i, _)| i)
+                    .collect();
+                let want_boxed: Vec<usize> =
+                    live().filter(|(_, k)| k.0.intersects(&probe)).map(|(i, _)| i).collect();
+                let within = tree.search_within(probe.min(), eps).unwrap();
+                proptest::prop_assert_eq!(sorted(within), want_within);
+                let hits = tree.search_intersecting(&probe).unwrap();
+                proptest::prop_assert_eq!(sorted(hits), want_boxed);
+                // Step 0 probed the tree as packed; from here on, edit it.
+                let at = (pick() * known.len() as f32) as usize;
+                if step % 3 == 2 && !known.is_empty() {
+                    let removed = tree.remove(&known[at].0, &at).unwrap();
+                    proptest::prop_assert_eq!(removed, known[at].1);
+                    known[at].1 = false;
+                } else {
+                    // Near an existing entry when there is one, so the insert
+                    // descends into a leaf the loader filled.
+                    let rect = match known.get(at) {
+                        Some((near, _)) => near.clone(),
+                        None => random_rect(boxed),
+                    };
+                    known.push((rect.clone(), true));
+                    tree.insert(rect, known.len() - 1).unwrap();
+                }
             }
         }
     }

@@ -3,7 +3,15 @@
 //! identically, including after mutation cycles. A golden-header test pins
 //! the format so accidental changes fail loudly.
 
-use walrus_core::{persist, ImageDatabase, WalrusParams};
+use std::path::Path;
+use std::sync::Arc;
+use walrus_core::sharded::{shard_dir_name, shard_of};
+use walrus_core::storage::FaultIo;
+use walrus_core::wal::{self, WalOp};
+use walrus_core::{
+    persist, DurableDatabase, ImageDatabase, Region, ResultStatus, ShardedStore, StorageIo,
+    WalrusError, WalrusParams,
+};
 use walrus_imagery::synth::dataset::{DatasetSpec, ImageClass, SyntheticDataset};
 use walrus_wavelet::SlidingParams;
 
@@ -126,4 +134,71 @@ fn fuzzy_corruption_never_panics() {
         bad[pos] ^= 0xA5;
         assert!(persist::load(&bad).is_err(), "flip at {pos} was not detected");
     }
+}
+
+/// A committed-looking WAL record — framed, CRC correct — whose one insert
+/// carries a NaN centroid, appended to `wal_path`.
+fn append_poisoned_record(io: &FaultIo, wal_path: &Path, mut regions: Vec<Region>) {
+    regions[0].centroid[3] = f32::NAN;
+    let op = WalOp::Insert {
+        expected_id: 1_000,
+        name: "poisoned".to_string(),
+        width: 96,
+        height: 64,
+        regions,
+    };
+    io.append(wal_path, &wal::encode_record(1_000_000, &op)).unwrap();
+    io.fsync(wal_path).unwrap();
+}
+
+#[test]
+fn crc_clean_wal_record_with_a_nan_signature_is_corrupt_not_a_panic() {
+    let data = dataset();
+    let io = Arc::new(FaultIo::new());
+    let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params()).unwrap();
+    store.insert_image("good", &data.images[0].image).unwrap();
+    let regions = store.db().image(0).unwrap().regions.clone();
+    drop(store);
+    append_poisoned_record(&io, Path::new("db/wal.log"), regions);
+
+    // The open used to panic building the index rectangle; it must refuse
+    // the record as corruption and leave both files as they were.
+    let files = |io: &FaultIo| {
+        (io.file_bytes(Path::new("db/wal.log")), io.file_bytes(Path::new("db/snapshot.walrus")))
+    };
+    let before = files(&io);
+    match DurableDatabase::open_with(io.clone(), "db", params()) {
+        Err(WalrusError::Corrupt(msg)) => assert!(msg.contains("non-finite"), "{msg}"),
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(_) => panic!("a NaN signature was replayed into the store"),
+    }
+    assert_eq!(files(&io), before, "a refused open must not touch the store");
+}
+
+#[test]
+fn nan_signature_in_one_shard_log_quarantines_that_shard_only() {
+    let data = dataset();
+    let io = Arc::new(FaultIo::new());
+    let (store, _) = ShardedStore::open_with(io.clone(), "store", params(), 3).unwrap();
+    for img in &data.images[..9] {
+        store.insert_image(&img.name, &img.image).unwrap();
+    }
+    let regions = walrus_core::extract_regions(&data.images[0].image, &params()).unwrap();
+    drop(store);
+    let victim = shard_of(0, 3);
+    let wal_path = Path::new("store").join(shard_dir_name(victim)).join("wal.log");
+    append_poisoned_record(&io, &wal_path, regions);
+
+    let (store, recoveries) = ShardedStore::open_with(io, "store", params(), 0).unwrap();
+    for r in &recoveries {
+        assert_eq!(r.error.is_some(), r.shard == victim, "{r:?}");
+    }
+    assert!(recoveries[victim].error.as_deref().unwrap().contains("non-finite"));
+    assert_eq!(store.quarantined_shards(), vec![victim]);
+    // The other shards serve: image 0 lived on the victim, its classmates
+    // elsewhere still rank.
+    let out = store.query(&data.images[0].image).unwrap();
+    assert_eq!(out.status, ResultStatus::Degraded { shards_unavailable: vec![victim] });
+    assert!(!out.matches.is_empty());
+    assert!(out.matches.iter().all(|m| shard_of(m.image_id, 3) != victim));
 }

@@ -6,7 +6,8 @@
 //! Deterministic xorshift randomness keeps the suite reproducible and free
 //! of external dependencies; each case prints its seed context on failure.
 
-use walrus_core::{persist, ImageDatabase, WalrusError, WalrusParams};
+use walrus_core::params::SignatureKind;
+use walrus_core::{persist, ImageDatabase, Region, WalrusError, WalrusParams};
 use walrus_imagery::synth::dataset::{DatasetSpec, ImageClass, SyntheticDataset};
 use walrus_wavelet::SlidingParams;
 
@@ -140,6 +141,50 @@ fn hostile_length_fields_do_not_allocate() {
             let pad = rng.below(64);
             bytes.extend((0..pad).map(|_| rng.next() as u8));
             assert!(persist::load(&bytes).is_err());
+        }
+    }
+}
+
+/// A region's floats are data no checksum can vouch for: a snapshot whose
+/// CRCs are all *correct* (v1 has none to begin with) but which carries a
+/// non-finite signature value or an inverted bounding box is corrupt, and
+/// must be refused as such before the value can reach the index — where a
+/// NaN used to panic the open, and would now be a sort key.
+#[test]
+fn crc_clean_snapshots_with_unindexable_regions_are_corrupt() {
+    type Poison = fn(&mut Region);
+    // Each poison is inserted under the signature kind that does *not* index
+    // the poisoned field, so the live insert accepts it and the writers
+    // serialise it faithfully, checksums and all.
+    let cases: [(SignatureKind, &str, Poison); 5] = [
+        (SignatureKind::BoundingBox, "NaN centroid", |r| r.centroid[3] = f32::NAN),
+        (SignatureKind::BoundingBox, "infinite centroid", |r| r.centroid[0] = f32::INFINITY),
+        (SignatureKind::Centroid, "NaN bbox_min", |r| r.bbox_min[1] = f32::NAN),
+        (SignatureKind::Centroid, "infinite bbox_max", |r| r.bbox_max[2] = f32::NEG_INFINITY),
+        (SignatureKind::Centroid, "inverted bbox", |r| r.bbox_min[5] = r.bbox_max[5] + 1.0),
+    ];
+    let donor = populated();
+    for (kind, what, poison) in cases {
+        let mut db =
+            ImageDatabase::new(WalrusParams { signature_kind: kind, ..*donor.params() }).unwrap();
+        for img in donor.image_slots().iter().flatten() {
+            db.insert_regions(&img.name, img.width, img.height, img.regions.clone()).unwrap();
+        }
+        let mut regions = donor.image(1).unwrap().regions.clone();
+        let victim = regions.len() / 2;
+        poison(&mut regions[victim]);
+        db.insert_regions("poisoned", 48, 32, regions).unwrap();
+        let snapshots =
+            [("v1", persist::save_v1(&db)), ("v2", persist::save_v2(&db)), ("v3", persist::save(&db))];
+        for (version, bytes) in snapshots {
+            match persist::load(&bytes) {
+                Err(WalrusError::Corrupt(msg)) => assert!(
+                    msg.contains("non-finite") || msg.contains("inverted"),
+                    "{what} in a {version} snapshot: unexpected message {msg}"
+                ),
+                Err(other) => panic!("{what} in a {version} snapshot: non-corrupt error {other}"),
+                Ok(_) => panic!("{what} in a {version} snapshot loaded"),
+            }
         }
     }
 }
