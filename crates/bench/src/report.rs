@@ -92,87 +92,9 @@ impl Table {
     }
 }
 
-/// Envelope writer for `BENCH_*.json` trajectory datapoints.
-///
-/// Every benchmark routes its JSON through this type so each file carries
-/// the same provenance stamp — `bench` name, `host_cpus`, and the `git_rev`
-/// it was measured at — and honors the same `WALRUS_BENCH_OUT` redirect.
-/// Numbers without provenance are not comparable across the trajectory.
-#[derive(Debug)]
-pub struct BenchReport {
-    name: String,
-    /// `key -> already-rendered JSON value` (string values must arrive
-    /// quoted, arrays/objects pre-rendered by the bench).
-    fields: Vec<(String, String)>,
-}
-
-impl BenchReport {
-    pub fn new(name: &str) -> Self {
-        BenchReport { name: name.to_string(), fields: Vec::new() }
-    }
-
-    /// Appends one top-level field; `value` is a raw JSON fragment.
-    pub fn field(mut self, key: &str, value: impl Into<String>) -> Self {
-        self.fields.push((key.to_string(), value.into()));
-        self
-    }
-
-    /// Convenience for string-typed fields (adds the quotes).
-    pub fn field_str(self, key: &str, value: &str) -> Self {
-        let escaped = value.replace('\\', "\\\\").replace('"', "\\\"");
-        self.field(key, format!("\"{escaped}\""))
-    }
-
-    /// The full JSON document, envelope first.
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"bench\": \"{}\",\n", self.name));
-        out.push_str(&format!("  \"host_cpus\": {},\n", host_cpus()));
-        out.push_str(&format!("  \"git_rev\": \"{}\"", git_rev()));
-        for (key, value) in &self.fields {
-            out.push_str(&format!(",\n  \"{key}\": {value}"));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Writes to `WALRUS_BENCH_OUT` if set, else `default_path`; returns the
-    /// path written.
-    pub fn write(&self, default_path: &str) -> std::io::Result<String> {
-        let path =
-            std::env::var("WALRUS_BENCH_OUT").unwrap_or_else(|_| default_path.to_string());
-        std::fs::write(&path, self.render())?;
-        Ok(path)
-    }
-}
-
-/// CPUs the host actually offers; 1 when it cannot be determined.
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Short git revision of the working tree, or `"unknown"` outside a repo
-/// (benchmark artifacts must say what code produced them).
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Formats a float with 3 decimal places (table cells).
 pub fn f3(v: f64) -> String {
     format!("{v:.3}")
-}
-
-/// Formats a float with 4 decimal places.
-pub fn f4(v: f64) -> String {
-    format!("{v:.4}")
 }
 
 #[cfg(test)]
@@ -210,23 +132,5 @@ mod tests {
     #[test]
     fn float_formatting() {
         assert_eq!(f3(1.23456), "1.235");
-        assert_eq!(f4(0.000049), "0.0000");
-    }
-
-    #[test]
-    fn bench_report_envelope_stamps_provenance() {
-        let json = BenchReport::new("demo")
-            .field("count", "3")
-            .field_str("scale", "quick")
-            .field("rows", "[\n    { \"threads\": 1 }\n  ]")
-            .render();
-        assert!(json.starts_with("{\n  \"bench\": \"demo\",\n"), "{json}");
-        assert!(json.contains("\"host_cpus\": "), "{json}");
-        assert!(json.contains("\"git_rev\": \""), "{json}");
-        assert!(json.contains("\"count\": 3"), "{json}");
-        assert!(json.contains("\"scale\": \"quick\""), "{json}");
-        assert!(json.ends_with("\n}\n"), "{json}");
-        assert!(host_cpus() >= 1);
-        assert!(!git_rev().is_empty());
     }
 }

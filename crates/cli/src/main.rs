@@ -11,17 +11,16 @@
 //! walrus demo   <db>                  populate with synthetic demo images
 //! walrus open   <dir>                 create/open a crash-safe store directory
 //! walrus recover <dir>                recover a store and report what was repaired
-//! walrus compact <dir>                fold the write-ahead log into a snapshot
-//! walrus rebalance <dir> --shards <M> migrate a sharded store to M shards
+//! walrus compact <dir>                fold the write-ahead log(s) into snapshot(s)
+//! walrus rebalance <dir> --shards <M> migrate a store to M shards
 //! walrus scrub  <dir>                 verify snapshot/WAL integrity, read-only
 //! walrus serve  <dir>                 serve a store over HTTP (see --addr)
-//! walrus bench-http                   HTTP round-trip benchmark -> BENCH_server.json
 //! ```
 //!
-//! `<db>` is either a single snapshot file (e.g. `db.walrus`) or a *store
-//! directory* managed by the durability layer (snapshot + write-ahead log;
-//! create one with `walrus open mystore`). Commands auto-detect which they
-//! were given: an existing directory is treated as a durable store.
+//! `<db>` is either a single snapshot *file* (e.g. `db.walrus`) or a store
+//! *directory* managed by the durability layer (a manifest over 1..64
+//! shards, each a snapshot + write-ahead log; create one with `walrus open
+//! mystore`). A directory is a store, anything else a snapshot file.
 //!
 //! Options (before the subcommand arguments):
 //!   `-k <n>`          number of results for `query`/`scene` (default 10)
@@ -46,10 +45,10 @@
 
 use std::process::ExitCode;
 use std::time::Duration;
+use std::path::Path;
 use walrus_core::persist;
-use walrus_core::recovery::{DurableDatabase, RecoveryReport};
 use walrus_core::scene_query::SceneRect;
-use walrus_core::sharded::{is_sharded_store, ShardRecovery};
+use walrus_core::sharded::ShardRecovery;
 use walrus_core::{
     scrub_store, Guard, ImageDatabase, QueryOptions, QueryOutcome, ResultStatus, ShardedStore,
     WalrusParams,
@@ -79,7 +78,7 @@ struct Options {
     max_pixels: Option<usize>,
     addr: String,
     /// `--shards <n>`: shard count when creating a store (`None` = consult
-    /// `WALRUS_SHARDS`, then fall back to the legacy monolithic layout).
+    /// `WALRUS_SHARDS`, then one shard).
     shards: Option<usize>,
     /// `--shard <i>`: target one shard in `recover` / `compact`.
     shard: Option<usize>,
@@ -148,7 +147,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "rebalance" => cmd_rebalance(&opts, rest),
         "scrub" => cmd_scrub(&opts, rest),
         "serve" => cmd_serve(&opts, rest),
-        "bench-http" => cmd_bench_http(&opts, rest),
         "help" | "--help" | "-h" => {
             print_usage();
             Ok(())
@@ -257,43 +255,26 @@ fn params_for(opts: &Options) -> Result<WalrusParams, String> {
     Ok(params)
 }
 
-/// A database handle: a plain snapshot file, a monolithic durable store
-/// directory, or an N-shard durable store (detected by its `MANIFEST`).
-/// Mutations on durable stores commit through their WALs; snapshot files
-/// are saved explicitly (and atomically) after mutating.
+/// A database handle: a plain snapshot file or a durable store directory.
+/// Mutations on a store commit through its WALs; snapshot files are saved
+/// explicitly (and atomically) after mutating.
 enum DbHandle {
     File { db: Box<ImageDatabase>, path: String },
-    Durable(Box<DurableDatabase>),
-    Sharded(Box<ShardedStore>),
+    Store(Box<ShardedStore>),
 }
 
 impl DbHandle {
-    /// The in-memory database of a single-directory handle. Sharded stores
-    /// have no single inner database; commands that support them route
-    /// through the other accessors instead.
-    fn db(&self) -> Result<&ImageDatabase, String> {
-        match self {
-            DbHandle::File { db, .. } => Ok(db),
-            DbHandle::Durable(store) => Ok(store.db()),
-            DbHandle::Sharded(_) => {
-                Err("this operation is not supported on a sharded store".into())
-            }
-        }
-    }
-
     fn len(&self) -> usize {
         match self {
             DbHandle::File { db, .. } => db.len(),
-            DbHandle::Durable(store) => store.len(),
-            DbHandle::Sharded(store) => store.len(),
+            DbHandle::Store(store) => store.len(),
         }
     }
 
     fn num_regions(&self) -> usize {
         match self {
             DbHandle::File { db, .. } => db.num_regions(),
-            DbHandle::Durable(store) => store.db().num_regions(),
-            DbHandle::Sharded(store) => store.num_regions(),
+            DbHandle::Store(store) => store.num_regions(),
         }
     }
 
@@ -301,10 +282,7 @@ impl DbHandle {
     fn image_regions(&self, id: usize) -> usize {
         match self {
             DbHandle::File { db, .. } => db.image(id).map(|i| i.regions.len()).unwrap_or(0),
-            DbHandle::Durable(store) => {
-                store.db().image(id).map(|i| i.regions.len()).unwrap_or(0)
-            }
-            DbHandle::Sharded(store) => {
+            DbHandle::Store(store) => {
                 store.image_meta(id).ok().flatten().map(|m| m.regions).unwrap_or(0)
             }
         }
@@ -313,8 +291,7 @@ impl DbHandle {
     fn insert_image(&mut self, name: &str, image: &Image) -> Result<usize, String> {
         match self {
             DbHandle::File { db, .. } => db.insert_image(name, image),
-            DbHandle::Durable(store) => store.insert_image(name, image),
-            DbHandle::Sharded(store) => store.insert_image(name, image),
+            DbHandle::Store(store) => store.insert_image(name, image),
         }
         .map_err(|e| e.to_string())
     }
@@ -329,8 +306,7 @@ impl DbHandle {
     ) -> Result<Vec<usize>, String> {
         match self {
             DbHandle::File { db, .. } => db.insert_images_batch_guarded(items, guard),
-            DbHandle::Durable(store) => store.insert_images_batch_guarded(items, guard),
-            DbHandle::Sharded(store) => store.insert_images_batch_guarded(items, guard),
+            DbHandle::Store(store) => store.insert_images_batch_guarded(items, guard),
         }
         .map_err(|e| e.to_string())
     }
@@ -338,29 +314,22 @@ impl DbHandle {
     fn remove_image(&mut self, id: usize) -> Result<(), String> {
         match self {
             DbHandle::File { db, .. } => db.remove_image(id),
-            DbHandle::Durable(store) => store.remove_image(id),
-            DbHandle::Sharded(store) => store.remove_image(id),
+            DbHandle::Store(store) => store.remove_image(id),
         }
         .map_err(|e| e.to_string())
     }
 
-    /// Full-image query honoring `--eps` / `--timeout-ms`, routed through
-    /// whichever engine this handle fronts.
-    fn query(&self, image: &Image, opts: &Options, guard: &Guard) -> Result<QueryOutcome, String> {
+    /// One query under `query_opts` and the request guard, on whichever
+    /// engine this handle fronts — both run the same procedure.
+    fn query(
+        &self,
+        image: &Image,
+        query_opts: &QueryOptions,
+        guard: &Guard,
+    ) -> Result<QueryOutcome, String> {
         match self {
-            DbHandle::File { db, .. } => match opts.eps {
-                Some(eps) => db.query_with_epsilon_guarded(image, eps, guard),
-                None => db.query_guarded(image, guard),
-            },
-            DbHandle::Durable(store) => match opts.eps {
-                Some(eps) => store.db().query_with_epsilon_guarded(image, eps, guard),
-                None => store.db().query_guarded(image, guard),
-            },
-            DbHandle::Sharded(store) => store.query_with_options_guarded(
-                image,
-                &QueryOptions { epsilon: opts.eps, ..QueryOptions::default() },
-                guard,
-            ),
+            DbHandle::File { db, .. } => db.query_with_options_guarded(image, query_opts, guard),
+            DbHandle::Store(store) => store.query_with_options_guarded(image, query_opts, guard),
         }
         .map_err(|e| e.to_string())
     }
@@ -368,36 +337,25 @@ impl DbHandle {
     fn params(&self) -> WalrusParams {
         match self {
             DbHandle::File { db, .. } => *db.params(),
-            DbHandle::Durable(store) => *store.db().params(),
-            DbHandle::Sharded(store) => store.params(),
+            DbHandle::Store(store) => store.params(),
         }
     }
 
-    /// Persists a snapshot-file handle; durable stores already committed
-    /// every mutation through the WAL.
+    /// Persists a snapshot-file handle; a store already committed every
+    /// mutation through its WALs.
     fn finish(&self) -> Result<(), String> {
         match self {
             DbHandle::File { db, path } => {
                 persist::save_to_file(db, path).map_err(|e| format!("cannot save {path}: {e}"))
             }
-            DbHandle::Durable(_) | DbHandle::Sharded(_) => Ok(()),
+            DbHandle::Store(_) => Ok(()),
         }
     }
 }
 
-fn is_store_dir(path: &str) -> bool {
-    std::path::Path::new(path).is_dir()
-}
-
-fn open_durable(path: &str, opts: &Options) -> Result<(DurableDatabase, RecoveryReport), String> {
-    DurableDatabase::open(path, params_for(opts)?)
-        .map_err(|e| format!("cannot open store {path}: {e}"))
-}
-
-/// Shard count to use when a command touches a store: `--shards` wins, then
-/// the `WALRUS_SHARDS` environment variable; `0` means "legacy monolithic
-/// layout" (and, on an existing sharded store, "whatever the manifest
-/// says").
+/// Shard count to create a store with: `--shards` wins, then the
+/// `WALRUS_SHARDS` environment variable; `0` (or neither) means "whatever
+/// the store's manifest says, and one shard when there is no store yet".
 fn resolved_shards(opts: &Options) -> Result<usize, String> {
     if let Some(n) = opts.shards {
         return Ok(n);
@@ -410,32 +368,39 @@ fn resolved_shards(opts: &Options) -> Result<usize, String> {
     }
 }
 
-fn open_sharded(
+/// Opens the store at `path`, creating it with `shards` shards when the
+/// directory holds none yet.
+fn open_store(
     path: &str,
     opts: &Options,
     shards: usize,
 ) -> Result<(ShardedStore, Vec<ShardRecovery>), String> {
     ShardedStore::open(path, params_for(opts)?, shards)
-        .map_err(|e| format!("cannot open sharded store {path}: {e}"))
+        .map_err(|e| format!("cannot open store {path}: {e}"))
 }
 
-/// True when `path` should open as a sharded store: it already is one, or a
-/// shard count was requested for a path that does not exist yet.
-fn wants_sharded(path: &str, shards: usize) -> bool {
-    is_sharded_store(std::path::Path::new(path))
-        || (shards > 0 && !std::path::Path::new(path).exists())
+/// [`open_store`] for the commands that work on a store that must already
+/// be there (`recover`, `compact`, `rebalance`): refuses a path that is not
+/// a directory, and adopts whatever layout the manifest records (shards =
+/// 0), so they work after a rebalance even when `--shards`/`WALRUS_SHARDS`
+/// still describe the layout the store had before it.
+fn open_existing_store(
+    dir: &str,
+    opts: &Options,
+) -> Result<(ShardedStore, Vec<ShardRecovery>), String> {
+    if !Path::new(dir).is_dir() {
+        return Err(format!("{dir} is not a store directory"));
+    }
+    open_store(dir, opts, 0)
 }
 
-/// Opens an existing database (file or store directory) read-only.
+/// Opens an existing database: a directory as a store, anything else as a
+/// snapshot file.
 fn load_handle(path: &str, opts: &Options) -> Result<DbHandle, String> {
-    let shards = resolved_shards(opts)?;
-    if is_sharded_store(std::path::Path::new(path)) {
-        let (store, recoveries) = open_sharded(path, opts, shards)?;
+    if Path::new(path).is_dir() {
+        let (store, recoveries) = open_store(path, opts, resolved_shards(opts)?)?;
         warn_if_degraded(path, &recoveries);
-        Ok(DbHandle::Sharded(Box::new(store)))
-    } else if is_store_dir(path) {
-        let (store, _) = open_durable(path, opts)?;
-        Ok(DbHandle::Durable(Box::new(store)))
+        Ok(DbHandle::Store(Box::new(store)))
     } else {
         let db =
             persist::load_from_file(path).map_err(|e| format!("cannot load {path}: {e}"))?;
@@ -443,17 +408,16 @@ fn load_handle(path: &str, opts: &Options) -> Result<DbHandle, String> {
     }
 }
 
-/// Opens a database for mutation, creating a store if the path does not
-/// exist yet: sharded when a shard count was requested, a snapshot file
+/// Opens a database for mutation, creating one if the path does not exist
+/// yet: a store when a shard count was requested, a snapshot file
 /// otherwise.
 fn load_or_create_handle(path: &str, opts: &Options) -> Result<DbHandle, String> {
     let shards = resolved_shards(opts)?;
-    if wants_sharded(path, shards) {
-        let (store, recoveries) = open_sharded(path, opts, shards)?;
-        warn_if_degraded(path, &recoveries);
-        Ok(DbHandle::Sharded(Box::new(store)))
-    } else if is_store_dir(path) || std::path::Path::new(path).exists() {
+    if Path::new(path).exists() {
         load_handle(path, opts)
+    } else if shards > 0 {
+        let (store, _) = open_store(path, opts, shards)?;
+        Ok(DbHandle::Store(Box::new(store)))
     } else {
         let db = ImageDatabase::new(params_for(opts)?).map_err(|e| e.to_string())?;
         Ok(DbHandle::File { db: Box::new(db), path: path.to_string() })
@@ -484,7 +448,7 @@ fn note_if_partial(status: &ResultStatus) {
     }
 }
 
-/// Per-shard recovery summary for sharded opens.
+/// Per-shard recovery summary of an open.
 fn print_shard_recoveries(recoveries: &[ShardRecovery]) {
     for r in recoveries {
         match (&r.report, &r.error) {
@@ -525,19 +489,6 @@ fn warn_if_degraded(path: &str, recoveries: &[ShardRecovery]) {
     }
 }
 
-fn print_report(report: &RecoveryReport) {
-    println!(
-        "recovery: snapshot {} (lsn {}), {} wal record(s) replayed, {} skipped",
-        if report.snapshot_loaded { "loaded" } else { "absent" },
-        report.snapshot_lsn,
-        report.records_replayed,
-        report.records_skipped,
-    );
-    if report.torn_tail_truncated {
-        println!("recovery: truncated a torn wal tail ({} bytes)", report.truncated_bytes);
-    }
-}
-
 fn cmd_index(opts: &Options, rest: &[String]) -> Result<(), String> {
     let Some((db_path, images)) = rest.split_first() else {
         return Err("usage: walrus index <db> <image.ppm>...".into());
@@ -566,6 +517,11 @@ fn cmd_index(opts: &Options, rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The whole-image query `--eps` shapes.
+fn query_options(opts: &Options) -> QueryOptions {
+    QueryOptions { epsilon: opts.eps, ..QueryOptions::default() }
+}
+
 fn cmd_query(opts: &Options, rest: &[String]) -> Result<(), String> {
     let [db_path, image_path] = rest else {
         return Err("usage: walrus query <db> <image.ppm>".into());
@@ -573,7 +529,7 @@ fn cmd_query(opts: &Options, rest: &[String]) -> Result<(), String> {
     let handle = load_handle(db_path, opts)?;
     let query = load_image(image_path, opts)?;
     let guard = opts.guard();
-    let outcome = handle.query(&query, opts, &guard)?;
+    let outcome = handle.query(&query, &query_options(opts), &guard)?;
     println!(
         "query regions: {}; matching regions: {}; candidate images: {}",
         outcome.stats.query_regions,
@@ -596,7 +552,7 @@ fn cmd_explain(opts: &Options, rest: &[String]) -> Result<(), String> {
     let query = load_image(image_path, opts)?;
     let trace = walrus_core::TraceContext::monotonic();
     let guard = opts.guard().tracing(trace.clone());
-    let outcome = handle.query(&query, opts, &guard)?;
+    let outcome = handle.query(&query, &query_options(opts), &guard)?;
     let report = trace.report();
 
     println!("stage trace for {image_path} against {db_path}:");
@@ -628,8 +584,8 @@ fn cmd_explain(opts: &Options, rest: &[String]) -> Result<(), String> {
         None => println!("  deadline:          none"),
     }
 
-    // Summed across every probe span (a sharded store records one per
-    // shard), so the numbers add up for any store shape.
+    // Summed across every probe span (a store records one per shard), so
+    // the numbers add up for any shard count.
     let sum = |counter: &str| -> u64 {
         report
             .spans
@@ -662,12 +618,12 @@ fn cmd_scene(opts: &Options, rest: &[String]) -> Result<(), String> {
         width: w.parse().map_err(|_| "bad w")?,
         height: h.parse().map_err(|_| "bad h")?,
     };
-    // Scene queries need the single in-memory database; `db()` reports a
-    // clear error on sharded stores, where they are not supported yet.
-    let outcome = handle
-        .db()?
-        .query_scene_guarded(&query, rect, 0.0, &opts.guard())
-        .map_err(|e| e.to_string())?;
+    let scene_opts = QueryOptions {
+        scene: Some(rect),
+        min_similarity: Some(0.0),
+        ..QueryOptions::default()
+    };
+    let outcome = handle.query(&query, &scene_opts, &opts.guard())?;
     println!("scene {rect:?}: {} candidate images", outcome.stats.distinct_images);
     note_if_partial(&outcome.status);
     print_ranking(outcome.matches.iter().take(opts.k));
@@ -695,14 +651,7 @@ fn cmd_info(opts: &Options, rest: &[String]) -> Result<(), String> {
     println!("database: {db_path}");
     println!("  images:  {}", handle.len());
     println!("  regions: {}", handle.num_regions());
-    if let DbHandle::Durable(store) = &handle {
-        println!(
-            "  wal:     {} bytes, {} record(s) since last checkpoint",
-            store.wal_len(),
-            store.records_since_checkpoint()
-        );
-    }
-    if let DbHandle::Sharded(store) = &handle {
+    if let DbHandle::Store(store) = &handle {
         println!(
             "  wal:     {} bytes, {} record(s) since last checkpoint",
             store.wal_len(),
@@ -748,7 +697,7 @@ fn cmd_info(opts: &Options, rest: &[String]) -> Result<(), String> {
         p.tau,
     );
     match &handle {
-        DbHandle::Sharded(store) => {
+        DbHandle::Store(store) => {
             for id in 0..store.next_id() {
                 // Quarantined-shard ids are unknowable; skip them silently —
                 // the shard listing above already says which are missing.
@@ -760,8 +709,8 @@ fn cmd_info(opts: &Options, rest: &[String]) -> Result<(), String> {
                 }
             }
         }
-        _ => {
-            for img in handle.db()?.image_slots().iter().flatten() {
+        DbHandle::File { db, .. } => {
+            for img in db.image_slots().iter().flatten() {
                 println!(
                     "  [{}] {} {}x{} ({} regions)",
                     img.id,
@@ -803,25 +752,13 @@ fn cmd_open(opts: &Options, rest: &[String]) -> Result<(), String> {
     let [dir] = rest else {
         return Err("usage: walrus [--shards n] open <dir>".into());
     };
-    let shards = resolved_shards(opts)?;
-    if wants_sharded(dir, shards) {
-        let (store, recoveries) = open_sharded(dir, opts, shards)?;
-        print_shard_recoveries(&recoveries);
-        println!(
-            "sharded store {dir}: {} shard(s), {} images, {} regions, wal {} bytes",
-            store.shard_count(),
-            store.len(),
-            store.num_regions(),
-            store.wal_len()
-        );
-        return Ok(());
-    }
-    let (store, report) = open_durable(dir, opts)?;
-    print_report(&report);
+    let (store, recoveries) = open_store(dir, opts, resolved_shards(opts)?)?;
+    print_shard_recoveries(&recoveries);
     println!(
-        "store {dir}: {} images, {} regions, wal {} bytes",
+        "store {dir}: {} shard(s), {} images, {} regions, wal {} bytes",
+        store.shard_count(),
         store.len(),
-        store.db().num_regions(),
+        store.num_regions(),
         store.wal_len()
     );
     Ok(())
@@ -869,15 +806,9 @@ fn cmd_rebalance(opts: &Options, rest: &[String]) -> Result<(), String> {
         return Err(format!("rebalance needs a target shard count\n{usage}"));
     };
     let dir = dir.as_str();
-    if !is_sharded_store(std::path::Path::new(dir)) {
-        return Err(format!(
-            "{dir} is not a sharded store (only stores created with `walrus --shards n open` \
-             can change shard count)"
-        ));
-    }
-    // Open with shards=0: adopt whatever layout the manifest records (an
-    // interrupted migration resumes here, before the explicit rebalance).
-    let (store, recoveries) = open_sharded(dir, opts, 0)?;
+    // An interrupted migration resumes in this open, before the explicit
+    // rebalance.
+    let (store, recoveries) = open_existing_store(dir, opts)?;
     warn_if_degraded(dir, &recoveries);
     let report =
         store.rebalance(target).map_err(|e| format!("rebalance of {dir} failed: {e}"))?;
@@ -892,14 +823,17 @@ fn cmd_scrub(opts: &Options, rest: &[String]) -> Result<(), String> {
     let usage = "usage: walrus scrub <dir> [--shard <i>]";
     let (dir, shard) = dir_and_shard(rest, opts, usage)?;
     let dir = dir.as_str();
-    if !is_store_dir(dir) {
+    if !Path::new(dir).is_dir() {
         return Err(format!("{dir} is not a store directory"));
     }
-    let io = walrus_core::DiskIo;
-    let print_verdict = |label: &str, scrub: &walrus_core::DirScrub| {
-        let verdict = if scrub.clean() { "clean" } else { "CORRUPT" };
+    let verdicts = scrub_store(&walrus_core::DiskIo, Path::new(dir), shard)
+        .map_err(|e| format!("cannot scrub {dir}: {e}"))?;
+    for v in &verdicts {
+        let scrub = &v.scrub;
         print!(
-            "{label}: {verdict} (snapshot {}, {} image(s); wal {}, {} record(s))",
+            "shard {:03}: {} (snapshot {}, {} image(s); wal {}, {} record(s))",
+            v.shard,
+            if scrub.clean() { "clean" } else { "CORRUPT" },
             if scrub.snapshot_ok { "ok" } else { "damaged" },
             scrub.snapshot_images,
             if scrub.wal_ok { "ok" } else { "damaged" },
@@ -909,39 +843,20 @@ fn cmd_scrub(opts: &Options, rest: &[String]) -> Result<(), String> {
             Some(error) => println!(" — {error}"),
             None => println!(),
         }
-    };
-    if is_sharded_store(std::path::Path::new(dir)) {
-        let verdicts = scrub_store(&io, std::path::Path::new(dir), shard)
-            .map_err(|e| format!("cannot scrub {dir}: {e}"))?;
-        for v in &verdicts {
-            print_verdict(&format!("shard {:03}", v.shard), &v.scrub);
-        }
-        let dirty: Vec<String> = verdicts
-            .iter()
-            .filter(|v| !v.scrub.clean())
-            .map(|v| v.shard.to_string())
-            .collect();
-        if !dirty.is_empty() {
-            return Err(format!(
-                "store {dir} failed scrub: shard(s) {} are damaged \
-                 (run `walrus recover {dir} --shard <i>` to repair)",
-                dirty.join(", ")
-            ));
-        }
-        println!("store {dir} passed scrub: {} shard(s) verified", verdicts.len());
-        return Ok(());
     }
-    if shard.is_some() {
-        return Err(format!("{dir} is not a sharded store; --shard does not apply"));
-    }
-    let scrub = walrus_core::scrub_dir(&io, std::path::Path::new(dir));
-    print_verdict(dir, &scrub);
-    if !scrub.clean() {
+    let dirty: Vec<String> = verdicts
+        .iter()
+        .filter(|v| !v.scrub.clean())
+        .map(|v| v.shard.to_string())
+        .collect();
+    if !dirty.is_empty() {
         return Err(format!(
-            "store {dir} failed scrub (run `walrus recover {dir}` to repair)"
+            "store {dir} failed scrub: shard(s) {} are damaged \
+             (run `walrus recover {dir} --shard <i>` to repair)",
+            dirty.join(", ")
         ));
     }
-    println!("store {dir} passed scrub");
+    println!("store {dir} passed scrub: {} shard(s) verified", verdicts.len());
     Ok(())
 }
 
@@ -949,107 +864,69 @@ fn cmd_recover(opts: &Options, rest: &[String]) -> Result<(), String> {
     let usage = "usage: walrus recover <dir> [--shard <i>]";
     let (dir, shard) = dir_and_shard(rest, opts, usage)?;
     let dir = dir.as_str();
-    if !is_store_dir(dir) {
-        return Err(format!("{dir} is not a store directory"));
+    let (store, recoveries) = open_existing_store(dir, opts)?;
+    print_shard_recoveries(&recoveries);
+    if let Some(shard) = shard {
+        check_shard_in_range(shard, store.shard_count(), usage)?;
+        // Explicit repair: truncate the shard's WAL to its longest clean
+        // prefix (accepting the loss of whatever followed the damage)
+        // and swap the shard back in.
+        let repair = store
+            .recover_shard(shard)
+            .map_err(|e| format!("cannot repair shard {shard}: {e}"))?;
+        println!(
+            "shard {:03}: repaired, {} wal record(s) kept, {} damaged byte(s) truncated",
+            repair.shard, repair.records_kept, repair.truncated_bytes
+        );
     }
-    if is_sharded_store(std::path::Path::new(dir)) {
-        // Repair adopts whatever layout the manifest records (shards = 0):
-        // a store mid-repair must open even when `--shards`/`WALRUS_SHARDS`
-        // describe the layout it had before a rebalance.
-        let (store, recoveries) = open_sharded(dir, opts, 0)?;
-        print_shard_recoveries(&recoveries);
-        if let Some(shard) = shard {
-            check_shard_in_range(shard, store.shard_count(), usage)?;
-            // Explicit repair: truncate the shard's WAL to its longest clean
-            // prefix (accepting the loss of whatever followed the damage)
-            // and swap the shard back in.
-            let repair = store
-                .recover_shard(shard)
-                .map_err(|e| format!("cannot repair shard {shard}: {e}"))?;
-            println!(
-                "shard {:03}: repaired, {} wal record(s) kept, {} damaged byte(s) truncated",
-                repair.shard, repair.records_kept, repair.truncated_bytes
-            );
-        }
-        let quarantined = store.quarantined_shards();
-        if quarantined.is_empty() {
-            println!(
-                "sharded store {dir} is consistent: {} shard(s), {} images, \
-                 {} wal record(s) pending checkpoint",
-                store.shard_count(),
-                store.len(),
-                store.records_since_checkpoint()
-            );
-            return Ok(());
-        }
-        let shards: Vec<String> = quarantined.iter().map(|s| s.to_string()).collect();
-        return Err(format!(
-            "store {dir} is degraded: shard(s) {} quarantined; \
-             run `walrus recover {dir} --shard <i>` to repair one",
-            shards.join(", ")
-        ));
-    } else if shard.is_some() {
-        return Err(format!("{dir} is not a sharded store; --shard does not apply"));
+    let quarantined = store.quarantined_shards();
+    if quarantined.is_empty() {
+        println!(
+            "store {dir} is consistent: {} shard(s), {} images, \
+             {} wal record(s) pending checkpoint",
+            store.shard_count(),
+            store.len(),
+            store.records_since_checkpoint()
+        );
+        return Ok(());
     }
-    let (store, report) = open_durable(dir, opts)?;
-    print_report(&report);
-    println!(
-        "store {dir} is consistent: {} images, {} regions, {} wal record(s) pending checkpoint",
-        store.len(),
-        store.db().num_regions(),
-        store.records_since_checkpoint()
-    );
-    Ok(())
+    let shards: Vec<String> = quarantined.iter().map(|s| s.to_string()).collect();
+    Err(format!(
+        "store {dir} is degraded: shard(s) {} quarantined; \
+         run `walrus recover {dir} --shard <i>` to repair one",
+        shards.join(", ")
+    ))
 }
 
 fn cmd_compact(opts: &Options, rest: &[String]) -> Result<(), String> {
     let usage = "usage: walrus compact <dir> [--shard <i>]";
     let (dir, shard) = dir_and_shard(rest, opts, usage)?;
     let dir = dir.as_str();
-    if !is_store_dir(dir) {
-        return Err(format!("{dir} is not a store directory"));
-    }
-    if is_sharded_store(std::path::Path::new(dir)) {
-        // Like `recover`: compaction adopts the manifest's layout.
-        let (store, recoveries) = open_sharded(dir, opts, 0)?;
-        warn_if_degraded(dir, &recoveries);
-        let before = store.wal_len();
-        let reports = match shard {
-            Some(shard) => {
-                check_shard_in_range(shard, store.shard_count(), usage)?;
-                vec![store
-                    .checkpoint_shard(shard)
-                    .map_err(|e| format!("checkpoint of shard {shard} failed: {e}"))?]
-            }
-            None => store.checkpoint().map_err(|e| format!("checkpoint failed: {e}"))?,
-        };
-        for r in &reports {
-            println!(
-                "shard {:03}: checkpointed at lsn {} in {} us",
-                r.shard,
-                r.last_lsn,
-                r.duration.as_micros()
-            );
-        }
-        println!(
-            "compacted {dir}: wal {} -> {} bytes, {} shard snapshot(s) cover {} images",
-            before,
-            store.wal_len(),
-            reports.len(),
-            store.len()
-        );
-        return Ok(());
-    } else if shard.is_some() {
-        return Err(format!("{dir} is not a sharded store; --shard does not apply"));
-    }
-    let (mut store, report) = open_durable(dir, opts)?;
-    print_report(&report);
+    let (store, recoveries) = open_existing_store(dir, opts)?;
+    warn_if_degraded(dir, &recoveries);
     let before = store.wal_len();
-    store.checkpoint().map_err(|e| format!("checkpoint failed: {e}"))?;
+    let reports = match shard {
+        Some(shard) => {
+            check_shard_in_range(shard, store.shard_count(), usage)?;
+            vec![store
+                .checkpoint_shard(shard)
+                .map_err(|e| format!("checkpoint of shard {shard} failed: {e}"))?]
+        }
+        None => store.checkpoint().map_err(|e| format!("checkpoint failed: {e}"))?,
+    };
+    for r in &reports {
+        println!(
+            "shard {:03}: checkpointed at lsn {} in {} us",
+            r.shard,
+            r.last_lsn,
+            r.duration.as_micros()
+        );
+    }
     println!(
-        "compacted {dir}: wal {} -> {} bytes, snapshot covers {} images",
+        "compacted {dir}: wal {} -> {} bytes, {} shard snapshot(s) cover {} images",
         before,
         store.wal_len(),
+        reports.len(),
         store.len()
     );
     Ok(())
@@ -1076,18 +953,11 @@ fn cmd_serve(opts: &Options, rest: &[String]) -> Result<(), String> {
         "thread-per-connection"
     };
     walrus_server::signals::install();
-    let shards = resolved_shards(opts)?;
-    let handle = if wants_sharded(dir, shards) {
-        let (store, recoveries) = open_sharded(dir, opts, shards)?;
-        print_shard_recoveries(&recoveries);
-        warn_if_degraded(dir, &recoveries);
-        walrus_server::Server::start(config, store)
-    } else {
-        let (store, report) = open_durable(dir, opts)?;
-        print_report(&report);
-        walrus_server::Server::start(config, walrus_core::SharedDurableDatabase::new(store))
-    }
-    .map_err(|e| format!("cannot start server: {e}"))?;
+    let (store, recoveries) = open_store(dir, opts, resolved_shards(opts)?)?;
+    print_shard_recoveries(&recoveries);
+    warn_if_degraded(dir, &recoveries);
+    let handle = walrus_server::Server::start(config, store)
+        .map_err(|e| format!("cannot start server: {e}"))?;
     println!("serving {dir} on http://{} ({backend})", handle.addr());
     println!(
         "endpoints: /healthz /metrics /ingest /query /image/{{id}} /admin/checkpoint \
@@ -1100,208 +970,6 @@ fn cmd_serve(opts: &Options, rest: &[String]) -> Result<(), String> {
     println!("shutdown requested: draining in-flight requests...");
     handle.shutdown().map_err(|e| format!("shutdown failed: {e}"))?;
     println!("drained and checkpointed; store {dir} is clean");
-    Ok(())
-}
-
-/// Self-contained HTTP round-trip benchmark: starts a server on an
-/// ephemeral port over a temp store, ingests a synthetic dataset through
-/// `POST /ingest`, fires concurrent queries, and records client-observed
-/// latency percentiles in `BENCH_server.json`.
-fn cmd_bench_http(opts: &Options, rest: &[String]) -> Result<(), String> {
-    use walrus_bench::report::BenchReport;
-    use walrus_imagery::synth::dataset::timing_image;
-    use walrus_server::{Client, Server, ServerConfig};
-
-    if !rest.is_empty() {
-        return Err("usage: walrus [--threads n] bench-http".into());
-    }
-    const IMAGES: usize = 8;
-    const CLIENTS: usize = 4;
-    const ROUNDS: usize = 5;
-
-    let base = std::env::temp_dir().join(format!("walrus_bench_http_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&base).map_err(|e| e.to_string())?;
-    let (store, _) = open_durable(base.to_str().ok_or("temp path is not UTF-8")?, opts)?;
-    let config = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        // Thread-per-connection: cover every concurrent client unless the
-        // user pinned a count.
-        threads: if opts.threads > 0 { opts.threads } else { CLIENTS + 2 },
-        ..ServerConfig::default()
-    };
-    let handle = Server::start(config, walrus_core::SharedDurableDatabase::new(store))
-        .map_err(|e| format!("cannot start server: {e}"))?;
-    let addr = handle.addr();
-    println!("bench-http: {IMAGES} images, {CLIENTS} query clients x {ROUNDS} rounds on {addr}");
-
-    // Synthetic PPM bodies.
-    let mut bodies = Vec::with_capacity(IMAGES);
-    for seed in 0..IMAGES {
-        let img = timing_image(96, 64, seed as u64).map_err(|e| e.to_string())?;
-        let mut buf = Vec::new();
-        ppm::write_ppm(&img, &mut buf).map_err(|e| e.to_string())?;
-        bodies.push(buf);
-    }
-
-    // Sequential ingest, one request per image, client-observed latency.
-    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-    let mut ingest_ms = Vec::with_capacity(IMAGES);
-    let ingest_started = std::time::Instant::now();
-    for (i, body) in bodies.iter().enumerate() {
-        let started = std::time::Instant::now();
-        let resp = client
-            .request("POST", &format!("/ingest?name=bench-{i}"), body)
-            .map_err(|e| e.to_string())?;
-        if resp.status != 200 {
-            return Err(format!("ingest {i} answered {}: {}", resp.status, resp.text()));
-        }
-        ingest_ms.push(started.elapsed().as_secs_f64() * 1e3);
-    }
-    let ingest_wall = ingest_started.elapsed().as_secs_f64();
-
-    // Concurrent queries from independent connections.
-    let bodies = std::sync::Arc::new(bodies);
-    let mut workers = Vec::new();
-    for c in 0..CLIENTS {
-        let bodies = std::sync::Arc::clone(&bodies);
-        workers.push(std::thread::spawn(move || -> Result<Vec<f64>, String> {
-            let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-            let mut latencies = Vec::with_capacity(ROUNDS);
-            for round in 0..ROUNDS {
-                let body = &bodies[(c + round) % bodies.len()];
-                let started = std::time::Instant::now();
-                let resp =
-                    client.request("POST", "/query?k=5", body).map_err(|e| e.to_string())?;
-                if resp.status != 200 {
-                    return Err(format!("query answered {}: {}", resp.status, resp.text()));
-                }
-                latencies.push(started.elapsed().as_secs_f64() * 1e3);
-            }
-            Ok(latencies)
-        }));
-    }
-    let mut query_ms = Vec::new();
-    for worker in workers {
-        query_ms.extend(worker.join().map_err(|_| "query client panicked")??);
-    }
-    handle.shutdown().map_err(|e| format!("shutdown failed: {e}"))?;
-    let _ = std::fs::remove_dir_all(&base);
-
-    let stats = |ms: &mut Vec<f64>| -> (f64, f64, f64) {
-        ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let rank = |q: f64| ms[((q * ms.len() as f64).ceil() as usize).clamp(1, ms.len()) - 1];
-        (rank(0.50), rank(0.95), rank(0.99))
-    };
-    let (ing_p50, ing_p95, ing_p99) = stats(&mut ingest_ms);
-    let (q_p50, q_p95, q_p99) = stats(&mut query_ms);
-    println!(
-        "ingest: p50 {ing_p50:.2} ms, p95 {ing_p95:.2} ms, p99 {ing_p99:.2} ms \
-         ({:.1} images/sec)",
-        IMAGES as f64 / ingest_wall
-    );
-    println!("query:  p50 {q_p50:.2} ms, p95 {q_p95:.2} ms, p99 {q_p99:.2} ms");
-
-    let out_path = BenchReport::new("http_server")
-        .field("images", IMAGES.to_string())
-        .field("query_clients", CLIENTS.to_string())
-        .field("query_samples", query_ms.len().to_string())
-        .field(
-            "ingest",
-            format!(
-                "{{ \"p50_ms\": {ing_p50:.3}, \"p95_ms\": {ing_p95:.3}, \"p99_ms\": {ing_p99:.3}, \"images_per_sec\": {:.2} }}",
-                IMAGES as f64 / ingest_wall
-            ),
-        )
-        .field(
-            "query",
-            format!(
-                "{{ \"p50_ms\": {q_p50:.3}, \"p95_ms\": {q_p95:.3}, \"p99_ms\": {q_p99:.3} }}"
-            ),
-        )
-        .write("BENCH_server.json")
-        .map_err(|e| format!("cannot write benchmark output: {e}"))?;
-    println!("wrote {out_path}");
-
-    // --- Hot-query cache benchmark -> BENCH_cache.json -------------------
-    // The same request sequence runs against a cache-enabled and a
-    // cache-disabled server over identical stores; since both mint request
-    // ids from 0, every response must be byte-identical — the cache may
-    // only change latency, never bytes.
-    const HOT_ROUNDS: usize = 12;
-    // (label, per-round latencies in ms, per-round response bodies).
-    type CacheRun = (&'static str, Vec<f64>, Vec<Vec<u8>>);
-    let mut runs: Vec<CacheRun> = Vec::new();
-    for (label, capacity) in
-        [("cache_on", walrus_server::QueryCache::DEFAULT_CAPACITY), ("cache_off", 0)]
-    {
-        let dir =
-            std::env::temp_dir().join(format!("walrus_bench_{label}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-        let (store, _) = open_durable(dir.to_str().ok_or("temp path is not UTF-8")?, opts)?;
-        let defaults = ServerConfig::default();
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: if opts.threads > 0 { opts.threads } else { 2 },
-            reactor: opts.reactor || defaults.reactor,
-            cache_capacity: capacity,
-            ..defaults
-        };
-        let handle = Server::start(config, walrus_core::SharedDurableDatabase::new(store))
-            .map_err(|e| format!("cannot start {label} server: {e}"))?;
-        let mut client = Client::connect(handle.addr()).map_err(|e| e.to_string())?;
-        for (i, body) in bodies.iter().enumerate() {
-            let resp = client
-                .request("POST", &format!("/ingest?name=bench-{i}"), body)
-                .map_err(|e| e.to_string())?;
-            if resp.status != 200 {
-                return Err(format!("{label} ingest {i} answered {}", resp.status));
-            }
-        }
-        let hot = &bodies[0];
-        let mut lat = Vec::with_capacity(HOT_ROUNDS);
-        let mut answers = Vec::with_capacity(HOT_ROUNDS);
-        for _ in 0..HOT_ROUNDS {
-            let started = std::time::Instant::now();
-            let resp = client.request("POST", "/query?k=5", hot).map_err(|e| e.to_string())?;
-            if resp.status != 200 {
-                return Err(format!("{label} hot query answered {}", resp.status));
-            }
-            lat.push(started.elapsed().as_secs_f64() * 1e3);
-            answers.push(resp.body);
-        }
-        handle.shutdown().map_err(|e| format!("{label} shutdown failed: {e}"))?;
-        let _ = std::fs::remove_dir_all(&dir);
-        runs.push((label, lat, answers));
-    }
-    let (_, on_ms, on_answers) = &runs[0];
-    let (_, off_ms, off_answers) = &runs[1];
-    for (round, (a, b)) in on_answers.iter().zip(off_answers).enumerate() {
-        if a != b {
-            return Err(format!(
-                "cache served different bytes than the uncached path on round {round}"
-            ));
-        }
-    }
-    let p50 = |ms: &[f64]| {
-        let mut v = ms.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        v[(v.len() - 1) / 2]
-    };
-    let (on_p50, off_p50) = (p50(on_ms), p50(off_ms));
-    println!(
-        "hot query ({HOT_ROUNDS} rounds): p50 {on_p50:.3} ms cached vs {off_p50:.3} ms uncached \
-         (responses byte-identical)"
-    );
-    let cache_path = BenchReport::new("query_cache")
-        .field("hot_rounds", HOT_ROUNDS.to_string())
-        .field("cache_on", format!("{{ \"p50_ms\": {on_p50:.4} }}"))
-        .field("cache_off", format!("{{ \"p50_ms\": {off_p50:.4} }}"))
-        .field("byte_identical", "true".to_string())
-        .write("BENCH_cache.json")
-        .map_err(|e| format!("cannot write benchmark output: {e}"))?;
-    println!("wrote {cache_path}");
     Ok(())
 }
 
@@ -1332,20 +1000,18 @@ fn print_usage() {
            info   <db>                       show database statistics\n\
            demo   <db>                       populate with synthetic images\n\
            open   <dir>                      create/open a crash-safe store\n\
-                                             (--shards n creates a sharded store)\n\
+                                             (--shards n: with n shards, default 1)\n\
            recover <dir> [--shard <i>]       recover a store, report repairs;\n\
                                              --shard repairs one quarantined shard\n\
            compact <dir> [--shard <i>]       fold write-ahead log(s) into snapshot(s)\n\
-           rebalance <dir> --shards <M>      migrate a sharded store to M shards\n\
+           rebalance <dir> --shards <M>      migrate a store to M shards\n\
                                              (crash-safe; resumes on reopen if interrupted)\n\
            scrub  <dir> [--shard <i>]        verify snapshot + WAL integrity read-only;\n\
                                              exits nonzero if any shard is damaged\n\
            serve  <dir>                      serve a store over HTTP until SIGTERM/ctrl-c\n\
                                              (--reactor: event-driven epoll backend)\n\
-           bench-http                        HTTP round-trip benchmark -> BENCH_server.json\n\
-                                             + hot-query cache bench -> BENCH_cache.json\n\
          \n\
-         <db> is a snapshot file or a durable store directory (see `open`).\n\
+         <db> is a snapshot file or a store directory (see `open`).\n\
          \n\
          options:\n\
            -k <n>                 results to print (default 10)\n\
@@ -1358,7 +1024,7 @@ fn print_usage() {
            --max-pixels <n>       reject larger images before decoding\n\
            --addr <host:port>     bind address for serve (default 127.0.0.1:8167)\n\
            --shards <n>           shard count when creating a store (or WALRUS_SHARDS;\n\
-                                  fixed at creation; omit for the single-directory layout)\n\
+                                  default 1; changed later only by rebalance)\n\
            --shard <i>            target one shard in recover/compact/scrub\n\
            --reactor              serve via the epoll reactor (or WALRUS_REACTOR=1)\n\
            --cache-capacity <n>   query-result cache entries (0 disables; default 256)"
@@ -1455,10 +1121,9 @@ mod tests {
     }
 
     #[test]
-    fn serve_and_bench_http_validate_args() {
+    fn serve_validates_args() {
         assert!(run(&s(&["serve"])).is_err());
         assert!(run(&s(&["serve", "a", "b"])).is_err());
-        assert!(run(&s(&["bench-http", "unexpected"])).is_err());
         let (opts, _) = parse_options(&s(&["--addr", "0.0.0.0:9999", "serve"])).unwrap();
         assert_eq!(opts.addr, "0.0.0.0:9999");
         assert!(parse_options(&s(&["--addr"])).is_err());
@@ -1542,30 +1207,46 @@ mod tests {
         let store = base.join("store");
         let store_str = store.to_str().unwrap().to_string();
 
-        // open creates the store directory.
+        // open with no shard option creates the store directory as a
+        // 1-shard store: a manifest over one shard, no files at the root.
         run(&s(&["open", &store_str])).unwrap();
-        assert!(store.join("snapshot.walrus").exists());
+        let shard = store.join("shard-000");
+        assert!(store.join("MANIFEST").exists());
+        assert!(shard.join("snapshot.walrus").exists());
+        assert!(!store.join("snapshot.walrus").exists());
+        assert!(!store.join("shard-001").exists());
 
         // index into the durable store (auto-detected by directory).
         let img = walrus_imagery::synth::dataset::timing_image(96, 64, 5).unwrap();
         let ppm_path = base.join("i.ppm");
         ppm::save_ppm(&img, &ppm_path).unwrap();
         run(&s(&["index", &store_str, ppm_path.to_str().unwrap()])).unwrap();
-        assert!(store.join("wal.log").exists());
+        assert!(shard.join("wal.log").exists());
 
-        // query, info, recover and compact all work against the store.
-        run(&s(&["query", &store_str, ppm_path.to_str().unwrap()])).unwrap();
+        // query, explain, scene, info, recover, scrub and compact all work
+        // against the store.
+        let q = ppm_path.to_str().unwrap();
+        run(&s(&["query", &store_str, q])).unwrap();
+        run(&s(&["explain", &store_str, q])).unwrap();
+        run(&s(&["scene", &store_str, q, "8", "8", "32", "32"])).unwrap();
         run(&s(&["info", &store_str])).unwrap();
         run(&s(&["recover", &store_str])).unwrap();
+        run(&s(&["scrub", &store_str])).unwrap();
         run(&s(&["compact", &store_str])).unwrap();
 
-        // After compaction the image lives in the snapshot.
-        let db = load_db(store.join("snapshot.walrus").to_str().unwrap()).unwrap();
+        // After compaction the image lives in the shard's snapshot.
+        let db = load_db(shard.join("snapshot.walrus").to_str().unwrap()).unwrap();
         assert_eq!(db.len(), 1);
 
         // remove commits through the WAL.
         run(&s(&["remove", &store_str, "0"])).unwrap();
         run(&s(&["recover", &store_str])).unwrap();
+
+        // The default store changes shape like any other: 1 -> 3 shards.
+        run(&s(&["demo", &store_str])).unwrap();
+        run(&s(&["rebalance", &store_str, "--shards", "3"])).unwrap();
+        assert!(store.join("e1-shard-002").join("snapshot.walrus").exists());
+        run(&s(&["query", &store_str, q])).unwrap();
 
         let _ = std::fs::remove_dir_all(&base);
     }
@@ -1578,13 +1259,23 @@ mod tests {
         let store = base.join("store");
         let store_str = store.to_str().unwrap().to_string();
 
-        // --shards creates the sharded layout: manifest + per-shard dirs.
+        // --shards picks the shard count of a new store — "new" meaning no
+        // manifest yet, so a pre-created empty directory (a mounted volume,
+        // `mktemp -d`) honours it like a path that does not exist.
+        let precreated = base.join("precreated");
+        std::fs::create_dir_all(&precreated).unwrap();
+        run(&s(&["--shards", "2", "open", precreated.to_str().unwrap()])).unwrap();
+        assert!(precreated.join("MANIFEST").exists());
+        assert!(precreated.join("shard-000").join("snapshot.walrus").exists());
+        assert!(precreated.join("shard-001").join("snapshot.walrus").exists());
+        assert!(!precreated.join("snapshot.walrus").exists(), "no files at the root");
+
         run(&s(&["--shards", "3", "open", &store_str])).unwrap();
         assert!(store.join("MANIFEST").exists());
         assert!(store.join("shard-000").join("snapshot.walrus").exists());
-        assert!(!store.join("snapshot.walrus").exists(), "no top-level monolithic files");
+        assert!(!store.join("snapshot.walrus").exists(), "no files at the root");
 
-        // index/query/info/remove auto-detect the sharded store.
+        // index/query/info/remove auto-detect the store.
         let img = walrus_imagery::synth::dataset::timing_image(96, 64, 5).unwrap();
         let ppm_path = base.join("i.ppm");
         ppm::save_ppm(&img, &ppm_path).unwrap();
@@ -1592,11 +1283,14 @@ mod tests {
         run(&s(&["query", &store_str, ppm_path.to_str().unwrap()])).unwrap();
         run(&s(&["info", &store_str])).unwrap();
 
-        // scene queries are clearly refused, not silently wrong.
-        let err =
-            run(&s(&["scene", &store_str, ppm_path.to_str().unwrap(), "0", "0", "8", "8"]))
-                .unwrap_err();
-        assert!(err.contains("sharded"), "unexpected error: {err}");
+        // A scene query runs on the store; its rectangle is validated
+        // the way the in-memory engine validates it.
+        let q = ppm_path.to_str().unwrap();
+        run(&s(&["scene", &store_str, q, "0", "0", "48", "32"])).unwrap();
+        let err = run(&s(&["scene", &store_str, q, "90", "0", "48", "32"])).unwrap_err();
+        assert!(err.contains("exceeds image"), "unexpected error: {err}");
+        let err = run(&s(&["scene", &store_str, q, "0", "0", "4", "4"])).unwrap_err();
+        assert!(err.contains("minimum window"), "unexpected error: {err}");
 
         // Per-shard and rolling compaction; recover confirms consistency.
         run(&s(&["compact", &store_str, "--shard", "1"])).unwrap();
@@ -1622,6 +1316,40 @@ mod tests {
         assert!(run(&s(&["compact", "/nonexistent/not-a-dir"])).is_err());
         assert!(run(&s(&["scrub", "/nonexistent/not-a-dir"])).is_err());
         assert!(run(&s(&["rebalance", "/nonexistent/not-a-dir", "--shards", "2"])).is_err());
+    }
+
+    #[test]
+    fn legacy_single_directory_store_is_refused_by_every_command() {
+        // What the single-directory layout left behind: a snapshot and a
+        // log at the root, no manifest. Every command that takes a store
+        // says so, and none of them touches the directory.
+        let base = std::env::temp_dir().join("walrus_cli_legacy_test");
+        let _ = std::fs::remove_dir_all(&base);
+        let legacy = base.join("legacy");
+        let legacy_str = legacy.to_str().unwrap().to_string();
+        let shard =
+            walrus_core::DurableDatabase::open(&legacy, params_for(&Options::default()).unwrap());
+        drop(shard.unwrap());
+        let listing = || {
+            let mut names: Vec<_> = std::fs::read_dir(&legacy)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(listing(), ["snapshot.walrus"]);
+        for command in
+            ["open", "info", "recover", "compact", "scrub", "serve", "demo", "rebalance"]
+        {
+            let err = run(&s(&["--shards", "2", command, &legacy_str])).unwrap_err();
+            assert!(
+                err.contains("no longer supported") && err.contains(&legacy_str),
+                "{command}: unexpected error: {err}"
+            );
+        }
+        assert_eq!(listing(), ["snapshot.walrus"]);
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]
@@ -1654,15 +1382,8 @@ mod tests {
         run(&s(&["info", &store_str])).unwrap();
         run(&s(&["scrub", &store_str])).unwrap();
 
-        // Argument errors: a target is required, monolithic stores cannot
-        // rebalance, and --shard does not apply to them.
+        // Argument errors: a target is required.
         assert!(run(&s(&["rebalance", &store_str])).is_err());
-        let mono = base.join("mono");
-        let mono_str = mono.to_str().unwrap().to_string();
-        run(&s(&["open", &mono_str])).unwrap();
-        assert!(run(&s(&["rebalance", &mono_str, "--shards", "2"])).is_err());
-        assert!(run(&s(&["scrub", &mono_str, "--shard", "0"])).is_err());
-        run(&s(&["scrub", &mono_str])).unwrap();
 
         // Scrub flags a flipped snapshot byte and exits nonzero; restoring
         // the byte restores the clean verdict.

@@ -13,16 +13,16 @@
 //! Table 1: the average number of regions retrieved per query region, and
 //! the number of distinct images containing at least one matching region.
 
-use crate::extract::{extract_regions, extract_regions_guarded};
+use crate::extract::{extract_batch_guarded, extract_regions, extract_regions_guarded};
 use crate::matching::{self, MatchPair, QuickScratch};
-use crate::params::{MatchingKind, SignatureKind, WalrusParams};
+use crate::params::{MatchingKind, SignatureKind, SimilarityKind, WalrusParams};
 use crate::region::Region;
+use crate::scene_query::SceneRect;
 use crate::{Result, WalrusError};
 use std::cell::RefCell;
-use std::sync::Arc;
 use walrus_guard::{Budgets, Guard, Interrupt};
 use walrus_imagery::Image;
-use walrus_parallel::{parallel_map_partial, resolve_threads, try_parallel_map_guarded};
+use walrus_parallel::{parallel_map_partial, resolve_threads};
 use walrus_rstar::{bulk_load, RStarParams, RStarTree, SearchStats};
 use walrus_wavelet::{BinarySignature, QueryCode};
 
@@ -123,16 +123,17 @@ pub struct QueryOutcome {
 }
 
 /// Per-request query knobs, the shape a serving layer assembles from request
-/// parameters. Every field is optional; `QueryOptions::default()` reproduces
-/// [`ImageDatabase::query_guarded`] exactly, and `k: Some(k)` alone
-/// reproduces [`ImageDatabase::top_k_guarded`] exactly — the HTTP path and
-/// the in-process path run the same code, which is what lets integration
-/// tests demand bit-identical rankings across the two.
+/// parameters, and what drives the one query procedure that
+/// [`ImageDatabase`] and [`ShardedStore`](crate::sharded::ShardedStore)
+/// share. Every field is optional; `QueryOptions::default()` is
+/// [`ImageDatabase::query_guarded`] and `k: Some(k)` alone is
+/// [`ImageDatabase::top_k`] — the HTTP path and the in-process path run the
+/// same code, which is what lets integration tests demand bit-identical
+/// rankings across the two.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueryOptions {
     /// Keep only the best `k` matches. Also drops the `τ` similarity floor
-    /// (top-k is "best k regardless of τ", matching
-    /// [`ImageDatabase::top_k_guarded`]) unless `min_similarity` says
+    /// (top-k is "best k regardless of τ") unless `min_similarity` says
     /// otherwise.
     pub k: Option<usize>,
     /// Override of the querying epsilon `ε` for this request only.
@@ -143,6 +144,12 @@ pub struct QueryOptions {
     /// Per-request resource ceilings; defaults to the database-wide
     /// [`WalrusParams::budgets`].
     pub budgets: Option<Budgets>,
+    /// Query by a user-specified scene: regions are extracted from this
+    /// rectangle of the query image only and images are scored by
+    /// [`SimilarityKind::QueryFraction`] — the fraction of the *scene*
+    /// covered by matching regions — so `min_similarity` is a coverage and
+    /// must lie in `[0, 1]`. See [`crate::scene_query`].
+    pub scene: Option<SceneRect>,
 }
 
 /// Owned metadata snapshot of one indexed image — the response shape lookup
@@ -206,15 +213,6 @@ impl ImageDatabase {
         merged.validate()?;
         self.params = merged;
         Ok(())
-    }
-
-    /// Overrides the signature-prefilter knob ([`WalrusParams::prefilter`])
-    /// on an existing database. Like [`ImageDatabase::set_threads`] this is
-    /// a runtime knob, not persisted, and — because the prefilter is
-    /// admissible — it never changes results, only how many exact geometry
-    /// tests the probe runs.
-    pub fn set_prefilter(&mut self, prefilter: Option<bool>) {
-        self.params.prefilter = prefilter;
     }
 
     /// Number of indexed images.
@@ -289,27 +287,11 @@ impl ImageDatabase {
         items: &[(&str, &Image)],
         guard: &Guard,
     ) -> Result<Vec<usize>> {
-        let threads = resolve_threads(self.params.threads);
-        let params = self.params;
         let ingest_span = guard.span("ingest");
         if let Some(s) = &ingest_span {
             s.add("images", items.len() as u64);
         }
-        // One worker per image; per-image extraction runs serial so worker
-        // counts do not multiply. Workers poll the same interrupt sources
-        // but carry no trace: spans are only opened by this orchestrating
-        // thread so the span tree is identical for every thread count.
-        let extract_span = guard.span("extract");
-        let worker_guard = guard.without_trace();
-        let extracted: Vec<Vec<Region>> =
-            try_parallel_map_guarded(threads, guard, items, |_, (_, image)| {
-                extract_regions_guarded(image, &params, 1, &worker_guard)
-            })?;
-        if let Some(s) = &extract_span {
-            s.add("regions", extracted.iter().map(Vec::len).sum::<usize>() as u64);
-        }
-        drop(extract_span);
-        guard.poll().map_err(WalrusError::from)?;
+        let extracted = extract_batch_guarded(items, &self.params, guard)?;
         let batch: Vec<(String, usize, usize, Vec<Region>)> = items
             .iter()
             .zip(extracted)
@@ -483,8 +465,7 @@ impl ImageDatabase {
     /// Runs a full query: extract regions of `query`, match against the
     /// database, return images with similarity ≥ `τ`.
     pub fn query(&self, query: &Image) -> Result<QueryOutcome> {
-        let regions = extract_regions(query, &self.params)?;
-        self.query_regions(&regions, query.area(), self.params.tau)
+        self.query_guarded(query, &Guard::none())
     }
 
     /// [`ImageDatabase::query`] under a lifecycle [`Guard`].
@@ -497,77 +478,22 @@ impl ImageDatabase {
     /// [`WalrusError::Cancelled`]; budget breaches surface as
     /// [`WalrusError::BudgetExceeded`].
     pub fn query_guarded(&self, query: &Image, guard: &Guard) -> Result<QueryOutcome> {
-        let _query_span = guard.span("query");
-        let regions =
-            match extract_regions_guarded(query, &self.params, self.params.threads, guard) {
-                Ok(r) => r,
-                Err(WalrusError::DeadlineExceeded) => {
-                    return Ok(QueryOutcome::empty_partial());
-                }
-                Err(e) => return Err(e),
-            };
-        self.query_regions_with_params_guarded(
-            &self.params,
-            &regions,
-            query.area(),
-            self.params.tau,
-            guard,
-        )
-    }
-
-    /// The `k` most similar images regardless of `τ`, under a lifecycle
-    /// [`Guard`] (same degradation semantics as
-    /// [`ImageDatabase::query_guarded`]).
-    pub fn top_k_guarded(&self, query: &Image, k: usize, guard: &Guard) -> Result<QueryOutcome> {
-        let _query_span = guard.span("query");
-        let regions =
-            match extract_regions_guarded(query, &self.params, self.params.threads, guard) {
-                Ok(r) => r,
-                Err(WalrusError::DeadlineExceeded) => {
-                    return Ok(QueryOutcome::empty_partial());
-                }
-                Err(e) => return Err(e),
-            };
-        let mut outcome = self.query_regions_with_params_guarded(
-            &self.params,
-            &regions,
-            query.area(),
-            0.0,
-            guard,
-        )?;
-        outcome.matches.truncate(k);
-        Ok(outcome)
+        self.query_with_options_guarded(query, &QueryOptions::default(), guard)
     }
 
     /// Runs a query shaped by per-request [`QueryOptions`], under a
-    /// lifecycle [`Guard`] (same degradation semantics as
-    /// [`ImageDatabase::query_guarded`]). Default options are bit-identical
-    /// to [`ImageDatabase::query_guarded`]; `k: Some(k)` alone is
-    /// bit-identical to [`ImageDatabase::top_k_guarded`].
+    /// lifecycle [`Guard`] (degradation semantics as described on
+    /// [`ImageDatabase::query_guarded`]). Every other `query*`/`top_k` entry
+    /// point is this one with some options filled in.
     pub fn query_with_options_guarded(
         &self,
         query: &Image,
         opts: &QueryOptions,
         guard: &Guard,
     ) -> Result<QueryOutcome> {
-        let (params, min_similarity) = opts.resolve(&self.params)?;
-        let _query_span = guard.span("query");
-        let regions = match extract_regions_guarded(query, &params, params.threads, guard) {
-            Ok(r) => r,
-            Err(WalrusError::DeadlineExceeded) => return Ok(QueryOutcome::empty_partial()),
-            Err(e) => return Err(e),
-        };
-        let mut outcome = self.query_regions_with_params_guarded(
-            &params,
-            &regions,
-            query.area(),
-            min_similarity,
-            guard,
-        )?;
-        if let Some(k) = opts.k {
-            outcome.matches.truncate(k);
-        }
-        Ok(outcome)
+        opts.run(&self.params, query, guard, |params, regions, area, min_similarity| {
+            self.query_regions_with_params_guarded(params, regions, area, min_similarity, guard)
+        })
     }
 
     /// Like [`ImageDatabase::query`] but with an explicit querying epsilon,
@@ -586,33 +512,14 @@ impl ImageDatabase {
         epsilon: f32,
         guard: &Guard,
     ) -> Result<QueryOutcome> {
-        if !epsilon.is_finite() || epsilon < 0.0 {
-            return Err(WalrusError::BadParams(format!("epsilon {epsilon} invalid")));
-        }
-        let _query_span = guard.span("query");
-        let regions = match extract_regions_guarded(query, &self.params, self.params.threads, guard)
-        {
-            Ok(r) => r,
-            Err(WalrusError::DeadlineExceeded) => return Ok(QueryOutcome::empty_partial()),
-            Err(e) => return Err(e),
-        };
-        let mut params = self.params;
-        params.query_epsilon = epsilon;
-        self.query_regions_with_params_guarded(
-            &params,
-            &regions,
-            query.area(),
-            self.params.tau,
-            guard,
-        )
+        let opts = QueryOptions { epsilon: Some(epsilon), ..QueryOptions::default() };
+        self.query_with_options_guarded(query, &opts, guard)
     }
 
     /// The `k` most similar images regardless of `τ`.
     pub fn top_k(&self, query: &Image, k: usize) -> Result<Vec<RankedImage>> {
-        let regions = extract_regions(query, &self.params)?;
-        let mut outcome = self.query_regions(&regions, query.area(), 0.0)?;
-        outcome.matches.truncate(k);
-        Ok(outcome.matches)
+        let opts = QueryOptions { k: Some(k), ..QueryOptions::default() };
+        Ok(self.query_with_options_guarded(query, &opts, &Guard::none())?.matches)
     }
 
     /// Queries with pre-extracted regions and an explicit similarity floor.
@@ -866,10 +773,45 @@ impl ImageDatabase {
 }
 
 impl QueryOptions {
+    /// The query procedure (paper §5.4–5.5), written once for every engine:
+    /// resolve this request's parameters, crop to the marked scene if there
+    /// is one, extract the query's regions — a deadline that expires there
+    /// is an empty [`ResultStatus::Partial`] answer, not an error — hand
+    /// them to `probe` (one index for [`ImageDatabase`], a scatter-gather
+    /// over the shards for the store) with the query's pixel area and the
+    /// similarity floor, and keep the best `k`.
+    pub(crate) fn run(
+        &self,
+        base: &WalrusParams,
+        query: &Image,
+        guard: &Guard,
+        probe: impl FnOnce(&WalrusParams, &[Region], usize, f64) -> Result<QueryOutcome>,
+    ) -> Result<QueryOutcome> {
+        let (params, min_similarity) = self.resolve(base)?;
+        let cropped;
+        let query = match self.scene {
+            Some(scene) => {
+                cropped = scene.crop(query, params.sliding.omega_min)?;
+                &cropped
+            }
+            None => query,
+        };
+        let _query_span = guard.span("query");
+        let regions = match extract_regions_guarded(query, &params, params.threads, guard) {
+            Ok(r) => r,
+            Err(WalrusError::DeadlineExceeded) => return Ok(QueryOutcome::empty_partial()),
+            Err(e) => return Err(e),
+        };
+        let mut outcome = probe(&params, &regions, query.area(), min_similarity)?;
+        if let Some(k) = self.k {
+            outcome.matches.truncate(k);
+        }
+        Ok(outcome)
+    }
+
     /// Resolves this request's effective engine parameters and similarity
-    /// floor against the database-wide configuration, validating overrides
-    /// the same way the dedicated entry points do.
-    pub(crate) fn resolve(&self, base: &WalrusParams) -> Result<(WalrusParams, f64)> {
+    /// floor against the database-wide configuration.
+    fn resolve(&self, base: &WalrusParams) -> Result<(WalrusParams, f64)> {
         let mut params = *base;
         if let Some(epsilon) = self.epsilon {
             if !epsilon.is_finite() || epsilon < 0.0 {
@@ -880,15 +822,21 @@ impl QueryOptions {
         if let Some(budgets) = self.budgets {
             params.budgets = budgets;
         }
+        if self.scene.is_some() {
+            // Scored against the scene alone, so the target's extra content
+            // does not dilute the coverage.
+            params.similarity = SimilarityKind::QueryFraction;
+        }
         let min_similarity = match self.min_similarity {
-            Some(min) => {
-                if !min.is_finite() {
-                    return Err(WalrusError::BadParams(format!(
-                        "min_similarity {min} invalid"
-                    )));
-                }
-                min
+            Some(min) if self.scene.is_some() && !(0.0..=1.0).contains(&min) => {
+                return Err(WalrusError::BadParams(format!(
+                    "min_coverage {min} must be in [0, 1]"
+                )));
             }
+            Some(min) if !min.is_finite() => {
+                return Err(WalrusError::BadParams(format!("min_similarity {min} invalid")));
+            }
+            Some(min) => min,
             None if self.k.is_some() => 0.0,
             None => params.tau,
         };
@@ -911,194 +859,6 @@ impl QueryOutcome {
             },
             status: ResultStatus::Partial,
         }
-    }
-}
-
-/// A thread-safe handle over an [`ImageDatabase`]: many concurrent readers
-/// (queries), exclusive writers (inserts/removals). Cloning the handle
-/// shares the database.
-#[derive(Debug, Clone)]
-pub struct SharedDatabase {
-    inner: Arc<parking_lot::RwLock<ImageDatabase>>,
-}
-
-impl SharedDatabase {
-    /// Wraps a database for shared use.
-    pub fn new(db: ImageDatabase) -> Self {
-        Self { inner: Arc::new(parking_lot::RwLock::new(db)) }
-    }
-
-    /// A cheap copy of the engine configuration (shared lock held only for
-    /// the copy). Parameters are fixed at construction, so a snapshot
-    /// taken before a lock-free extraction cannot go stale.
-    pub fn params(&self) -> WalrusParams {
-        *self.inner.read().params()
-    }
-
-    /// Inserts an image. Region extraction — the expensive part — runs
-    /// **outside** any lock; the exclusive lock is held only for the index
-    /// insertion, so concurrent queries are not starved by ingest.
-    pub fn insert_image(&self, name: &str, image: &Image) -> Result<usize> {
-        let params = self.params();
-        let regions = extract_regions(image, &params)?;
-        self.inner.write().insert_regions(name, image.width(), image.height(), regions)
-    }
-
-    /// Batch ingest: extracts regions for all images in parallel with **no
-    /// lock held**, then indexes everything under one short exclusive
-    /// lock (the R\*-tree bulk-load path when the index is empty). Ids and
-    /// query results are identical to a serial insert loop.
-    pub fn insert_images_batch(&self, items: &[(&str, &Image)]) -> Result<Vec<usize>> {
-        self.insert_images_batch_guarded(items, &Guard::none())
-    }
-
-    /// [`SharedDatabase::insert_images_batch`] under a lifecycle [`Guard`];
-    /// all-or-nothing under interruption (the last poll happens before the
-    /// exclusive lock is even taken, so a cancelled batch never mutates the
-    /// shared index).
-    pub fn insert_images_batch_guarded(
-        &self,
-        items: &[(&str, &Image)],
-        guard: &Guard,
-    ) -> Result<Vec<usize>> {
-        let params = self.params();
-        let threads = resolve_threads(params.threads);
-        let ingest_span = guard.span("ingest");
-        if let Some(s) = &ingest_span {
-            s.add("images", items.len() as u64);
-        }
-        // Workers share the interrupt sources but not the trace (spans are
-        // opened only on this orchestrating thread).
-        let extract_span = guard.span("extract");
-        let worker_guard = guard.without_trace();
-        let extracted: Vec<Vec<Region>> =
-            try_parallel_map_guarded(threads, guard, items, |_, (_, image)| {
-                extract_regions_guarded(image, &params, 1, &worker_guard)
-            })?;
-        if let Some(s) = &extract_span {
-            s.add("regions", extracted.iter().map(Vec::len).sum::<usize>() as u64);
-        }
-        drop(extract_span);
-        guard.poll().map_err(WalrusError::from)?;
-        let batch: Vec<(String, usize, usize, Vec<Region>)> = items
-            .iter()
-            .zip(extracted)
-            .map(|((name, image), regions)| {
-                (name.to_string(), image.width(), image.height(), regions)
-            })
-            .collect();
-        let index_span = guard.span("index");
-        let ids = self.inner.write().insert_regions_batch(batch);
-        if let (Some(s), Ok(ids)) = (&index_span, &ids) {
-            s.add("images_indexed", ids.len() as u64);
-        }
-        ids
-    }
-
-    /// Removes an image (exclusive lock).
-    pub fn remove_image(&self, id: usize) -> Result<()> {
-        self.inner.write().remove_image(id)
-    }
-
-    /// Runs a query. Query-region extraction runs **outside** the lock;
-    /// the shared lock covers only the index probes and scoring, so writers
-    /// wait for milliseconds, not for a full wavelet sweep.
-    pub fn query(&self, query: &Image) -> Result<QueryOutcome> {
-        let params = self.params();
-        let regions = extract_regions(query, &params)?;
-        self.inner.read().query_regions(&regions, query.area(), params.tau)
-    }
-
-    /// [`SharedDatabase::query`] under a lifecycle [`Guard`] (deadline →
-    /// `Ok` + [`ResultStatus::Partial`]; cancellation →
-    /// [`WalrusError::Cancelled`]). Extraction stays outside the lock, so a
-    /// deadline firing there never holds up writers either.
-    pub fn query_guarded(&self, query: &Image, guard: &Guard) -> Result<QueryOutcome> {
-        let params = self.params();
-        let _query_span = guard.span("query");
-        let regions = match extract_regions_guarded(query, &params, params.threads, guard) {
-            Ok(r) => r,
-            Err(WalrusError::DeadlineExceeded) => return Ok(QueryOutcome::empty_partial()),
-            Err(e) => return Err(e),
-        };
-        self.inner.read().query_regions_with_params_guarded(
-            &params,
-            &regions,
-            query.area(),
-            params.tau,
-            guard,
-        )
-    }
-
-    /// [`ImageDatabase::query_with_options_guarded`] on the shared handle:
-    /// extraction (with the per-request parameter overrides applied) runs
-    /// outside the lock, probe/score under the shared lock.
-    pub fn query_with_options_guarded(
-        &self,
-        query: &Image,
-        opts: &QueryOptions,
-        guard: &Guard,
-    ) -> Result<QueryOutcome> {
-        let (params, min_similarity) = opts.resolve(&self.params())?;
-        let _query_span = guard.span("query");
-        let regions = match extract_regions_guarded(query, &params, params.threads, guard) {
-            Ok(r) => r,
-            Err(WalrusError::DeadlineExceeded) => return Ok(QueryOutcome::empty_partial()),
-            Err(e) => return Err(e),
-        };
-        let mut outcome = self.inner.read().query_regions_with_params_guarded(
-            &params,
-            &regions,
-            query.area(),
-            min_similarity,
-            guard,
-        )?;
-        if let Some(k) = opts.k {
-            outcome.matches.truncate(k);
-        }
-        Ok(outcome)
-    }
-
-    /// Owned metadata snapshot for an image (shared lock held only for the
-    /// clone).
-    pub fn image_meta(&self, id: usize) -> Option<ImageMeta> {
-        self.inner.read().image_meta(id)
-    }
-
-    /// The `k` most similar images (extraction unlocked, probe/score under
-    /// the shared lock).
-    pub fn top_k(&self, query: &Image, k: usize) -> Result<Vec<RankedImage>> {
-        let params = self.params();
-        let regions = extract_regions(query, &params)?;
-        let mut outcome = self.inner.read().query_regions(&regions, query.area(), 0.0)?;
-        outcome.matches.truncate(k);
-        Ok(outcome.matches)
-    }
-
-    /// Number of indexed images (shared lock).
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// True when empty (shared lock).
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
-    }
-
-    /// Number of indexed regions (shared lock).
-    pub fn num_regions(&self) -> usize {
-        self.inner.read().num_regions()
-    }
-
-    /// Atomically snapshots the database to `path` (shared lock held for
-    /// serialization only; see [`crate::persist::save_to_file`]).
-    pub fn save_to_file(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        crate::persist::save_to_file(&self.inner.read(), path)
-    }
-
-    /// Loads a snapshot (v1 or v2) into a fresh shared handle.
-    pub fn load_from_file(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        Ok(Self::new(crate::persist::load_from_file(path)?))
     }
 }
 
@@ -1251,27 +1011,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_database_concurrent_queries() {
-        let mut db = ImageDatabase::new(params()).unwrap();
-        db.insert_image("a", &flower_at(0.5, 0.5, 0.5)).unwrap();
-        db.insert_image("b", &blue_image()).unwrap();
-        let shared = SharedDatabase::new(db);
-        let q = flower_at(0.5, 0.5, 0.5);
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let s = shared.clone();
-                let q = q.clone();
-                std::thread::spawn(move || s.top_k(&q, 1).unwrap())
-            })
-            .collect();
-        for h in handles {
-            let top = h.join().unwrap();
-            assert_eq!(top[0].name, "a");
-        }
-        assert_eq!(shared.len(), 2);
-    }
-
-    #[test]
     fn batch_insert_matches_serial_inserts() {
         let images: Vec<(String, Image)> = (0..5)
             .map(|i| (format!("f{i}"), flower_at(0.3 + 0.08 * i as f32, 0.5, 0.45)))
@@ -1329,25 +1068,6 @@ mod tests {
         assert_eq!(db.len(), 0, "no partial batch visible");
         assert_eq!(db.num_regions(), 0);
         assert!(db.index.is_empty());
-    }
-
-    #[test]
-    fn shared_batch_insert_and_concurrent_queries() {
-        let shared = SharedDatabase::new(ImageDatabase::new(params()).unwrap());
-        let a = flower_at(0.5, 0.5, 0.5);
-        let b = blue_image();
-        let ids = shared.insert_images_batch(&[("a", &a), ("b", &b)]).unwrap();
-        assert_eq!(ids, vec![0, 1]);
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let s = shared.clone();
-                let q = a.clone();
-                std::thread::spawn(move || s.top_k(&q, 1).unwrap())
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap()[0].name, "a");
-        }
     }
 
     #[test]

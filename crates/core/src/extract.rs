@@ -6,6 +6,7 @@ use crate::region::Region;
 use crate::{bitmap::RegionBitmap, Result, WalrusError};
 use walrus_guard::Guard;
 use walrus_imagery::Image;
+use walrus_parallel::{resolve_threads, try_parallel_map_guarded};
 use walrus_wavelet::sliding;
 
 /// Extracts the regions of `image` under `params`.
@@ -123,6 +124,34 @@ pub fn extract_regions_guarded(
         ));
     }
     Ok(regions)
+}
+
+/// The extraction half of a batch ingest: the regions of every image, one
+/// worker per image (`params.threads` of them) with each image's own sweep
+/// serial, so worker counts do not multiply. All-or-nothing: the first
+/// failing image (lowest index) or an interrupt fails the whole batch, and
+/// one last poll follows the fan-out — a caller that gets `Ok` has not been
+/// interrupted and may start mutating. Workers poll the guard's interrupt
+/// sources but carry no trace: the `extract` span is opened here, on the
+/// orchestrating thread, so the span tree is the same at every thread count.
+pub(crate) fn extract_batch_guarded(
+    items: &[(&str, &Image)],
+    params: &WalrusParams,
+    guard: &Guard,
+) -> Result<Vec<Vec<Region>>> {
+    let extract_span = guard.span("extract");
+    let worker_guard = guard.without_trace();
+    let threads = resolve_threads(params.threads);
+    let extracted: Vec<Vec<Region>> =
+        try_parallel_map_guarded(threads, guard, items, |_, (_, image)| {
+            extract_regions_guarded(image, params, 1, &worker_guard)
+        })?;
+    if let Some(s) = &extract_span {
+        s.add("regions", extracted.iter().map(Vec::len).sum::<usize>() as u64);
+    }
+    drop(extract_span);
+    guard.poll()?;
+    Ok(extracted)
 }
 
 #[cfg(test)]

@@ -28,6 +28,8 @@
 //! * [`extract::extract_regions`] — image → regions.
 //! * [`database::ImageDatabase`] — index images, run queries, get the
 //!   selectivity statistics of the paper's Table 1.
+//! * [`sharded::ShardedStore`] — the same engine made durable: 1..64
+//!   crash-safe shards ([`recovery::DurableDatabase`]) behind one manifest.
 //! * [`params::WalrusParams`] — every knob the paper exposes, with the
 //!   paper's §6.4 values as [`params::WalrusParams::paper_defaults`].
 //!
@@ -85,14 +87,14 @@ pub use database::{
 };
 pub use extract::{extract_regions, extract_regions_guarded, extract_regions_with_threads};
 pub use params::{MatchingKind, SignatureKind, SimilarityKind, WalrusParams};
-pub use recovery::{scrub_dir, DirScrub, DurableDatabase, RecoveryReport, SharedDurableDatabase};
+pub use recovery::{scrub_dir, DirScrub, DurableDatabase, RecoveryReport};
 pub use region::Region;
 pub use sharded::{
     scrub_store, Manifest, Migration, MigrationState, RebalanceReport, ShardRecovery, ShardRepair,
     ShardScrub, ShardedStore,
 };
 pub use storage::{DiskIo, StorageIo};
-pub use store::{RebalanceStatus, ShardCheckpoint, ShardHealth, Store};
+pub use store::{RebalanceStatus, ShardCheckpoint, ShardHealth};
 pub use walrus_guard::{
     monotonic, Budgets, CancelToken, Clock, Deadline, Guard, Interrupt, MonotonicClock,
     RetryPolicy, SharedClock, Span, TestClock, TraceContext, TraceReport,

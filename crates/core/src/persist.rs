@@ -10,7 +10,7 @@
 //! packs the tree once ([`ImageDatabase::pack_index`]), which keeps the
 //! format independent of index implementation details.
 //!
-//! ## Format v3 (current; little-endian throughout)
+//! ## The format (version 3; little-endian throughout)
 //!
 //! ```text
 //! magic "WALRUSDB" | u32 version=3 | u64 last_lsn
@@ -25,22 +25,16 @@
 //! whole-file CRC-32, so truncation, bit rot and torn writes are detected
 //! deterministically instead of by accidental structural failure.
 //!
-//! v3 extends each persisted region with its 128-bit binary prefilter
-//! signature (two u64 thermometer-code lanes). The lanes are a pure
-//! function of the region's `bbox_min`/`bbox_max`, so the loader rebuilds
-//! them from the vectors and *verifies* the stored copy — a mismatch means
-//! corruption (or a foreign encoder) and is rejected.
+//! Each persisted region carries its 128-bit binary prefilter signature
+//! (two u64 thermometer-code lanes). The lanes are a pure function of the
+//! region's `bbox_min`/`bbox_max`, so the loader rebuilds them from the
+//! vectors and *verifies* the stored copy — a mismatch means corruption (or
+//! a foreign encoder) and is rejected.
 //!
-//! ## Formats v1 and v2 (legacy, still readable)
-//!
-//! v2 is the same envelope without the signature lanes (they are rebuilt on
-//! load); v1 additionally predates the checksums:
-//!
-//! ```text
-//! magic "WALRUSDB" | u32 version=1 | params block | images block
-//! ```
-//!
-//! The params/images block contents are identical across versions:
+//! This is the only version read or written: the two earlier generations
+//! were dropped with their writers (no store holding them was ever
+//! deployed), and a snapshot that says it is version 1 or 2 is refused as
+//! `Corrupt` ("unsupported version") like any other unknown number.
 //!
 //! ```text
 //! images block: u64 image_count, then per image:
@@ -48,7 +42,7 @@
 //!   u64 region_count | regions…
 //! per region: u64 window_count | dims (u32) | centroid f32s | bbox_min | bbox_max
 //!             bitmap: u64 w,h,gw,gh | u64 word_count | u64 words…
-//!             v3 only: u64 sig_lane0 | u64 sig_lane1
+//!             u64 sig_lane0 | u64 sig_lane1
 //! ```
 //!
 //! [`save_to_file`] is crash-safe: bytes go to a temporary file which is
@@ -68,27 +62,17 @@ use walrus_imagery::ColorSpace;
 use walrus_wavelet::SlidingParams;
 
 const MAGIC: &[u8; 8] = b"WALRUSDB";
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
-const VERSION_V3: u32 = 3;
+const VERSION: u32 = 3;
 
-/// Serializes the database to bytes in the current (v3) format, with no
-/// WAL position (`last_lsn = 0`).
+/// Serializes the database to bytes, with no WAL position (`last_lsn = 0`).
 pub fn save(db: &ImageDatabase) -> Vec<u8> {
     save_with_lsn(db, 0)
 }
 
-/// Serializes the database in the v3 format, recording `last_lsn` as the
-/// sequence number of the last WAL record already reflected in it.
+/// Serializes the database, recording `last_lsn` as the sequence number of
+/// the last WAL record already reflected in it.
 pub fn save_with_lsn(db: &ImageDatabase, last_lsn: u64) -> Vec<u8> {
-    save_envelope(db.params(), table_of(db), last_lsn, VERSION_V3)
-}
-
-/// Serializes the database in the legacy v2 format (same checksummed
-/// envelope, regions without signature lanes). Kept so compatibility with
-/// pre-v3 snapshots stays testable and downgrades remain possible.
-pub fn save_v2(db: &ImageDatabase) -> Vec<u8> {
-    save_envelope(db.params(), table_of(db), 0, VERSION_V2)
+    save_envelope(db.params(), table_of(db), last_lsn)
 }
 
 /// A database's image table the way the writers take one: slot by slot in
@@ -101,15 +85,14 @@ fn save_envelope<'a>(
     params: &WalrusParams,
     table: impl ExactSizeIterator<Item = Option<&'a IndexedImage>>,
     last_lsn: u64,
-    version: u32,
 ) -> Vec<u8> {
     let mut params_block = Vec::with_capacity(128);
     write_params(&mut params_block, params);
-    let images_block = write_images_block(table, version);
+    let images_block = write_images_block(table);
 
     let mut out = Vec::with_capacity(images_block.len() + params_block.len() + 64);
     out.extend_from_slice(MAGIC);
-    put_u32(&mut out, version);
+    put_u32(&mut out, VERSION);
     put_u64(&mut out, last_lsn);
     put_u32(&mut out, params_block.len() as u32);
     out.extend_from_slice(&params_block);
@@ -122,21 +105,8 @@ fn save_envelope<'a>(
     out
 }
 
-/// Serializes the database in the legacy v1 format (no checksums). Kept so
-/// compatibility with pre-v2 snapshots stays testable and downgrades remain
-/// possible.
-pub fn save_v1(db: &ImageDatabase) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, VERSION_V1);
-    write_params(&mut out, db.params());
-    out.extend_from_slice(&write_images_block(table_of(db), VERSION_V1));
-    out
-}
-
 fn write_images_block<'a>(
     table: impl ExactSizeIterator<Item = Option<&'a IndexedImage>>,
-    version: u32,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096);
     put_u64(&mut out, table.len() as u64);
@@ -150,7 +120,7 @@ fn write_images_block<'a>(
                 put_u64(&mut out, 1);
                 put_u64(&mut out, img.regions.len() as u64);
                 for r in &img.regions {
-                    write_region(&mut out, r, version >= VERSION_V3);
+                    write_region(&mut out, r);
                 }
             }
             None => {
@@ -193,7 +163,7 @@ pub(crate) fn save_table_to_file_with<'a>(
     path: &Path,
     last_lsn: u64,
 ) -> Result<()> {
-    atomic_write_bytes(io, path, &save_envelope(params, table, last_lsn, VERSION_V3))
+    atomic_write_bytes(io, path, &save_envelope(params, table, last_lsn))
 }
 
 /// Atomically replaces `path` with `bytes`: temp file → fsync → rename →
@@ -215,16 +185,12 @@ pub fn atomic_write_bytes(io: &dyn StorageIo, path: &Path, bytes: &[u8]) -> Resu
     Ok(())
 }
 
-/// Deserializes a database from bytes (v1, v2 or v3), rebuilding the
-/// spatial index. Pre-v3 snapshots come back with binary signatures rebuilt
-/// from each region's bounds (the derivation is deterministic, so the
-/// result is identical to a fresh extraction).
+/// Deserializes a database from bytes, rebuilding the spatial index.
 pub fn load(bytes: &[u8]) -> Result<ImageDatabase> {
     load_with_lsn(bytes).map(|(db, _)| db)
 }
 
-/// Like [`load`] but also returns the snapshot's `last_lsn` (0 for v1
-/// snapshots, which predate the WAL).
+/// Like [`load`] but also returns the snapshot's `last_lsn`.
 pub fn load_with_lsn(bytes: &[u8]) -> Result<(ImageDatabase, u64)> {
     let (mut db, last_lsn) = load_table(bytes)?;
     db.pack_index()?;
@@ -241,28 +207,10 @@ pub(crate) fn load_table(bytes: &[u8]) -> Result<(ImageDatabase, u64)> {
     if magic != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    match r.u32()? {
-        VERSION_V1 => Ok((load_v1_body(&mut r)?, 0)),
-        v @ (VERSION_V2 | VERSION_V3) => load_checksummed_body(bytes, &mut r, v),
-        other => Err(corrupt(&format!("unsupported version {other}"))),
+    let version = r.u32()?;
+    if version != VERSION {
+        return Err(corrupt(&format!("unsupported version {version}")));
     }
-}
-
-fn load_v1_body(r: &mut Reader<'_>) -> Result<ImageDatabase> {
-    let params = read_params(r)?;
-    let mut db = ImageDatabase::new(params)?;
-    read_images(r, &mut db, false)?;
-    if r.pos != r.bytes.len() {
-        return Err(corrupt("trailing bytes"));
-    }
-    Ok(db)
-}
-
-fn load_checksummed_body(
-    bytes: &[u8],
-    r: &mut Reader<'_>,
-    version: u32,
-) -> Result<(ImageDatabase, u64)> {
     // Whole-file integrity first: the trailing CRC covers every byte before
     // it, so truncation, trailing garbage and bit rot all fail here.
     if bytes.len() < r.pos + 4 {
@@ -298,14 +246,14 @@ fn load_checksummed_body(
     }
     let mut db = ImageDatabase::new(params)?;
     let mut ir = Reader { bytes: images_block, pos: 0 };
-    read_images(&mut ir, &mut db, version >= VERSION_V3)?;
+    read_images(&mut ir, &mut db)?;
     if ir.pos != images_block.len() {
         return Err(corrupt("images section has trailing bytes"));
     }
     Ok((db, last_lsn))
 }
 
-fn read_images(r: &mut Reader<'_>, db: &mut ImageDatabase, with_signature: bool) -> Result<()> {
+fn read_images(r: &mut Reader<'_>, db: &mut ImageDatabase) -> Result<()> {
     let image_count = r.u64()? as usize;
     if image_count > 100_000_000 {
         return Err(corrupt("implausible image count"));
@@ -329,7 +277,7 @@ fn read_images(r: &mut Reader<'_>, db: &mut ImageDatabase, with_signature: bool)
             // huge allocation before the first read fails.
             let mut regions = Vec::with_capacity(region_count.min(r.remaining() / 48 + 1));
             for _ in 0..region_count {
-                regions.push(read_region(r, with_signature)?);
+                regions.push(read_region(r)?);
             }
             let got = db.push_image(name, width, height, regions)?;
             debug_assert_eq!(got, id);
@@ -340,7 +288,7 @@ fn read_images(r: &mut Reader<'_>, db: &mut ImageDatabase, with_signature: bool)
     Ok(())
 }
 
-/// Reads a database from a file (v1 or v2).
+/// Reads a database from a file.
 pub fn load_from_file(path: impl AsRef<Path>) -> Result<ImageDatabase> {
     load_from_file_with(&DiskIo, path.as_ref()).map(|(db, _)| db)
 }
@@ -560,7 +508,7 @@ fn color_space_from_tag(tag: u32) -> Result<ColorSpace> {
 
 // --- regions ------------------------------------------------------------
 
-pub(crate) fn write_region(out: &mut Vec<u8>, r: &Region, with_signature: bool) {
+pub(crate) fn write_region(out: &mut Vec<u8>, r: &Region) {
     put_u64(out, r.window_count as u64);
     put_f32s(out, &r.centroid);
     put_f32s(out, &r.bbox_min);
@@ -575,13 +523,11 @@ pub(crate) fn write_region(out: &mut Vec<u8>, r: &Region, with_signature: bool) 
     for &w in words {
         put_u64(out, w);
     }
-    if with_signature {
-        put_u64(out, r.signature.lanes[0]);
-        put_u64(out, r.signature.lanes[1]);
-    }
+    put_u64(out, r.signature.lanes[0]);
+    put_u64(out, r.signature.lanes[1]);
 }
 
-pub(crate) fn read_region(r: &mut Reader<'_>, with_signature: bool) -> Result<Region> {
+pub(crate) fn read_region(r: &mut Reader<'_>) -> Result<Region> {
     let window_count = r.u64()? as usize;
     let centroid = r.f32s()?;
     let bbox_min = r.f32s()?;
@@ -589,8 +535,8 @@ pub(crate) fn read_region(r: &mut Reader<'_>, with_signature: bool) -> Result<Re
     if centroid.len() != bbox_min.len() || centroid.len() != bbox_max.len() {
         return Err(corrupt("signature arity mismatch"));
     }
-    // No checksum vouches for what the values mean (and v1 has none at
-    // all): a region the index could not hold as a rectangle stops here.
+    // No checksum vouches for what the values mean: a region the index
+    // could not hold as a rectangle stops here.
     if centroid.iter().chain(&bbox_min).chain(&bbox_max).any(|v| !v.is_finite()) {
         return Err(corrupt("non-finite region signature"));
     }
@@ -614,15 +560,13 @@ pub(crate) fn read_region(r: &mut Reader<'_>, with_signature: bool) -> Result<Re
     }
     let bitmap = RegionBitmap::from_words(width, height, gw, gh, words)
         .ok_or_else(|| corrupt("invalid bitmap geometry"))?;
-    // The constructor derives the binary signature from the bounds; a v3
-    // input must agree with its stored lanes (the encoding is a pure
-    // function of the bounds, so disagreement is corruption).
+    // The constructor derives the binary signature from the bounds; the
+    // stored lanes must agree (the encoding is a pure function of the
+    // bounds, so disagreement is corruption).
     let region = Region::new(centroid, bbox_min, bbox_max, bitmap, window_count);
-    if with_signature {
-        let lanes = [r.u64()?, r.u64()?];
-        if lanes != region.signature.lanes {
-            return Err(corrupt("binary signature does not match region bounds"));
-        }
+    let lanes = [r.u64()?, r.u64()?];
+    if lanes != region.signature.lanes {
+        return Err(corrupt("binary signature does not match region bounds"));
     }
     Ok(region)
 }
@@ -712,29 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_load_with_signatures_rebuilt() {
-        let db = populated();
-        let v2 = save_v2(&db);
-        assert_eq!(&v2[8..12], &2u32.to_le_bytes());
-        let (restored, lsn) = load_with_lsn(&v2).unwrap();
-        assert_eq!(lsn, 0);
-        assert_eq!(restored.len(), db.len());
-        assert_eq!(restored.num_regions(), db.num_regions());
-        // The loader rebuilt every binary signature from the persisted
-        // bounds; the derivation is deterministic, so they match the
-        // in-memory originals bit for bit.
-        for id in 0..5 {
-            let (a, b) = (db.image(id).unwrap(), restored.image(id).unwrap());
-            for (ra, rb) in a.regions.iter().zip(&b.regions) {
-                assert_eq!(ra.signature, rb.signature);
-            }
-        }
-        // Round-tripping the restored store through the current format
-        // reproduces the direct v3 bytes exactly.
-        assert_eq!(save(&restored), save(&db));
-    }
-
-    #[test]
     fn v3_lane_mismatch_detected_even_with_valid_checksums() {
         // Corrupt a signature lane, then *repair the CRCs*, so only the
         // semantic lanes-match-bounds check can catch the mismatch.
@@ -762,18 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_still_load() {
-        let db = populated();
-        let v1 = save_v1(&db);
-        assert_eq!(&v1[8..12], &1u32.to_le_bytes());
-        let (restored, lsn) = load_with_lsn(&v1).unwrap();
-        assert_eq!(lsn, 0, "v1 predates the WAL");
-        assert_eq!(restored.len(), db.len());
-        assert_eq!(restored.num_regions(), db.num_regions());
-        assert_eq!(restored.params(), db.params());
-    }
-
-    #[test]
     fn lsn_round_trips() {
         let db = populated();
         let bytes = save_with_lsn(&db, 0xDEAD_BEEF);
@@ -789,10 +698,19 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = b'X';
         assert!(load(&bad).is_err());
-        // Bad version.
-        let mut bad = good.clone();
-        bad[8] = 99;
-        assert!(load(&bad).is_err());
+        // Any version but the current one — the two dropped generations
+        // no less than a number never assigned — is refused by name, before
+        // a byte of the body is trusted.
+        for version in [1u8, 2, 99] {
+            let mut bad = good.clone();
+            bad[8] = version;
+            match load(&bad) {
+                Err(WalrusError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("unsupported version {version}")), "{msg}")
+                }
+                other => panic!("version {version}: expected Corrupt, got {other:?}"),
+            }
+        }
         // Truncations at every prefix length must error, never panic.
         for cut in [0usize, 7, 11, 40, good.len() / 2, good.len() - 1] {
             assert!(load(&good[..cut]).is_err(), "cut at {cut} should fail");
@@ -805,8 +723,8 @@ mod tests {
 
     #[test]
     fn v2_detects_every_single_byte_flip() {
-        // Unlike v1, *every* byte of a v2 snapshot is covered by the
-        // whole-file CRC: any flip must be rejected, not silently loaded.
+        // *Every* byte of a snapshot is covered by the whole-file CRC: any
+        // flip must be rejected, not silently loaded.
         let db = populated();
         let good = save(&db);
         for pos in (0..good.len()).step_by(41) {
@@ -821,15 +739,28 @@ mod tests {
 
     #[test]
     fn hostile_counts_do_not_allocate() {
-        // A v1 image claiming absurd counts must fail fast on bounds
-        // checks, not attempt a giant allocation.
+        // A snapshot whose checksums are all correct but whose images block
+        // claims an absurd image count must fail fast on bounds checks, not
+        // attempt a giant allocation.
+        let mut params_block = Vec::new();
+        write_params(&mut params_block, &params());
+        let images_block = u64::MAX.to_le_bytes();
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
-        put_u32(&mut bytes, VERSION_V1);
-        let db = ImageDatabase::new(params()).unwrap();
-        write_params(&mut bytes, db.params());
-        put_u64(&mut bytes, u64::MAX); // image count
-        assert!(load(&bytes).is_err());
+        put_u32(&mut bytes, VERSION);
+        put_u64(&mut bytes, 0);
+        put_u32(&mut bytes, params_block.len() as u32);
+        bytes.extend_from_slice(&params_block);
+        put_u32(&mut bytes, crc32(&params_block));
+        put_u64(&mut bytes, images_block.len() as u64);
+        bytes.extend_from_slice(&images_block);
+        put_u32(&mut bytes, crc32(&images_block));
+        let file_crc = crc32(&bytes);
+        put_u32(&mut bytes, file_crc);
+        match load(&bytes) {
+            Err(WalrusError::Corrupt(msg)) => assert!(msg.contains("image count"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Crash-safe durable store: snapshot + write-ahead log + recovery.
+//! One crash-safe shard: snapshot + write-ahead log + recovery.
 //!
-//! [`DurableDatabase`] wraps an in-memory [`ImageDatabase`] with the
-//! durability discipline of a real database engine:
+//! [`DurableDatabase`] is the unit a [`crate::sharded::ShardedStore`] is
+//! made of — every store, a 1-shard one included, is a manifest over these.
+//! It wraps an in-memory [`ImageDatabase`] with the durability discipline
+//! of a real database engine:
 //!
 //! * every mutation is appended to an fsynced write-ahead log
 //!   ([`crate::wal`]) *before* it is applied in memory (write-ahead rule);
-//! * [`DurableDatabase::checkpoint`] folds the log into a fresh v2 snapshot
+//! * [`DurableDatabase::checkpoint`] folds the log into a fresh snapshot
 //!   ([`crate::persist`]), written atomically (temp file → fsync → rename →
 //!   directory fsync), then resets the log;
 //! * [`DurableDatabase::open`] recovers: load the last good snapshot,
@@ -17,24 +19,27 @@
 //! state. The crash-consistency test suite drives every one of these code
 //! paths through [`crate::storage::FaultIo`] and asserts exactly that.
 //!
-//! ## On-disk layout
+//! Queries do not go through this type: callers read the wrapped database
+//! ([`DurableDatabase::db`]) directly.
+//!
+//! ## On-disk layout (`<dir>` is one shard's directory)
 //!
 //! ```text
-//! <dir>/snapshot.walrus   last checkpoint (v2 format, checksummed)
+//! <dir>/snapshot.walrus   last checkpoint (checksummed)
 //! <dir>/wal.log           operations since that checkpoint
 //! <dir>/snapshot.walrus.tmp   transient; left only by a crash mid-checkpoint
 //! ```
 
-use crate::database::{ImageDatabase, ImageMeta, IndexedImage, QueryOptions};
+use crate::database::{ImageDatabase, IndexedImage};
 use crate::params::WalrusParams;
 use crate::persist;
 use crate::region::Region;
 use crate::storage::{is_transient, DiskIo, RetryIo, StorageIo};
 use crate::wal::{self, WalOp};
-use crate::{QueryOutcome, RankedImage, Result, WalrusError};
+use crate::{Result, WalrusError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use walrus_guard::{Guard, RetryPolicy};
+use walrus_guard::RetryPolicy;
 use walrus_imagery::Image;
 
 /// Snapshot file name inside a store directory.
@@ -70,11 +75,6 @@ pub struct DurableDatabase {
     next_lsn: u64,
     /// Valid byte length of the WAL (0 = not yet created).
     wal_len: u64,
-    /// Format version of the open WAL file. Appends must keep encoding
-    /// records in the file's own version (a v1 log keeps receiving v1
-    /// records); fresh files and checkpoint resets start at the current
-    /// version.
-    wal_version: u32,
     /// Records appended since the last checkpoint.
     records_since_checkpoint: usize,
     /// Checkpoint automatically once this many records accumulate.
@@ -137,7 +137,6 @@ impl DurableDatabase {
             db,
             next_lsn: snapshot_lsn + 1,
             wal_len: 0,
-            wal_version: wal::WAL_VERSION,
             records_since_checkpoint: 0,
             auto_checkpoint: None,
             poisoned: false,
@@ -166,9 +165,6 @@ impl DurableDatabase {
                 report.records_replayed += 1;
             }
             store.wal_len = scan.valid_len;
-            if scan.valid_len > 0 {
-                store.wal_version = scan.version;
-            }
             if scan.torn_tail {
                 report.torn_tail_truncated = true;
                 report.truncated_bytes = wal_bytes - scan.valid_len;
@@ -227,11 +223,7 @@ impl DurableDatabase {
             return Err(self.poisoned_error());
         }
         let wal_path = self.dir.join(WAL_FILE);
-        if self.wal_len == 0 {
-            // About to create the file: it starts at the current version.
-            self.wal_version = wal::WAL_VERSION;
-        }
-        let record = wal::encode_record_versioned(self.next_lsn, &op, self.wal_version);
+        let record = wal::encode_record(self.next_lsn, &op);
         let max_record = self.db.params().budgets.max_wal_record_bytes;
         if record.len() > max_record {
             return Err(WalrusError::BudgetExceeded {
@@ -290,57 +282,6 @@ impl DurableDatabase {
     pub fn insert_image(&mut self, name: &str, image: &Image) -> Result<usize> {
         let regions = crate::extract::extract_regions(image, self.db.params())?;
         self.insert_regions(name, image.width(), image.height(), regions)
-    }
-
-    /// Durable batch ingest: extracts regions for all images in parallel
-    /// (`params.threads` workers), then logs and applies each insert in
-    /// order. Extraction is all-or-nothing; logging is per-image, so a
-    /// failure mid-batch commits the prefix (the returned ids) like a
-    /// serial insert loop would.
-    pub fn insert_images_batch(&mut self, items: &[(&str, &Image)]) -> Result<Vec<usize>> {
-        self.insert_images_batch_guarded(items, &Guard::none())
-    }
-
-    /// [`DurableDatabase::insert_images_batch`] under a lifecycle [`Guard`].
-    /// All-or-nothing under interruption: every poll happens during
-    /// extraction plus one final poll before the first WAL append, so a
-    /// cancelled or timed-out batch leaves both the log and the index
-    /// byte-for-byte untouched.
-    pub fn insert_images_batch_guarded(
-        &mut self,
-        items: &[(&str, &Image)],
-        guard: &Guard,
-    ) -> Result<Vec<usize>> {
-        let params = *self.db.params();
-        let threads = walrus_parallel::resolve_threads(params.threads);
-        let ingest_span = guard.span("ingest");
-        if let Some(s) = &ingest_span {
-            s.add("images", items.len() as u64);
-        }
-        // Workers share the interrupt sources but not the trace (spans are
-        // opened only on this orchestrating thread).
-        let extract_span = guard.span("extract");
-        let worker_guard = guard.without_trace();
-        let extracted: Vec<Vec<Region>> =
-            walrus_parallel::try_parallel_map_guarded(threads, guard, items, |_, (_, image)| {
-                crate::extract::extract_regions_guarded(image, &params, 1, &worker_guard)
-            })?;
-        if let Some(s) = &extract_span {
-            s.add("regions", extracted.iter().map(Vec::len).sum::<usize>() as u64);
-        }
-        drop(extract_span);
-        guard.poll().map_err(WalrusError::from)?;
-        let wal_span = guard.span("wal_append");
-        let wal_before = self.wal_len;
-        let mut ids = Vec::with_capacity(items.len());
-        for ((name, image), regions) in items.iter().zip(extracted) {
-            ids.push(self.insert_regions(name, image.width(), image.height(), regions)?);
-        }
-        if let Some(s) = &wal_span {
-            s.add("records", ids.len() as u64);
-            s.add("bytes", self.wal_len.saturating_sub(wal_before));
-        }
-        Ok(ids)
     }
 
     /// Durably inserts pre-extracted regions (see
@@ -426,7 +367,6 @@ impl DurableDatabase {
             return Err(e.into());
         }
         self.wal_len = wal::WAL_HEADER_LEN;
-        self.wal_version = wal::WAL_VERSION;
         self.records_since_checkpoint = 0;
         Ok(())
     }
@@ -482,43 +422,6 @@ impl DurableDatabase {
     pub fn is_empty(&self) -> bool {
         self.db.is_empty()
     }
-
-    /// Runs a full query (see [`ImageDatabase::query`]).
-    pub fn query(&self, query: &Image) -> Result<QueryOutcome> {
-        self.db.query(query)
-    }
-
-    /// The `k` most similar images (see [`ImageDatabase::top_k`]).
-    pub fn top_k(&self, query: &Image, k: usize) -> Result<Vec<RankedImage>> {
-        self.db.top_k(query, k)
-    }
-
-    /// Guarded query (see [`ImageDatabase::query_guarded`]).
-    pub fn query_guarded(&self, query: &Image, guard: &Guard) -> Result<QueryOutcome> {
-        self.db.query_guarded(query, guard)
-    }
-
-    /// Guarded top-k (see [`ImageDatabase::top_k_guarded`]).
-    pub fn top_k_guarded(&self, query: &Image, k: usize, guard: &Guard) -> Result<QueryOutcome> {
-        self.db.top_k_guarded(query, k, guard)
-    }
-
-    /// Per-request options query (see
-    /// [`ImageDatabase::query_with_options_guarded`]).
-    pub fn query_with_options_guarded(
-        &self,
-        query: &Image,
-        opts: &QueryOptions,
-        guard: &Guard,
-    ) -> Result<QueryOutcome> {
-        self.db.query_with_options_guarded(query, opts, guard)
-    }
-
-    /// Owned metadata snapshot for an image (see
-    /// [`ImageDatabase::image_meta`]).
-    pub fn image_meta(&self, id: usize) -> Option<ImageMeta> {
-        self.db.image_meta(id)
-    }
 }
 
 /// What [`apply_to_table`] changed, for a live index to follow.
@@ -543,8 +446,6 @@ fn apply_to_table(db: &mut ImageDatabase, op: WalOp) -> Result<Applied> {
             // A shard of a sharded store sees only the ids hashed to it;
             // the gaps belong to other shards and are padded with
             // tombstones so global id assignment is reproduced exactly.
-            // Monolithic stores log consecutive ids, so this loop is
-            // empty for them and the strict check below still holds.
             for _ in len..expected_id {
                 db.insert_tombstone();
             }
@@ -561,165 +462,6 @@ fn apply_to_table(db: &mut ImageDatabase, op: WalOp) -> Result<Applied> {
         WalOp::Remove { id } => db.take_image(id).map(Applied::Removed).map_err(|e| {
             WalrusError::Corrupt(format!("wal replay: remove failed: {e}"))
         }),
-    }
-}
-
-/// A thread-safe handle over a [`DurableDatabase`]: concurrent readers,
-/// exclusive writers. Cloning shares the store.
-#[derive(Debug, Clone)]
-pub struct SharedDurableDatabase {
-    inner: Arc<parking_lot::RwLock<DurableDatabase>>,
-}
-
-impl SharedDurableDatabase {
-    /// Opens (or initializes) a store directory for shared use.
-    pub fn open(dir: impl AsRef<Path>, params: WalrusParams) -> Result<(Self, RecoveryReport)> {
-        let (store, report) = DurableDatabase::open(dir, params)?;
-        Ok((Self::new(store), report))
-    }
-
-    /// Wraps an already-open store.
-    pub fn new(store: DurableDatabase) -> Self {
-        Self { inner: Arc::new(parking_lot::RwLock::new(store)) }
-    }
-
-    /// Durably inserts an image. Region extraction runs **outside** the
-    /// exclusive lock (parameters are immutable after open, so the
-    /// unlocked snapshot cannot go stale); the lock covers only the WAL
-    /// append and index insertion.
-    pub fn insert_image(&self, name: &str, image: &Image) -> Result<usize> {
-        let params = *self.inner.read().db().params();
-        let regions = crate::extract::extract_regions(image, &params)?;
-        self.inner.write().insert_regions(name, image.width(), image.height(), regions)
-    }
-
-    /// Durable batch ingest: parallel lock-free extraction, then one
-    /// exclusive lock for the WAL appends and index insertions.
-    pub fn insert_images_batch(&self, items: &[(&str, &Image)]) -> Result<Vec<usize>> {
-        self.insert_images_batch_guarded(items, &Guard::none())
-    }
-
-    /// [`SharedDurableDatabase::insert_images_batch`] under a lifecycle
-    /// [`Guard`]; all-or-nothing under interruption, with the final poll
-    /// before the exclusive lock is taken.
-    pub fn insert_images_batch_guarded(
-        &self,
-        items: &[(&str, &Image)],
-        guard: &Guard,
-    ) -> Result<Vec<usize>> {
-        let params = *self.inner.read().db().params();
-        let threads = walrus_parallel::resolve_threads(params.threads);
-        let ingest_span = guard.span("ingest");
-        if let Some(s) = &ingest_span {
-            s.add("images", items.len() as u64);
-        }
-        // Workers share the interrupt sources but not the trace (spans are
-        // opened only on this orchestrating thread).
-        let extract_span = guard.span("extract");
-        let worker_guard = guard.without_trace();
-        let extracted: Vec<Vec<Region>> =
-            walrus_parallel::try_parallel_map_guarded(threads, guard, items, |_, (_, image)| {
-                crate::extract::extract_regions_guarded(image, &params, 1, &worker_guard)
-            })?;
-        if let Some(s) = &extract_span {
-            s.add("regions", extracted.iter().map(Vec::len).sum::<usize>() as u64);
-        }
-        drop(extract_span);
-        guard.poll().map_err(WalrusError::from)?;
-        let wal_span = guard.span("wal_append");
-        let mut store = self.inner.write();
-        let wal_before = store.wal_len();
-        let mut ids = Vec::with_capacity(items.len());
-        for ((name, image), regions) in items.iter().zip(extracted) {
-            ids.push(store.insert_regions(name, image.width(), image.height(), regions)?);
-        }
-        if let Some(s) = &wal_span {
-            s.add("records", ids.len() as u64);
-            s.add("bytes", store.wal_len().saturating_sub(wal_before));
-        }
-        Ok(ids)
-    }
-
-    /// Durably removes an image (exclusive lock).
-    pub fn remove_image(&self, id: usize) -> Result<()> {
-        self.inner.write().remove_image(id)
-    }
-
-    /// Runs a query (shared lock; queries proceed concurrently).
-    pub fn query(&self, query: &Image) -> Result<QueryOutcome> {
-        self.inner.read().query(query)
-    }
-
-    /// The `k` most similar images (shared lock).
-    pub fn top_k(&self, query: &Image, k: usize) -> Result<Vec<RankedImage>> {
-        self.inner.read().top_k(query, k)
-    }
-
-    /// Guarded query (shared lock; deadline → partial, cancel → error).
-    pub fn query_guarded(&self, query: &Image, guard: &Guard) -> Result<QueryOutcome> {
-        self.inner.read().query_guarded(query, guard)
-    }
-
-    /// Guarded top-k (shared lock).
-    pub fn top_k_guarded(&self, query: &Image, k: usize, guard: &Guard) -> Result<QueryOutcome> {
-        self.inner.read().top_k_guarded(query, k, guard)
-    }
-
-    /// Per-request options query (shared lock; see
-    /// [`ImageDatabase::query_with_options_guarded`]).
-    pub fn query_with_options_guarded(
-        &self,
-        query: &Image,
-        opts: &QueryOptions,
-        guard: &Guard,
-    ) -> Result<QueryOutcome> {
-        self.inner.read().query_with_options_guarded(query, opts, guard)
-    }
-
-    /// Owned metadata snapshot for an image (shared lock held only for the
-    /// clone).
-    pub fn image_meta(&self, id: usize) -> Option<ImageMeta> {
-        self.inner.read().image_meta(id)
-    }
-
-    /// A copy of the engine configuration (shared lock held for the copy).
-    pub fn params(&self) -> WalrusParams {
-        *self.inner.read().db().params()
-    }
-
-    /// Number of indexed regions (shared lock).
-    pub fn num_regions(&self) -> usize {
-        self.inner.read().db().num_regions()
-    }
-
-    /// Current WAL length in bytes (shared lock).
-    pub fn wal_len(&self) -> u64 {
-        self.inner.read().wal_len()
-    }
-
-    /// WAL records appended since the last checkpoint (shared lock).
-    pub fn records_since_checkpoint(&self) -> usize {
-        self.inner.read().records_since_checkpoint()
-    }
-
-    /// LSN of the last committed operation (shared lock).
-    pub fn last_lsn(&self) -> u64 {
-        self.inner.read().last_lsn()
-    }
-
-    /// Checkpoints the store (exclusive lock).
-    pub fn checkpoint(&self) -> Result<()> {
-        self.inner.write().checkpoint()
-    }
-
-    /// Number of live images (shared lock).
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// True when empty (shared lock).
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
     }
 }
 
@@ -955,27 +697,6 @@ mod tests {
         let before = store.wal_len();
         assert!(matches!(store.remove_image(7), Err(WalrusError::UnknownImage(7))));
         assert_eq!(store.wal_len(), before);
-    }
-
-    #[test]
-    fn shared_durable_database_is_cloneable_and_concurrent() {
-        let dir = std::env::temp_dir().join("walrus_shared_durable_test");
-        std::fs::remove_dir_all(&dir).ok();
-        let (shared, _) = SharedDurableDatabase::open(&dir, params()).unwrap();
-        shared.insert_image("a", &scene(0.3)).unwrap();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let s = shared.clone();
-                std::thread::spawn(move || s.top_k(&scene(0.3), 1).unwrap())
-            })
-            .collect();
-        for h in handles {
-            let top = h.join().unwrap();
-            assert_eq!(top[0].name, "a");
-        }
-        shared.checkpoint().unwrap();
-        assert_eq!(shared.len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -14,10 +14,15 @@
 //!    regions" — which §4 singles out as the natural variant for partial
 //!    queries (a small scene can be fully present in a big target without
 //!    the target's extra content diluting the score).
+//!
+//! The workflow is one field of [`QueryOptions`] — `scene` — so it runs
+//! through the same query procedure as every other query, on the in-memory
+//! [`ImageDatabase`] and on the sharded store alike; the two methods below
+//! are shorthand for it.
 
-use crate::database::{ImageDatabase, QueryOutcome};
-use crate::params::SimilarityKind;
+use crate::database::{ImageDatabase, QueryOptions, QueryOutcome};
 use crate::{Result, WalrusError};
+use walrus_guard::Guard;
 use walrus_imagery::Image;
 
 /// A rectangle of interest within a query image (pixel coordinates,
@@ -40,12 +45,15 @@ impl SceneRect {
         Self { x: 0, y: 0, width: image.width(), height: image.height() }
     }
 
-    /// Validates against an image and the engine's minimum window size.
-    fn validate(&self, image: &Image, omega_min: usize) -> Result<()> {
+    /// The scene cut out of `image`, once it is known to lie inside it and
+    /// to fit at least one window of the engine's minimum size.
+    pub(crate) fn crop(&self, image: &Image, omega_min: usize) -> Result<Image> {
         if self.width == 0 || self.height == 0 {
             return Err(WalrusError::BadParams("empty scene rectangle".into()));
         }
-        if self.x + self.width > image.width() || self.y + self.height > image.height() {
+        if self.x.saturating_add(self.width) > image.width()
+            || self.y.saturating_add(self.height) > image.height()
+        {
             return Err(WalrusError::BadParams(format!(
                 "scene {:?} exceeds image {}x{}",
                 self,
@@ -59,7 +67,7 @@ impl SceneRect {
                 self.width, self.height
             )));
         }
-        Ok(())
+        Ok(image.crop(self.x, self.y, self.width, self.height)?)
     }
 }
 
@@ -73,7 +81,7 @@ impl ImageDatabase {
         scene: SceneRect,
         min_coverage: f64,
     ) -> Result<QueryOutcome> {
-        self.query_scene_guarded(query, scene, min_coverage, &walrus_guard::Guard::none())
+        self.query_scene_guarded(query, scene, min_coverage, &Guard::none())
     }
 
     /// [`ImageDatabase::query_scene`] under a lifecycle guard, with the
@@ -85,33 +93,14 @@ impl ImageDatabase {
         query: &Image,
         scene: SceneRect,
         min_coverage: f64,
-        guard: &walrus_guard::Guard,
+        guard: &Guard,
     ) -> Result<QueryOutcome> {
-        if !(0.0..=1.0).contains(&min_coverage) || min_coverage.is_nan() {
-            return Err(WalrusError::BadParams(format!(
-                "min_coverage {min_coverage} must be in [0, 1]"
-            )));
-        }
-        scene.validate(query, self.params().sliding.omega_min)?;
-        let cropped = query.crop(scene.x, scene.y, scene.width, scene.height)?;
-        // Region extraction on the scene only, with the query-fraction
-        // similarity so target size does not dilute coverage.
-        let mut params = *self.params();
-        params.similarity = SimilarityKind::QueryFraction;
-        let regions =
-            match crate::extract::extract_regions_guarded(&cropped, &params, params.threads, guard)
-            {
-                Ok(r) => r,
-                Err(WalrusError::DeadlineExceeded) => return Ok(QueryOutcome::empty_partial()),
-                Err(e) => return Err(e),
-            };
-        self.query_regions_with_params_guarded(
-            &params,
-            &regions,
-            cropped.area(),
-            min_coverage,
-            guard,
-        )
+        let opts = QueryOptions {
+            scene: Some(scene),
+            min_similarity: Some(min_coverage),
+            ..QueryOptions::default()
+        };
+        self.query_with_options_guarded(query, &opts, guard)
     }
 }
 

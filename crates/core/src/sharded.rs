@@ -1,8 +1,11 @@
-//! Sharded durable store: fault isolation, rolling checkpoints,
-//! degraded-mode queries, and crash-safe online rebalancing.
+//! The durable store: fault isolation, rolling checkpoints, degraded-mode
+//! queries, and crash-safe online rebalancing.
 //!
-//! [`ShardedStore`] splits one logical image database across `N`
-//! independent [`DurableDatabase`] shards. Each shard owns its own
+//! [`ShardedStore`] is the one durable store there is, and the surface the
+//! HTTP server (and any other embedder) programs against. It splits one
+//! logical image database across `N ∈ 1..=64` independent
+//! [`DurableDatabase`] shards — the store a command creates when nobody
+//! asks for a count is simply `N = 1`. Each shard owns its own
 //! R\*-tree, write-ahead log, and snapshot under an epoch-scoped
 //! directory; an image id is hashed to its shard with [`shard_of`], so
 //! every region of an image lives on exactly one shard. The layout —
@@ -14,12 +17,12 @@
 //! The R\*-tree probe is exact — a query region's ε-neighborhood is
 //! enumerated fully on every shard — and an image is scored only from its
 //! own region pairs. Scattering a query over N shards therefore produces
-//! exactly the per-image similarities the monolithic store produces, and
-//! the gather merges them with the same deterministic order (similarity
-//! descending, id ascending). The parallel-consistency suite asserts this
-//! bit-for-bit — and because the property holds for *any* N, it also holds
-//! across a rebalance: the same images grouped differently yield the same
-//! ranked answer.
+//! exactly the per-image similarities one in-memory [`ImageDatabase`] over
+//! the same images produces, and the gather merges them with the same
+//! deterministic order (similarity descending, id ascending). The
+//! sharded-store suite asserts this bit-for-bit — and because the property
+//! holds for *any* N, it also holds across a rebalance: the same images
+//! grouped differently yield the same ranked answer.
 //!
 //! ## Fault isolation
 //!
@@ -43,7 +46,7 @@
 //! stops the world. Writability is tracked in lock-free flags, so ingest
 //! admission never blocks on a checkpointing shard's lock.
 //!
-//! ## Online rebalancing (manifest v2)
+//! ## Online rebalancing
 //!
 //! [`ShardedStore::rebalance`] migrates a live store from `N` to `M`
 //! shards without a rewrite-in-place:
@@ -73,13 +76,13 @@
 //! never-migrated oracle.
 
 use crate::database::{ImageDatabase, ImageMeta, QueryOptions, ResultStatus};
-use crate::extract::{extract_regions, extract_regions_guarded};
+use crate::extract::{extract_batch_guarded, extract_regions};
 use crate::params::WalrusParams;
 use crate::persist::{self, put_u32, put_u64};
 use crate::recovery::{scrub_dir, DirScrub, DurableDatabase, RecoveryReport, SNAPSHOT_FILE, WAL_FILE};
 use crate::region::Region;
 use crate::storage::{DiskIo, RetryIo, StorageIo};
-use crate::store::{RebalanceStatus, ShardCheckpoint, ShardHealth, Store};
+use crate::store::{RebalanceStatus, ShardCheckpoint, ShardHealth};
 use crate::wal;
 use crate::{crc32::crc32, QueryOutcome, QueryStats, Result, WalrusError};
 use std::path::{Path, PathBuf};
@@ -96,11 +99,9 @@ pub const MAX_SHARDS: usize = 64;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"WALRUSMF";
 const MANIFEST_VERSION: u32 = 2;
-/// v1: magic (8) + version (4) + shard count (8) + crc32 (4).
-const MANIFEST_V1_LEN: usize = 24;
-/// v2 fixed prefix: magic (8) + version (4) + epoch (8) + shard count (8)
+/// Fixed prefix: magic (8) + version (4) + epoch (8) + shard count (8)
 /// + gc_prev (8) + migrating flag (1).
-const MANIFEST_V2_PREFIX: usize = 37;
+const MANIFEST_PREFIX: usize = 37;
 
 /// Per-target-shard migration progress, as recorded in a migrating
 /// manifest. The state machine only moves forward: `Stable → Draining →
@@ -126,9 +127,7 @@ pub struct Migration {
     pub states: Vec<MigrationState>,
 }
 
-/// The store's layout record (`MANIFEST` v2). v1 manifests (epoch-less,
-/// never migrated) decode as epoch 0 with no migration, so pre-rebalance
-/// stores open unchanged.
+/// The store's layout record (`MANIFEST`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// Layout epoch: how many committed rebalances this store has seen.
@@ -178,7 +177,7 @@ pub fn shard_of(id: usize, shard_count: usize) -> usize {
 }
 
 fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MANIFEST_V2_PREFIX + 16);
+    let mut out = Vec::with_capacity(MANIFEST_PREFIX + 16);
     out.extend_from_slice(MANIFEST_MAGIC);
     put_u32(&mut out, MANIFEST_VERSION);
     put_u64(&mut out, m.epoch);
@@ -215,8 +214,8 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest> {
     if &bytes[..8] != MANIFEST_MAGIC {
         return Err(corrupt("bad magic".to_string()));
     }
-    // Checksum first: any damage — to either version, any field — is
-    // "corrupt", not a misdecoded value.
+    // Checksum first: any damage, to any field, is "corrupt", not a
+    // misdecoded value.
     let stored_crc =
         u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("length checked"));
     if crc32(&bytes[..bytes.len() - 4]) != stored_crc {
@@ -230,72 +229,59 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest> {
         }
     };
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("length checked"));
-    match version {
+    if version != MANIFEST_VERSION {
+        return Err(corrupt(format!("unsupported version {version}")));
+    }
+    if bytes.len() < MANIFEST_PREFIX + 4 {
+        return Err(corrupt(format!("wrong length {}", bytes.len())));
+    }
+    let epoch = read_u64_at(bytes, 12);
+    let shard_count = shard_range(read_u64_at(bytes, 20) as usize, "shard count")?;
+    let gc_prev = read_u64_at(bytes, 28) as usize;
+    if gc_prev > MAX_SHARDS {
+        return Err(corrupt(format!("implausible gc_prev {gc_prev}")));
+    }
+    if gc_prev != 0 && epoch == 0 {
+        return Err(corrupt("gc_prev without a prior epoch".to_string()));
+    }
+    let migration = match bytes[36] {
+        0 => {
+            if bytes.len() != MANIFEST_PREFIX + 4 {
+                return Err(corrupt(format!("wrong length {}", bytes.len())));
+            }
+            None
+        }
         1 => {
-            // Pre-rebalance stores: a bare shard count, read as epoch 0.
-            if bytes.len() != MANIFEST_V1_LEN {
+            if bytes.len() < MANIFEST_PREFIX + 8 + 4 {
+                return Err(corrupt(format!("wrong length {}", bytes.len())));
+            }
+            let target_count =
+                shard_range(read_u64_at(bytes, 37) as usize, "target shard count")?;
+            let want = MANIFEST_PREFIX + 8 + target_count + 4;
+            if bytes.len() != want {
                 return Err(corrupt(format!(
-                    "wrong v1 length {} (want {MANIFEST_V1_LEN})",
+                    "wrong length {} (want {want})",
                     bytes.len()
                 )));
             }
-            let count = shard_range(read_u64_at(bytes, 12) as usize, "shard count")?;
-            Ok(Manifest::stable(0, count))
-        }
-        2 => {
-            if bytes.len() < MANIFEST_V2_PREFIX + 4 {
-                return Err(corrupt(format!("wrong length {}", bytes.len())));
-            }
-            let epoch = read_u64_at(bytes, 12);
-            let shard_count = shard_range(read_u64_at(bytes, 20) as usize, "shard count")?;
-            let gc_prev = read_u64_at(bytes, 28) as usize;
-            if gc_prev > MAX_SHARDS {
-                return Err(corrupt(format!("implausible gc_prev {gc_prev}")));
-            }
-            if gc_prev != 0 && epoch == 0 {
-                return Err(corrupt("gc_prev without a prior epoch".to_string()));
-            }
-            let migration = match bytes[36] {
-                0 => {
-                    if bytes.len() != MANIFEST_V2_PREFIX + 4 {
-                        return Err(corrupt(format!("wrong length {}", bytes.len())));
-                    }
-                    None
-                }
-                1 => {
-                    if bytes.len() < MANIFEST_V2_PREFIX + 8 + 4 {
-                        return Err(corrupt(format!("wrong length {}", bytes.len())));
-                    }
-                    let target_count =
-                        shard_range(read_u64_at(bytes, 37) as usize, "target shard count")?;
-                    let want = MANIFEST_V2_PREFIX + 8 + target_count + 4;
-                    if bytes.len() != want {
+            let mut states = Vec::with_capacity(target_count);
+            for (i, &b) in bytes[45..45 + target_count].iter().enumerate() {
+                states.push(match b {
+                    0 => MigrationState::Stable,
+                    1 => MigrationState::Draining,
+                    2 => MigrationState::Migrated,
+                    other => {
                         return Err(corrupt(format!(
-                            "wrong length {} (want {want})",
-                            bytes.len()
-                        )));
+                            "bad migration state {other} for target shard {i}"
+                        )))
                     }
-                    let mut states = Vec::with_capacity(target_count);
-                    for (i, &b) in bytes[45..45 + target_count].iter().enumerate() {
-                        states.push(match b {
-                            0 => MigrationState::Stable,
-                            1 => MigrationState::Draining,
-                            2 => MigrationState::Migrated,
-                            other => {
-                                return Err(corrupt(format!(
-                                    "bad migration state {other} for target shard {i}"
-                                )))
-                            }
-                        });
-                    }
-                    Some(Migration { target_count, states })
-                }
-                other => return Err(corrupt(format!("bad migrating flag {other}"))),
-            };
-            Ok(Manifest { epoch, shard_count, gc_prev, migration })
+                });
+            }
+            Some(Migration { target_count, states })
         }
-        v => Err(corrupt(format!("unsupported version {v}"))),
-    }
+        other => return Err(corrupt(format!("bad migrating flag {other}"))),
+    };
+    Ok(Manifest { epoch, shard_count, gc_prev, migration })
 }
 
 /// Writes the manifest atomically (temp file → fsync → rename → directory
@@ -319,9 +305,23 @@ pub fn read_manifest(io: &dyn StorageIo, root: &Path) -> Result<Manifest> {
     decode_manifest(&bytes)
 }
 
-/// True when `root` holds a sharded store (its manifest is present).
-pub fn is_sharded_store(root: &Path) -> bool {
-    root.join(MANIFEST_FILE).exists()
+/// Refuses a root that holds the files of the single-directory layout (a
+/// bare snapshot and/or write-ahead log, no manifest), which nothing reads
+/// any more. Either file is enough: a directory whose snapshot was removed
+/// for repair still holds its committed records in the log, and writing a
+/// fresh manifest beside it would orphan them.
+fn refuse_legacy_layout(io: &dyn StorageIo, root: &Path) -> Result<()> {
+    if io.exists(&root.join(MANIFEST_FILE)) {
+        return Ok(());
+    }
+    match [SNAPSHOT_FILE, WAL_FILE].into_iter().find(|file| io.exists(&root.join(file))) {
+        Some(file) => Err(WalrusError::BadParams(format!(
+            "{} holds a {file} but no {MANIFEST_FILE}: the single-directory store layout is \
+             no longer supported",
+            root.display()
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// What opening one shard found: its recovery report, or the error that
@@ -377,6 +377,7 @@ pub struct ShardScrub {
 /// one shard. A mid-migration store is refused — open it once first so the
 /// migration resumes or rolls back and the layout is unambiguous.
 pub fn scrub_store(io: &dyn StorageIo, root: &Path, only: Option<usize>) -> Result<Vec<ShardScrub>> {
+    refuse_legacy_layout(io, root)?;
     let manifest = read_manifest(io, root)?;
     if manifest.migration.is_some() {
         return Err(WalrusError::BadParams(
@@ -428,7 +429,7 @@ struct ShardSet {
 /// Opens every shard of one layout epoch, quarantining the ones that
 /// fail. Returns the set, what happened per shard, and the resolved
 /// parameters (persisted shard parameters win over the caller's, the same
-/// precedence the monolithic open has).
+/// precedence [`DurableDatabase::open`] has).
 fn open_shard_set(
     io: &Arc<dyn StorageIo>,
     root: &Path,
@@ -664,12 +665,15 @@ fn quarantine_worthy(e: &WalrusError) -> bool {
 }
 
 impl ShardedStore {
-    /// Opens (or creates) a sharded store on the real filesystem.
+    /// Opens (or creates) a store on the real filesystem.
     ///
-    /// `shards` is the shard count for a **new** store; pass `0` to accept
-    /// an existing store's manifest. A non-zero `shards` that disagrees
-    /// with an existing manifest is an error — the layout is changed with
-    /// [`ShardedStore::rebalance`], never by re-opening.
+    /// `shards` is the shard count for a **new** store — a root without a
+    /// `MANIFEST`, whether the directory exists yet or not; `0` means "one
+    /// shard when creating, whatever the manifest says otherwise". A
+    /// non-zero `shards` that disagrees with an existing manifest is an
+    /// error — the layout is changed with [`ShardedStore::rebalance`], never
+    /// by re-opening. A root holding the files of the old single-directory
+    /// layout is refused and left untouched.
     ///
     /// An interrupted migration is finished (or rolled back) here, before
     /// the store opens: the manifest says exactly which target shards are
@@ -709,23 +713,13 @@ impl ShardedStore {
                 .map_err(WalrusError::io_context("read manifest", &manifest_path))?;
             decode_manifest(&bytes)?
         } else {
-            if io.exists(&root.join(SNAPSHOT_FILE)) {
-                return Err(WalrusError::BadParams(
-                    "directory holds a non-sharded store (snapshot present, no manifest)"
-                        .to_string(),
-                ));
-            }
-            if shards == 0 {
-                return Err(WalrusError::BadParams(
-                    "no sharded store here; a shard count is required to create one".to_string(),
-                ));
-            }
-            if !(1..=MAX_SHARDS).contains(&shards) {
+            refuse_legacy_layout(io.as_ref(), &root)?;
+            if shards > MAX_SHARDS {
                 return Err(WalrusError::BadParams(format!(
                     "shard count {shards} out of range 1..={MAX_SHARDS}"
                 )));
             }
-            let m = Manifest::stable(0, shards);
+            let m = Manifest::stable(0, shards.max(1));
             write_manifest(io.as_ref(), &root, &m)?;
             m
         };
@@ -931,25 +925,11 @@ impl ShardedStore {
         items: &[(&str, &Image)],
         guard: &Guard,
     ) -> Result<Vec<usize>> {
-        let params = self.params;
-        let threads = walrus_parallel::resolve_threads(params.threads);
         let ingest_span = guard.span("ingest");
         if let Some(s) = &ingest_span {
             s.add("images", items.len() as u64);
         }
-        // Workers share the interrupt sources but not the trace (spans are
-        // opened only on this orchestrating thread).
-        let extract_span = guard.span("extract");
-        let worker_guard = guard.without_trace();
-        let extracted: Vec<Vec<Region>> =
-            walrus_parallel::try_parallel_map_guarded(threads, guard, items, |_, (_, image)| {
-                extract_regions_guarded(image, &params, 1, &worker_guard)
-            })?;
-        if let Some(s) = &extract_span {
-            s.add("regions", extracted.iter().map(Vec::len).sum::<usize>() as u64);
-        }
-        drop(extract_span);
-        guard.poll().map_err(WalrusError::from)?;
+        let extracted = extract_batch_guarded(items, &self.params, guard)?;
         let wal_span = guard.span("wal_append");
         let mut next = self.ingest.lock();
         let set = self.writable_layout()?;
@@ -984,7 +964,8 @@ impl ShardedStore {
             error: Option<(usize, WalrusError)>,
         }
 
-        let shard_workers = threads.min(batches.len().max(1));
+        let shard_workers =
+            walrus_parallel::resolve_threads(self.params.threads).min(batches.len().max(1));
         let results: Vec<ShardIngest> =
             walrus_parallel::parallel_map(shard_workers, &batches, |_, (shard, work)| {
                 let work = std::mem::take(&mut *work.lock());
@@ -1070,7 +1051,9 @@ impl ShardedStore {
         })
     }
 
-    /// Scatter-gather query under per-request [`QueryOptions`]. Healthy
+    /// Scatter-gather query under per-request [`QueryOptions`] — the same
+    /// procedure as [`ImageDatabase::query_with_options_guarded`], scene
+    /// queries included, with the probe spread over the shards. Healthy
     /// shards are probed in parallel on the `walrus-parallel` pool (each
     /// worker records its `shard_probe` span into a private trace that is
     /// grafted back in shard order, so the trace tree is identical for
@@ -1084,20 +1067,9 @@ impl ShardedStore {
         opts: &QueryOptions,
         guard: &Guard,
     ) -> Result<QueryOutcome> {
-        let (params, min_similarity) = opts.resolve(&self.params)?;
-        let _query_span = guard.span("query");
-        let regions = match extract_regions_guarded(query, &params, params.threads, guard) {
-            Ok(r) => r,
-            Err(WalrusError::DeadlineExceeded) => return Ok(QueryOutcome::empty_partial()),
-            Err(e) => return Err(e),
-        };
-        let set = self.layout();
-        let mut outcome =
-            self.scatter_gather(&set, &params, &regions, query.area(), min_similarity, guard)?;
-        if let Some(k) = opts.k {
-            outcome.matches.truncate(k);
-        }
-        Ok(outcome)
+        opts.run(&self.params, query, guard, |params, regions, area, min_similarity| {
+            self.scatter_gather(&self.layout(), params, regions, area, min_similarity, guard)
+        })
     }
 
     /// Query with default options (the sharded counterpart of
@@ -1135,8 +1107,8 @@ impl ShardedStore {
         };
         // Each shard probes under the *full* candidate budget; the
         // aggregate is enforced after the gather. Splitting the budget
-        // across shards instead would reject queries the monolithic
-        // store accepts (one hot shard vs. an even spread), breaking
+        // across shards instead would reject queries a single index
+        // accepts (one hot shard vs. an even spread), breaking
         // the error/no-error equivalence the bit-identity tests pin.
         let shard_outcome = db.db().query_regions_with_params_guarded(
             params,
@@ -1218,8 +1190,8 @@ impl ShardedStore {
                 limit: params.budgets.max_index_candidates,
             });
         }
-        // Deterministic gather: the same total order the monolithic store
-        // sorts into (each image lives on exactly one shard, with a
+        // Deterministic gather: the same total order a single index sorts
+        // into (each image lives on exactly one shard, with a
         // distinct id, so the comparator is total).
         matches.sort_by(|a, b| {
             b.similarity
@@ -1255,7 +1227,7 @@ impl ShardedStore {
         let set = self.layout();
         let shard = shard_of(id, set.shards.len());
         let meta = match &*set.shards[shard].read() {
-            ShardSlot::Healthy(db) => Ok(db.image_meta(id)),
+            ShardSlot::Healthy(db) => Ok(db.db().image_meta(id)),
             ShardSlot::Quarantined { .. } => Err(WalrusError::ShardUnavailable { shard }),
         };
         meta
@@ -1301,8 +1273,10 @@ impl ShardedStore {
     }
 
     /// Rolling checkpoint: folds shards one at a time — never the whole
-    /// store at once — skipping quarantined shards. The report lists what
-    /// each healthy shard did.
+    /// store at once — so ingest and queries on the other shards proceed
+    /// concurrently. Quarantined shards are skipped (absent from the
+    /// report), so a degraded store still checkpoints its healthy part.
+    /// The report lists what each healthy shard did.
     pub fn checkpoint(&self) -> Result<Vec<ShardCheckpoint>> {
         if self.rebalancing.load(Ordering::Acquire) {
             return Err(WalrusError::Rebalancing);
@@ -1533,16 +1507,25 @@ impl ShardedStore {
         }
     }
 
-    /// Content fingerprint for result caching — see
-    /// [`Store::content_stamp`] for the contract. Folds the layout epoch,
-    /// the live rebalancing flag, the shard count, and each shard's
-    /// (healthy, last LSN) pair, so committed ingest, quarantine
-    /// transitions, and layout changes all produce a new stamp while
-    /// checkpoints (which leave LSNs untouched) do not.
+    /// An opaque fingerprint of the store's queryable content, for result
+    /// caching: two calls return the same value **only if** every query
+    /// answers identically in between. It changes on every committed
+    /// ingest/remove (LSN advance), on shard quarantine or recovery, and on
+    /// every rebalance epoch/migration-state change. It does **not** change
+    /// on a checkpoint — folding the WAL into a snapshot rewrites bytes,
+    /// not answers, so caches survive checkpoints. Computed by folding the
+    /// layout epoch, the live rebalancing flag, the shard count, and each
+    /// shard's (healthy, last LSN) pair.
     pub fn content_stamp(&self) -> u64 {
-        use crate::store::{stamp_fold, STAMP_BASIS};
+        /// FNV-1a 64 step.
+        fn stamp_fold(hash: u64, value: u64) -> u64 {
+            value.to_le_bytes().iter().fold(hash, |hash, byte| {
+                (hash ^ u64::from(*byte)).wrapping_mul(0x100_0000_01b3)
+            })
+        }
         let set = self.layout();
-        let mut h = STAMP_BASIS;
+        // FNV-1a 64 offset basis, so an empty store's stamp is nonzero.
+        let mut h = 0xcbf2_9ce4_8422_2325;
         h = stamp_fold(h, set.epoch);
         h = stamp_fold(h, self.rebalancing.load(Ordering::Acquire) as u64);
         h = stamp_fold(h, set.shards.len() as u64);
@@ -1597,81 +1580,6 @@ impl ShardedStore {
             })
             .sum();
         folded
-    }
-}
-
-impl Store for ShardedStore {
-    fn params(&self) -> WalrusParams {
-        ShardedStore::params(self)
-    }
-
-    fn shard_count(&self) -> usize {
-        ShardedStore::shard_count(self)
-    }
-
-    fn len(&self) -> usize {
-        ShardedStore::len(self)
-    }
-
-    fn num_regions(&self) -> usize {
-        ShardedStore::num_regions(self)
-    }
-
-    fn wal_len(&self) -> u64 {
-        ShardedStore::wal_len(self)
-    }
-
-    fn records_since_checkpoint(&self) -> usize {
-        ShardedStore::records_since_checkpoint(self)
-    }
-
-    fn image_meta(&self, id: usize) -> Result<Option<ImageMeta>> {
-        ShardedStore::image_meta(self, id)
-    }
-
-    fn insert_image(&self, name: &str, image: &Image) -> Result<usize> {
-        ShardedStore::insert_image(self, name, image)
-    }
-
-    fn insert_images_batch_guarded(
-        &self,
-        items: &[(&str, &Image)],
-        guard: &Guard,
-    ) -> Result<Vec<usize>> {
-        ShardedStore::insert_images_batch_guarded(self, items, guard)
-    }
-
-    fn remove_image(&self, id: usize) -> Result<()> {
-        ShardedStore::remove_image(self, id)
-    }
-
-    fn query_with_options_guarded(
-        &self,
-        query: &Image,
-        opts: &QueryOptions,
-        guard: &Guard,
-    ) -> Result<QueryOutcome> {
-        ShardedStore::query_with_options_guarded(self, query, opts, guard)
-    }
-
-    fn checkpoint(&self) -> Result<Vec<ShardCheckpoint>> {
-        ShardedStore::checkpoint(self)
-    }
-
-    fn shard_health(&self) -> Vec<ShardHealth> {
-        ShardedStore::shard_health(self)
-    }
-
-    fn rebalance(&self, target_shards: usize) -> Result<RebalanceReport> {
-        ShardedStore::rebalance(self, target_shards)
-    }
-
-    fn rebalance_status(&self) -> RebalanceStatus {
-        ShardedStore::rebalance_status(self)
-    }
-
-    fn content_stamp(&self) -> u64 {
-        ShardedStore::content_stamp(self)
     }
 }
 
@@ -1751,18 +1659,35 @@ mod tests {
     }
 
     #[test]
-    fn manifest_v1_is_read_as_epoch_zero() {
-        // A hand-built version-1 manifest (what every pre-rebalance store
-        // has on disk) decodes as "epoch 0, never migrated" so the old
-        // `shard-NNN/` directories keep resolving.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MANIFEST_MAGIC);
-        put_u32(&mut bytes, 1);
-        put_u64(&mut bytes, 4);
-        let crc = crc32(&bytes);
-        put_u32(&mut bytes, crc);
-        assert_eq!(bytes.len(), MANIFEST_V1_LEN);
-        assert_eq!(decode_manifest(&bytes).unwrap(), Manifest::stable(0, 4));
+    fn other_manifest_versions_are_unsupported() {
+        // A hand-built, checksum-clean 24-byte version-1 manifest (a bare
+        // shard count; no writer of it is kept) and a current manifest
+        // relabelled with a version never assigned are refused alike.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(MANIFEST_MAGIC);
+        put_u32(&mut v1, 1);
+        put_u64(&mut v1, 4);
+        let mut v9 = encode_manifest(&Manifest::stable(0, 4));
+        v9.truncate(v9.len() - 4);
+        v9[8] = 9;
+        for (version, mut bytes) in [(1, v1), (9, v9)] {
+            let crc = crc32(&bytes);
+            put_u32(&mut bytes, crc);
+            match decode_manifest(&bytes) {
+                Err(WalrusError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("unsupported version {version}")), "{msg}")
+                }
+                other => panic!("version {version}: expected Corrupt, got {other:?}"),
+            }
+            // The open fails as a whole — there is no layout to open — and
+            // leaves the file as it found it.
+            let io = Arc::new(FaultIo::new());
+            io.write(Path::new("db/MANIFEST"), &bytes).unwrap();
+            let err = ShardedStore::open_with(io.clone(), "db", params(), 0).unwrap_err();
+            assert!(matches!(err, WalrusError::Corrupt(_)), "{err}");
+            assert_eq!(io.file_names(), vec![PathBuf::from("db/MANIFEST")]);
+            assert_eq!(io.file_bytes(Path::new("db/MANIFEST")).unwrap(), bytes);
+        }
     }
 
     #[test]
@@ -1777,7 +1702,7 @@ mod tests {
         store.remove_image(b).unwrap();
         drop(store);
 
-        // Reopen with shards = 0 ("existing store only"): manifest wins.
+        // Reopen with shards = 0: the manifest wins.
         let (store, recoveries) = ShardedStore::open_with(io.clone(), "db", params(), 0).unwrap();
         assert_eq!(store.shard_count(), 4);
         assert!(recoveries.iter().all(|r| r.error.is_none()));
@@ -1795,10 +1720,60 @@ mod tests {
 
     #[test]
     fn legacy_monolithic_directory_is_refused() {
-        let io = Arc::new(FaultIo::new());
-        let (mono, _) = DurableDatabase::open_with(io.clone(), "db", params()).unwrap();
-        drop(mono);
-        let err = ShardedStore::open_with(io, "db", params(), 4).unwrap_err();
+        // The single-directory layout: a snapshot and a log at the root, no
+        // manifest. It is refused whichever of the two files is there — a
+        // root holding only `wal.log` (snapshot removed for repair) still
+        // owns committed records a fresh manifest would orphan — for every
+        // requested shard count, by open and by scrub, and not one byte of
+        // the directory changes.
+        for kept in [&[SNAPSHOT_FILE][..], &[WAL_FILE][..], &[SNAPSHOT_FILE, WAL_FILE][..]] {
+            let io = Arc::new(FaultIo::new());
+            let (mut mono, _) = DurableDatabase::open_with(io.clone(), "db", params()).unwrap();
+            mono.insert_image("a", &scene(0.2)).unwrap();
+            drop(mono);
+            for file in [SNAPSHOT_FILE, WAL_FILE] {
+                if !kept.contains(&file) {
+                    io.remove(&Path::new("db").join(file)).unwrap();
+                }
+            }
+            let listing = |io: &FaultIo| -> Vec<(PathBuf, Vec<u8>)> {
+                let names = io.file_names();
+                names.into_iter().map(|p| (p.clone(), io.file_bytes(&p).unwrap())).collect()
+            };
+            let before = listing(&io);
+            assert_eq!(before.len(), kept.len());
+            for shards in [0, 1, 4] {
+                let err = ShardedStore::open_with(io.clone(), "db", params(), shards).unwrap_err();
+                assert!(matches!(err, WalrusError::BadParams(_)), "{kept:?}: {err}");
+                let msg = err.to_string();
+                assert!(msg.contains("db holds a") && msg.contains(kept[0]), "{msg}");
+                assert!(msg.contains("no longer supported"), "{msg}");
+            }
+            let err = scrub_store(io.as_ref(), Path::new("db"), None).unwrap_err();
+            assert!(err.to_string().contains("no longer supported"), "{kept:?}: {err}");
+            assert_eq!(listing(&io), before, "{kept:?}: a refused open wrote something");
+        }
+    }
+
+    #[test]
+    fn a_root_without_a_manifest_is_created_with_the_requested_count() {
+        // No count means one shard: the default store is the 1-shard store.
+        for (requested, want) in [(0, 1), (1, 1), (3, 3)] {
+            let io = Arc::new(FaultIo::new());
+            let (store, _) = ShardedStore::open_with(io.clone(), "db", params(), requested).unwrap();
+            assert_eq!(store.shard_count(), want, "requested {requested}");
+            assert_eq!(store.insert_image("a", &scene(0.2)).unwrap(), 0);
+            drop(store);
+            assert_eq!(
+                read_manifest(io.as_ref(), Path::new("db")).unwrap(),
+                Manifest::stable(0, want)
+            );
+            assert!(!io.exists(Path::new("db/snapshot.walrus")), "no files at the root");
+            let (store, _) = ShardedStore::open_with(io, "db", params(), 0).unwrap();
+            assert_eq!((store.shard_count(), store.len()), (want, 1));
+        }
+        let err = ShardedStore::open_with(Arc::new(FaultIo::new()), "db", params(), MAX_SHARDS + 1)
+            .unwrap_err();
         assert!(matches!(err, WalrusError::BadParams(_)), "{err}");
     }
 

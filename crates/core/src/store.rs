@@ -1,34 +1,16 @@
-//! The serving-layer storage abstraction.
-//!
-//! [`Store`] is the surface the HTTP server (and any other embedder)
-//! programs against: ingest, queries, metadata lookups, checkpointing, and
-//! health — nothing about *how* the bytes are laid out. Two implementations
-//! exist:
-//!
-//! * [`crate::SharedDurableDatabase`] — the monolithic single-directory
-//!   store (one R\*-tree, one WAL, one snapshot);
-//! * [`crate::sharded::ShardedStore`] — N independent shards with fault
-//!   isolation, rolling checkpoints, and degraded-mode queries.
-//!
-//! The trait is deliberately shaped so the monolithic store is exactly the
-//! 1-shard special case: `checkpoint` always reports per-shard results and
-//! `shard_health` always reports per-shard states, with the monolithic
-//! store reporting a single shard `0`.
+//! What [`ShardedStore`](crate::sharded::ShardedStore) reports about its
+//! shards: the per-shard checkpoint and health records and the rebalance
+//! progress the serving layer renders on `/admin/checkpoint`, `/healthz`
+//! and `/metrics`.
 
-use crate::database::{ImageMeta, QueryOptions};
-use crate::params::WalrusParams;
-use crate::sharded::RebalanceReport;
-use crate::{QueryOutcome, Result, SharedDurableDatabase, WalrusError};
-use std::time::{Duration, Instant};
-use walrus_guard::Guard;
-use walrus_imagery::Image;
+use std::time::Duration;
 
 /// What one shard's checkpoint did. Returned per shard so a rolling
 /// checkpoint over N shards reports N entries (quarantined shards are
 /// skipped and absent).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardCheckpoint {
-    /// Shard index (0 for a monolithic store).
+    /// Shard index.
     pub shard: usize,
     /// LSN the snapshot covers — the shard's last committed operation.
     pub last_lsn: u64,
@@ -36,10 +18,11 @@ pub struct ShardCheckpoint {
     pub duration: Duration,
 }
 
-/// Health of one shard, as reported by [`Store::shard_health`].
+/// Health of one shard, as reported by
+/// [`ShardedStore::shard_health`](crate::sharded::ShardedStore::shard_health).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardHealth {
-    /// Shard index (0 for a monolithic store).
+    /// Shard index.
     pub shard: usize,
     /// False when the shard is quarantined.
     pub healthy: bool,
@@ -55,10 +38,8 @@ pub struct ShardHealth {
     pub wal_bytes: u64,
 }
 
-/// Live rebalance progress, as reported by [`Store::rebalance_status`].
-///
-/// For stores that cannot rebalance (the monolithic layout) this is the
-/// permanent "epoch 0, not migrating" value.
+/// Live rebalance progress, as reported by
+/// [`ShardedStore::rebalance_status`](crate::sharded::ShardedStore::rebalance_status).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RebalanceStatus {
     /// Layout epoch: how many committed rebalances this store has seen.
@@ -69,190 +50,4 @@ pub struct RebalanceStatus {
     pub target_shards: usize,
     /// Target shards already built and durably marked `Migrated`.
     pub shards_migrated: usize,
-}
-
-/// A thread-safe durable image store the serving layer can run on. See the
-/// module docs for the two implementations.
-pub trait Store: Send + Sync {
-    /// A copy of the engine configuration.
-    fn params(&self) -> WalrusParams;
-
-    /// Number of shards (1 for a monolithic store).
-    fn shard_count(&self) -> usize;
-
-    /// Live images across all healthy shards.
-    fn len(&self) -> usize;
-
-    /// True when no images are indexed.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Indexed regions across all healthy shards.
-    fn num_regions(&self) -> usize;
-
-    /// Valid WAL bytes across all healthy shards.
-    fn wal_len(&self) -> u64;
-
-    /// WAL records appended since the last checkpoint, across all healthy
-    /// shards.
-    fn records_since_checkpoint(&self) -> usize;
-
-    /// Owned metadata snapshot for an image. `Ok(None)` means the id is
-    /// unknown or removed; `Err(ShardUnavailable)` means the id's shard is
-    /// quarantined, so its existence cannot be determined.
-    fn image_meta(&self, id: usize) -> Result<Option<ImageMeta>>;
-
-    /// Durably inserts one image; returns its id.
-    fn insert_image(&self, name: &str, image: &Image) -> Result<usize>;
-
-    /// Durable batch ingest under a lifecycle [`Guard`]; returns the new
-    /// ids. Extraction is all-or-nothing; a mid-batch append failure
-    /// commits the prefix.
-    fn insert_images_batch_guarded(
-        &self,
-        items: &[(&str, &Image)],
-        guard: &Guard,
-    ) -> Result<Vec<usize>>;
-
-    /// Durably removes an image.
-    fn remove_image(&self, id: usize) -> Result<()>;
-
-    /// Runs a query shaped by per-request [`QueryOptions`] under a
-    /// lifecycle [`Guard`].
-    fn query_with_options_guarded(
-        &self,
-        query: &Image,
-        opts: &QueryOptions,
-        guard: &Guard,
-    ) -> Result<QueryOutcome>;
-
-    /// Checkpoints the store and reports what each shard did. For a
-    /// sharded store this is a **rolling** checkpoint: shards are folded
-    /// one at a time, and ingest/queries on other shards proceed
-    /// concurrently. Quarantined shards are skipped (absent from the
-    /// report), so a degraded store still checkpoints its healthy part.
-    fn checkpoint(&self) -> Result<Vec<ShardCheckpoint>>;
-
-    /// Per-shard health states, in shard order.
-    fn shard_health(&self) -> Vec<ShardHealth>;
-
-    /// Migrates the store to `target_shards` shards online (queries keep
-    /// answering from the source layout; ingest is shed with
-    /// [`WalrusError::Rebalancing`]). The default refuses: only layouts
-    /// with a manifest can change shape.
-    fn rebalance(&self, target_shards: usize) -> Result<RebalanceReport> {
-        let _ = target_shards;
-        Err(WalrusError::BadParams(
-            "this store layout cannot rebalance (no shard manifest)".to_string(),
-        ))
-    }
-
-    /// Current layout epoch and migration progress.
-    fn rebalance_status(&self) -> RebalanceStatus {
-        RebalanceStatus::default()
-    }
-
-    /// An opaque fingerprint of the store's queryable content, for result
-    /// caching: two calls return the same value **only if** every query
-    /// answers identically in between. It must change on every committed
-    /// ingest/remove (LSN advance), on shard quarantine or recovery, and on
-    /// every rebalance epoch/migration-state change. It must **not** change
-    /// on a checkpoint — folding the WAL into a snapshot rewrites bytes,
-    /// not answers, so caches survive checkpoints.
-    fn content_stamp(&self) -> u64;
-}
-
-/// FNV-1a 64 step used to fold fields into a [`Store::content_stamp`].
-pub(crate) fn stamp_fold(hash: u64, value: u64) -> u64 {
-    let mut hash = hash;
-    for byte in value.to_le_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a 64 offset basis; stamps start here so an empty store is nonzero.
-pub(crate) const STAMP_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-impl Store for SharedDurableDatabase {
-    fn params(&self) -> WalrusParams {
-        SharedDurableDatabase::params(self)
-    }
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn len(&self) -> usize {
-        SharedDurableDatabase::len(self)
-    }
-
-    fn num_regions(&self) -> usize {
-        SharedDurableDatabase::num_regions(self)
-    }
-
-    fn wal_len(&self) -> u64 {
-        SharedDurableDatabase::wal_len(self)
-    }
-
-    fn records_since_checkpoint(&self) -> usize {
-        SharedDurableDatabase::records_since_checkpoint(self)
-    }
-
-    fn image_meta(&self, id: usize) -> Result<Option<ImageMeta>> {
-        Ok(SharedDurableDatabase::image_meta(self, id))
-    }
-
-    fn insert_image(&self, name: &str, image: &Image) -> Result<usize> {
-        SharedDurableDatabase::insert_image(self, name, image)
-    }
-
-    fn insert_images_batch_guarded(
-        &self,
-        items: &[(&str, &Image)],
-        guard: &Guard,
-    ) -> Result<Vec<usize>> {
-        SharedDurableDatabase::insert_images_batch_guarded(self, items, guard)
-    }
-
-    fn remove_image(&self, id: usize) -> Result<()> {
-        SharedDurableDatabase::remove_image(self, id)
-    }
-
-    fn query_with_options_guarded(
-        &self,
-        query: &Image,
-        opts: &QueryOptions,
-        guard: &Guard,
-    ) -> Result<QueryOutcome> {
-        SharedDurableDatabase::query_with_options_guarded(self, query, opts, guard)
-    }
-
-    fn checkpoint(&self) -> Result<Vec<ShardCheckpoint>> {
-        let started = Instant::now();
-        SharedDurableDatabase::checkpoint(self)?;
-        Ok(vec![ShardCheckpoint {
-            shard: 0,
-            last_lsn: self.last_lsn(),
-            duration: started.elapsed(),
-        }])
-    }
-
-    fn shard_health(&self) -> Vec<ShardHealth> {
-        vec![ShardHealth {
-            shard: 0,
-            healthy: true,
-            error: None,
-            images: SharedDurableDatabase::len(self),
-            wal_bytes: SharedDurableDatabase::wal_len(self),
-        }]
-    }
-
-    fn content_stamp(&self) -> u64 {
-        // The WAL LSN advances on every committed mutation and is untouched
-        // by checkpoints, which is exactly the invalidation contract.
-        stamp_fold(STAMP_BASIS, self.last_lsn())
-    }
 }

@@ -18,13 +18,11 @@
 //! ```
 //!
 //! Region bodies reuse the snapshot encoding ([`crate::persist`]), so the
-//! two halves of the durability layer cannot drift apart. Version 2 stores
-//! each region's binary prefilter signature alongside its bounds (matching
-//! snapshot v3); version-1 logs are still read in full, with signatures
-//! rebuilt during decode. The record encoding is chosen per *file*: an
-//! existing v1 log keeps receiving v1 records on append (mixed-version
-//! records inside one file would be unreadable), while fresh logs and
-//! checkpoint resets start at the current version.
+//! two halves of the durability layer cannot drift apart: each region's
+//! binary prefilter signature sits beside its bounds. This is the only
+//! version read or written — there is no deployed store to stay compatible
+//! with, so a log that says it is any other version is `Corrupt`
+//! ("unsupported version").
 //!
 //! ## Torn tails vs. corruption
 //!
@@ -42,9 +40,7 @@ use crate::region::Region;
 use crate::{Result, WalrusError};
 
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"WALRUSWL";
-/// Legacy log version: regions without binary signature lanes.
-pub(crate) const WAL_VERSION_V1: u32 = 1;
-/// Current log version: regions carry their signature lanes.
+/// The log version: regions carry their signature lanes.
 pub(crate) const WAL_VERSION: u32 = 2;
 /// Bytes of `magic + version`.
 pub const WAL_HEADER_LEN: u64 = 12;
@@ -94,26 +90,17 @@ pub struct WalScan {
     pub valid_len: u64,
     /// True when broken bytes trail the valid prefix.
     pub torn_tail: bool,
-    /// The file's format version (the current version when no readable
-    /// header was present). Appends to an existing file must keep encoding
-    /// records in this version.
-    pub version: u32,
 }
 
-/// The file header of a fresh, empty WAL (current version).
+/// The file header of a fresh, empty WAL.
 pub fn wal_header() -> Vec<u8> {
-    wal_header_versioned(WAL_VERSION)
-}
-
-/// The file header of an empty WAL in an explicit format version.
-pub(crate) fn wal_header_versioned(version: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(WAL_HEADER_LEN as usize);
     out.extend_from_slice(WAL_MAGIC);
-    put_u32(&mut out, version);
+    put_u32(&mut out, WAL_VERSION);
     out
 }
 
-/// Resets `path` to a fresh, empty current-version log (header only) and
+/// Resets `path` to a fresh, empty log (header only) and
 /// fsyncs it. Used by checkpoints and by shard migration, which hands every
 /// freshly built target shard an empty log.
 pub fn reset(io: &dyn crate::storage::StorageIo, path: &std::path::Path) -> std::io::Result<()> {
@@ -121,16 +108,8 @@ pub fn reset(io: &dyn crate::storage::StorageIo, path: &std::path::Path) -> std:
     io.fsync(path)
 }
 
-/// Encodes one record (framing + payload) ready to append to a
-/// current-version log.
+/// Encodes one record (framing + payload) ready to append to a log.
 pub fn encode_record(lsn: u64, op: &WalOp) -> Vec<u8> {
-    encode_record_versioned(lsn, op, WAL_VERSION)
-}
-
-/// Encodes one record in the format of an explicit log version (appends to
-/// a v1 file must stay v1).
-pub(crate) fn encode_record_versioned(lsn: u64, op: &WalOp, version: u32) -> Vec<u8> {
-    let with_signature = version >= WAL_VERSION;
     let mut payload = Vec::with_capacity(64);
     put_u64(&mut payload, lsn);
     match op {
@@ -142,7 +121,7 @@ pub(crate) fn encode_record_versioned(lsn: u64, op: &WalOp, version: u32) -> Vec
             put_u64(&mut payload, *height as u64);
             put_u64(&mut payload, regions.len() as u64);
             for r in regions {
-                write_region(&mut payload, r, with_signature);
+                write_region(&mut payload, r);
             }
         }
         WalOp::Remove { id } => {
@@ -163,7 +142,7 @@ fn corrupt(what: &str) -> WalrusError {
 
 /// Decodes the payload of one record. `Err` means the payload passed its
 /// CRC but is structurally invalid — real corruption, not a torn tail.
-fn decode_payload(payload: &[u8], with_signature: bool) -> Result<WalRecord> {
+fn decode_payload(payload: &[u8]) -> Result<WalRecord> {
     let mut r = Reader { bytes: payload, pos: 0 };
     let lsn = r.u64()?;
     let op = match r.take(1)?[0] {
@@ -178,7 +157,7 @@ fn decode_payload(payload: &[u8], with_signature: bool) -> Result<WalRecord> {
             }
             let mut regions = Vec::with_capacity(region_count.min(r.remaining() / 48 + 1));
             for _ in 0..region_count {
-                regions.push(read_region(&mut r, with_signature)?);
+                regions.push(read_region(&mut r)?);
             }
             WalOp::Insert { expected_id, name, width, height, regions }
         }
@@ -216,21 +195,15 @@ fn frame_is_intact(bytes: &[u8], pos: usize) -> bool {
 pub fn read_wal(bytes: &[u8]) -> Result<WalScan> {
     if bytes.len() < WAL_HEADER_LEN as usize {
         // An empty or partially-created log holds no committed records.
-        return Ok(WalScan {
-            records: Vec::new(),
-            valid_len: 0,
-            torn_tail: !bytes.is_empty(),
-            version: WAL_VERSION,
-        });
+        return Ok(WalScan { records: Vec::new(), valid_len: 0, torn_tail: !bytes.is_empty() });
     }
     if &bytes[..8] != WAL_MAGIC {
         return Err(corrupt("bad magic"));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("length checked"));
-    if !(WAL_VERSION_V1..=WAL_VERSION).contains(&version) {
+    if version != WAL_VERSION {
         return Err(corrupt(&format!("unsupported version {version}")));
     }
-    let with_signature = version >= WAL_VERSION;
 
     let mut records = Vec::new();
     let mut pos = WAL_HEADER_LEN as usize;
@@ -248,12 +221,12 @@ pub fn read_wal(bytes: &[u8]) -> Result<WalScan> {
             if after < bytes.len() && frame_is_intact(bytes, after) {
                 return Err(corrupt("mid-log corruption (intact records follow a broken one)"));
             }
-            return Ok(WalScan { records, valid_len: pos as u64, torn_tail: true, version });
+            return Ok(WalScan { records, valid_len: pos as u64, torn_tail: true });
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("length checked"))
             as usize;
         let payload = &bytes[pos + 8..pos + 8 + len];
-        let rec = decode_payload(payload, with_signature)?;
+        let rec = decode_payload(payload)?;
         if let Some(prev) = last_lsn {
             if rec.lsn <= prev {
                 return Err(corrupt("sequence numbers not increasing"));
@@ -263,7 +236,7 @@ pub fn read_wal(bytes: &[u8]) -> Result<WalScan> {
         records.push(rec);
         pos += 8 + len;
     }
-    Ok(WalScan { records, valid_len: pos as u64, torn_tail: false, version })
+    Ok(WalScan { records, valid_len: pos as u64, torn_tail: false })
 }
 
 /// Scans the **longest clean prefix** of a WAL image without ever erroring:
@@ -277,21 +250,10 @@ pub fn read_wal(bytes: &[u8]) -> Result<WalScan> {
 /// quarantined shard back. `valid_len` is the byte length to truncate the
 /// file to; `torn_tail` is true whenever anything was dropped.
 pub fn scan_valid_prefix(bytes: &[u8]) -> WalScan {
-    let version = if bytes.len() >= WAL_HEADER_LEN as usize && &bytes[..8] == WAL_MAGIC {
-        u32::from_le_bytes(bytes[8..12].try_into().expect("length checked"))
-    } else {
-        0
-    };
-    if !(WAL_VERSION_V1..=WAL_VERSION).contains(&version) {
+    if !bytes.starts_with(&wal_header()) {
         // No usable header: nothing is recoverable.
-        return WalScan {
-            records: Vec::new(),
-            valid_len: 0,
-            torn_tail: !bytes.is_empty(),
-            version: WAL_VERSION,
-        };
+        return WalScan { records: Vec::new(), valid_len: 0, torn_tail: !bytes.is_empty() };
     }
-    let with_signature = version >= WAL_VERSION;
     let mut records = Vec::new();
     let mut pos = WAL_HEADER_LEN as usize;
     let mut last_lsn: Option<u64> = None;
@@ -301,7 +263,7 @@ pub fn scan_valid_prefix(bytes: &[u8]) -> WalScan {
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("length checked"))
             as usize;
-        let Ok(rec) = decode_payload(&bytes[pos + 8..pos + 8 + len], with_signature) else {
+        let Ok(rec) = decode_payload(&bytes[pos + 8..pos + 8 + len]) else {
             break;
         };
         if last_lsn.is_some_and(|prev| rec.lsn <= prev) {
@@ -311,7 +273,7 @@ pub fn scan_valid_prefix(bytes: &[u8]) -> WalScan {
         records.push(rec);
         pos += 8 + len;
     }
-    WalScan { records, valid_len: pos as u64, torn_tail: pos < bytes.len(), version }
+    WalScan { records, valid_len: pos as u64, torn_tail: pos < bytes.len() }
 }
 
 #[cfg(test)]
@@ -376,42 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_logs_still_read_and_rebuild_signatures() {
-        let op = insert_op(0);
-        let v1_record = encode_record_versioned(1, &op, WAL_VERSION_V1);
-        let v2_record = encode_record(1, &op);
-        // v1 records are 16 bytes per region shorter (no signature lanes).
-        assert_eq!(v2_record.len(), v1_record.len() + 2 * 16);
-        let mut bytes = wal_header_versioned(WAL_VERSION_V1);
-        bytes.extend_from_slice(&v1_record);
-        bytes.extend_from_slice(&encode_record_versioned(
-            2,
-            &WalOp::Remove { id: 0 },
-            WAL_VERSION_V1,
-        ));
-        let scan = read_wal(&bytes).unwrap();
-        assert_eq!(scan.version, WAL_VERSION_V1);
-        assert_eq!(scan.records.len(), 2);
-        assert!(!scan.torn_tail);
-        match &scan.records[0].op {
-            WalOp::Insert { regions, .. } => {
-                // The decoder rebuilt each region's signature from its
-                // bounds — identical to the current-version decode.
-                for (a, b) in regions.iter().zip(match op {
-                    WalOp::Insert { ref regions, .. } => regions,
-                    _ => unreachable!(),
-                }) {
-                    assert_eq!(a.signature, b.signature);
-                }
-            }
-            other => panic!("wrong op: {other:?}"),
-        }
-        let prefix = scan_valid_prefix(&bytes);
-        assert_eq!(prefix.version, WAL_VERSION_V1);
-        assert_eq!(prefix.records.len(), 2);
-    }
-
-    #[test]
     fn empty_and_header_only_logs() {
         let scan = read_wal(&[]).unwrap();
         assert!(scan.records.is_empty());
@@ -435,9 +361,22 @@ mod tests {
         let mut bytes = wal_header();
         bytes[0] = b'X';
         assert!(read_wal(&bytes).is_err());
-        let mut bytes = wal_header();
-        bytes[8] = 9;
-        assert!(read_wal(&bytes).is_err());
+        // The version before this one is as unreadable as one never
+        // assigned: there is one log format, and repair finds no prefix
+        // worth keeping under either header.
+        for version in [1u8, 9] {
+            let mut bytes = log_with(&[(1, insert_op(0))]);
+            bytes[8] = version;
+            match read_wal(&bytes) {
+                Err(WalrusError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("unsupported version {version}")), "{msg}")
+                }
+                other => panic!("version {version}: expected Corrupt, got {other:?}"),
+            }
+            let scan = scan_valid_prefix(&bytes);
+            assert!(scan.records.is_empty() && scan.torn_tail);
+            assert_eq!(scan.valid_len, 0);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Repeat queries are the dominant production pattern, and a WALRUS query
 //! is pure: the answer depends only on (query image bytes, request
 //! parameters, store content). The first two are folded into a 64-bit
-//! FNV-1a key; the third is the [`Store::content_stamp`] — an opaque
+//! FNV-1a key; the third is the [`ShardedStore::content_stamp`] — an opaque
 //! fingerprint that moves on every committed ingest, quarantine
 //! transition, and rebalance epoch, and stays put across checkpoints.
 //!
@@ -24,7 +24,7 @@
 //! spliced in by the router, so a cached body is byte-identical to what
 //! the engine would have produced for that request id.
 //!
-//! [`Store::content_stamp`]: walrus_core::Store::content_stamp
+//! [`ShardedStore::content_stamp`]: walrus_core::ShardedStore::content_stamp
 
 use std::collections::HashMap;
 use std::sync::Mutex;

@@ -1,6 +1,6 @@
 //! Minimal blocking HTTP/1.1 client — just enough to exercise the server
-//! from tests and the `walrus bench-http` load generator. Keep-alive,
-//! `Content-Length` framing only (which is all the server emits).
+//! from tests. Keep-alive, `Content-Length` framing only (which is all the
+//! server emits).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -17,7 +17,7 @@
 //!   `GET /metrics`;
 //! * [`cache`] — an LSN-invalidated query-result cache: repeat queries are
 //!   answered byte-identically from memory until the store's
-//!   [`content_stamp`](walrus_core::Store::content_stamp) moves;
+//!   [`content_stamp`](walrus_core::ShardedStore::content_stamp) moves;
 //! * [`server`] — the accept loop feeding a bounded
 //!   [`WorkerPool`](walrus_parallel::WorkerPool), explicit `503`
 //!   load-shedding, and graceful drain-then-cancel shutdown ending in a
@@ -27,8 +27,7 @@
 //!   every socket through nonblocking state machines, so 10k idle
 //!   keep-alive connections cost file descriptors instead of threads,
 //!   while CPU-bound requests still dispatch to the same pool;
-//! * [`client`] — a tiny blocking client used by the e2e tests and
-//!   `walrus bench-http`.
+//! * [`client`] — a tiny blocking client used by the e2e tests.
 //!
 //! [`Guard`]: walrus_core::Guard
 //! [`QueryOptions`]: walrus_core::QueryOptions
@@ -36,11 +35,12 @@
 //! ## Quick start
 //!
 //! ```no_run
-//! use walrus_core::{DurableDatabase, SharedDurableDatabase, WalrusParams};
+//! use walrus_core::{ShardedStore, WalrusParams};
 //! use walrus_server::{Server, ServerConfig};
 //!
-//! let (store, _report) = DurableDatabase::open("./store", WalrusParams::paper_defaults())?;
-//! let handle = Server::start(ServerConfig::default(), SharedDurableDatabase::new(store))?;
+//! // 0 shards: adopt the store's manifest, or create a 1-shard store.
+//! let (store, _shards) = ShardedStore::open("./store", WalrusParams::paper_defaults(), 0)?;
+//! let handle = Server::start(ServerConfig::default(), store)?;
 //! println!("listening on {}", handle.addr());
 //! // ... serve until told otherwise ...
 //! handle.shutdown()?;

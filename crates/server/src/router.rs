@@ -30,8 +30,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use walrus_core::{
-    Budgets, CancelToken, Guard, QueryOptions, QueryOutcome, ResultStatus, SharedClock, Store,
-    TraceContext, WalrusError,
+    Budgets, CancelToken, Guard, QueryOptions, QueryOutcome, ResultStatus, SharedClock,
+    ShardedStore, TraceContext, WalrusError,
 };
 use walrus_imagery::ppm::{parse_netpbm_limited, parse_netpbm_limited_prefix};
 use walrus_imagery::{Image, ImageError};
@@ -43,10 +43,8 @@ use crate::metrics::{Metrics, TraceStore};
 /// Everything a worker needs to answer requests. One instance per server,
 /// shared via `Arc`.
 pub struct AppState {
-    /// The WAL-durable store all mutations and queries go through — the
-    /// monolithic [`SharedDurableDatabase`](walrus_core::SharedDurableDatabase)
-    /// or an N-shard [`ShardedStore`](walrus_core::ShardedStore).
-    pub store: Arc<dyn Store>,
+    /// The WAL-durable store all mutations and queries go through.
+    pub store: Arc<ShardedStore>,
     pub metrics: Metrics,
     /// Time source for request deadlines, latency samples, and trace spans.
     pub clock: SharedClock,
@@ -67,7 +65,8 @@ pub struct AppState {
     pub pool_threads: usize,
     pub pool_queue_depth: usize,
     /// Query-result cache, keyed by query-body hash + params fingerprint
-    /// and invalidated by [`Store::content_stamp`]. Capacity 0 disables.
+    /// and invalidated by [`ShardedStore::content_stamp`]. Capacity 0
+    /// disables.
     pub cache: QueryCache,
 }
 
@@ -89,7 +88,7 @@ impl AppState {
         let report = trace.report();
         self.metrics.stages.record_report(&report);
         // Prefilter effectiveness counters, summed over every probe span in
-        // the tree (a sharded store records one per shard).
+        // the tree (the store records one per shard).
         let sum = |counter: &str| -> u64 {
             report
                 .spans
@@ -289,8 +288,7 @@ fn checkpoint(state: &AppState) -> Response {
 /// `POST /admin/rebalance?shards=M`: crash-safe online migration to `M`
 /// shards. Queries keep answering (bit-identically) from the source layout
 /// while it runs; mutations are shed with `503 {"rebalancing":true}` until
-/// the new layout commits. A monolithic store answers `400` — only stores
-/// with a shard manifest can change shape.
+/// the new layout commits.
 fn rebalance(state: &AppState, req: &Request) -> Response {
     let target = match parse_param::<usize>(req, "shards") {
         Ok(Some(v)) => v,
@@ -424,6 +422,7 @@ fn query(state: &AppState, req: &Request) -> Response {
             Err(resp) => return resp,
         },
         budgets,
+        scene: None,
     };
     let decode_pixels =
         budgets.unwrap_or_else(|| state.store.params().budgets).max_decoded_pixels;
@@ -666,7 +665,7 @@ fn engine_error(err: &WalrusError) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use walrus_core::{DurableDatabase, SharedDurableDatabase, SlidingParams, WalrusParams};
+    use walrus_core::{SlidingParams, WalrusParams};
     use walrus_imagery::ppm::write_ppm;
     use walrus_imagery::ColorSpace;
 
@@ -677,21 +676,9 @@ mod tests {
         }
     }
 
+    /// State over the store a command creates by default: one shard.
     fn test_state(dir: &std::path::Path) -> AppState {
-        let (store, _) = DurableDatabase::open(dir, test_params()).unwrap();
-        AppState {
-            store: Arc::new(SharedDurableDatabase::new(store)),
-            metrics: Metrics::default(),
-            clock: walrus_core::monotonic(),
-            traces: TraceStore::default(),
-            request_ids: AtomicU64::new(0),
-            default_timeout: None,
-            cancel: CancelToken::new(),
-            stopping: Arc::new(AtomicBool::new(false)),
-            pool_threads: 2,
-            pool_queue_depth: 8,
-            cache: QueryCache::new(QueryCache::DEFAULT_CAPACITY),
-        }
+        sharded_state(dir, 1)
     }
 
     fn request(method: &str, target: &str, body: Vec<u8>) -> Request {
@@ -866,7 +853,7 @@ mod tests {
     }
 
     fn sharded_state(dir: &std::path::Path, shards: usize) -> AppState {
-        let (store, _) = walrus_core::ShardedStore::open(dir, test_params(), shards).unwrap();
+        let (store, _) = ShardedStore::open(dir, test_params(), shards).unwrap();
         AppState {
             store: Arc::new(store),
             metrics: Metrics::default(),
@@ -940,15 +927,6 @@ mod tests {
             handle(&state, &request("GET", "/admin/rebalance?shards=2", Vec::new())).status,
             405
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn monolithic_store_refuses_rebalance() {
-        let dir = tmp_dir("rebalance_mono");
-        let state = test_state(&dir);
-        let resp = handle(&state, &request("POST", "/admin/rebalance?shards=2", Vec::new()));
-        assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
         std::fs::remove_dir_all(&dir).ok();
     }
 

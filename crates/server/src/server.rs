@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use walrus_core::{monotonic, CancelToken, Result, SharedClock, Store, WalrusError};
+use walrus_core::{monotonic, CancelToken, Result, ShardedStore, SharedClock, WalrusError};
 use walrus_parallel::{resolve_threads, WorkerPool};
 
 use crate::cache::QueryCache;
@@ -100,16 +100,13 @@ pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(100);
 pub struct Server;
 
 impl Server {
-    /// Binds the listener, spins up the pool, and starts accepting. Takes
-    /// any [`Store`] — the monolithic
-    /// [`SharedDurableDatabase`](walrus_core::SharedDurableDatabase) or a
-    /// [`ShardedStore`](walrus_core::ShardedStore).
-    pub fn start(config: ServerConfig, store: impl Store + 'static) -> Result<ServerHandle> {
+    /// Binds the listener, spins up the pool, and starts accepting.
+    pub fn start(config: ServerConfig, store: ShardedStore) -> Result<ServerHandle> {
         Server::start_arc(config, Arc::new(store))
     }
 
     /// [`Server::start`] over an already-shared store.
-    pub fn start_arc(config: ServerConfig, store: Arc<dyn Store>) -> Result<ServerHandle> {
+    pub fn start_arc(config: ServerConfig, store: Arc<ShardedStore>) -> Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr).map_err(|e| WalrusError::Io {
             context: format!("bind {}", config.addr),
             source: e,
@@ -408,7 +405,7 @@ pub mod signals {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use walrus_core::{DurableDatabase, SharedDurableDatabase, SlidingParams, WalrusParams};
+    use walrus_core::{SlidingParams, WalrusParams};
 
     fn test_config() -> ServerConfig {
         ServerConfig {
@@ -422,7 +419,7 @@ mod tests {
         }
     }
 
-    fn test_store(tag: &str) -> (SharedDurableDatabase, std::path::PathBuf) {
+    fn test_store(tag: &str) -> (ShardedStore, std::path::PathBuf) {
         let dir = std::env::temp_dir()
             .join(format!("walrus_server_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -431,8 +428,8 @@ mod tests {
             sliding: SlidingParams { s: 2, omega_min: 8, omega_max: 8, stride: 4 },
             ..WalrusParams::paper_defaults()
         };
-        let (store, _) = DurableDatabase::open(&dir, params).unwrap();
-        (SharedDurableDatabase::new(store), dir)
+        let (store, _) = ShardedStore::open(&dir, params, 1).unwrap();
+        (store, dir)
     }
 
     /// Regression (in-flight under-report during graceful drain): a

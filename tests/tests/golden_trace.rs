@@ -147,7 +147,7 @@ fn golden_trace_is_byte_stable() {
 /// The sharded counterpart: same seeded ingest + query against a 4-shard
 /// [`ShardedStore`] over a deterministic in-memory filesystem. The query
 /// trace gains one `shard_probe` child span per shard; everything else
-/// (per-stage counters, nesting) must line up with the monolithic pipeline.
+/// (per-stage counters, nesting) must line up with the in-memory pipeline.
 fn golden_sharded_render() -> String {
     let clock = TestClock::new();
     let io = Arc::new(FaultIo::new());

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use walrus_core::{DurableDatabase, SharedDurableDatabase, SlidingParams, WalrusParams};
+use walrus_core::{ShardedStore, SlidingParams, WalrusParams};
 use walrus_server::{Client, HttpLimits, Server, ServerConfig, ServerHandle};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -29,7 +29,7 @@ fn start_server(tag: &str) -> (ServerHandle, SocketAddr, PathBuf) {
         sliding: SlidingParams { s: 2, omega_min: 8, omega_max: 8, stride: 4 },
         ..WalrusParams::paper_defaults()
     };
-    let (store, _) = DurableDatabase::open(&dir, params).unwrap();
+    let (store, _) = ShardedStore::open(&dir, params, 1).unwrap();
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 0, // resolve via WALRUS_THREADS so CI exercises 1 and 4
@@ -40,7 +40,7 @@ fn start_server(tag: &str) -> (ServerHandle, SocketAddr, PathBuf) {
         limits: HttpLimits::default(),
         ..ServerConfig::default()
     };
-    let handle = Server::start(config, SharedDurableDatabase::new(store)).unwrap();
+    let handle = Server::start(config, store).unwrap();
     let addr = handle.addr();
     (handle, addr, dir)
 }

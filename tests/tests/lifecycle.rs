@@ -8,9 +8,11 @@
 //! 1. a query with a millisecond deadline against a 1000-image database
 //!    returns a `Partial` best-so-far outcome — it never hangs and never
 //!    panics;
-//! 2. a cancelled batch ingest leaves the durable store (snapshot + WAL)
-//!    byte-for-byte identical, including under injected transient write
-//!    faults that exercise the append retry/backoff path.
+//! 2. a cancelled batch ingest leaves the durable store (every shard's
+//!    snapshot + WAL) byte-for-byte identical, including under injected
+//!    transient write faults that exercise the append retry/backoff path.
+//!
+//! The store-level tests follow the `WALRUS_SHARDS` CI matrix (default 4).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -18,7 +20,7 @@ use std::time::{Duration, Instant};
 use walrus_core::storage::{Fault, FaultIo, FaultKind, RetryIo};
 use walrus_core::{
     CancelToken, Deadline, DurableDatabase, Guard, ImageDatabase, Interrupt, ResultStatus,
-    RetryPolicy, TestClock, WalrusError, WalrusParams,
+    RetryPolicy, ShardedStore, TestClock, WalrusError, WalrusParams,
 };
 use walrus_imagery::{ColorSpace, Image};
 use walrus_wavelet::SlidingParams;
@@ -52,6 +54,15 @@ fn tile(seed: usize) -> Image {
         _ => 0.1 + hue / 2.0,
     })
     .unwrap()
+}
+
+/// Shard count under test: the `WALRUS_SHARDS` CI matrix, default 4.
+fn shard_count() -> usize {
+    std::env::var("WALRUS_SHARDS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&n| (1..=8).contains(&n))
+        .unwrap_or(4)
 }
 
 fn zero_delay_retry(max_attempts: u32) -> RetryPolicy {
@@ -200,42 +211,80 @@ fn deadline_partial_is_a_correctly_ranked_prefix() {
     }
 }
 
-#[test]
-fn cancelled_batch_ingest_leaves_snapshot_and_wal_bit_identical() {
+/// A batch ingest interrupted by `guard` — wherever in the batch the
+/// interrupt lands — must fail with `expected` and leave the store as it
+/// found it: every file of every shard byte-identical, no I/O performed at
+/// all, and the same images answering queries, also from other threads.
+fn assert_interrupted_batch_leaves_the_store_untouched(guard: Guard, expected: Interrupt) {
     let io = Arc::new(FaultIo::new());
-    let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params()).unwrap();
-    store.insert_image("pre", &tile(0)).unwrap();
+    let (store, _) = ShardedStore::open_with(io.clone(), "db", params(), shard_count()).unwrap();
+    for i in 0..6 {
+        store.insert_image(&format!("pre{i}"), &tile(i)).unwrap();
+    }
     store.checkpoint().unwrap();
-    store.insert_image("pre2", &tile(1)).unwrap();
-    let snapshot_before = io.file_bytes(Path::new("db/snapshot.walrus")).unwrap();
-    let wal_before = io.file_bytes(Path::new("db/wal.log")).unwrap();
+    // Past the checkpoint, so snapshots *and* logs hold committed state.
+    for i in 6..10 {
+        store.insert_image(&format!("pre{i}"), &tile(i)).unwrap();
+    }
+    let files = |io: &FaultIo| -> Vec<_> {
+        io.file_names().into_iter().map(|p| (p.clone(), io.file_bytes(&p).unwrap())).collect()
+    };
+    let files_before = files(&io);
+    assert!(files_before.iter().any(|(p, _)| p.ends_with("wal.log")));
     let ops_before = io.op_count();
+    let answer_before = store.query(&tile(0)).unwrap();
 
-    let token = CancelToken::new();
-    token.cancel();
-    let a = tile(5);
-    let b = tile(6);
-    match store.insert_images_batch_guarded(&[("a", &a), ("b", &b)], &Guard::with_token(token)) {
-        Err(WalrusError::Cancelled) => {}
-        other => panic!("expected Cancelled, got {other:?}"),
+    let batch: Vec<(String, walrus_imagery::Image)> =
+        (20..28).map(|i| (format!("new{i}"), tile(i))).collect();
+    let items: Vec<(&str, &walrus_imagery::Image)> =
+        batch.iter().map(|(n, i)| (n.as_str(), i)).collect();
+    match (store.insert_images_batch_guarded(&items, &guard), expected) {
+        (Err(WalrusError::Cancelled), Interrupt::Cancelled) => {}
+        (Err(WalrusError::DeadlineExceeded), Interrupt::DeadlineExceeded) => {}
+        (other, _) => panic!("expected {expected:?}, got {other:?}"),
     }
 
-    assert_eq!(
-        io.file_bytes(Path::new("db/snapshot.walrus")).unwrap(),
-        snapshot_before,
-        "cancelled batch must not touch the snapshot"
-    );
-    assert_eq!(
-        io.file_bytes(Path::new("db/wal.log")).unwrap(),
-        wal_before,
-        "cancelled batch must not append to the WAL"
-    );
-    assert_eq!(io.op_count(), ops_before, "cancelled batch must not perform any IO at all");
-    assert_eq!(store.len(), 2);
+    assert_eq!(io.op_count(), ops_before, "an interrupted batch must not perform any IO at all");
+    assert_eq!(files(&io), files_before, "an interrupted batch must not touch any shard's files");
+    assert_eq!(store.len(), 10);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let out = store.query_guarded(&tile(0), &Guard::none()).unwrap();
+                assert_eq!(out.status, ResultStatus::Complete);
+                assert_eq!(out.stats, answer_before.stats);
+            });
+        }
+    });
 
-    // The store is still fully usable afterwards.
-    store.insert_image("post", &tile(7)).unwrap();
-    assert_eq!(store.len(), 3);
+    // The store is still fully usable afterwards, and the ids the aborted
+    // batch would have taken were never handed out.
+    assert_eq!(store.insert_image("post", &tile(7)).unwrap(), 10);
+    assert_eq!(store.len(), 11);
+}
+
+#[test]
+fn cancelled_batch_ingest_leaves_snapshot_and_wal_bit_identical() {
+    // Cancelled before it starts.
+    let token = CancelToken::new();
+    token.cancel();
+    assert_interrupted_batch_leaves_the_store_untouched(
+        Guard::with_token(token),
+        Interrupt::Cancelled,
+    );
+}
+
+#[test]
+fn cancelled_shared_batch_ingest_is_all_or_nothing() {
+    // Interrupted part-way through extraction (the trip counts guard polls,
+    // which the extraction workers share, and the eight images poll at
+    // least once each): still nothing of the batch may land.
+    for (polls, interrupt) in [(2, Interrupt::Cancelled), (6, Interrupt::DeadlineExceeded)] {
+        assert_interrupted_batch_leaves_the_store_untouched(
+            Guard::none().trip_after(polls, interrupt),
+            interrupt,
+        );
+    }
 }
 
 #[test]
@@ -322,25 +371,6 @@ fn wal_record_budget_blocks_oversized_appends() {
     }
     assert_eq!(io.file_bytes(Path::new("db/wal.log")), wal_before, "nothing may reach the log");
     assert!(store.is_empty());
-}
-
-#[test]
-fn cancelled_shared_batch_ingest_is_all_or_nothing() {
-    let mut base = ImageDatabase::new(params()).unwrap();
-    base.insert_image("pre", &tile(0)).unwrap();
-    let shared = walrus_core::database::SharedDatabase::new(base);
-    let token = CancelToken::new();
-    token.cancel();
-    let a = tile(5);
-    let b = tile(6);
-    match shared.insert_images_batch_guarded(&[("a", &a), ("b", &b)], &Guard::with_token(token)) {
-        Err(WalrusError::Cancelled) => {}
-        other => panic!("expected Cancelled, got {other:?}"),
-    }
-    assert_eq!(shared.len(), 1);
-    // Concurrent queries still work after the aborted batch.
-    let out = shared.query_guarded(&tile(0), &Guard::none()).unwrap();
-    assert_eq!(out.status, ResultStatus::Complete);
 }
 
 #[test]

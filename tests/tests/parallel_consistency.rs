@@ -4,16 +4,16 @@
 //! the suite stays dependency-free) asserting that every parallel code
 //! path — window-grid extraction, batch ingest, query probing/scoring —
 //! produces results **bit-identical** to its serial counterpart for
-//! `threads ∈ {1, 2, 8}`, plus a concurrency smoke test hammering a
-//! shared database with batch inserts and queries from many threads.
+//! `threads ∈ {1, 2, 8}`, plus a concurrency smoke test hammering the
+//! durable store with batch inserts and queries from many threads. The
+//! store-level tests follow the `WALRUS_SHARDS` CI matrix (default 4).
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
-use walrus_core::database::SharedDatabase;
-use walrus_core::recovery::DurableDatabase;
 use walrus_core::storage::FaultIo;
 use walrus_core::{
-    extract_regions_with_threads, ImageDatabase, QueryOutcome, Region, WalrusParams,
+    extract_regions_with_threads, ImageDatabase, QueryOutcome, Region, ShardedStore, WalrusParams,
 };
 use walrus_imagery::synth::dataset::{
     flower_query_scenario, DatasetSpec, ImageClass, SyntheticDataset,
@@ -23,6 +23,15 @@ use walrus_wavelet::SlidingParams;
 
 /// Parallel thread counts compared against the serial (`threads = 1`) run.
 const PARALLEL_THREADS: [usize; 2] = [2, 8];
+
+/// Shard count under test: the `WALRUS_SHARDS` CI matrix, default 4.
+fn shard_count() -> usize {
+    std::env::var("WALRUS_SHARDS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&n| (1..=8).contains(&n))
+        .unwrap_or(4)
+}
 
 fn engine_params() -> WalrusParams {
     WalrusParams {
@@ -58,6 +67,7 @@ fn assert_regions_identical(serial: &[Region], parallel: &[Region], ctx: &str) {
 }
 
 fn assert_outcomes_identical(serial: &QueryOutcome, parallel: &QueryOutcome, ctx: &str) {
+    assert_eq!(serial.status, parallel.status, "{ctx}: status diverged");
     assert_eq!(serial.stats, parallel.stats, "{ctx}: query stats diverged");
     assert_eq!(serial.matches.len(), parallel.matches.len(), "{ctx}: match count diverged");
     for (a, b) in serial.matches.iter().zip(&parallel.matches) {
@@ -148,8 +158,8 @@ fn query_engine_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn durable_batch_ingest_matches_in_memory_batch() {
-    // The WAL-backed batch path (parallel extraction, per-image logging)
-    // must land the same state as the in-memory database.
+    // The WAL-backed batch path (parallel extraction, shard-parallel
+    // per-image logging) must land the same state as the in-memory database.
     let dataset = scene_dataset(0xD0B1, 1);
     let items: Vec<(&str, &Image)> =
         dataset.images.iter().map(|i| (i.name.as_str(), &i.image)).collect();
@@ -158,17 +168,16 @@ fn durable_batch_ingest_matches_in_memory_batch() {
     let mut reference = ImageDatabase::new(params).unwrap();
     let reference_ids = reference.insert_images_batch(&items).unwrap();
 
-    let io = std::sync::Arc::new(FaultIo::new());
-    let (mut durable, report) = DurableDatabase::open_with(io, "/walrus", params).unwrap();
-    assert_eq!(report.records_replayed, 0);
+    let io = Arc::new(FaultIo::new());
+    let (durable, _) = ShardedStore::open_with(io, "/walrus", params, shard_count()).unwrap();
     let durable_ids = durable.insert_images_batch(&items).unwrap();
     assert_eq!(durable_ids, reference_ids);
-    assert_eq!(durable.db().len(), reference.len());
-    assert_eq!(durable.db().num_regions(), reference.num_regions());
+    assert_eq!(durable.len(), reference.len());
+    assert_eq!(durable.num_regions(), reference.num_regions());
 
     let (query, _) = flower_query_scenario(0x53, 128, 96, 0).unwrap();
     let expected = reference.query(&query).unwrap();
-    let got = durable.db().query(&query).unwrap();
+    let got = durable.query(&query).unwrap();
     assert_outcomes_identical(&expected, &got, "durable batch");
 }
 
@@ -188,7 +197,9 @@ fn shared_database_survives_concurrent_batch_ingest_and_queries() {
     }
     let reference = serial.query(&query).unwrap();
 
-    let shared = SharedDatabase::new(ImageDatabase::new(params).unwrap());
+    let io = Arc::new(FaultIo::new());
+    let (shared, _) = ShardedStore::open_with(io, "/walrus", params, shard_count()).unwrap();
+    let shared = &shared;
     let chunks: Vec<Vec<(&str, &Image)>> = dataset
         .images
         .chunks(6)
@@ -198,14 +209,12 @@ fn shared_database_survives_concurrent_batch_ingest_and_queries() {
     std::thread::scope(|s| {
         let mut writers = Vec::new();
         for chunk in &chunks {
-            let shared = shared.clone();
             writers.push(s.spawn(move || {
                 let ids = shared.insert_images_batch(chunk).unwrap();
                 assert_eq!(ids.len(), chunk.len());
             }));
         }
         for _ in 0..3 {
-            let shared = shared.clone();
             let writers_done = &writers_done;
             let query = &query;
             s.spawn(move || loop {

@@ -1,10 +1,13 @@
 //! Cross-crate persistence tests: a populated database must round-trip
 //! through the binary format at dataset scale and keep answering queries
-//! identically, including after mutation cycles. A golden-header test pins
-//! the format so accidental changes fail loudly.
+//! identically, including after mutation cycles. A golden-header test and a
+//! hash of every byte a small store writes pin the formats, so accidental
+//! changes fail loudly; the generations before them are refused by name.
 
 use std::path::Path;
 use std::sync::Arc;
+use walrus_core::crc32::crc32;
+use walrus_core::recovery::{SNAPSHOT_FILE, WAL_FILE};
 use walrus_core::sharded::{shard_dir_name, shard_of};
 use walrus_core::storage::FaultIo;
 use walrus_core::wal::{self, WalOp};
@@ -93,31 +96,99 @@ fn mutate_save_load_cycles() {
 #[test]
 fn format_header_is_pinned() {
     // The first 12 bytes are magic + version; changing either must be a
-    // deliberate act (bump VERSION and extend `load`), so pin them here.
+    // deliberate act, so pin them here.
     let (db, _) = populated();
     let bytes = persist::save(&db);
     assert_eq!(&bytes[..8], b"WALRUSDB");
     assert_eq!(&bytes[8..12], &3u32.to_le_bytes());
-    // The legacy writers keep producing old-format images for compat tests.
-    let v2 = persist::save_v2(&db);
-    assert_eq!(&v2[..8], b"WALRUSDB");
-    assert_eq!(&v2[8..12], &2u32.to_le_bytes());
-    let v1 = persist::save_v1(&db);
-    assert_eq!(&v1[..8], b"WALRUSDB");
-    assert_eq!(&v1[8..12], &1u32.to_le_bytes());
 }
 
+/// FNV-1a 64 of a file's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Every byte the current writers produce, pinned: each file of one small
+/// fixed 2-shard store — three inserts, a remove, a checkpoint, one more
+/// insert — by length and hash. The constants were captured by running this
+/// very test at 9ca5030, the last commit that also read and wrote the older
+/// snapshot, WAL and manifest generations; dropping those moved no byte of
+/// the current ones.
 #[test]
-fn v1_images_still_load_identically() {
-    let (db, data) = populated();
-    let restored = persist::load(&persist::save_v1(&db)).unwrap();
-    assert_eq!(restored.len(), db.len());
-    assert_eq!(restored.num_regions(), db.num_regions());
-    let probe = &data.images[3];
-    let a = db.top_k(&probe.image, 5).unwrap();
-    let b = restored.top_k(&probe.image, 5).unwrap();
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.image_id, y.image_id);
+fn current_format_bytes_are_pinned() {
+    let data = dataset();
+    let io = Arc::new(FaultIo::new());
+    let (store, _) = ShardedStore::open_with(io.clone(), "db", params(), 2).unwrap();
+    for img in &data.images[..3] {
+        store.insert_image(&img.name, &img.image).unwrap();
+    }
+    store.remove_image(1).unwrap();
+    store.checkpoint().unwrap();
+    store.insert_image(&data.images[3].name, &data.images[3].image).unwrap();
+    drop(store);
+    let got: Vec<(String, usize, u64)> = io
+        .file_names()
+        .iter()
+        .map(|path| {
+            let bytes = io.file_bytes(path).unwrap();
+            (path.display().to_string(), bytes.len(), fnv1a(&bytes))
+        })
+        .collect();
+    let want = [
+        ("db/MANIFEST", 41, 0xa35c4bb4f7d0fb63),
+        ("db/shard-000/snapshot.walrus", 19692, 0x5cf8aa2209329be2),
+        ("db/shard-000/wal.log", 12, 0x8e8f2eea9dd76dca),
+        ("db/shard-001/snapshot.walrus", 16876, 0x17fea89d3a6f6fcd),
+        ("db/shard-001/wal.log", 17465, 0xa9b65d90c2d94fb5),
+    ];
+    assert_eq!(got, want.map(|(path, len, hash)| (path.to_string(), len, hash)));
+}
+
+/// A shard whose snapshot or log says it is an older format generation —
+/// hand-relabelled here, checksums re-sealed; no writer of those is kept —
+/// is refused as `Corrupt` "unsupported version" like any unknown number,
+/// and costs the store that shard only: it is quarantined, the others serve.
+#[test]
+fn older_format_versions_quarantine_their_shard_only() {
+    let data = dataset();
+    let victim = shard_of(0, 3);
+    let relabel = |bytes: &mut Vec<u8>, version: u32, sealed: bool| {
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        if sealed {
+            let end = bytes.len() - 4;
+            let crc = crc32(&bytes[..end]);
+            bytes[end..].copy_from_slice(&crc.to_le_bytes());
+        }
+    };
+    for (file, version) in [(SNAPSHOT_FILE, 1), (SNAPSHOT_FILE, 2), (WAL_FILE, 1)] {
+        let io = Arc::new(FaultIo::new());
+        let (store, _) = ShardedStore::open_with(io.clone(), "store", params(), 3).unwrap();
+        for img in &data.images[..9] {
+            store.insert_image(&img.name, &img.image).unwrap();
+        }
+        if file == SNAPSHOT_FILE {
+            store.checkpoint().unwrap();
+        }
+        drop(store);
+        let path = Path::new("store").join(shard_dir_name(victim)).join(file);
+        let mut bytes = io.file_bytes(&path).unwrap();
+        relabel(&mut bytes, version, file == SNAPSHOT_FILE);
+        io.write(&path, &bytes).unwrap();
+        io.fsync(&path).unwrap();
+
+        let (store, recoveries) = ShardedStore::open_with(io, "store", params(), 0).unwrap();
+        for r in &recoveries {
+            assert_eq!(r.error.is_some(), r.shard == victim, "{file} v{version}: {r:?}");
+        }
+        let error = recoveries[victim].error.as_deref().unwrap();
+        assert!(
+            error.contains("corrupt") && error.contains(&format!("unsupported version {version}")),
+            "{file} v{version}: {error}"
+        );
+        assert_eq!(store.quarantined_shards(), vec![victim]);
+        let out = store.query(&data.images[0].image).unwrap();
+        assert_eq!(out.status, ResultStatus::Degraded { shards_unavailable: vec![victim] });
+        assert!(!out.matches.is_empty());
     }
 }
 
@@ -125,7 +196,7 @@ fn v1_images_still_load_identically() {
 fn fuzzy_corruption_never_panics() {
     let (db, _) = populated();
     let good = persist::save(&db);
-    // Flip one byte at a spread of positions: the v2 checksums must reject
+    // Flip one byte at a spread of positions: the checksums must reject
     // every flip — and in particular must never panic.
     let mut positions: Vec<usize> = (0..good.len()).step_by(97).collect();
     positions.push(good.len() - 1);

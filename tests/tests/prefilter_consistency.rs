@@ -3,25 +3,21 @@
 //! The quantized 128-bit region signature is a *lossy* summary, so the only
 //! thing that makes it safe is the lower-bound guarantee: a popcount
 //! rejection must prove the exact test could not have matched. These tests
-//! pin that guarantee from three sides:
+//! pin that guarantee from two sides:
 //!
 //! 1. property tests: a random region/query pair rejected by the code can
 //!    never pass the exact centroid (L2) or bbox (rect) test;
 //! 2. seeded sweeps: rankings are bit-identical with the prefilter on and
-//!    off, across thread counts and shard counts;
-//! 3. persistence: a version-2 snapshot (no signature lanes) reopens with
-//!    signatures rebuilt from bounds and answers queries identically.
+//!    off, across thread counts and shard counts.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use walrus_core::bitmap::RegionBitmap;
-use walrus_core::recovery::{DurableDatabase, SNAPSHOT_FILE};
 use walrus_core::storage::FaultIo;
 use walrus_core::{
-    persist, Guard, ImageDatabase, QueryOutcome, Region, ShardedStore, StorageIo, TestClock,
-    TraceContext, WalrusParams,
+    Guard, ImageDatabase, QueryOutcome, Region, ShardedStore, TestClock, TraceContext,
+    WalrusParams,
 };
 use walrus_imagery::{ColorSpace, Image};
 use walrus_wavelet::sliding::l2_distance;
@@ -235,40 +231,4 @@ fn prefilter_counters_report_rejections_on_the_seeded_workload() {
         2 * exact_off >= 3 * exact_on,
         "prefilter cut exact tests only {exact_off} -> {exact_on}, below the 1.5x floor"
     );
-}
-
-// ---------------------------------------------------------------------------
-// 3. Persistence: v2 snapshots reopen with signatures rebuilt.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn v2_snapshot_reopens_with_signatures_rebuilt_and_identical_rankings() {
-    let items = seeded_items();
-    let refs: Vec<(&str, &Image)> = items.iter().map(|(n, i)| (n.as_str(), i)).collect();
-    let p = params(Some(true), 1);
-
-    let io = Arc::new(FaultIo::new());
-    let (mut original, _) = DurableDatabase::open_with(io.clone(), "a", p).unwrap();
-    original.insert_images_batch(&refs).unwrap();
-    let reference = original.db().query(&seeded_image(0)).unwrap();
-    assert!(!reference.matches.is_empty());
-
-    // Re-encode the database as a version-2 snapshot — the pre-signature
-    // format — and open a fresh store from it.
-    let v2_bytes = persist::save_v2(original.db());
-    let dir = PathBuf::from("b");
-    io.create_dir_all(&dir).unwrap();
-    io.write(&dir.join(SNAPSHOT_FILE), &v2_bytes).unwrap();
-    let (reopened, report) = DurableDatabase::open_with(io.clone(), "b", p).unwrap();
-    assert!(report.snapshot_loaded, "the v2 snapshot must load");
-
-    // Rebuilt signatures are byte-identical to the originally derived ones:
-    // saving both stores in the current format produces the same bytes.
-    assert_eq!(
-        persist::save(reopened.db()),
-        persist::save(original.db()),
-        "signatures rebuilt from a v2 snapshot diverged from the originals"
-    );
-    let got = reopened.db().query(&seeded_image(0)).unwrap();
-    assert_outcomes_identical(&reference, &got, "v2 reopen");
 }

@@ -14,7 +14,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use walrus_core::{DurableDatabase, SharedDurableDatabase, SlidingParams, WalrusParams};
+use walrus_core::{ShardedStore, SlidingParams, WalrusParams};
 use walrus_imagery::ppm::write_ppm;
 use walrus_imagery::{ColorSpace, Image};
 use walrus_server::{Client, Server, ServerConfig, ServerHandle};
@@ -45,7 +45,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 fn start(tag: &str, reactor: bool) -> (ServerHandle, SocketAddr, PathBuf) {
     let dir = tmp_dir(tag);
-    let (store, _) = DurableDatabase::open(&dir, test_params()).unwrap();
+    let (store, _) = ShardedStore::open(&dir, test_params(), 1).unwrap();
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
@@ -56,7 +56,7 @@ fn start(tag: &str, reactor: bool) -> (ServerHandle, SocketAddr, PathBuf) {
         reactor,
         ..ServerConfig::default()
     };
-    let handle = Server::start(config, SharedDurableDatabase::new(store)).unwrap();
+    let handle = Server::start(config, store).unwrap();
     let addr = handle.addr();
     (handle, addr, dir)
 }
@@ -250,9 +250,10 @@ fn reactor_drains_idle_connections_and_checkpoints_on_shutdown() {
         started.elapsed()
     );
     // The final checkpoint happened: recovery has nothing to replay.
-    let (recovered, report) = DurableDatabase::open(&dir, test_params()).unwrap();
+    let (recovered, shards) = ShardedStore::open(&dir, test_params(), 0).unwrap();
     assert_eq!(recovered.len(), 1);
-    assert_eq!(report.records_replayed, 0, "shutdown checkpoint missing");
+    let replayed: usize = shards.iter().map(|s| s.report.unwrap().records_replayed).sum();
+    assert_eq!(replayed, 0, "shutdown checkpoint missing");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,9 +14,6 @@
 //!    typed [`WalrusError::Rebalancing`], and progress is visible through
 //!    `rebalance_status`. Releasing the gate commits; the new layout serves
 //!    the same answers and survives a reopen.
-//! 3. **Mixed snapshot versions** — a store whose shards hold a mix of v2
-//!    and v3 snapshot envelopes reopens bit-identically, rebalances to a
-//!    uniform target layout, and scrubs clean.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -24,8 +21,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use walrus_core::persist;
-use walrus_core::recovery::SNAPSHOT_FILE;
 use walrus_core::sharded::{read_manifest, shard_dir_name_at};
 use walrus_core::storage::{Fault, FaultIo, FaultKind, ALL_CRASH_MODES};
 use walrus_core::{
@@ -412,60 +407,4 @@ fn queries_serve_the_source_layout_while_the_migration_runs() {
     assert_eq!(store.image_meta(id).unwrap().unwrap().name, "after-commit");
     let outcome = store.query(&query).unwrap();
     assert_outcomes_identical(&with_insert, &outcome, "post-reopen query");
-}
-
-// ---------------------------------------------------------------------------
-// 3. Mixed snapshot versions: v2 + v3 shards reopen and rebalance.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn mixed_version_shard_snapshots_reopen_and_rebalance() {
-    const FROM: usize = 4;
-    const TO: usize = 8;
-    let fx = Fixtures::new();
-    let query = scene(0.15);
-    let io = Arc::new(FaultIo::new());
-    let (store, _) = ShardedStore::open_with(io.clone(), "db", sweep_params(), FROM).unwrap();
-    apply_workload(&fx, &store);
-    let reference = store.query(&query).unwrap();
-    assert!(!reference.matches.is_empty(), "the scenario matched nothing");
-    // Fold the WALs so the rewritten snapshots carry the whole state.
-    store.checkpoint().unwrap();
-    drop(store);
-
-    // Downgrade half the shards to v2 snapshot envelopes (no persisted
-    // signatures, no covered LSN) — the layout a pre-upgrade node left.
-    for shard in [0usize, 2] {
-        let snap = Path::new("db").join(shard_dir_name_at(0, shard)).join(SNAPSHOT_FILE);
-        let (db, _) = persist::load_from_file_with(&*io, &snap).unwrap();
-        persist::atomic_write_bytes(&*io, &snap, &persist::save_v2(&db)).unwrap();
-    }
-
-    // The mixed store reopens healthy and answers the exact same bits
-    // (signatures are recomputed deterministically for the v2 shards).
-    let (store, recoveries) =
-        ShardedStore::open_with(io.clone(), "db", sweep_params(), 0).unwrap();
-    assert!(recoveries.iter().all(|r| r.error.is_none()), "{recoveries:?}");
-    let outcome = store.query(&query).unwrap();
-    assert_outcomes_identical(&reference, &outcome, "mixed-version reopen");
-
-    // Rebalancing the mixed store writes a uniform all-v3 target layout.
-    let report = store.rebalance(TO).unwrap();
-    assert_eq!((report.from_shards, report.to_shards, report.epoch), (FROM, TO, 1));
-    let outcome = store.query(&query).unwrap();
-    assert_outcomes_identical(&reference, &outcome, "mixed-version post-rebalance");
-    drop(store);
-
-    let (store, recoveries) =
-        ShardedStore::open_with(io.clone(), "db", sweep_params(), 0).unwrap();
-    assert!(recoveries.iter().all(|r| r.error.is_none()), "{recoveries:?}");
-    assert_eq!(store.shard_count(), TO);
-    let outcome = store.query(&query).unwrap();
-    assert_outcomes_identical(&reference, &outcome, "mixed-version post-rebalance reopen");
-    drop(store);
-    let verdicts = scrub_store(&*io, Path::new("db"), None).unwrap();
-    assert_eq!(verdicts.len(), TO);
-    for v in &verdicts {
-        assert!(v.scrub.clean(), "shard {} failed scrub: {:?}", v.shard, v.scrub);
-    }
 }

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use walrus_core::{
-    DurableDatabase, Guard, ImageDatabase, QueryOptions, ResultStatus, SharedDurableDatabase,
-    SlidingParams, TestClock, WalrusParams,
+    Guard, ImageDatabase, QueryOptions, ResultStatus, ShardedStore, SlidingParams, TestClock,
+    WalrusParams,
 };
 use walrus_imagery::ppm::{parse_netpbm, write_ppm};
 use walrus_imagery::{ColorSpace, Image};
@@ -95,8 +95,10 @@ fn http_answers_are_bit_identical_to_in_process_and_survive_recovery() {
         assert_eq!(id, i);
     }
 
-    // Live server over a fresh durable store.
-    let (store, _) = DurableDatabase::open(&dir, test_params()).unwrap();
+    // Live server over a fresh durable store — the one a command creates
+    // when nobody asks for a shard count.
+    let (store, _) = ShardedStore::open(&dir, test_params(), 0).unwrap();
+    assert_eq!(store.shard_count(), 1);
     // Thread-per-connection: a keep-alive connection holds its worker while
     // open, so the pool must cover every concurrent connection this test
     // makes (1 ingest client + QUERY_THREADS query clients) regardless of
@@ -108,7 +110,7 @@ fn http_answers_are_bit_identical_to_in_process_and_survive_recovery() {
         drain_timeout: Duration::from_secs(10),
         ..ServerConfig::default()
     };
-    let handle = Server::start(config, SharedDurableDatabase::new(store)).unwrap();
+    let handle = Server::start(config, store).unwrap();
     let addr = handle.addr();
 
     // Sequential HTTP ingest pins the id order to the reference's.
@@ -176,12 +178,10 @@ fn http_answers_are_bit_identical_to_in_process_and_survive_recovery() {
     // Graceful shutdown, then recover the store from disk: the reopened
     // database must serve the same answers the HTTP path served.
     handle.shutdown().unwrap();
-    let (recovered, report) = DurableDatabase::open(&dir, test_params()).unwrap();
+    let (recovered, shards) = ShardedStore::open(&dir, test_params(), 0).unwrap();
     assert_eq!(recovered.len(), NUM_IMAGES);
-    assert_eq!(
-        report.records_replayed, 0,
-        "shutdown checkpoint should leave nothing to replay"
-    );
+    let replayed: usize = shards.iter().map(|s| s.report.unwrap().records_replayed).sum();
+    assert_eq!(replayed, 0, "shutdown checkpoint should leave nothing to replay");
     for (which, bytes) in images.iter().enumerate() {
         let query = parse_netpbm(bytes).unwrap();
         let opts = QueryOptions { k: Some(NUM_IMAGES), ..QueryOptions::default() };
@@ -206,14 +206,14 @@ fn server_timing_runs_on_the_injected_clock() {
     // wall-clock timing coverage lives in the tests above, which run on
     // the default monotonic clock.)
     let dir = tmp_dir("testclock");
-    let (store, _) = DurableDatabase::open(&dir, test_params()).unwrap();
+    let (store, _) = ShardedStore::open(&dir, test_params(), 1).unwrap();
     let clock = TestClock::new();
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         clock: clock.clone(),
         ..ServerConfig::default()
     };
-    let handle = Server::start(config, SharedDurableDatabase::new(store)).unwrap();
+    let handle = Server::start(config, store).unwrap();
     let addr = handle.addr();
     let mut client = Client::connect(addr).unwrap();
 
@@ -241,14 +241,14 @@ fn overload_sheds_with_503_not_collapse() {
     // every one either gets served or gets an explicit 503 — and that the
     // server still works afterwards.
     let dir = tmp_dir("overload");
-    let (store, _) = DurableDatabase::open(&dir, test_params()).unwrap();
+    let (store, _) = ShardedStore::open(&dir, test_params(), 1).unwrap();
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 1,
         queue_depth: 1,
         ..ServerConfig::default()
     };
-    let handle = Server::start(config, SharedDurableDatabase::new(store)).unwrap();
+    let handle = Server::start(config, store).unwrap();
     let addr = handle.addr();
 
     let mut workers = Vec::new();

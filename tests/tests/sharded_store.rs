@@ -3,8 +3,8 @@
 //!
 //! 1. **Bit-identity** — scatter-gather answers over 1, 4, and
 //!    `WALRUS_SHARDS` shards are bit-identical (ids, names, similarity
-//!    bits, stats, status) to the monolithic in-memory engine, before and
-//!    after a reopen.
+//!    bits, stats, status) to the in-memory `ImageDatabase` oracle, before
+//!    and after a reopen — whole-image queries and user-specified scenes.
 //! 2. **Multi-shard fault sweep** — `Error` / `ShortWrite` injected at
 //!    *every* I/O operation index of *every* shard of a mixed
 //!    insert/remove/checkpoint workload, under every [`CrashMode`]: the
@@ -33,12 +33,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use walrus_core::recovery::WAL_FILE;
+use walrus_core::scene_query::SceneRect;
 use walrus_core::sharded::{shard_dir_name, shard_of};
 use walrus_core::storage::{Fault, FaultIo, FaultKind, ALL_CRASH_MODES};
 use walrus_core::wal::WAL_HEADER_LEN;
 use walrus_core::{
-    extract_regions, DurableDatabase, ImageDatabase, QueryOutcome, Region, Result, ResultStatus, ShardedStore,
-    StorageIo, WalrusError, WalrusParams,
+    extract_regions, DurableDatabase, Guard, ImageDatabase, QueryOptions, QueryOutcome, Region,
+    Result, ResultStatus, ShardedStore, StorageIo, WalrusError, WalrusParams,
 };
 use walrus_imagery::ppm::write_ppm;
 use walrus_imagery::synth::dataset::{
@@ -172,9 +173,82 @@ fn sharded_answers_are_bit_identical_to_monolithic() {
     }
 }
 
+/// The paper's title feature on the store `serve` runs: a query by a marked
+/// scene answers, on a store of `WALRUS_SHARDS` shards and at
+/// `WALRUS_THREADS` workers, exactly what `ImageDatabase::query_scene`
+/// answers over the same images; is refused for the same rectangles and
+/// coverages with the same words; and degrades the same way under a
+/// deadline.
+#[test]
+fn scene_queries_on_the_store_match_the_in_memory_engine() {
+    let params = engine_params();
+    let dataset = SyntheticDataset::generate(DatasetSpec {
+        images_per_class: 1,
+        width: 128,
+        height: 96,
+        seed: 0x5AD5,
+        classes: ImageClass::ALL.to_vec(),
+    })
+    .unwrap();
+    let items: Vec<(&str, &Image)> =
+        dataset.images.iter().map(|i| (i.name.as_str(), &i.image)).collect();
+    let mut mono = ImageDatabase::new(params).unwrap();
+    mono.insert_images_batch(&items).unwrap();
+    let io = Arc::new(FaultIo::new());
+    let (store, _) = ShardedStore::open_with(io, "db", params, shard_count()).unwrap();
+    store.insert_images_batch(&items).unwrap();
+
+    let (query, _) = flower_query_scenario(0x53, 128, 96, 0).unwrap();
+    let on_store = |scene: SceneRect, min_coverage: f64, guard: &Guard| {
+        let opts = QueryOptions {
+            scene: Some(scene),
+            min_similarity: Some(min_coverage),
+            ..QueryOptions::default()
+        };
+        store.query_with_options_guarded(&query, &opts, guard)
+    };
+    let scenes = [
+        SceneRect { x: 16, y: 16, width: 64, height: 48 },
+        SceneRect { x: 72, y: 40, width: 32, height: 32 },
+        SceneRect::full(&query),
+    ];
+    let mut matched = 0;
+    for scene in scenes {
+        for min_coverage in [0.0, 0.3, 1.0] {
+            let want = mono.query_scene(&query, scene, min_coverage).unwrap();
+            let got = on_store(scene, min_coverage, &Guard::none()).unwrap();
+            assert_outcomes_identical(&want, &got, &format!("{scene:?} at {min_coverage}"));
+            matched += got.matches.len();
+        }
+    }
+    assert!(matched > 0, "no scene matched anything — the scenario is vacuous");
+
+    let refused = [
+        (SceneRect { x: 0, y: 0, width: 0, height: 10 }, 0.5),
+        (SceneRect { x: 100, y: 0, width: 64, height: 32 }, 0.5),
+        (SceneRect { x: 0, y: 0, width: 4, height: 4 }, 0.5),
+        (SceneRect::full(&query), 1.5),
+        (SceneRect::full(&query), -0.1),
+        (SceneRect::full(&query), f64::NAN),
+    ];
+    for (scene, min_coverage) in refused {
+        let want = mono.query_scene(&query, scene, min_coverage).unwrap_err();
+        let got = on_store(scene, min_coverage, &Guard::none()).unwrap_err();
+        assert!(matches!(got, WalrusError::BadParams(_)), "{scene:?} at {min_coverage}: {got}");
+        assert_eq!(got.to_string(), want.to_string());
+    }
+
+    // A deadline that expires during the scene's extraction: an empty
+    // partial answer, not an error.
+    let out = on_store(scenes[0], 0.0, &Guard::with_timeout(Duration::ZERO)).unwrap();
+    assert_eq!(out.status, ResultStatus::Partial);
+    assert!(out.matches.is_empty());
+    assert_eq!(out.stats.query_regions, 0);
+}
+
 /// The three runtime-only knobs (`threads`, `budgets`, `prefilter`) are not
 /// in a snapshot, so a reopen must take them from its caller — on the
-/// monolithic store, on every shard, after `recover_shard` and after a
+/// single durable shard, on every shard of a store, after `recover_shard` and after a
 /// rebalance — while the persisted parameters still win.
 #[test]
 fn reopen_keeps_the_callers_runtime_knobs() {
@@ -200,7 +274,7 @@ fn reopen_keeps_the_callers_runtime_knobs() {
         other => panic!("{ctx}: expected BudgetExceeded, got {other:?}"),
     };
 
-    // Monolithic: create → checkpoint → reopen.
+    // One shard on its own: create → checkpoint → reopen.
     let io = Arc::new(FaultIo::new());
     let (mut mono, _) = DurableDatabase::open_with(io.clone(), "mono", created).unwrap();
     mono.insert_image("a", &scene(0.1)).unwrap();
@@ -208,10 +282,10 @@ fn reopen_keeps_the_callers_runtime_knobs() {
     drop(mono);
     let (mono, report) = DurableDatabase::open_with(io, "mono", reopened).unwrap();
     assert!(report.snapshot_loaded);
-    assert_knobs(*mono.db().params(), "monolithic");
-    assert_refuses_oversized(mono.query(&scene(0.1)), "monolithic");
+    assert_knobs(*mono.db().params(), "one shard");
+    assert_refuses_oversized(mono.db().query(&scene(0.1)), "one shard");
 
-    // Sharded: the same, then repair one shard in place and rebalance.
+    // The store: the same, then repair one shard in place and rebalance.
     let shards = shard_count();
     let io = Arc::new(FaultIo::new());
     let (store, _) = ShardedStore::open_with(io.clone(), "db", created, shards).unwrap();
