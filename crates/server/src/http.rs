@@ -112,6 +112,11 @@ pub struct ReadOpts<'a> {
     /// stops waiting (idle connections close, half-received requests get
     /// `503`), which is what lets graceful shutdown drain quickly.
     pub stopping: &'a dyn Fn() -> bool,
+    /// Checked on a read tick of an *idle* connection (empty buffer): when
+    /// it returns true — other connections are queued for a worker — the
+    /// connection closes exactly as if `idle_timeout` had expired, handing
+    /// its worker back. A half-received request is never dropped by this.
+    pub others_waiting: &'a dyn Fn() -> bool,
     /// Time source for the idle/read deadlines. Wall-clock ticks still come
     /// from the socket's poll timeout; this clock only decides whether a
     /// budget has elapsed, so tests can expire reads deterministically by
@@ -132,10 +137,8 @@ enum Fill {
 /// Outcome of one [`parse_request_bytes`] attempt over a byte buffer.
 ///
 /// This is the *pure* core of the parser: no IO, no clock, no state beyond
-/// the bytes themselves. The blocking [`Conn`] and the event-driven reactor
-/// backend both call it in a loop as bytes arrive, so a request is parsed
-/// identically — byte for byte, error message for error message — whichever
-/// serving core received it.
+/// the bytes themselves. [`Conn::read_request`] calls it in a loop as bytes
+/// arrive, and benchmarks can time it without a socket.
 #[derive(Debug)]
 pub enum ParseStep {
     /// A complete request; `consumed` bytes of the buffer belong to it
@@ -313,9 +316,7 @@ impl<S: Read + Write> Conn<S> {
     /// Reads and parses the next request, enforcing `limits` and the pacing
     /// in `opts`. On `Err(Bad { .. })` the caller should answer and close.
     ///
-    /// This is a thin IO/pacing loop around [`parse_request_bytes`]; the
-    /// reactor backend wraps the same function with epoll-driven fills, so
-    /// both serving cores share one parser.
+    /// This is a thin IO/pacing loop around [`parse_request_bytes`].
     pub fn read_request(
         &mut self,
         limits: &HttpLimits,
@@ -355,7 +356,7 @@ impl<S: Read + Write> Conn<S> {
                         };
                     }
                     if self.buf.is_empty() {
-                        if elapsed() >= opts.idle_timeout {
+                        if (opts.others_waiting)() || elapsed() >= opts.idle_timeout {
                             return Err(ParseError::Closed);
                         }
                     } else if elapsed() >= opts.read_timeout {
@@ -444,8 +445,7 @@ fn percent_decode(s: &str) -> String {
 }
 
 /// Serializes a response to wire bytes (status line, framing headers,
-/// body). Shared by the blocking [`Conn`] writer and the reactor's
-/// buffered write path so the bytes on the wire are identical.
+/// body).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
@@ -569,6 +569,7 @@ mod tests {
             idle_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_secs(5),
             stopping: &|| false,
+            others_waiting: &|| false,
             clock: &walrus_trace::MonotonicClock,
         }
     }
@@ -736,50 +737,63 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slowloris_hits_408_on_the_injected_clock() {
+    /// Reads one request from `chunks` followed by endless ticks of `tick`
+    /// each, under a 30 s idle / 5 s read budget; returns the outcome and
+    /// how far the injected clock had to move to produce it.
+    fn read_ticking(
+        chunks: &[&[u8]],
+        tick: Duration,
+        others_waiting: bool,
+    ) -> (Result<Request, ParseError>, Duration) {
         let clock = walrus_trace::TestClock::new();
         let stream = TickingStream {
-            chunks: [b"GET / HT".to_vec()].into(),
+            chunks: chunks.iter().map(|c| c.to_vec()).collect(),
             clock: clock.clone(),
-            tick: Duration::from_secs(1),
+            tick,
         };
         let opts = ReadOpts {
             idle_timeout: Duration::from_secs(30),
             read_timeout: Duration::from_secs(5),
             stopping: &|| false,
+            others_waiting: &|| others_waiting,
             clock: clock.as_ref(),
         };
-        let err = Conn::new(stream).read_request(&HttpLimits::default(), &opts);
+        (Conn::new(stream).read_request(&HttpLimits::default(), &opts), clock.elapsed())
+    }
+
+    #[test]
+    fn slowloris_hits_408_on_the_injected_clock() {
+        let (err, waited) = read_ticking(&[b"GET / HT"], Duration::from_secs(1), false);
         assert!(matches!(err, Err(ParseError::Bad { status: 408, .. })), "{err:?}");
         // The deadline fired exactly when the test clock crossed it —
         // 5 scripted ticks — not after any wall-clock delay.
-        assert_eq!(clock.elapsed(), Duration::from_secs(5));
+        assert_eq!(waited, Duration::from_secs(5));
     }
 
     #[test]
     fn idle_connection_closes_on_the_injected_clock() {
-        let clock = walrus_trace::TestClock::new();
-        let stream = TickingStream {
-            chunks: [].into(),
-            clock: clock.clone(),
-            tick: Duration::from_secs(2),
-        };
-        let opts = ReadOpts {
-            idle_timeout: Duration::from_secs(10),
-            read_timeout: Duration::from_secs(5),
-            stopping: &|| false,
-            clock: clock.as_ref(),
-        };
-        let err = Conn::new(stream).read_request(&HttpLimits::default(), &opts);
+        let (err, waited) = read_ticking(&[], Duration::from_secs(2), false);
         assert!(matches!(err, Err(ParseError::Closed)), "{err:?}");
-        assert_eq!(clock.elapsed(), Duration::from_secs(10));
+        assert_eq!(waited, Duration::from_secs(30));
+    }
+
+    /// With other connections queued for a worker, an idle connection
+    /// closes on its first tick — long before `idle_timeout` — while a
+    /// half-received request keeps its full `read_timeout`.
+    #[test]
+    fn idle_connection_yields_its_worker_but_a_partial_request_does_not() {
+        let (idle, waited) = read_ticking(&[], Duration::from_secs(1), true);
+        assert!(matches!(idle, Err(ParseError::Closed)), "{idle:?}");
+        assert_eq!(waited, Duration::from_secs(1));
+        let (partial, waited) = read_ticking(&[b"GET / HT"], Duration::from_secs(1), true);
+        assert!(matches!(partial, Err(ParseError::Bad { status: 408, .. })), "{partial:?}");
+        assert_eq!(waited, Duration::from_secs(5));
     }
 
     /// The pure parser must be restartable: feeding any prefix of a valid
     /// request reports `Incomplete` (never a spurious reject), with the
     /// head/body phase flag flipping exactly at the head terminator — the
-    /// contract the reactor's byte-at-a-time arrivals rely on.
+    /// contract byte-at-a-time arrivals rely on.
     #[test]
     fn incremental_parse_is_restartable() {
         let full: &[u8] = b"POST /ingest?name=x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";

@@ -13,20 +13,16 @@
 //!   `timeout_ms`/budget knobs into the same [`Guard`]/[`QueryOptions`]
 //!   machinery in-process callers use, so HTTP answers are bit-identical to
 //!   library answers (deadline-partial `206`s included);
-//! * [`metrics`] — lock-light counters and latency percentile rings behind
+//! * [`metrics`] — lock-free counters and latency histograms behind
 //!   `GET /metrics`;
 //! * [`cache`] — an LSN-invalidated query-result cache: repeat queries are
 //!   answered byte-identically from memory until the store's
 //!   [`content_stamp`](walrus_core::ShardedStore::content_stamp) moves;
 //! * [`server`] — the accept loop feeding a bounded
-//!   [`WorkerPool`](walrus_parallel::WorkerPool), explicit `503`
-//!   load-shedding, and graceful drain-then-cancel shutdown ending in a
-//!   final checkpoint;
-//! * [`reactor`] — the opt-in (`--reactor` / `WALRUS_REACTOR=1`)
-//!   epoll-driven connection backend: one event-loop thread multiplexes
-//!   every socket through nonblocking state machines, so 10k idle
-//!   keep-alive connections cost file descriptors instead of threads,
-//!   while CPU-bound requests still dispatch to the same pool;
+//!   [`WorkerPool`](walrus_parallel::WorkerPool) one connection per job
+//!   (an idle keep-alive connection hands its worker back when others are
+//!   queued), explicit `503` load-shedding, and graceful drain-then-cancel
+//!   shutdown ending in a final checkpoint;
 //! * [`client`] — a tiny blocking client used by the e2e tests.
 //!
 //! [`Guard`]: walrus_core::Guard
@@ -51,7 +47,6 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod metrics;
-pub mod reactor;
 pub mod router;
 pub mod server;
 

@@ -1,19 +1,19 @@
-//! Plain-text service counters, latency rings, and per-stage histograms.
+//! Plain-text service counters and latency histograms.
 //!
 //! No external metrics stack exists in this environment, so the server keeps
-//! a small set of atomics plus fixed-size latency rings and renders them in
+//! a small set of atomics plus lock-free [`Histogram`]s and renders them in
 //! the Prometheus text-exposition style (`name value` lines) at
-//! `GET /metrics`. Percentiles are computed over the last
-//! [`LatencyRing::CAPACITY`] samples — a sliding window, which is what an
-//! operator watching a live service wants, and bounded memory, which is what
-//! a hostile client demands.
+//! `GET /metrics`. Every latency, per request and per stage, is that one
+//! fixed-bucket type (DESIGN.md §12): recording is a few relaxed atomic
+//! adds, memory is constant, and a quantile is the upper bound of the
+//! power-of-two bucket holding the nearest-rank sample since start.
 //!
 //! Per-pipeline-stage timings come from the request [`TraceReport`]s: each
-//! traced request folds its stage durations into a fixed set of lock-free
-//! [`Histogram`]s (DESIGN.md §12), so `/metrics` can answer stage-level
-//! p50/p95/p99 without retaining per-request data. Every declared stage is
-//! rendered even before its first sample — scrapers can rely on the full set
-//! being present from the first scrape.
+//! traced request folds its stage durations into a fixed set of histograms,
+//! so `/metrics` can answer stage-level p50/p95/p99 without retaining
+//! per-request data. Every declared stage is rendered even before its first
+//! sample — scrapers can rely on the full set being present from the first
+//! scrape.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,61 +21,6 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use walrus_trace::{monotonic, Histogram, SharedClock, TraceReport};
-
-/// Fixed-capacity ring of recent latency samples (microseconds).
-#[derive(Debug, Default)]
-pub struct LatencyRing {
-    samples: Mutex<Ring>,
-}
-
-#[derive(Debug, Default)]
-struct Ring {
-    buf: Vec<u64>,
-    next: usize,
-}
-
-impl LatencyRing {
-    /// Samples kept per ring; old samples are overwritten.
-    pub const CAPACITY: usize = 1024;
-
-    /// Records one duration.
-    pub fn record(&self, elapsed: Duration) {
-        let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        let mut ring = self.samples.lock().expect("latency ring lock");
-        let next = ring.next;
-        if ring.buf.len() < Self::CAPACITY {
-            ring.buf.push(micros);
-        } else {
-            ring.buf[next] = micros;
-        }
-        ring.next = (next + 1) % Self::CAPACITY;
-    }
-
-    /// Number of samples currently held.
-    pub fn len(&self) -> usize {
-        self.samples.lock().expect("latency ring lock").buf.len()
-    }
-
-    /// True when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `p50/p95/p99` in microseconds over the window, or `None` when empty.
-    /// Uses the nearest-rank method on a sorted copy.
-    pub fn percentiles(&self) -> Option<[u64; 3]> {
-        let mut sorted = self.samples.lock().expect("latency ring lock").buf.clone();
-        if sorted.is_empty() {
-            return None;
-        }
-        sorted.sort_unstable();
-        let rank = |q: f64| -> u64 {
-            let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-            sorted[idx]
-        };
-        Some([rank(0.50), rank(0.95), rank(0.99)])
-    }
-}
 
 /// Pipeline stages with a dedicated duration histogram. Every name here is
 /// rendered in `/metrics` whether or not it has samples yet, so scrape-side
@@ -97,7 +42,7 @@ impl StageMetrics {
     /// Folds every stage duration of `report` into the matching histogram.
     /// Spans whose name is not in [`STAGE_NAMES`] (the `query`/`ingest`
     /// roots, future stages) are skipped — the roots are covered by the
-    /// request latency rings already.
+    /// request latency histograms already.
     pub fn record_report(&self, report: &TraceReport) {
         for (name, micros) in report.stage_durations_micros() {
             if let Some(i) = STAGE_NAMES.iter().position(|s| *s == name) {
@@ -113,13 +58,17 @@ impl StageMetrics {
 
     fn render_into(&self, out: &mut String) {
         for (name, h) in STAGE_NAMES.iter().zip(&self.histograms) {
-            let q = |p: f64| h.quantile_micros(p).unwrap_or(0);
             out.push_str(&format!("walrus_stage_{name}_count {}\n", h.count()));
             out.push_str(&format!("walrus_stage_{name}_sum_us {}\n", h.sum_micros()));
-            out.push_str(&format!("walrus_stage_{name}_p50_us {}\n", q(0.50)));
-            out.push_str(&format!("walrus_stage_{name}_p95_us {}\n", q(0.95)));
-            out.push_str(&format!("walrus_stage_{name}_p99_us {}\n", q(0.99)));
+            push_quantiles(out, &format!("walrus_stage_{name}"), h);
         }
+    }
+}
+
+/// `{prefix}_p50_us`/`_p95_us`/`_p99_us` lines of `h` (0 while empty).
+fn push_quantiles(out: &mut String, prefix: &str, h: &Histogram) {
+    for (label, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+        out.push_str(&format!("{prefix}_{label}_us {}\n", h.quantile_micros(q).unwrap_or(0)));
     }
 }
 
@@ -189,7 +138,7 @@ impl Drop for InFlight<'_> {
 }
 
 /// All counters the server exposes. One instance per server, shared across
-/// workers; everything is lock-free except the latency rings.
+/// workers; everything is lock-free.
 #[derive(Debug)]
 pub struct Metrics {
     clock: SharedClock,
@@ -232,9 +181,9 @@ pub struct Metrics {
     pub cache_misses_total: AtomicU64,
     pub cache_evictions_total: AtomicU64,
     pub cache_invalidations_total: AtomicU64,
-    /// Query / ingest handler latency windows.
-    pub query_latency: LatencyRing,
-    pub ingest_latency: LatencyRing,
+    /// Query / ingest handler latencies.
+    pub query_latency: Histogram,
+    pub ingest_latency: Histogram,
     /// Per-pipeline-stage duration histograms, fed by request traces.
     pub stages: StageMetrics,
 }
@@ -273,8 +222,8 @@ impl Metrics {
             cache_misses_total: AtomicU64::new(0),
             cache_evictions_total: AtomicU64::new(0),
             cache_invalidations_total: AtomicU64::new(0),
-            query_latency: LatencyRing::default(),
-            ingest_latency: LatencyRing::default(),
+            query_latency: Histogram::default(),
+            ingest_latency: Histogram::default(),
             stages: StageMetrics::default(),
         }
     }
@@ -374,12 +323,11 @@ impl Metrics {
             "walrus_cache_invalidations_total {}\n",
             load(&self.cache_invalidations_total)
         ));
-        for (ring, what) in [(&self.query_latency, "query"), (&self.ingest_latency, "ingest")] {
-            if let Some([p50, p95, p99]) = ring.percentiles() {
-                out.push_str(&format!("walrus_{what}_latency_p50_us {p50}\n"));
-                out.push_str(&format!("walrus_{what}_latency_p95_us {p95}\n"));
-                out.push_str(&format!("walrus_{what}_latency_p99_us {p99}\n"));
-                out.push_str(&format!("walrus_{what}_latency_samples {}\n", ring.len()));
+        for (h, what) in [(&self.query_latency, "query"), (&self.ingest_latency, "ingest")] {
+            // Rendered from the first sample on; the stage lines are always there.
+            if h.count() > 0 {
+                push_quantiles(&mut out, &format!("walrus_{what}_latency"), h);
+                out.push_str(&format!("walrus_{what}_latency_samples {}\n", h.count()));
             }
         }
         self.stages.render_into(&mut out);
@@ -395,31 +343,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_percentiles_nearest_rank() {
-        let ring = LatencyRing::default();
-        assert_eq!(ring.percentiles(), None);
-        for us in 1..=100u64 {
-            ring.record(Duration::from_micros(us));
-        }
-        let [p50, p95, p99] = ring.percentiles().unwrap();
-        assert_eq!(p50, 50);
-        assert_eq!(p95, 95);
-        assert_eq!(p99, 99);
-    }
-
-    #[test]
-    fn ring_overwrites_beyond_capacity() {
-        let ring = LatencyRing::default();
-        for us in 0..(LatencyRing::CAPACITY as u64 + 500) {
-            ring.record(Duration::from_micros(us));
-        }
-        assert_eq!(ring.len(), LatencyRing::CAPACITY);
-        // Every surviving sample comes from the most recent CAPACITY records.
-        let [p50, _, _] = ring.percentiles().unwrap();
-        assert!(p50 >= 500);
-    }
-
-    #[test]
     fn render_contains_counters_and_gauges() {
         let metrics = Metrics::default();
         metrics.count_response(200);
@@ -431,7 +354,10 @@ mod tests {
         assert!(text.contains("walrus_requests_total 3\n"));
         assert!(text.contains("walrus_responses_4xx_total 1\n"));
         assert!(text.contains("walrus_errors_total 2\n"));
-        assert!(text.contains("walrus_query_latency_p50_us 123\n"));
+        // 123 µs reports as the upper bound of its bucket, [64, 128).
+        assert!(text.contains("walrus_query_latency_p50_us 127\n"));
+        assert!(text.contains("walrus_query_latency_samples 1\n"));
+        assert!(!text.contains("walrus_ingest_latency"), "no ingest sample yet: {text}");
         assert!(text.contains("walrus_images 7\n"));
     }
 

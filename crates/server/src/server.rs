@@ -3,6 +3,10 @@
 //! Threading model (DESIGN.md §11): one accept thread owns the non-blocking
 //! listener and is the **only** job submitter; a fixed
 //! [`WorkerPool`](walrus_parallel::WorkerPool) runs one connection per job.
+//! A connection holds its worker while it is open, with one exception: an
+//! *idle* keep-alive connection closes on its next read tick when other
+//! connections are queued for a worker, so parked clients cannot starve new
+//! ones (busy connections are never pre-empted).
 //! Backpressure is explicit — when the pool queue is full the accept thread
 //! answers `503` itself and closes, so overload degrades into fast rejections
 //! instead of unbounded queues.
@@ -10,13 +14,14 @@
 //! Shutdown ordering (SIGTERM / ctrl-c via [`signals`], or
 //! [`ServerHandle::shutdown`]):
 //!
-//! 1. stop accepting (new connections are refused by the dead listener);
-//! 2. flip the `stopping` flag — idle keep-alive connections close on their
-//!    next read tick, busy ones finish their current request and close;
-//! 3. drain the pool under `drain_timeout`;
-//! 4. if the drain deadline passes, cancel the shared request token — every
+//! 1. flip the `stopping` flag — the accept thread exits (new connections
+//!    are refused by the dead listener), idle keep-alive connections close
+//!    on their next read tick, busy ones finish their current request and
+//!    close;
+//! 2. drain the pool under `drain_timeout`;
+//! 3. if the drain deadline passes, cancel the shared request token — every
 //!    in-flight guarded engine call aborts with `Cancelled` (HTTP 503);
-//! 5. join the workers and take a final checkpoint so recovery replays an
+//! 4. join the workers and take a final checkpoint so recovery replays an
 //!    empty WAL.
 
 use std::io::{Read, Write};
@@ -63,11 +68,6 @@ pub struct ServerConfig {
     /// without sleeping. (Socket poll ticks still ride the OS timer — the
     /// clock decides *whether* a deadline has passed, not when reads wake.)
     pub clock: SharedClock,
-    /// Serve connections on the epoll reactor (one event-loop thread, fds
-    /// instead of blocked threads; CPU work still runs on the pool) instead
-    /// of thread-per-connection. Defaults from `WALRUS_REACTOR=1`. Silently
-    /// falls back to the threaded backend where epoll is unavailable.
-    pub reactor: bool,
     /// Query-result cache entries (0 disables the cache).
     pub cache_capacity: usize,
 }
@@ -85,15 +85,14 @@ impl Default for ServerConfig {
             keep_alive_max: 1000,
             limits: HttpLimits::default(),
             clock: monotonic(),
-            reactor: std::env::var("WALRUS_REACTOR").map(|v| v == "1").unwrap_or(false),
             cache_capacity: QueryCache::DEFAULT_CAPACITY,
         }
     }
 }
 
-/// Socket poll granularity: how often blocked reads (and the reactor's
-/// `epoll_wait`) wake up to check deadlines and the stopping flag.
-pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(100);
+/// Socket poll granularity: how often blocked reads wake up to check
+/// deadlines, the stopping flag and the pool queue.
+const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// The server. [`Server::start`] returns a handle; the listener and workers
 /// run on background threads until [`ServerHandle::shutdown`].
@@ -107,21 +106,16 @@ impl Server {
 
     /// [`Server::start`] over an already-shared store.
     pub fn start_arc(config: ServerConfig, store: Arc<ShardedStore>) -> Result<ServerHandle> {
-        let listener = TcpListener::bind(&config.addr).map_err(|e| WalrusError::Io {
-            context: format!("bind {}", config.addr),
-            source: e,
-        })?;
-        let addr = listener.local_addr().map_err(|e| WalrusError::Io {
-            context: "local_addr".to_string(),
-            source: e,
-        })?;
-        listener.set_nonblocking(true).map_err(|e| WalrusError::Io {
-            context: "set_nonblocking".to_string(),
-            source: e,
-        })?;
+        let io = |context: &str, source| WalrusError::Io { context: context.to_string(), source };
+        let listener = TcpListener::bind(&config.addr)
+            .map_err(|e| io(&format!("bind {}", config.addr), e))?;
+        let addr = listener.local_addr().map_err(|e| io("local_addr", e))?;
+        listener.set_nonblocking(true).map_err(|e| io("set_nonblocking", e))?;
 
-        let threads = resolve_threads(config.threads);
-        let pool = WorkerPool::new(threads, config.queue_depth);
+        // Shared with the accept thread for submission; the handle keeps it
+        // for drain/shutdown.
+        let pool =
+            Arc::new(WorkerPool::new(resolve_threads(config.threads), config.queue_depth));
         let state = Arc::new(AppState {
             store,
             metrics: Metrics::with_clock(config.clock.clone()),
@@ -135,45 +129,20 @@ impl Server {
             pool_queue_depth: pool.capacity(),
             cache: QueryCache::new(config.cache_capacity),
         });
-        let stop_accept = Arc::new(AtomicBool::new(false));
 
-        // Backend selection: the reactor multiplexes every connection on
-        // one epoll thread (connections cost fds, not pool workers); the
-        // threaded backend parks one worker per connection. Same pool,
-        // same router, same bytes either way.
-        let use_reactor = config.reactor && walrus_reactor::supported();
-        let accept_thread = {
+        let accept = {
+            let pool = Arc::clone(&pool);
             let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop_accept);
             let config = config.clone();
-            // The pool is shared with the serving thread for submission;
-            // the handle keeps it too for drain/shutdown.
-            let pool = Arc::new(pool);
-            let pool_for_handle = Arc::clone(&pool);
-            let (name, body): (&str, Box<dyn FnOnce() + Send>) = if use_reactor {
-                ("walrus-reactor", Box::new(move || {
-                    crate::reactor::serve(listener, pool, state, stop, config)
-                }))
-            } else {
-                ("walrus-accept", Box::new(move || {
-                    accept_loop(listener, pool, state, stop, config)
-                }))
-            };
-            let thread = std::thread::Builder::new()
-                .name(name.to_string())
-                .spawn(body)
-                .map_err(|e| WalrusError::Io {
-                    context: "spawn accept thread".to_string(),
-                    source: e,
-                })?;
-            (thread, pool_for_handle)
+            std::thread::Builder::new()
+                .name("walrus-accept".to_string())
+                .spawn(move || accept_loop(listener, pool, state, config))
+                .map_err(|e| io("spawn accept thread", e))?
         };
-        let (accept, pool) = accept_thread;
 
         Ok(ServerHandle {
             addr,
             state,
-            stop_accept,
             accept_thread: Some(accept),
             pool: Some(pool),
             drain_timeout: config.drain_timeout,
@@ -182,14 +151,13 @@ impl Server {
     }
 }
 
-pub(crate) fn accept_loop(
+fn accept_loop(
     listener: TcpListener,
     pool: Arc<WorkerPool>,
     state: Arc<AppState>,
-    stop: Arc<AtomicBool>,
     config: ServerConfig,
 ) {
-    while !stop.load(Ordering::Acquire) {
+    while !state.is_stopping() {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 state.metrics.connections_total.fetch_add(1, Ordering::Relaxed);
@@ -205,8 +173,13 @@ pub(crate) fn accept_loop(
                 }
                 let conn_state = Arc::clone(&state);
                 let conn_config = config.clone();
+                // Weak: a job that owned the pool could end up dropping —
+                // and so joining — it from one of its own workers.
+                let conn_pool = Arc::downgrade(&pool);
                 let submitted = pool.try_execute(move || {
-                    handle_connection(conn_state, stream, &conn_config);
+                    let others_waiting =
+                        || conn_pool.upgrade().is_some_and(|pool| pool.pending() > 0);
+                    handle_connection(conn_state, stream, &conn_config, &others_waiting);
                 });
                 if submitted.is_err() {
                     // Only reachable when shutdown won the race; the closure
@@ -235,9 +208,15 @@ fn reject_overload(stream: TcpStream) {
 }
 
 /// Serves one connection until it closes, errors, asks to close, hits the
-/// keep-alive cap, or the server starts stopping. Generic over the stream so
-/// tests can drive it with scripted in-memory connections.
-fn handle_connection<S: Read + Write>(state: Arc<AppState>, stream: S, config: &ServerConfig) {
+/// keep-alive cap, goes idle while `others_waiting` for a worker, or the
+/// server starts stopping. Generic over the stream so tests can drive it
+/// with scripted in-memory connections.
+fn handle_connection<S: Read + Write>(
+    state: Arc<AppState>,
+    stream: S,
+    config: &ServerConfig,
+    others_waiting: &dyn Fn() -> bool,
+) {
     let mut conn = Conn::new(stream);
     let stopping = || state.is_stopping() || state.cancel.is_cancelled();
     for served in 0..config.keep_alive_max {
@@ -245,6 +224,7 @@ fn handle_connection<S: Read + Write>(state: Arc<AppState>, stream: S, config: &
             idle_timeout: config.idle_timeout,
             read_timeout: config.read_timeout,
             stopping: &stopping,
+            others_waiting,
             clock: config.clock.as_ref(),
         };
         match conn.read_request(&config.limits, &opts) {
@@ -288,7 +268,6 @@ fn handle_connection<S: Read + Write>(state: Arc<AppState>, stream: S, config: &
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<AppState>,
-    stop_accept: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     pool: Option<Arc<WorkerPool>>,
     drain_timeout: Duration,
@@ -318,7 +297,6 @@ impl ServerHandle {
         }
         self.finished = true;
 
-        self.stop_accept.store(true, Ordering::Release);
         self.state.stopping.store(true, Ordering::Release);
         if let Some(thread) = self.accept_thread.take() {
             let _ = thread.join();
@@ -331,10 +309,18 @@ impl ServerHandle {
                 self.state.cancel.cancel();
                 pool.wait_idle(Duration::from_secs(5));
             }
-            // The accept thread is joined, so this Arc is the last one.
-            if let Some(mut pool) = Arc::into_inner(pool) {
-                pool.shutdown();
-            }
+            // The accept thread is joined, so this is the last long-lived
+            // Arc; a straggling connection may hold one more for the length
+            // of a `pending()` call, which is waited out.
+            let mut pool = pool;
+            let mut pool = loop {
+                match Arc::try_unwrap(pool) {
+                    Ok(pool) => break pool,
+                    Err(shared) => pool = shared,
+                }
+                std::thread::yield_now();
+            };
+            pool.shutdown();
         }
         // Rolling per-shard checkpoint; on a degraded store the healthy
         // shards still land their snapshots.
@@ -491,7 +477,7 @@ mod tests {
             sent: false,
             observed: Arc::clone(&observed),
         };
-        handle_connection(Arc::clone(&state), stream, &test_config());
+        handle_connection(Arc::clone(&state), stream, &test_config(), &|| false);
 
         assert_eq!(
             observed.load(Ordering::Acquire),

@@ -1,6 +1,6 @@
-//! Property tests for the observability primitives: the fixed-bucket
-//! [`Histogram`] behind the per-stage `/metrics` series and the
-//! [`LatencyRing`] nearest-rank percentile estimator.
+//! Property tests for the one observability primitive: the fixed-bucket
+//! [`Histogram`] behind every latency series on `/metrics` — per-stage and
+//! per-request alike.
 //!
 //! Written with a small in-file seeded PRNG rather than `proptest` so the
 //! cases are fully deterministic, shrink-free, and runnable in environments
@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use walrus_server::metrics::LatencyRing;
+use walrus_server::Metrics;
 use walrus_trace::{bucket_bound_micros, Histogram, HISTOGRAM_BUCKETS};
 
 /// SplitMix64: tiny, deterministic, well-distributed.
@@ -125,12 +125,23 @@ fn quantiles_are_monotone_in_q() {
     }
 }
 
+/// The histogram quantile answers the inclusive upper bound of the bucket
+/// holding the true nearest-rank sample: exact for values of the form
+/// 2^k - 1 (and 0), otherwise within one power of two above the truth.
+/// Only holds below the overflow bucket, whose bound is u64::MAX.
+/// `sorted` is the ascending sample list the estimate was taken over.
+fn assert_brackets_nearest_rank(sorted: &[u64], q: f64, est: u64) {
+    let n = sorted.len();
+    let truth = sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+    assert!(est >= truth, "q={q}: estimate {est} below true {truth}");
+    assert!(
+        est <= truth.saturating_mul(2).max(1),
+        "q={q}: estimate {est} more than a bucket above true {truth}"
+    );
+}
+
 #[test]
 fn quantile_brackets_the_true_nearest_rank_value() {
-    // The histogram quantile answers the inclusive upper bound of the bucket
-    // holding the true nearest-rank sample: exact for values of the form
-    // 2^k - 1 (and 0), otherwise within one power of two above the truth.
-    // Only holds below the overflow bucket, whose bound is u64::MAX.
     let cap = bucket_bound_micros(HISTOGRAM_BUCKETS - 2);
     let mut rng = Rng(0xD15C0);
     for _ in 0..20 {
@@ -139,14 +150,7 @@ fn quantile_brackets_the_true_nearest_rank_value() {
         let h = hist_of(&values);
         values.sort_unstable();
         for q in [0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0] {
-            let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-            let truth = values[rank - 1];
-            let est = h.quantile_micros(q).unwrap();
-            assert!(est >= truth, "q={q}: estimate {est} below true {truth}");
-            assert!(
-                est <= truth.saturating_mul(2).max(1),
-                "q={q}: estimate {est} more than a bucket above true {truth}"
-            );
+            assert_brackets_nearest_rank(&values, q, h.quantile_micros(q).unwrap());
         }
     }
 }
@@ -196,33 +200,31 @@ fn overflow_values_land_in_the_last_bucket() {
 }
 
 #[test]
-fn latency_ring_matches_a_sorted_model() {
-    // The ring's nearest-rank percentiles must agree with a straightforward
-    // model over the same (windowed) samples.
+fn rendered_request_latencies_are_ordered_bracketed_and_counted() {
+    // What `/metrics` prints for the request-level latencies is the same
+    // estimator: p50 <= p95 <= p99, each within its power-of-two bucket of
+    // the true nearest-rank sample over *every* recording (no window), and
+    // `_samples` is the uncapped number of recordings.
     let mut rng = Rng(0x5EED);
     for round in 0..10 {
-        let ring = LatencyRing::default();
-        let n = 1 + rng.below(2200) as usize; // sometimes beyond CAPACITY
-        let mut all: Vec<u64> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let us = rng.below(1_000_000);
-            ring.record(Duration::from_micros(us));
-            all.push(us);
+        let metrics = Metrics::default();
+        let n = 1 + rng.below(2200) as usize;
+        let mut sorted: Vec<u64> = (0..n).map(|_| rng.below(1_000_000)).collect();
+        for &us in &sorted {
+            metrics.query_latency.record(Duration::from_micros(us));
         }
-        let window: Vec<u64> = if all.len() <= LatencyRing::CAPACITY {
-            all.clone()
-        } else {
-            all[all.len() - LatencyRing::CAPACITY..].to_vec()
-        };
-        let mut sorted = window.clone();
         sorted.sort_unstable();
-        let model = |q: f64| -> u64 {
-            sorted[((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1]
+        let text = metrics.render(&[]);
+        let line = |name: &str| -> u64 {
+            let prefix = format!("walrus_query_latency_{name} ");
+            let value = text.lines().find_map(|l| l.strip_prefix(prefix.as_str()));
+            value.unwrap_or_else(|| panic!("round {round}: no {prefix}line")).parse().unwrap()
         };
-        let [p50, p95, p99] = ring.percentiles().unwrap();
-        assert_eq!(p50, model(0.50), "round {round} p50");
-        assert_eq!(p95, model(0.95), "round {round} p95");
-        assert_eq!(p99, model(0.99), "round {round} p99");
-        assert_eq!(ring.len(), sorted.len());
+        let (p50, p95, p99) = (line("p50_us"), line("p95_us"), line("p99_us"));
+        assert!(p50 <= p95 && p95 <= p99, "round {round}: {p50} {p95} {p99}");
+        for (q, est) in [(0.50, p50), (0.95, p95), (0.99, p99)] {
+            assert_brackets_nearest_rank(&sorted, q, est);
+        }
+        assert_eq!(line("samples"), n as u64, "round {round}");
     }
 }

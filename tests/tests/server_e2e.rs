@@ -2,19 +2,23 @@
 //! `walrus-server` on an ephemeral port must answer queries **bit-identical**
 //! (`f64::to_bits` of every similarity) to an in-process database holding
 //! the same images — under concurrency, for deadline-partial answers, and
-//! again after the store is shut down and recovered from disk.
+//! again after the store is shut down and recovered from disk. The rest
+//! pins the serving shell over real sockets: injected-clock timing, load
+//! shedding, idle-yield, drain on shutdown, the result cache on `/metrics`.
 
+use std::io::Read;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use walrus_core::{
-    Guard, ImageDatabase, QueryOptions, ResultStatus, ShardedStore, SlidingParams, TestClock,
-    WalrusParams,
+    monotonic, Guard, ImageDatabase, QueryOptions, ResultStatus, ShardedStore, SharedClock,
+    SlidingParams, TestClock, WalrusParams,
 };
 use walrus_imagery::ppm::{parse_netpbm, write_ppm};
 use walrus_imagery::{ColorSpace, Image};
-use walrus_server::{Client, Server, ServerConfig};
+use walrus_server::{Client, Server, ServerConfig, ServerHandle};
 
 const NUM_IMAGES: usize = 4;
 const QUERY_THREADS: usize = 4;
@@ -100,9 +104,9 @@ fn http_answers_are_bit_identical_to_in_process_and_survive_recovery() {
     let (store, _) = ShardedStore::open(&dir, test_params(), 0).unwrap();
     assert_eq!(store.shard_count(), 1);
     // Thread-per-connection: a keep-alive connection holds its worker while
-    // open, so the pool must cover every concurrent connection this test
-    // makes (1 ingest client + QUERY_THREADS query clients) regardless of
-    // the machine's core count.
+    // open (or is closed, if idle while another waits for one), so the pool
+    // must cover every concurrent connection this test makes (1 ingest
+    // client + QUERY_THREADS query clients) regardless of the core count.
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: QUERY_THREADS + 2,
@@ -272,6 +276,123 @@ fn overload_sheds_with_503_not_collapse() {
     // Afterwards the server must be fully responsive again.
     let mut client = Client::connect(addr).unwrap();
     assert_eq!(client.request("GET", "/healthz", &[]).unwrap().status, 200);
+    handle.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A live 2-worker server over a fresh 1-shard store.
+fn start_two_workers(tag: &str, clock: SharedClock) -> (ServerHandle, SocketAddr, PathBuf) {
+    let dir = tmp_dir(tag);
+    let (store, _) = ShardedStore::open(&dir, test_params(), 1).unwrap();
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        queue_depth: 8,
+        drain_timeout: Duration::from_secs(5),
+        clock,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(config, store).unwrap();
+    let addr = handle.addr();
+    (handle, addr, dir)
+}
+
+#[test]
+fn idle_keep_alive_connection_yields_its_worker_to_a_queued_one() {
+    // The clock never advances, so `idle_timeout` cannot be what frees a
+    // worker here.
+    let (handle, addr, dir) = start_two_workers("idle_yield", TestClock::new());
+
+    // Two clients finish a request and stay open: both workers are parked.
+    let mut parked: Vec<Client> = (0..2).map(|_| Client::connect(addr).unwrap()).collect();
+    for client in &mut parked {
+        assert_eq!(client.request("GET", "/healthz", &[]).unwrap().status, 200);
+    }
+
+    // A third connection waits in the pool queue; within a few 100 ms poll
+    // ticks an idle connection must hand its worker over. The read timeout
+    // turns "never served" into a failed assertion instead of a stuck suite.
+    let mut third = Client::connect(addr).unwrap();
+    third.stream_mut().set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    let resp = third.request("GET", "/healthz", &[]);
+    assert_eq!(resp.expect("third client starved by idle connections").status, 200);
+
+    // The worker came from a parked client, which sees a clean EOF — no
+    // error response, no reset (a still-open one times the read out).
+    let read: Vec<usize> = parked
+        .iter_mut()
+        .filter_map(|client| {
+            client.stream_mut().set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+            client.stream_mut().read(&mut [0u8; 16]).ok()
+        })
+        .collect();
+    assert!(read == [0] || read == [0, 0], "no parked connection closed cleanly: {read:?}");
+
+    // Closed is not banned: a reconnect queues behind two parked
+    // connections again and is served the same way.
+    let mut again = Client::connect(addr).unwrap();
+    again.stream_mut().set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    assert_eq!(again.request("GET", "/healthz", &[]).unwrap().status, 200);
+
+    handle.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shutdown_drains_idle_connections_and_checkpoints() {
+    let (handle, addr, dir) = start_two_workers("drain", monotonic());
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.request("POST", "/ingest", &ppm_bytes(0)).unwrap().status, 200);
+    // An idle connection is open during shutdown; the drain must close it
+    // promptly instead of waiting out the idle timeout.
+    let _idle = TcpStream::connect(addr).unwrap();
+    let started = Instant::now();
+    handle.shutdown().unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(4),
+        "drain took {:?} with only idle connections open",
+        started.elapsed()
+    );
+    // The final checkpoint happened: recovery has nothing to replay.
+    let (recovered, shards) = ShardedStore::open(&dir, test_params(), 0).unwrap();
+    assert_eq!(recovered.len(), 1);
+    let replayed: usize = shards.iter().map(|s| s.report.unwrap().records_replayed).sum();
+    assert_eq!(replayed, 0, "shutdown checkpoint missing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cache_hit_is_visible_on_metrics_and_invalidated_by_ingest() {
+    let (handle, addr, dir) = start_two_workers("cache", monotonic());
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.request("POST", "/ingest", &ppm_bytes(0)).unwrap().status, 200);
+
+    let first = client.request("POST", "/query?k=2", &ppm_bytes(0)).unwrap();
+    assert_eq!(first.status, 200, "{}", first.text());
+    let second = client.request("POST", "/query?k=2", &ppm_bytes(0)).unwrap();
+    assert_eq!(second.status, 200);
+    // Identical modulo the (monotonically fresh) request id.
+    let strip = |s: String| s[..s.rfind(",\"request_id\":").unwrap()].to_string();
+    let first_body = strip(first.text());
+    assert_eq!(first_body, strip(second.text()));
+
+    let text = client.request("GET", "/metrics", &[]).unwrap().text();
+    assert!(text.contains("walrus_cache_hits_total 1\n"), "{text}");
+    assert!(text.contains("walrus_cache_misses_total 1\n"), "{text}");
+    assert!(text.contains("walrus_cache_entries 1\n"), "{text}");
+    // The cache-hit fast path records into its own trace/histogram stage.
+    assert!(text.contains("walrus_stage_cache_count 1\n"), "{text}");
+
+    // Ingest moves the LSN: the cached ranking is stale and must never be
+    // served again.
+    assert_eq!(client.request("POST", "/ingest", &ppm_bytes(3)).unwrap().status, 200);
+    let third = client.request("POST", "/query?k=2", &ppm_bytes(0)).unwrap();
+    assert_eq!(third.status, 200);
+    assert_ne!(first_body, strip(third.text()));
+    let text = client.request("GET", "/metrics", &[]).unwrap().text();
+    assert!(text.contains("walrus_cache_hits_total 1\n"), "{text}");
+    assert!(text.contains("walrus_cache_invalidations_total 1\n"), "{text}");
+
     handle.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
