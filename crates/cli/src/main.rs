@@ -17,10 +17,11 @@
 //! walrus serve  <dir>                 serve a store over HTTP (see --addr)
 //! ```
 //!
-//! `<db>` is either a single snapshot *file* (e.g. `db.walrus`) or a store
-//! *directory* managed by the durability layer (a manifest over 1..64
-//! shards, each a snapshot + write-ahead log; create one with `walrus open
-//! mystore`). A directory is a store, anything else a snapshot file.
+//! `<db>` and `<dir>` are the same thing: a store *directory* managed by the
+//! durability layer (a manifest over 1..64 shards, each a snapshot +
+//! write-ahead log). `index`, `demo`, `open` and `serve` create it when it
+//! is not there yet; every other command wants an existing one. A path that
+//! is not a directory is refused, untouched.
 //!
 //! Options (before the subcommand arguments):
 //!   `-k <n>`          number of results for `query`/`scene` (default 10)
@@ -46,12 +47,10 @@
 use std::process::ExitCode;
 use std::time::Duration;
 use std::path::Path;
-use walrus_core::persist;
 use walrus_core::scene_query::SceneRect;
 use walrus_core::sharded::ShardRecovery;
 use walrus_core::{
-    scrub_store, Guard, ImageDatabase, QueryOptions, QueryOutcome, ResultStatus, ShardedStore,
-    WalrusParams,
+    scrub_store, Guard, QueryOptions, ResultStatus, ShardedStore, WalrusParams,
 };
 use walrus_imagery::{ppm, ColorSpace, Image};
 use walrus_wavelet::SlidingParams;
@@ -247,104 +246,6 @@ fn params_for(opts: &Options) -> Result<WalrusParams, String> {
     Ok(params)
 }
 
-/// A database handle: a plain snapshot file or a durable store directory.
-/// Mutations on a store commit through its WALs; snapshot files are saved
-/// explicitly (and atomically) after mutating.
-enum DbHandle {
-    File { db: Box<ImageDatabase>, path: String },
-    Store(Box<ShardedStore>),
-}
-
-impl DbHandle {
-    fn len(&self) -> usize {
-        match self {
-            DbHandle::File { db, .. } => db.len(),
-            DbHandle::Store(store) => store.len(),
-        }
-    }
-
-    fn num_regions(&self) -> usize {
-        match self {
-            DbHandle::File { db, .. } => db.num_regions(),
-            DbHandle::Store(store) => store.num_regions(),
-        }
-    }
-
-    /// Region count of one image (0 when unknown or unreachable).
-    fn image_regions(&self, id: usize) -> usize {
-        match self {
-            DbHandle::File { db, .. } => db.image(id).map(|i| i.regions.len()).unwrap_or(0),
-            DbHandle::Store(store) => {
-                store.image_meta(id).ok().flatten().map(|m| m.regions).unwrap_or(0)
-            }
-        }
-    }
-
-    fn insert_image(&mut self, name: &str, image: &Image) -> Result<usize, String> {
-        match self {
-            DbHandle::File { db, .. } => db.insert_image(name, image),
-            DbHandle::Store(store) => store.insert_image(name, image),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    /// Batch insert with parallel region extraction, under the request
-    /// guard (see [`ImageDatabase::insert_images_batch_guarded`]). The
-    /// batch is all-or-nothing if the deadline fires.
-    fn insert_images_batch(
-        &mut self,
-        items: &[(&str, &Image)],
-        guard: &Guard,
-    ) -> Result<Vec<usize>, String> {
-        match self {
-            DbHandle::File { db, .. } => db.insert_images_batch_guarded(items, guard),
-            DbHandle::Store(store) => store.insert_images_batch_guarded(items, guard),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    fn remove_image(&mut self, id: usize) -> Result<(), String> {
-        match self {
-            DbHandle::File { db, .. } => db.remove_image(id),
-            DbHandle::Store(store) => store.remove_image(id),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    /// One query under `query_opts` and the request guard, on whichever
-    /// engine this handle fronts — both run the same procedure.
-    fn query(
-        &self,
-        image: &Image,
-        query_opts: &QueryOptions,
-        guard: &Guard,
-    ) -> Result<QueryOutcome, String> {
-        match self {
-            DbHandle::File { db, .. } => db.query_with_options_guarded(image, query_opts, guard),
-            DbHandle::Store(store) => store.query_with_options_guarded(image, query_opts, guard),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    fn params(&self) -> WalrusParams {
-        match self {
-            DbHandle::File { db, .. } => *db.params(),
-            DbHandle::Store(store) => store.params(),
-        }
-    }
-
-    /// Persists a snapshot-file handle; a store already committed every
-    /// mutation through its WALs.
-    fn finish(&self) -> Result<(), String> {
-        match self {
-            DbHandle::File { db, path } => {
-                persist::save_to_file(db, path).map_err(|e| format!("cannot save {path}: {e}"))
-            }
-            DbHandle::Store(_) => Ok(()),
-        }
-    }
-}
-
 /// Shard count to create a store with: `--shards` wins, then the
 /// `WALRUS_SHARDS` environment variable; `0` (or neither) means "whatever
 /// the store's manifest says, and one shard when there is no store yet".
@@ -360,60 +261,63 @@ fn resolved_shards(opts: &Options) -> Result<usize, String> {
     }
 }
 
+/// What every command says to a `<db>` that is not a directory.
+fn not_a_store(path: &str) -> String {
+    format!(
+        "{path} is not a store directory (a database is a directory created by \
+         `walrus index|demo|open`)"
+    )
+}
+
 /// Opens the store at `path`, creating it with `shards` shards when the
-/// directory holds none yet.
+/// directory holds none yet. Anything at `path` that is not a directory is
+/// refused before it is touched.
 fn open_store(
     path: &str,
     opts: &Options,
     shards: usize,
 ) -> Result<(ShardedStore, Vec<ShardRecovery>), String> {
+    if Path::new(path).exists() && !Path::new(path).is_dir() {
+        return Err(not_a_store(path));
+    }
     ShardedStore::open(path, params_for(opts)?, shards)
         .map_err(|e| format!("cannot open store {path}: {e}"))
 }
 
 /// [`open_store`] for the commands that work on a store that must already
-/// be there (`recover`, `compact`, `rebalance`): refuses a path that is not
-/// a directory, and adopts whatever layout the manifest records (shards =
-/// 0), so they work after a rebalance even when `--shards`/`WALRUS_SHARDS`
-/// still describe the layout the store had before it.
+/// be there (everything but `index`, `demo`, `open` and `serve`): refuses a
+/// path that is not a directory, warns when a shard is quarantined, and
+/// adopts whatever layout the manifest records (shards = 0), so they work
+/// after a rebalance even when `--shards`/`WALRUS_SHARDS` still describe the
+/// layout the store had before it.
 fn open_existing_store(
     dir: &str,
     opts: &Options,
 ) -> Result<(ShardedStore, Vec<ShardRecovery>), String> {
     if !Path::new(dir).is_dir() {
-        return Err(format!("{dir} is not a store directory"));
+        return Err(not_a_store(dir));
     }
-    open_store(dir, opts, 0)
+    let (store, recoveries) = open_store(dir, opts, 0)?;
+    warn_if_degraded(dir, &recoveries);
+    Ok((store, recoveries))
 }
 
-/// Opens an existing database: a directory as a store, anything else as a
-/// snapshot file.
-fn load_handle(path: &str, opts: &Options) -> Result<DbHandle, String> {
-    if Path::new(path).is_dir() {
-        let (store, recoveries) = open_store(path, opts, resolved_shards(opts)?)?;
-        warn_if_degraded(path, &recoveries);
-        Ok(DbHandle::Store(Box::new(store)))
-    } else {
-        let db =
-            persist::load_from_file(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-        Ok(DbHandle::File { db: Box::new(db), path: path.to_string() })
-    }
-}
-
-/// Opens a database for mutation, creating one if the path does not exist
-/// yet: a store when a shard count was requested, a snapshot file
-/// otherwise.
-fn load_or_create_handle(path: &str, opts: &Options) -> Result<DbHandle, String> {
-    let shards = resolved_shards(opts)?;
-    if Path::new(path).exists() {
-        load_handle(path, opts)
-    } else if shards > 0 {
-        let (store, _) = open_store(path, opts, shards)?;
-        Ok(DbHandle::Store(Box::new(store)))
-    } else {
-        let db = ImageDatabase::new(params_for(opts)?).map_err(|e| e.to_string())?;
-        Ok(DbHandle::File { db: Box::new(db), path: path.to_string() })
-    }
+/// The ingest half of `index` and `demo`. The inputs are already decoded:
+/// only now is the store opened — or created, with `--shards` /
+/// `WALRUS_SHARDS` shards or one — so an input that fails to decode never
+/// leaves a database behind. The batch is one store commit, all-or-nothing
+/// if the deadline fires.
+fn commit_images(
+    db_path: &str,
+    opts: &Options,
+    items: &[(&str, &Image)],
+) -> Result<(ShardedStore, Vec<usize>), String> {
+    let (store, recoveries) = open_store(db_path, opts, resolved_shards(opts)?)?;
+    warn_if_degraded(db_path, &recoveries);
+    let ids = store
+        .insert_images_batch_guarded(items, &opts.guard())
+        .map_err(|e| format!("batch index: {e}"))?;
+    Ok((store, ids))
 }
 
 fn load_image(path: &str, opts: &Options) -> Result<Image, String> {
@@ -488,24 +392,17 @@ fn cmd_index(opts: &Options, rest: &[String]) -> Result<(), String> {
     if images.is_empty() {
         return Err("no images to index".into());
     }
-    let mut handle = load_or_create_handle(db_path, opts)?;
     let loaded: Vec<(&str, Image)> = images
         .iter()
         .map(|path| load_image(path, opts).map(|img| (path.as_str(), img)))
         .collect::<Result<_, _>>()?;
     let items: Vec<(&str, &Image)> = loaded.iter().map(|(p, i)| (*p, i)).collect();
-    let ids = handle
-        .insert_images_batch(&items, &opts.guard())
-        .map_err(|e| format!("batch index: {e}"))?;
+    let (store, ids) = commit_images(db_path, opts, &items)?;
     for (path, id) in images.iter().zip(&ids) {
-        println!("indexed {path} as id {id} ({} regions)", handle.image_regions(*id));
+        let regions = store.image_meta(*id).ok().flatten().map_or(0, |m| m.regions);
+        println!("indexed {path} as id {id} ({regions} regions)");
     }
-    handle.finish()?;
-    println!(
-        "database {db_path}: {} images, {} regions",
-        handle.len(),
-        handle.num_regions()
-    );
+    println!("database {db_path}: {} images, {} regions", store.len(), store.num_regions());
     Ok(())
 }
 
@@ -518,10 +415,11 @@ fn cmd_query(opts: &Options, rest: &[String]) -> Result<(), String> {
     let [db_path, image_path] = rest else {
         return Err("usage: walrus query <db> <image.ppm>".into());
     };
-    let handle = load_handle(db_path, opts)?;
+    let (store, _) = open_existing_store(db_path, opts)?;
     let query = load_image(image_path, opts)?;
-    let guard = opts.guard();
-    let outcome = handle.query(&query, &query_options(opts), &guard)?;
+    let outcome = store
+        .query_with_options_guarded(&query, &query_options(opts), &opts.guard())
+        .map_err(|e| e.to_string())?;
     println!(
         "query regions: {}; matching regions: {}; candidate images: {}",
         outcome.stats.query_regions,
@@ -540,17 +438,19 @@ fn cmd_explain(opts: &Options, rest: &[String]) -> Result<(), String> {
     let [db_path, image_path] = rest else {
         return Err("usage: walrus explain <db> <image.ppm>".into());
     };
-    let handle = load_handle(db_path, opts)?;
+    let (store, _) = open_existing_store(db_path, opts)?;
     let query = load_image(image_path, opts)?;
     let trace = walrus_core::TraceContext::monotonic();
     let guard = opts.guard().tracing(trace.clone());
-    let outcome = handle.query(&query, &query_options(opts), &guard)?;
+    let outcome = store
+        .query_with_options_guarded(&query, &query_options(opts), &guard)
+        .map_err(|e| e.to_string())?;
     let report = trace.report();
 
     println!("stage trace for {image_path} against {db_path}:");
     print!("{}", report.render());
 
-    let budgets = handle.params().budgets;
+    let budgets = store.params().budgets;
     let used = |span: &str, counter: &str| report.counter(span, counter).unwrap_or(0);
     println!("budget consumption:");
     println!(
@@ -602,7 +502,7 @@ fn cmd_scene(opts: &Options, rest: &[String]) -> Result<(), String> {
     let [db_path, image_path, x, y, w, h] = rest else {
         return Err("usage: walrus scene <db> <image.ppm> <x> <y> <w> <h>".into());
     };
-    let handle = load_handle(db_path, opts)?;
+    let (store, _) = open_existing_store(db_path, opts)?;
     let query = load_image(image_path, opts)?;
     let rect = SceneRect {
         x: x.parse().map_err(|_| "bad x")?,
@@ -615,7 +515,9 @@ fn cmd_scene(opts: &Options, rest: &[String]) -> Result<(), String> {
         min_similarity: Some(0.0),
         ..QueryOptions::default()
     };
-    let outcome = handle.query(&query, &scene_opts, &opts.guard())?;
+    let outcome = store
+        .query_with_options_guarded(&query, &scene_opts, &opts.guard())
+        .map_err(|e| e.to_string())?;
     println!("scene {rect:?}: {} candidate images", outcome.stats.distinct_images);
     note_if_partial(&outcome.status);
     print_ranking(outcome.matches.iter().take(opts.k));
@@ -626,11 +528,10 @@ fn cmd_remove(rest: &[String]) -> Result<(), String> {
     let [db_path, id] = rest else {
         return Err("usage: walrus remove <db> <id>".into());
     };
-    let mut handle = load_handle(db_path, &Options::default())?;
+    let (store, _) = open_existing_store(db_path, &Options::default())?;
     let id: usize = id.parse().map_err(|_| "bad id")?;
-    handle.remove_image(id)?;
-    handle.finish()?;
-    println!("removed id {id}; {} images remain", handle.len());
+    store.remove_image(id).map_err(|e| e.to_string())?;
+    println!("removed id {id}; {} images remain", store.len());
     Ok(())
 }
 
@@ -638,40 +539,38 @@ fn cmd_info(opts: &Options, rest: &[String]) -> Result<(), String> {
     let [db_path] = rest else {
         return Err("usage: walrus info <db>".into());
     };
-    let handle = load_handle(db_path, opts)?;
-    let p = handle.params();
+    let (store, _) = open_existing_store(db_path, opts)?;
+    let p = store.params();
     println!("database: {db_path}");
-    println!("  images:  {}", handle.len());
-    println!("  regions: {}", handle.num_regions());
-    if let DbHandle::Store(store) = &handle {
-        println!(
-            "  wal:     {} bytes, {} record(s) since last checkpoint",
-            store.wal_len(),
-            store.records_since_checkpoint()
-        );
-        println!("  shards:  {}", store.shard_count());
-        let status = store.rebalance_status();
-        println!(
-            "  layout:  epoch {} ({} committed rebalance(s)){}",
-            status.epoch,
-            status.epoch,
-            if status.rebalancing {
-                format!(
-                    ", MIGRATING to {} shard(s) ({} built)",
-                    status.target_shards, status.shards_migrated
-                )
-            } else {
-                String::new()
-            }
-        );
-        for h in store.shard_health() {
-            match h.error {
-                None => println!(
-                    "    shard {:03}: healthy, {} image(s), wal {} bytes",
-                    h.shard, h.images, h.wal_bytes
-                ),
-                Some(error) => println!("    shard {:03}: QUARANTINED: {error}", h.shard),
-            }
+    println!("  images:  {}", store.len());
+    println!("  regions: {}", store.num_regions());
+    println!(
+        "  wal:     {} bytes, {} record(s) since last checkpoint",
+        store.wal_len(),
+        store.records_since_checkpoint()
+    );
+    println!("  shards:  {}", store.shard_count());
+    let status = store.rebalance_status();
+    println!(
+        "  layout:  epoch {} ({} committed rebalance(s)){}",
+        status.epoch,
+        status.epoch,
+        if status.rebalancing {
+            format!(
+                ", MIGRATING to {} shard(s) ({} built)",
+                status.target_shards, status.shards_migrated
+            )
+        } else {
+            String::new()
+        }
+    );
+    for h in store.shard_health() {
+        match h.error {
+            None => println!(
+                "    shard {:03}: healthy, {} image(s), wal {} bytes",
+                h.shard, h.images, h.wal_bytes
+            ),
+            Some(error) => println!("    shard {:03}: QUARANTINED: {error}", h.shard),
         }
     }
     println!(
@@ -688,30 +587,14 @@ fn cmd_info(opts: &Options, rest: &[String]) -> Result<(), String> {
         p.query_epsilon,
         p.tau,
     );
-    match &handle {
-        DbHandle::Store(store) => {
-            for id in 0..store.next_id() {
-                // Quarantined-shard ids are unknowable; skip them silently —
-                // the shard listing above already says which are missing.
-                if let Ok(Some(meta)) = store.image_meta(id) {
-                    println!(
-                        "  [{}] {} {}x{} ({} regions)",
-                        meta.id, meta.name, meta.width, meta.height, meta.regions
-                    );
-                }
-            }
-        }
-        DbHandle::File { db, .. } => {
-            for img in db.image_slots().iter().flatten() {
-                println!(
-                    "  [{}] {} {}x{} ({} regions)",
-                    img.id,
-                    img.name,
-                    img.width,
-                    img.height,
-                    img.regions.len()
-                );
-            }
+    for id in 0..store.next_id() {
+        // Quarantined-shard ids are unknowable; skip them silently — the
+        // shard listing above already says which are missing.
+        if let Ok(Some(meta)) = store.image_meta(id) {
+            println!(
+                "  [{}] {} {}x{} ({} regions)",
+                meta.id, meta.name, meta.width, meta.height, meta.regions
+            );
         }
     }
     Ok(())
@@ -722,7 +605,6 @@ fn cmd_demo(opts: &Options, rest: &[String]) -> Result<(), String> {
     let [db_path] = rest else {
         return Err("usage: walrus demo <db>".into());
     };
-    let mut handle = load_or_create_handle(db_path, opts)?;
     let dataset = SyntheticDataset::generate(DatasetSpec {
         images_per_class: 4,
         width: 128,
@@ -731,10 +613,9 @@ fn cmd_demo(opts: &Options, rest: &[String]) -> Result<(), String> {
         classes: ImageClass::ALL.to_vec(),
     })
     .map_err(|e| e.to_string())?;
-    for img in &dataset.images {
-        handle.insert_image(&img.name, &img.image)?;
-    }
-    handle.finish()?;
+    let items: Vec<(&str, &Image)> =
+        dataset.images.iter().map(|img| (img.name.as_str(), &img.image)).collect();
+    commit_images(db_path, opts, &items)?;
     println!("populated {db_path} with {} synthetic images", dataset.len());
     println!("try: walrus info {db_path}");
     Ok(())
@@ -800,8 +681,7 @@ fn cmd_rebalance(opts: &Options, rest: &[String]) -> Result<(), String> {
     let dir = dir.as_str();
     // An interrupted migration resumes in this open, before the explicit
     // rebalance.
-    let (store, recoveries) = open_existing_store(dir, opts)?;
-    warn_if_degraded(dir, &recoveries);
+    let (store, _) = open_existing_store(dir, opts)?;
     let report =
         store.rebalance(target).map_err(|e| format!("rebalance of {dir} failed: {e}"))?;
     println!(
@@ -816,7 +696,7 @@ fn cmd_scrub(opts: &Options, rest: &[String]) -> Result<(), String> {
     let (dir, shard) = dir_and_shard(rest, opts, usage)?;
     let dir = dir.as_str();
     if !Path::new(dir).is_dir() {
-        return Err(format!("{dir} is not a store directory"));
+        return Err(not_a_store(dir));
     }
     let verdicts = scrub_store(&walrus_core::DiskIo, Path::new(dir), shard)
         .map_err(|e| format!("cannot scrub {dir}: {e}"))?;
@@ -894,8 +774,7 @@ fn cmd_compact(opts: &Options, rest: &[String]) -> Result<(), String> {
     let usage = "usage: walrus compact <dir> [--shard <i>]";
     let (dir, shard) = dir_and_shard(rest, opts, usage)?;
     let dir = dir.as_str();
-    let (store, recoveries) = open_existing_store(dir, opts)?;
-    warn_if_degraded(dir, &recoveries);
+    let (store, _) = open_existing_store(dir, opts)?;
     let before = store.wal_len();
     let reports = match shard {
         Some(shard) => {
@@ -946,8 +825,8 @@ fn cmd_serve(opts: &Options, rest: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot start server: {e}"))?;
     println!("serving {dir} on http://{}", handle.addr());
     println!(
-        "endpoints: /healthz /metrics /ingest /query /image/{{id}} /admin/checkpoint \
-         /admin/rebalance"
+        "endpoints: /healthz /metrics /ingest /query /image/{{id}} (GET, DELETE) \
+         /admin/checkpoint /admin/rebalance"
     );
     println!("press ctrl-c (or send SIGTERM) for graceful shutdown");
     while !walrus_server::signals::shutdown_requested() {
@@ -996,7 +875,8 @@ fn print_usage() {
                                              exits nonzero if any shard is damaged\n\
            serve  <dir>                      serve a store over HTTP until SIGTERM/ctrl-c\n\
          \n\
-         <db> is a snapshot file or a store directory (see `open`).\n\
+         <db> and <dir> name a store directory; index, demo, open and serve\n\
+         create it when it is missing, the other commands want an existing one.\n\
          \n\
          options:\n\
            -k <n>                 results to print (default 10)\n\
@@ -1023,8 +903,11 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
-    fn load_db(path: &str) -> Result<ImageDatabase, String> {
-        persist::load_from_file(path).map_err(|e| format!("cannot load {path}: {e}"))
+    /// What shard 0 of the store at `store` last checkpointed, read the way
+    /// any snapshot is: the bytes of its `snapshot.walrus`.
+    fn load_db(store: &Path) -> walrus_core::ImageDatabase {
+        let snapshot = store.join("shard-000").join("snapshot.walrus");
+        walrus_core::persist::load(&std::fs::read(snapshot).unwrap()).unwrap()
     }
 
     #[test]
@@ -1088,11 +971,17 @@ mod tests {
         // Header claims ~10^18 pixels; the raster is 2 bytes. Must fail on
         // the declared size, long before any allocation.
         std::fs::write(&evil, b"P6\n999999999 999999999\n255\nxx").unwrap();
-        let db = dir.join("db.walrus");
-        let _ = std::fs::remove_file(&db);
-        let err = run(&s(&["index", db.to_str().unwrap(), evil.to_str().unwrap()])).unwrap_err();
-        assert!(err.contains("pixel budget"), "unexpected error: {err}");
-        assert!(!db.exists(), "failed index must not create a database");
+        let db = dir.join("db");
+        let _ = std::fs::remove_dir_all(&db);
+        // Inputs are decoded before the store is opened or created, so the
+        // failure leaves nothing behind whatever the shard option says.
+        for shard_option in [&[][..], &["--shards", "2"][..]] {
+            let mut args = s(shard_option);
+            args.extend(s(&["index", db.to_str().unwrap(), evil.to_str().unwrap()]));
+            let err = run(&args).unwrap_err();
+            assert!(err.contains("pixel budget"), "unexpected error: {err}");
+            assert!(!db.exists(), "{shard_option:?}: failed index must not create a database");
+        }
         std::fs::remove_file(&evil).ok();
     }
 
@@ -1131,14 +1020,15 @@ mod tests {
     fn end_to_end_demo_query_remove() {
         let dir = std::env::temp_dir().join("walrus_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let db_path = dir.join("demo.walrus");
+        let db_path = dir.join("demo");
         let db_str = db_path.to_str().unwrap().to_string();
-        let _ = std::fs::remove_file(&db_path);
+        let _ = std::fs::remove_dir_all(&db_path);
 
-        // demo populates and saves.
-        run(&s(&["demo", &db_str])).unwrap();
-        let db = load_db(&db_str).unwrap();
-        assert_eq!(db.len(), 24);
+        // demo creates the store (one shard, pinned against the
+        // environment) and commits the dataset as one batch.
+        run(&s(&["--shards", "1", "demo", &db_str])).unwrap();
+        run(&s(&["compact", &db_str])).unwrap();
+        assert_eq!(load_db(&db_path).len(), 24);
 
         // Write a query image, query it.
         let query_path = dir.join("q.ppm");
@@ -1149,10 +1039,10 @@ mod tests {
         // info + remove round trip.
         run(&s(&["info", &db_str])).unwrap();
         run(&s(&["remove", &db_str, "0"])).unwrap();
-        let db = load_db(&db_str).unwrap();
-        assert_eq!(db.len(), 23);
+        run(&s(&["compact", &db_str])).unwrap();
+        assert_eq!(load_db(&db_path).len(), 23);
 
-        std::fs::remove_file(&db_path).ok();
+        std::fs::remove_dir_all(&db_path).ok();
         std::fs::remove_file(&query_path).ok();
     }
 
@@ -1160,8 +1050,8 @@ mod tests {
     fn index_and_query_real_files() {
         let dir = std::env::temp_dir().join("walrus_cli_index_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let db_path = dir.join("idx.walrus");
-        let _ = std::fs::remove_file(&db_path);
+        let db_path = dir.join("idx");
+        let _ = std::fs::remove_dir_all(&db_path);
         let db_str = db_path.to_str().unwrap().to_string();
 
         // Two PPM files from the synthetic generator.
@@ -1172,27 +1062,31 @@ mod tests {
         ppm::save_ppm(&a, &pa).unwrap();
         ppm::save_ppm(&b, &pb).unwrap();
 
-        run(&s(&["index", &db_str, pa.to_str().unwrap(), pb.to_str().unwrap()])).unwrap();
-        let db = load_db(&db_str).unwrap();
+        // index creates the store it commits into.
+        let (pa_str, pb_str) = (pa.to_str().unwrap(), pb.to_str().unwrap());
+        run(&s(&["--shards", "1", "index", &db_str, pa_str, pb_str])).unwrap();
+        run(&s(&["compact", &db_str])).unwrap();
+        let db = load_db(&db_path);
         assert_eq!(db.len(), 2);
 
         // Query with image a: it must be the top result.
-        run(&s(&["query", &db_str, pa.to_str().unwrap()])).unwrap();
+        run(&s(&["query", &db_str, pa_str])).unwrap();
 
         // explain runs the same query with tracing; with and without a
         // deadline, and rejects bad arity.
-        run(&s(&["explain", &db_str, pa.to_str().unwrap()])).unwrap();
-        run(&s(&["--timeout-ms", "5000", "explain", &db_str, pa.to_str().unwrap()])).unwrap();
+        run(&s(&["explain", &db_str, pa_str])).unwrap();
+        run(&s(&["--timeout-ms", "5000", "explain", &db_str, pa_str])).unwrap();
         assert!(run(&s(&["explain", &db_str])).is_err());
 
         // An already-expired deadline degrades to a partial (empty) ranking
         // instead of an error or a hang.
-        run(&s(&["--timeout-ms", "0", "query", &db_str, pa.to_str().unwrap()])).unwrap();
-        let loaded_a = load_image(pa.to_str().unwrap(), &Options::default()).unwrap();
+        run(&s(&["--timeout-ms", "0", "query", &db_str, pa_str])).unwrap();
+        let loaded_a = load_image(pa_str, &Options::default()).unwrap();
         let top = db.top_k(&loaded_a, 1).unwrap();
         assert!(top[0].name.ends_with("a.ppm"));
 
-        for p in [&db_path, &pa, &pb] {
+        std::fs::remove_dir_all(&db_path).ok();
+        for p in [&pa, &pb] {
             std::fs::remove_file(p).ok();
         }
     }
@@ -1233,8 +1127,7 @@ mod tests {
         run(&s(&["compact", &store_str])).unwrap();
 
         // After compaction the image lives in the shard's snapshot.
-        let db = load_db(shard.join("snapshot.walrus").to_str().unwrap()).unwrap();
-        assert_eq!(db.len(), 1);
+        assert_eq!(load_db(&store).len(), 1);
 
         // remove commits through the WAL.
         run(&s(&["remove", &store_str, "0"])).unwrap();
@@ -1401,7 +1294,60 @@ mod tests {
 
     #[test]
     fn missing_database_is_a_clean_error() {
-        assert!(run(&s(&["query", "/nonexistent/db.walrus", "/nonexistent/q.ppm"])).is_err());
-        assert!(run(&s(&["info", "/nonexistent/db.walrus"])).is_err());
+        for args in [
+            &["query", "/nonexistent/db", "/nonexistent/q.ppm"][..],
+            &["info", "/nonexistent/db"][..],
+            &["remove", "/nonexistent/db", "0"][..],
+        ] {
+            let err = run(&s(args)).unwrap_err();
+            assert!(err.contains("/nonexistent/db is not a store directory"), "{args:?}: {err}");
+        }
+        assert!(!Path::new("/nonexistent").exists(), "a refused command creates nothing");
+    }
+
+    #[test]
+    fn regular_file_as_database_is_refused_by_every_command() {
+        // A database is a directory. Whatever else sits at the path — here
+        // the bytes of what used to be a snapshot-file database — is refused
+        // by every command, with a message that says what a database is now,
+        // and is byte-for-byte what it was afterwards.
+        let base = std::env::temp_dir().join("walrus_cli_regular_file_test");
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        let file = base.join("db.walrus");
+        let file_str = file.to_str().unwrap().to_string();
+        let db = walrus_core::ImageDatabase::new(params_for(&Options::default()).unwrap());
+        let bytes = walrus_core::persist::save(&db.unwrap());
+        std::fs::write(&file, &bytes).unwrap();
+        let img = base.join("i.ppm");
+        let img_str = img.to_str().unwrap().to_string();
+        ppm::save_ppm(&walrus_imagery::synth::dataset::timing_image(96, 64, 5).unwrap(), &img)
+            .unwrap();
+        for args in [
+            &["index", &file_str, &img_str][..],
+            &["query", &file_str, &img_str][..],
+            &["explain", &file_str, &img_str][..],
+            &["scene", &file_str, &img_str, "0", "0", "32", "32"][..],
+            &["remove", &file_str, "0"][..],
+            &["info", &file_str][..],
+            &["demo", &file_str][..],
+            &["open", &file_str][..],
+            &["recover", &file_str][..],
+            &["compact", &file_str][..],
+            &["rebalance", &file_str, "--shards", "2"][..],
+            &["scrub", &file_str][..],
+            &["serve", &file_str][..],
+        ] {
+            let err = run(&s(args)).unwrap_err();
+            assert!(
+                err.contains("is not a store directory")
+                    && err.contains("created by `walrus index|demo|open`")
+                    && err.contains(&file_str),
+                "{}: unexpected error: {err}",
+                args[0]
+            );
+            assert_eq!(std::fs::read(&file).unwrap(), bytes, "{}: the file changed", args[0]);
+        }
+        let _ = std::fs::remove_dir_all(&base);
     }
 }

@@ -266,22 +266,21 @@ impl ImageDatabase {
         self.insert_regions(name, image.width(), image.height(), regions)
     }
 
-    /// Batch ingest: extracts regions for every image **in parallel**
-    /// (`params.threads` workers; see [`WalrusParams::threads`]), then
-    /// indexes them in order. Returns the new ids, which are identical to
-    /// what a serial [`ImageDatabase::insert_image`] loop would assign, as
-    /// are all subsequent query results. Extraction is all-or-nothing: if
-    /// any image fails, nothing is inserted and the error reported is the
-    /// first failing image's (lowest index).
-    pub fn insert_images_batch(&mut self, items: &[(&str, &Image)]) -> Result<Vec<usize>> {
-        self.insert_images_batch_guarded(items, &Guard::none())
-    }
-
-    /// [`ImageDatabase::insert_images_batch`] under a lifecycle [`Guard`].
-    /// Ingest is **all-or-nothing under interruption**: every guard poll
-    /// happens during extraction, before the first index mutation, plus one
-    /// final poll right before applying — a cancellation or deadline that
-    /// lands anywhere in the batch leaves the database untouched.
+    /// Batch ingest under a lifecycle [`Guard`]: extracts regions for every
+    /// image **in parallel** (`params.threads` workers; see
+    /// [`WalrusParams::threads`]), then indexes them in order. Returns the
+    /// new ids, which are identical to what a serial
+    /// [`ImageDatabase::insert_image`] loop would assign, as are all
+    /// subsequent query results. When the index is empty (initial load) the
+    /// R\*-tree is built in one `O(n log n)` STR pack instead of
+    /// one-at-a-time insertions.
+    ///
+    /// Ingest is **all-or-nothing**: if any image fails extraction nothing
+    /// is inserted and the error reported is the first failing image's
+    /// (lowest index); every guard poll happens during extraction, before
+    /// the first index mutation, plus one final poll right before applying —
+    /// a cancellation or deadline that lands anywhere in the batch leaves the
+    /// database untouched.
     pub fn insert_images_batch_guarded(
         &mut self,
         items: &[(&str, &Image)],
@@ -292,38 +291,12 @@ impl ImageDatabase {
             s.add("images", items.len() as u64);
         }
         let extracted = extract_batch_guarded(items, &self.params, guard)?;
-        let batch: Vec<(String, usize, usize, Vec<Region>)> = items
-            .iter()
-            .zip(extracted)
-            .map(|((name, image), regions)| {
-                (name.to_string(), image.width(), image.height(), regions)
-            })
-            .collect();
         let index_span = guard.span("index");
-        let ids = self.insert_regions_batch(batch);
-        if let (Some(s), Ok(ids)) = (&index_span, &ids) {
-            s.add("images_indexed", ids.len() as u64);
-        }
-        ids
-    }
-
-    /// Indexes many pre-extracted images at once. When the index is empty
-    /// (initial load), the R\*-tree is built with the `O(n log n)` STR
-    /// bulk-load path instead of one-at-a-time insertions; otherwise
-    /// entries are inserted incrementally. Validation is all-or-nothing:
-    /// a dimension mismatch anywhere inserts nothing.
-    pub fn insert_regions_batch(
-        &mut self,
-        batch: Vec<(String, usize, usize, Vec<Region>)>,
-    ) -> Result<Vec<usize>> {
-        for (_, _, _, regions) in &batch {
-            self.check_dims(regions)?;
-        }
         // Fresh index: table first, then every region in one STR build.
         let fresh = self.index.is_empty();
-        let mut ids = Vec::with_capacity(batch.len());
-        for (name, width, height, regions) in batch {
-            let id = self.push_image(name, width, height, regions)?;
+        let mut ids = Vec::with_capacity(items.len());
+        for ((name, image), regions) in items.iter().zip(extracted) {
+            let id = self.push_image(name.to_string(), image.width(), image.height(), regions)?;
             if !fresh {
                 self.index_image(id)?;
             }
@@ -331,6 +304,9 @@ impl ImageDatabase {
         }
         if fresh {
             self.pack_index()?;
+        }
+        if let Some(s) = &index_span {
+            s.add("images_indexed", ids.len() as u64);
         }
         Ok(ids)
     }
@@ -501,19 +477,8 @@ impl ImageDatabase {
     /// the Table 1 selectivity sweep varies `ε` without rebuilding the
     /// index (the index itself is ε-independent).
     pub fn query_with_epsilon(&self, query: &Image, epsilon: f32) -> Result<QueryOutcome> {
-        self.query_with_epsilon_guarded(query, epsilon, &Guard::none())
-    }
-
-    /// [`ImageDatabase::query_with_epsilon`] under a lifecycle [`Guard`]
-    /// (same degradation semantics as [`ImageDatabase::query_guarded`]).
-    pub fn query_with_epsilon_guarded(
-        &self,
-        query: &Image,
-        epsilon: f32,
-        guard: &Guard,
-    ) -> Result<QueryOutcome> {
         let opts = QueryOptions { epsilon: Some(epsilon), ..QueryOptions::default() };
-        self.query_with_options_guarded(query, &opts, guard)
+        self.query_with_options_guarded(query, &opts, &Guard::none())
     }
 
     /// The `k` most similar images regardless of `τ`.
@@ -530,7 +495,7 @@ impl ImageDatabase {
         query_area: usize,
         min_similarity: f64,
     ) -> Result<QueryOutcome> {
-        self.query_regions_with_params(&self.params, q_regions, query_area, min_similarity)
+        self.query_regions_guarded(q_regions, query_area, min_similarity, &Guard::none())
     }
 
     /// [`ImageDatabase::query_regions`] under a lifecycle guard, with the
@@ -550,22 +515,6 @@ impl ImageDatabase {
             query_area,
             min_similarity,
             guard,
-        )
-    }
-
-    pub(crate) fn query_regions_with_params(
-        &self,
-        params: &WalrusParams,
-        q_regions: &[Region],
-        query_area: usize,
-        min_similarity: f64,
-    ) -> Result<QueryOutcome> {
-        self.query_regions_with_params_guarded(
-            params,
-            q_regions,
-            query_area,
-            min_similarity,
-            &Guard::none(),
         )
     }
 
@@ -1024,7 +973,7 @@ mod tests {
         }
         for threads in [1usize, 4] {
             let mut batch = ImageDatabase::new(WalrusParams { threads, ..params() }).unwrap();
-            let ids = batch.insert_images_batch(&items).unwrap();
+            let ids = batch.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
             assert_eq!(ids, vec![0, 1, 2, 3, 4]);
             assert_eq!(batch.len(), serial.len());
             assert_eq!(batch.num_regions(), serial.num_regions());
@@ -1048,7 +997,7 @@ mod tests {
         db.insert_image("first", &blue_image()).unwrap();
         let a = flower_at(0.5, 0.5, 0.5);
         let b = flower_at(0.3, 0.35, 0.4);
-        let ids = db.insert_images_batch(&[("a", &a), ("b", &b)]).unwrap();
+        let ids = db.insert_images_batch_guarded(&[("a", &a), ("b", &b)], &Guard::none()).unwrap();
         assert_eq!(ids, vec![1, 2]);
         assert_eq!(db.len(), 3);
         let top = db.top_k(&a, 1).unwrap();
@@ -1063,7 +1012,8 @@ mod tests {
         let mut db = ImageDatabase::new(params()).unwrap();
         let good = flower_at(0.5, 0.5, 0.5);
         let tiny = Scene::new(Texture::Solid(Rgb(0.5, 0.5, 0.5))).render(4, 4).unwrap();
-        let err = db.insert_images_batch(&[("good", &good), ("tiny", &tiny)]);
+        let err =
+            db.insert_images_batch_guarded(&[("good", &good), ("tiny", &tiny)], &Guard::none());
         assert!(err.is_err());
         assert_eq!(db.len(), 0, "no partial batch visible");
         assert_eq!(db.num_regions(), 0);

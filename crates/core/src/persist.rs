@@ -45,17 +45,18 @@
 //!             u64 sig_lane0 | u64 sig_lane1
 //! ```
 //!
-//! [`save_to_file`] is crash-safe: bytes go to a temporary file which is
-//! fsynced, renamed over the destination, and sealed with a directory
+//! [`save_to_file_with`] is crash-safe: bytes go to a temporary file which
+//! is fsynced, renamed over the destination, and sealed with a directory
 //! fsync — a crash at any instant leaves either the old snapshot or the
-//! new one, never a torn file.
+//! new one, never a torn file. Only a shard of a store is ever a snapshot
+//! *file*; nothing reads or writes one as a database of its own.
 
 use crate::bitmap::RegionBitmap;
 use crate::crc32::crc32;
 use crate::database::{ImageDatabase, IndexedImage};
 use crate::params::{MatchingKind, SignatureKind, SimilarityKind, WalrusParams};
 use crate::region::Region;
-use crate::storage::{DiskIo, StorageIo};
+use crate::storage::StorageIo;
 use crate::{Result, WalrusError};
 use std::path::Path;
 use walrus_imagery::ColorSpace;
@@ -136,14 +137,9 @@ fn write_images_block<'a>(
 }
 
 /// Writes the database to a file atomically (temp file → fsync → rename →
-/// directory fsync).
-pub fn save_to_file(db: &ImageDatabase, path: impl AsRef<Path>) -> Result<()> {
-    save_to_file_with(&DiskIo, db, path.as_ref(), 0)
-}
-
-/// Like [`save_to_file`] but through a pluggable I/O layer and with an
-/// explicit WAL position. Used by the durable store and the
-/// crash-consistency tests.
+/// directory fsync) through a pluggable I/O layer, recording `last_lsn` as
+/// its WAL position. Used by the durable store and the crash-consistency
+/// tests.
 pub fn save_to_file_with(
     io: &dyn StorageIo,
     db: &ImageDatabase,
@@ -286,21 +282,6 @@ fn read_images(r: &mut Reader<'_>, db: &mut ImageDatabase) -> Result<()> {
         }
     }
     Ok(())
-}
-
-/// Reads a database from a file.
-pub fn load_from_file(path: impl AsRef<Path>) -> Result<ImageDatabase> {
-    load_from_file_with(&DiskIo, path.as_ref()).map(|(db, _)| db)
-}
-
-/// Like [`load_from_file`] but through a pluggable I/O layer, also
-/// returning the snapshot's `last_lsn`.
-pub fn load_from_file_with(
-    io: &dyn StorageIo,
-    path: &Path,
-) -> Result<(ImageDatabase, u64)> {
-    let bytes = io.read(path)?;
-    load_with_lsn(&bytes)
 }
 
 fn corrupt(what: &str) -> WalrusError {
@@ -769,20 +750,12 @@ mod tests {
         let dir = std::env::temp_dir().join("walrus_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("db.walrus");
-        save_to_file(&db, &path).unwrap();
+        save_to_file_with(&crate::storage::DiskIo, &db, &path, 0).unwrap();
         // The temp file must not linger after the atomic rename.
         assert!(!dir.join("db.walrus.tmp").exists());
-        let restored = load_from_file(&path).unwrap();
+        let restored = load(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(restored.len(), db.len());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn missing_file_is_io_error() {
-        match load_from_file("/nonexistent/nowhere.walrus") {
-            Err(WalrusError::Io { .. }) => {}
-            other => panic!("expected Io error, got {other:?}"),
-        }
     }
 
     #[test]

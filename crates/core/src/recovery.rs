@@ -77,8 +77,6 @@ pub struct DurableDatabase {
     wal_len: u64,
     /// Records appended since the last checkpoint.
     records_since_checkpoint: usize,
-    /// Checkpoint automatically once this many records accumulate.
-    auto_checkpoint: Option<usize>,
     /// Set when a failed append could not be rolled back: the on-disk WAL
     /// tail is in an unknown state, so further writes are refused until
     /// the store is reopened (which re-establishes a clean tail).
@@ -138,7 +136,6 @@ impl DurableDatabase {
             next_lsn: snapshot_lsn + 1,
             wal_len: 0,
             records_since_checkpoint: 0,
-            auto_checkpoint: None,
             poisoned: false,
             retry: RetryPolicy::default(),
         };
@@ -268,13 +265,7 @@ impl DurableDatabase {
         self.wal_len += buf.len() as u64;
         self.next_lsn += 1;
         self.records_since_checkpoint += 1;
-        self.replay(op)?;
-        if let Some(every) = self.auto_checkpoint {
-            if self.records_since_checkpoint >= every {
-                self.checkpoint()?;
-            }
-        }
-        Ok(())
+        self.replay(op)
     }
 
     /// Extracts regions of `image` and durably inserts them. Returns the
@@ -284,7 +275,7 @@ impl DurableDatabase {
         self.insert_regions(name, image.width(), image.height(), regions)
     }
 
-    /// Durably inserts pre-extracted regions (see
+    /// Durably inserts pre-extracted regions at the next free slot (see
     /// [`ImageDatabase::insert_regions`]).
     pub fn insert_regions(
         &mut self,
@@ -293,17 +284,7 @@ impl DurableDatabase {
         height: usize,
         regions: Vec<Region>,
     ) -> Result<usize> {
-        // Validate dimensionality before anything reaches the log.
-        self.db.check_dims(&regions)?;
-        let expected_id = self.db.image_slots().len();
-        self.log_then_apply(WalOp::Insert {
-            expected_id,
-            name: name.to_string(),
-            width,
-            height,
-            regions,
-        })?;
-        Ok(expected_id)
+        self.insert_regions_at(self.db.image_slots().len(), name, width, height, regions)
     }
 
     /// Durably inserts pre-extracted regions **at an explicit id**, padding
@@ -369,12 +350,6 @@ impl DurableDatabase {
         self.wal_len = wal::WAL_HEADER_LEN;
         self.records_since_checkpoint = 0;
         Ok(())
-    }
-
-    /// Checkpoints automatically once `every` records accumulate in the
-    /// WAL (`None` disables; default).
-    pub fn set_auto_checkpoint(&mut self, every: Option<usize>) {
-        self.auto_checkpoint = every;
     }
 
     /// Overrides the transient-append backoff schedule (default:
@@ -677,17 +652,6 @@ mod tests {
             committed_len,
             "tail was physically truncated"
         );
-    }
-
-    #[test]
-    fn auto_checkpoint_triggers() {
-        let io = Arc::new(FaultIo::new());
-        let (mut store, _) = DurableDatabase::open_with(io, "db", params()).unwrap();
-        store.set_auto_checkpoint(Some(2));
-        store.insert_image("a", &scene(0.2)).unwrap();
-        assert_eq!(store.records_since_checkpoint(), 1);
-        store.insert_image("b", &scene(0.5)).unwrap();
-        assert_eq!(store.records_since_checkpoint(), 0, "auto-checkpoint fired");
     }
 
     #[test]

@@ -81,26 +81,12 @@ impl ImageDatabase {
         scene: SceneRect,
         min_coverage: f64,
     ) -> Result<QueryOutcome> {
-        self.query_scene_guarded(query, scene, min_coverage, &Guard::none())
-    }
-
-    /// [`ImageDatabase::query_scene`] under a lifecycle guard, with the
-    /// same degradation semantics as [`ImageDatabase::query_guarded`]: a
-    /// deadline yields a best-so-far [`crate::ResultStatus::Partial`]
-    /// outcome, cancellation is an error.
-    pub fn query_scene_guarded(
-        &self,
-        query: &Image,
-        scene: SceneRect,
-        min_coverage: f64,
-        guard: &Guard,
-    ) -> Result<QueryOutcome> {
         let opts = QueryOptions {
             scene: Some(scene),
             min_similarity: Some(min_coverage),
             ..QueryOptions::default()
         };
-        self.query_with_options_guarded(query, &opts, guard)
+        self.query_with_options_guarded(query, &opts, &Guard::none())
     }
 }
 

@@ -842,56 +842,127 @@ impl ShardedStore {
         *slot = ShardSlot::Quarantined { error, images, wal_bytes };
     }
 
-    /// Inserts pre-extracted regions at the next global id. Caller holds
-    /// the ingest lock (`next`).
-    fn insert_extracted_locked(
+    /// The one way a shard is mutated: takes the shard's write lock, refuses
+    /// a quarantined shard with [`WalrusError::ShardUnavailable`], runs `op`
+    /// on its [`DurableDatabase`], and quarantines the shard when `op` failed
+    /// in a way that leaves its storage suspect (a poisoned WAL tail, an I/O
+    /// error, corruption). Inserts, removals and checkpoints all go through
+    /// here, so "what quarantines a shard" is decided in one place.
+    fn mutate_shard<T>(
         &self,
         set: &ShardSet,
-        next: &mut usize,
-        name: &str,
-        width: usize,
-        height: usize,
-        regions: Vec<Region>,
-    ) -> Result<usize> {
-        let id = *next;
-        let shard = shard_of(id, set.shards.len());
+        shard: usize,
+        op: impl FnOnce(&mut DurableDatabase) -> Result<T>,
+    ) -> Result<T> {
         let mut slot = set.shards[shard].write();
-        let (result, poisoned) = match &mut *slot {
-            ShardSlot::Healthy(db) => {
-                let r = db.insert_regions_at(id, name, width, height, regions);
-                let poisoned = db.is_poisoned();
-                (r, poisoned)
-            }
-            ShardSlot::Quarantined { .. } => {
-                return Err(WalrusError::ShardUnavailable { shard });
-            }
+        let ShardSlot::Healthy(db) = &mut *slot else {
+            return Err(WalrusError::ShardUnavailable { shard });
         };
-        match result {
-            Ok(got) => {
-                *next = id + 1;
-                Ok(got)
-            }
-            Err(e) => {
-                if poisoned || quarantine_worthy(&e) {
-                    self.mark_quarantined(set, shard, &mut slot, e.to_string());
-                }
-                Err(e)
+        let result = op(db);
+        let poisoned = db.is_poisoned();
+        if let Err(e) = &result {
+            if poisoned || quarantine_worthy(e) {
+                self.mark_quarantined(set, shard, &mut slot, e.to_string());
             }
         }
+        result
+    }
+
+    /// The one ingest commit — every insert, single or batched, is this.
+    /// `batch` holds what each WAL insert record carries besides its id:
+    /// `(name, width, height, regions)`.
+    ///
+    /// The whole id range is pre-assigned under the ingest lock and grouped
+    /// by destination shard ([`shard_of`]). Shards are independent append
+    /// streams, so each group is one work unit on the parallel pool holding
+    /// its shard's write lock once; within a shard ids stay ascending, which
+    /// keeps every shard's WAL bytes identical to a serial insert loop.
+    ///
+    /// **Mid-batch failure.** A shard stops at its first failing insert and
+    /// keeps the records it appended before it (a per-shard committed
+    /// prefix); the other shards are unaffected and commit their whole
+    /// groups. The error returned is the one a serial left-to-right loop
+    /// would have hit first (lowest failing id). Ids are never reused: `next`
+    /// advances past the highest committed id even when a lower id on
+    /// another shard failed — the failed slot stays a tombstone-padded hole
+    /// in its shard, like any sparse global id.
+    fn commit_inserts(
+        &self,
+        batch: Vec<(&str, usize, usize, Vec<Region>)>,
+        guard: &Guard,
+    ) -> Result<Vec<usize>> {
+        // One shard's work: (global id, name, width, height, regions).
+        type ShardWork<'a> = Vec<(usize, &'a str, usize, usize, Vec<Region>)>;
+        let wal_span = guard.span("wal_append");
+        let mut next = self.ingest.lock();
+        let set = self.writable_layout()?;
+        let base = *next;
+        let count = batch.len();
+        let shard_count = set.shards.len();
+        let mut groups: Vec<ShardWork> = (0..shard_count).map(|_| Vec::new()).collect();
+        for (i, (name, width, height, regions)) in batch.into_iter().enumerate() {
+            let id = base + i;
+            groups[shard_of(id, shard_count)].push((id, name, width, height, regions));
+        }
+        let groups: Vec<(usize, parking_lot::Mutex<ShardWork>)> = groups
+            .into_iter()
+            .enumerate()
+            .filter(|(_, g)| !g.is_empty())
+            .map(|(shard, g)| (shard, parking_lot::Mutex::new(g)))
+            .collect();
+
+        // Per shard: the highest id it committed, and the WAL bytes it
+        // appended or its first failure tagged with the failing id.
+        let shard_workers =
+            walrus_parallel::resolve_threads(self.params.threads).min(groups.len().max(1));
+        let results =
+            walrus_parallel::parallel_map(shard_workers, &groups, |_, (shard, work)| {
+                let work = std::mem::take(&mut *work.lock());
+                let mut failing = work[0].0;
+                let mut committed = None;
+                let appended = self.mutate_shard(&set, *shard, |db| {
+                    let wal_before = db.wal_len();
+                    for (id, name, width, height, regions) in work {
+                        failing = id;
+                        db.insert_regions_at(id, name, width, height, regions)?;
+                        committed = Some(id);
+                    }
+                    Ok(db.wal_len() - wal_before)
+                });
+                (committed, appended.map_err(|e| (failing, e)))
+            });
+
+        if let Some(max_id) = results.iter().filter_map(|(committed, _)| *committed).max() {
+            *next = max_id + 1;
+        }
+        let mut bytes = 0;
+        let mut failures = Vec::new();
+        for (_, appended) in results {
+            match appended {
+                Ok(n) => bytes += n,
+                Err(tagged) => failures.push(tagged),
+            }
+        }
+        if let Some((_, e)) = failures.into_iter().min_by_key(|(id, _)| *id) {
+            return Err(e);
+        }
+        if let Some(s) = &wal_span {
+            s.add("records", count as u64);
+            s.add("bytes", bytes);
+        }
+        Ok((base..base + count).collect())
     }
 
     /// Extracts regions of `image` and durably inserts them; returns the
     /// new global id.
     pub fn insert_image(&self, name: &str, image: &Image) -> Result<usize> {
         let regions = extract_regions(image, &self.params)?;
-        let mut next = self.ingest.lock();
-        let set = self.writable_layout()?;
-        self.insert_extracted_locked(&set, &mut next, name, image.width(), image.height(), regions)
+        self.insert_regions(name, image.width(), image.height(), regions)
     }
 
-    /// Durably inserts pre-extracted regions at the next global id — the
-    /// sharded counterpart of [`DurableDatabase::insert_regions`], used by
-    /// fault sweeps that pre-compute extraction once per fixture.
+    /// Durably inserts pre-extracted regions at the next global id (a
+    /// commit of one) — used by fault sweeps and replays that pre-compute
+    /// extraction once per fixture.
     pub fn insert_regions(
         &self,
         name: &str,
@@ -899,27 +970,15 @@ impl ShardedStore {
         height: usize,
         regions: Vec<Region>,
     ) -> Result<usize> {
-        let mut next = self.ingest.lock();
-        let set = self.writable_layout()?;
-        self.insert_extracted_locked(&set, &mut next, name, width, height, regions)
+        let ids = self.commit_inserts(vec![(name, width, height, regions)], &Guard::none())?;
+        Ok(ids[0])
     }
 
-    /// Durable batch ingest: parallel lock-free extraction, then the
-    /// ingest lock for id assignment and **shard-parallel** WAL
-    /// append/index — images are grouped by [`shard_of`] and each shard's
-    /// group runs as one work unit on the parallel pool (ids ascending
-    /// within the shard, so each shard's WAL bytes are identical to a
-    /// serial insert loop). A mid-batch failure commits a per-shard
-    /// prefix: every shard keeps the records it appended before the
-    /// failure, and the returned error is the one a serial left-to-right
-    /// loop would have hit first (lowest failing id).
-    pub fn insert_images_batch(&self, items: &[(&str, &Image)]) -> Result<Vec<usize>> {
-        self.insert_images_batch_guarded(items, &Guard::none())
-    }
-
-    /// [`ShardedStore::insert_images_batch`] under a lifecycle [`Guard`];
-    /// all-or-nothing under interruption, with the final poll before the
-    /// ingest lock is taken.
+    /// Durable batch ingest under a lifecycle [`Guard`]: parallel lock-free
+    /// extraction — all-or-nothing under interruption, with the final poll
+    /// before the ingest lock is taken — then one commit (see
+    /// `commit_inserts` for the shard-parallel append and what a mid-batch
+    /// storage failure leaves behind).
     pub fn insert_images_batch_guarded(
         &self,
         items: &[(&str, &Image)],
@@ -930,125 +989,19 @@ impl ShardedStore {
             s.add("images", items.len() as u64);
         }
         let extracted = extract_batch_guarded(items, &self.params, guard)?;
-        let wal_span = guard.span("wal_append");
-        let mut next = self.ingest.lock();
-        let set = self.writable_layout()?;
-        let wal_before = self.wal_len();
-
-        // Pre-assign the whole id range under the ingest lock, then group
-        // by destination shard. Shards are independent append streams, so
-        // each group becomes one pool work unit holding its shard's write
-        // lock once; within a shard ids stay ascending, which keeps the
-        // per-shard WAL bytes identical to a serial insert loop.
-        // One shard's work: (global id, item index, extracted regions).
-        type ShardWork = Vec<(usize, usize, Vec<Region>)>;
-        let base = *next;
-        let shard_count = set.shards.len();
-        let mut groups: Vec<ShardWork> = (0..shard_count).map(|_| Vec::new()).collect();
-        for (i, regions) in extracted.into_iter().enumerate() {
-            let id = base + i;
-            groups[shard_of(id, shard_count)].push((id, i, regions));
-        }
-        let batches: Vec<(usize, parking_lot::Mutex<ShardWork>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .map(|(shard, g)| (shard, parking_lot::Mutex::new(g)))
+        let batch = items
+            .iter()
+            .zip(extracted)
+            .map(|((name, image), regions)| (*name, image.width(), image.height(), regions))
             .collect();
-
-        struct ShardIngest {
-            /// Ids durably committed on this shard (an in-order prefix of
-            /// the shard's assigned group).
-            committed: Vec<usize>,
-            /// First failure on this shard, tagged with its failing id.
-            error: Option<(usize, WalrusError)>,
-        }
-
-        let shard_workers =
-            walrus_parallel::resolve_threads(self.params.threads).min(batches.len().max(1));
-        let results: Vec<ShardIngest> =
-            walrus_parallel::parallel_map(shard_workers, &batches, |_, (shard, work)| {
-                let work = std::mem::take(&mut *work.lock());
-                let mut committed = Vec::with_capacity(work.len());
-                let mut error = None;
-                let mut slot = set.shards[*shard].write();
-                for (id, idx, regions) in work {
-                    let (name, image) = items[idx];
-                    let step = match &mut *slot {
-                        ShardSlot::Healthy(db) => {
-                            let r = db.insert_regions_at(
-                                id,
-                                name,
-                                image.width(),
-                                image.height(),
-                                regions,
-                            );
-                            let poisoned = db.is_poisoned();
-                            Some((r, poisoned))
-                        }
-                        ShardSlot::Quarantined { .. } => None,
-                    };
-                    match step {
-                        Some((Ok(got), _)) => committed.push(got),
-                        Some((Err(e), poisoned)) => {
-                            if poisoned || quarantine_worthy(&e) {
-                                self.mark_quarantined(&set, *shard, &mut slot, e.to_string());
-                            }
-                            error = Some((id, e));
-                            break;
-                        }
-                        None => {
-                            error = Some((id, WalrusError::ShardUnavailable { shard: *shard }));
-                            break;
-                        }
-                    }
-                }
-                ShardIngest { committed, error }
-            });
-
-        // Ids are never reused: advance past the highest committed id even
-        // when a lower id on another shard failed (the failed slot becomes
-        // a tombstone-padded hole in its shard, like any sparse global id).
-        let max_committed = results.iter().flat_map(|r| r.committed.iter().copied()).max();
-        if let Some(max_id) = max_committed {
-            *next = (*next).max(max_id + 1);
-        }
-        if let Some((_, e)) =
-            results.into_iter().filter_map(|r| r.error).min_by_key(|(id, _)| *id)
-        {
-            return Err(e);
-        }
-
-        let ids: Vec<usize> = (base..base + items.len()).collect();
-        if let Some(s) = &wal_span {
-            s.add("records", ids.len() as u64);
-            s.add("bytes", self.wal_len().saturating_sub(wal_before));
-        }
-        Ok(ids)
+        self.commit_inserts(batch, guard)
     }
 
     /// Durably removes an image from its shard.
     pub fn remove_image(&self, id: usize) -> Result<()> {
         let _next = self.ingest.lock();
         let set = self.writable_layout()?;
-        let shard = shard_of(id, set.shards.len());
-        let mut slot = set.shards[shard].write();
-        let (result, poisoned) = match &mut *slot {
-            ShardSlot::Healthy(db) => {
-                let r = db.remove_image(id);
-                let poisoned = db.is_poisoned();
-                (r, poisoned)
-            }
-            ShardSlot::Quarantined { .. } => {
-                return Err(WalrusError::ShardUnavailable { shard });
-            }
-        };
-        result.map_err(|e| {
-            if poisoned || quarantine_worthy(&e) {
-                self.mark_quarantined(set.as_ref(), shard, &mut slot, e.to_string());
-            }
-            e
-        })
+        self.mutate_shard(&set, shard_of(id, set.shards.len()), |db| db.remove_image(id))
     }
 
     /// Scatter-gather query under per-request [`QueryOptions`] — the same
@@ -1249,26 +1202,9 @@ impl ShardedStore {
             )));
         }
         let started = Instant::now();
-        let mut slot = set.shards[shard].write();
-        let (result, poisoned) = match &mut *slot {
-            ShardSlot::Healthy(db) => {
-                let r = db.checkpoint().map(|()| ShardCheckpoint {
-                    shard,
-                    last_lsn: db.last_lsn(),
-                    duration: started.elapsed(),
-                });
-                let poisoned = db.is_poisoned();
-                (r, poisoned)
-            }
-            ShardSlot::Quarantined { .. } => {
-                return Err(WalrusError::ShardUnavailable { shard });
-            }
-        };
-        result.map_err(|e| {
-            if poisoned || quarantine_worthy(&e) {
-                self.mark_quarantined(set.as_ref(), shard, &mut slot, e.to_string());
-            }
-            e
+        self.mutate_shard(&set, shard, |db| {
+            db.checkpoint()?;
+            Ok(ShardCheckpoint { shard, last_lsn: db.last_lsn(), duration: started.elapsed() })
         })
     }
 

@@ -122,6 +122,7 @@ fn route(state: &AppState, req: &Request) -> Response {
         ("POST", "/admin/checkpoint") => checkpoint(state),
         ("POST", "/admin/rebalance") => rebalance(state, req),
         ("GET", path) if path.starts_with("/image/") => image_meta(state, path),
+        ("DELETE", path) if path.starts_with("/image/") => remove_image(state, path),
         ("GET", path) if path.starts_with("/trace/") => trace_text(state, path),
         // Known paths with the wrong method get 405, everything else 404.
         (
@@ -237,6 +238,18 @@ fn image_meta(state: &AppState, path: &str) -> Response {
             ),
         ),
         Ok(None) => Response::error(404, "unknown image id"),
+        Err(e) => engine_error(&e),
+    }
+}
+
+/// `DELETE /image/{id}`: durably removes one image. The removal advances its
+/// shard's LSN, so every cached ranking goes stale with it.
+fn remove_image(state: &AppState, path: &str) -> Response {
+    let Ok(id) = path.trim_start_matches("/image/").parse::<usize>() else {
+        return Response::error(400, "image id must be a non-negative integer");
+    };
+    match state.store.remove_image(id) {
+        Ok(()) => Response::json(200, format!("{{\"removed\":{id}}}")),
         Err(e) => engine_error(&e),
     }
 }
@@ -747,6 +760,17 @@ mod tests {
         let text = String::from_utf8(resp.body).unwrap();
         assert!(text.contains("\"status\":\"complete\""), "{text}");
         assert!(text.contains("\"similarity_bits\":"), "{text}");
+
+        // DELETE removes exactly that image; a second one finds nothing, and
+        // the path answers 405 to the methods it does not have.
+        let resp = handle(&state, &request("DELETE", "/image/0", Vec::new()));
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body, b"{\"removed\":0}");
+        assert_eq!(state.store.len(), 1);
+        assert_eq!(handle(&state, &request("GET", "/image/0", Vec::new())).status, 404);
+        assert_eq!(handle(&state, &request("DELETE", "/image/0", Vec::new())).status, 404);
+        assert_eq!(handle(&state, &request("DELETE", "/image/frog", Vec::new())).status, 400);
+        assert_eq!(handle(&state, &request("POST", "/image/1", Vec::new())).status, 405);
 
         std::fs::remove_dir_all(&dir).ok();
     }

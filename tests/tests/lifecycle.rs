@@ -78,7 +78,7 @@ fn millisecond_deadline_query_on_1k_image_db_returns_partial() {
     let images: Vec<(String, Image)> =
         (0..1000).map(|i| (format!("img{i}"), tile(i))).collect();
     let items: Vec<(&str, &Image)> = images.iter().map(|(n, i)| (n.as_str(), i)).collect();
-    db.insert_images_batch(&items).unwrap();
+    db.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
     assert_eq!(db.len(), 1000);
 
     // A large query image makes extraction alone exceed 1 ms, so the
@@ -124,7 +124,7 @@ fn expired_test_clock_deadline_degrades_to_partial_without_sleeping() {
     let mut db = ImageDatabase::new(params()).unwrap();
     let images: Vec<(String, Image)> = (0..40).map(|i| (format!("img{i}"), tile(i))).collect();
     let items: Vec<(&str, &Image)> = images.iter().map(|(n, i)| (n.as_str(), i)).collect();
-    db.insert_images_batch(&items).unwrap();
+    db.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
 
     let clock = TestClock::new();
     let guard = Guard::with_timeout_on(clock.clone(), Duration::from_millis(5));
@@ -176,7 +176,7 @@ fn deadline_partial_is_a_correctly_ranked_prefix() {
     let mut db = ImageDatabase::new(WalrusParams { threads: 1, ..params() }).unwrap();
     let images: Vec<(String, Image)> = (0..40).map(|i| (format!("img{i}"), tile(i))).collect();
     let items: Vec<(&str, &Image)> = images.iter().map(|(n, i)| (n.as_str(), i)).collect();
-    db.insert_images_batch(&items).unwrap();
+    db.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
 
     let query = tile(3);
     let q_regions = walrus_core::extract_regions(&query, db.params()).unwrap();

@@ -19,8 +19,8 @@ use walrus_core::params::{MatchingKind, SignatureKind};
 use walrus_core::sharded::shard_dir_name_at;
 use walrus_core::storage::FaultIo;
 use walrus_core::{
-    extract_regions, persist, DurableDatabase, ImageDatabase, QueryOutcome, Region, ShardedStore,
-    StorageIo, WalrusParams,
+    extract_regions, persist, DurableDatabase, Guard, ImageDatabase, QueryOutcome, Region,
+    ShardedStore, StorageIo, WalrusParams,
 };
 use walrus_imagery::Image;
 use walrus_imagery::synth::dataset::{DatasetSpec, ImageClass, SyntheticDataset};
@@ -153,7 +153,7 @@ fn apply(store: &ShardedStore, images: &[(&str, &Image)], ops: &[Op]) {
             }
             Op::Batch(batch) => {
                 let items: Vec<(&str, &Image)> = batch.iter().map(|&i| images[i]).collect();
-                store.insert_images_batch(&items).unwrap();
+                store.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
             }
             Op::Remove(id) => store.remove_image(*id).unwrap(),
         }

@@ -13,7 +13,8 @@ use std::sync::Arc;
 
 use walrus_core::storage::FaultIo;
 use walrus_core::{
-    extract_regions_with_threads, ImageDatabase, QueryOutcome, Region, ShardedStore, WalrusParams,
+    extract_regions_with_threads, Guard, ImageDatabase, QueryOutcome, Region, ShardedStore,
+    WalrusParams,
 };
 use walrus_imagery::synth::dataset::{
     flower_query_scenario, DatasetSpec, ImageClass, SyntheticDataset,
@@ -121,7 +122,7 @@ fn batch_ingest_is_bit_identical_to_serial_insert_loop() {
     for threads in [1, 2, 8] {
         let params = WalrusParams { threads, ..engine_params() };
         let mut batched = ImageDatabase::new(params).unwrap();
-        let ids = batched.insert_images_batch(&items).unwrap();
+        let ids = batched.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
         assert_eq!(ids, (0..items.len()).collect::<Vec<_>>(), "batch ids must be sequential");
         assert_eq!(batched.len(), serial.len());
         assert_eq!(batched.num_regions(), serial.num_regions(), "threads {threads}");
@@ -166,11 +167,11 @@ fn durable_batch_ingest_matches_in_memory_batch() {
     let params = WalrusParams { threads: 2, ..engine_params() };
 
     let mut reference = ImageDatabase::new(params).unwrap();
-    let reference_ids = reference.insert_images_batch(&items).unwrap();
+    let reference_ids = reference.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
 
     let io = Arc::new(FaultIo::new());
     let (durable, _) = ShardedStore::open_with(io, "/walrus", params, shard_count()).unwrap();
-    let durable_ids = durable.insert_images_batch(&items).unwrap();
+    let durable_ids = durable.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
     assert_eq!(durable_ids, reference_ids);
     assert_eq!(durable.len(), reference.len());
     assert_eq!(durable.num_regions(), reference.num_regions());
@@ -210,7 +211,7 @@ fn shared_database_survives_concurrent_batch_ingest_and_queries() {
         let mut writers = Vec::new();
         for chunk in &chunks {
             writers.push(s.spawn(move || {
-                let ids = shared.insert_images_batch(chunk).unwrap();
+                let ids = shared.insert_images_batch_guarded(chunk, &Guard::none()).unwrap();
                 assert_eq!(ids.len(), chunk.len());
             }));
         }

@@ -148,7 +148,7 @@ fn rankings_bit_identical_with_prefilter_on_and_off_across_threads_and_shards() 
 
     // Reference: monolithic, single-threaded, prefilter off.
     let mut reference_db = ImageDatabase::new(params(Some(false), 1)).unwrap();
-    reference_db.insert_images_batch(&refs).unwrap();
+    reference_db.insert_images_batch_guarded(&refs, &Guard::none()).unwrap();
     let reference: Vec<QueryOutcome> =
         queries.iter().map(|q| reference_db.query(q).unwrap()).collect();
     assert!(
@@ -160,7 +160,7 @@ fn rankings_bit_identical_with_prefilter_on_and_off_across_threads_and_shards() 
         for threads in [1, 8] {
             let p = params(prefilter, threads);
             let mut db = ImageDatabase::new(p).unwrap();
-            db.insert_images_batch(&refs).unwrap();
+            db.insert_images_batch_guarded(&refs, &Guard::none()).unwrap();
             for (qi, q) in queries.iter().enumerate() {
                 let got = db.query(q).unwrap();
                 assert_outcomes_identical(

@@ -396,3 +396,54 @@ fn cache_hit_is_visible_on_metrics_and_invalidated_by_ingest() {
     handle.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn delete_removes_the_image_and_invalidates_cached_answers() {
+    let (handle, addr, dir) = start_two_workers("delete", monotonic());
+    let mut client = Client::connect(addr).unwrap();
+    let mut reference = ImageDatabase::new(test_params()).unwrap();
+    for seed in 0..3 {
+        let name = format!("img-{seed}");
+        let resp = client.request("POST", &format!("/ingest?name={name}"), &ppm_bytes(seed));
+        assert_eq!(resp.unwrap().status, 200);
+        reference.insert_image(&name, &parse_netpbm(&ppm_bytes(seed)).unwrap()).unwrap();
+    }
+
+    // Miss, then hit.
+    let strip = |s: String| s[..s.rfind(",\"request_id\":").unwrap()].to_string();
+    let first = client.request("POST", "/query?k=3", &ppm_bytes(0)).unwrap();
+    assert_eq!(first.status, 200, "{}", first.text());
+    let ranked = http_ranking(&first.text());
+    assert!(ranked.len() >= 2, "the query must rank something besides its victim: {ranked:?}");
+    let second = client.request("POST", "/query?k=3", &ppm_bytes(0)).unwrap();
+    assert_eq!(strip(first.text()), strip(second.text()));
+    let text = client.request("GET", "/metrics", &[]).unwrap().text();
+    assert!(text.contains("walrus_cache_hits_total 1\n"), "{text}");
+    assert!(text.contains("walrus_cache_invalidations_total 0\n"), "{text}");
+
+    // Remove the top-ranked image: once, and only once.
+    let victim = ranked[0].0;
+    let resp = client.request("DELETE", &format!("/image/{victim}"), &[]).unwrap();
+    assert_eq!((resp.status, resp.text()), (200, format!("{{\"removed\":{victim}}}")));
+    assert_eq!(client.request("DELETE", &format!("/image/{victim}"), &[]).unwrap().status, 404);
+    assert_eq!(client.request("GET", &format!("/image/{victim}"), &[]).unwrap().status, 404);
+
+    // The removal moved the shard's LSN: the cached ranking is stale, the
+    // same query is recomputed, and what it answers is what an in-process
+    // engine holding the surviving images answers — byte for byte.
+    let third = client.request("POST", "/query?k=3", &ppm_bytes(0)).unwrap();
+    assert_eq!(third.status, 200);
+    assert!(http_ranking(&third.text()).iter().all(|(id, _)| *id != victim), "{}", third.text());
+    let text = client.request("GET", "/metrics", &[]).unwrap().text();
+    assert!(text.contains("walrus_cache_hits_total 1\n"), "{text}");
+    assert!(text.contains("walrus_cache_invalidations_total 1\n"), "{text}");
+    reference.remove_image(victim as usize).unwrap();
+    let opts = QueryOptions { k: Some(3), ..QueryOptions::default() };
+    let query = parse_netpbm(&ppm_bytes(0)).unwrap();
+    let outcome = reference.query_with_options_guarded(&query, &opts, &Guard::none()).unwrap();
+    let fresh = walrus_server::router::outcome_json(&outcome);
+    assert_eq!(strip(third.text()), fresh[..fresh.len() - 1]);
+
+    handle.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}

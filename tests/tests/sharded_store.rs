@@ -35,7 +35,7 @@ use std::time::Duration;
 use walrus_core::recovery::WAL_FILE;
 use walrus_core::scene_query::SceneRect;
 use walrus_core::sharded::{shard_dir_name, shard_of};
-use walrus_core::storage::{Fault, FaultIo, FaultKind, ALL_CRASH_MODES};
+use walrus_core::storage::{CrashMode, Fault, FaultIo, FaultKind, ALL_CRASH_MODES};
 use walrus_core::wal::WAL_HEADER_LEN;
 use walrus_core::{
     extract_regions, DurableDatabase, Guard, ImageDatabase, QueryOptions, QueryOutcome, Region,
@@ -126,7 +126,7 @@ fn sharded_answers_are_bit_identical_to_monolithic() {
         dataset.images.iter().map(|i| (i.name.as_str(), &i.image)).collect();
 
     let mut mono = ImageDatabase::new(params).unwrap();
-    mono.insert_images_batch(&items).unwrap();
+    mono.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
 
     let (query, variants) = flower_query_scenario(0x53, 128, 96, 1).unwrap();
     let queries: Vec<&Image> = std::iter::once(&query).chain(variants.iter()).collect();
@@ -143,7 +143,7 @@ fn sharded_answers_are_bit_identical_to_monolithic() {
     for shards in counts {
         let io = Arc::new(FaultIo::new());
         let (store, _) = ShardedStore::open_with(io.clone(), "db", params, shards).unwrap();
-        store.insert_images_batch(&items).unwrap();
+        store.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
         assert_eq!(store.len(), mono.len(), "shards {shards}");
         assert_eq!(store.num_regions(), mono.num_regions(), "shards {shards}");
         for (qi, q) in queries.iter().enumerate() {
@@ -193,10 +193,10 @@ fn scene_queries_on_the_store_match_the_in_memory_engine() {
     let items: Vec<(&str, &Image)> =
         dataset.images.iter().map(|i| (i.name.as_str(), &i.image)).collect();
     let mut mono = ImageDatabase::new(params).unwrap();
-    mono.insert_images_batch(&items).unwrap();
+    mono.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
     let io = Arc::new(FaultIo::new());
     let (store, _) = ShardedStore::open_with(io, "db", params, shard_count()).unwrap();
-    store.insert_images_batch(&items).unwrap();
+    store.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
 
     let (query, _) = flower_query_scenario(0x53, 128, 96, 0).unwrap();
     let on_store = |scene: SceneRect, min_coverage: f64, guard: &Guard| {
@@ -326,7 +326,7 @@ fn batch_ingest_wal_bytes_identical_to_serial() {
     let shards = shard_count();
     let batch_io = Arc::new(FaultIo::new());
     let (batch_store, _) = ShardedStore::open_with(batch_io.clone(), "db", params, shards).unwrap();
-    let batch_ids = batch_store.insert_images_batch(&items).unwrap();
+    let batch_ids = batch_store.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
 
     let serial_io = Arc::new(FaultIo::new());
     let (serial_store, _) =
@@ -369,6 +369,84 @@ fn batch_ingest_wal_bytes_identical_to_serial() {
         let wal = shard_prefix("db", shard).join(WAL_FILE);
         assert!(batch_files.contains_key(&wal), "missing WAL for shard {shard}");
     }
+}
+
+/// What a storage failure in the middle of a batch leaves behind (the
+/// contract documented on the store's commit body). Ids 0..8 over two shards
+/// route `[1, 1, 0, 1, 0, 0, 0, 1]`; shard 1's WAL refuses the append of its
+/// third record (id 3) on every retry, with the filesystem otherwise healthy.
+#[test]
+fn mid_batch_failure_commits_a_per_shard_prefix_and_never_reuses_an_id() {
+    const VICTIM: usize = 1;
+    let params = sweep_params();
+    let images: Vec<(String, Image)> =
+        (0..8).map(|i| (format!("img{i}"), scene(0.08 + 0.1 * i as f32))).collect();
+    let items: Vec<(&str, &Image)> = images.iter().map(|(n, i)| (n.as_str(), i)).collect();
+    let routes: Vec<usize> = (0..8).map(|id| shard_of(id, 2)).collect();
+    assert_eq!(routes, [1, 1, 0, 1, 0, 0, 0, 1], "the scenario below assumes this routing");
+
+    // The oracle: the same images through a serial loop on a healthy disk.
+    let serial_io = Arc::new(FaultIo::new());
+    let (serial, _) = ShardedStore::open_with(serial_io.clone(), "db", params, 2).unwrap();
+    for (name, image) in &items {
+        serial.insert_image(name, image).unwrap();
+    }
+
+    let io = Arc::new(FaultIo::new());
+    let (store, _) = ShardedStore::open_with(io.clone(), "db", params, 2).unwrap();
+    // A committed record is an append and an fsync, so the victim's third
+    // append is operation 4 on its log; each failed attempt is followed by
+    // the truncate + fsync that restore the committed tail. All four
+    // attempts of the default retry policy fail.
+    let victim_wal = shard_prefix("db", VICTIM).join(WAL_FILE);
+    for at_op in [4, 7, 10, 13] {
+        io.arm_fault_at_path(&victim_wal, Fault { at_op, kind: FaultKind::Transient });
+    }
+    let err = store.insert_images_batch_guarded(&items, &Guard::none()).unwrap_err();
+    assert!(
+        matches!(&err, WalrusError::Io { context, .. } if context.contains("shard-001")),
+        "expected the failed append on the victim's log, got {err}"
+    );
+    assert_eq!(io.op_count_at_path(&victim_wal), 16, "the retry loop ran to exhaustion");
+    assert!(!io.is_halted(), "a transient fault leaves the filesystem up");
+    io.clear_path_faults();
+
+    // The victim stopped at its first failure, keeping what it had already
+    // appended; the healthy shard committed its whole group; id 3 is a hole
+    // and id 7 (behind the failure on the victim) was never attempted.
+    assert_eq!(store.quarantined_shards(), vec![VICTIM]);
+    assert_eq!(store.next_id(), 7, "past the highest committed id (6), not the failing one");
+    let healthy_wal = shard_prefix("db", 0).join(WAL_FILE);
+    assert_eq!(
+        io.file_bytes(&healthy_wal),
+        serial_io.file_bytes(&healthy_wal),
+        "the healthy shard's log is the serial loop's"
+    );
+    let victim_bytes = io.file_bytes(&victim_wal).unwrap();
+    let serial_victim = serial_io.file_bytes(&victim_wal).unwrap();
+    assert!(victim_bytes.len() < serial_victim.len() && serial_victim.starts_with(&victim_bytes));
+
+    let repair = store.recover_shard(VICTIM).unwrap();
+    assert_eq!((repair.records_kept, repair.truncated_bytes), (2, 0));
+    let names = |store: &ShardedStore| -> Vec<Option<String>> {
+        (0..store.next_id()).map(|id| store.image_meta(id).unwrap().map(|m| m.name)).collect()
+    };
+    let live = |ids: &[usize]| -> Vec<Option<String>> {
+        (0..7).map(|id| ids.contains(&id).then(|| format!("img{id}"))).collect()
+    };
+    assert_eq!(names(&store), live(&[0, 1, 2, 4, 5, 6]));
+
+    // A crash and a reopen agree with the store that lived through it, and
+    // the next insert takes an id nobody was ever given.
+    drop(store);
+    io.crash(CrashMode::LoseUnsynced);
+    let (store, recoveries) = ShardedStore::open_with(io, "db", params, 0).unwrap();
+    assert!(recoveries.iter().all(|r| r.error.is_none()));
+    assert_eq!(store.next_id(), 7);
+    assert_eq!(names(&store), live(&[0, 1, 2, 4, 5, 6]));
+    assert_eq!(store.insert_image("after", &scene(0.95)).unwrap(), 7);
+    assert_eq!(store.image_meta(7).unwrap().unwrap().name, "after");
+    assert!(store.image_meta(3).unwrap().is_none(), "the failed id stays a hole");
 }
 
 // ---------------------------------------------------------------------------
