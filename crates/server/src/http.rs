@@ -137,8 +137,8 @@ enum Fill {
 /// Outcome of one [`parse_request_bytes`] attempt over a byte buffer.
 ///
 /// This is the *pure* core of the parser: no IO, no clock, no state beyond
-/// the bytes themselves. [`Conn::read_request`] calls it in a loop as bytes
-/// arrive, and benchmarks can time it without a socket.
+/// the bytes themselves. [`Conn::read_request`] runs the same head parse
+/// once per request, and benchmarks can time it without a socket.
 #[derive(Debug)]
 pub enum ParseStep {
     /// A complete request; `consumed` bytes of the buffer belong to it
@@ -161,44 +161,83 @@ pub enum ParseStep {
     },
 }
 
-fn reject(status: u16, message: impl Into<String>) -> ParseStep {
-    ParseStep::Reject { status, message: message.into() }
-}
-
 /// Attempts to parse one request from the front of `buf`, enforcing
 /// `limits`. Pure and restartable: callers re-invoke with a longer buffer
 /// until it stops returning [`ParseStep::Incomplete`].
 pub fn parse_request_bytes(buf: &[u8], limits: &HttpLimits) -> ParseStep {
-    // Phase 1: the head (request line + headers) must be complete.
+    match parse_head(buf, limits) {
+        Err((status, message)) => ParseStep::Reject { status, message: message.to_string() },
+        Ok(None) => ParseStep::Incomplete { in_body: false },
+        Ok(Some(head)) if buf.len() < head.end() => ParseStep::Incomplete { in_body: true },
+        Ok(Some(head)) => {
+            let consumed = head.end();
+            ParseStep::Ready { req: head.into_request(buf), consumed }
+        }
+    }
+}
+
+/// A parsed request head: the whole [`Request`] but its body, plus where
+/// the body sits in the buffer.
+struct Head {
+    method: String,
+    path: String,
+    query: Vec<(String, String)>,
+    headers: Vec<(String, String)>,
+    keep_alive: bool,
+    body_start: usize,
+    content_length: usize,
+}
+
+impl Head {
+    /// Buffer offset one past the request's last body byte; bytes past it
+    /// belong to the next request on this connection.
+    fn end(&self) -> usize {
+        self.body_start + self.content_length
+    }
+
+    /// The request, its body copied out of `buf` (which holds at least
+    /// [`Head::end`] bytes).
+    fn into_request(self, buf: &[u8]) -> Request {
+        Request {
+            body: buf[self.body_start..self.end()].to_vec(),
+            method: self.method,
+            path: self.path,
+            query: self.query,
+            headers: self.headers,
+            keep_alive: self.keep_alive,
+        }
+    }
+}
+
+/// Parses the head at the front of `buf`: `Ok(None)` while it is still
+/// incomplete, `Err((status, message))` on a protocol violation.
+fn parse_head(buf: &[u8], limits: &HttpLimits) -> Result<Option<Head>, (u16, &'static str)> {
     let Some((head_len, body_start)) = find_head_end(buf) else {
         if buf.len() > limits.max_head_bytes {
-            return reject(431, "request head exceeds limit");
+            return Err((431, "request head exceeds limit"));
         }
-        return ParseStep::Incomplete { in_body: false };
+        return Ok(None);
     };
 
-    let head = match String::from_utf8(buf[..head_len].to_vec()) {
-        Ok(head) => head,
-        Err(_) => return reject(400, "request head is not UTF-8"),
-    };
+    let head = std::str::from_utf8(&buf[..head_len]).map_err(|_| (400, "request head is not UTF-8"))?;
     let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
     let request_line = lines.next().unwrap_or("");
     if request_line.len() > limits.max_request_line {
-        return reject(414, "request line exceeds limit");
+        return Err((414, "request line exceeds limit"));
     }
     let mut parts = request_line.split_whitespace();
     let (method, target, version) =
         match (parts.next(), parts.next(), parts.next(), parts.next()) {
             (Some(m), Some(t), Some(v), None) => (m, t, v),
-            _ => return reject(400, "malformed request line"),
+            _ => return Err((400, "malformed request line")),
         };
     if method.is_empty() || !method.bytes().all(|b| b.is_ascii_uppercase()) {
-        return reject(400, "malformed method token");
+        return Err((400, "malformed method token"));
     }
     let http11 = match version {
         "HTTP/1.1" => true,
         "HTTP/1.0" => false,
-        _ => return reject(505, "unsupported HTTP version"),
+        _ => return Err((505, "unsupported HTTP version")),
     };
 
     let mut headers = Vec::new();
@@ -207,14 +246,14 @@ pub fn parse_request_bytes(buf: &[u8], limits: &HttpLimits) -> ParseStep {
             continue;
         }
         if headers.len() >= limits.max_headers {
-            return reject(431, "too many header fields");
+            return Err((431, "too many header fields"));
         }
         let Some((name, value)) = line.split_once(':') else {
-            return reject(400, "malformed header field");
+            return Err((400, "malformed header field"));
         };
         let name = name.trim();
         if name.is_empty() || name.contains(char::is_whitespace) {
-            return reject(400, "malformed header name");
+            return Err((400, "malformed header name"));
         }
         headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
@@ -222,7 +261,7 @@ pub fn parse_request_bytes(buf: &[u8], limits: &HttpLimits) -> ParseStep {
     // Framing. `Transfer-Encoding` of any kind is out of scope: answer
     // 411 instead of guessing where the body ends.
     if headers.iter().any(|(k, _)| k == "transfer-encoding") {
-        return reject(411, "transfer-encoding not supported; use content-length");
+        return Err((411, "transfer-encoding not supported; use content-length"));
     }
     let mut content_length = 0usize;
     let mut saw_length = None::<&str>;
@@ -231,24 +270,14 @@ pub fn parse_request_bytes(buf: &[u8], limits: &HttpLimits) -> ParseStep {
             match saw_length {
                 None => saw_length = Some(v),
                 Some(prev) if prev == v => {}
-                Some(_) => return reject(400, "conflicting content-length fields"),
+                Some(_) => return Err((400, "conflicting content-length fields")),
             }
-            content_length = match v.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => return reject(400, "invalid content-length"),
-            };
+            content_length = v.parse::<usize>().map_err(|_| (400, "invalid content-length"))?;
         }
     }
     if content_length > limits.max_body_bytes {
-        return reject(413, "declared body exceeds limit");
+        return Err((413, "declared body exceeds limit"));
     }
-
-    // Phase 2: the body must be complete. Bytes past it stay in the buffer
-    // for the next request on this connection.
-    if buf.len() - body_start < content_length {
-        return ParseStep::Incomplete { in_body: true };
-    }
-    let body = buf[body_start..body_start + content_length].to_vec();
 
     // `Connection: close` wins; otherwise 1.1 defaults open, 1.0
     // defaults closed.
@@ -267,17 +296,15 @@ pub fn parse_request_bytes(buf: &[u8], limits: &HttpLimits) -> ParseStep {
         None => (target, Vec::new()),
     };
 
-    ParseStep::Ready {
-        req: Request {
-            method: method.to_string(),
-            path: percent_decode(path),
-            query,
-            headers,
-            body,
-            keep_alive,
-        },
-        consumed: body_start + content_length,
-    }
+    Ok(Some(Head {
+        method: method.to_string(),
+        path: percent_decode(path),
+        query,
+        headers,
+        keep_alive,
+        body_start,
+        content_length,
+    }))
 }
 
 /// A buffered HTTP connection over any blocking byte stream. The stream
@@ -286,20 +313,38 @@ pub fn parse_request_bytes(buf: &[u8], limits: &HttpLimits) -> ParseStep {
 /// in-memory streams work for tests.
 pub struct Conn<S: Read + Write> {
     stream: S,
+    /// Received bytes are `buf[..filled]`. The rest is initialised space
+    /// reads land in, kept between reads so it is not re-zeroed per read;
+    /// it only ever grows to the end of the largest read asked for.
     buf: Vec<u8>,
+    filled: usize,
 }
+
+/// Bytes asked for per read while the head is incomplete. Heads are small,
+/// and a small read keeps the head limits tight: the buffer holds at most
+/// one such read past `max_head_bytes` when `431` is answered.
+const HEAD_READ: usize = 4 << 10;
+
+/// Cap on one body read. Body reads are sized to the bytes still expected,
+/// so a declared-but-unsent body grows the buffer by at most this much.
+const MAX_BODY_READ: usize = 64 << 10;
 
 impl<S: Read + Write> Conn<S> {
     pub fn new(stream: S) -> Self {
-        Conn { stream, buf: Vec::new() }
+        Conn { stream, buf: Vec::new(), filled: 0 }
     }
 
-    fn fill(&mut self) -> Result<Fill, ParseError> {
-        let mut chunk = [0u8; 4096];
-        match self.stream.read(&mut chunk) {
+    /// One `read` of at most `max` bytes, straight into the buffer.
+    fn fill(&mut self, max: usize) -> Result<Fill, ParseError> {
+        let end = self.filled + max;
+        if self.buf.len() < end {
+            self.buf.reserve_exact(end - self.buf.len());
+            self.buf.resize(end, 0);
+        }
+        match self.stream.read(&mut self.buf[self.filled..end]) {
             Ok(0) => Ok(Fill::Eof),
             Ok(n) => {
-                self.buf.extend_from_slice(&chunk[..n]);
+                self.filled += n;
                 Ok(Fill::Data)
             }
             Err(e)
@@ -316,58 +361,69 @@ impl<S: Read + Write> Conn<S> {
     /// Reads and parses the next request, enforcing `limits` and the pacing
     /// in `opts`. On `Err(Bad { .. })` the caller should answer and close.
     ///
-    /// This is a thin IO/pacing loop around [`parse_request_bytes`].
+    /// The head is parsed once, by the same code as [`parse_request_bytes`];
+    /// the body is then read straight into the buffer in reads sized to the
+    /// bytes still expected (at most 64 KiB each), so the rest of a body
+    /// that arrives in one segment takes one `read` after the head's.
     pub fn read_request(
         &mut self,
         limits: &HttpLimits,
         opts: &ReadOpts<'_>,
     ) -> Result<Request, ParseError> {
         let started = opts.clock.now_nanos();
-        let elapsed =
-            || Duration::from_nanos(opts.clock.now_nanos().saturating_sub(started));
-        loop {
-            let in_body = match parse_request_bytes(&self.buf, limits) {
-                ParseStep::Ready { req, consumed } => {
-                    self.buf.drain(..consumed);
-                    return Ok(req);
-                }
-                ParseStep::Reject { status, message } => {
-                    return Err(ParseError::Bad { status, message });
-                }
-                ParseStep::Incomplete { in_body } => in_body,
-            };
-            match self.fill()? {
-                Fill::Data => continue,
-                Fill::Eof => {
-                    return if self.buf.is_empty() {
-                        Err(ParseError::Closed)
-                    } else if in_body {
-                        Err(bad(400, "connection closed mid-body"))
-                    } else {
-                        Err(bad(400, "connection closed mid-request"))
-                    };
-                }
-                Fill::Tick => {
-                    if (opts.stopping)() {
-                        return if self.buf.is_empty() {
-                            Err(ParseError::Closed)
-                        } else {
-                            Err(bad(503, "server shutting down"))
-                        };
-                    }
-                    if self.buf.is_empty() {
-                        if (opts.others_waiting)() || elapsed() >= opts.idle_timeout {
-                            return Err(ParseError::Closed);
-                        }
-                    } else if elapsed() >= opts.read_timeout {
-                        return Err(if in_body {
-                            bad(408, "timed out receiving request body")
-                        } else {
-                            bad(408, "timed out receiving request head")
-                        });
-                    }
+        let head = loop {
+            match parse_head(&self.buf[..self.filled], limits) {
+                Ok(Some(head)) => break head,
+                Ok(None) => self.await_bytes(HEAD_READ, false, started, opts)?,
+                Err((status, message)) => return Err(bad(status, message)),
+            }
+        };
+        while self.filled < head.end() {
+            let want = (head.end() - self.filled).min(MAX_BODY_READ);
+            self.await_bytes(want, true, started, opts)?;
+        }
+        // Pipelined bytes past this request move to the front for the next.
+        let consumed = head.end();
+        let req = head.into_request(&self.buf);
+        self.buf.copy_within(consumed..self.filled, 0);
+        self.filled -= consumed;
+        Ok(req)
+    }
+
+    /// Waits for up to `max` more bytes of a request whose receipt began
+    /// at `started`. Returns once bytes arrive or a read tick passes with
+    /// every deadline still open; errors on EOF, shutdown, or an expired
+    /// idle/read deadline.
+    fn await_bytes(
+        &mut self,
+        max: usize,
+        in_body: bool,
+        started: u64,
+        opts: &ReadOpts<'_>,
+    ) -> Result<(), ParseError> {
+        let elapsed = || Duration::from_nanos(opts.clock.now_nanos().saturating_sub(started));
+        let idle = self.filled == 0;
+        match self.fill(max)? {
+            Fill::Data => Ok(()),
+            Fill::Eof if idle => Err(ParseError::Closed),
+            Fill::Eof if in_body => Err(bad(400, "connection closed mid-body")),
+            Fill::Eof => Err(bad(400, "connection closed mid-request")),
+            Fill::Tick if (opts.stopping)() => {
+                Err(if idle { ParseError::Closed } else { bad(503, "server shutting down") })
+            }
+            Fill::Tick if idle => {
+                if (opts.others_waiting)() || elapsed() >= opts.idle_timeout {
+                    Err(ParseError::Closed)
+                } else {
+                    Ok(())
                 }
             }
+            Fill::Tick if elapsed() >= opts.read_timeout => Err(if in_body {
+                bad(408, "timed out receiving request body")
+            } else {
+                bad(408, "timed out receiving request head")
+            }),
+            Fill::Tick => Ok(()),
         }
     }
 
@@ -706,19 +762,34 @@ mod tests {
 
     /// Stream that yields scripted chunks, then endless `WouldBlock` ticks —
     /// each tick advancing a [`TestClock`] — so read-deadline behavior is
-    /// exercised without any real waiting.
+    /// exercised without any real waiting. Like a socket, one read returns
+    /// bytes of one chunk only, as many as the caller's buffer holds (the
+    /// rest stays for the next read). `reads` counts `read` calls.
     struct TickingStream {
         chunks: std::collections::VecDeque<Vec<u8>>,
         clock: std::sync::Arc<walrus_trace::TestClock>,
         tick: Duration,
+        reads: usize,
+    }
+
+    impl TickingStream {
+        fn new(chunks: Vec<Vec<u8>>, tick: Duration) -> Self {
+            let clock = walrus_trace::TestClock::new();
+            TickingStream { chunks: chunks.into(), clock, tick, reads: 0 }
+        }
     }
 
     impl Read for TickingStream {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
             match self.chunks.pop_front() {
-                Some(chunk) => {
-                    buf[..chunk.len()].copy_from_slice(&chunk);
-                    Ok(chunk.len())
+                Some(mut chunk) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.chunks.push_front(chunk.split_off(n));
+                    }
+                    Ok(n)
                 }
                 None => {
                     self.clock.advance(self.tick);
@@ -745,12 +816,19 @@ mod tests {
         tick: Duration,
         others_waiting: bool,
     ) -> (Result<Request, ParseError>, Duration) {
-        let clock = walrus_trace::TestClock::new();
-        let stream = TickingStream {
-            chunks: chunks.iter().map(|c| c.to_vec()).collect(),
-            clock: clock.clone(),
-            tick,
-        };
+        let stream = TickingStream::new(chunks.iter().map(|c| c.to_vec()).collect(), tick);
+        let clock = stream.clock.clone();
+        (read_scripted(stream, others_waiting).0, clock.elapsed())
+    }
+
+    /// Reads one request from `stream` under a 30 s idle / 5 s read budget
+    /// on the stream's clock; returns the outcome and the connection, whose
+    /// read count and buffer the caller may inspect.
+    fn read_scripted(
+        stream: TickingStream,
+        others_waiting: bool,
+    ) -> (Result<Request, ParseError>, Conn<TickingStream>) {
+        let clock = stream.clock.clone();
         let opts = ReadOpts {
             idle_timeout: Duration::from_secs(30),
             read_timeout: Duration::from_secs(5),
@@ -758,7 +836,85 @@ mod tests {
             others_waiting: &|| others_waiting,
             clock: clock.as_ref(),
         };
-        (Conn::new(stream).read_request(&HttpLimits::default(), &opts), clock.elapsed())
+        let mut conn = Conn::new(stream);
+        (conn.read_request(&HttpLimits::default(), &opts), conn)
+    }
+
+    /// A `/query` POST the size of the benchmark's query image (a
+    /// 36 878-byte body).
+    fn query_post() -> Vec<u8> {
+        let body: Vec<u8> = (0..36_878u32).map(|i| (i % 251) as u8).collect();
+        let mut raw = format!(
+            "POST /query?k=10 HTTP/1.1\r\nHost: walrus\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(&body);
+        raw
+    }
+
+    /// The body is read in reads sized to what is still expected, not in
+    /// 4 KiB steps (10 reads for this request) with a head re-parse after
+    /// each.
+    #[test]
+    fn a_query_body_in_one_segment_takes_at_most_three_reads() {
+        let raw = query_post();
+        let stream = TickingStream::new(vec![raw.clone()], Duration::from_secs(1));
+        let (req, conn) = read_scripted(stream, false);
+        let req = req.unwrap();
+        assert_eq!(req.path, "/query");
+        assert_eq!(req.body, raw[raw.len() - 36_878..]);
+        assert!(conn.stream.reads <= 3, "{} reads", conn.stream.reads);
+    }
+
+    #[test]
+    fn a_byte_per_read_delivery_parses_to_the_same_request() {
+        let raw = query_post();
+        let tick = Duration::from_secs(1);
+        let (whole, _) = read_scripted(TickingStream::new(vec![raw.clone()], tick), false);
+        let bytes = raw.iter().map(|&b| vec![b]).collect();
+        let (dribbled, conn) = read_scripted(TickingStream::new(bytes, tick), false);
+        assert_eq!(conn.stream.reads, raw.len());
+        assert_eq!(format!("{:?}", whole.unwrap()), format!("{:?}", dribbled.unwrap()));
+    }
+
+    #[test]
+    fn two_pipelined_requests_in_one_segment_both_parse() {
+        let mut raw = query_post();
+        raw.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
+        let stream = TickingStream::new(vec![raw], Duration::from_secs(1));
+        let clock = stream.clock.clone();
+        let opts = ReadOpts {
+            idle_timeout: Duration::from_secs(30),
+            read_timeout: Duration::from_secs(5),
+            stopping: &|| false,
+            others_waiting: &|| false,
+            clock: clock.as_ref(),
+        };
+        let mut conn = Conn::new(stream);
+        let first = conn.read_request(&HttpLimits::default(), &opts).unwrap();
+        assert_eq!((first.path.as_str(), first.body.len()), ("/query", 36_878));
+        let second = conn.read_request(&HttpLimits::default(), &opts).unwrap();
+        assert_eq!((second.method.as_str(), second.path.as_str()), ("GET", "/healthz"));
+        assert_eq!(conn.filled, 0, "nothing is left over");
+    }
+
+    /// A head declaring the largest allowed body, then 10 bytes of it and
+    /// silence: the buffer grows by one capped read past what arrived, not
+    /// towards the declared 64 MiB, before the read deadline answers 408.
+    #[test]
+    fn a_declared_but_unsent_body_grows_the_buffer_by_one_read_at_most() {
+        let mut raw = b"POST /ingest HTTP/1.1\r\nContent-Length: 67108864\r\n\r\n".to_vec();
+        raw.extend_from_slice(&[7; 10]);
+        let received = raw.len();
+        let stream = TickingStream::new(vec![raw], Duration::from_secs(1));
+        let (err, conn) = read_scripted(stream, false);
+        assert!(matches!(err, Err(ParseError::Bad { status: 408, .. })), "{err:?}");
+        assert!(
+            conn.buf.capacity() <= received + MAX_BODY_READ,
+            "buffer grew to {} after {received} bytes",
+            conn.buf.capacity()
+        );
     }
 
     #[test]

@@ -444,18 +444,20 @@ fn query(state: &AppState, req: &Request) -> Response {
     }
 
     // Result-cache probe. The key covers everything request-side that can
-    // change the answer (raw body bytes + raw parameter strings + shard
-    // count); the stamp covers everything store-side (per-shard LSNs,
+    // change the answer (raw body bytes + raw parameter strings); the stamp
+    // covers everything store-side (shard count, per-shard LSNs,
     // quarantine, rebalance epoch). A hit skips decode and the whole
     // engine — an entry can only exist if these exact bytes were once a
     // valid query whose `Complete` answer was produced under this stamp,
     // so replaying the cached body is byte-identical by construction.
+    // The `cache` stage covers key, stamp and lookup on every probe, plus
+    // the id splice on a hit.
+    let cache_span = trace.span("cache");
     let key = query_cache_key(req);
     let stamp = state.store.content_stamp();
     match state.cache.lookup(key, stamp) {
         Lookup::Hit(cached) => {
             state.metrics.cache_hits_total.fetch_add(1, Ordering::Relaxed);
-            let cache_span = trace.span("cache");
             let body = append_request_id(&cached, request_id);
             drop(cache_span);
             state.finish_trace(request_id, &trace);
@@ -473,6 +475,7 @@ fn query(state: &AppState, req: &Request) -> Response {
             state.metrics.cache_misses_total.fetch_add(1, Ordering::Relaxed);
         }
     }
+    drop(cache_span);
 
     let image = match parse_netpbm_limited(&req.body, decode_pixels) {
         Ok(image) => image,
@@ -519,12 +522,13 @@ fn query(state: &AppState, req: &Request) -> Response {
     }
 }
 
-/// Builds the cache key for a `/query` request: FNV-1a 64 over the raw body
-/// bytes, then each answer-shaping query parameter (presence + raw string,
-/// in fixed order — raw strings, so no normalization step can ever make two
-/// semantically different requests collide). Store content is deliberately
-/// NOT part of the key: freshness is the stamp's job, so a rebalance or
-/// ingest surfaces as an invalidation rather than a silent key change.
+/// Builds the cache key for a `/query` request: the process-seeded
+/// [`KeyHasher`] over the raw body bytes, then each answer-shaping query
+/// parameter (presence + raw string, in fixed order — raw strings, so no
+/// normalization step can ever make two semantically different requests
+/// collide). Store content, shard count included, is deliberately NOT part
+/// of the key: freshness is the stamp's job, so a rebalance or ingest
+/// surfaces as an invalidation rather than a silent key change.
 fn query_cache_key(req: &Request) -> u64 {
     let mut h = KeyHasher::default();
     h.write_bytes(&req.body);
@@ -862,12 +866,13 @@ mod tests {
         assert_eq!(handle(&state, &request("GET", "/trace/frog", Vec::new())).status, 400);
         assert_eq!(handle(&state, &request("POST", "/trace/1", Vec::new())).status, 405);
 
-        // Stage histograms saw the samples.
+        // Stage histograms saw the samples; `cache` counts the miss's key
+        // and lookup too, not only hits.
         let metrics = String::from_utf8(
             handle(&state, &request("GET", "/metrics", Vec::new())).body,
         )
         .unwrap();
-        for stage in ["decode", "wavelet", "birch", "rstar_probe", "match", "wal_append"] {
+        for stage in ["decode", "wavelet", "birch", "rstar_probe", "match", "wal_append", "cache"] {
             assert!(
                 metrics.contains(&format!("walrus_stage_{stage}_count 1\n")),
                 "stage {stage} missing a sample in:\n{metrics}"

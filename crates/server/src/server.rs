@@ -1,6 +1,6 @@
 //! The serving shell: TCP accept loop, worker pool, graceful shutdown.
 //!
-//! Threading model (DESIGN.md §11): one accept thread owns the non-blocking
+//! Threading model (DESIGN.md §11): one accept thread blocks on the
 //! listener and is the **only** job submitter; a fixed
 //! [`WorkerPool`](walrus_parallel::WorkerPool) runs one connection per job.
 //! A connection holds its worker while it is open, with one exception: an
@@ -14,8 +14,9 @@
 //! Shutdown ordering (SIGTERM / ctrl-c via [`signals`], or
 //! [`ServerHandle::shutdown`]):
 //!
-//! 1. flip the `stopping` flag — the accept thread exits (new connections
-//!    are refused by the dead listener), idle keep-alive connections close
+//! 1. flip the `stopping` flag and wake the accept thread by connecting to
+//!    its own listener — it exits (new connections are refused by the dead
+//!    listener), idle keep-alive connections close
 //!    on their next read tick, busy ones finish their current request and
 //!    close;
 //! 2. drain the pool under `drain_timeout`;
@@ -25,7 +26,7 @@
 //!    empty WAL.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -110,7 +111,6 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| io(&format!("bind {}", config.addr), e))?;
         let addr = listener.local_addr().map_err(|e| io("local_addr", e))?;
-        listener.set_nonblocking(true).map_err(|e| io("set_nonblocking", e))?;
 
         // Shared with the accept thread for submission; the handle keeps it
         // for drain/shutdown.
@@ -151,14 +151,21 @@ impl Server {
     }
 }
 
+/// Runs on the accept thread until shutdown. `accept` blocks; shutdown
+/// wakes it with a connection of its own ([`wake_accept_thread`]), which is
+/// dropped here unserved and uncounted.
 fn accept_loop(
     listener: TcpListener,
     pool: Arc<WorkerPool>,
     state: Arc<AppState>,
     config: ServerConfig,
 ) {
-    while !state.is_stopping() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if state.is_stopping() {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 state.metrics.connections_total.fetch_add(1, Ordering::Relaxed);
                 let _ = stream.set_nodelay(true);
@@ -187,15 +194,31 @@ fn accept_loop(
                     state.metrics.rejected_total.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
             Err(_) => {
                 // Transient accept failure (EMFILE, ECONNABORTED, ...);
                 // back off briefly rather than spinning.
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
+    }
+}
+
+/// Unblocks the accept thread once `stopping` is set: connects to the
+/// listener's own address (loopback when it is bound to every interface)
+/// and repeats until the thread has exited, so a lost wake-up — a failed
+/// connect, or one a backlog of real clients absorbed — cannot hang
+/// shutdown.
+fn wake_accept_thread(addr: SocketAddr, thread: &JoinHandle<()>) {
+    let mut wake = addr;
+    if addr.ip().is_unspecified() {
+        wake.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    while !thread.is_finished() {
+        let _ = TcpStream::connect_timeout(&wake, POLL_INTERVAL);
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -299,6 +322,7 @@ impl ServerHandle {
 
         self.state.stopping.store(true, Ordering::Release);
         if let Some(thread) = self.accept_thread.take() {
+            wake_accept_thread(self.addr, &thread);
             let _ = thread.join();
         }
         if let Some(pool) = self.pool.take() {
@@ -517,6 +541,28 @@ mod tests {
                 .is_err()
         });
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The accept thread blocks in `accept`; shutdown must wake it even
+    /// when no client ever connected, on a loopback and on an
+    /// every-interface bind, and the wake-up is not a served connection.
+    #[test]
+    fn shutdown_without_clients_wakes_the_blocked_accept() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let (store, dir) = test_store("wake");
+            let config = ServerConfig { addr: addr.to_string(), ..test_config() };
+            let handle = Server::start(config, store).unwrap();
+            let state = handle.state();
+            let started = std::time::Instant::now();
+            handle.shutdown().unwrap();
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "shutdown on {addr} took {:?}",
+                started.elapsed()
+            );
+            assert_eq!(state.metrics.connections_total.load(Ordering::Relaxed), 0, "{addr}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -380,8 +380,9 @@ fn cache_hit_is_visible_on_metrics_and_invalidated_by_ingest() {
     assert!(text.contains("walrus_cache_hits_total 1\n"), "{text}");
     assert!(text.contains("walrus_cache_misses_total 1\n"), "{text}");
     assert!(text.contains("walrus_cache_entries 1\n"), "{text}");
-    // The cache-hit fast path records into its own trace/histogram stage.
-    assert!(text.contains("walrus_stage_cache_count 1\n"), "{text}");
+    // Every probe records into the `cache` trace/histogram stage: the
+    // miss's key + lookup and the hit's key + lookup + splice.
+    assert!(text.contains("walrus_stage_cache_count 2\n"), "{text}");
 
     // Ingest moves the LSN: the cached ranking is stale and must never be
     // served again.
