@@ -29,7 +29,9 @@
 //!   `--window <min> <max>`  sliding-window size range (default 8 32)
 //!   `--space <rgb|ycc|yiq|hsv|gray>`  color space (default ycc)
 //!   `--threads <n>`   worker threads for extraction/ingest/query
-//!                     (0 = auto: `WALRUS_THREADS`, then CPU count)
+//!                     (0 = auto: one per CPU)
+//!   `--shards <n>`    shard count when `index`/`demo`/`open`/`serve`
+//!                     create a store (default 1)
 //!   `--timeout-ms <n>`  request deadline; a query that hits it returns the
 //!                     best-so-far partial ranking, an `index` batch aborts
 //!                     without mutating the database
@@ -76,9 +78,10 @@ struct Options {
     timeout_ms: Option<u64>,
     max_pixels: Option<usize>,
     addr: String,
-    /// `--shards <n>`: shard count when creating a store (`None` = consult
-    /// `WALRUS_SHARDS`, then one shard).
-    shards: Option<usize>,
+    /// `--shards <n>`: shard count when creating a store; `0` (not given)
+    /// means "whatever the store's manifest says, and one shard when there
+    /// is no store yet".
+    shards: usize,
     /// `--shard <i>`: target one shard in `recover` / `compact`.
     shard: Option<usize>,
     /// `--cache-capacity <n>`: query-result cache entries (0 disables;
@@ -98,7 +101,7 @@ impl Default for Options {
             timeout_ms: None,
             max_pixels: None,
             addr: "127.0.0.1:8167".to_string(),
-            shards: None,
+            shards: 0,
             shard: None,
             cache_capacity: None,
         }
@@ -188,7 +191,7 @@ fn parse_options(args: &[String]) -> Result<(Options, &[String]), String> {
                 if n == 0 {
                     return Err("--shards must be >= 1".into());
                 }
-                opts.shards = Some(n);
+                opts.shards = n;
                 i += 2;
             }
             "--shard" => {
@@ -246,21 +249,6 @@ fn params_for(opts: &Options) -> Result<WalrusParams, String> {
     Ok(params)
 }
 
-/// Shard count to create a store with: `--shards` wins, then the
-/// `WALRUS_SHARDS` environment variable; `0` (or neither) means "whatever
-/// the store's manifest says, and one shard when there is no store yet".
-fn resolved_shards(opts: &Options) -> Result<usize, String> {
-    if let Some(n) = opts.shards {
-        return Ok(n);
-    }
-    match std::env::var("WALRUS_SHARDS") {
-        Ok(raw) => raw
-            .parse::<usize>()
-            .map_err(|_| format!("WALRUS_SHARDS: cannot parse {raw:?}")),
-        Err(_) => Ok(0),
-    }
-}
-
 /// What every command says to a `<db>` that is not a directory.
 fn not_a_store(path: &str) -> String {
     format!(
@@ -288,8 +276,8 @@ fn open_store(
 /// be there (everything but `index`, `demo`, `open` and `serve`): refuses a
 /// path that is not a directory, warns when a shard is quarantined, and
 /// adopts whatever layout the manifest records (shards = 0), so they work
-/// after a rebalance even when `--shards`/`WALRUS_SHARDS` still describe the
-/// layout the store had before it.
+/// after a rebalance even when `--shards` still describes the layout the
+/// store had before it.
 fn open_existing_store(
     dir: &str,
     opts: &Options,
@@ -303,16 +291,15 @@ fn open_existing_store(
 }
 
 /// The ingest half of `index` and `demo`. The inputs are already decoded:
-/// only now is the store opened — or created, with `--shards` /
-/// `WALRUS_SHARDS` shards or one — so an input that fails to decode never
-/// leaves a database behind. The batch is one store commit, all-or-nothing
-/// if the deadline fires.
+/// only now is the store opened — or created, with `--shards` shards or
+/// one — so an input that fails to decode never leaves a database behind.
+/// The batch is one store commit, all-or-nothing if the deadline fires.
 fn commit_images(
     db_path: &str,
     opts: &Options,
     items: &[(&str, &Image)],
 ) -> Result<(ShardedStore, Vec<usize>), String> {
-    let (store, recoveries) = open_store(db_path, opts, resolved_shards(opts)?)?;
+    let (store, recoveries) = open_store(db_path, opts, opts.shards)?;
     warn_if_degraded(db_path, &recoveries);
     let ids = store
         .insert_images_batch_guarded(items, &opts.guard())
@@ -625,7 +612,7 @@ fn cmd_open(opts: &Options, rest: &[String]) -> Result<(), String> {
     let [dir] = rest else {
         return Err("usage: walrus [--shards n] open <dir>".into());
     };
-    let (store, recoveries) = open_store(dir, opts, resolved_shards(opts)?)?;
+    let (store, recoveries) = open_store(dir, opts, opts.shards)?;
     print_shard_recoveries(&recoveries);
     println!(
         "store {dir}: {} shard(s), {} images, {} regions, wal {} bytes",
@@ -671,13 +658,13 @@ fn cmd_rebalance(opts: &Options, rest: &[String]) -> Result<(), String> {
         [dir] => (dir.clone(), opts.shards),
         [dir, flag, value] if flag == "--shards" => {
             let m = value.parse().map_err(|_| format!("--shards: cannot parse {value:?}"))?;
-            (dir.clone(), Some(m))
+            (dir.clone(), m)
         }
         _ => return Err(usage.into()),
     };
-    let Some(target) = target else {
+    if target == 0 {
         return Err(format!("rebalance needs a target shard count\n{usage}"));
-    };
+    }
     let dir = dir.as_str();
     // An interrupted migration resumes in this open, before the explicit
     // rebalance.
@@ -818,7 +805,7 @@ fn cmd_serve(opts: &Options, rest: &[String]) -> Result<(), String> {
         ..defaults
     };
     walrus_server::signals::install();
-    let (store, recoveries) = open_store(dir, opts, resolved_shards(opts)?)?;
+    let (store, recoveries) = open_store(dir, opts, opts.shards)?;
     print_shard_recoveries(&recoveries);
     warn_if_degraded(dir, &recoveries);
     let handle = walrus_server::Server::start(config, store)
@@ -883,13 +870,13 @@ fn print_usage() {
            --eps <f>              querying epsilon override\n\
            --window <min> <max>   window size range (default 8 32)\n\
            --space <name>         rgb|ycc|yiq|hsv|gray (default ycc)\n\
-           --threads <n>          worker threads (0 = auto via WALRUS_THREADS/CPUs)\n\
+           --threads <n>          worker threads (default 0 = one per CPU)\n\
            --timeout-ms <n>       request deadline (query: best-so-far partial;\n\
                                   index: all-or-nothing abort)\n\
            --max-pixels <n>       reject larger images before decoding\n\
            --addr <host:port>     bind address for serve (default 127.0.0.1:8167)\n\
-           --shards <n>           shard count when creating a store (or WALRUS_SHARDS;\n\
-                                  default 1; changed later only by rebalance)\n\
+           --shards <n>           shard count when creating a store (default 1;\n\
+                                  changed later only by rebalance)\n\
            --shard <i>            target one shard in recover/compact/scrub\n\
            --cache-capacity <n>   query-result cache entries (0 disables; default 256)"
     );
@@ -1024,8 +1011,8 @@ mod tests {
         let db_str = db_path.to_str().unwrap().to_string();
         let _ = std::fs::remove_dir_all(&db_path);
 
-        // demo creates the store (one shard, pinned against the
-        // environment) and commits the dataset as one batch.
+        // demo creates a one-shard store and commits the dataset as one
+        // batch.
         run(&s(&["--shards", "1", "demo", &db_str])).unwrap();
         run(&s(&["compact", &db_str])).unwrap();
         assert_eq!(load_db(&db_path).len(), 24);

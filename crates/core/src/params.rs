@@ -77,12 +77,11 @@ pub struct WalrusParams {
     /// greedy (the exact algorithm is exponential).
     pub exact_pair_limit: usize,
     /// Worker threads for parallel extraction, batch ingest and query
-    /// processing. `0` = auto (the `WALRUS_THREADS` environment variable,
-    /// then available hardware parallelism); `1` forces fully serial
-    /// execution. Results are byte-identical for every value. This is a
-    /// runtime knob: snapshots do not persist it, so a bare snapshot file
-    /// loads with `0` (auto) and a store directory reopens with whatever
-    /// the caller of `open` passes.
+    /// processing. `0` = auto (available hardware parallelism); `1` forces
+    /// fully serial execution. Results are byte-identical for every value.
+    /// This is a runtime knob: snapshots do not persist it, so a bare
+    /// snapshot file loads with `0` (auto) and a store directory reopens
+    /// with whatever the caller of `open` passes.
     pub threads: usize,
     /// Per-request resource ceilings (max decoded pixels, regions per
     /// image, index candidates, WAL record bytes), enforced at decode,
@@ -90,13 +89,12 @@ pub struct WalrusParams {
     /// knob: snapshots do not persist it, a bare snapshot file loads with
     /// the defaults and a store reopens with the caller's.
     pub budgets: Budgets,
-    /// Binary-signature prefilter during index probes: `None` = auto (the
-    /// `WALRUS_PREFILTER` environment variable, default on), `Some(x)` =
-    /// forced. The prefilter is admissible — rankings are bit-identical
-    /// either way — so this only trades popcount tests against exact
-    /// geometry tests. Runtime knob: not persisted by snapshots, taken from
-    /// the caller on every store reopen.
-    pub prefilter: Option<bool>,
+    /// Binary-signature prefilter during index probes (default on). The
+    /// prefilter is admissible — rankings are bit-identical either way — so
+    /// this only trades popcount tests against exact geometry tests.
+    /// Runtime knob: not persisted by snapshots, taken from the caller on
+    /// every store reopen.
+    pub prefilter: bool,
 }
 
 impl WalrusParams {
@@ -116,7 +114,7 @@ impl WalrusParams {
             exact_pair_limit: 16,
             threads: 0,
             budgets: Budgets::default(),
-            prefilter: None,
+            prefilter: true,
         }
     }
 
@@ -175,25 +173,10 @@ impl WalrusParams {
         self.sliding.signature_dims(self.color_space.channel_count())
     }
 
-    /// The effective prefilter setting: an explicit [`Self::prefilter`]
-    /// wins; otherwise the `WALRUS_PREFILTER` environment variable (read
-    /// once per process; `0`/`off`/`false`/`no` disable), defaulting to
-    /// enabled.
+    /// Whether index probes run the prefilter: [`Self::prefilter`].
     pub fn prefilter_enabled(&self) -> bool {
-        self.prefilter.unwrap_or_else(env_prefilter_default)
+        self.prefilter
     }
-}
-
-fn env_prefilter_default() -> bool {
-    use std::sync::OnceLock;
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("WALRUS_PREFILTER") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !matches!(v.as_str(), "0" | "off" | "false" | "no")
-        }
-        Err(_) => true,
-    })
 }
 
 #[cfg(test)]
@@ -262,13 +245,11 @@ mod tests {
     }
 
     #[test]
-    fn explicit_prefilter_overrides_environment() {
+    fn prefilter_is_on_by_default_and_follows_the_field() {
         let mut p = WalrusParams::paper_defaults();
-        p.prefilter = Some(false);
-        assert!(!p.prefilter_enabled());
-        p.prefilter = Some(true);
         assert!(p.prefilter_enabled());
-        p.prefilter = None;
+        p.prefilter = false;
+        assert!(!p.prefilter_enabled());
         p.validate().unwrap();
     }
 

@@ -459,10 +459,11 @@ fn read_params(r: &mut Reader<'_>) -> Result<WalrusParams> {
         max_regions_per_image: max_regions,
         exact_pair_limit,
         // Runtime knobs; deliberately not part of the snapshot format —
-        // loaded stores resolve them from the environment / defaults.
+        // a loaded snapshot starts from the defaults, and every reopen path
+        // replaces them with its caller's (`set_runtime_knobs`).
         threads: 0,
         budgets: walrus_guard::Budgets::default(),
-        prefilter: None,
+        prefilter: true,
     })
 }
 

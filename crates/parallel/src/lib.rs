@@ -14,8 +14,8 @@
 //!   `(index, &mut [T])` slices carved out of an output buffer with
 //!   `chunks_mut`) across workers; order of execution is unspecified, but
 //!   each task owns disjoint data so results are deterministic.
-//! * [`resolve_threads`] — the engine-wide thread-count policy: explicit
-//!   request > `WALRUS_THREADS` env var > [`std::thread::available_parallelism`].
+//! * [`resolve_threads`] — the engine-wide thread-count policy: an explicit
+//!   request, else [`std::thread::available_parallelism`].
 //! * [`WorkerPool`] (in [`pool`]) — the serving side: a long-lived
 //!   fixed-size pool with a bounded queue, load-shedding submission, panic
 //!   isolation, and a drain-then-shutdown lifecycle for graceful server stop.
@@ -69,29 +69,24 @@ mod nested;
 pub use pool::WorkerPool;
 pub use walrus_guard::{Budgets, CancelToken, Deadline, Guard, Interrupt};
 
-/// Upper bound on worker threads; guards against absurd `WALRUS_THREADS`
-/// values spawning thousands of OS threads.
+/// Upper bound on worker threads; guards against absurd `--threads` values
+/// spawning thousands of OS threads.
 pub const MAX_THREADS: usize = 256;
 
 /// Resolves the effective worker count for a requested value, applying the
 /// engine-wide policy:
 ///
 /// 1. `requested > 0` wins (the `WalrusParams::threads` knob);
-/// 2. otherwise the `WALRUS_THREADS` environment variable, if set to a
-///    positive integer (read once per process);
-/// 3. otherwise [`std::thread::available_parallelism`] (1 if unknown).
+/// 2. otherwise [`std::thread::available_parallelism`] (1 if unknown, read
+///    once per process).
 ///
 /// The result is clamped to `[1, MAX_THREADS]`.
 pub fn resolve_threads(requested: usize) -> usize {
-    static ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    static CPUS: OnceLock<usize> = OnceLock::new();
     let resolved = if requested > 0 {
         requested
-    } else if let Some(n) = *ENV.get_or_init(|| {
-        std::env::var("WALRUS_THREADS").ok().and_then(|v| v.trim().parse().ok()).filter(|&n| n > 0)
-    }) {
-        n
     } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        *CPUS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     };
     resolved.clamp(1, MAX_THREADS)
 }
@@ -448,9 +443,10 @@ fn chunk_size(len: usize, threads: usize) -> usize {
 }
 
 /// The shared half of the map primitives: maps chunk by chunk through
-/// [`run_chunks`] and returns `(start index, outputs)` runs sorted by start,
-/// plus the interrupt that stopped the section early, if any.
+/// [`run_chunks`] on `set` and returns `(start index, outputs)` runs sorted
+/// by start, plus the interrupt that stopped the section early, if any.
 fn map_chunks<T, U, F>(
+    set: &'static HelperSet,
     threads: usize,
     guard: &Guard,
     items: &[T],
@@ -464,7 +460,7 @@ where
     let chunk = chunk_size(items.len(), threads);
     let n_chunks = items.len().div_ceil(chunk);
     let done: Mutex<Vec<(usize, Vec<U>)>> = Mutex::new(Vec::with_capacity(n_chunks));
-    let interrupted = run_chunks(helper_set(), threads, n_chunks, guard, &|c| {
+    let interrupted = run_chunks(set, threads, n_chunks, guard, &|c| {
         let start = c * chunk;
         let end = (start + chunk).min(items.len());
         let out: Vec<U> =
@@ -476,15 +472,21 @@ where
     (parts, interrupted)
 }
 
-/// The shared half of the for primitives: one task per claim.
-fn for_chunks<T, F>(threads: usize, guard: &Guard, tasks: Vec<T>, f: &F) -> Option<Interrupt>
+/// The shared half of the for primitives: one task per claim, on `set`.
+fn for_chunks<T, F>(
+    set: &'static HelperSet,
+    threads: usize,
+    guard: &Guard,
+    tasks: Vec<T>,
+    f: &F,
+) -> Option<Interrupt>
 where
     T: Send,
     F: Fn(T) + Sync,
 {
     let n_tasks = tasks.len();
     let queue = Mutex::new(tasks);
-    run_chunks(helper_set(), threads, n_tasks, guard, &|_| {
+    run_chunks(set, threads, n_tasks, guard, &|_| {
         // Pop from the back: O(1) and contention-free enough for the coarse
         // task granularity the engine uses. Every claim that gets here pops
         // exactly one task, so the queue cannot run dry first.
@@ -507,7 +509,7 @@ where
     let Some(threads) = section_threads(threads, items.len()) else {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     };
-    let (parts, _) = map_chunks(threads, &Guard::none(), items, &f);
+    let (parts, _) = map_chunks(helper_set(), threads, &Guard::none(), items, &f);
     let mut out = Vec::with_capacity(items.len());
     for (_, part) in parts {
         out.extend(part);
@@ -550,7 +552,7 @@ where
         }
         return;
     };
-    for_chunks(threads, &Guard::none(), tasks, &f);
+    for_chunks(helper_set(), threads, &Guard::none(), tasks, &f);
 }
 
 /// A poisoned mutex here only means another thread panicked; that panic is
@@ -608,7 +610,7 @@ where
         }
         return PartialOutput { completed, interrupted };
     };
-    let (parts, interrupted) = map_chunks(threads, guard, items, &f);
+    let (parts, interrupted) = map_chunks(helper_set(), threads, guard, items, &f);
     let mut completed = Vec::with_capacity(items.len());
     for (start, part) in parts {
         completed.extend(part.into_iter().enumerate().map(|(i, u)| (start + i, u)));
@@ -673,7 +675,7 @@ where
         }
         return Ok(());
     };
-    match for_chunks(threads, guard, tasks, &f) {
+    match for_chunks(helper_set(), threads, guard, tasks, &f) {
         Some(int) => Err(int),
         None => Ok(()),
     }
@@ -694,6 +696,9 @@ mod tests {
     fn resolve_auto_is_at_least_one() {
         let n = resolve_threads(0);
         assert!((1..=MAX_THREADS).contains(&n));
+        // Auto is the CPU count and nothing else.
+        let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(n, cpus.clamp(1, MAX_THREADS));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Stress suite for the persistent helper set behind the data-parallel
 //! primitives. Every test here asserts on the process-wide counters of
 //! [`walrus_parallel::stats`], so the tests take one lock and run one at a
-//! time; the helper count is whatever `WALRUS_THREADS` / the host gives
-//! (`stats().helpers`), and CI runs the file at 0, 1 and 3 helpers.
+//! time; the helper count is whatever the host's CPUs give
+//! (`stats().helpers`). The same contract at a pinned 0, 1 and 3 helpers is
+//! swept on private helper sets by the crate's unit tests (`nested.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

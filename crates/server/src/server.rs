@@ -46,7 +46,7 @@ pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:8167` (port `0` = ephemeral).
     pub addr: String,
     /// Worker threads; `0` resolves via the engine-wide policy
-    /// ([`resolve_threads`]: request > `WALRUS_THREADS` > cores).
+    /// ([`resolve_threads`]: request > cores).
     pub threads: usize,
     /// Connections that may wait for a worker before new ones get `503`.
     pub queue_depth: usize,

@@ -8,7 +8,7 @@
 //!   blocking, so deadline/latency/percentile tests run in zero wall time.
 //! * [`TraceContext`] / [`Span`] — per-request span trees with counters,
 //!   opened only by the orchestrating thread so the recorded tree is
-//!   bit-identical across `WALRUS_THREADS` settings.
+//!   bit-identical at every worker-thread count.
 //! * [`Histogram`] — a lock-free fixed-bucket (powers-of-two microseconds)
 //!   latency histogram with commutative/associative merge and nearest-rank
 //!   quantiles, for per-stage aggregation in the server's `/metrics`.

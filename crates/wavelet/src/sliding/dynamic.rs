@@ -270,8 +270,8 @@ pub fn compute_signatures_with_threads(
 
 /// The sweep itself, writing every signature straight into one
 /// [`SignatureMatrix`]. `threads = 0` resolves via
-/// [`walrus_parallel::resolve_threads`] (`WALRUS_THREADS`, then available
-/// parallelism); `threads <= 1` runs fully serial. The sweep parallelizes
+/// [`walrus_parallel::resolve_threads`] (available parallelism);
+/// `threads <= 1` runs fully serial. The sweep parallelizes
 /// the two independent axes of each level — color channels and window rows —
 /// and the per-row signature assembly; the output is **byte-identical** for
 /// every thread count (work is partitioned, no floating-point

@@ -4,9 +4,9 @@
 //! byte-identical to a fresh, uncached engine run against the store as it
 //! is *right now*.
 //!
-//! The store under test is sharded (`WALRUS_SHARDS`, default 4; the CI
-//! matrix also runs 1) and the engine honors `WALRUS_THREADS`, so the same
-//! oracle holds across the serial/parallel × 1-shard/4-shard sweep.
+//! Every generated interleaving runs once per `(threads, shards)` pair of
+//! the matrix, so the same oracle holds across the serial/parallel ×
+//! 1-shard/4-shard sweep in one `cargo test`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -18,16 +18,14 @@ use walrus_core::{
 };
 use walrus_imagery::ppm::write_ppm;
 use walrus_imagery::{ColorSpace, Image};
+use walrus_integration_tests::threads_by_shards;
 use walrus_server::router::{handle, outcome_json};
 use walrus_server::{AppState, Metrics, QueryCache, Request, TraceStore};
 
-fn shard_count() -> usize {
-    std::env::var("WALRUS_SHARDS").ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(4)
-}
-
-fn test_params() -> WalrusParams {
+fn test_params(threads: usize) -> WalrusParams {
     WalrusParams {
         sliding: SlidingParams { s: 2, omega_min: 8, omega_max: 8, stride: 4 },
+        threads,
         ..WalrusParams::paper_defaults()
     }
 }
@@ -52,8 +50,8 @@ fn tmp_dir() -> PathBuf {
     dir
 }
 
-fn state_over(dir: &std::path::Path) -> AppState {
-    let (store, _) = ShardedStore::open(dir, test_params(), shard_count()).unwrap();
+fn state_over(dir: &std::path::Path, threads: usize, shards: usize) -> AppState {
+    let (store, _) = ShardedStore::open(dir, test_params(threads), shards).unwrap();
     AppState {
         store: Arc::new(store),
         metrics: Metrics::default(),
@@ -129,64 +127,68 @@ proptest! {
 
     #[test]
     fn any_interleaving_never_serves_a_stale_ranking(ops in ops()) {
-        let dir = tmp_dir();
-        let state = state_over(&dir);
-        let mut queries = 0u64;
-        for op in &ops {
-            match op {
-                Op::Ingest(seed) => {
-                    let resp = handle(&state, &request("POST", "/ingest", ppm_bytes(*seed)));
-                    prop_assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-                }
-                Op::Checkpoint => {
-                    let resp =
-                        handle(&state, &request("POST", "/admin/checkpoint", Vec::new()));
-                    prop_assert_eq!(resp.status, 200);
-                }
-                Op::Rebalance(target) => {
-                    let resp = handle(
-                        &state,
-                        &request("POST", &format!("/admin/rebalance?shards={target}"), Vec::new()),
-                    );
-                    // Migrating to the current shard count is refused; any
-                    // other target must commit.
-                    prop_assert!(
-                        resp.status == 200 || resp.status == 400,
-                        "rebalance to {} answered {}: {}",
-                        target,
-                        resp.status,
-                        String::from_utf8_lossy(&resp.body)
-                    );
-                }
-                Op::Query { seed, k } => {
-                    queries += 1;
-                    let body = ppm_bytes(*seed);
-                    let resp =
-                        handle(&state, &request("POST", &format!("/query?k={k}"), body.clone()));
-                    prop_assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-                    // Fresh uncached oracle: run the engine directly against
-                    // the store as it is *now*. If the cache ever served a
-                    // ranking recorded before an ingest or rebalance, this
-                    // comparison catches it.
-                    let query = walrus_imagery::ppm::parse_netpbm(&body).unwrap();
-                    let opts = QueryOptions { k: Some(*k), ..QueryOptions::default() };
-                    let fresh = state
-                        .store
-                        .query_with_options_guarded(&query, &opts, &Guard::none())
-                        .unwrap();
-                    prop_assert_eq!(
-                        strip_id(&resp.body),
-                        outcome_json(&fresh),
-                        "cached answer diverged from a fresh engine run"
-                    );
+        for (threads, shards) in threads_by_shards() {
+            let dir = tmp_dir();
+            let state = state_over(&dir, threads, shards);
+            let mut queries = 0u64;
+            for op in &ops {
+                match op {
+                    Op::Ingest(seed) => {
+                        let resp = handle(&state, &request("POST", "/ingest", ppm_bytes(*seed)));
+                        prop_assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+                    }
+                    Op::Checkpoint => {
+                        let resp =
+                            handle(&state, &request("POST", "/admin/checkpoint", Vec::new()));
+                        prop_assert_eq!(resp.status, 200);
+                    }
+                    Op::Rebalance(target) => {
+                        let resp = handle(
+                            &state,
+                            &request("POST", &format!("/admin/rebalance?shards={target}"), Vec::new()),
+                        );
+                        // Migrating to the current shard count is refused; any
+                        // other target must commit.
+                        prop_assert!(
+                            resp.status == 200 || resp.status == 400,
+                            "rebalance to {} answered {}: {}",
+                            target,
+                            resp.status,
+                            String::from_utf8_lossy(&resp.body)
+                        );
+                    }
+                    Op::Query { seed, k } => {
+                        queries += 1;
+                        let body = ppm_bytes(*seed);
+                        let resp =
+                            handle(&state, &request("POST", &format!("/query?k={k}"), body.clone()));
+                        prop_assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+                        // Fresh uncached oracle: run the engine directly against
+                        // the store as it is *now*. If the cache ever served a
+                        // ranking recorded before an ingest or rebalance, this
+                        // comparison catches it.
+                        let query = walrus_imagery::ppm::parse_netpbm(&body).unwrap();
+                        let opts = QueryOptions { k: Some(*k), ..QueryOptions::default() };
+                        let fresh = state
+                            .store
+                            .query_with_options_guarded(&query, &opts, &Guard::none())
+                            .unwrap();
+                        prop_assert_eq!(
+                            strip_id(&resp.body),
+                            outcome_json(&fresh),
+                            "threads {} shards {}: cached answer diverged from a fresh engine run",
+                            threads,
+                            shards
+                        );
+                    }
                 }
             }
+            // Accounting: every query either hit or missed, nothing double
+            // counted, and hits never exceed total queries.
+            let hits = state.metrics.cache_hits_total.load(Ordering::Relaxed);
+            let misses = state.metrics.cache_misses_total.load(Ordering::Relaxed);
+            prop_assert_eq!(hits + misses, queries);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        // Accounting: every query either hit or missed, nothing double
-        // counted, and hits never exceed total queries.
-        let hits = state.metrics.cache_hits_total.load(Ordering::Relaxed);
-        let misses = state.metrics.cache_misses_total.load(Ordering::Relaxed);
-        prop_assert_eq!(hits + misses, queries);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

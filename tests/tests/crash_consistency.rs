@@ -12,6 +12,8 @@
 //!    store (`Corrupt`) or land in a committed state;
 //! 3. faults at every op of *recovery itself* (replaying a WAL with a
 //!    torn tail), crash, recover again — still the committed state.
+//!
+//! Each sweep runs at every worker-thread count of the matrix.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -22,11 +24,13 @@ use walrus_imagery::synth::scene::{Scene, SceneObject};
 use walrus_imagery::synth::shapes::Shape;
 use walrus_imagery::synth::texture::{Rgb, Texture};
 use walrus_imagery::Image;
+use walrus_integration_tests::THREAD_COUNTS;
 use walrus_wavelet::SlidingParams;
 
-fn params() -> WalrusParams {
+fn params(threads: usize) -> WalrusParams {
     WalrusParams {
         sliding: SlidingParams { s: 2, omega_min: 8, omega_max: 16, stride: 4 },
+        threads,
         ..WalrusParams::paper_defaults()
     }
 }
@@ -51,7 +55,7 @@ struct Fixtures {
 
 impl Fixtures {
     fn new() -> Self {
-        let p = params();
+        let p = params(1);
         let names = ["a", "b", "c", "d"];
         let regions = names
             .iter()
@@ -97,9 +101,9 @@ fn live_names(store: &DurableDatabase) -> Vec<String> {
 
 /// Runs the workload fault-free and records the state after `k` completed
 /// steps, for k = 0..=STEPS.
-fn committed_states(fx: &Fixtures) -> Vec<Vec<String>> {
+fn committed_states(fx: &Fixtures, p: WalrusParams) -> Vec<Vec<String>> {
     let io = Arc::new(FaultIo::new());
-    let (mut store, _) = DurableDatabase::open_with(io, "db", params()).unwrap();
+    let (mut store, _) = DurableDatabase::open_with(io, "db", p).unwrap();
     let mut states = vec![live_names(&store)];
     for step in 0..STEPS {
         apply(fx, &mut store, step).unwrap();
@@ -110,9 +114,14 @@ fn committed_states(fx: &Fixtures) -> Vec<Vec<String>> {
 
 /// Runs open + workload with `fault` armed. Returns `(completed_steps,
 /// fault_fired)`; `completed_steps` is `None` if the open itself failed.
-fn faulted_run(fx: &Fixtures, io: &Arc<FaultIo>, fault: Fault) -> (Option<usize>, bool) {
+fn faulted_run(
+    fx: &Fixtures,
+    p: WalrusParams,
+    io: &Arc<FaultIo>,
+    fault: Fault,
+) -> (Option<usize>, bool) {
     io.set_fault(Some(fault));
-    let opened = DurableDatabase::open_with(io.clone(), "db", params());
+    let opened = DurableDatabase::open_with(io.clone(), "db", p);
     let completed = match opened {
         Err(_) => None,
         Ok((mut store, _)) => {
@@ -134,7 +143,13 @@ fn faulted_run(fx: &Fixtures, io: &Arc<FaultIo>, fault: Fault) -> (Option<usize>
 #[test]
 fn every_fault_point_recovers_to_a_committed_state() {
     let fx = Fixtures::new();
-    let states = committed_states(&fx);
+    for threads in THREAD_COUNTS {
+        every_fault_point_recovers_to_a_committed_state_at(&fx, params(threads));
+    }
+}
+
+fn every_fault_point_recovers_to_a_committed_state_at(fx: &Fixtures, p: WalrusParams) {
+    let states = committed_states(fx, p);
     let mut swept = 0;
 
     for kind in [FaultKind::Error, FaultKind::ShortWrite] {
@@ -142,8 +157,7 @@ fn every_fault_point_recovers_to_a_committed_state() {
             let mut at_op = 0;
             loop {
                 let io = Arc::new(FaultIo::new());
-                let (completed, fired) =
-                    faulted_run(&fx, &io, Fault { at_op, kind });
+                let (completed, fired) = faulted_run(fx, p, &io, Fault { at_op, kind });
                 if !fired {
                     // The workload uses fewer ops than `at_op`: sweep done.
                     assert_eq!(completed, Some(STEPS));
@@ -153,11 +167,13 @@ fn every_fault_point_recovers_to_a_committed_state() {
 
                 // Machine dies; disk contents meet their fate; restart.
                 io.crash(mode);
-                let (store, _report) =
-                    DurableDatabase::open_with(io.clone(), "db", params())
-                        .unwrap_or_else(|e| {
-                            panic!("recovery failed ({kind:?} at op {at_op}, {mode:?}): {e}")
-                        });
+                let (store, _report) = DurableDatabase::open_with(io.clone(), "db", p)
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "recovery failed ({kind:?} at op {at_op}, {mode:?}, {} thread(s)): {e}",
+                            p.threads
+                        )
+                    });
 
                 let got = live_names(&store);
                 let completed = completed.unwrap_or(0);
@@ -165,8 +181,9 @@ fn every_fault_point_recovers_to_a_committed_state() {
                 let new = states.get(completed + 1);
                 assert!(
                     got == *old || Some(&got) == new,
-                    "{kind:?} at op {at_op}, {mode:?}: recovered {got:?}, \
-                     expected {old:?} or {new:?}"
+                    "{kind:?} at op {at_op}, {mode:?}, {} thread(s): recovered {got:?}, \
+                     expected {old:?} or {new:?}",
+                    p.threads
                 );
 
                 // The recovered store accepts new writes.
@@ -183,13 +200,18 @@ fn every_fault_point_recovers_to_a_committed_state() {
 #[test]
 fn silent_bit_flips_are_detected_or_harmless() {
     let fx = Fixtures::new();
-    let states = committed_states(&fx);
+    for threads in THREAD_COUNTS {
+        silent_bit_flips_are_detected_or_harmless_at(&fx, params(threads));
+    }
+}
+
+fn silent_bit_flips_are_detected_or_harmless_at(fx: &Fixtures, p: WalrusParams) {
+    let states = committed_states(fx, p);
 
     let mut at_op = 0;
     loop {
         let io = Arc::new(FaultIo::new());
-        let (completed, fired) =
-            faulted_run(&fx, &io, Fault { at_op, kind: FaultKind::BitFlip });
+        let (completed, fired) = faulted_run(fx, p, &io, Fault { at_op, kind: FaultKind::BitFlip });
         if !fired {
             break;
         }
@@ -198,7 +220,7 @@ fn silent_bit_flips_are_detected_or_harmless() {
         assert_eq!(completed, Some(STEPS), "bit flip at op {at_op} broke the run");
 
         io.crash(CrashMode::KeepAll);
-        match DurableDatabase::open_with(io.clone(), "db", params()) {
+        match DurableDatabase::open_with(io.clone(), "db", p) {
             Ok((store, _)) => {
                 let got = live_names(&store);
                 assert!(
@@ -217,11 +239,16 @@ fn silent_bit_flips_are_detected_or_harmless() {
 #[test]
 fn faults_during_recovery_itself_are_survivable() {
     let fx = Fixtures::new();
+    for threads in THREAD_COUNTS {
+        faults_during_recovery_itself_are_survivable_at(&fx, params(threads));
+    }
+}
+
+fn faults_during_recovery_itself_are_survivable_at(fx: &Fixtures, p: WalrusParams) {
 
     // Expected surviving state: snapshot {a} + committed wal record {b}.
     let build = |io: &Arc<FaultIo>| {
-        let (mut store, _) =
-            DurableDatabase::open_with(io.clone(), "db", params()).unwrap();
+        let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", p).unwrap();
         fx.insert(&mut store, "a").unwrap();
         store.checkpoint().unwrap();
         fx.insert(&mut store, "b").unwrap();
@@ -242,7 +269,7 @@ fn faults_during_recovery_itself_are_survivable() {
             build(&io);
             io.crash(CrashMode::KeepAll); // reset op counter, keep the torn file
             io.set_fault(Some(Fault { at_op, kind: FaultKind::Error }));
-            let first = DurableDatabase::open_with(io.clone(), "db", params());
+            let first = DurableDatabase::open_with(io.clone(), "db", p);
             let fired = io.op_count() > at_op || io.is_halted();
 
             if let Ok((store, report)) = &first {
@@ -254,14 +281,15 @@ fn faults_during_recovery_itself_are_survivable() {
             } else {
                 // Recovery died mid-repair; crash and recover again, clean.
                 io.crash(mode);
-                let (store, _) = DurableDatabase::open_with(io.clone(), "db", params())
+                let (store, _) = DurableDatabase::open_with(io.clone(), "db", p)
                     .unwrap_or_else(|e| {
                         panic!("second recovery failed (op {at_op}, {mode:?}): {e}")
                     });
                 assert_eq!(
                     live_names(&store),
                     ["a", "b"],
-                    "fault at recovery op {at_op}, {mode:?}"
+                    "fault at recovery op {at_op}, {mode:?}, {} thread(s)",
+                    p.threads
                 );
             }
             at_op += 1;
@@ -275,7 +303,7 @@ fn snapshot_and_wal_files_have_the_documented_names() {
     // The store layout is part of the public contract (ops tooling relies
     // on it); pin the names.
     let io = Arc::new(FaultIo::new());
-    let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params()).unwrap();
+    let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params(1)).unwrap();
     Fixtures::new().insert(&mut store, "a").unwrap();
     assert_eq!(SNAPSHOT_FILE, "snapshot.walrus");
     assert_eq!(WAL_FILE, "wal.log");

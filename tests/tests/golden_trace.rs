@@ -1,7 +1,7 @@
 //! Golden-trace regression test: a fixed-seed ingest + query must produce a
 //! byte-stable span tree — same span names, nesting, and counter values —
-//! regardless of worker thread count (the CI matrix runs this under
-//! `WALRUS_THREADS=1` and `=4`).
+//! at every worker-thread count of the matrix: each test renders the trace
+//! serial and parallel and holds both to the one fixture.
 //!
 //! Durations are rendered as `0us` because the trace runs on a [`TestClock`]
 //! that is never advanced; everything else in the render is engine output,
@@ -17,22 +17,20 @@ use std::sync::Arc;
 use walrus_core::storage::FaultIo;
 use walrus_core::{Guard, ImageDatabase, ShardedStore, TestClock, TraceContext, WalrusParams};
 use walrus_imagery::{ColorSpace, Image};
+use walrus_integration_tests::THREAD_COUNTS;
 use walrus_wavelet::SlidingParams;
 
 const FIXTURE: &str = "golden_trace.txt";
 const SHARDED_FIXTURE: &str = "golden_trace_sharded.txt";
 const IMAGES: usize = 16;
 /// Pinned shard count for the sharded fixture: the rendered span tree is a
-/// function of the store itself, so it is byte-stable no matter what
-/// `WALRUS_SHARDS` or `WALRUS_THREADS` the CI matrix sets.
+/// function of the store itself, so it is byte-stable at any thread count.
 const SHARDS: usize = 4;
 
-fn params() -> WalrusParams {
+fn params(threads: usize) -> WalrusParams {
     WalrusParams {
         sliding: SlidingParams { s: 2, omega_min: 8, omega_max: 8, stride: 4 },
-        // Pinned so the rendered prefilter counters don't depend on the
-        // WALRUS_PREFILTER environment the CI matrix varies.
-        prefilter: Some(true),
+        threads,
         ..WalrusParams::paper_defaults()
     }
 }
@@ -103,11 +101,11 @@ fn assert_matches_fixture(rendered: &str, name: &str) {
     );
 }
 
-/// Runs the seeded ingest + query under a frozen [`TestClock`] and returns
-/// the concatenated rendered traces.
-fn golden_render() -> String {
+/// Runs the seeded ingest + query on `threads` workers under a frozen
+/// [`TestClock`] and returns the concatenated rendered traces.
+fn golden_render(threads: usize) -> String {
     let clock = TestClock::new();
-    let mut db = ImageDatabase::new(params()).unwrap();
+    let mut db = ImageDatabase::new(params(threads)).unwrap();
 
     let images: Vec<(String, Image)> =
         (0..IMAGES).map(|seed| (format!("img-{seed}"), seeded_image(seed))).collect();
@@ -128,30 +126,33 @@ fn golden_render() -> String {
 
 #[test]
 fn golden_trace_is_byte_stable() {
-    let rendered = golden_render();
+    for threads in THREAD_COUNTS {
+        let rendered = golden_render(threads);
 
-    // Structural sanity first, so a broken pipeline fails with a readable
-    // message instead of a wall-of-text fixture diff.
-    for span in
-        ["ingest", "extract", "index", "query", "decode", "wavelet", "birch", "rstar_probe", "match"]
-    {
-        assert!(rendered.contains(span), "span {span:?} missing from:\n{rendered}");
+        // Structural sanity first, so a broken pipeline fails with a
+        // readable message instead of a wall-of-text fixture diff.
+        for span in [
+            "ingest", "extract", "index", "query", "decode", "wavelet", "birch", "rstar_probe",
+            "match",
+        ] {
+            assert!(rendered.contains(span), "threads {threads}: {span:?} missing:\n{rendered}");
+        }
+        assert!(rendered.contains("images=16"), "{rendered}");
+        // Frozen clock ⇒ all durations render as zero.
+        assert!(!rendered.lines().any(|l| l.contains("us") && !l.contains(" 0us")), "{rendered}");
+
+        assert_matches_fixture(&rendered, FIXTURE);
     }
-    assert!(rendered.contains("images=16"), "{rendered}");
-    // Frozen clock ⇒ all durations render as zero.
-    assert!(!rendered.lines().any(|l| l.contains("us") && !l.contains(" 0us")), "{rendered}");
-
-    assert_matches_fixture(&rendered, FIXTURE);
 }
 
 /// The sharded counterpart: same seeded ingest + query against a 4-shard
 /// [`ShardedStore`] over a deterministic in-memory filesystem. The query
 /// trace gains one `shard_probe` child span per shard; everything else
 /// (per-stage counters, nesting) must line up with the in-memory pipeline.
-fn golden_sharded_render() -> String {
+fn golden_sharded_render(threads: usize) -> String {
     let clock = TestClock::new();
     let io = Arc::new(FaultIo::new());
-    let (store, _) = ShardedStore::open_with(io, "db", params(), SHARDS).unwrap();
+    let (store, _) = ShardedStore::open_with(io, "db", params(threads), SHARDS).unwrap();
 
     let images: Vec<(String, Image)> =
         (0..IMAGES).map(|seed| (format!("img-{seed}"), seeded_image(seed))).collect();
@@ -172,31 +173,36 @@ fn golden_sharded_render() -> String {
 
 #[test]
 fn golden_sharded_trace_is_byte_stable() {
-    let rendered = golden_sharded_render();
+    for threads in THREAD_COUNTS {
+        let rendered = golden_sharded_render(threads);
 
-    for span in ["ingest", "extract", "wal_append", "query", "shard_probe", "rstar_probe"] {
-        assert!(rendered.contains(span), "span {span:?} missing from:\n{rendered}");
+        for span in ["ingest", "extract", "wal_append", "query", "shard_probe", "rstar_probe"] {
+            assert!(rendered.contains(span), "threads {threads}: {span:?} missing:\n{rendered}");
+        }
+        // Exactly one probe span per shard, whatever the thread count.
+        assert_eq!(
+            rendered.matches("shard_probe").count(),
+            SHARDS,
+            "expected {SHARDS} shard_probe spans:\n{rendered}"
+        );
+        assert!(!rendered.lines().any(|l| l.contains("us") && !l.contains(" 0us")), "{rendered}");
+
+        assert_matches_fixture(&rendered, SHARDED_FIXTURE);
     }
-    // Exactly one probe span per shard, regardless of thread count or the
-    // WALRUS_SHARDS environment (the store pins its own shard count).
-    assert_eq!(
-        rendered.matches("shard_probe").count(),
-        SHARDS,
-        "expected {SHARDS} shard_probe spans:\n{rendered}"
-    );
-    assert!(!rendered.lines().any(|l| l.contains("us") && !l.contains(" 0us")), "{rendered}");
-
-    assert_matches_fixture(&rendered, SHARDED_FIXTURE);
 }
 
 #[test]
 fn golden_sharded_trace_is_identical_across_repeat_runs() {
-    assert_eq!(golden_sharded_render(), golden_sharded_render());
+    for threads in THREAD_COUNTS {
+        assert_eq!(golden_sharded_render(threads), golden_sharded_render(threads));
+    }
 }
 
 #[test]
 fn golden_trace_is_identical_across_repeat_runs() {
     // Same process, two runs: catches nondeterminism (map iteration order,
-    // uninitialized counters) without relying on the CI thread matrix.
-    assert_eq!(golden_render(), golden_render());
+    // uninitialized counters) that one run against the fixture could miss.
+    for threads in THREAD_COUNTS {
+        assert_eq!(golden_render(threads), golden_render(threads));
+    }
 }

@@ -12,7 +12,8 @@
 //!    snapshot + WAL) byte-for-byte identical, including under injected
 //!    transient write faults that exercise the append retry/backoff path.
 //!
-//! The store-level tests follow the `WALRUS_SHARDS` CI matrix (default 4).
+//! Every test that runs the engine does so at each worker-thread count of
+//! the matrix, and the store-level ones at each shard count too.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -23,11 +24,13 @@ use walrus_core::{
     RetryPolicy, ShardedStore, TestClock, WalrusError, WalrusParams,
 };
 use walrus_imagery::{ColorSpace, Image};
+use walrus_integration_tests::{threads_by_shards, THREAD_COUNTS};
 use walrus_wavelet::SlidingParams;
 
-fn params() -> WalrusParams {
+fn params(threads: usize) -> WalrusParams {
     WalrusParams {
         sliding: SlidingParams { s: 2, omega_min: 8, omega_max: 16, stride: 4 },
+        threads,
         ..WalrusParams::paper_defaults()
     }
 }
@@ -56,15 +59,6 @@ fn tile(seed: usize) -> Image {
     .unwrap()
 }
 
-/// Shard count under test: the `WALRUS_SHARDS` CI matrix, default 4.
-fn shard_count() -> usize {
-    std::env::var("WALRUS_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| (1..=8).contains(&n))
-        .unwrap_or(4)
-}
-
 fn zero_delay_retry(max_attempts: u32) -> RetryPolicy {
     RetryPolicy { max_attempts, base_delay: Duration::ZERO, max_delay: Duration::ZERO }
 }
@@ -74,32 +68,34 @@ fn zero_delay_retry(max_attempts: u32) -> RetryPolicy {
 /// keeps exercising the actual monotonic clock end to end.
 #[test]
 fn millisecond_deadline_query_on_1k_image_db_returns_partial() {
-    let mut db = ImageDatabase::new(params()).unwrap();
     let images: Vec<(String, Image)> =
         (0..1000).map(|i| (format!("img{i}"), tile(i))).collect();
     let items: Vec<(&str, &Image)> = images.iter().map(|(n, i)| (n.as_str(), i)).collect();
-    db.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
-    assert_eq!(db.len(), 1000);
-
     // A large query image makes extraction alone exceed 1 ms, so the
     // deadline always fires somewhere in the pipeline.
     let query = Image::from_fn(128, 128, ColorSpace::Rgb, |x, y, c| {
         ((x / 9 + y / 7 + c) % 5) as f32 / 5.0
     })
     .unwrap();
-    let started = Instant::now();
-    let out = db
-        .query_guarded(&query, &Guard::with_timeout(Duration::from_millis(1)))
-        .expect("deadline must degrade, not error");
-    let elapsed = started.elapsed();
-    assert_eq!(out.status, ResultStatus::Partial);
-    // "Within one chunk" of the deadline, with a generous CI margin — the
-    // point is that it cannot run anywhere near full-query time or hang.
-    assert!(elapsed < Duration::from_secs(10), "query ran {elapsed:?} past a 1 ms deadline");
+    for threads in THREAD_COUNTS {
+        let mut db = ImageDatabase::new(params(threads)).unwrap();
+        db.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
+        assert_eq!(db.len(), 1000);
 
-    // The same query unguarded completes and reports Complete.
-    let full = db.query_guarded(&query, &Guard::none()).unwrap();
-    assert_eq!(full.status, ResultStatus::Complete);
+        let started = Instant::now();
+        let out = db
+            .query_guarded(&query, &Guard::with_timeout(Duration::from_millis(1)))
+            .expect("deadline must degrade, not error");
+        let elapsed = started.elapsed();
+        assert_eq!(out.status, ResultStatus::Partial, "threads {threads}");
+        // "Within one chunk" of the deadline, with a generous CI margin — the
+        // point is that it cannot run anywhere near full-query time or hang.
+        assert!(elapsed < Duration::from_secs(10), "query ran {elapsed:?} past a 1 ms deadline");
+
+        // The same query unguarded completes and reports Complete.
+        let full = db.query_guarded(&query, &Guard::none()).unwrap();
+        assert_eq!(full.status, ResultStatus::Complete, "threads {threads}");
+    }
 }
 
 #[test]
@@ -121,24 +117,27 @@ fn expired_test_clock_deadline_degrades_to_partial_without_sleeping() {
     // The deterministic twin of the 1k-image smoke above: the deadline is
     // expired by advancing an injected clock, so no database is large
     // enough, no margin is generous enough, and no wall time is spent.
-    let mut db = ImageDatabase::new(params()).unwrap();
     let images: Vec<(String, Image)> = (0..40).map(|i| (format!("img{i}"), tile(i))).collect();
     let items: Vec<(&str, &Image)> = images.iter().map(|(n, i)| (n.as_str(), i)).collect();
-    db.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
+    for threads in THREAD_COUNTS {
+        let mut db = ImageDatabase::new(params(threads)).unwrap();
+        db.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
 
-    let clock = TestClock::new();
-    let guard = Guard::with_timeout_on(clock.clone(), Duration::from_millis(5));
-    clock.advance(Duration::from_millis(5));
-    let out = db.query_guarded(&tile(3), &guard).unwrap();
-    assert_eq!(out.status, ResultStatus::Partial);
-    assert!(out.matches.is_empty(), "deadline expired before extraction: nothing was scored");
+        let clock = TestClock::new();
+        let guard = Guard::with_timeout_on(clock.clone(), Duration::from_millis(5));
+        clock.advance(Duration::from_millis(5));
+        let out = db.query_guarded(&tile(3), &guard).unwrap();
+        assert_eq!(out.status, ResultStatus::Partial, "threads {threads}");
+        assert!(out.matches.is_empty(), "deadline expired before extraction: nothing was scored");
 
-    // An unexpired deadline on the same (now frozen) clock completes in
-    // full — the degradation above came from the deadline, not the plumbing.
-    let guard = Guard::with_timeout_on(clock.clone(), Duration::from_millis(5));
-    let full = db.query_guarded(&tile(3), &guard).unwrap();
-    assert_eq!(full.status, ResultStatus::Complete);
-    assert!(!full.matches.is_empty());
+        // An unexpired deadline on the same (now frozen) clock completes in
+        // full — the degradation above came from the deadline, not the
+        // plumbing.
+        let guard = Guard::with_timeout_on(clock.clone(), Duration::from_millis(5));
+        let full = db.query_guarded(&tile(3), &guard).unwrap();
+        assert_eq!(full.status, ResultStatus::Complete, "threads {threads}");
+        assert!(!full.matches.is_empty());
+    }
 }
 
 #[test]
@@ -173,7 +172,7 @@ fn deadline_partial_is_a_correctly_ranked_prefix() {
     // poll-count trip instead of wall clock: with threads = 1 the partial
     // result is exactly the first candidates in ascending-id order, ranked
     // exactly as the full result ranks them.
-    let mut db = ImageDatabase::new(WalrusParams { threads: 1, ..params() }).unwrap();
+    let mut db = ImageDatabase::new(params(1)).unwrap();
     let images: Vec<(String, Image)> = (0..40).map(|i| (format!("img{i}"), tile(i))).collect();
     let items: Vec<(&str, &Image)> = images.iter().map(|(n, i)| (n.as_str(), i)).collect();
     db.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
@@ -215,9 +214,25 @@ fn deadline_partial_is_a_correctly_ranked_prefix() {
 /// interrupt lands — must fail with `expected` and leave the store as it
 /// found it: every file of every shard byte-identical, no I/O performed at
 /// all, and the same images answering queries, also from other threads.
-fn assert_interrupted_batch_leaves_the_store_untouched(guard: Guard, expected: Interrupt) {
+/// Checked at every `(threads, shards)` pair of the matrix, each with a
+/// fresh guard from `guard` (a poll-count trip is spent once it fires).
+fn assert_interrupted_batch_leaves_the_store_untouched(
+    guard: impl Fn() -> Guard,
+    expected: Interrupt,
+) {
+    for (threads, shards) in threads_by_shards() {
+        assert_interrupted_batch_leaves_the_store_untouched_at(&guard(), expected, threads, shards);
+    }
+}
+
+fn assert_interrupted_batch_leaves_the_store_untouched_at(
+    guard: &Guard,
+    expected: Interrupt,
+    threads: usize,
+    shards: usize,
+) {
     let io = Arc::new(FaultIo::new());
-    let (store, _) = ShardedStore::open_with(io.clone(), "db", params(), shard_count()).unwrap();
+    let (store, _) = ShardedStore::open_with(io.clone(), "db", params(threads), shards).unwrap();
     for i in 0..6 {
         store.insert_image(&format!("pre{i}"), &tile(i)).unwrap();
     }
@@ -238,10 +253,12 @@ fn assert_interrupted_batch_leaves_the_store_untouched(guard: Guard, expected: I
         (20..28).map(|i| (format!("new{i}"), tile(i))).collect();
     let items: Vec<(&str, &walrus_imagery::Image)> =
         batch.iter().map(|(n, i)| (n.as_str(), i)).collect();
-    match (store.insert_images_batch_guarded(&items, &guard), expected) {
+    match (store.insert_images_batch_guarded(&items, guard), expected) {
         (Err(WalrusError::Cancelled), Interrupt::Cancelled) => {}
         (Err(WalrusError::DeadlineExceeded), Interrupt::DeadlineExceeded) => {}
-        (other, _) => panic!("expected {expected:?}, got {other:?}"),
+        (other, _) => {
+            panic!("{threads} thread(s), {shards} shard(s): expected {expected:?}, got {other:?}")
+        }
     }
 
     assert_eq!(io.op_count(), ops_before, "an interrupted batch must not perform any IO at all");
@@ -269,7 +286,7 @@ fn cancelled_batch_ingest_leaves_snapshot_and_wal_bit_identical() {
     let token = CancelToken::new();
     token.cancel();
     assert_interrupted_batch_leaves_the_store_untouched(
-        Guard::with_token(token),
+        || Guard::with_token(token.clone()),
         Interrupt::Cancelled,
     );
 }
@@ -281,7 +298,7 @@ fn cancelled_shared_batch_ingest_is_all_or_nothing() {
     // least once each): still nothing of the batch may land.
     for (polls, interrupt) in [(2, Interrupt::Cancelled), (6, Interrupt::DeadlineExceeded)] {
         assert_interrupted_batch_leaves_the_store_untouched(
-            Guard::none().trip_after(polls, interrupt),
+            || Guard::none().trip_after(polls, interrupt),
             interrupt,
         );
     }
@@ -289,93 +306,101 @@ fn cancelled_shared_batch_ingest_is_all_or_nothing() {
 
 #[test]
 fn transient_append_fault_is_retried_with_tail_repair() {
-    let io = Arc::new(FaultIo::new());
-    let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params()).unwrap();
-    store.set_retry_policy(zero_delay_retry(3));
+    for threads in THREAD_COUNTS {
+        let io = Arc::new(FaultIo::new());
+        let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params(threads)).unwrap();
+        store.set_retry_policy(zero_delay_retry(3));
 
-    // Fail the very next IO op — the WAL append of the insert below. The
-    // retry loop truncates the (unchanged) tail and re-appends.
-    io.arm_fault(Fault { at_op: io.op_count(), kind: FaultKind::Transient });
-    store.insert_image("a", &tile(2)).unwrap();
-    assert!(!store.is_poisoned());
-    assert_eq!(store.len(), 1);
+        // Fail the very next IO op — the WAL append of the insert below. The
+        // retry loop truncates the (unchanged) tail and re-appends.
+        io.arm_fault(Fault { at_op: io.op_count(), kind: FaultKind::Transient });
+        store.insert_image("a", &tile(2)).unwrap();
+        assert!(!store.is_poisoned());
+        assert_eq!(store.len(), 1);
 
-    // And the committed record replays on reopen: retry composes with
-    // recovery.
-    drop(store);
-    let (store, report) = DurableDatabase::open_with(io, "db", params()).unwrap();
-    assert_eq!(report.records_replayed, 1);
-    assert_eq!(store.len(), 1);
-    assert_eq!(store.db().image(0).unwrap().name, "a");
+        // And the committed record replays on reopen: retry composes with
+        // recovery.
+        drop(store);
+        let (store, report) = DurableDatabase::open_with(io, "db", params(threads)).unwrap();
+        assert_eq!(report.records_replayed, 1);
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.db().image(0).unwrap().name, "a");
+    }
 }
 
 #[test]
 fn transient_append_faults_exhaust_cleanly_without_poisoning() {
-    let io = Arc::new(FaultIo::new());
-    let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params()).unwrap();
-    store.set_retry_policy(zero_delay_retry(2));
-    store.insert_image("a", &tile(2)).unwrap();
-    let wal_before = io.file_bytes(Path::new("db/wal.log")).unwrap();
+    for threads in THREAD_COUNTS {
+        let io = Arc::new(FaultIo::new());
+        let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params(threads)).unwrap();
+        store.set_retry_policy(zero_delay_retry(2));
+        store.insert_image("a", &tile(2)).unwrap();
+        let wal_before = io.file_bytes(Path::new("db/wal.log")).unwrap();
 
-    // Per attempt the append path runs: append (fails), truncate, fsync —
-    // so with 2 attempts the appends land at offsets +0 and +3.
-    let base = io.op_count();
-    io.arm_fault(Fault { at_op: base, kind: FaultKind::Transient });
-    io.arm_fault(Fault { at_op: base + 3, kind: FaultKind::Transient });
-    match store.insert_image("b", &tile(3)) {
-        Err(WalrusError::Io { context, source }) => {
-            assert!(context.contains("wal.log"), "context should name the file: {context}");
-            assert!(walrus_core::storage::is_transient(&source));
+        // Per attempt the append path runs: append (fails), truncate, fsync —
+        // so with 2 attempts the appends land at offsets +0 and +3.
+        let base = io.op_count();
+        io.arm_fault(Fault { at_op: base, kind: FaultKind::Transient });
+        io.arm_fault(Fault { at_op: base + 3, kind: FaultKind::Transient });
+        match store.insert_image("b", &tile(3)) {
+            Err(WalrusError::Io { context, source }) => {
+                assert!(context.contains("wal.log"), "context should name the file: {context}");
+                assert!(walrus_core::storage::is_transient(&source));
+            }
+            other => panic!("expected Io error, got {other:?}"),
         }
-        other => panic!("expected Io error, got {other:?}"),
+        // The tail was repaired on every attempt: not poisoned, WAL unchanged,
+        // and the store keeps accepting writes.
+        assert!(!store.is_poisoned());
+        assert_eq!(io.file_bytes(Path::new("db/wal.log")).unwrap(), wal_before);
+        assert_eq!(store.len(), 1);
+        store.insert_image("b", &tile(3)).unwrap();
+        assert_eq!(store.len(), 2);
     }
-    // The tail was repaired on every attempt: not poisoned, WAL unchanged,
-    // and the store keeps accepting writes.
-    assert!(!store.is_poisoned());
-    assert_eq!(io.file_bytes(Path::new("db/wal.log")).unwrap(), wal_before);
-    assert_eq!(store.len(), 1);
-    store.insert_image("b", &tile(3)).unwrap();
-    assert_eq!(store.len(), 2);
 }
 
 #[test]
 fn retry_io_absorbs_transient_faults_during_recovery() {
-    let io = Arc::new(FaultIo::new());
-    let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params()).unwrap();
-    store.insert_image("a", &tile(4)).unwrap();
-    drop(store);
+    for threads in THREAD_COUNTS {
+        let io = Arc::new(FaultIo::new());
+        let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params(threads)).unwrap();
+        store.insert_image("a", &tile(4)).unwrap();
+        drop(store);
 
-    // Reopen through RetryIo with a transient fault armed on the first op
-    // (the directory create): recovery retries and succeeds.
-    let retry = Arc::new(RetryIo::new(io.clone(), zero_delay_retry(3)));
-    io.arm_fault(Fault { at_op: io.op_count(), kind: FaultKind::Transient });
-    let (store, report) = DurableDatabase::open_with(retry, "db", params()).unwrap();
-    assert_eq!(report.records_replayed, 1);
-    assert_eq!(store.len(), 1);
+        // Reopen through RetryIo with a transient fault armed on the first op
+        // (the directory create): recovery retries and succeeds.
+        let retry = Arc::new(RetryIo::new(io.clone(), zero_delay_retry(3)));
+        io.arm_fault(Fault { at_op: io.op_count(), kind: FaultKind::Transient });
+        let (store, report) = DurableDatabase::open_with(retry, "db", params(threads)).unwrap();
+        assert_eq!(report.records_replayed, 1);
+        assert_eq!(store.len(), 1);
+    }
 }
 
 #[test]
 fn wal_record_budget_blocks_oversized_appends() {
-    let io = Arc::new(FaultIo::new());
-    let mut tiny = params();
-    tiny.budgets.max_wal_record_bytes = 64; // far below any insert record
-    let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", tiny).unwrap();
-    let wal_before = io.file_bytes(Path::new("db/wal.log"));
-    match store.insert_image("a", &tile(2)) {
-        Err(WalrusError::BudgetExceeded { what, used, limit }) => {
-            assert_eq!(what, "wal record bytes");
-            assert!(used > limit);
-            assert_eq!(limit, 64);
+    for threads in THREAD_COUNTS {
+        let io = Arc::new(FaultIo::new());
+        let mut tiny = params(threads);
+        tiny.budgets.max_wal_record_bytes = 64; // far below any insert record
+        let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", tiny).unwrap();
+        let wal_before = io.file_bytes(Path::new("db/wal.log"));
+        match store.insert_image("a", &tile(2)) {
+            Err(WalrusError::BudgetExceeded { what, used, limit }) => {
+                assert_eq!(what, "wal record bytes");
+                assert!(used > limit);
+                assert_eq!(limit, 64);
+            }
+            other => panic!("expected BudgetExceeded, got {other:?}"),
         }
-        other => panic!("expected BudgetExceeded, got {other:?}"),
+        assert_eq!(io.file_bytes(Path::new("db/wal.log")), wal_before, "nothing may reach the log");
+        assert!(store.is_empty());
     }
-    assert_eq!(io.file_bytes(Path::new("db/wal.log")), wal_before, "nothing may reach the log");
-    assert!(store.is_empty());
 }
 
 #[test]
 fn budget_breaches_surface_before_work_is_done() {
-    let mut p = params();
+    let mut p = params(1);
     p.budgets.max_decoded_pixels = 16;
     let db = ImageDatabase::new(p).unwrap();
     match db.query_guarded(&tile(1), &Guard::none()) {

@@ -11,7 +11,8 @@
 //! sequence against a never-closed store and against stores reopened from a
 //! WAL, a snapshot, a snapshot plus a WAL tail, a shard repair and a
 //! rebalance chain — which must agree on every query, then keep agreeing
-//! under further live edits of the packed trees.
+//! under further live edits of the packed trees. The model test runs at
+//! every `(threads, shards)` pair of the matrix.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -24,6 +25,7 @@ use walrus_core::{
 };
 use walrus_imagery::Image;
 use walrus_imagery::synth::dataset::{DatasetSpec, ImageClass, SyntheticDataset};
+use walrus_integration_tests::threads_by_shards;
 use walrus_wavelet::SlidingParams;
 
 fn params() -> WalrusParams {
@@ -160,13 +162,9 @@ fn apply(store: &ShardedStore, images: &[(&str, &Image)], ops: &[Op]) {
     }
 }
 
-fn shards_under_test() -> usize {
-    std::env::var("WALRUS_SHARDS").ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(4)
-}
-
-fn open(io: &Arc<FaultIo>, shards: usize) -> ShardedStore {
+fn open(io: &Arc<FaultIo>, params: WalrusParams, shards: usize) -> ShardedStore {
     let (store, recoveries) =
-        ShardedStore::open_with(io.clone(), "store", params(), shards).unwrap();
+        ShardedStore::open_with(io.clone(), "store", params, shards).unwrap();
     assert!(recoveries.iter().all(|r| r.error.is_none()), "{recoveries:?}");
     store
 }
@@ -179,16 +177,24 @@ fn shard_file(store: &ShardedStore, shard: usize, file: &str) -> PathBuf {
 /// the packed tree of each must be well formed and hold exactly the shard's
 /// regions. (`pack_index` asserts as much in debug builds; this says it out
 /// loud, and in release runs too.)
-fn check_shard_trees(io: &Arc<FaultIo>, store: &ShardedStore) {
+fn check_shard_trees(io: &Arc<FaultIo>, params: WalrusParams, store: &ShardedStore) {
     for shard in 0..store.shard_count() {
         let dir = Path::new("store").join(shard_dir_name_at(store.epoch(), shard));
-        let (db, _) = DurableDatabase::open_with(io.clone(), dir, params()).unwrap();
+        let (db, _) = DurableDatabase::open_with(io.clone(), dir, params).unwrap();
         db.db().check_invariants();
     }
 }
 
 #[test]
 fn reopened_stores_answer_like_the_never_closed_one() {
+    for (threads, shards) in threads_by_shards() {
+        reopened_stores_answer_like_the_never_closed_one_at(threads, shards);
+    }
+}
+
+fn reopened_stores_answer_like_the_never_closed_one_at(threads: usize, shards: usize) {
+    let params = WalrusParams { threads, ..params() };
+    let open = |io: &Arc<FaultIo>, shards: usize| open(io, params, shards);
     let data = dataset(7, 0x09E4);
     let n = data.images.len();
     // Class by class in the dataset; interleaved here, so that the history
@@ -198,7 +204,6 @@ fn reopened_stores_answer_like_the_never_closed_one() {
         .map(|i| &data.images[(i % classes) * (n / classes) + i / classes])
         .map(|img| (img.name.as_str(), &img.image))
         .collect();
-    let shards = shards_under_test();
     // Two thirds of the images for the history every store shares, the rest
     // for the edits made after the reopen.
     let ids_handed_out = n * 2 / 3;
@@ -247,7 +252,7 @@ fn reopened_stores_answer_like_the_never_closed_one() {
         io.fsync(&path).unwrap();
     }
     drop(store);
-    let (store, recoveries) = ShardedStore::open_with(io.clone(), "store", params(), 0).unwrap();
+    let (store, recoveries) = ShardedStore::open_with(io.clone(), "store", params, 0).unwrap();
     let reports: Vec<_> = recoveries.iter().map(|r| r.report.expect("shard opens")).collect();
     assert!(reports.iter().all(|r| r.snapshot_loaded));
     assert!(reports.iter().map(|r| r.records_skipped).sum::<usize>() >= first.len());
@@ -288,7 +293,11 @@ fn reopened_stores_answer_like_the_never_closed_one() {
             let want = fingerprint(&want);
             for (how, _, store) in &reopened {
                 let got = fingerprint(&store.query(probe).unwrap());
-                assert_eq!(got, want, "{how}, {when}: query {name} answers differently");
+                assert_eq!(
+                    got, want,
+                    "{threads} thread(s), {shards} shard(s), {how}, {when}: \
+                     query {name} answers differently"
+                );
             }
         }
         assert!(ranked > 2 * n, "{when}: only {ranked} matches ranked — the probes say too little");
@@ -297,7 +306,7 @@ fn reopened_stores_answer_like_the_never_closed_one() {
         assert_eq!(store.len(), live.len(), "{how}");
         assert_eq!(store.num_regions(), live.num_regions(), "{how}");
         assert_eq!(store.next_id(), ids_handed_out, "{how}: the id high-water mark moved");
-        check_shard_trees(io, store);
+        check_shard_trees(io, params, store);
     }
     agree("as reopened");
 

@@ -6,7 +6,7 @@
 //! produces results **bit-identical** to its serial counterpart for
 //! `threads ∈ {1, 2, 8}`, plus a concurrency smoke test hammering the
 //! durable store with batch inserts and queries from many threads. The
-//! store-level tests follow the `WALRUS_SHARDS` CI matrix (default 4).
+//! store-level tests run at every `(threads, shards)` pair of the matrix.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,19 +20,11 @@ use walrus_imagery::synth::dataset::{
     flower_query_scenario, DatasetSpec, ImageClass, SyntheticDataset,
 };
 use walrus_imagery::Image;
+use walrus_integration_tests::threads_by_shards;
 use walrus_wavelet::SlidingParams;
 
 /// Parallel thread counts compared against the serial (`threads = 1`) run.
 const PARALLEL_THREADS: [usize; 2] = [2, 8];
-
-/// Shard count under test: the `WALRUS_SHARDS` CI matrix, default 4.
-fn shard_count() -> usize {
-    std::env::var("WALRUS_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| (1..=8).contains(&n))
-        .unwrap_or(4)
-}
 
 fn engine_params() -> WalrusParams {
     WalrusParams {
@@ -169,17 +161,20 @@ fn durable_batch_ingest_matches_in_memory_batch() {
     let mut reference = ImageDatabase::new(params).unwrap();
     let reference_ids = reference.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
 
-    let io = Arc::new(FaultIo::new());
-    let (durable, _) = ShardedStore::open_with(io, "/walrus", params, shard_count()).unwrap();
-    let durable_ids = durable.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
-    assert_eq!(durable_ids, reference_ids);
-    assert_eq!(durable.len(), reference.len());
-    assert_eq!(durable.num_regions(), reference.num_regions());
-
     let (query, _) = flower_query_scenario(0x53, 128, 96, 0).unwrap();
     let expected = reference.query(&query).unwrap();
-    let got = durable.query(&query).unwrap();
-    assert_outcomes_identical(&expected, &got, "durable batch");
+    for (threads, shards) in threads_by_shards() {
+        let ctx = format!("durable batch, {threads} thread(s), {shards} shard(s)");
+        let io = Arc::new(FaultIo::new());
+        let params = WalrusParams { threads, ..params };
+        let (durable, _) = ShardedStore::open_with(io, "/walrus", params, shards).unwrap();
+        let durable_ids = durable.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
+        assert_eq!(durable_ids, reference_ids, "{ctx}");
+        assert_eq!(durable.len(), reference.len());
+        assert_eq!(durable.num_regions(), reference.num_regions());
+        let got = durable.query(&query).unwrap();
+        assert_outcomes_identical(&expected, &got, &ctx);
+    }
 }
 
 #[test]
@@ -196,10 +191,22 @@ fn shared_database_survives_concurrent_batch_ingest_and_queries() {
     for img in &dataset.images {
         serial.insert_image(&img.name, &img.image).unwrap();
     }
-    let reference = serial.query(&query).unwrap();
+    for (threads, shards) in threads_by_shards() {
+        concurrent_ingest_matches_serial_at(&dataset, &serial, &query, threads, shards);
+    }
+}
 
+fn concurrent_ingest_matches_serial_at(
+    dataset: &SyntheticDataset,
+    serial: &ImageDatabase,
+    query: &Image,
+    threads: usize,
+    shards: usize,
+) {
+    let reference = serial.query(query).unwrap();
     let io = Arc::new(FaultIo::new());
-    let (shared, _) = ShardedStore::open_with(io, "/walrus", params, shard_count()).unwrap();
+    let params = WalrusParams { threads, ..*serial.params() };
+    let (shared, _) = ShardedStore::open_with(io, "/walrus", params, shards).unwrap();
     let shared = &shared;
     let chunks: Vec<Vec<(&str, &Image)>> = dataset
         .images
@@ -217,7 +224,6 @@ fn shared_database_survives_concurrent_batch_ingest_and_queries() {
         }
         for _ in 0..3 {
             let writers_done = &writers_done;
-            let query = &query;
             s.spawn(move || loop {
                 let done = writers_done.load(Ordering::Acquire);
                 let outcome = shared.query(query).unwrap();
@@ -234,17 +240,18 @@ fn shared_database_survives_concurrent_batch_ingest_and_queries() {
         writers_done.store(true, Ordering::Release);
     });
 
-    assert_eq!(shared.len(), dataset.images.len());
-    assert_eq!(shared.num_regions(), serial.num_regions());
+    let ctx = format!("{threads} thread(s), {shards} shard(s)");
+    assert_eq!(shared.len(), dataset.images.len(), "{ctx}");
+    assert_eq!(shared.num_regions(), serial.num_regions(), "{ctx}");
     // Insert interleaving permutes ids, but every image's score is a
     // function of its own regions — compare (name, similarity, pairs).
-    let final_outcome = shared.query(&query).unwrap();
-    assert_eq!(final_outcome.stats, reference.stats);
+    let final_outcome = shared.query(query).unwrap();
+    assert_eq!(final_outcome.stats, reference.stats, "{ctx}");
     let mut expected: Vec<(&str, u64, usize)> =
         reference.matches.iter().map(|m| (m.name.as_str(), m.similarity.to_bits(), m.matched_pairs)).collect();
     let mut got: Vec<(&str, u64, usize)> =
         final_outcome.matches.iter().map(|m| (m.name.as_str(), m.similarity.to_bits(), m.matched_pairs)).collect();
     expected.sort_unstable();
     got.sort_unstable();
-    assert_eq!(expected, got, "concurrent ingest changed query results");
+    assert_eq!(expected, got, "{ctx}: concurrent ingest changed query results");
 }

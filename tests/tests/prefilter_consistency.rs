@@ -28,7 +28,7 @@ use walrus_wavelet::{QueryCode, SlidingParams};
 /// `PREFILTER_SLACK` in walrus-core).
 const SLACK: f32 = 1e-4;
 
-fn params(prefilter: Option<bool>, threads: usize) -> WalrusParams {
+fn params(prefilter: bool, threads: usize) -> WalrusParams {
     WalrusParams {
         sliding: SlidingParams { s: 2, omega_min: 8, omega_max: 8, stride: 4 },
         prefilter,
@@ -147,7 +147,7 @@ fn rankings_bit_identical_with_prefilter_on_and_off_across_threads_and_shards() 
     let queries = [seeded_image(0), seeded_image(3)];
 
     // Reference: monolithic, single-threaded, prefilter off.
-    let mut reference_db = ImageDatabase::new(params(Some(false), 1)).unwrap();
+    let mut reference_db = ImageDatabase::new(params(false, 1)).unwrap();
     reference_db.insert_images_batch_guarded(&refs, &Guard::none()).unwrap();
     let reference: Vec<QueryOutcome> =
         queries.iter().map(|q| reference_db.query(q).unwrap()).collect();
@@ -156,7 +156,7 @@ fn rankings_bit_identical_with_prefilter_on_and_off_across_threads_and_shards() 
         "the seeded queries must match something"
     );
 
-    for prefilter in [Some(false), Some(true)] {
+    for prefilter in [false, true] {
         for threads in [1, 8] {
             let p = params(prefilter, threads);
             let mut db = ImageDatabase::new(p).unwrap();
@@ -166,7 +166,7 @@ fn rankings_bit_identical_with_prefilter_on_and_off_across_threads_and_shards() 
                 assert_outcomes_identical(
                     &reference[qi],
                     &got,
-                    &format!("monolithic prefilter={prefilter:?} threads={threads} query={qi}"),
+                    &format!("monolithic prefilter={prefilter} threads={threads} query={qi}"),
                 );
             }
             for shards in [1, 4] {
@@ -179,7 +179,7 @@ fn rankings_bit_identical_with_prefilter_on_and_off_across_threads_and_shards() 
                         &reference[qi],
                         &got,
                         &format!(
-                            "sharded={shards} prefilter={prefilter:?} threads={threads} query={qi}"
+                            "sharded={shards} prefilter={prefilter} threads={threads} query={qi}"
                         ),
                     );
                 }
@@ -196,7 +196,7 @@ fn prefilter_counters_report_rejections_on_the_seeded_workload() {
     let trace_counters = |prefilter: bool| -> (u64, u64) {
         let io = Arc::new(FaultIo::new());
         let (store, _) =
-            ShardedStore::open_with(io, "db", params(Some(prefilter), 1), 4).unwrap();
+            ShardedStore::open_with(io, "db", params(prefilter, 1), 4).unwrap();
         store.insert_images_batch_guarded(&refs, &Guard::none()).unwrap();
         let trace = TraceContext::new(TestClock::new());
         let guard = Guard::none().tracing(trace.clone());

@@ -3,7 +3,8 @@
 //!
 //! 1. **Fault sweeps** — `Error` / `ShortWrite` injected at *every* I/O
 //!    operation index of the whole migration (manifest writes, target shard
-//!    builds, GC), under every [`CrashMode`], for (N,M) ∈ {1→4, 4→2, 4→8}:
+//!    builds, GC), under every [`CrashMode`], for (N,M) ∈ {1→4, 4→2, 4→8},
+//!    at every worker-thread count of the matrix:
 //!    the store always reopens (resuming the migration or rolling it back),
 //!    never quarantines a shard, lands on exactly the source or the target
 //!    layout, answers queries bit-identical to a never-migrated oracle,
@@ -13,7 +14,7 @@
 //!    source layout bit-identically, ingest and checkpoints shed with the
 //!    typed [`WalrusError::Rebalancing`], and progress is visible through
 //!    `rebalance_status`. Releasing the gate commits; the new layout serves
-//!    the same answers and survives a reopen.
+//!    the same answers and survives a reopen. Also at every thread count.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -31,10 +32,12 @@ use walrus_imagery::synth::scene::{Scene, SceneObject};
 use walrus_imagery::synth::shapes::Shape;
 use walrus_imagery::synth::texture::{Rgb, Texture};
 use walrus_imagery::Image;
+use walrus_integration_tests::THREAD_COUNTS;
 
-fn sweep_params() -> WalrusParams {
+fn sweep_params(threads: usize) -> WalrusParams {
     WalrusParams {
         sliding: walrus_wavelet::SlidingParams { s: 2, omega_min: 8, omega_max: 16, stride: 4 },
+        threads,
         ..WalrusParams::paper_defaults()
     }
 }
@@ -59,7 +62,7 @@ struct Fixtures {
 
 impl Fixtures {
     fn new() -> Self {
-        let p = sweep_params();
+        let p = sweep_params(1);
         let regions = (0..6)
             .map(|i| {
                 let name = format!("img{i}");
@@ -111,9 +114,9 @@ fn assert_outcomes_identical(a: &QueryOutcome, b: &QueryOutcome, ctx: &str) {
 /// Ops the clean migration performs under the store root (a never-firing
 /// sentinel fault arms the prefix counter after the workload, so only the
 /// rebalance itself is counted).
-fn clean_rebalance_op_count(fx: &Fixtures, from: usize, to: usize) -> usize {
+fn clean_rebalance_op_count(fx: &Fixtures, params: WalrusParams, from: usize, to: usize) -> usize {
     let io = Arc::new(FaultIo::new());
-    let (store, _) = ShardedStore::open_with(io.clone(), "db", sweep_params(), from).unwrap();
+    let (store, _) = ShardedStore::open_with(io.clone(), "db", params, from).unwrap();
     apply_workload(fx, &store);
     io.arm_fault_at_path("db", Fault { at_op: usize::MAX, kind: FaultKind::Error });
     store.rebalance(to).unwrap();
@@ -125,6 +128,12 @@ fn clean_rebalance_op_count(fx: &Fixtures, from: usize, to: usize) -> usize {
 /// on the source or target layout, answer the oracle's exact bits, accept
 /// writes, and scrub clean.
 fn rebalance_fault_sweep(from: usize, to: usize) {
+    for threads in THREAD_COUNTS {
+        rebalance_fault_sweep_at(sweep_params(threads), from, to);
+    }
+}
+
+fn rebalance_fault_sweep_at(params: WalrusParams, from: usize, to: usize) {
     let fx = Fixtures::new();
     let query = scene(0.15);
 
@@ -132,24 +141,25 @@ fn rebalance_fault_sweep(from: usize, to: usize) {
     let oracle = {
         let io = Arc::new(FaultIo::new());
         let (store, _) =
-            ShardedStore::open_with(io, "db", sweep_params(), from).unwrap();
+            ShardedStore::open_with(io, "db", params, from).unwrap();
         apply_workload(&fx, &store);
         store.query(&query).unwrap()
     };
     assert!(!oracle.matches.is_empty(), "the oracle matched nothing — the sweep is vacuous");
 
-    let ops = clean_rebalance_op_count(&fx, from, to);
+    let ops = clean_rebalance_op_count(&fx, params, from, to);
     assert!(ops > 0, "the migration must perform I/O");
 
     for at_op in 0..ops {
         for kind in [FaultKind::Error, FaultKind::ShortWrite] {
             for mode in ALL_CRASH_MODES {
                 let ctx = format!(
-                    "{from}->{to}, fault {kind:?} at op {at_op}, crash {mode:?}"
+                    "{from}->{to} on {} thread(s), fault {kind:?} at op {at_op}, crash {mode:?}",
+                    params.threads
                 );
                 let io = Arc::new(FaultIo::new());
                 let (store, _) =
-                    ShardedStore::open_with(io.clone(), "db", sweep_params(), from).unwrap();
+                    ShardedStore::open_with(io.clone(), "db", params, from).unwrap();
                 apply_workload(&fx, &store);
                 io.arm_fault_at_path("db", Fault { at_op, kind });
                 let result = store.rebalance(to);
@@ -160,7 +170,7 @@ fn rebalance_fault_sweep(from: usize, to: usize) {
                 // Crash at ANY op leaves the store openable: the interrupted
                 // migration resumes or rolls back, quarantining nothing.
                 let (store, recoveries) =
-                    ShardedStore::open_with(io.clone(), "db", sweep_params(), 0)
+                    ShardedStore::open_with(io.clone(), "db", params, 0)
                         .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
                 assert!(
                     recoveries.iter().all(|r| r.error.is_none()),
@@ -332,13 +342,19 @@ impl StorageIo for GateIo {
 
 #[test]
 fn queries_serve_the_source_layout_while_the_migration_runs() {
+    for threads in THREAD_COUNTS {
+        queries_serve_the_source_layout_while_the_migration_runs_at(sweep_params(threads));
+    }
+}
+
+fn queries_serve_the_source_layout_while_the_migration_runs_at(params: WalrusParams) {
     const FROM: usize = 4;
     const TO: usize = 2;
     let fx = Fixtures::new();
     let query = scene(0.15);
     let fault = Arc::new(FaultIo::new());
     let (store, _) =
-        ShardedStore::open_with(fault.clone(), "db", sweep_params(), FROM).unwrap();
+        ShardedStore::open_with(fault.clone(), "db", params, FROM).unwrap();
     apply_workload(&fx, &store);
     let reference = store.query(&query).unwrap();
     assert!(!reference.matches.is_empty(), "the scenario matched nothing");
@@ -350,7 +366,7 @@ fn queries_serve_the_source_layout_while_the_migration_runs() {
         fault.clone(),
         Path::new("db").join(shard_dir_name_at(1, 0)),
     ));
-    let (store, _) = ShardedStore::open_with(gate.clone(), "db", sweep_params(), 0).unwrap();
+    let (store, _) = ShardedStore::open_with(gate.clone(), "db", params, 0).unwrap();
     let store = Arc::new(store);
     gate.armed.store(true, Ordering::Release);
 
@@ -401,7 +417,7 @@ fn queries_serve_the_source_layout_while_the_migration_runs() {
 
     // The commit and the post-commit write are durable across a reopen.
     let (store, recoveries) =
-        ShardedStore::open_with(fault, "db", sweep_params(), 0).unwrap();
+        ShardedStore::open_with(fault, "db", params, 0).unwrap();
     assert!(recoveries.iter().all(|r| r.error.is_none()), "{recoveries:?}");
     assert_eq!(store.shard_count(), TO);
     assert_eq!(store.image_meta(id).unwrap().unwrap().name, "after-commit");

@@ -2,7 +2,8 @@
 //! `walrus-server` on an ephemeral port must answer queries **bit-identical**
 //! (`f64::to_bits` of every similarity) to an in-process database holding
 //! the same images — under concurrency, for deadline-partial answers, and
-//! again after the store is shut down and recovered from disk. The rest
+//! again after the store is shut down and recovered from disk — at every
+//! engine thread count of the matrix. The rest
 //! pins the serving shell over real sockets: injected-clock timing, load
 //! shedding, idle-yield, drain on shutdown, the result cache on `/metrics`.
 
@@ -18,6 +19,7 @@ use walrus_core::{
 };
 use walrus_imagery::ppm::{parse_netpbm, write_ppm};
 use walrus_imagery::{ColorSpace, Image};
+use walrus_integration_tests::THREAD_COUNTS;
 use walrus_server::{Client, Server, ServerConfig, ServerHandle};
 
 const NUM_IMAGES: usize = 4;
@@ -87,12 +89,18 @@ fn http_ranking(body: &str) -> Vec<(u64, u64)> {
 
 #[test]
 fn http_answers_are_bit_identical_to_in_process_and_survive_recovery() {
-    let dir = tmp_dir("main");
+    for threads in THREAD_COUNTS {
+        http_answers_are_bit_identical_at(WalrusParams { threads, ..test_params() });
+    }
+}
+
+fn http_answers_are_bit_identical_at(params: WalrusParams) {
+    let dir = tmp_dir(&format!("main_{}", params.threads));
     let images: Vec<Vec<u8>> = (0..NUM_IMAGES).map(ppm_bytes).collect();
 
     // In-process reference database, built from the same decoded bytes in
     // the same order.
-    let mut reference = ImageDatabase::new(test_params()).unwrap();
+    let mut reference = ImageDatabase::new(params).unwrap();
     for (i, bytes) in images.iter().enumerate() {
         let decoded = parse_netpbm(bytes).unwrap();
         let id = reference.insert_image(&format!("img-{i}"), &decoded).unwrap();
@@ -101,7 +109,7 @@ fn http_answers_are_bit_identical_to_in_process_and_survive_recovery() {
 
     // Live server over a fresh durable store — the one a command creates
     // when nobody asks for a shard count.
-    let (store, _) = ShardedStore::open(&dir, test_params(), 0).unwrap();
+    let (store, _) = ShardedStore::open(&dir, params, 0).unwrap();
     assert_eq!(store.shard_count(), 1);
     // Thread-per-connection: a keep-alive connection holds its worker while
     // open (or is closed, if idle while another waits for one), so the pool
@@ -182,7 +190,7 @@ fn http_answers_are_bit_identical_to_in_process_and_survive_recovery() {
     // Graceful shutdown, then recover the store from disk: the reopened
     // database must serve the same answers the HTTP path served.
     handle.shutdown().unwrap();
-    let (recovered, shards) = ShardedStore::open(&dir, test_params(), 0).unwrap();
+    let (recovered, shards) = ShardedStore::open(&dir, params, 0).unwrap();
     assert_eq!(recovered.len(), NUM_IMAGES);
     let replayed: usize = shards.iter().map(|s| s.report.unwrap().records_replayed).sum();
     assert_eq!(replayed, 0, "shutdown checkpoint should leave nothing to replay");

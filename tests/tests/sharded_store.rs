@@ -1,8 +1,8 @@
 //! Sharded-store integration suite: the robustness contract of
 //! [`ShardedStore`] end to end.
 //!
-//! 1. **Bit-identity** — scatter-gather answers over 1, 4, and
-//!    `WALRUS_SHARDS` shards are bit-identical (ids, names, similarity
+//! 1. **Bit-identity** — scatter-gather answers over every shard count ×
+//!    thread count of the matrix are bit-identical (ids, names, similarity
 //!    bits, stats, status) to the in-memory `ImageDatabase` oracle, before
 //!    and after a reopen — whole-image queries and user-specified scenes.
 //! 2. **Multi-shard fault sweep** — `Error` / `ShortWrite` injected at
@@ -21,9 +21,9 @@
 //!    quarantined shard reports per-shard health, answers queries `206
 //!    "degraded"`, and sheds ingest with a typed `503` body.
 //!
-//! The shard count for the sweep and the HTTP smoke follows the
-//! `WALRUS_SHARDS` CI matrix (default 4), so the degenerate 1-shard store
-//! walks the same assertions.
+//! The fault sweep, the HTTP smoke and the other store-level tests run at
+//! every shard count of the matrix, so the degenerate 1-shard store walks
+//! the same assertions as the 4-shard one.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -49,16 +49,8 @@ use walrus_imagery::synth::scene::{Scene, SceneObject};
 use walrus_imagery::synth::shapes::Shape;
 use walrus_imagery::synth::texture::{Rgb, Texture};
 use walrus_imagery::{ColorSpace, Image};
+use walrus_integration_tests::{threads_by_shards, SHARD_COUNTS};
 use walrus_server::{Client, Server, ServerConfig};
-
-/// Shard count under test: the `WALRUS_SHARDS` CI matrix, default 4.
-fn shard_count() -> usize {
-    std::env::var("WALRUS_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| (1..=8).contains(&n))
-        .unwrap_or(4)
-}
 
 fn sweep_params() -> WalrusParams {
     WalrusParams {
@@ -84,7 +76,7 @@ fn shard_prefix(root: &str, shard: usize) -> PathBuf {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Bit-identity: sharded == monolithic, for every shard count.
+// 1. Bit-identity: sharded == monolithic, for every shard and thread count.
 // ---------------------------------------------------------------------------
 
 fn engine_params() -> WalrusParams {
@@ -136,11 +128,8 @@ fn sharded_answers_are_bit_identical_to_monolithic() {
         "the reference sweep matched nothing — the scenario is vacuous"
     );
 
-    let mut counts = vec![1, 4];
-    if !counts.contains(&shard_count()) {
-        counts.push(shard_count());
-    }
-    for shards in counts {
+    for (threads, shards) in threads_by_shards() {
+        let params = WalrusParams { threads, ..params };
         let io = Arc::new(FaultIo::new());
         let (store, _) = ShardedStore::open_with(io.clone(), "db", params, shards).unwrap();
         store.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
@@ -151,7 +140,7 @@ fn sharded_answers_are_bit_identical_to_monolithic() {
             assert_outcomes_identical(
                 &reference[qi],
                 &outcome,
-                &format!("shards {shards}, query {qi}"),
+                &format!("threads {threads}, shards {shards}, query {qi}"),
             );
         }
 
@@ -167,21 +156,26 @@ fn sharded_answers_are_bit_identical_to_monolithic() {
             assert_outcomes_identical(
                 &reference[qi],
                 &outcome,
-                &format!("shards {shards} after reopen, query {qi}"),
+                &format!("threads {threads}, shards {shards} after reopen, query {qi}"),
             );
         }
     }
 }
 
 /// The paper's title feature on the store `serve` runs: a query by a marked
-/// scene answers, on a store of `WALRUS_SHARDS` shards and at
-/// `WALRUS_THREADS` workers, exactly what `ImageDatabase::query_scene`
-/// answers over the same images; is refused for the same rectangles and
-/// coverages with the same words; and degrades the same way under a
-/// deadline.
+/// scene answers, at every shard and thread count of the matrix, exactly
+/// what `ImageDatabase::query_scene` answers over the same images; is
+/// refused for the same rectangles and coverages with the same words; and
+/// degrades the same way under a deadline.
 #[test]
 fn scene_queries_on_the_store_match_the_in_memory_engine() {
-    let params = engine_params();
+    for (threads, shards) in threads_by_shards() {
+        scene_queries_match_at(threads, shards);
+    }
+}
+
+fn scene_queries_match_at(threads: usize, shards: usize) {
+    let params = WalrusParams { threads, ..engine_params() };
     let dataset = SyntheticDataset::generate(DatasetSpec {
         images_per_class: 1,
         width: 128,
@@ -195,8 +189,9 @@ fn scene_queries_on_the_store_match_the_in_memory_engine() {
     let mut mono = ImageDatabase::new(params).unwrap();
     mono.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
     let io = Arc::new(FaultIo::new());
-    let (store, _) = ShardedStore::open_with(io, "db", params, shard_count()).unwrap();
+    let (store, _) = ShardedStore::open_with(io, "db", params, shards).unwrap();
     store.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
+    let ctx = format!("threads {threads}, shards {shards}");
 
     let (query, _) = flower_query_scenario(0x53, 128, 96, 0).unwrap();
     let on_store = |scene: SceneRect, min_coverage: f64, guard: &Guard| {
@@ -217,11 +212,12 @@ fn scene_queries_on_the_store_match_the_in_memory_engine() {
         for min_coverage in [0.0, 0.3, 1.0] {
             let want = mono.query_scene(&query, scene, min_coverage).unwrap();
             let got = on_store(scene, min_coverage, &Guard::none()).unwrap();
-            assert_outcomes_identical(&want, &got, &format!("{scene:?} at {min_coverage}"));
+            let at = format!("{ctx}: {scene:?} at {min_coverage}");
+            assert_outcomes_identical(&want, &got, &at);
             matched += got.matches.len();
         }
     }
-    assert!(matched > 0, "no scene matched anything — the scenario is vacuous");
+    assert!(matched > 0, "{ctx}: no scene matched anything — the scenario is vacuous");
 
     let refused = [
         (SceneRect { x: 0, y: 0, width: 0, height: 10 }, 0.5),
@@ -234,16 +230,19 @@ fn scene_queries_on_the_store_match_the_in_memory_engine() {
     for (scene, min_coverage) in refused {
         let want = mono.query_scene(&query, scene, min_coverage).unwrap_err();
         let got = on_store(scene, min_coverage, &Guard::none()).unwrap_err();
-        assert!(matches!(got, WalrusError::BadParams(_)), "{scene:?} at {min_coverage}: {got}");
+        assert!(
+            matches!(got, WalrusError::BadParams(_)),
+            "{ctx}: {scene:?} at {min_coverage}: {got}"
+        );
         assert_eq!(got.to_string(), want.to_string());
     }
 
     // A deadline that expires during the scene's extraction: an empty
     // partial answer, not an error.
     let out = on_store(scenes[0], 0.0, &Guard::with_timeout(Duration::ZERO)).unwrap();
-    assert_eq!(out.status, ResultStatus::Partial);
-    assert!(out.matches.is_empty());
-    assert_eq!(out.stats.query_regions, 0);
+    assert_eq!(out.status, ResultStatus::Partial, "{ctx}");
+    assert!(out.matches.is_empty(), "{ctx}");
+    assert_eq!(out.stats.query_regions, 0, "{ctx}");
 }
 
 /// The three runtime-only knobs (`threads`, `budgets`, `prefilter`) are not
@@ -255,7 +254,7 @@ fn reopen_keeps_the_callers_runtime_knobs() {
     let created = sweep_params();
     let mut reopened = WalrusParams {
         threads: 1,
-        prefilter: Some(false),
+        prefilter: false,
         // A persisted parameter the store must *not* take from the caller.
         tau: created.tau / 2.0,
         ..created
@@ -264,7 +263,7 @@ fn reopen_keeps_the_callers_runtime_knobs() {
     let assert_knobs = |got: WalrusParams, ctx: &str| {
         assert_eq!(got.threads, 1, "{ctx}: threads");
         assert_eq!(got.budgets, reopened.budgets, "{ctx}: budgets");
-        assert_eq!(got.prefilter, Some(false), "{ctx}: prefilter");
+        assert!(!got.prefilter, "{ctx}: prefilter");
         assert_eq!(got.tau, created.tau, "{ctx}: a persisted parameter must win");
     };
     let assert_refuses_oversized = |result: Result<QueryOutcome>, ctx: &str| match result {
@@ -286,23 +285,26 @@ fn reopen_keeps_the_callers_runtime_knobs() {
     assert_refuses_oversized(mono.db().query(&scene(0.1)), "one shard");
 
     // The store: the same, then repair one shard in place and rebalance.
-    let shards = shard_count();
-    let io = Arc::new(FaultIo::new());
-    let (store, _) = ShardedStore::open_with(io.clone(), "db", created, shards).unwrap();
-    for i in 0..8 {
-        store.insert_image(&format!("img{i}"), &scene(i as f32 / 8.0)).unwrap();
+    for shards in SHARD_COUNTS {
+        let io = Arc::new(FaultIo::new());
+        let (store, _) = ShardedStore::open_with(io.clone(), "db", created, shards).unwrap();
+        for i in 0..8 {
+            store.insert_image(&format!("img{i}"), &scene(i as f32 / 8.0)).unwrap();
+        }
+        store.checkpoint().unwrap();
+        drop(store);
+        let (store, _) = ShardedStore::open_with(io, "db", reopened, 0).unwrap();
+        let check = |when: &str| {
+            let ctx = format!("{shards} shard(s), {when}");
+            assert_knobs(store.params(), &ctx);
+            assert_refuses_oversized(store.query(&scene(0.1)), &ctx);
+        };
+        check("reopened");
+        store.recover_shard(0).unwrap();
+        check("after recover_shard");
+        store.rebalance(shards + 1).unwrap();
+        check("after rebalance");
     }
-    store.checkpoint().unwrap();
-    drop(store);
-    let (store, _) = ShardedStore::open_with(io, "db", reopened, 0).unwrap();
-    assert_knobs(store.params(), "sharded");
-    assert_refuses_oversized(store.query(&scene(0.1)), "sharded");
-    store.recover_shard(0).unwrap();
-    assert_knobs(store.params(), "after recover_shard");
-    assert_refuses_oversized(store.query(&scene(0.1)), "after recover_shard");
-    store.rebalance(shards + 1).unwrap();
-    assert_knobs(store.params(), "after rebalance");
-    assert_refuses_oversized(store.query(&scene(0.1)), "after rebalance");
 }
 
 /// The shard-parallel batch path must be indistinguishable on disk from
@@ -323,10 +325,19 @@ fn batch_ingest_wal_bytes_identical_to_serial() {
     let items: Vec<(&str, &Image)> =
         dataset.images.iter().map(|i| (i.name.as_str(), &i.image)).collect();
 
-    let shards = shard_count();
+    for shards in SHARD_COUNTS {
+        batch_ingest_matches_serial_bytes_at(&items, params, shards);
+    }
+}
+
+fn batch_ingest_matches_serial_bytes_at(
+    items: &[(&str, &Image)],
+    params: WalrusParams,
+    shards: usize,
+) {
     let batch_io = Arc::new(FaultIo::new());
     let (batch_store, _) = ShardedStore::open_with(batch_io.clone(), "db", params, shards).unwrap();
-    let batch_ids = batch_store.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
+    let batch_ids = batch_store.insert_images_batch_guarded(items, &Guard::none()).unwrap();
 
     let serial_io = Arc::new(FaultIo::new());
     let (serial_store, _) =
@@ -334,7 +345,7 @@ fn batch_ingest_wal_bytes_identical_to_serial() {
     let serial_ids: Vec<usize> =
         items.iter().map(|(name, image)| serial_store.insert_image(name, image).unwrap()).collect();
 
-    assert_eq!(batch_ids, serial_ids, "batch and serial ingest assigned different ids");
+    assert_eq!(batch_ids, serial_ids, "{shards} shard(s): batch and serial assigned different ids");
     drop(batch_store);
     drop(serial_store);
 
@@ -360,7 +371,7 @@ fn batch_ingest_wal_bytes_identical_to_serial() {
         assert_eq!(
             serial_io.file_bytes(path).as_ref(),
             Some(bytes),
-            "{} diverged between batch and serial ingest",
+            "{shards} shard(s): {} diverged between batch and serial ingest",
             path.display()
         );
     }
@@ -542,10 +553,15 @@ fn clean_op_counts(fx: &Fixtures, shards: usize) -> Vec<usize> {
 
 #[test]
 fn fault_sweep_over_every_op_of_every_shard_recovers_to_a_committed_state() {
-    let shards = shard_count();
     let fx = Fixtures::new();
-    let states = committed_states(&fx, shards);
-    let op_counts = clean_op_counts(&fx, shards);
+    for shards in SHARD_COUNTS {
+        fault_sweep_at(&fx, shards);
+    }
+}
+
+fn fault_sweep_at(fx: &Fixtures, shards: usize) {
+    let states = committed_states(fx, shards);
+    let op_counts = clean_op_counts(fx, shards);
     assert!(
         op_counts.iter().all(|&n| n > 0),
         "every shard must see I/O in the clean run: {op_counts:?}"
@@ -556,7 +572,8 @@ fn fault_sweep_over_every_op_of_every_shard_recovers_to_a_committed_state() {
             for kind in [FaultKind::Error, FaultKind::ShortWrite] {
                 for mode in ALL_CRASH_MODES {
                     let ctx = format!(
-                        "shard {shard}, fault {kind:?} at op {at_op}, crash {mode:?}"
+                        "{shards} shard(s): shard {shard}, fault {kind:?} at op {at_op}, \
+                         crash {mode:?}"
                     );
                     let io = Arc::new(FaultIo::new());
                     let (store, _) =
@@ -566,7 +583,7 @@ fn fault_sweep_over_every_op_of_every_shard_recovers_to_a_committed_state() {
 
                     let mut completed = 0;
                     for step in 0..STEPS {
-                        match apply(&fx, &store, step) {
+                        match apply(fx, &store, step) {
                             Ok(()) => completed += 1,
                             Err(_) => break,
                         }
@@ -949,9 +966,14 @@ fn http_params() -> WalrusParams {
 
 #[test]
 fn degraded_server_answers_queries_and_sheds_ingest() {
-    let shards = shard_count();
+    for shards in SHARD_COUNTS {
+        degraded_server_at(shards);
+    }
+}
+
+fn degraded_server_at(shards: usize) {
     let dir = std::env::temp_dir()
-        .join(format!("walrus_sharded_degraded_{}", std::process::id()));
+        .join(format!("walrus_sharded_degraded_{}_{shards}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let params = http_params();
