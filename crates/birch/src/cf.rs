@@ -37,11 +37,6 @@ impl ClusteringFeature {
         Self { n, ls, ss }
     }
 
-    /// The three sums `(N, LS, SS)`.
-    pub(crate) fn parts(&self) -> (u64, &[f64], f64) {
-        (self.n, &self.ls, self.ss)
-    }
-
     /// Dimensionality of the summarized points.
     pub fn dims(&self) -> usize {
         self.ls.len()

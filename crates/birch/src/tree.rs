@@ -166,25 +166,6 @@ impl CfTree {
         Ok(())
     }
 
-    /// Inserts a pre-summarized cluster (used by callers merging trees).
-    pub fn insert_cf(&mut self, cf: ClusteringFeature) -> Result<()> {
-        if cf.dims() != self.dims {
-            return Err(BirchError::DimensionMismatch { expected: self.dims, got: cf.dims() });
-        }
-        if cf.count() == 0 {
-            return Ok(());
-        }
-        let (n, ls, ss) = cf.parts();
-        self.probe.n = n;
-        self.probe.ss = ss;
-        self.probe.ls.copy_from_slice(ls);
-        for (c, s) in self.probe.centroid.iter_mut().zip(ls) {
-            *c = s / n as f64;
-        }
-        self.insert_probe_within_budget();
-        Ok(())
-    }
-
     fn insert_probe_within_budget(&mut self) {
         self.insert_probe();
         if let Some(budget) = self.params.max_leaf_entries {
@@ -747,19 +728,6 @@ mod tests {
         t.rebuild();
         assert!(t.num_clusters() < before);
         assert_eq!(t.num_points(), 50);
-    }
-
-    #[test]
-    fn insert_cf_merges_weighted_clusters() {
-        let mut t = tree(10.0);
-        let mut cf = ClusteringFeature::empty(2);
-        for p in [[1.0f32, 1.0], [1.2, 0.8], [0.9, 1.1]] {
-            cf.add_point(&p);
-        }
-        t.insert_cf(cf).unwrap();
-        t.insert(&[1.05, 0.95]).unwrap();
-        assert_eq!(t.num_clusters(), 1);
-        assert_eq!(t.num_points(), 4);
     }
 
     #[test]

@@ -74,6 +74,15 @@ pub struct RankedImage {
     pub matched_pairs: usize,
 }
 
+/// The order every ranking is in: similarity descending, ties by ascending
+/// id. Each image has one id, so the order is total.
+pub(crate) fn rank_order(a: &RankedImage, b: &RankedImage) -> std::cmp::Ordering {
+    b.similarity
+        .partial_cmp(&a.similarity)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.image_id.cmp(&b.image_id))
+}
+
 /// Selectivity statistics of one query (the measures of paper Table 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryStats {
@@ -87,6 +96,27 @@ pub struct QueryStats {
     /// Distinct database images containing ≥ 1 matching region ("No. of
     /// Distinct Images").
     pub distinct_images: usize,
+}
+
+impl QueryStats {
+    /// The statistics of `total_matching_regions` hits over `distinct_images`
+    /// images for a query of `query_regions` regions.
+    pub(crate) fn new(
+        query_regions: usize,
+        total_matching_regions: usize,
+        distinct_images: usize,
+    ) -> Self {
+        QueryStats {
+            query_regions,
+            total_matching_regions,
+            avg_regions_per_query_region: if query_regions == 0 {
+                0.0
+            } else {
+                total_matching_regions as f64 / query_regions as f64
+            },
+            distinct_images,
+        }
+    }
 }
 
 /// Whether a query ran to completion or was stopped early by its deadline.
@@ -467,9 +497,10 @@ impl ImageDatabase {
         opts: &QueryOptions,
         guard: &Guard,
     ) -> Result<QueryOutcome> {
-        opts.run(&self.params, query, guard, |params, regions, area, min_similarity| {
+        let probe = |params: &WalrusParams, regions: &[Region], area, min_similarity| {
             self.query_regions_with_params_guarded(params, regions, area, min_similarity, guard)
-        })
+        };
+        Ok(opts.run(&self.params, query, guard, probe)?.0)
     }
 
     /// Like [`ImageDatabase::query`] but with an explicit querying epsilon,
@@ -544,34 +575,20 @@ impl ImageDatabase {
             guard,
             q_regions,
             |_, qr| -> Result<(Vec<RegionKey>, SearchStats)> {
-                let (hits, stats) = match params.signature_kind {
-                    SignatureKind::Centroid => {
-                        if prefilter_on {
-                            let code = QueryCode::around(&qr.centroid, slack);
-                            self.index.search_within_filtered_stats(
-                                &qr.centroid,
-                                params.query_epsilon,
-                                |(_, sig)| !code.certainly_disjoint(sig),
-                            )?
-                        } else {
-                            self.index.search_within_stats(&qr.centroid, params.query_epsilon)?
-                        }
-                    }
-                    SignatureKind::BoundingBox => {
-                        let probe = qr
-                            .index_rect(SignatureKind::BoundingBox)
-                            .extended(params.query_epsilon);
-                        if prefilter_on {
+                let probe = qr.probe(params.signature_kind, params.query_epsilon)?;
+                let (hits, stats) = if prefilter_on {
+                    let code = match params.signature_kind {
+                        SignatureKind::Centroid => QueryCode::around(&qr.centroid, slack),
+                        SignatureKind::BoundingBox => {
                             let lo: Vec<f32> = qr.bbox_min.iter().map(|v| v - slack).collect();
                             let hi: Vec<f32> = qr.bbox_max.iter().map(|v| v + slack).collect();
-                            let code = QueryCode::from_interval(&lo, &hi);
-                            self.index.search_intersecting_filtered_stats(&probe, |(_, sig)| {
-                                !code.certainly_disjoint(sig)
-                            })?
-                        } else {
-                            self.index.search_intersecting_stats(&probe)?
+                            QueryCode::from_interval(&lo, &hi)
                         }
-                    }
+                    };
+                    self.index
+                        .search_filtered_stats(&probe, |(_, sig)| !code.certainly_disjoint(sig))?
+                } else {
+                    self.index.search_filtered_stats(&probe, |_| true)?
                 };
                 Ok((hits.into_iter().map(|(key, _)| *key).collect(), stats))
             },
@@ -693,29 +710,14 @@ impl ImageDatabase {
                 }
             }
         }
-        matches.sort_by(|a, b| {
-            b.similarity
-                .partial_cmp(&a.similarity)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.image_id.cmp(&b.image_id))
-        });
+        matches.sort_by(rank_order);
         if let Some(s) = &match_span {
             s.add("candidates", distinct_images as u64);
             s.add("matches", matches.len() as u64);
         }
         drop(match_span);
 
-        let query_regions = q_regions.len();
-        let stats = QueryStats {
-            query_regions,
-            total_matching_regions: total_hits,
-            avg_regions_per_query_region: if query_regions == 0 {
-                0.0
-            } else {
-                total_hits as f64 / query_regions as f64
-            },
-            distinct_images,
-        };
+        let stats = QueryStats::new(q_regions.len(), total_hits, distinct_images);
         let status = if partial { ResultStatus::Partial } else { ResultStatus::Complete };
         Ok(QueryOutcome { matches, stats, status })
     }
@@ -728,14 +730,15 @@ impl QueryOptions {
     /// is an empty [`ResultStatus::Partial`] answer, not an error — hand
     /// them to `probe` (one index for [`ImageDatabase`], a scatter-gather
     /// over the shards for the store) with the query's pixel area and the
-    /// similarity floor, and keep the best `k`.
+    /// similarity floor, and keep the best `k`. The query's regions come
+    /// back beside the outcome, for a caller that scores them again later.
     pub(crate) fn run(
         &self,
         base: &WalrusParams,
         query: &Image,
         guard: &Guard,
         probe: impl FnOnce(&WalrusParams, &[Region], usize, f64) -> Result<QueryOutcome>,
-    ) -> Result<QueryOutcome> {
+    ) -> Result<(QueryOutcome, Vec<Region>)> {
         let (params, min_similarity) = self.resolve(base)?;
         let cropped;
         let query = match self.scene {
@@ -748,19 +751,21 @@ impl QueryOptions {
         let _query_span = guard.span("query");
         let regions = match extract_regions_guarded(query, &params, params.threads, guard) {
             Ok(r) => r,
-            Err(WalrusError::DeadlineExceeded) => return Ok(QueryOutcome::empty_partial()),
+            Err(WalrusError::DeadlineExceeded) => {
+                return Ok((QueryOutcome::empty_partial(), Vec::new()))
+            }
             Err(e) => return Err(e),
         };
         let mut outcome = probe(&params, &regions, query.area(), min_similarity)?;
         if let Some(k) = self.k {
             outcome.matches.truncate(k);
         }
-        Ok(outcome)
+        Ok((outcome, regions))
     }
 
     /// Resolves this request's effective engine parameters and similarity
     /// floor against the database-wide configuration.
-    fn resolve(&self, base: &WalrusParams) -> Result<(WalrusParams, f64)> {
+    pub(crate) fn resolve(&self, base: &WalrusParams) -> Result<(WalrusParams, f64)> {
         let mut params = *base;
         if let Some(epsilon) = self.epsilon {
             if !epsilon.is_finite() || epsilon < 0.0 {
@@ -800,14 +805,32 @@ impl QueryOutcome {
     pub(crate) fn empty_partial() -> Self {
         QueryOutcome {
             matches: Vec::new(),
-            stats: QueryStats {
-                query_regions: 0,
-                total_matching_regions: 0,
-                avg_regions_per_query_region: 0.0,
-                distinct_images: 0,
-            },
+            stats: QueryStats::new(0, 0, 0),
             status: ResultStatus::Partial,
         }
+    }
+
+    /// This complete answer with `new` — the same query scored over images
+    /// this one never saw (see [`ShardedStore::score_since`]) — folded in:
+    /// the matches merged in rank order and cut to `k`, the hit and image
+    /// counts summed. Each image's score depends on that image alone, so
+    /// the result is what the query returns over both image sets at once.
+    ///
+    /// [`ShardedStore::score_since`]: crate::sharded::ShardedStore::score_since
+    pub fn splice(&self, new: QueryOutcome, k: Option<usize>) -> QueryOutcome {
+        let mut matches = Vec::with_capacity(self.matches.len() + new.matches.len());
+        matches.extend(self.matches.iter().cloned());
+        matches.extend(new.matches);
+        matches.sort_by(rank_order);
+        if let Some(k) = k {
+            matches.truncate(k);
+        }
+        let stats = QueryStats::new(
+            self.stats.query_regions,
+            self.stats.total_matching_regions + new.stats.total_matching_regions,
+            self.stats.distinct_images + new.stats.distinct_images,
+        );
+        QueryOutcome { matches, stats, status: new.status }
     }
 }
 

@@ -90,8 +90,8 @@ pub use params::{MatchingKind, SignatureKind, SimilarityKind, WalrusParams};
 pub use recovery::{scrub_dir, DirScrub, DurableDatabase, RecoveryReport};
 pub use region::Region;
 pub use sharded::{
-    scrub_store, Manifest, Migration, MigrationState, RebalanceReport, ShardRecovery, ShardRepair,
-    ShardScrub, ShardedStore,
+    scrub_store, CompactRegions, ContentMark, Manifest, Migration, MigrationState, RebalanceReport,
+    ShardRecovery, ShardRepair, ShardScrub, ShardedStore,
 };
 pub use storage::{DiskIo, StorageIo};
 pub use store::{RebalanceStatus, ShardCheckpoint, ShardHealth};
@@ -262,11 +262,6 @@ impl WalrusError {
     ) -> impl FnOnce(std::io::Error) -> WalrusError {
         let context = format!("{action} {}", path.display());
         move |source| WalrusError::Io { context, source }
-    }
-
-    /// True for the two interrupt variants.
-    pub fn is_interrupt(&self) -> bool {
-        matches!(self, WalrusError::DeadlineExceeded | WalrusError::Cancelled)
     }
 }
 

@@ -67,13 +67,7 @@ const VERSION: u32 = 3;
 
 /// Serializes the database to bytes, with no WAL position (`last_lsn = 0`).
 pub fn save(db: &ImageDatabase) -> Vec<u8> {
-    save_with_lsn(db, 0)
-}
-
-/// Serializes the database, recording `last_lsn` as the sequence number of
-/// the last WAL record already reflected in it.
-pub fn save_with_lsn(db: &ImageDatabase, last_lsn: u64) -> Vec<u8> {
-    save_envelope(db.params(), table_of(db), last_lsn)
+    save_envelope(db.params(), table_of(db), 0)
 }
 
 /// A database's image table the way the writers take one: slot by slot in
@@ -183,17 +177,12 @@ pub fn atomic_write_bytes(io: &dyn StorageIo, path: &Path, bytes: &[u8]) -> Resu
 
 /// Deserializes a database from bytes, rebuilding the spatial index.
 pub fn load(bytes: &[u8]) -> Result<ImageDatabase> {
-    load_with_lsn(bytes).map(|(db, _)| db)
-}
-
-/// Like [`load`] but also returns the snapshot's `last_lsn`.
-pub fn load_with_lsn(bytes: &[u8]) -> Result<(ImageDatabase, u64)> {
-    let (mut db, last_lsn) = load_table(bytes)?;
+    let (mut db, _) = load_table(bytes)?;
     db.pack_index()?;
-    Ok((db, last_lsn))
+    Ok(db)
 }
 
-/// [`load_with_lsn`] short of the index: the returned database holds the
+/// [`load`] short of the index, plus the snapshot's `last_lsn`: the returned database holds the
 /// snapshot's image table over an empty tree. For callers with more table
 /// changes to make before the one [`ImageDatabase::pack_index`] (WAL replay)
 /// or with no use for an index at all (scrub).
@@ -667,8 +656,8 @@ mod tests {
     #[test]
     fn lsn_round_trips() {
         let db = populated();
-        let bytes = save_with_lsn(&db, 0xDEAD_BEEF);
-        let (_, lsn) = load_with_lsn(&bytes).unwrap();
+        let bytes = save_envelope(db.params(), table_of(&db), 0xDEAD_BEEF);
+        let (_, lsn) = load_table(&bytes).unwrap();
         assert_eq!(lsn, 0xDEAD_BEEF);
     }
 

@@ -77,6 +77,8 @@ pub struct DurableDatabase {
     wal_len: u64,
     /// Records appended since the last checkpoint.
     records_since_checkpoint: usize,
+    /// LSN of the last removal committed since this open (0 = none).
+    last_removal_lsn: u64,
     /// Set when a failed append could not be rolled back: the on-disk WAL
     /// tail is in an unknown state, so further writes are refused until
     /// the store is reopened (which re-establishes a clean tail).
@@ -136,6 +138,7 @@ impl DurableDatabase {
             next_lsn: snapshot_lsn + 1,
             wal_len: 0,
             records_since_checkpoint: 0,
+            last_removal_lsn: 0,
             poisoned: false,
             retry: RetryPolicy::default(),
         };
@@ -323,7 +326,13 @@ impl DurableDatabase {
         if self.db.image(id).is_none() {
             return Err(WalrusError::UnknownImage(id));
         }
-        self.log_then_apply(WalOp::Remove { id })
+        let before = self.last_lsn();
+        let result = self.log_then_apply(WalOp::Remove { id });
+        // A logged removal counts even if applying it then failed.
+        if self.last_lsn() != before {
+            self.last_removal_lsn = self.last_lsn();
+        }
+        result
     }
 
     /// Folds the WAL into a fresh atomic snapshot and resets the log.
@@ -376,6 +385,12 @@ impl DurableDatabase {
     /// LSN of the last committed operation (0 = none yet).
     pub fn last_lsn(&self) -> u64 {
         self.next_lsn - 1
+    }
+
+    /// LSN of the last removal committed since this store was opened (0 =
+    /// none): an answer computed at a later LSN has seen every removal.
+    pub fn last_removal_lsn(&self) -> u64 {
+        self.last_removal_lsn
     }
 
     /// Records appended since the last checkpoint.

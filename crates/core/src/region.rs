@@ -7,7 +7,7 @@
 
 use crate::bitmap::RegionBitmap;
 use crate::params::SignatureKind;
-use walrus_rstar::Rect;
+use walrus_rstar::{Probe, RStarError, Rect};
 use walrus_wavelet::BinarySignature;
 
 /// One extracted region of an image.
@@ -71,6 +71,21 @@ impl Region {
         let (lo, hi) = self.index_corners(kind);
         Rect::new(lo.to_vec(), hi.to_vec())
             .expect("finite signatures with bbox_min ≤ bbox_max (extraction and decode ensure both)")
+    }
+
+    /// How a query region probes for the regions within `eps` of it: the
+    /// ε-ball around its centroid, or its signature box grown by `eps`
+    /// (paper §5.4). The index probe and [`ShardedStore::score_since`]'s
+    /// scan both take their probe from here.
+    ///
+    /// [`ShardedStore::score_since`]: crate::ShardedStore::score_since
+    pub fn probe(&self, kind: SignatureKind, eps: f32) -> Result<Probe<'_>, RStarError> {
+        match kind {
+            SignatureKind::Centroid => Probe::within(&self.centroid, eps),
+            SignatureKind::BoundingBox => {
+                Ok(Probe::intersecting(self.index_rect(kind).extended(eps)))
+            }
+        }
     }
 
     /// L2 distance between this region's centroid and another's.

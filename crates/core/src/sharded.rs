@@ -75,7 +75,7 @@
 //! phases and assert the reopened store is bit-identical to a
 //! never-migrated oracle.
 
-use crate::database::{ImageDatabase, ImageMeta, QueryOptions, ResultStatus};
+use crate::database::{rank_order, ImageDatabase, ImageMeta, QueryOptions, ResultStatus};
 use crate::extract::{extract_batch_guarded, extract_regions};
 use crate::params::WalrusParams;
 use crate::persist::{self, put_u32, put_u64};
@@ -86,11 +86,14 @@ use crate::store::{RebalanceStatus, ShardCheckpoint, ShardHealth};
 use crate::wal;
 use crate::{crc32::crc32, QueryOutcome, QueryStats, Result, WalrusError};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use walrus_guard::{Guard, RetryPolicy, SpanRecord, TraceContext};
 use walrus_imagery::Image;
+
+mod mark;
+pub use mark::{CompactRegions, ContentMark};
 
 /// Manifest file name at the store root.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -424,6 +427,9 @@ struct ShardSet {
     /// Lock-free mirror of each slot's quarantine bit, so write admission
     /// never blocks on a shard lock held by a rolling checkpoint.
     quarantined: Vec<AtomicBool>,
+    /// Per slot, how many times it was replaced (quarantined or recovered);
+    /// moved under the slot's write lock. Part of the [`ContentMark`].
+    generations: Vec<AtomicU64>,
 }
 
 /// Opens every shard of one layout epoch, quarantining the ones that
@@ -465,7 +471,12 @@ fn open_shard_set(
         }
     }
     (
-        ShardSet { epoch, shards: slots, quarantined },
+        ShardSet {
+            epoch,
+            shards: slots,
+            quarantined,
+            generations: (0..count).map(|_| AtomicU64::new(0)).collect(),
+        },
         recoveries,
         resolved_params.unwrap_or(params),
     )
@@ -833,6 +844,7 @@ impl ShardedStore {
 
     fn mark_quarantined(&self, set: &ShardSet, shard: usize, slot: &mut ShardSlot, error: String) {
         set.quarantined[shard].store(true, Ordering::Release);
+        set.generations[shard].fetch_add(1, Ordering::AcqRel);
         // Keep the last counts the shard reported while healthy: health
         // gauges should say what the quarantined shard held, not zero.
         let (images, wal_bytes) = match &*slot {
@@ -1020,6 +1032,18 @@ impl ShardedStore {
         opts: &QueryOptions,
         guard: &Guard,
     ) -> Result<QueryOutcome> {
+        Ok(self.query_with_regions_guarded(query, opts, guard)?.0)
+    }
+
+    /// [`ShardedStore::query_with_options_guarded`], also handing back the
+    /// regions extracted from `query` (none when a deadline stopped the
+    /// extraction) — what [`ShardedStore::score_since`] scores again.
+    pub fn query_with_regions_guarded(
+        &self,
+        query: &Image,
+        opts: &QueryOptions,
+        guard: &Guard,
+    ) -> Result<(QueryOutcome, Vec<Region>)> {
         opts.run(&self.params, query, guard, |params, regions, area, min_similarity| {
             self.scatter_gather(&self.layout(), params, regions, area, min_similarity, guard)
         })
@@ -1146,23 +1170,8 @@ impl ShardedStore {
         // Deterministic gather: the same total order a single index sorts
         // into (each image lives on exactly one shard, with a
         // distinct id, so the comparator is total).
-        matches.sort_by(|a, b| {
-            b.similarity
-                .partial_cmp(&a.similarity)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.image_id.cmp(&b.image_id))
-        });
-        let query_regions = q_regions.len();
-        let stats = QueryStats {
-            query_regions,
-            total_matching_regions: total_hits,
-            avg_regions_per_query_region: if query_regions == 0 {
-                0.0
-            } else {
-                total_hits as f64 / query_regions as f64
-            },
-            distinct_images,
-        };
+        matches.sort_by(rank_order);
+        let stats = QueryStats::new(q_regions.len(), total_hits, distinct_images);
         let status = if !shards_unavailable.is_empty() {
             ResultStatus::Degraded { shards_unavailable }
         } else if partial {
@@ -1308,6 +1317,7 @@ impl ShardedStore {
         let (db, report) = DurableDatabase::open_with(self.io.clone(), &dir, self.params)?;
         *next = (*next).max(db.db().image_slots().len());
         *slot = ShardSlot::Healthy(Box::new(db));
+        set.generations[shard].fetch_add(1, Ordering::AcqRel);
         set.quarantined[shard].store(false, Ordering::Release);
         Ok(ShardRepair { shard, truncated_bytes, records_kept, report })
     }
@@ -1441,43 +1451,6 @@ impl ShardedStore {
             target_shards: self.rebalance_target.load(Ordering::Acquire),
             shards_migrated: self.shards_migrated.load(Ordering::Acquire),
         }
-    }
-
-    /// An opaque fingerprint of the store's queryable content, for result
-    /// caching: two calls return the same value **only if** every query
-    /// answers identically in between. It changes on every committed
-    /// ingest/remove (LSN advance), on shard quarantine or recovery, and on
-    /// every rebalance epoch/migration-state change. It does **not** change
-    /// on a checkpoint — folding the WAL into a snapshot rewrites bytes,
-    /// not answers, so caches survive checkpoints. Computed by folding the
-    /// layout epoch, the live rebalancing flag, the shard count, and each
-    /// shard's (healthy, last LSN) pair.
-    pub fn content_stamp(&self) -> u64 {
-        /// FNV-1a 64 step.
-        fn stamp_fold(hash: u64, value: u64) -> u64 {
-            value.to_le_bytes().iter().fold(hash, |hash, byte| {
-                (hash ^ u64::from(*byte)).wrapping_mul(0x100_0000_01b3)
-            })
-        }
-        let set = self.layout();
-        // FNV-1a 64 offset basis, so an empty store's stamp is nonzero.
-        let mut h = 0xcbf2_9ce4_8422_2325;
-        h = stamp_fold(h, set.epoch);
-        h = stamp_fold(h, self.rebalancing.load(Ordering::Acquire) as u64);
-        h = stamp_fold(h, set.shards.len() as u64);
-        for slot in &set.shards {
-            match &*slot.read() {
-                ShardSlot::Healthy(db) => {
-                    h = stamp_fold(h, 1);
-                    h = stamp_fold(h, db.last_lsn());
-                }
-                ShardSlot::Quarantined { .. } => {
-                    h = stamp_fold(h, 0);
-                    h = stamp_fold(h, 0);
-                }
-            }
-        }
-        h
     }
 
     /// Live images across healthy shards.

@@ -1,0 +1,311 @@
+//! What an answer was computed over, and how to bring it up to date.
+//!
+//! A query's answer is built per target image (paper §5.4–5.5): the probe
+//! finds the database regions within `ε` of each query region, and each
+//! target image with a matching region is scored from its own pairs alone.
+//! So committing an image can add at most one entry to a ranking and never
+//! changes another image's score. [`ShardedStore::content_mark`] records
+//! enough of the store to tell whether *only* inserts happened since, and
+//! [`ShardedStore::score_since`] then scores a query's regions against the
+//! images committed after the mark and nothing else.
+//! [`QueryOutcome::splice`] folds that into the earlier answer.
+
+use super::{ShardSlot, ShardedStore};
+use crate::bitmap::RegionBitmap;
+use crate::database::{rank_order, QueryOptions, QueryOutcome, QueryStats, RankedImage};
+use crate::matching::{self, MatchPair, QuickScratch};
+use crate::params::SignatureKind;
+use crate::region::Region;
+use crate::{Result, ResultStatus, WalrusError};
+use std::sync::atomic::Ordering;
+use walrus_guard::{Guard, Interrupt};
+use walrus_rstar::Verdict;
+
+/// One shard's part of a [`ContentMark`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ShardMark {
+    healthy: bool,
+    /// Moves whenever the shard's slot is replaced: quarantine, recovery.
+    generation: u64,
+    last_lsn: u64,
+    /// The shard's image-slot count. Ids reach a shard in ascending order,
+    /// so every image committed after the mark sits at or above it.
+    slots: usize,
+    last_removal_lsn: u64,
+}
+
+impl ShardMark {
+    fn of(generation: u64, slot: &ShardSlot) -> Self {
+        match slot {
+            ShardSlot::Healthy(db) => ShardMark {
+                healthy: true,
+                generation,
+                last_lsn: db.last_lsn(),
+                slots: db.db().image_slots().len(),
+                last_removal_lsn: db.last_removal_lsn(),
+            },
+            ShardSlot::Quarantined { .. } => ShardMark {
+                healthy: false,
+                generation,
+                last_lsn: 0,
+                slots: 0,
+                last_removal_lsn: 0,
+            },
+        }
+    }
+
+    /// True when a healthy shard marked `was` can have become this one by
+    /// inserts alone.
+    fn grew_from(&self, was: &ShardMark) -> bool {
+        was.healthy
+            && self.healthy
+            && was.generation == self.generation
+            && was.last_removal_lsn == self.last_removal_lsn
+            && was.slots <= self.slots
+    }
+}
+
+/// The store's queryable content at one instant, as far as an answer can
+/// tell: the layout epoch, the rebalancing flag, the shard count, and per
+/// shard its health, slot generation, last LSN, image-slot high-water and
+/// last removal's LSN. A checkpoint moves none of them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ContentMark {
+    epoch: u64,
+    rebalancing: bool,
+    shards: Vec<ShardMark>,
+}
+
+impl ContentMark {
+    /// The store's content stamp at this mark
+    /// ([`ShardedStore::content_stamp`]): an FNV-1a 64 fold of every field.
+    pub fn stamp(&self) -> u64 {
+        fn fold(hash: u64, value: u64) -> u64 {
+            value.to_le_bytes().iter().fold(hash, |hash, byte| {
+                (hash ^ u64::from(*byte)).wrapping_mul(0x100_0000_01b3)
+            })
+        }
+        // FNV-1a 64 offset basis, so an empty store's stamp is nonzero.
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        h = fold(h, self.epoch);
+        h = fold(h, self.rebalancing as u64);
+        h = fold(h, self.shards.len() as u64);
+        for shard in &self.shards {
+            h = fold(h, shard.healthy as u64);
+            h = fold(h, shard.generation);
+            h = fold(h, shard.last_lsn);
+            h = fold(h, shard.slots as u64);
+            h = fold(h, shard.last_removal_lsn);
+        }
+        h
+    }
+}
+
+/// What [`ShardedStore::score_since`] reads of a query's regions, in one
+/// allocation: each region's index corners (its centroid for centroid
+/// signatures, its signature box otherwise) and its bitmap words, beside
+/// the query's pixel area and the layout its bitmaps share. At the serving
+/// configuration that is 80 bytes a region, about a quarter of what a
+/// [`Region`] holds.
+#[derive(Debug, Clone)]
+pub struct CompactRegions {
+    kind: SignatureKind,
+    dims: usize,
+    query_area: usize,
+    /// Image width, image height, grid columns, grid rows.
+    layout: [usize; 4],
+    /// Per region: the corner coordinates as `f32` bit patterns, two to a
+    /// word, then the bitmap words.
+    slab: Box<[u64]>,
+}
+
+impl CompactRegions {
+    /// The compact copy of `regions`, extracted from a query of
+    /// `query_area` pixels and indexed under `kind` signatures.
+    pub fn new(regions: &[Region], kind: SignatureKind, query_area: usize) -> Self {
+        let dims = regions.first().map_or(0, Region::dims);
+        let layout = regions.first().map_or([0; 4], |r| {
+            let b = &r.bitmap;
+            [b.width(), b.height(), b.grid_width(), b.grid_height()]
+        });
+        let mut compact = CompactRegions { kind, dims, query_area, layout, slab: Box::default() };
+        let mut slab = Vec::with_capacity(regions.len() * compact.stride());
+        for region in regions {
+            let b = &region.bitmap;
+            debug_assert_eq!(layout, [b.width(), b.height(), b.grid_width(), b.grid_height()]);
+            let (lo, hi) = region.index_corners(kind);
+            let hi = if kind == SignatureKind::Centroid { &[] } else { hi };
+            let mut coords = lo.iter().chain(hi).map(|v| u64::from(v.to_bits()));
+            while let Some(low) = coords.next() {
+                slab.push(low | coords.next().unwrap_or(0) << 32);
+            }
+            slab.extend_from_slice(b.words());
+        }
+        compact.slab = slab.into_boxed_slice();
+        compact
+    }
+
+    /// Coordinates of one region's index corners.
+    fn floats(&self) -> usize {
+        match self.kind {
+            SignatureKind::Centroid => self.dims,
+            SignatureKind::BoundingBox => 2 * self.dims,
+        }
+    }
+
+    /// Words of one region: its corners, then its bitmap.
+    fn stride(&self) -> usize {
+        let [_, _, gw, gh] = self.layout;
+        self.floats().div_ceil(2) + (gw * gh).div_ceil(64)
+    }
+
+    /// The regions again, as the scan and the scorer read them: index
+    /// corners and bitmap. A centroid-indexed region's box is its centroid,
+    /// a box-indexed region's centroid is its lower corner, and no window
+    /// count is kept — none of these is read by the probe or the scorer.
+    fn regions(&self) -> Vec<Region> {
+        let [width, height, gw, gh] = self.layout;
+        self.slab
+            .chunks(self.stride().max(1))
+            .map(|chunk| {
+                let (corners, words) = chunk.split_at(self.floats().div_ceil(2));
+                let coords: Vec<f32> = corners
+                    .iter()
+                    .flat_map(|w| [f32::from_bits(*w as u32), f32::from_bits((w >> 32) as u32)])
+                    .take(self.floats())
+                    .collect();
+                let bitmap = RegionBitmap::from_words(width, height, gw, gh, words.to_vec())
+                    .expect("the layout the words were copied with");
+                let (lo, hi) = coords.split_at(self.dims);
+                let hi = if hi.is_empty() { lo } else { hi };
+                Region::new(lo.to_vec(), lo.to_vec(), hi.to_vec(), bitmap, 0)
+            })
+            .collect()
+    }
+}
+
+impl ShardedStore {
+    /// The store's [`ContentMark`] now.
+    pub fn content_mark(&self) -> ContentMark {
+        let set = self.layout();
+        let shards = set
+            .shards
+            .iter()
+            .zip(&set.generations)
+            .map(|(slot, generation)| {
+                let slot = slot.read();
+                ShardMark::of(generation.load(Ordering::Acquire), &slot)
+            })
+            .collect();
+        let rebalancing = self.rebalancing.load(Ordering::Acquire);
+        ContentMark { epoch: set.epoch, rebalancing, shards }
+    }
+
+    /// An opaque fingerprint of the store's queryable content, for result
+    /// caching: two calls return the same value **only if** every query
+    /// answers identically in between. It is [`ContentMark::stamp`] of
+    /// [`ShardedStore::content_mark`], so it moves on every committed
+    /// ingest or removal, on a shard's quarantine or recovery, and on every
+    /// rebalance epoch or migration-state change — and not on a
+    /// checkpoint, which rewrites bytes, not answers.
+    pub fn content_stamp(&self) -> u64 {
+        self.content_mark().stamp()
+    }
+
+    /// Scores `query` under `opts` against only the images committed since
+    /// `since`, the way the full query scores each of them: the same leaf
+    /// test ([`Probe::test`]) over every pair of a query region and a new
+    /// region, and the same [`matching::similarity`]. The outcome ranks the
+    /// new images at or above the similarity floor (uncut by `k`) and
+    /// counts their hits and images; [`QueryOutcome::splice`] folds it into
+    /// the answer recorded at `since`.
+    ///
+    /// `None` when anything but inserts happened since the mark: a removal,
+    /// a quarantine or recovery, a rebalance. A deadline during the scan
+    /// gives a [`ResultStatus::Partial`] outcome, cancellation an error.
+    pub fn score_since(
+        &self,
+        since: &ContentMark,
+        opts: &QueryOptions,
+        query: &CompactRegions,
+        guard: &Guard,
+    ) -> Option<Result<QueryOutcome>> {
+        let (params, min_similarity) = opts.resolve(&self.params).ok()?;
+        let set = self.layout();
+        if set.epoch != since.epoch
+            || set.shards.len() != since.shards.len()
+            || self.rebalancing.load(Ordering::Acquire) != since.rebalancing
+            || params.signature_kind != query.kind
+        {
+            return None;
+        }
+        let q_regions = query.regions();
+        let probes = q_regions
+            .iter()
+            .map(|r| r.probe(query.kind, params.query_epsilon))
+            .collect::<std::result::Result<Vec<_>, _>>()
+            .ok()?;
+
+        let mut scratch = QuickScratch::default();
+        let mut pairs = Vec::new();
+        let mut matches = Vec::new();
+        let (mut hits, mut images) = (0, 0);
+        let mut status = ResultStatus::Complete;
+        'shards: for ((slot, generation), was) in
+            set.shards.iter().zip(&set.generations).zip(&since.shards)
+        {
+            let slot = slot.read();
+            let now = ShardMark::of(generation.load(Ordering::Acquire), &slot);
+            let ShardSlot::Healthy(db) = &*slot else { return None };
+            if !now.grew_from(was) {
+                return None;
+            }
+            for img in db.db().image_slots()[was.slots..].iter().flatten() {
+                match guard.poll() {
+                    Ok(()) => {}
+                    Err(Interrupt::Cancelled) => return Some(Err(WalrusError::Cancelled)),
+                    Err(Interrupt::DeadlineExceeded) => {
+                        status = ResultStatus::Partial;
+                        break 'shards;
+                    }
+                }
+                // Query region by query region, so the pairs come in the
+                // (q, t) order the full query puts an image's run in.
+                pairs.clear();
+                for (q, probe) in probes.iter().enumerate() {
+                    for (t, region) in img.regions.iter().enumerate() {
+                        let (lo, hi) = region.index_corners(query.kind);
+                        if probe.test(lo, hi) == Verdict::Hit {
+                            pairs.push(MatchPair { q, t });
+                        }
+                    }
+                }
+                if pairs.is_empty() {
+                    continue;
+                }
+                hits += pairs.len();
+                images += 1;
+                let similarity = matching::similarity(
+                    &params,
+                    &mut scratch,
+                    &q_regions,
+                    &img.regions,
+                    &pairs,
+                    query.query_area,
+                    img.width * img.height,
+                );
+                if similarity >= min_similarity {
+                    matches.push(RankedImage {
+                        image_id: img.id,
+                        name: img.name.clone(),
+                        similarity,
+                        matched_pairs: pairs.len(),
+                    });
+                }
+            }
+        }
+        matches.sort_by(rank_order);
+        let stats = QueryStats::new(q_regions.len(), hits, images);
+        Some(Ok(QueryOutcome { matches, stats, status }))
+    }
+}

@@ -156,16 +156,11 @@ impl Guard {
 
     /// Per-request construction: the shape a server builds for every incoming
     /// request — an optional timeout from "now" (request admission, not
-    /// connection accept) plus an optional cancellation token shared with the
-    /// connection/shutdown machinery. `(None, None)` yields an unarmed guard,
-    /// so callers can use this unconditionally.
-    pub fn for_request(timeout: Option<Duration>, token: Option<CancelToken>) -> Self {
-        Guard::for_request_on(walrus_trace::monotonic(), timeout, token)
-    }
-
-    /// [`Guard::for_request`] with the deadline measured on an explicit
-    /// `clock` — the injection point that lets servers and tests drive
-    /// request timeouts from a [`TestClock`].
+    /// connection accept) on `clock` plus an optional cancellation token
+    /// shared with the connection/shutdown machinery. `(None, None)` yields
+    /// an unarmed guard, so callers can use this unconditionally. The clock
+    /// is the injection point that lets servers and tests drive request
+    /// timeouts from a [`TestClock`].
     pub fn for_request_on(
         clock: SharedClock,
         timeout: Option<Duration>,
@@ -448,13 +443,14 @@ mod tests {
 
     #[test]
     fn for_request_combines_sources() {
-        assert!(!Guard::for_request(None, None).is_armed());
+        let request = |timeout, token| Guard::for_request_on(monotonic(), timeout, token);
+        assert!(!request(None, None).is_armed());
 
-        let timed = Guard::for_request(Some(Duration::ZERO), None);
+        let timed = request(Some(Duration::ZERO), None);
         assert_eq!(timed.poll(), Err(Interrupt::DeadlineExceeded));
 
         let token = CancelToken::new();
-        let both = Guard::for_request(Some(Duration::from_secs(3600)), Some(token.clone()));
+        let both = request(Some(Duration::from_secs(3600)), Some(token.clone()));
         assert_eq!(both.poll(), Ok(()));
         token.cancel();
         assert_eq!(both.poll(), Err(Interrupt::Cancelled));

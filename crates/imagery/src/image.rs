@@ -94,11 +94,6 @@ impl Channel {
         self.data[y * self.width + x] = value;
     }
 
-    /// Bounds-checked read; `None` outside the image.
-    #[inline]
-    pub fn try_get(&self, x: usize, y: usize) -> Option<f32> {
-        (x < self.width && y < self.height).then(|| self.data[y * self.width + x])
-    }
 
     /// Underlying row-major buffer.
     #[inline]
@@ -337,33 +332,10 @@ impl Image {
         Ok(Self { channels, space: self.space })
     }
 
-    /// Nearest-neighbour resize of every channel.
-    pub fn resize_nearest(&self, w: usize, h: usize) -> Result<Self> {
-        let channels = self
-            .channels
-            .iter()
-            .map(|c| c.resize_nearest(w, h))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self { channels, space: self.space })
-    }
-
     /// Converts to the target color space (see [`crate::color`] for the
     /// supported conversion graph). A same-space conversion is a clone.
     pub fn to_space(&self, target: ColorSpace) -> Result<Self> {
         crate::color::convert(self, target)
-    }
-
-    /// Replaces the color-space tag without touching pixel data. Only useful
-    /// in tests and codecs; prefer [`Image::to_space`].
-    pub fn with_space_tag(mut self, space: ColorSpace) -> Result<Self> {
-        if space.channel_count() != self.channels.len() {
-            return Err(ImageError::ShapeMismatch {
-                left: (self.width(), self.height(), self.channels.len()),
-                right: (self.width(), self.height(), space.channel_count()),
-            });
-        }
-        self.space = space;
-        Ok(self)
     }
 }
 
@@ -397,14 +369,6 @@ mod tests {
         assert_eq!(c.as_slice(), &[0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
         assert_eq!(c.get(2, 1), 12.0);
         assert_eq!(c.row(1), &[10.0, 11.0, 12.0]);
-    }
-
-    #[test]
-    fn try_get_bounds() {
-        let c = Channel::zeros(2, 2).unwrap();
-        assert_eq!(c.try_get(1, 1), Some(0.0));
-        assert_eq!(c.try_get(2, 1), None);
-        assert_eq!(c.try_get(1, 2), None);
     }
 
     #[test]
@@ -483,13 +447,6 @@ mod tests {
         assert_eq!(sub.space(), ColorSpace::Ycc);
         assert_eq!(sub.width(), 4);
         assert_eq!(sub.area(), 16);
-    }
-
-    #[test]
-    fn with_space_tag_checks_arity() {
-        let img = Image::zeros(2, 2, ColorSpace::Rgb).unwrap();
-        assert!(img.clone().with_space_tag(ColorSpace::Gray).is_err());
-        assert!(img.with_space_tag(ColorSpace::Yiq).is_ok());
     }
 
     #[test]

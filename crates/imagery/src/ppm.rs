@@ -11,7 +11,7 @@
 use crate::color::ColorSpace;
 use crate::image::{Channel, Image};
 use crate::{ImageError, Result};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// Encodes an RGB image as binary PPM (P6).
@@ -30,32 +30,10 @@ pub fn write_ppm<W: Write>(img: &Image, mut out: W) -> Result<()> {
     out.write_all(&buf).map_err(|e| ImageError::Codec(e.to_string()))
 }
 
-/// Encodes a grayscale view of the image as binary PGM (P5).
-pub fn write_pgm<W: Write>(img: &Image, mut out: W) -> Result<()> {
-    let gray = img.to_space(ColorSpace::Gray)?;
-    let header = format!("P5\n{} {}\n255\n", gray.width(), gray.height());
-    let mut buf = Vec::with_capacity(header.len() + gray.area());
-    buf.extend_from_slice(header.as_bytes());
-    for y in 0..gray.height() {
-        for x in 0..gray.width() {
-            buf.push(quantize(gray.channel(0).get(x, y)));
-        }
-    }
-    out.write_all(&buf).map_err(|e| ImageError::Codec(e.to_string()))
-}
-
 /// Writes a P6 PPM file at `path`.
 pub fn save_ppm(img: &Image, path: impl AsRef<Path>) -> Result<()> {
     let file = std::fs::File::create(path).map_err(|e| ImageError::Codec(e.to_string()))?;
     write_ppm(img, std::io::BufWriter::new(file))
-}
-
-/// Reads any of P2/P3/P5/P6 from a byte stream. P2/P5 produce grayscale
-/// images; P3/P6 produce RGB.
-pub fn read_netpbm<R: Read>(mut input: R) -> Result<Image> {
-    let mut bytes = Vec::new();
-    input.read_to_end(&mut bytes).map_err(|e| ImageError::Codec(e.to_string()))?;
-    parse_netpbm(&bytes)
 }
 
 /// Loads a PPM/PGM file from `path`.
@@ -222,6 +200,21 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encodes a grayscale view of the image as binary PGM (P5): the P5
+    /// input the parser tests read back.
+    fn write_pgm<W: Write>(img: &Image, mut out: W) -> Result<()> {
+        let gray = img.to_space(ColorSpace::Gray)?;
+        let header = format!("P5\n{} {}\n255\n", gray.width(), gray.height());
+        let mut buf = Vec::with_capacity(header.len() + gray.area());
+        buf.extend_from_slice(header.as_bytes());
+        for y in 0..gray.height() {
+            for x in 0..gray.width() {
+                buf.push(quantize(gray.channel(0).get(x, y)));
+            }
+        }
+        out.write_all(&buf).map_err(|e| ImageError::Codec(e.to_string()))
+    }
 
     fn test_image() -> Image {
         Image::from_fn(5, 4, ColorSpace::Rgb, |x, y, c| {

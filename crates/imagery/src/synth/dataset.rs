@@ -20,7 +20,6 @@
 //! Because classes are constructed, precision can be *measured*, which the
 //! paper could only argue visually.
 
-use crate::color::ColorSpace;
 use crate::image::Image;
 use crate::synth::scene::{Scene, SceneObject};
 use crate::synth::shapes::Shape;
@@ -195,7 +194,7 @@ pub fn scene_for_class(class: ImageClass, rng: &mut StdRng) -> Scene {
 /// (background, flower count, size, placement) varies widely — that is the
 /// regime where single-signature retrieval breaks and region matching does
 /// not (paper §1.1).
-pub fn flower_object(rng: &mut StdRng) -> SceneObject {
+fn flower_object(rng: &mut StdRng) -> SceneObject {
     let red = Rgb(
         0.85 + rng.gen_range(-0.03..0.03),
         0.12 + rng.gen_range(-0.03..0.03),
@@ -376,15 +375,6 @@ pub fn timing_image(width: usize, height: usize, seed: u64) -> Result<Image> {
     scene.render(width, height)
 }
 
-/// Converts the whole dataset to another color space in place — convenience
-/// for the RGB-vs-YCC comparisons of §6.6.
-pub fn convert_dataset(dataset: &mut SyntheticDataset, space: ColorSpace) -> Result<()> {
-    for img in &mut dataset.images {
-        img.image = img.image.to_space(space)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,17 +462,5 @@ mod tests {
         let img = timing_image(64, 64, 1).unwrap();
         // The timing image must have spatial structure, not a flat field.
         assert!(img.channel(0).variance() > 1e-3);
-    }
-
-    #[test]
-    fn convert_dataset_changes_space() {
-        let mut d = SyntheticDataset::generate(DatasetSpec {
-            images_per_class: 1,
-            classes: vec![ImageClass::Flowers],
-            ..small_spec()
-        })
-        .unwrap();
-        convert_dataset(&mut d, ColorSpace::Ycc).unwrap();
-        assert!(d.images.iter().all(|i| i.image.space() == ColorSpace::Ycc));
     }
 }

@@ -135,8 +135,9 @@ impl Scene {
     }
 
     /// Fraction of the image covered by object `idx` (hard-edged estimate on
-    /// an integer grid) — used by tests and by ground-truth bookkeeping.
-    pub fn object_coverage(&self, idx: usize, width: usize, height: usize) -> f32 {
+    /// an integer grid), by which the tests check object scaling.
+    #[cfg(test)]
+    fn object_coverage(&self, idx: usize, width: usize, height: usize) -> f32 {
         let obj = &self.objects[idx];
         let (fw, fh) = (width as f32, height as f32);
         let px_scale = obj.scale * fw.min(fh) / 2.0;

@@ -51,7 +51,7 @@ pub mod tree;
 
 pub use bulk::bulk_load;
 pub use rect::Rect;
-pub use tree::{RStarParams, RStarTree, SearchStats};
+pub use tree::{Probe, RStarParams, RStarTree, SearchStats, Verdict};
 
 /// Errors produced by this crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -57,6 +57,11 @@ impl Rect {
         &self.coords
     }
 
+    /// [`Rect::flat`], owned.
+    pub(crate) fn into_flat(self) -> Vec<f32> {
+        self.coords
+    }
+
     /// Hyper-volume (product of extents).
     pub fn area(&self) -> f64 {
         area(&self.coords)
@@ -133,6 +138,12 @@ pub(crate) fn margin(r: &[f32]) -> f64 {
 #[inline]
 pub(crate) fn intersects(a: &[f32], b: &[f32]) -> bool {
     let ((alo, ahi), (blo, bhi)) = (corners(a), corners(b));
+    intersects_corners(alo, ahi, blo, bhi)
+}
+
+/// [`intersects`] over boxes given as separate lower and upper corners.
+#[inline]
+pub(crate) fn intersects_corners(alo: &[f32], ahi: &[f32], blo: &[f32], bhi: &[f32]) -> bool {
     alo.iter()
         .zip(ahi)
         .zip(blo.iter().zip(bhi))
@@ -214,6 +225,12 @@ pub(crate) fn union_into(acc: &mut [f32], other: &[f32]) {
 #[inline]
 pub(crate) fn min_dist_sq(r: &[f32], point: &[f32]) -> f64 {
     let (lo, hi) = corners(r);
+    min_dist_sq_corners(lo, hi, point)
+}
+
+/// [`min_dist_sq`] to a box given as separate lower and upper corners.
+#[inline]
+pub(crate) fn min_dist_sq_corners(lo: &[f32], hi: &[f32], point: &[f32]) -> f64 {
     lo.iter()
         .zip(hi)
         .zip(point)

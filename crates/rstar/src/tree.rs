@@ -626,15 +626,9 @@ impl<V> RStarTree<V> {
     pub fn search_intersecting_filtered_stats(
         &self,
         query: &Rect,
-        mut prefilter: impl FnMut(&V) -> bool,
+        prefilter: impl FnMut(&V) -> bool,
     ) -> Result<(Vec<&V>, SearchStats)> {
-        if query.dims() != self.dims {
-            return Err(RStarError::DimensionMismatch { expected: self.dims, got: query.dims() });
-        }
-        let mut out = Vec::new();
-        let mut stats = SearchStats::default();
-        self.search_rec(self.root, query.flat(), None, &mut out, &mut stats, &mut prefilter);
-        Ok((out, stats))
+        self.search_filtered_stats(&Probe::intersecting(query.clone()), prefilter)
     }
 
     /// All values whose rectangle lies within L2 distance `eps` of `point`
@@ -662,27 +656,38 @@ impl<V> RStarTree<V> {
         &self,
         point: &[f32],
         eps: f32,
-        mut prefilter: impl FnMut(&V) -> bool,
+        prefilter: impl FnMut(&V) -> bool,
     ) -> Result<(Vec<&V>, SearchStats)> {
         if point.len() != self.dims {
             return Err(RStarError::DimensionMismatch { expected: self.dims, got: point.len() });
         }
-        let probe = Rect::point(point)?.extended(eps);
-        let ball = Some((point, (eps as f64) * (eps as f64)));
+        self.search_filtered_stats(&Probe::within(point, eps)?, prefilter)
+    }
+
+    /// Every value `probe` hits ([`Probe::test`]) that passes `prefilter`,
+    /// in traversal order, with probe statistics: the search the two above
+    /// name by their probe. The prefilter must be admissible, as there.
+    pub fn search_filtered_stats(
+        &self,
+        probe: &Probe,
+        mut prefilter: impl FnMut(&V) -> bool,
+    ) -> Result<(Vec<&V>, SearchStats)> {
+        if probe.dims() != self.dims {
+            return Err(RStarError::DimensionMismatch { expected: self.dims, got: probe.dims() });
+        }
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
-        self.search_rec(self.root, probe.flat(), ball, &mut out, &mut stats, &mut prefilter);
+        self.search_rec(self.root, probe, &mut out, &mut stats, &mut prefilter);
         Ok((out, stats))
     }
 
-    /// The rectangle descent. A leaf entry that passes the prefilter is
-    /// tested against the `query` box in `f32` and then, when `ball` gives a
-    /// centre and a squared radius, against that ball in `f64`.
+    /// The rectangle descent: a child is entered when its bound meets the
+    /// probe's box, and a leaf entry that passes the prefilter is judged by
+    /// [`Probe::test`].
     fn search_rec<'a>(
         &'a self,
         node: u32,
-        query: &[f32],
-        ball: Option<(&[f32], f64)>,
+        probe: &Probe,
         out: &mut Vec<&'a V>,
         stats: &mut SearchStats,
         prefilter: &mut impl FnMut(&V) -> bool,
@@ -691,8 +696,8 @@ impl<V> RStarTree<V> {
         if !self.heads[node as usize].leaf {
             for (rect, slot) in self.pairs(node) {
                 match slot {
-                    Slot::Child(child) if rect::intersects(rect, query) => {
-                        self.search_rec(*child, query, ball, out, stats, prefilter);
+                    Slot::Child(child) if rect::intersects(rect, &probe.bounds) => {
+                        self.search_rec(*child, probe, out, stats, prefilter);
                     }
                     _ => {}
                 }
@@ -706,14 +711,11 @@ impl<V> RStarTree<V> {
                 continue;
             }
             stats.exact_tested += 1;
-            if !rect::intersects(rect, query) {
-                continue;
-            }
-            match ball {
-                Some((centre, eps_sq)) if rect::min_dist_sq(rect, centre) > eps_sq => {
-                    stats.pruned += 1;
-                }
-                _ => out.push(value),
+            let (lo, hi) = rect::corners(rect);
+            match probe.test(lo, hi) {
+                Verdict::Outside => {}
+                Verdict::Pruned => stats.pruned += 1,
+                Verdict::Hit => out.push(value),
             }
         }
     }
@@ -910,6 +912,65 @@ impl<V> RStarTree<V> {
             count += self.check_node(child, false, depth - 1, reached);
         }
         count
+    }
+}
+
+/// What a search tests every leaf entry against: a box, compared in `f32`,
+/// and for an ε-ball search the ball's centre and squared radius, compared
+/// in `f64`. [`Probe::test`] is the one leaf test. The tree's descent
+/// applies it to each leaf entry it reaches, and a caller holding entries
+/// outside any tree applies it to get exactly the hits a search returns.
+#[derive(Debug, Clone)]
+pub struct Probe<'a> {
+    /// Lower corner then upper, `2·d` floats.
+    bounds: Vec<f32>,
+    ball: Option<(&'a [f32], f64)>,
+}
+
+/// Where one entry stands against a [`Probe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Outside the probe's box.
+    Outside,
+    /// Inside the box, outside the ε-ball: [`SearchStats::pruned`].
+    Pruned,
+    /// A hit.
+    Hit,
+}
+
+impl<'a> Probe<'a> {
+    /// The probe of [`RStarTree::search_within`]: the box `point ± eps`,
+    /// then the ε-ball around `point`.
+    pub fn within(point: &'a [f32], eps: f32) -> Result<Self> {
+        let bounds = Rect::point(point)?.extended(eps).into_flat();
+        Ok(Probe { bounds, ball: Some((point, (eps as f64) * (eps as f64))) })
+    }
+
+    /// The probe of [`RStarTree::search_intersecting`]: `query` itself.
+    pub fn intersecting(query: Rect) -> Self {
+        Probe { bounds: query.into_flat(), ball: None }
+    }
+
+    /// Dimensionality.
+    pub fn dims(&self) -> usize {
+        self.bounds.len() / 2
+    }
+
+    /// Judges the entry with corners `lo` and `hi`: its box against the
+    /// probe's box in `f32` (closed boxes: touching counts), then its
+    /// minimum distance to the ball's centre against the radius in `f64`.
+    #[inline]
+    pub fn test(&self, lo: &[f32], hi: &[f32]) -> Verdict {
+        let (qlo, qhi) = rect::corners(&self.bounds);
+        if !rect::intersects_corners(lo, hi, qlo, qhi) {
+            return Verdict::Outside;
+        }
+        match self.ball {
+            Some((centre, eps_sq)) if rect::min_dist_sq_corners(lo, hi, centre) > eps_sq => {
+                Verdict::Pruned
+            }
+            _ => Verdict::Hit,
+        }
     }
 }
 
@@ -1294,6 +1355,50 @@ mod tests {
         assert!(istats.prefilter_rejected > 0);
         let expected: Vec<usize> = ids(&inter).into_iter().filter(|v| v % 2 == 0).collect();
         assert_eq!(ids(&inter_f), expected);
+    }
+
+    /// [`Probe::test`] over a flat list of entries is the whole search:
+    /// on seeded random points and boxes, the entries it calls hits are
+    /// exactly what `search_within` and `search_intersecting` return.
+    #[test]
+    fn the_leaf_test_over_a_flat_list_is_the_search() {
+        let ids = |mut v: Vec<usize>| {
+            v.sort_unstable();
+            v
+        };
+        let mut next = lcg(0x1EAF_7E57);
+        let dims = 6;
+        let mut corners = Vec::new();
+        for i in 0..600 {
+            let lo: Vec<f32> = (0..dims).map(|_| next()).collect();
+            // Every other entry is a box, the rest are points.
+            let hi: Vec<f32> =
+                lo.iter().map(|&v| if i % 2 == 0 { v } else { v + next() * 0.1 }).collect();
+            corners.push((lo, hi));
+        }
+        let mut tree = RStarTree::with_dims(dims).unwrap();
+        for (i, (lo, hi)) in corners.iter().enumerate() {
+            tree.insert(Rect::new(lo.clone(), hi.clone()).unwrap(), i).unwrap();
+        }
+        let scan = |probe: &Probe| -> Vec<usize> {
+            let hits = corners.iter().enumerate();
+            let hits = hits.filter(|(_, (lo, hi))| probe.test(lo, hi) == Verdict::Hit);
+            ids(hits.map(|(i, _)| i).collect())
+        };
+        let mut nonempty = 0;
+        for _ in 0..40 {
+            let centre: Vec<f32> = (0..dims).map(|_| next()).collect();
+            let eps = 0.1 + next() * 0.4;
+            let within =
+                ids(tree.search_within(&centre, eps).unwrap().into_iter().copied().collect());
+            assert_eq!(scan(&Probe::within(&centre, eps).unwrap()), within, "{centre:?} ± {eps}");
+            let query = Rect::point(&centre).unwrap().extended(eps);
+            let crossing =
+                ids(tree.search_intersecting(&query).unwrap().into_iter().copied().collect());
+            assert_eq!(scan(&Probe::intersecting(query.clone())), crossing, "{query:?}");
+            nonempty += usize::from(!within.is_empty());
+        }
+        assert!(nonempty > 10, "the probes must find something");
     }
 
     #[test]

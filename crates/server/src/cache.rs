@@ -1,11 +1,12 @@
-//! The LSN-invalidated query-result cache.
+//! The query-result cache, kept fresh by the store's content stamp.
 //!
 //! Repeat queries are the dominant production pattern, and a WALRUS query
 //! is pure: the answer depends only on (query image bytes, request
 //! parameters, store content). The first two are folded into a 64-bit key
 //! by [`KeyHasher`]; the third is the [`ShardedStore::content_stamp`] — an
-//! opaque fingerprint that moves on every committed ingest, quarantine
-//! transition, and rebalance epoch, and stays put across checkpoints.
+//! opaque fingerprint that moves on every committed ingest or removal,
+//! quarantine transition, and rebalance epoch, and stays put across
+//! checkpoints.
 //!
 //! The key hash reads the body eight bytes at a time into four independent
 //! multiply lanes, so a hit costs memory bandwidth rather than a
@@ -15,12 +16,23 @@
 //!
 //! Correctness rules (proven by `tests/cache_props.rs`):
 //!
-//! * an entry is served **only** when the stamp it was recorded under
-//!   equals the store's stamp *right now* — a stale entry is removed on
-//!   sight and counted as an invalidation;
+//! * an entry is served as it is **only** when the stamp it was recorded
+//!   under equals the store's stamp *right now*;
+//! * a stale entry is never served as it is: it leaves the cache on sight,
+//!   and is either revalidated or dropped. An entry with a [`Recorded`]
+//!   answer, when only inserts happened since its
+//!   [`ContentMark`], is revalidated: the router
+//!   scores its query regions against just the images committed since
+//!   ([`ShardedStore::score_since`]), splices them into the recorded
+//!   ranking, and serves and re-inserts that — the answer a fresh run
+//!   gives, because each image's score depends on that image alone.
+//!   Anything else (a removal, a quarantine or recovery, a rebalance, a
+//!   scan cut short, a tripped candidate budget) drops the entry, counted
+//!   as an invalidation, and the query runs;
 //! * an entry is inserted only if the stamp captured *before* the query
-//!   ran still matches the store afterwards — a mutation racing the query
-//!   window can never publish a result under the new stamp;
+//!   (or the revalidation) ran still matches the store afterwards — a
+//!   mutation racing that window can never publish a result under the new
+//!   stamp;
 //! * only `Complete` (HTTP 200) rankings are cached; partial and degraded
 //!   answers depend on deadline timing and shard health, not content
 //!   alone.
@@ -31,11 +43,14 @@
 //! the engine would have produced for that request id.
 //!
 //! [`ShardedStore::content_stamp`]: walrus_core::ShardedStore::content_stamp
+//! [`ShardedStore::score_since`]: walrus_core::ShardedStore::score_since
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::{Mutex, OnceLock};
+
+use walrus_core::{CompactRegions, ContentMark, QueryOptions, QueryOutcome};
 
 /// Independent multiply chains; each absorbs two words of every block.
 const LANES: usize = 4;
@@ -140,22 +155,44 @@ impl KeyHasher {
     }
 }
 
-/// Why a lookup did not return a body.
-#[derive(Debug, PartialEq, Eq)]
+/// What a lookup found.
+#[derive(Debug)]
 pub enum Lookup {
     /// Entry found under the current content stamp.
     Hit(String),
-    /// Entry found, but recorded under an older stamp; it has been
-    /// removed.
+    /// Entry found, but recorded under an older stamp, with a [`Recorded`]
+    /// answer to bring up to date; it has been removed.
+    Revalidate(Box<Recorded>),
+    /// Entry found, but recorded under an older stamp and body only; it has
+    /// been removed.
     Stale,
     /// No entry under this key.
     Absent,
+}
+
+/// A cached answer in the form a revalidation reads: what a stale entry
+/// needs to be brought up to date instead of dropped.
+#[derive(Debug)]
+pub struct Recorded {
+    /// The store's content when the answer was computed; its stamp is the
+    /// entry's.
+    pub mark: ContentMark,
+    /// The answer, structured: top-k ranking and statistics.
+    pub outcome: QueryOutcome,
+    /// The options the query ran with (`k`, `ε`, similarity floor,
+    /// budgets); they resolve against the store's parameters the same way
+    /// every time.
+    pub opts: QueryOptions,
+    /// The query's regions, compact.
+    pub query: CompactRegions,
 }
 
 #[derive(Debug)]
 struct Entry {
     stamp: u64,
     body: String,
+    /// `None` for a body-only entry, which a stamp change drops.
+    recorded: Option<Box<Recorded>>,
     /// Logical access time for LRU eviction.
     used: u64,
 }
@@ -201,7 +238,8 @@ impl QueryCache {
     }
 
     /// Looks up `key` under the store's current `stamp`. A stamp mismatch
-    /// removes the entry (the content it described no longer exists).
+    /// removes the entry (the content it described no longer exists) and
+    /// hands out its [`Recorded`] answer, if it has one.
     pub fn lookup(&self, key: u64, stamp: u64) -> Lookup {
         if self.capacity == 0 {
             return Lookup::Absent;
@@ -214,20 +252,40 @@ impl QueryCache {
                 entry.used = tick;
                 Lookup::Hit(entry.body.clone())
             }
-            Some(_) => {
-                inner.map.remove(&key);
-                Lookup::Stale
-            }
+            Some(_) => match inner.map.remove(&key).and_then(|e| e.recorded) {
+                Some(recorded) => Lookup::Revalidate(recorded),
+                None => Lookup::Stale,
+            },
             None => Lookup::Absent,
         }
     }
 
     /// Inserts a body recorded under `stamp`, evicting the least-recently
-    /// used entry when full. Returns true when an eviction happened.
+    /// used entry when full. Returns true when an eviction happened. The
+    /// entry is body only: a stamp change drops it.
     pub fn insert(&self, key: u64, stamp: u64, body: String) -> bool {
+        self.insert_entry(key, stamp, body, None)
+    }
+
+    /// [`QueryCache::insert`] of `body` under the stamp of
+    /// `recorded.mark`, keeping `recorded` so that a stamp change moved by
+    /// inserts alone revalidates the entry instead of dropping it.
+    pub fn insert_recorded(&self, key: u64, body: String, recorded: Recorded) -> bool {
+        self.insert_entry(key, recorded.mark.stamp(), body, Some(Box::new(recorded)))
+    }
+
+    fn insert_entry(
+        &self,
+        key: u64,
+        stamp: u64,
+        mut body: String,
+        recorded: Option<Box<Recorded>>,
+    ) -> bool {
         if self.capacity == 0 {
             return false;
         }
+        // Rendering grew the body by doubling; an entry keeps what it holds.
+        body.shrink_to_fit();
         let mut inner = self.inner.lock().expect("cache lock");
         inner.tick += 1;
         let tick = inner.tick;
@@ -238,14 +296,8 @@ impl QueryCache {
                 evicted = true;
             }
         }
-        inner.map.insert(key, Entry { stamp, body, used: tick });
+        inner.map.insert(key, Entry { stamp, body, recorded, used: tick });
         evicted
-    }
-
-    /// Drops every entry (used when the store is mutated through admin
-    /// surfaces where a stamp check alone should not be trusted to race).
-    pub fn clear(&self) {
-        self.inner.lock().expect("cache lock").map.clear();
     }
 }
 
@@ -342,10 +394,10 @@ mod tests {
     fn hit_requires_matching_stamp() {
         let cache = QueryCache::new(4);
         cache.insert(1, 10, "body".into());
-        assert_eq!(cache.lookup(1, 10), Lookup::Hit("body".into()));
-        // Stamp moved on: entry is invalidated and removed.
-        assert_eq!(cache.lookup(1, 11), Lookup::Stale);
-        assert_eq!(cache.lookup(1, 11), Lookup::Absent);
+        assert!(matches!(cache.lookup(1, 10), Lookup::Hit(b) if b == "body"));
+        // Stamp moved on: a body-only entry is invalidated and removed.
+        assert!(matches!(cache.lookup(1, 11), Lookup::Stale));
+        assert!(matches!(cache.lookup(1, 11), Lookup::Absent));
     }
 
     #[test]
@@ -354,12 +406,12 @@ mod tests {
         assert!(!cache.insert(1, 0, "a".into()));
         assert!(!cache.insert(2, 0, "b".into()));
         // Touch 1 so 2 is the LRU.
-        assert_eq!(cache.lookup(1, 0), Lookup::Hit("a".into()));
+        assert!(matches!(cache.lookup(1, 0), Lookup::Hit(b) if b == "a"));
         assert!(cache.insert(3, 0, "c".into()));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.lookup(2, 0), Lookup::Absent);
-        assert_eq!(cache.lookup(1, 0), Lookup::Hit("a".into()));
-        assert_eq!(cache.lookup(3, 0), Lookup::Hit("c".into()));
+        assert!(matches!(cache.lookup(2, 0), Lookup::Absent));
+        assert!(matches!(cache.lookup(1, 0), Lookup::Hit(b) if b == "a"));
+        assert!(matches!(cache.lookup(3, 0), Lookup::Hit(b) if b == "c"));
     }
 
     #[test]
@@ -367,14 +419,14 @@ mod tests {
         let cache = QueryCache::new(1);
         cache.insert(1, 0, "a".into());
         assert!(!cache.insert(1, 1, "b".into()), "overwrite is not an eviction");
-        assert_eq!(cache.lookup(1, 1), Lookup::Hit("b".into()));
+        assert!(matches!(cache.lookup(1, 1), Lookup::Hit(b) if b == "b"));
     }
 
     #[test]
     fn zero_capacity_disables() {
         let cache = QueryCache::new(0);
         assert!(!cache.insert(1, 0, "a".into()));
-        assert_eq!(cache.lookup(1, 0), Lookup::Absent);
+        assert!(matches!(cache.lookup(1, 0), Lookup::Absent));
         assert_eq!(cache.len(), 0);
     }
 }

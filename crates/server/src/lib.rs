@@ -15,9 +15,11 @@
 //!   library answers (deadline-partial `206`s included);
 //! * [`metrics`] — lock-free counters and latency histograms behind
 //!   `GET /metrics`;
-//! * [`cache`] — an LSN-invalidated query-result cache: repeat queries are
-//!   answered byte-identically from memory until the store's
-//!   [`content_stamp`](walrus_core::ShardedStore::content_stamp) moves;
+//! * [`cache`] — a query-result cache: repeat queries are answered
+//!   byte-identically from memory until the store's
+//!   [`content_stamp`](walrus_core::ShardedStore::content_stamp) moves, and
+//!   after ingests alone a stale answer is revalidated by scoring only the
+//!   new images;
 //! * [`server`] — the accept loop feeding a bounded
 //!   [`WorkerPool`](walrus_parallel::WorkerPool) one connection per job
 //!   (an idle keep-alive connection hands its worker back when others are

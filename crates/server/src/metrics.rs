@@ -174,13 +174,17 @@ pub struct Metrics {
     /// Index candidates that reached the exact geometry test, summed over
     /// traced requests (the prefilter's denominator).
     pub candidates_exact_total: AtomicU64,
-    /// Query-result cache outcomes: hits served from memory, misses that
-    /// ran the engine, entries evicted by LRU pressure, and entries
-    /// invalidated because the store's content stamp moved on.
+    /// Query-result cache outcomes: hits served from the cache (a
+    /// revalidated entry included), misses that ran the engine, entries
+    /// evicted by LRU pressure, and stale entries dropped because the store
+    /// changed by more than inserts since they were recorded.
     pub cache_hits_total: AtomicU64,
     pub cache_misses_total: AtomicU64,
     pub cache_evictions_total: AtomicU64,
     pub cache_invalidations_total: AtomicU64,
+    /// Hits served by revalidating a stale entry: its recorded answer with
+    /// the images committed since spliced in.
+    pub cache_splices_total: AtomicU64,
     /// Query / ingest handler latencies.
     pub query_latency: Histogram,
     pub ingest_latency: Histogram,
@@ -222,6 +226,7 @@ impl Metrics {
             cache_misses_total: AtomicU64::new(0),
             cache_evictions_total: AtomicU64::new(0),
             cache_invalidations_total: AtomicU64::new(0),
+            cache_splices_total: AtomicU64::new(0),
             query_latency: Histogram::default(),
             ingest_latency: Histogram::default(),
             stages: StageMetrics::default(),
@@ -323,6 +328,7 @@ impl Metrics {
             "walrus_cache_invalidations_total {}\n",
             load(&self.cache_invalidations_total)
         ));
+        out.push_str(&format!("walrus_cache_splices_total {}\n", load(&self.cache_splices_total)));
         for (h, what) in [(&self.query_latency, "query"), (&self.ingest_latency, "ingest")] {
             // Rendered from the first sample on; the stage lines are always there.
             if h.count() > 0 {

@@ -30,13 +30,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use walrus_core::{
-    Budgets, CancelToken, Guard, QueryOptions, QueryOutcome, ResultStatus, SharedClock,
-    ShardedStore, TraceContext, WalrusError,
+    Budgets, CancelToken, CompactRegions, Guard, QueryOptions, QueryOutcome, ResultStatus,
+    SharedClock, ShardedStore, TraceContext, WalrusError,
 };
 use walrus_imagery::ppm::{parse_netpbm_limited, parse_netpbm_limited_prefix};
 use walrus_imagery::{Image, ImageError};
 
-use crate::cache::{KeyHasher, Lookup, QueryCache};
+use crate::cache::{KeyHasher, Lookup, QueryCache, Recorded};
 use crate::http::{json_string, Request, Response};
 use crate::metrics::{Metrics, TraceStore};
 
@@ -65,8 +65,8 @@ pub struct AppState {
     pub pool_threads: usize,
     pub pool_queue_depth: usize,
     /// Query-result cache, keyed by query-body hash + params fingerprint
-    /// and invalidated by [`ShardedStore::content_stamp`]. Capacity 0
-    /// disables.
+    /// and kept fresh by [`ShardedStore::content_stamp`]: a stale entry is
+    /// revalidated or dropped. Capacity 0 disables.
     pub cache: QueryCache,
 }
 
@@ -444,37 +444,54 @@ fn query(state: &AppState, req: &Request) -> Response {
     }
 
     // Result-cache probe. The key covers everything request-side that can
-    // change the answer (raw body bytes + raw parameter strings); the stamp
-    // covers everything store-side (shard count, per-shard LSNs,
-    // quarantine, rebalance epoch). A hit skips decode and the whole
-    // engine — an entry can only exist if these exact bytes were once a
-    // valid query whose `Complete` answer was produced under this stamp,
-    // so replaying the cached body is byte-identical by construction.
-    // The `cache` stage covers key, stamp and lookup on every probe, plus
-    // the id splice on a hit.
+    // change the answer (raw body bytes + raw parameter strings); the mark
+    // covers everything store-side (shard count, per-shard LSNs, slots and
+    // removals, quarantine, rebalance epoch). A hit skips decode and the
+    // whole engine — an entry can only exist if these exact bytes were once
+    // a valid query whose `Complete` answer was produced under this stamp,
+    // so replaying the cached body is byte-identical by construction. A
+    // stale entry is revalidated when only inserts happened since it was
+    // recorded, and dropped otherwise. The `cache` stage covers key, mark
+    // and lookup on every probe, plus the id splice on a hit and the
+    // revalidation.
     let cache_span = trace.span("cache");
     let key = query_cache_key(req);
-    let stamp = state.store.content_stamp();
-    match state.cache.lookup(key, stamp) {
-        Lookup::Hit(cached) => {
-            state.metrics.cache_hits_total.fetch_add(1, Ordering::Relaxed);
-            let body = append_request_id(&cached, request_id);
-            drop(cache_span);
-            state.finish_trace(request_id, &trace);
-            state
-                .metrics
-                .query_latency
-                .record(Duration::from_nanos(state.clock.now_nanos().saturating_sub(started)));
-            return Response::json(200, body);
-        }
+    let mark = state.store.content_mark();
+    let stamp = mark.stamp();
+    let cached = match state.cache.lookup(key, stamp) {
+        Lookup::Hit(cached) => Some(cached),
+        Lookup::Revalidate(recorded) => match revalidate(state, &recorded, &guard) {
+            Some(outcome) => {
+                state.metrics.cache_splices_total.fetch_add(1, Ordering::Relaxed);
+                let body = outcome_json(&outcome);
+                let Recorded { opts, query, .. } = *recorded;
+                let recorded = Recorded { mark: mark.clone(), outcome, opts, query };
+                remember(state, key, stamp, body.clone(), recorded);
+                Some(body)
+            }
+            None => {
+                state.metrics.cache_invalidations_total.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        },
         Lookup::Stale => {
             state.metrics.cache_invalidations_total.fetch_add(1, Ordering::Relaxed);
-            state.metrics.cache_misses_total.fetch_add(1, Ordering::Relaxed);
+            None
         }
-        Lookup::Absent => {
-            state.metrics.cache_misses_total.fetch_add(1, Ordering::Relaxed);
-        }
+        Lookup::Absent => None,
+    };
+    if let Some(cached) = cached {
+        state.metrics.cache_hits_total.fetch_add(1, Ordering::Relaxed);
+        let body = append_request_id(&cached, request_id);
+        drop(cache_span);
+        state.finish_trace(request_id, &trace);
+        state
+            .metrics
+            .query_latency
+            .record(Duration::from_nanos(state.clock.now_nanos().saturating_sub(started)));
+        return Response::json(200, body);
     }
+    state.metrics.cache_misses_total.fetch_add(1, Ordering::Relaxed);
     drop(cache_span);
 
     let image = match parse_netpbm_limited(&req.body, decode_pixels) {
@@ -484,10 +501,10 @@ fn query(state: &AppState, req: &Request) -> Response {
         }
         Err(e) => return Response::error(400, &format!("query image: {e}")),
     };
-    let result = state.store.query_with_options_guarded(&image, &opts, &guard);
+    let result = state.store.query_with_regions_guarded(&image, &opts, &guard);
     state.finish_trace(request_id, &trace);
     match result {
-        Ok(outcome) => {
+        Ok((mut outcome, regions)) => {
             state
                 .metrics
                 .query_latency
@@ -506,19 +523,46 @@ fn query(state: &AppState, req: &Request) -> Response {
                     206
                 }
             };
-            // Only `Complete` answers are cacheable, and only if the store
-            // content is still exactly what the query ran against — a
-            // mutation committed mid-query must not publish this body
-            // under the new stamp.
-            if status == 200
-                && state.store.content_stamp() == stamp
-                && state.cache.insert(key, stamp, outcome_json(&outcome))
-            {
-                state.metrics.cache_evictions_total.fetch_add(1, Ordering::Relaxed);
+            let response = Response::json(status, outcome_json_with_id(&outcome, Some(request_id)));
+            // Only `Complete` answers are cacheable. The ranking was cut to
+            // `k` in a buffer sized for every candidate; the entry keeps k.
+            if status == 200 {
+                outcome.matches.shrink_to_fit();
+                let query = CompactRegions::new(
+                    &regions,
+                    state.store.params().signature_kind,
+                    image.area(),
+                );
+                let body = outcome_json(&outcome);
+                remember(state, key, stamp, body, Recorded { mark, outcome, opts, query });
             }
-            Response::json(status, outcome_json_with_id(&outcome, Some(request_id)))
+            response
         }
         Err(e) => engine_error(&e),
+    }
+}
+
+/// The recorded answer brought up to date: the images committed since it
+/// was recorded, scored by [`ShardedStore::score_since`], spliced into the
+/// recorded ranking in rank order and cut to `k`. `None` when that cannot
+/// stand in for running the query: the store changed by more than inserts,
+/// the scan was cut short, or the old and new hits together exceed the
+/// candidate budget (the query itself then answers `413`).
+fn revalidate(state: &AppState, recorded: &Recorded, guard: &Guard) -> Option<QueryOutcome> {
+    let new = state.store.score_since(&recorded.mark, &recorded.opts, &recorded.query, guard)?;
+    let new = new.ok().filter(|new| new.status == ResultStatus::Complete)?;
+    let outcome = recorded.outcome.splice(new, recorded.opts.k);
+    let budgets = recorded.opts.budgets.unwrap_or_else(|| state.store.params().budgets);
+    (outcome.stats.total_matching_regions <= budgets.max_index_candidates).then_some(outcome)
+}
+
+/// Caches `body` with its `recorded` answer if the store content is still
+/// exactly `stamp`, the stamp taken before the answer was computed — a
+/// mutation committed meanwhile must not publish this body under the new
+/// stamp.
+fn remember(state: &AppState, key: u64, stamp: u64, body: String, recorded: Recorded) {
+    if state.store.content_stamp() == stamp && state.cache.insert_recorded(key, body, recorded) {
+        state.metrics.cache_evictions_total.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -883,8 +927,12 @@ mod tests {
 
     fn sharded_state(dir: &std::path::Path, shards: usize) -> AppState {
         let (store, _) = ShardedStore::open(dir, test_params(), shards).unwrap();
+        state_over(Arc::new(store), QueryCache::DEFAULT_CAPACITY)
+    }
+
+    fn state_over(store: Arc<ShardedStore>, cache_capacity: usize) -> AppState {
         AppState {
-            store: Arc::new(store),
+            store,
             metrics: Metrics::default(),
             clock: walrus_core::monotonic(),
             traces: TraceStore::default(),
@@ -894,8 +942,135 @@ mod tests {
             stopping: Arc::new(AtomicBool::new(false)),
             pool_threads: 2,
             pool_queue_depth: 8,
-            cache: QueryCache::new(QueryCache::DEFAULT_CAPACITY),
+            cache: QueryCache::new(cache_capacity),
         }
+    }
+
+    /// The uncached answer to a query: the same request through a state
+    /// over the same store with the cache off.
+    fn uncached(state: &AppState, target: &str, seed: usize) -> Response {
+        handle(&state_over(state.store.clone(), 0), &request("POST", target, ppm_bytes(seed)))
+    }
+
+    /// [`uncached`]'s body without its request id.
+    fn fresh_answer(state: &AppState, target: &str, seed: usize) -> String {
+        answer_of_body(&uncached(state, target, seed).body)
+    }
+
+    /// The cache counters `(hits, splices, invalidations)`.
+    fn cache_counts(state: &AppState) -> (u64, u64, u64) {
+        let m = &state.metrics;
+        (
+            m.cache_hits_total.load(Ordering::Relaxed),
+            m.cache_splices_total.load(Ordering::Relaxed),
+            m.cache_invalidations_total.load(Ordering::Relaxed),
+        )
+    }
+
+    /// A field of a query answer's `stats` object.
+    fn stat(body: &[u8], name: &str) -> usize {
+        let text = String::from_utf8(body.to_vec()).unwrap();
+        let at = text.find(&format!("\"{name}\":")).unwrap() + name.len() + 3;
+        let digits = text[at..].split(|c: char| !c.is_ascii_digit()).next().unwrap();
+        digits.parse().unwrap()
+    }
+
+    #[test]
+    fn a_revalidation_over_the_candidate_budget_answers_as_the_query_does() {
+        let dir = tmp_dir("cache_budget");
+        let state = test_state(&dir);
+        handle(&state, &request("POST", "/ingest", ppm_bytes(0)));
+        let hits = stat(&uncached(&state, "/query?k=3", 0).body, "total_matching_regions");
+        assert!(hits > 0);
+        // The recorded answer fits the budget exactly...
+        let target = format!("/query?k=3&max_candidates={hits}");
+        assert_eq!(handle(&state, &request("POST", &target, ppm_bytes(0))).status, 200);
+        // ...and an identical image doubles the hits past it.
+        handle(&state, &request("POST", "/ingest", ppm_bytes(0)));
+        let resp = handle(&state, &request("POST", &target, ppm_bytes(0)));
+        let fresh = uncached(&state, &target, 0);
+        assert_eq!(fresh.status, 413);
+        assert_eq!((resp.status, &resp.body), (fresh.status, &fresh.body));
+        assert_eq!(cache_counts(&state), (0, 0, 1), "dropped, not spliced");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_quarantined_then_recovered_shard_drops_the_entry() {
+        use walrus_core::storage::{Fault, FaultIo, FaultKind};
+        let io = Arc::new(FaultIo::new());
+        let (store, _) = ShardedStore::open_with(io.clone(), "db", test_params(), 1).unwrap();
+        let state = state_over(Arc::new(store), QueryCache::DEFAULT_CAPACITY);
+        handle(&state, &request("POST", "/ingest", ppm_bytes(0)));
+        assert_eq!(handle(&state, &request("POST", "/query?k=3", ppm_bytes(0))).status, 200);
+        // A failing checkpoint quarantines the shard; recovery swaps it back
+        // in with the same content and the same LSN.
+        io.arm_fault_at_path("db/shard-000", Fault { at_op: 0, kind: FaultKind::Transient });
+        assert_ne!(handle(&state, &request("POST", "/admin/checkpoint", Vec::new())).status, 200);
+        assert_eq!(state.store.quarantined_shards(), vec![0]);
+        io.clear_path_faults();
+        state.store.recover_shard(0).unwrap();
+        let resp = handle(&state, &request("POST", "/query?k=3", ppm_bytes(0)));
+        assert_eq!(resp.status, 200);
+        assert_eq!(answer_of_body(&resp.body), fresh_answer(&state, "/query?k=3", 0));
+        assert_eq!(cache_counts(&state), (0, 0, 1), "a replaced slot is not revalidated");
+    }
+
+    /// A 32×16 PPM whose left and right halves are flat `left` and `right`.
+    fn halves(left: [f32; 3], right: [f32; 3]) -> Vec<u8> {
+        let img = Image::from_fn(32, 16, ColorSpace::Rgb, |x, _, c| {
+            if x < 16 { left[c] } else { right[c] }
+        })
+        .unwrap();
+        let mut buf = Vec::new();
+        write_ppm(&img, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn a_new_image_that_outranks_the_kth_match_appears_at_its_rank() {
+        let dir = tmp_dir("cache_rank");
+        let state = sharded_state(&dir, 4);
+        let (red, green) = ([0.9, 0.1, 0.1], [0.1, 0.9, 0.1]);
+        let query = halves(red, green);
+        // Three images sharing only the query's red half.
+        let mut body = Vec::new();
+        for blue in [0.5, 0.7, 0.9] {
+            body.extend_from_slice(&halves(red, [0.1, 0.1, blue]));
+        }
+        assert_eq!(handle(&state, &request("POST", "/ingest", body)).status, 200);
+        let ask = || handle(&state, &request("POST", "/query?k=2", query.clone()));
+        let before = answer_of_body(&ask().body);
+        assert!(before.contains("\"count\":2"), "{before}");
+        // The query image itself scores 1, so it ranks first and the old
+        // second match falls off the top 2.
+        let resp = handle(&state, &request("POST", "/ingest?name=same", query.clone()));
+        assert!(String::from_utf8(resp.body).unwrap().contains("\"ids\":[3]"));
+        let after = answer_of_body(&ask().body);
+        assert_eq!(cache_counts(&state), (1, 1, 0));
+        let top = "\"matches\":[{\"id\":3,\"name\":\"same\",\"similarity\":1,";
+        assert!(after.contains(top), "{after}");
+        let uncached = state_over(state.store.clone(), 0);
+        let fresh = handle(&uncached, &request("POST", "/query?k=2", query));
+        assert_eq!(after, answer_of_body(&fresh.body));
+        assert_ne!(after, before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_answer_under_the_similarity_floor_revalidates_too() {
+        let dir = tmp_dir("cache_tau");
+        let state = test_state(&dir);
+        handle(&state, &request("POST", "/ingest", ppm_bytes(1)));
+        assert_eq!(handle(&state, &request("POST", "/query", ppm_bytes(0))).status, 200);
+        handle(&state, &request("POST", "/ingest", ppm_bytes(0)));
+        let resp = handle(&state, &request("POST", "/query", ppm_bytes(0)));
+        assert_eq!(resp.status, 200);
+        assert_eq!(cache_counts(&state), (1, 1, 0));
+        let text = answer_of_body(&resp.body);
+        assert!(text.contains("\"id\":1,"), "{text}");
+        assert_eq!(text, fresh_answer(&state, "/query", 0));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A query response body with its request id stripped, for comparing
@@ -1001,15 +1176,23 @@ mod tests {
         handle(&state, &request("POST", "/query?k=5", ppm_bytes(0)));
         assert_eq!(state.metrics.cache_hits_total.load(Ordering::Relaxed), 1);
 
-        // Ingest moves the LSN: the same key is now stale and the fresh
-        // answer (which sees the new image) replaces it.
+        // Ingest moves the stamp: the cached body is stale and is not served
+        // as it is. Only an insert happened, so the entry is revalidated by
+        // scoring the one new image — the answer a fresh run gives, which
+        // sees the new image — rather than dropped.
         assert_eq!(handle(&state, &request("POST", "/ingest", ppm_bytes(3))).status, 200);
-        let fresh = handle(&state, &request("POST", "/query?k=5", ppm_bytes(0)));
-        assert_eq!(fresh.status, 200);
-        assert_eq!(state.metrics.cache_hits_total.load(Ordering::Relaxed), 1);
-        assert_eq!(state.metrics.cache_invalidations_total.load(Ordering::Relaxed), 1);
-        let text = String::from_utf8(fresh.body).unwrap();
+        let spliced = handle(&state, &request("POST", "/query?k=5", ppm_bytes(0)));
+        assert_eq!(spliced.status, 200);
+        assert_eq!(state.metrics.cache_hits_total.load(Ordering::Relaxed), 2);
+        assert_eq!(state.metrics.cache_splices_total.load(Ordering::Relaxed), 1);
+        assert_eq!(state.metrics.cache_invalidations_total.load(Ordering::Relaxed), 0);
+        let text = String::from_utf8(spliced.body.clone()).unwrap();
         assert!(text.contains("\"distinct_images\":2"), "{text}");
+        assert_eq!(answer_of_body(&spliced.body), fresh_answer(&state, "/query?k=5", 0));
+        // The revalidated entry is current again: the next ask is a plain hit.
+        handle(&state, &request("POST", "/query?k=5", ppm_bytes(0)));
+        assert_eq!(state.metrics.cache_hits_total.load(Ordering::Relaxed), 3);
+        assert_eq!(state.metrics.cache_splices_total.load(Ordering::Relaxed), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

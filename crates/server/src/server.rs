@@ -102,11 +102,6 @@ pub struct Server;
 impl Server {
     /// Binds the listener, spins up the pool, and starts accepting.
     pub fn start(config: ServerConfig, store: ShardedStore) -> Result<ServerHandle> {
-        Server::start_arc(config, Arc::new(store))
-    }
-
-    /// [`Server::start`] over an already-shared store.
-    pub fn start_arc(config: ServerConfig, store: Arc<ShardedStore>) -> Result<ServerHandle> {
         let io = |context: &str, source| WalrusError::Io { context: context.to_string(), source };
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| io(&format!("bind {}", config.addr), e))?;
@@ -117,7 +112,7 @@ impl Server {
         let pool =
             Arc::new(WorkerPool::new(resolve_threads(config.threads), config.queue_depth));
         let state = Arc::new(AppState {
-            store,
+            store: Arc::new(store),
             metrics: Metrics::with_clock(config.clock.clone()),
             clock: config.clock.clone(),
             traces: TraceStore::default(),

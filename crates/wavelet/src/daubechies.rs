@@ -48,7 +48,7 @@ pub fn forward_level(data: &[f32]) -> Result<Vec<f32>> {
 }
 
 /// One synthesis level, inverse of [`forward_level`].
-pub fn inverse_level(coeffs: &[f32]) -> Result<Vec<f32>> {
+fn inverse_level(coeffs: &[f32]) -> Result<Vec<f32>> {
     let n = coeffs.len();
     if n < 2 || n % 2 != 0 {
         return Err(WaveletError::NotPowerOfTwo { len: n });
@@ -146,8 +146,10 @@ pub fn forward_2d(input: &[f32], side: usize, levels: u32) -> Result<Vec<f32>> {
     Ok(out)
 }
 
-/// Inverse of [`forward_2d`] with the same `levels`.
-pub fn inverse_2d(coeffs: &[f32], side: usize, levels: u32) -> Result<Vec<f32>> {
+/// Inverse of [`forward_2d`] with the same `levels`: the round trip the
+/// tests pin the forward transform by.
+#[cfg(test)]
+fn inverse_2d(coeffs: &[f32], side: usize, levels: u32) -> Result<Vec<f32>> {
     if !is_pow2(side) {
         return Err(WaveletError::NotPowerOfTwo { len: side });
     }

@@ -142,8 +142,10 @@ pub fn standard_forward(input: &[f32], side: usize) -> Result<Vec<f32>> {
     Ok(out)
 }
 
-/// Inverse of [`standard_forward`].
-pub fn standard_inverse(coeffs: &[f32], side: usize) -> Result<Vec<f32>> {
+/// Inverse of [`standard_forward`]: the round trip the tests pin the
+/// forward transform by.
+#[cfg(test)]
+fn standard_inverse(coeffs: &[f32], side: usize) -> Result<Vec<f32>> {
     check_square(coeffs.len(), side)?;
     let mut out = coeffs.to_vec();
     let mut col = vec![0.0f32; side];
@@ -171,8 +173,9 @@ pub fn normalize_nonstandard(coeffs: &mut [f32], side: usize) {
     scale_nonstandard(coeffs, side, false);
 }
 
-/// Undoes [`normalize_nonstandard`].
-pub fn denormalize_nonstandard(coeffs: &mut [f32], side: usize) {
+/// Undoes [`normalize_nonstandard`], for the tests' round trip.
+#[cfg(test)]
+fn denormalize_nonstandard(coeffs: &mut [f32], side: usize) {
     scale_nonstandard(coeffs, side, true);
 }
 

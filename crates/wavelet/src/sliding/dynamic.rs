@@ -154,7 +154,7 @@ impl Level {
 /// bottom-left and bottom-right sub-windows; `in_stride` is the row stride
 /// of the input slices (their stored side, ≥ `m/2`); `out` is an `m × m`
 /// row-major buffer.
-pub fn compute_single_window(
+fn compute_single_window(
     w1: &[f32],
     w2: &[f32],
     w3: &[f32],

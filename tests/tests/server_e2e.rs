@@ -393,14 +393,20 @@ fn cache_hit_is_visible_on_metrics_and_invalidated_by_ingest() {
     assert!(text.contains("walrus_stage_cache_count 2\n"), "{text}");
 
     // Ingest moves the LSN: the cached ranking is stale and must never be
-    // served again.
+    // served again. Only an insert happened, so the entry is revalidated —
+    // the new image scored and spliced in — which counts as a hit and
+    // answers what a computed query (a never-reached timeout makes a fresh
+    // key) answers.
     assert_eq!(client.request("POST", "/ingest", &ppm_bytes(3)).unwrap().status, 200);
     let third = client.request("POST", "/query?k=2", &ppm_bytes(0)).unwrap();
     assert_eq!(third.status, 200);
     assert_ne!(first_body, strip(third.text()));
+    let computed = client.request("POST", "/query?k=2&timeout_ms=3600000", &ppm_bytes(0));
+    assert_eq!(strip(third.text()), strip(computed.unwrap().text()));
     let text = client.request("GET", "/metrics", &[]).unwrap().text();
-    assert!(text.contains("walrus_cache_hits_total 1\n"), "{text}");
-    assert!(text.contains("walrus_cache_invalidations_total 1\n"), "{text}");
+    assert!(text.contains("walrus_cache_hits_total 2\n"), "{text}");
+    assert!(text.contains("walrus_cache_splices_total 1\n"), "{text}");
+    assert!(text.contains("walrus_cache_invalidations_total 0\n"), "{text}");
 
     handle.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
