@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the R\*-tree substrate: one-at-a-time
-//! insertion (what a live ingest pays), the STR pack (what an open pays), the
-//! ε-ball query WALRUS issues per query region — against a tree of each
-//! origin — and kNN, on the exact data shape WALRUS produces (12-dimensional
-//! signature points in [0,1]).
+//! insertion (what a live ingest pays), the variance-bisection pack (what an
+//! open pays), the ε-ball query WALRUS issues per query region — against a
+//! tree of each origin — and kNN, on the exact data shape WALRUS produces
+//! (12-dimensional signature points in [0,1]).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

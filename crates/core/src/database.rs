@@ -302,7 +302,7 @@ impl ImageDatabase {
     /// new ids, which are identical to what a serial
     /// [`ImageDatabase::insert_image`] loop would assign, as are all
     /// subsequent query results. When the index is empty (initial load) the
-    /// R\*-tree is built in one `O(n log n)` STR pack instead of
+    /// R\*-tree is built in one variance-bisection pack instead of
     /// one-at-a-time insertions.
     ///
     /// Ingest is **all-or-nothing**: if any image fails extraction nothing
@@ -322,7 +322,7 @@ impl ImageDatabase {
         }
         let extracted = extract_batch_guarded(items, &self.params, guard)?;
         let index_span = guard.span("index");
-        // Fresh index: table first, then every region in one STR build.
+        // Fresh index: table first, then every region in one pack.
         let fresh = self.index.is_empty();
         let mut ids = Vec::with_capacity(items.len());
         for ((name, image), regions) in items.iter().zip(extracted) {
@@ -424,8 +424,8 @@ impl ImageDatabase {
         Ok(())
     }
 
-    /// Rebuilds the index from the image table in one STR pack
-    /// ([`walrus_rstar::bulk_load`]) — how every path that knows the whole
+    /// Rebuilds the index from the image table in one variance-bisection
+    /// pack ([`walrus_rstar::bulk_load`]) — how every path that knows the whole
     /// region set up front gets its tree: a snapshot load, a WAL replay, a
     /// first batch. The tree is derived state: which tree shape answers a
     /// query never shows in the answer.

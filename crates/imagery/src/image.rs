@@ -145,20 +145,8 @@ impl Channel {
         Ok(Self { width: w, height: h, data })
     }
 
-    /// Nearest-neighbour resize.
-    pub fn resize_nearest(&self, w: usize, h: usize) -> Result<Self> {
-        if w == 0 || h == 0 {
-            return Err(ImageError::InvalidDimensions { width: w, height: h, buffer_len: None });
-        }
-        Self::from_fn(w, h, |x, y| {
-            let sx = (x * self.width / w).min(self.width - 1);
-            let sy = (y * self.height / h).min(self.height - 1);
-            self.get(sx, sy)
-        })
-    }
-
-    /// Bilinear resize; smoother than nearest-neighbour, used when building
-    /// fixed-resolution baseline signatures from arbitrary-sized images.
+    /// Bilinear resize, used when building fixed-resolution baseline
+    /// signatures from arbitrary-sized images.
     pub fn resize_bilinear(&self, w: usize, h: usize) -> Result<Self> {
         if w == 0 || h == 0 {
             return Err(ImageError::InvalidDimensions { width: w, height: h, buffer_len: None });
@@ -384,19 +372,6 @@ mod tests {
         assert!(c.crop(3, 3, 2, 2).is_err());
         assert!(c.crop(0, 0, 5, 1).is_err());
         assert!(c.crop(0, 0, 0, 1).is_err());
-    }
-
-    #[test]
-    fn resize_nearest_identity() {
-        let c = Channel::from_fn(4, 4, |x, y| (x + y) as f32).unwrap();
-        assert_eq!(c.resize_nearest(4, 4).unwrap(), c);
-    }
-
-    #[test]
-    fn resize_nearest_upscale_replicates() {
-        let c = Channel::from_vec(2, 1, vec![0.0, 1.0]).unwrap();
-        let up = c.resize_nearest(4, 1).unwrap();
-        assert_eq!(up.as_slice(), &[0.0, 0.0, 1.0, 1.0]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! matching algorithm.
 //!
 //! Two tests. The first takes the engine alone: the same regions indexed
-//! one at a time and packed in one STR build give bit-identical
+//! one at a time and packed by variance bisection give bit-identical
 //! [`QueryOutcome`]s under Quick, Greedy and Exact matching and both
 //! signature kinds (the tree's traversal order must not reach a score). The
 //! second is a model test over the durable stores: one seeded operation
