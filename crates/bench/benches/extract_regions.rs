@@ -3,7 +3,7 @@
 //! ingest both pay, on the image shape the service benchmark uses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use walrus_core::{extract_regions_with_threads, WalrusParams};
+use walrus_core::{extract_regions, WalrusParams};
 use walrus_imagery::synth::{DatasetSpec, ImageClass, SyntheticDataset};
 
 fn bench_extract_regions(c: &mut Criterion) {
@@ -22,10 +22,7 @@ fn bench_extract_regions(c: &mut Criterion) {
     let mut group = c.benchmark_group("extract_regions");
     group.bench_function("128x96_six_classes_x2", |b| {
         b.iter(|| {
-            images
-                .iter()
-                .map(|l| extract_regions_with_threads(&l.image, &params, 1).unwrap().len())
-                .sum::<usize>()
+            images.iter().map(|l| extract_regions(&l.image, &params).unwrap().len()).sum::<usize>()
         })
     });
     group.finish();

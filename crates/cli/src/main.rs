@@ -28,7 +28,9 @@
 //!   `--eps <f>`       querying epsilon override for `query`
 //!   `--window <min> <max>`  sliding-window size range (default 8 32)
 //!   `--space <rgb|ycc|yiq|hsv|gray>`  color space (default ycc)
-//!   `--threads <n>`   worker threads for extraction/ingest/query
+//!   `--threads <n>`   worker threads: a batch ingest fans out per image
+//!                     and per shard, a query per region and per candidate
+//!                     image, `serve` runs this many connections
 //!                     (0 = auto: one per CPU)
 //!   `--shards <n>`    shard count when `index`/`demo`/`open`/`serve`
 //!                     create a store (default 1)
@@ -870,7 +872,9 @@ fn print_usage() {
            --eps <f>              querying epsilon override\n\
            --window <min> <max>   window size range (default 8 32)\n\
            --space <name>         rgb|ycc|yiq|hsv|gray (default ycc)\n\
-           --threads <n>          worker threads (default 0 = one per CPU)\n\
+           --threads <n>          worker threads (default 0 = one per CPU): a\n\
+                                  batch ingest fans out per image and per shard,\n\
+                                  a query per region and per candidate image\n\
            --timeout-ms <n>       request deadline (query: best-so-far partial;\n\
                                   index: all-or-nothing abort)\n\
            --max-pixels <n>       reject larger images before decoding\n\

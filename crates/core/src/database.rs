@@ -749,7 +749,7 @@ impl QueryOptions {
             None => query,
         };
         let _query_span = guard.span("query");
-        let regions = match extract_regions_guarded(query, &params, params.threads, guard) {
+        let regions = match extract_regions_guarded(query, &params, guard) {
             Ok(r) => r,
             Err(WalrusError::DeadlineExceeded) => {
                 return Ok((QueryOutcome::empty_partial(), Vec::new()))

@@ -20,31 +20,18 @@ use walrus_wavelet::sliding;
 /// The number of regions "typically increases with image complexity"
 /// (paper §5.3) and decreases with `ε_c` (§6.6) — both verified in tests.
 pub fn extract_regions(image: &Image, params: &WalrusParams) -> Result<Vec<Region>> {
-    extract_regions_with_threads(image, params, params.threads)
+    extract_regions_guarded(image, params, &Guard::none())
 }
 
-/// [`extract_regions`] with an explicit worker count for the sliding-window
-/// sweep, overriding `params.threads`. Batch ingest parallelizes *across*
-/// images and calls this with `threads = 1` per image so worker counts do
-/// not multiply; single-image callers use [`extract_regions`], which honors
-/// the params knob. Results are byte-identical for every thread count.
-pub fn extract_regions_with_threads(
-    image: &Image,
-    params: &WalrusParams,
-    threads: usize,
-) -> Result<Vec<Region>> {
-    extract_regions_guarded(image, params, threads, &Guard::none())
-}
-
-/// [`extract_regions_with_threads`] under a lifecycle [`Guard`]: the sweep
-/// and the clustering poll the guard cooperatively (stopping mid-image on
+/// [`extract_regions`] under a lifecycle [`Guard`]: the sweep and the
+/// clustering poll the guard cooperatively (stopping mid-image on
 /// cancellation or deadline expiry), and the request budgets of
 /// `params.budgets` are enforced — the pixel budget before any per-window
-/// work, the region budget after clustering.
+/// work, the region budget after clustering. Extraction runs on the calling
+/// thread; callers fan out across images instead.
 pub fn extract_regions_guarded(
     image: &Image,
     params: &WalrusParams,
-    threads: usize,
     guard: &Guard,
 ) -> Result<Vec<Region>> {
     params.validate()?;
@@ -71,7 +58,6 @@ pub fn extract_regions_guarded(
         converted.width(),
         converted.height(),
         &params.sliding,
-        threads,
         guard,
     )?;
     if let Some(s) = &wavelet_span {
@@ -127,8 +113,7 @@ pub fn extract_regions_guarded(
 }
 
 /// The extraction half of a batch ingest: the regions of every image, one
-/// worker per image (`params.threads` of them) with each image's own sweep
-/// serial, so worker counts do not multiply. All-or-nothing: the first
+/// worker per image (`params.threads` of them). All-or-nothing: the first
 /// failing image (lowest index) or an interrupt fails the whole batch, and
 /// one last poll follows the fan-out — a caller that gets `Ok` has not been
 /// interrupted and may start mutating. Workers poll the guard's interrupt
@@ -144,7 +129,7 @@ pub(crate) fn extract_batch_guarded(
     let threads = resolve_threads(params.threads);
     let extracted: Vec<Vec<Region>> =
         try_parallel_map_guarded(threads, guard, items, |_, (_, image)| {
-            extract_regions_guarded(image, params, 1, &worker_guard)
+            extract_regions_guarded(image, params, &worker_guard)
         })?;
     if let Some(s) = &extract_span {
         s.add("regions", extracted.iter().map(Vec::len).sum::<usize>() as u64);
@@ -301,7 +286,7 @@ mod tests {
         let img = two_tone_image();
         let p = small_params();
         let plain = extract_regions(&img, &p).unwrap();
-        let guarded = extract_regions_guarded(&img, &p, 1, &Guard::none()).unwrap();
+        let guarded = extract_regions_guarded(&img, &p, &Guard::none()).unwrap();
         assert_eq!(plain.len(), guarded.len());
         for (a, b) in plain.iter().zip(&guarded) {
             assert_eq!(a.centroid, b.centroid);
@@ -313,7 +298,7 @@ mod tests {
         let token = walrus_guard::CancelToken::new();
         token.cancel();
         let guard = Guard::with_token(token);
-        match extract_regions_guarded(&img, &p, 1, &guard) {
+        match extract_regions_guarded(&img, &p, &guard) {
             Err(WalrusError::Cancelled) => {}
             other => panic!("expected Cancelled, got {other:?}"),
         }

@@ -85,7 +85,7 @@ pub mod wal;
 pub use database::{
     ImageDatabase, ImageMeta, QueryOptions, QueryOutcome, QueryStats, RankedImage, ResultStatus,
 };
-pub use extract::{extract_regions, extract_regions_guarded, extract_regions_with_threads};
+pub use extract::{extract_regions, extract_regions_guarded};
 pub use params::{MatchingKind, SignatureKind, SimilarityKind, WalrusParams};
 pub use recovery::{scrub_dir, DirScrub, DurableDatabase, RecoveryReport};
 pub use region::Region;

@@ -76,9 +76,12 @@ pub struct WalrusParams {
     /// Pair-count ceiling beyond which [`MatchingKind::Exact`] degrades to
     /// greedy (the exact algorithm is exponential).
     pub exact_pair_limit: usize,
-    /// Worker threads for parallel extraction, batch ingest and query
-    /// processing. `0` = auto (available hardware parallelism); `1` forces
-    /// fully serial execution. Results are byte-identical for every value.
+    /// Worker threads for the two fan-outs the engine has: a batch ingest
+    /// spreads its images' extraction and its shards' commits over them, and
+    /// a query its region probes and candidate scoring (per shard).
+    /// Extracting one image is always serial. `0` = auto (available
+    /// hardware parallelism); `1` forces fully serial execution. Results
+    /// are byte-identical for every value.
     /// This is a runtime knob: snapshots do not persist it, so a bare
     /// snapshot file loads with `0` (auto) and a store directory reopens
     /// with whatever the caller of `open` passes.

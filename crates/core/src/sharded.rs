@@ -87,9 +87,9 @@ use crate::wal;
 use crate::{crc32::crc32, QueryOutcome, QueryStats, Result, WalrusError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
-use walrus_guard::{Guard, RetryPolicy, SpanRecord, TraceContext};
+use walrus_guard::{Guard, RetryPolicy};
 use walrus_imagery::Image;
 
 mod mark;
@@ -407,6 +407,21 @@ pub fn scrub_store(io: &dyn StorageIo, root: &Path, only: Option<usize>) -> Resu
     Ok(verdicts)
 }
 
+// The store's locks recover a poisoned lock (`PoisonError::into_inner`):
+// a panic under one leaves the data as the panicking holder left it, and
+// every later caller goes on with that instead of panicking in turn.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[derive(Debug)]
 enum ShardSlot {
     Healthy(Box<DurableDatabase>),
@@ -423,7 +438,7 @@ enum ShardSlot {
 #[derive(Debug)]
 struct ShardSet {
     epoch: u64,
-    shards: Vec<parking_lot::RwLock<ShardSlot>>,
+    shards: Vec<RwLock<ShardSlot>>,
     /// Lock-free mirror of each slot's quarantine bit, so write admission
     /// never blocks on a shard lock held by a rolling checkpoint.
     quarantined: Vec<AtomicBool>,
@@ -454,13 +469,13 @@ fn open_shard_set(
                 if resolved_params.is_none() {
                     resolved_params = Some(*db.db().params());
                 }
-                slots.push(parking_lot::RwLock::new(ShardSlot::Healthy(Box::new(db))));
+                slots.push(RwLock::new(ShardSlot::Healthy(Box::new(db))));
                 quarantined.push(AtomicBool::new(false));
                 recoveries.push(ShardRecovery { shard, report: Some(report), error: None });
             }
             Err(e) => {
                 let error = e.to_string();
-                slots.push(parking_lot::RwLock::new(ShardSlot::Quarantined {
+                slots.push(RwLock::new(ShardSlot::Quarantined {
                     error: error.clone(),
                     images: 0,
                     wal_bytes: 0,
@@ -655,12 +670,12 @@ pub struct ShardedStore {
     params: WalrusParams,
     /// The current layout. Queries clone the `Arc` once and run entirely
     /// on that consistent set; a committed rebalance swaps the pointer.
-    layout: parking_lot::RwLock<Arc<ShardSet>>,
+    layout: RwLock<Arc<ShardSet>>,
     /// Global id assignment: the next id to hand out. Held across the
     /// target shard's WAL append so ids arrive at each shard in strictly
     /// increasing order (a WAL invariant). Also the rebalance drain
     /// point: acquiring it once guarantees no mutation is in flight.
-    ingest: parking_lot::Mutex<usize>,
+    ingest: Mutex<usize>,
     /// Set for the whole duration of a rebalance; mutations and
     /// checkpoints shed with [`WalrusError::Rebalancing`] while it holds.
     rebalancing: AtomicBool,
@@ -764,7 +779,7 @@ impl ShardedStore {
         let next_id = set
             .shards
             .iter()
-            .map(|slot| match &*slot.read() {
+            .map(|slot| match &*read(slot) {
                 ShardSlot::Healthy(db) => db.db().image_slots().len(),
                 ShardSlot::Quarantined { .. } => 0,
             })
@@ -775,8 +790,8 @@ impl ShardedStore {
             io,
             root,
             params: resolved_params,
-            layout: parking_lot::RwLock::new(Arc::new(set)),
-            ingest: parking_lot::Mutex::new(next_id),
+            layout: RwLock::new(Arc::new(set)),
+            ingest: Mutex::new(next_id),
             rebalancing: AtomicBool::new(false),
             rebalance_target: AtomicUsize::new(0),
             shards_migrated: AtomicUsize::new(0),
@@ -786,7 +801,7 @@ impl ShardedStore {
 
     /// The current layout, as one consistent set.
     fn layout(&self) -> Arc<ShardSet> {
-        self.layout.read().clone()
+        read(&self.layout).clone()
     }
 
     /// Store root directory.
@@ -812,7 +827,7 @@ impl ShardedStore {
     /// The next global id that would be assigned — an exclusive upper bound
     /// on every id the store has handed out.
     pub fn next_id(&self) -> usize {
-        *self.ingest.lock()
+        *lock(&self.ingest)
     }
 
     /// Indices of the currently quarantined shards.
@@ -866,7 +881,7 @@ impl ShardedStore {
         shard: usize,
         op: impl FnOnce(&mut DurableDatabase) -> Result<T>,
     ) -> Result<T> {
-        let mut slot = set.shards[shard].write();
+        let mut slot = write(&set.shards[shard]);
         let ShardSlot::Healthy(db) = &mut *slot else {
             return Err(WalrusError::ShardUnavailable { shard });
         };
@@ -906,7 +921,7 @@ impl ShardedStore {
         // One shard's work: (global id, name, width, height, regions).
         type ShardWork<'a> = Vec<(usize, &'a str, usize, usize, Vec<Region>)>;
         let wal_span = guard.span("wal_append");
-        let mut next = self.ingest.lock();
+        let mut next = lock(&self.ingest);
         let set = self.writable_layout()?;
         let base = *next;
         let count = batch.len();
@@ -916,11 +931,11 @@ impl ShardedStore {
             let id = base + i;
             groups[shard_of(id, shard_count)].push((id, name, width, height, regions));
         }
-        let groups: Vec<(usize, parking_lot::Mutex<ShardWork>)> = groups
+        let groups: Vec<(usize, Mutex<ShardWork>)> = groups
             .into_iter()
             .enumerate()
             .filter(|(_, g)| !g.is_empty())
-            .map(|(shard, g)| (shard, parking_lot::Mutex::new(g)))
+            .map(|(shard, g)| (shard, Mutex::new(g)))
             .collect();
 
         // Per shard: the highest id it committed, and the WAL bytes it
@@ -929,7 +944,7 @@ impl ShardedStore {
             walrus_parallel::resolve_threads(self.params.threads).min(groups.len().max(1));
         let results =
             walrus_parallel::parallel_map(shard_workers, &groups, |_, (shard, work)| {
-                let work = std::mem::take(&mut *work.lock());
+                let work = std::mem::take(&mut *lock(work));
                 let mut failing = work[0].0;
                 let mut committed = None;
                 let appended = self.mutate_shard(&set, *shard, |db| {
@@ -1011,7 +1026,7 @@ impl ShardedStore {
 
     /// Durably removes an image from its shard.
     pub fn remove_image(&self, id: usize) -> Result<()> {
-        let _next = self.ingest.lock();
+        let _next = lock(&self.ingest);
         let set = self.writable_layout()?;
         self.mutate_shard(&set, shard_of(id, set.shards.len()), |db| db.remove_image(id))
     }
@@ -1019,13 +1034,13 @@ impl ShardedStore {
     /// Scatter-gather query under per-request [`QueryOptions`] — the same
     /// procedure as [`ImageDatabase::query_with_options_guarded`], scene
     /// queries included, with the probe spread over the shards. Healthy
-    /// shards are probed in parallel on the `walrus-parallel` pool (each
-    /// worker records its `shard_probe` span into a private trace that is
-    /// grafted back in shard order, so the trace tree is identical for
-    /// every thread count); quarantined shards are skipped and reported in
-    /// [`ResultStatus::Degraded`]. The whole query runs on one layout
-    /// `Arc`: a rebalance committing mid-query does not change the set
-    /// this query reads.
+    /// shards are probed in shard order on the calling thread, each under
+    /// the request's guard and each recording its own `shard_probe` span;
+    /// inside a shard the probe fans out per query region and per candidate
+    /// image on `params.threads` workers. Quarantined shards are skipped and
+    /// reported in [`ResultStatus::Degraded`]. The whole query runs on one
+    /// layout `Arc`: a rebalance committing mid-query does not change the
+    /// set this query reads.
     pub fn query_with_options_guarded(
         &self,
         query: &Image,
@@ -1060,47 +1075,6 @@ impl ShardedStore {
         self.query_guarded(query, &Guard::none())
     }
 
-    /// Probes one shard under `guard` (a worker guard carrying a private
-    /// trace when the request is traced). `Ok(None)` = shard quarantined.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_shard(
-        &self,
-        set: &ShardSet,
-        i: usize,
-        params: &WalrusParams,
-        q_regions: &[Region],
-        query_area: usize,
-        min_similarity: f64,
-        guard: &Guard,
-    ) -> Result<Option<QueryOutcome>> {
-        let probe_span = guard.span("shard_probe");
-        if let Some(s) = &probe_span {
-            s.add("shard", i as u64);
-        }
-        let slot = set.shards[i].read();
-        let db = match &*slot {
-            ShardSlot::Healthy(db) => db,
-            ShardSlot::Quarantined { .. } => return Ok(None),
-        };
-        // Each shard probes under the *full* candidate budget; the
-        // aggregate is enforced after the gather. Splitting the budget
-        // across shards instead would reject queries a single index
-        // accepts (one hot shard vs. an even spread), breaking
-        // the error/no-error equivalence the bit-identity tests pin.
-        let shard_outcome = db.db().query_regions_with_params_guarded(
-            params,
-            q_regions,
-            query_area,
-            min_similarity,
-            guard,
-        )?;
-        if let Some(s) = &probe_span {
-            s.add("images", shard_outcome.stats.distinct_images as u64);
-            s.add("hits", shard_outcome.stats.total_matching_regions as u64);
-        }
-        Ok(Some(shard_outcome))
-    }
-
     fn scatter_gather(
         &self,
         set: &ShardSet,
@@ -1110,51 +1084,41 @@ impl ShardedStore {
         min_similarity: f64,
         guard: &Guard,
     ) -> Result<QueryOutcome> {
-        // Shards are probed in parallel: each worker runs one shard under a
-        // clone of the guard whose trace is swapped for a *private* one (on
-        // the request clock), and the orchestrator grafts the recorded
-        // spans back in shard order once the fan-out completes — so the
-        // span tree and every result byte are identical at any thread
-        // count. With one worker the fan-out runs inline on this thread,
-        // which is exactly the old sequential loop.
-        let shard_workers = walrus_parallel::resolve_threads(params.threads).min(set.shards.len());
-        // When shards fan out across workers, each shard's own probe runs
-        // single-threaded — one level of parallelism, not two multiplied.
-        let mut shard_params = *params;
-        if shard_workers > 1 {
-            shard_params.threads = 1;
-        }
-        let trace = guard.trace().cloned();
-        let worker_base = guard.without_trace();
-        let indices: Vec<usize> = (0..set.shards.len()).collect();
-        let probed: Vec<(Option<QueryOutcome>, Option<Vec<SpanRecord>>)> =
-            walrus_parallel::try_parallel_map(shard_workers, &indices, |_, &i| {
-                let worker_trace = trace.as_ref().map(|t| TraceContext::new(t.clock()));
-                let wg = match &worker_trace {
-                    Some(t) => worker_base.clone().tracing(t.clone()),
-                    None => worker_base.clone(),
-                };
-                let outcome = self.probe_shard(set, i, &shard_params, q_regions, query_area,
-                    min_similarity, &wg)?;
-                Ok::<_, WalrusError>((outcome, worker_trace.map(|t| t.report().spans)))
-            })?;
-        if let Some(t) = &trace {
-            for (_, spans) in probed.iter() {
-                if let Some(spans) = spans {
-                    t.graft(spans);
-                }
-            }
-        }
+        // Shards are probed one after another on this thread, under the
+        // request's own guard and trace: each probe fans out per query
+        // region and per candidate image inside the shard, the query's one
+        // parallel grain. The first failing shard's error is returned.
         let mut shards_unavailable = Vec::new();
         let mut partial = false;
         let mut matches = Vec::new();
         let mut total_hits = 0usize;
         let mut distinct_images = 0usize;
-        for (i, (outcome, _)) in probed.into_iter().enumerate() {
-            let Some(shard_outcome) = outcome else {
+        for (i, shard) in set.shards.iter().enumerate() {
+            let probe_span = guard.span("shard_probe");
+            if let Some(s) = &probe_span {
+                s.add("shard", i as u64);
+            }
+            let slot = read(shard);
+            let ShardSlot::Healthy(db) = &*slot else {
                 shards_unavailable.push(i);
                 continue;
             };
+            // Each shard probes under the *full* candidate budget; the
+            // aggregate is enforced after the gather. Splitting the budget
+            // across shards instead would reject queries a single index
+            // accepts (one hot shard vs. an even spread), breaking
+            // the error/no-error equivalence the bit-identity tests pin.
+            let shard_outcome = db.db().query_regions_with_params_guarded(
+                params,
+                q_regions,
+                query_area,
+                min_similarity,
+                guard,
+            )?;
+            if let Some(s) = &probe_span {
+                s.add("images", shard_outcome.stats.distinct_images as u64);
+                s.add("hits", shard_outcome.stats.total_matching_regions as u64);
+            }
             partial |= shard_outcome.status == ResultStatus::Partial;
             total_hits += shard_outcome.stats.total_matching_regions;
             distinct_images += shard_outcome.stats.distinct_images;
@@ -1188,7 +1152,7 @@ impl ShardedStore {
     pub fn image_meta(&self, id: usize) -> Result<Option<ImageMeta>> {
         let set = self.layout();
         let shard = shard_of(id, set.shards.len());
-        let meta = match &*set.shards[shard].read() {
+        let meta = match &*read(&set.shards[shard]) {
             ShardSlot::Healthy(db) => Ok(db.db().image_meta(id)),
             ShardSlot::Quarantined { .. } => Err(WalrusError::ShardUnavailable { shard }),
         };
@@ -1249,7 +1213,7 @@ impl ShardedStore {
         set.shards
             .iter()
             .enumerate()
-            .map(|(shard, slot)| match &*slot.read() {
+            .map(|(shard, slot)| match &*read(slot) {
                 ShardSlot::Healthy(db) => ShardHealth {
                     shard,
                     healthy: true,
@@ -1293,8 +1257,8 @@ impl ShardedStore {
         }
         // Hold the ingest lock across the swap so id assignment sees the
         // recovered shard's slots atomically.
-        let mut next = self.ingest.lock();
-        let mut slot = set.shards[shard].write();
+        let mut next = lock(&self.ingest);
+        let mut slot = write(&set.shards[shard]);
         let dir = self.root.join(shard_dir_name_at(set.epoch, shard));
         let wal_path = dir.join(WAL_FILE);
         let mut truncated_bytes = 0u64;
@@ -1360,7 +1324,7 @@ impl ShardedStore {
         // Drain in-flight mutations: every mutation holds the ingest lock
         // for its full duration, so acquiring it once means the source
         // WALs are quiescent; new mutations shed on the flag.
-        drop(self.ingest.lock());
+        drop(lock(&self.ingest));
         let set = self.layout();
         let source_count = set.shards.len();
         let epoch = set.epoch;
@@ -1377,7 +1341,7 @@ impl ShardedStore {
         // Hold read guards on every source shard for the whole build:
         // queries share them freely; exclusive lockers (checkpoints,
         // repairs) are already shed by the flag.
-        let guards: Vec<_> = set.shards.iter().map(|slot| slot.read()).collect();
+        let guards: Vec<_> = set.shards.iter().map(|slot| read(slot)).collect();
         let mut sources: Vec<&ImageDatabase> = Vec::with_capacity(source_count);
         for (shard, guard) in guards.iter().enumerate() {
             match &**guard {
@@ -1431,7 +1395,7 @@ impl ShardedStore {
                 bad.error.as_deref().unwrap_or("unknown error"),
             )));
         }
-        *self.layout.write() = Arc::new(new_set);
+        *write(&self.layout) = Arc::new(new_set);
         self.rebalancing.store(false, Ordering::Release);
         let mut committed = manifest;
         gc_previous_layout(io, &self.root, &mut committed);
@@ -1483,7 +1447,7 @@ impl ShardedStore {
         let folded = set
             .shards
             .iter()
-            .filter_map(|slot| match &*slot.read() {
+            .filter_map(|slot| match &*read(slot) {
                 ShardSlot::Healthy(db) => Some(f(db)),
                 ShardSlot::Quarantined { .. } => None,
             })

@@ -10,7 +10,7 @@
 //! images committed after the mark and nothing else.
 //! [`QueryOutcome::splice`] folds that into the earlier answer.
 
-use super::{ShardSlot, ShardedStore};
+use super::{read, ShardSlot, ShardedStore};
 use crate::bitmap::RegionBitmap;
 use crate::database::{rank_order, QueryOptions, QueryOutcome, QueryStats, RankedImage};
 use crate::matching::{self, MatchPair, QuickScratch};
@@ -193,7 +193,7 @@ impl ShardedStore {
             .iter()
             .zip(&set.generations)
             .map(|(slot, generation)| {
-                let slot = slot.read();
+                let slot = read(slot);
                 ShardMark::of(generation.load(Ordering::Acquire), &slot)
             })
             .collect();
@@ -254,7 +254,7 @@ impl ShardedStore {
         'shards: for ((slot, generation), was) in
             set.shards.iter().zip(&set.generations).zip(&since.shards)
         {
-            let slot = slot.read();
+            let slot = read(slot);
             let now = ShardMark::of(generation.load(Ordering::Acquire), &slot);
             let ShardSlot::Healthy(db) = &*slot else { return None };
             if !now.grew_from(was) {

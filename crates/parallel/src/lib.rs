@@ -7,13 +7,11 @@
 //! * [`parallel_map`] — map a function over a slice, chunked and dynamically
 //!   scheduled, returning results **in input order** (deterministic
 //!   regardless of thread count or scheduling).
-//! * [`try_parallel_map`] — same, for fallible functions; the error
-//!   reported is the one at the **lowest input index**, exactly what a
-//!   serial loop would have returned first.
-//! * [`parallel_for`] — scatter a vector of owned tasks (typically
-//!   `(index, &mut [T])` slices carved out of an output buffer with
-//!   `chunks_mut`) across workers; order of execution is unspecified, but
-//!   each task owns disjoint data so results are deterministic.
+//! * [`parallel_map_partial`] — same, under a [`Guard`]: returns what
+//!   completed before a cancellation or deadline stopped it.
+//! * [`try_parallel_map_guarded`] — same, for fallible functions; the error
+//!   reported is the interrupt, else the one at the **lowest input index**,
+//!   exactly what a serial loop would have returned first.
 //! * [`resolve_threads`] — the engine-wide thread-count policy: an explicit
 //!   request, else [`std::thread::available_parallelism`].
 //! * [`WorkerPool`] (in [`pool`]) — the serving side: a long-lived
@@ -472,31 +470,6 @@ where
     (parts, interrupted)
 }
 
-/// The shared half of the for primitives: one task per claim, on `set`.
-fn for_chunks<T, F>(
-    set: &'static HelperSet,
-    threads: usize,
-    guard: &Guard,
-    tasks: Vec<T>,
-    f: &F,
-) -> Option<Interrupt>
-where
-    T: Send,
-    F: Fn(T) + Sync,
-{
-    let n_tasks = tasks.len();
-    let queue = Mutex::new(tasks);
-    run_chunks(set, threads, n_tasks, guard, &|_| {
-        // Pop from the back: O(1) and contention-free enough for the coarse
-        // task granularity the engine uses. Every claim that gets here pops
-        // exactly one task, so the queue cannot run dry first.
-        let task = lock_ignore_poison(&queue).pop();
-        if let Some(t) = task {
-            f(t);
-        }
-    })
-}
-
 /// Maps `f` over `items` using up to `threads` workers, returning outputs
 /// in input order. `f` receives `(index, &item)`. Runs inline when
 /// `threads <= 1` or there is at most one item.
@@ -515,44 +488,6 @@ where
         out.extend(part);
     }
     out
-}
-
-/// Fallible [`parallel_map`]: maps `f` over `items` and collects the `Ok`
-/// values in input order, or returns the error with the **lowest input
-/// index** — the same error a serial left-to-right loop would hit first
-/// (later items may still have been evaluated; their results are dropped).
-pub fn try_parallel_map<T, U, E, F>(threads: usize, items: &[T], f: F) -> Result<Vec<U>, E>
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<U, E> + Sync,
-{
-    let results = parallel_map(threads, items, f);
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
-    }
-    Ok(out)
-}
-
-/// Runs `f` once per task, distributing owned tasks across up to `threads`
-/// workers. Tasks typically carry disjoint `&mut` slices carved from an
-/// output buffer, which is what makes mutation from many workers safe.
-/// Execution order is unspecified. Runs inline when `threads <= 1` or there
-/// is at most one task.
-pub fn parallel_for<T, F>(threads: usize, tasks: Vec<T>, f: F)
-where
-    T: Send,
-    F: Fn(T) + Sync,
-{
-    let Some(threads) = section_threads(threads, tasks.len()) else {
-        for t in tasks {
-            f(t);
-        }
-        return;
-    };
-    for_chunks(helper_set(), threads, &Guard::none(), tasks, &f);
 }
 
 /// A poisoned mutex here only means another thread panicked; that panic is
@@ -618,9 +553,12 @@ where
     PartialOutput { completed, interrupted }
 }
 
-/// Guarded [`try_parallel_map`]: stops within one chunk of an interrupt and
-/// surfaces it as `E` (via `From<Interrupt>`); otherwise identical semantics
-/// to [`try_parallel_map`], including lowest-index error selection.
+/// Fallible [`parallel_map_partial`]: maps `f` over `items` and collects the
+/// `Ok` values in input order, or returns the error with the **lowest input
+/// index** — the same error a serial left-to-right loop would hit first
+/// (later items may still have been evaluated; their results are dropped).
+/// Stops within one chunk of an interrupt and surfaces it as `E` (via
+/// `From<Interrupt>`).
 ///
 /// An interrupt takes precedence over item errors: under interruption the
 /// set of evaluated items is scheduling-dependent, so reporting an item
@@ -647,38 +585,6 @@ where
         out.push(r?);
     }
     Ok(out)
-}
-
-/// Guarded [`parallel_for`]: workers poll the guard before each task and
-/// abandon the queue on an interrupt. On `Err`, an unspecified subset of
-/// tasks has run — callers must treat the shared output as garbage (the
-/// engine only uses this inside computations that are discarded wholesale
-/// when interrupted).
-pub fn parallel_for_guarded<T, F>(
-    threads: usize,
-    guard: &Guard,
-    tasks: Vec<T>,
-    f: F,
-) -> Result<(), Interrupt>
-where
-    T: Send,
-    F: Fn(T) + Sync,
-{
-    if !guard.is_armed() {
-        parallel_for(threads, tasks, f);
-        return Ok(());
-    }
-    let Some(threads) = section_threads(threads, tasks.len()) else {
-        for t in tasks {
-            guard.poll()?;
-            f(t);
-        }
-        return Ok(());
-    };
-    match for_chunks(helper_set(), threads, guard, tasks, &f) {
-        Some(int) => Err(int),
-        None => Ok(()),
-    }
 }
 
 #[cfg(test)]
@@ -723,42 +629,36 @@ mod tests {
 
     #[test]
     fn try_map_returns_lowest_index_error() {
+        #[derive(Debug, PartialEq)]
+        enum E {
+            Int(Interrupt),
+            Item(usize),
+        }
+        impl From<Interrupt> for E {
+            fn from(i: Interrupt) -> Self {
+                E::Int(i)
+            }
+        }
         let items: Vec<usize> = (0..500).collect();
         for threads in [1, 4] {
-            let err = try_parallel_map(threads, &items, |_, &x| {
+            let err = try_parallel_map_guarded(threads, &Guard::none(), &items, |_, &x| {
                 if x == 3 || x == 400 {
-                    Err(x)
+                    Err(E::Item(x))
                 } else {
                     Ok(x)
                 }
             })
             .unwrap_err();
-            assert_eq!(err, 3, "threads = {threads}");
+            assert_eq!(err, E::Item(3), "threads = {threads}");
         }
     }
 
     #[test]
     fn try_map_ok_collects_in_order() {
         let items: Vec<usize> = (0..100).collect();
-        let out: Result<Vec<usize>, ()> = try_parallel_map(8, &items, |_, &x| Ok(x * x));
+        let out: Result<Vec<usize>, Interrupt> =
+            try_parallel_map_guarded(8, &Guard::none(), &items, |_, &x| Ok(x * x));
         assert_eq!(out.unwrap(), items.iter().map(|x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn for_scatters_disjoint_slices() {
-        let mut buf = vec![0u64; 1024];
-        for threads in [1, 2, 8] {
-            buf.fill(0);
-            let tasks: Vec<(usize, &mut [u64])> = buf.chunks_mut(32).enumerate().collect();
-            parallel_for(threads, tasks, |(chunk, slice)| {
-                for (i, v) in slice.iter_mut().enumerate() {
-                    *v = (chunk * 32 + i) as u64;
-                }
-            });
-            for (i, &v) in buf.iter().enumerate() {
-                assert_eq!(v, i as u64, "threads = {threads}");
-            }
-        }
     }
 
     #[test]
@@ -839,7 +739,7 @@ mod tests {
             }
         }
         let items: Vec<usize> = (0..200).collect();
-        // No interrupt: behaves like try_parallel_map (lowest-index error).
+        // No interrupt: behaves like an unguarded map (lowest-index error).
         let err = try_parallel_map_guarded(4, &Guard::none(), &items, |_, &x| {
             if x == 5 || x == 150 {
                 Err(E::Item(x))
@@ -854,31 +754,6 @@ mod tests {
         let err: E = try_parallel_map_guarded(4, &guard, &items, |_, &x| Ok::<usize, E>(x))
             .unwrap_err();
         assert_eq!(err, E::Int(Interrupt::Cancelled));
-    }
-
-    #[test]
-    fn guarded_for_runs_all_without_interrupt() {
-        let mut buf = vec![0u64; 256];
-        let tasks: Vec<(usize, &mut [u64])> = buf.chunks_mut(16).enumerate().collect();
-        let res = parallel_for_guarded(4, &Guard::none(), tasks, |(chunk, slice)| {
-            for (i, v) in slice.iter_mut().enumerate() {
-                *v = (chunk * 16 + i) as u64 + 1;
-            }
-        });
-        assert!(res.is_ok());
-        assert!(buf.iter().all(|&v| v > 0));
-    }
-
-    #[test]
-    fn guarded_for_aborts_on_trip() {
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<usize> = (0..1000).collect();
-        let guard = Guard::none().trip_after(5, Interrupt::DeadlineExceeded);
-        let res = parallel_for_guarded(1, &guard, tasks, |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(res, Err(Interrupt::DeadlineExceeded));
-        assert_eq!(counter.load(Ordering::Relaxed), 5);
     }
 
     #[test]

@@ -11,8 +11,7 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 use walrus_parallel::{
-    parallel_for, parallel_for_guarded, parallel_map, parallel_map_partial, stats, CancelToken,
-    Guard, Interrupt, WorkerPool,
+    parallel_map, parallel_map_partial, stats, CancelToken, Guard, Interrupt, WorkerPool,
 };
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -50,18 +49,15 @@ fn ten_thousand_sections_start_no_thread_after_the_first() {
     // and that is when all of them start.
     assert_eq!(first.threads_started, first.helpers);
 
-    let mut buf = vec![0usize; 256];
+    let armed = Guard::with_token(CancelToken::new());
     for round in 0..10_000 {
         if round % 2 == 0 {
             assert_eq!(parallel_map(4, &items, |_, &x| x * 3), expected);
         } else {
-            let tasks: Vec<(usize, &mut [usize])> = buf.chunks_mut(16).enumerate().collect();
-            parallel_for(4, tasks, |(chunk, slice)| {
-                for (i, v) in slice.iter_mut().enumerate() {
-                    *v = round + chunk * 16 + i;
-                }
-            });
-            assert!(buf.iter().enumerate().all(|(i, &v)| v == round + i));
+            let out = parallel_map_partial(4, &armed, &items, |i, &x| round + i + x);
+            assert_eq!(out.interrupted, None);
+            let want = |(i, &(j, v)): (usize, &(usize, usize))| j == i && v == round + 2 * i;
+            assert!(out.completed.iter().enumerate().all(want));
         }
     }
     let last = stats();
@@ -194,14 +190,22 @@ fn tripped_guards_keep_their_contract_with_helpers_around() {
         }
     }
 
-    // The owned-task flavour: exactly the polls that succeeded ran a task.
+    // Exactly the polls that succeeded ran work: one item per poll in the
+    // serial path, one chunk per poll in a section.
     for threads in [1, 2, 8] {
         let ran = AtomicUsize::new(0);
         let guard = Guard::none().trip_after(7, Interrupt::Cancelled);
-        let res = parallel_for_guarded(threads, &guard, (0..1000).collect(), |_: usize| {
+        let out = parallel_map_partial(threads, &guard, &items, |_, &x| {
             ran.fetch_add(1, Ordering::SeqCst);
+            x
         });
-        assert_eq!(res, Err(Interrupt::Cancelled), "threads = {threads}");
-        assert_eq!(ran.load(Ordering::SeqCst), 7, "threads = {threads}");
+        assert_eq!(out.interrupted, Some(Interrupt::Cancelled), "threads = {threads}");
+        assert_eq!(ran.load(Ordering::SeqCst), out.completed.len(), "threads = {threads}");
+        // Seven polls succeeded: seven items serially, seven whole chunks
+        // in a section.
+        assert_eq!(out.completed.len() % 7, 0, "threads = {threads}");
+        if threads == 1 {
+            assert_eq!(out.completed.len(), 7);
+        }
     }
 }

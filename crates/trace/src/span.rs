@@ -64,10 +64,6 @@ impl TraceContext {
         TraceContext::new(monotonic())
     }
 
-    pub fn clock(&self) -> SharedClock {
-        Arc::clone(&self.inner.clock)
-    }
-
     /// Open a span nested under the innermost open span. Ends when the
     /// returned handle drops.
     pub fn span(&self, name: &'static str) -> Span {
@@ -110,30 +106,6 @@ impl TraceContext {
         let now = self.inner.clock.now_nanos();
         let st = self.inner.state.lock().unwrap();
         TraceReport { spans: st.spans.clone(), now_nanos: now }
-    }
-
-    /// Append finished span records from another trace, nested under the
-    /// innermost span currently open here.
-    ///
-    /// This is how parallel fan-out keeps the only-the-orchestrating-thread
-    /// rule: each worker records into a *private* trace (sharing this
-    /// trace's clock, so timestamps are comparable), and the orchestrator
-    /// grafts the workers' trees in a deterministic order once the fan-out
-    /// completes. Records are appended as-is with their depths shifted, so
-    /// the resulting tree renders exactly as if the orchestrator had
-    /// recorded the spans itself. Still-open donor spans are closed at
-    /// their start time (a donor should be finished before grafting).
-    pub fn graft(&self, records: &[SpanRecord]) {
-        let mut st = self.inner.state.lock().unwrap();
-        let base = st.stack.len();
-        for rec in records {
-            let mut rec = rec.clone();
-            rec.depth += base;
-            if rec.end_nanos.is_none() {
-                rec.end_nanos = Some(rec.start_nanos);
-            }
-            st.spans.push(rec);
-        }
     }
 }
 
@@ -235,30 +207,6 @@ mod tests {
         assert_eq!(report.duration_micros("decode"), Some(5));
         assert_eq!(report.counter("decode", "pixels"), Some(512));
         assert_eq!(report.render(), "query 15us total=1\n  decode 5us pixels=512\n");
-    }
-
-    #[test]
-    fn grafted_records_nest_under_the_open_span() {
-        let clock = TestClock::new();
-        let main = TraceContext::new(clock.clone());
-        let root = main.span("query");
-        // A worker records into a private trace on the same clock.
-        let worker = TraceContext::new(main.clock());
-        {
-            let probe = worker.span("shard_probe");
-            probe.add("shard", 3);
-            clock.advance(Duration::from_micros(4));
-            let inner = worker.span("rstar_probe");
-            inner.add("hits", 9);
-        }
-        main.graft(&worker.report().spans);
-        drop(root);
-        let report = main.report();
-        assert_eq!(
-            report.render(),
-            "query 4us\n  shard_probe 4us shard=3\n    rstar_probe 0us hits=9\n"
-        );
-        assert_eq!(report.counter("shard_probe", "shard"), Some(3));
     }
 
     #[test]

@@ -114,8 +114,7 @@ impl Level {
     /// Fills one output row of the merge into `next`: the truncated
     /// transforms of all level-`2ω` windows rooted at `y = row · next.dist`,
     /// from this level's cells in `data`. `out_row` is the `next.row_len()`
-    /// row slice of the next level's buffer. Rows are independent, which is
-    /// what the parallel sweep exploits.
+    /// row slice of the next level's buffer.
     ///
     /// All sizes are powers of two, so the sub-windows' roots `x`, `x + ω/2`
     /// lie on this level's grid at cells `col · step` and `col · step +
@@ -246,20 +245,7 @@ pub fn compute_signatures(
     height: usize,
     params: &SlidingParams,
 ) -> Result<Vec<WindowSignature>> {
-    compute_signatures_with_threads(planes, width, height, params, 0)
-}
-
-/// [`compute_signatures`] with an explicit worker count; see
-/// [`compute_signature_matrix`], whose rows this repacks into one
-/// [`WindowSignature`] per window.
-pub fn compute_signatures_with_threads(
-    planes: &[&[f32]],
-    width: usize,
-    height: usize,
-    params: &SlidingParams,
-    threads: usize,
-) -> Result<Vec<WindowSignature>> {
-    let matrix = compute_signature_matrix(planes, width, height, params, threads, &Guard::none())?;
+    let matrix = compute_signature_matrix(planes, width, height, params, &Guard::none())?;
     Ok(matrix
         .windows
         .iter()
@@ -268,25 +254,33 @@ pub fn compute_signatures_with_threads(
         .collect())
 }
 
+/// [`compute_signatures`], ignoring `threads`: the sweep is serial. Kept
+/// only because the frozen `bench/src/bin/layers.rs` calls it (with `1`);
+/// ROADMAP item 1 deletes it with that harness's mirror.
+pub fn compute_signatures_with_threads(
+    planes: &[&[f32]],
+    width: usize,
+    height: usize,
+    params: &SlidingParams,
+    _threads: usize,
+) -> Result<Vec<WindowSignature>> {
+    compute_signatures(planes, width, height, params)
+}
+
 /// The sweep itself, writing every signature straight into one
-/// [`SignatureMatrix`]. `threads = 0` resolves via
-/// [`walrus_parallel::resolve_threads`] (available parallelism);
-/// `threads <= 1` runs fully serial. The sweep parallelizes
-/// the two independent axes of each level — color channels and window rows —
-/// and the per-row signature assembly; the output is **byte-identical** for
-/// every thread count (work is partitioned, no floating-point
-/// re-association).
+/// [`SignatureMatrix`]. It runs on the calling thread: a sweep costs
+/// `O(N·S·log ω_max)`, and a second CPU measured no faster on it, so the
+/// engine fans out per image and per query region instead.
 ///
-/// The [`Guard`] is polled once per DP level and between row tasks inside
-/// each level's merge and signature assembly, so a cancelled or
+/// The [`Guard`] is polled once per DP level and once per row of each
+/// level's merge (per channel) and signature assembly, so a cancelled or
 /// deadline-expired sweep stops within one row of work and returns
-/// [`WaveletError::Interrupted`]. An unarmed guard costs nothing.
+/// [`WaveletError::Interrupted`]. An unarmed guard costs a branch per row.
 pub fn compute_signature_matrix(
     planes: &[&[f32]],
     width: usize,
     height: usize,
     params: &SlidingParams,
-    threads: usize,
     guard: &Guard,
 ) -> Result<SignatureMatrix> {
     params.validate()?;
@@ -301,7 +295,6 @@ pub fn compute_signature_matrix(
     if width < params.omega_min || height < params.omega_min {
         return Err(WaveletError::ImageTooSmall { width, height, omega_min: params.omega_min });
     }
-    let threads = walrus_parallel::resolve_threads(threads);
 
     let s = params.s;
     let dims = params.signature_dims(planes.len());
@@ -324,25 +317,14 @@ pub fn compute_signature_matrix(
     while level.omega * 2 <= params.omega_max {
         guard.poll()?;
         let Some(next) = level.next(width, height, params) else { break };
-        let sources: Vec<&[f32]> = if level.omega == 1 {
-            planes.to_vec()
-        } else {
-            current.iter().map(Vec::as_slice).collect()
-        };
-        let tasks: Vec<(usize, usize, &mut [f32])> = merged
-            .iter_mut()
-            .enumerate()
-            .flat_map(|(c, data)| {
-                data.resize(next.rows * next.row_len(), 0.0);
-                data.chunks_exact_mut(next.row_len())
-                    .enumerate()
-                    .map(move |(row, slice)| (c, row, slice))
-            })
-            .collect();
-        walrus_parallel::parallel_for_guarded(threads, guard, tasks, |(c, row, slice)| {
-            level.fill_merge_row(sources[c], &next, row, slice);
-        })
-        .map_err(WaveletError::Interrupted)?;
+        for (c, data) in merged.iter_mut().enumerate() {
+            let source = if level.omega == 1 { planes[c] } else { current[c].as_slice() };
+            data.resize(next.rows * next.row_len(), 0.0);
+            for (row, slice) in data.chunks_exact_mut(next.row_len()).enumerate() {
+                guard.poll()?;
+                level.fill_merge_row(source, &next, row, slice);
+            }
+        }
         std::mem::swap(&mut current, &mut merged);
         level = next;
 
@@ -354,15 +336,15 @@ pub fn compute_signature_matrix(
             }
             debug_assert!(s <= level.m);
             let rows = &mut out.coeffs[first * dims..out.windows.len() * dims];
-            let tasks: Vec<(usize, &mut [f32])> =
-                rows.chunks_exact_mut(level.cols * dims).enumerate().collect();
-            walrus_parallel::parallel_for_guarded(threads, guard, tasks, |(row, sigs)| {
+            let cell_sz = level.m * level.m;
+            for (row, sigs) in rows.chunks_exact_mut(level.cols * dims).enumerate() {
+                guard.poll()?;
                 // The `s × s` corner of each channel's cell, level-normalized,
                 // lands in the window's slice of the matrix row.
-                let cell_sz = level.m * level.m;
                 for (c, data) in current.iter().enumerate() {
                     let cells = &data[row * level.row_len()..][..level.row_len()];
-                    for (cell, sig) in cells.chunks_exact(cell_sz).zip(sigs.chunks_exact_mut(dims)) {
+                    for (cell, sig) in cells.chunks_exact(cell_sz).zip(sigs.chunks_exact_mut(dims))
+                    {
                         let sig = &mut sig[c * s * s..(c + 1) * s * s];
                         for ((line, raw), factors) in sig
                             .chunks_exact_mut(s)
@@ -375,8 +357,7 @@ pub fn compute_signature_matrix(
                         }
                     }
                 }
-            })
-            .map_err(WaveletError::Interrupted)?;
+            }
         }
     }
     debug_assert_eq!(out.windows.len(), total);
@@ -498,36 +479,14 @@ mod tests {
     }
 
     #[test]
-    fn threaded_sweep_is_byte_identical_to_serial() {
-        // The determinism guarantee the query/ingest engine relies on:
-        // outputs match bit-for-bit, not just within a tolerance.
-        let a = demo_plane(48, 32, 12);
-        let b = demo_plane(48, 32, 13);
-        let c = demo_plane(48, 32, 14);
-        let planes: Vec<&[f32]> = vec![&a, &b, &c];
-        let params = SlidingParams { s: 2, omega_min: 4, omega_max: 16, stride: 4 };
-        let serial = compute_signatures_with_threads(&planes, 48, 32, &params, 1).unwrap();
-        for threads in [2, 3, 8] {
-            let par = compute_signatures_with_threads(&planes, 48, 32, &params, threads).unwrap();
-            assert_eq!(par.len(), serial.len());
-            for (p, s) in par.iter().zip(&serial) {
-                assert_eq!((p.x, p.y, p.omega), (s.x, s.y, s.omega));
-                for (cp, cs) in p.coeffs.iter().zip(&s.coeffs) {
-                    assert_eq!(cp.to_bits(), cs.to_bits(), "threads = {threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn guarded_sweep_matches_unguarded_and_interrupts() {
         use walrus_guard::{Guard, Interrupt};
         let plane = demo_plane(32, 32, 15);
         let params = SlidingParams { s: 2, omega_min: 4, omega_max: 16, stride: 4 };
         // Unarmed guard: identical output.
-        let plain = compute_signatures_with_threads(&[&plane[..]], 32, 32, &params, 1).unwrap();
+        let plain = compute_signatures(&[&plane[..]], 32, 32, &params).unwrap();
         let guarded =
-            compute_signature_matrix(&[&plane[..]], 32, 32, &params, 1, &Guard::none()).unwrap();
+            compute_signature_matrix(&[&plane[..]], 32, 32, &params, &Guard::none()).unwrap();
         assert_eq!(plain.len(), guarded.len());
         for (i, p) in plain.iter().enumerate() {
             assert_eq!((p.x, p.y, p.omega), guarded.windows[i]);
@@ -535,14 +494,12 @@ mod tests {
         }
         // Pre-tripped guard: interrupted before any level completes.
         let guard = Guard::none().trip_after(0, Interrupt::Cancelled);
-        let err =
-            compute_signature_matrix(&[&plane[..]], 32, 32, &params, 1, &guard).unwrap_err();
+        let err = compute_signature_matrix(&[&plane[..]], 32, 32, &params, &guard).unwrap_err();
         assert_eq!(err, WaveletError::Interrupted(Interrupt::Cancelled));
         // Tripping mid-sweep also interrupts (poll budget exhausted inside
         // the level loop rather than before it).
         let guard = Guard::none().trip_after(10, Interrupt::DeadlineExceeded);
-        let err =
-            compute_signature_matrix(&[&plane[..]], 32, 32, &params, 4, &guard).unwrap_err();
+        let err = compute_signature_matrix(&[&plane[..]], 32, 32, &params, &guard).unwrap_err();
         assert_eq!(err, WaveletError::Interrupted(Interrupt::DeadlineExceeded));
     }
 

@@ -8,7 +8,7 @@
 use walrus_core::{extract_regions, WalrusParams};
 use walrus_imagery::synth::{DatasetSpec, ImageClass, SyntheticDataset};
 use walrus_imagery::Image;
-use walrus_wavelet::sliding::compute_signatures_with_threads;
+use walrus_wavelet::sliding::compute_signatures;
 
 /// What one scene set extracts to, summed over its images.
 #[derive(Debug, PartialEq, Eq)]
@@ -61,14 +61,9 @@ fn measure(images: &[Image], params: &WalrusParams) -> Pin {
         // The tree's own counters, through the public two-step path.
         let converted = image.to_space(params.color_space).unwrap();
         let planes: Vec<&[f32]> = converted.channels().iter().map(|c| c.as_slice()).collect();
-        let signatures = compute_signatures_with_threads(
-            &planes,
-            converted.width(),
-            converted.height(),
-            &params.sliding,
-            1,
-        )
-        .unwrap();
+        let signatures =
+            compute_signatures(&planes, converted.width(), converted.height(), &params.sliding)
+                .unwrap();
         let points: Vec<Vec<f32>> = signatures.iter().map(|s| s.coeffs.clone()).collect();
         let clustering =
             walrus_birch::precluster(&points, params.cluster_epsilon, params.max_regions_per_image)

@@ -2,7 +2,7 @@
 //!
 //! Deterministic seeded sweeps (in place of randomized property tests, so
 //! the suite stays dependency-free) asserting that every parallel code
-//! path — window-grid extraction, batch ingest, query probing/scoring —
+//! path — extraction, batch ingest, query probing/scoring —
 //! produces results **bit-identical** to its serial counterpart for
 //! `threads ∈ {1, 2, 8}`, plus a concurrency smoke test hammering the
 //! durable store with batch inserts and queries from many threads. The
@@ -13,8 +13,7 @@ use std::sync::Arc;
 
 use walrus_core::storage::FaultIo;
 use walrus_core::{
-    extract_regions_with_threads, Guard, ImageDatabase, QueryOutcome, Region, ShardedStore,
-    WalrusParams,
+    extract_regions, Guard, ImageDatabase, QueryOutcome, Region, ShardedStore, WalrusParams,
 };
 use walrus_imagery::synth::dataset::{
     flower_query_scenario, DatasetSpec, ImageClass, SyntheticDataset,
@@ -78,16 +77,16 @@ fn assert_outcomes_identical(serial: &QueryOutcome, parallel: &QueryOutcome, ctx
 
 #[test]
 fn extraction_is_bit_identical_across_thread_counts() {
-    // Sweep several synthetic scenes of every class; the threaded wavelet
-    // sweep and clustering must reproduce the serial output bit for bit.
-    let params = engine_params();
+    // Sweep several synthetic scenes of every class; extraction under any
+    // thread count must reproduce the serial output bit for bit.
+    let params = |threads| WalrusParams { threads, ..engine_params() };
     for seed in [0x00A1, 0x0B52, 0xC0DE] {
         let dataset = scene_dataset(seed, 1);
         for img in &dataset.images {
-            let serial = extract_regions_with_threads(&img.image, &params, 1).unwrap();
+            let serial = extract_regions(&img.image, &params(1)).unwrap();
             assert!(!serial.is_empty(), "scene {seed:#x}/{} extracted no regions", img.name);
             for threads in PARALLEL_THREADS {
-                let parallel = extract_regions_with_threads(&img.image, &params, threads).unwrap();
+                let parallel = extract_regions(&img.image, &params(threads)).unwrap();
                 assert_regions_identical(
                     &serial,
                     &parallel,

@@ -111,7 +111,6 @@ proptest! {
         height in 16usize..=37,
         s in pow2_in(1, 4),
         stride in pow2_in(1, 8),
-        threads in 1usize..=3,
     ) {
         // Widths and heights the strides do not divide: the last window of
         // a row stops short of the edge, and levels below ω_min have more
@@ -119,7 +118,7 @@ proptest! {
         let params = SlidingParams { s, omega_min: s.max(2) * 2, omega_max: 16, stride };
         let planes = [&p1[..width * height], &p2[..width * height]];
         let matrix =
-            compute_signature_matrix(&planes, width, height, &params, threads, &Guard::none()).unwrap();
+            compute_signature_matrix(&planes, width, height, &params, &Guard::none()).unwrap();
         let naive = compute_signatures_naive(&planes, width, height, &params).unwrap();
         prop_assert_eq!(matrix.len(), naive.len());
         prop_assert_eq!(matrix.dims, 2 * s * s);
