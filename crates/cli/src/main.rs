@@ -539,20 +539,8 @@ fn cmd_info(opts: &Options, rest: &[String]) -> Result<(), String> {
         store.records_since_checkpoint()
     );
     println!("  shards:  {}", store.shard_count());
-    let status = store.rebalance_status();
-    println!(
-        "  layout:  epoch {} ({} committed rebalance(s)){}",
-        status.epoch,
-        status.epoch,
-        if status.rebalancing {
-            format!(
-                ", MIGRATING to {} shard(s) ({} built)",
-                status.target_shards, status.shards_migrated
-            )
-        } else {
-            String::new()
-        }
-    );
+    let epoch = store.epoch();
+    println!("  layout:  epoch {epoch} ({epoch} committed rebalance(s))");
     for h in store.shard_health() {
         match h.error {
             None => println!(
@@ -668,8 +656,8 @@ fn cmd_rebalance(opts: &Options, rest: &[String]) -> Result<(), String> {
         return Err(format!("rebalance needs a target shard count\n{usage}"));
     }
     let dir = dir.as_str();
-    // An interrupted migration resumes in this open, before the explicit
-    // rebalance.
+    // An interrupted rebalance is rolled back in this open, before the
+    // explicit one starts.
     let (store, _) = open_existing_store(dir, opts)?;
     let report =
         store.rebalance(target).map_err(|e| format!("rebalance of {dir} failed: {e}"))?;
@@ -859,7 +847,7 @@ fn print_usage() {
                                              --shard repairs one quarantined shard\n\
            compact <dir> [--shard <i>]       fold write-ahead log(s) into snapshot(s)\n\
            rebalance <dir> --shards <M>      migrate a store to M shards\n\
-                                             (crash-safe; resumes on reopen if interrupted)\n\
+                                             (crash-safe; rolled back on reopen if interrupted)\n\
            scrub  <dir> [--shard <i>]        verify snapshot + WAL integrity read-only;\n\
                                              exits nonzero if any shard is damaged\n\
            serve  <dir>                      serve a store over HTTP until SIGTERM/ctrl-c\n\

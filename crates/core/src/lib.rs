@@ -90,8 +90,8 @@ pub use params::{MatchingKind, SignatureKind, SimilarityKind, WalrusParams};
 pub use recovery::{scrub_dir, DirScrub, DurableDatabase, RecoveryReport};
 pub use region::Region;
 pub use sharded::{
-    scrub_store, CompactRegions, ContentMark, Manifest, Migration, MigrationState, RebalanceReport,
-    ShardRecovery, ShardRepair, ShardScrub, ShardedStore,
+    scrub_store, CompactRegions, ContentMark, Manifest, RebalanceReport, ShardRecovery,
+    ShardRepair, ShardScrub, ShardedStore,
 };
 pub use storage::{DiskIo, StorageIo};
 pub use store::{RebalanceStatus, ShardCheckpoint, ShardHealth};

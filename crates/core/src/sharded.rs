@@ -9,7 +9,7 @@
 //! R\*-tree, write-ahead log, and snapshot under an epoch-scoped
 //! directory; an image id is hashed to its shard with [`shard_of`], so
 //! every region of an image lives on exactly one shard. The layout —
-//! epoch, shard count, and any in-flight migration — is recorded in a
+//! epoch, shard count, and any staged rebalance — is recorded in a
 //! checksummed `MANIFEST` at the store root.
 //!
 //! ## Why the answers are bit-identical to one shard
@@ -27,8 +27,8 @@
 //! ## Fault isolation
 //!
 //! A shard whose storage fails — at open (unreadable snapshot, corrupt
-//! WAL) or at runtime (append failure, poisoned WAL tail) — is
-//! **quarantined**: queries skip it and report
+//! WAL) or at runtime (append failure, poisoned WAL tail, a panic under
+//! its lock) — is **quarantined**: queries skip it and report
 //! [`ResultStatus::Degraded`] naming the missing shards, while the store
 //! goes *read-only* (every mutation answers
 //! [`WalrusError::ShardUnavailable`]). Writes must stop because ids are
@@ -55,36 +55,37 @@
 //!    and new mutations/checkpoints are shed with
 //!    [`WalrusError::Rebalancing`] while queries keep answering from the
 //!    source layout;
-//! 2. each **target** shard is built in turn by streaming every global id
+//! 2. one atomic manifest write stages the rebalance (`staged: M`), naming
+//!    the files a rollback must collect;
+//! 3. each **target** shard is built in turn by streaming every global id
 //!    through [`shard_of`] under the target count, copying region
 //!    signatures byte-identically and padding the sparse id space with
 //!    tombstones; the finished shard is written as a fresh snapshot (LSN
 //!    0) plus an empty WAL into the next epoch's directory
 //!    (`e<epoch>-shard-<i>/`, so no directory is ever renamed);
-//! 3. the manifest records the migration as it advances — each target
-//!    steps `Stable → Draining → Migrated` with an atomic manifest write
-//!    around each build — and one final atomic manifest write commits the
-//!    new layout and schedules the old directories for garbage collection.
+//! 4. one final atomic manifest write commits the new layout and schedules
+//!    the old directories for garbage collection.
 //!
-//! A crash at any step leaves the manifest describing exactly what was
-//! durably finished: [`ShardedStore::open`] resumes the migration from the
-//! last `Migrated` boundary (rebuilding at most one partially written
-//! target), or — when resuming is impossible, e.g. a source shard is
-//! damaged — rolls the store back to the untouched source layout. The
-//! rebalance fault sweeps drive a crash into every I/O operation of both
-//! phases and assert the reopened store is bit-identical to a
-//! never-migrated oracle.
+//! An interrupted rebalance has one recovery path: roll back. The source
+//! layout is never written during a rebalance, and the answers are the
+//! same for any shard count, so returning to `N` loses nothing. A failure
+//! before the commit rolls back inline; a crash leaves a staged manifest,
+//! and [`ShardedStore::open`] rolls that back before it opens anything
+//! else. The rebalance fault sweeps drive a crash into every I/O operation
+//! and assert the reopened store is bit-identical to a never-migrated
+//! oracle.
 
 use crate::database::{rank_order, ImageDatabase, ImageMeta, QueryOptions, ResultStatus};
 use crate::extract::{extract_batch_guarded, extract_regions};
 use crate::params::WalrusParams;
-use crate::persist::{self, put_u32, put_u64};
+use crate::persist;
 use crate::recovery::{scrub_dir, DirScrub, DurableDatabase, RecoveryReport, SNAPSHOT_FILE, WAL_FILE};
 use crate::region::Region;
 use crate::storage::{DiskIo, RetryIo, StorageIo};
 use crate::store::{RebalanceStatus, ShardCheckpoint, ShardHealth};
 use crate::wal;
-use crate::{crc32::crc32, QueryOutcome, QueryStats, Result, WalrusError};
+use crate::{QueryOutcome, QueryStats, Result, WalrusError};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -92,81 +93,16 @@ use std::time::Instant;
 use walrus_guard::{Guard, RetryPolicy};
 use walrus_imagery::Image;
 
+mod manifest;
 mod mark;
+use manifest::{
+    gc_previous_layout, refuse_legacy_layout, rollback_migration, write_manifest,
+};
+pub use manifest::{read_manifest, shard_dir_name, shard_dir_name_at, Manifest, MANIFEST_FILE};
 pub use mark::{CompactRegions, ContentMark};
 
-/// Manifest file name at the store root.
-pub const MANIFEST_FILE: &str = "MANIFEST";
 /// Most shards a store may have (bounds query fan-out).
 pub const MAX_SHARDS: usize = 64;
-
-const MANIFEST_MAGIC: &[u8; 8] = b"WALRUSMF";
-const MANIFEST_VERSION: u32 = 2;
-/// Fixed prefix: magic (8) + version (4) + epoch (8) + shard count (8)
-/// + gc_prev (8) + migrating flag (1).
-const MANIFEST_PREFIX: usize = 37;
-
-/// Per-target-shard migration progress, as recorded in a migrating
-/// manifest. The state machine only moves forward: `Stable → Draining →
-/// Migrated`, one manifest write per transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationState {
-    /// Not started; the target directory may not exist.
-    Stable,
-    /// Build in progress; the target directory holds partial bytes and
-    /// must be rebuilt on resume.
-    Draining,
-    /// Durably built: snapshot + empty WAL written and fsynced. Resume
-    /// trusts this directory byte-for-byte.
-    Migrated,
-}
-
-/// An in-flight migration, as recorded in the manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Migration {
-    /// Shard count being migrated to.
-    pub target_count: usize,
-    /// Per-target-shard progress, indexed by target shard.
-    pub states: Vec<MigrationState>,
-}
-
-/// The store's layout record (`MANIFEST`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Manifest {
-    /// Layout epoch: how many committed rebalances this store has seen.
-    /// Epoch 0 shards live in `shard-<i>/`, epoch `E ≥ 1` shards in
-    /// `e<E>-shard-<i>/` — migration never renames a directory.
-    pub epoch: u64,
-    /// Current shard count.
-    pub shard_count: usize,
-    /// When non-zero: the previous epoch's layout had this many shards
-    /// and its files still await garbage collection (cleared, by one more
-    /// manifest write, once they are gone).
-    pub gc_prev: usize,
-    /// The in-flight migration, if any.
-    pub migration: Option<Migration>,
-}
-
-impl Manifest {
-    /// A stable (non-migrating, nothing to collect) layout record.
-    pub fn stable(epoch: u64, shard_count: usize) -> Self {
-        Manifest { epoch, shard_count, gc_prev: 0, migration: None }
-    }
-}
-
-/// Directory name of shard `shard` in layout epoch `epoch`.
-pub fn shard_dir_name_at(epoch: u64, shard: usize) -> String {
-    if epoch == 0 {
-        format!("shard-{shard:03}")
-    } else {
-        format!("e{epoch}-shard-{shard:03}")
-    }
-}
-
-/// Directory name of shard `i` in the original (epoch 0) layout.
-pub fn shard_dir_name(shard: usize) -> String {
-    shard_dir_name_at(0, shard)
-}
 
 /// Maps a global image id to its shard. The hash is the splitmix64
 /// finalizer — uniform over sequential ids, platform-independent, and
@@ -177,154 +113,6 @@ pub fn shard_of(id: usize, shard_count: usize) -> usize {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     ((z ^ (z >> 31)) % shard_count as u64) as usize
-}
-
-fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MANIFEST_PREFIX + 16);
-    out.extend_from_slice(MANIFEST_MAGIC);
-    put_u32(&mut out, MANIFEST_VERSION);
-    put_u64(&mut out, m.epoch);
-    put_u64(&mut out, m.shard_count as u64);
-    put_u64(&mut out, m.gc_prev as u64);
-    match &m.migration {
-        None => out.push(0),
-        Some(mig) => {
-            out.push(1);
-            put_u64(&mut out, mig.target_count as u64);
-            for state in &mig.states {
-                out.push(match state {
-                    MigrationState::Stable => 0,
-                    MigrationState::Draining => 1,
-                    MigrationState::Migrated => 2,
-                });
-            }
-        }
-    }
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
-}
-
-fn read_u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("length checked"))
-}
-
-fn decode_manifest(bytes: &[u8]) -> Result<Manifest> {
-    let corrupt = |what: String| WalrusError::Corrupt(format!("store manifest: {what}"));
-    if bytes.len() < 16 {
-        return Err(corrupt(format!("wrong length {}", bytes.len())));
-    }
-    if &bytes[..8] != MANIFEST_MAGIC {
-        return Err(corrupt("bad magic".to_string()));
-    }
-    // Checksum first: any damage, to any field, is "corrupt", not a
-    // misdecoded value.
-    let stored_crc =
-        u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("length checked"));
-    if crc32(&bytes[..bytes.len() - 4]) != stored_crc {
-        return Err(corrupt("checksum mismatch".to_string()));
-    }
-    let shard_range = |count: usize, what: &str| {
-        if (1..=MAX_SHARDS).contains(&count) {
-            Ok(count)
-        } else {
-            Err(corrupt(format!("implausible {what} {count}")))
-        }
-    };
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("length checked"));
-    if version != MANIFEST_VERSION {
-        return Err(corrupt(format!("unsupported version {version}")));
-    }
-    if bytes.len() < MANIFEST_PREFIX + 4 {
-        return Err(corrupt(format!("wrong length {}", bytes.len())));
-    }
-    let epoch = read_u64_at(bytes, 12);
-    let shard_count = shard_range(read_u64_at(bytes, 20) as usize, "shard count")?;
-    let gc_prev = read_u64_at(bytes, 28) as usize;
-    if gc_prev > MAX_SHARDS {
-        return Err(corrupt(format!("implausible gc_prev {gc_prev}")));
-    }
-    if gc_prev != 0 && epoch == 0 {
-        return Err(corrupt("gc_prev without a prior epoch".to_string()));
-    }
-    let migration = match bytes[36] {
-        0 => {
-            if bytes.len() != MANIFEST_PREFIX + 4 {
-                return Err(corrupt(format!("wrong length {}", bytes.len())));
-            }
-            None
-        }
-        1 => {
-            if bytes.len() < MANIFEST_PREFIX + 8 + 4 {
-                return Err(corrupt(format!("wrong length {}", bytes.len())));
-            }
-            let target_count =
-                shard_range(read_u64_at(bytes, 37) as usize, "target shard count")?;
-            let want = MANIFEST_PREFIX + 8 + target_count + 4;
-            if bytes.len() != want {
-                return Err(corrupt(format!(
-                    "wrong length {} (want {want})",
-                    bytes.len()
-                )));
-            }
-            let mut states = Vec::with_capacity(target_count);
-            for (i, &b) in bytes[45..45 + target_count].iter().enumerate() {
-                states.push(match b {
-                    0 => MigrationState::Stable,
-                    1 => MigrationState::Draining,
-                    2 => MigrationState::Migrated,
-                    other => {
-                        return Err(corrupt(format!(
-                            "bad migration state {other} for target shard {i}"
-                        )))
-                    }
-                });
-            }
-            Some(Migration { target_count, states })
-        }
-        other => return Err(corrupt(format!("bad migrating flag {other}"))),
-    };
-    Ok(Manifest { epoch, shard_count, gc_prev, migration })
-}
-
-/// Writes the manifest atomically (temp file → fsync → rename → directory
-/// fsync), same discipline as snapshots. This single write is the commit
-/// point for every layout transition.
-fn write_manifest(io: &dyn StorageIo, root: &Path, manifest: &Manifest) -> Result<()> {
-    let path = root.join(MANIFEST_FILE);
-    persist::atomic_write_bytes(io, &path, &encode_manifest(manifest)).map_err(|e| match e {
-        WalrusError::Io { context, source } if context.is_empty() => WalrusError::Io {
-            context: format!("write manifest {}", path.display()),
-            source,
-        },
-        other => other,
-    })
-}
-
-/// Reads and validates the manifest.
-pub fn read_manifest(io: &dyn StorageIo, root: &Path) -> Result<Manifest> {
-    let path = root.join(MANIFEST_FILE);
-    let bytes = io.read(&path).map_err(WalrusError::io_context("read manifest", &path))?;
-    decode_manifest(&bytes)
-}
-
-/// Refuses a root that holds the files of the single-directory layout (a
-/// bare snapshot and/or write-ahead log, no manifest), which nothing reads
-/// any more. Either file is enough: a directory whose snapshot was removed
-/// for repair still holds its committed records in the log, and writing a
-/// fresh manifest beside it would orphan them.
-fn refuse_legacy_layout(io: &dyn StorageIo, root: &Path) -> Result<()> {
-    if io.exists(&root.join(MANIFEST_FILE)) {
-        return Ok(());
-    }
-    match [SNAPSHOT_FILE, WAL_FILE].into_iter().find(|file| io.exists(&root.join(file))) {
-        Some(file) => Err(WalrusError::BadParams(format!(
-            "{} holds a {file} but no {MANIFEST_FILE}: the single-directory store layout is \
-             no longer supported",
-            root.display()
-        ))),
-        None => Ok(()),
-    }
 }
 
 /// What opening one shard found: its recovery report, or the error that
@@ -377,16 +165,11 @@ pub struct ShardScrub {
 /// Read-only integrity walk of a sharded store: every shard's snapshot is
 /// re-read and CRC-validated and its WAL checked to be one clean prefix,
 /// without opening (or mutating) the store. `only` restricts the walk to
-/// one shard. A mid-migration store is refused — open it once first so the
-/// migration resumes or rolls back and the layout is unambiguous.
+/// one shard. A store left mid-rebalance is walked on its source layout:
+/// that is the committed one, and the next open rolls back to it.
 pub fn scrub_store(io: &dyn StorageIo, root: &Path, only: Option<usize>) -> Result<Vec<ShardScrub>> {
     refuse_legacy_layout(io, root)?;
     let manifest = read_manifest(io, root)?;
-    if manifest.migration.is_some() {
-        return Err(WalrusError::BadParams(
-            "store is mid-migration; open it once to resume or roll back, then scrub".to_string(),
-        ));
-    }
     if let Some(shard) = only {
         if shard >= manifest.shard_count {
             return Err(WalrusError::BadParams(format!(
@@ -535,133 +318,6 @@ fn build_target_shard(
     Ok(())
 }
 
-/// Drives a migrating manifest to its committed end: builds every target
-/// shard not already durably `Migrated`, stepping the manifest
-/// `Draining → Migrated` around each build, then writes the committed
-/// stable manifest (next epoch, target count, previous layout scheduled
-/// for GC). `manifest` always tracks the *last durably written* state —
-/// it is assigned only after the corresponding write succeeds — so a
-/// failure leaves the caller knowing exactly what is on disk.
-fn complete_migration(
-    io: &dyn StorageIo,
-    root: &Path,
-    sources: &[&ImageDatabase],
-    manifest: &mut Manifest,
-    progress: Option<&AtomicUsize>,
-) -> Result<()> {
-    let migration = manifest.migration.clone().expect("caller passes a migrating manifest");
-    let epoch = manifest.epoch;
-    let target_count = migration.target_count;
-    let next_id = sources.iter().map(|s| s.image_slots().len()).max().unwrap_or(0);
-    if let Some(p) = progress {
-        let done = migration.states.iter().filter(|s| **s == MigrationState::Migrated).count();
-        p.store(done, Ordering::Release);
-    }
-    for target in 0..target_count {
-        let state = manifest.migration.as_ref().expect("still migrating").states[target];
-        if state == MigrationState::Migrated {
-            continue; // durably built by a previous attempt
-        }
-        let mut draining = manifest.clone();
-        draining.migration.as_mut().expect("still migrating").states[target] =
-            MigrationState::Draining;
-        write_manifest(io, root, &draining)?;
-        *manifest = draining;
-        build_target_shard(io, root, epoch, sources, next_id, target, target_count)?;
-        let mut migrated = manifest.clone();
-        migrated.migration.as_mut().expect("still migrating").states[target] =
-            MigrationState::Migrated;
-        write_manifest(io, root, &migrated)?;
-        *manifest = migrated;
-        if let Some(p) = progress {
-            p.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-    let committed = Manifest {
-        epoch: epoch + 1,
-        shard_count: target_count,
-        gc_prev: sources.len(),
-        migration: None,
-    };
-    write_manifest(io, root, &committed)?;
-    *manifest = committed;
-    Ok(())
-}
-
-/// Resumes a migration found in the manifest at open: reopens every
-/// source shard and drives [`complete_migration`] to the commit. Returns
-/// the committed manifest. Fails (without touching the manifest) when a
-/// source shard cannot open — the caller then rolls back.
-fn resume_migration(
-    io: &Arc<dyn StorageIo>,
-    root: &Path,
-    params: WalrusParams,
-    manifest: &Manifest,
-) -> Result<Manifest> {
-    let mut manifest = manifest.clone();
-    let epoch = manifest.epoch;
-    let mut sources = Vec::with_capacity(manifest.shard_count);
-    for shard in 0..manifest.shard_count {
-        let dir = root.join(shard_dir_name_at(epoch, shard));
-        let (db, _report) = DurableDatabase::open_with(io.clone(), &dir, params)?;
-        sources.push(db);
-    }
-    let source_dbs: Vec<&ImageDatabase> = sources.iter().map(|d| d.db()).collect();
-    complete_migration(io.as_ref(), root, &source_dbs, &mut manifest, None)?;
-    Ok(manifest)
-}
-
-/// Abandons a migration: durably restores the stable source manifest —
-/// the single write that makes the staged targets unreachable — then
-/// drops their staging files. Returns the restored manifest.
-fn rollback_migration(io: &dyn StorageIo, root: &Path, manifest: &Manifest) -> Result<Manifest> {
-    let migration = manifest.migration.as_ref().expect("rollback needs a migrating manifest");
-    let stable = Manifest::stable(manifest.epoch, manifest.shard_count);
-    write_manifest(io, root, &stable)?;
-    gc_layout_files(io, root, manifest.epoch + 1, migration.target_count);
-    Ok(stable)
-}
-
-/// Removes the store files (snapshot, WAL, and their temp siblings) of
-/// `count` shards in layout `epoch`. Returns false when something that
-/// exists could not be removed — the caller then leaves `gc_prev` set so
-/// a later open retries.
-fn gc_layout_files(io: &dyn StorageIo, root: &Path, epoch: u64, count: usize) -> bool {
-    let mut clean = true;
-    for shard in 0..count {
-        let dir = root.join(shard_dir_name_at(epoch, shard));
-        for file in [SNAPSHOT_FILE, WAL_FILE] {
-            let path = dir.join(file);
-            let mut tmp = path.as_os_str().to_owned();
-            tmp.push(".tmp");
-            for victim in [path, PathBuf::from(tmp)] {
-                if io.exists(&victim) && io.remove(&victim).is_err() {
-                    clean = false;
-                }
-            }
-        }
-    }
-    clean
-}
-
-/// Collects the previous layout a committed manifest scheduled for GC
-/// (`gc_prev`), then clears the marker with one more manifest write.
-/// Entirely best-effort: any failure leaves `gc_prev` in place and the
-/// next open retries.
-fn gc_previous_layout(io: &dyn StorageIo, root: &Path, manifest: &mut Manifest) {
-    if manifest.gc_prev == 0 {
-        return;
-    }
-    debug_assert!(manifest.epoch >= 1, "decode_manifest enforces gc_prev ⇒ epoch ≥ 1");
-    if !gc_layout_files(io, root, manifest.epoch - 1, manifest.gc_prev) {
-        return;
-    }
-    let cleared = Manifest { gc_prev: 0, ..manifest.clone() };
-    if write_manifest(io, root, &cleared).is_ok() {
-        *manifest = cleared;
-    }
-}
-
 /// N-shard durable store. See the module docs for the design.
 #[derive(Debug)]
 pub struct ShardedStore {
@@ -681,8 +337,8 @@ pub struct ShardedStore {
     rebalancing: AtomicBool,
     /// Target shard count of the in-flight rebalance (0 otherwise).
     rebalance_target: AtomicUsize,
-    /// Target shards durably `Migrated` so far (monotone during one
-    /// rebalance; retains the final count afterwards).
+    /// Target shards built so far (monotone during one rebalance; retains
+    /// the final count afterwards).
     shards_migrated: AtomicUsize,
 }
 
@@ -701,10 +357,11 @@ impl ShardedStore {
     /// by re-opening. A root holding the files of the old single-directory
     /// layout is refused and left untouched.
     ///
-    /// An interrupted migration is finished (or rolled back) here, before
-    /// the store opens: the manifest says exactly which target shards are
-    /// durably built, so the open resumes from that boundary and the
-    /// caller always sees a stable layout.
+    /// An interrupted rebalance is rolled back here, before any shard
+    /// opens: the stable source manifest is written, then the staged
+    /// target files are collected best-effort. No source shard is read to
+    /// do it, so the caller always sees the source layout, whatever state
+    /// the targets or the sources are in.
     ///
     /// A shard that fails to open is quarantined, not fatal: the returned
     /// [`ShardRecovery`] list says what happened to each shard. Only a
@@ -732,12 +389,8 @@ impl ShardedStore {
     ) -> Result<(Self, Vec<ShardRecovery>)> {
         let root = root.as_ref().to_path_buf();
         io.create_dir_all(&root)?;
-        let manifest_path = root.join(MANIFEST_FILE);
-        let mut manifest = if io.exists(&manifest_path) {
-            let bytes = io
-                .read(&manifest_path)
-                .map_err(WalrusError::io_context("read manifest", &manifest_path))?;
-            decode_manifest(&bytes)?
+        let mut manifest = if io.exists(&root.join(MANIFEST_FILE)) {
+            read_manifest(io.as_ref(), &root)?
         } else {
             refuse_legacy_layout(io.as_ref(), &root)?;
             if shards > MAX_SHARDS {
@@ -750,18 +403,8 @@ impl ShardedStore {
             m
         };
 
-        if manifest.migration.is_some() {
-            // A rebalance was interrupted. Resume it from the last durable
-            // boundary; if the sources can't carry it (e.g. one is
-            // damaged), roll back to the untouched source layout so the
-            // store still opens.
-            manifest = match resume_migration(&io, &root, params, &manifest) {
-                Ok(committed) => committed,
-                Err(resume_err) => match rollback_migration(io.as_ref(), &root, &manifest) {
-                    Ok(stable) => stable,
-                    Err(_) => return Err(resume_err),
-                },
-            };
+        if manifest.staged != 0 {
+            manifest = rollback_migration(io.as_ref(), &root, &manifest)?;
         }
         if manifest.gc_prev != 0 {
             gc_previous_layout(io.as_ref(), &root, &mut manifest);
@@ -873,7 +516,7 @@ impl ShardedStore {
     /// a quarantined shard with [`WalrusError::ShardUnavailable`], runs `op`
     /// on its [`DurableDatabase`], and quarantines the shard when `op` failed
     /// in a way that leaves its storage suspect (a poisoned WAL tail, an I/O
-    /// error, corruption). Inserts, removals and checkpoints all go through
+    /// error, corruption) or panicked (the panic then carries on). Inserts, removals and checkpoints all go through
     /// here, so "what quarantines a shard" is decided in one place.
     fn mutate_shard<T>(
         &self,
@@ -885,7 +528,19 @@ impl ShardedStore {
         let ShardSlot::Healthy(db) = &mut *slot else {
             return Err(WalrusError::ShardUnavailable { shard });
         };
-        let result = op(db);
+        let result = match catch_unwind(AssertUnwindSafe(|| op(db))) {
+            Ok(result) => result,
+            Err(payload) => {
+                // The shard may have logged a record it never applied.
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                self.mark_quarantined(set, shard, &mut slot, format!("panicked: {message}"));
+                resume_unwind(payload);
+            }
+        };
         let poisoned = db.is_poisoned();
         if let Err(e) = &result {
             if poisoned || quarantine_worthy(e) {
@@ -1290,8 +945,8 @@ impl ShardedStore {
     /// keep answering (bit-identically) from the source layout for the
     /// whole migration, mutations and checkpoints are shed with
     /// [`WalrusError::Rebalancing`], and one atomic manifest write commits
-    /// the new layout. Crash-safe at every step — see the module docs for
-    /// the resume/rollback rules [`ShardedStore::open`] applies.
+    /// the new layout. Crash-safe at every step: a failure before the
+    /// commit rolls back, and so does [`ShardedStore::open`] after a crash.
     pub fn rebalance(&self, target_shards: usize) -> Result<RebalanceReport> {
         if !(1..=MAX_SHARDS).contains(&target_shards) {
             return Err(WalrusError::BadParams(format!(
@@ -1316,10 +971,8 @@ impl ShardedStore {
     /// exit path that leaves the store safe to write clears it (success,
     /// refusals, and a rollback that durably restored the source
     /// manifest). When the rollback itself fails the flag **stays set**:
-    /// the on-disk manifest still says "migrating", and letting ingest
-    /// resume would invalidate target shards already durably marked
-    /// `Migrated` — only a reopen (which resumes or rolls back) may
-    /// restore writes.
+    /// the manifest on disk may still be staged or even committed, so only
+    /// a reopen, which reads it, may restore writes.
     fn run_rebalance(&self, target: usize) -> Result<RebalanceReport> {
         // Drain in-flight mutations: every mutation holds the ingest lock
         // for its full duration, so acquiring it once means the source
@@ -1355,34 +1008,29 @@ impl ShardedStore {
             }
         }
         let io = self.io.as_ref();
-        let mut manifest = Manifest {
-            epoch,
-            shard_count: source_count,
-            gc_prev: 0,
-            migration: Some(Migration {
-                target_count: target,
-                states: vec![MigrationState::Stable; target],
-            }),
-        };
-        let staged = write_manifest(io, &self.root, &manifest);
-        let migrated = staged.and_then(|()| {
-            complete_migration(io, &self.root, &sources, &mut manifest,
-                Some(&self.shards_migrated))
-        });
-        if let Err(e) = migrated {
-            // Roll back: restore the stable source manifest first (the
-            // staged targets are unreachable once it lands), then drop the
-            // staging files. If even the manifest write fails, the flag
-            // stays set — see the method docs.
-            if write_manifest(io, &self.root, &Manifest::stable(epoch, source_count)).is_ok() {
-                gc_layout_files(io, &self.root, epoch + 1, target);
+        let staged = Manifest { staged: target, ..Manifest::stable(epoch, source_count) };
+        let mut manifest =
+            Manifest { epoch: epoch + 1, shard_count: target, gc_prev: source_count, staged: 0 };
+        let next_id = sources.iter().map(|s| s.image_slots().len()).max().unwrap_or(0);
+        let committed = write_manifest(io, &self.root, &staged)
+            .and_then(|()| {
+                (0..target).try_for_each(|t| {
+                    build_target_shard(io, &self.root, epoch, &sources, next_id, t, target)?;
+                    self.shards_migrated.fetch_add(1, Ordering::AcqRel);
+                    Ok(())
+                })
+            })
+            .and_then(|()| write_manifest(io, &self.root, &manifest));
+        if let Err(e) = committed {
+            // If even the rollback's manifest write fails, the flag stays
+            // set — see the method docs.
+            if rollback_migration(io, &self.root, &staged).is_ok() {
                 self.rebalancing.store(false, Ordering::Release);
             }
             return Err(e);
         }
         drop(sources);
         drop(guards);
-        // `manifest` is now the committed layout {epoch+1, target, gc}.
         let (new_set, recoveries, _) =
             open_shard_set(&self.io, &self.root, self.params, manifest.epoch, manifest.shard_count);
         if let Some(bad) = recoveries.iter().find(|r| r.error.is_some()) {
@@ -1397,12 +1045,11 @@ impl ShardedStore {
         }
         *write(&self.layout) = Arc::new(new_set);
         self.rebalancing.store(false, Ordering::Release);
-        let mut committed = manifest;
-        gc_previous_layout(io, &self.root, &mut committed);
+        gc_previous_layout(io, &self.root, &mut manifest);
         Ok(RebalanceReport {
             from_shards: source_count,
-            to_shards: committed.shard_count,
-            epoch: committed.epoch,
+            to_shards: manifest.shard_count,
+            epoch: manifest.epoch,
             images: self.len(),
         })
     }
@@ -1458,8 +1105,12 @@ impl ShardedStore {
 
 #[cfg(test)]
 mod tests {
+    use super::manifest::{decode_manifest, encode_manifest, MANIFEST_MAGIC};
     use super::*;
+    use crate::crc32::crc32;
+    use crate::persist::{put_u32, put_u64};
     use crate::storage::FaultIo;
+    use std::io;
     use walrus_imagery::synth::scene::{Scene, SceneObject};
     use walrus_imagery::synth::shapes::Shape;
     use walrus_imagery::synth::texture::{Rgb, Texture};
@@ -1505,21 +1156,9 @@ mod tests {
     #[test]
     fn manifest_round_trips_and_rejects_damage() {
         let stable = Manifest::stable(0, 4);
-        let committed = Manifest { epoch: 2, shard_count: 8, gc_prev: 4, migration: None };
-        let migrating = Manifest {
-            epoch: 1,
-            shard_count: 4,
-            gc_prev: 0,
-            migration: Some(Migration {
-                target_count: 3,
-                states: vec![
-                    MigrationState::Migrated,
-                    MigrationState::Draining,
-                    MigrationState::Stable,
-                ],
-            }),
-        };
-        for manifest in [stable, committed, migrating] {
+        let committed = Manifest { epoch: 2, shard_count: 8, gc_prev: 4, staged: 0 };
+        let staged = Manifest { epoch: 1, shard_count: 4, gc_prev: 0, staged: 3 };
+        for manifest in [stable, committed, staged] {
             let bytes = encode_manifest(&manifest);
             assert_eq!(decode_manifest(&bytes).unwrap(), manifest);
             for i in 0..bytes.len() {
@@ -1528,6 +1167,28 @@ mod tests {
                 assert!(decode_manifest(&bad).is_err(), "flip at byte {i} must be caught");
             }
             assert!(decode_manifest(&bytes[..bytes.len() - 1]).is_err());
+        }
+        // A staged manifest's per-target bytes are written as 0, and read
+        // only to range-check: 0..=2 (what earlier writers recorded per
+        // target) decode alike, anything else is corrupt even under a
+        // clean checksum.
+        let mut bytes = encode_manifest(&Manifest { staged: 3, ..Manifest::stable(1, 4) });
+        assert_eq!(bytes[45..48], [0, 0, 0]);
+        for (state, ok) in [(1, true), (2, true), (3, false)] {
+            bytes.truncate(bytes.len() - 4);
+            bytes[46] = state;
+            let crc = crc32(&bytes);
+            put_u32(&mut bytes, crc);
+            match decode_manifest(&bytes) {
+                Ok(m) => {
+                    assert!(ok, "state {state} must be refused");
+                    assert_eq!(m, Manifest { staged: 3, ..Manifest::stable(1, 4) });
+                }
+                Err(e) => {
+                    assert!(!ok, "state {state}: {e}");
+                    assert!(e.to_string().contains("bad migration state 3"), "{e}");
+                }
+            }
         }
     }
 
@@ -1819,7 +1480,7 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_migration_resumes_at_open() {
+    fn interrupted_rebalance_rolls_back_at_open() {
         let io = Arc::new(FaultIo::new());
         let (store, _) = ShardedStore::open_with(io.clone(), "db", params(), 1).unwrap();
         for i in 0..3 {
@@ -1830,28 +1491,158 @@ mod tests {
         drop(store);
 
         // Simulate a rebalance that crashed right after staging: the
-        // manifest says "migrating to 4, nothing built yet".
-        let staged = Manifest {
-            epoch: 0,
-            shard_count: 1,
-            gc_prev: 0,
-            migration: Some(Migration {
-                target_count: 4,
-                states: vec![MigrationState::Stable; 4],
-            }),
-        };
+        // manifest says "staged to 4, not committed".
+        let staged = Manifest { staged: 4, ..Manifest::stable(0, 1) };
         write_manifest(io.as_ref(), Path::new("db"), &staged).unwrap();
 
-        // Open resumes and commits the migration before serving.
+        // Open rolls back to the source layout before serving.
         let (store, recoveries) = ShardedStore::open_with(io.clone(), "db", params(), 0).unwrap();
         assert!(recoveries.iter().all(|r| r.error.is_none()));
-        assert_eq!(store.shard_count(), 4);
-        assert_eq!(store.epoch(), 1);
+        assert_eq!(store.shard_count(), 1);
+        assert_eq!(store.epoch(), 0);
         assert_eq!(store.len(), 3);
         assert_eq!(sig(&store.query(&probe).unwrap()), before);
-        assert!(!io.exists(Path::new("db/shard-000/snapshot.walrus")), "source GC'd");
+        assert!(io.exists(Path::new("db/shard-000/snapshot.walrus")), "source kept");
         let manifest = read_manifest(io.as_ref(), Path::new("db")).unwrap();
-        assert_eq!(manifest, Manifest::stable(1, 4));
+        assert_eq!(manifest, Manifest::stable(0, 1));
+    }
+
+    #[test]
+    fn a_staged_manifest_with_per_target_progress_rolls_back_at_open() {
+        // A store left mid-rebalance by a writer that recorded per-target
+        // progress: 2 source shards staged to 3, target 0 fully built,
+        // target 1 half written, target 2 not started.
+        let io = Arc::new(FaultIo::new());
+        let (store, _) = ShardedStore::open_with(io.clone(), "db", params(), 2).unwrap();
+        for i in 0..5 {
+            store.insert_image(&format!("img{i}"), &scene(0.15 + 0.15 * i as f32)).unwrap();
+        }
+        store.remove_image(1).unwrap();
+        let probe = scene(0.3);
+        let before = store.query(&probe).unwrap();
+        assert!(!before.matches.is_empty());
+        drop(store);
+
+        let sources: Vec<DurableDatabase> = (0..2)
+            .map(|shard| {
+                let dir = Path::new("db").join(shard_dir_name(shard));
+                DurableDatabase::open_with(io.clone(), &dir, params()).unwrap().0
+            })
+            .collect();
+        let dbs: Vec<&ImageDatabase> = sources.iter().map(|d| d.db()).collect();
+        let next_id = dbs.iter().map(|d| d.image_slots().len()).max().unwrap();
+        build_target_shard(io.as_ref(), Path::new("db"), 0, &dbs, next_id, 0, 3).unwrap();
+        drop(sources);
+        io.write(Path::new("db/e1-shard-001/snapshot.walrus.tmp"), b"WALRUS partial").unwrap();
+
+        // The manifest bytes such a writer left: flag 1, target count 3,
+        // states Migrated (2), Draining (1), Stable (0).
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MANIFEST_MAGIC);
+        put_u32(&mut bytes, 2);
+        put_u64(&mut bytes, 0);
+        put_u64(&mut bytes, 2);
+        put_u64(&mut bytes, 0);
+        bytes.push(1);
+        put_u64(&mut bytes, 3);
+        bytes.extend_from_slice(&[2, 1, 0]);
+        let crc = crc32(&bytes);
+        put_u32(&mut bytes, crc);
+        io.write(Path::new("db/MANIFEST"), &bytes).unwrap();
+        let staged = read_manifest(io.as_ref(), Path::new("db")).unwrap();
+        assert_eq!(staged, Manifest { staged: 3, ..Manifest::stable(0, 2) });
+
+        let (store, recoveries) = ShardedStore::open_with(io.clone(), "db", params(), 0).unwrap();
+        assert!(recoveries.iter().all(|r| r.error.is_none()));
+        assert_eq!((store.shard_count(), store.epoch()), (2, 0));
+        let after = store.query(&probe).unwrap();
+        assert_eq!(after.status, before.status);
+        assert_eq!(after.stats, before.stats);
+        assert_eq!(sig(&after), sig(&before));
+        drop(store);
+        assert_eq!(
+            read_manifest(io.as_ref(), Path::new("db")).unwrap(),
+            Manifest::stable(0, 2)
+        );
+        let staged_files: Vec<PathBuf> = io
+            .file_names()
+            .into_iter()
+            .filter(|p| p.to_string_lossy().contains("e1-shard-"))
+            .collect();
+        assert!(staged_files.is_empty(), "staged files left behind: {staged_files:?}");
+    }
+
+    /// Storage whose next `append`, once armed, panics instead of writing.
+    #[derive(Debug)]
+    struct PanicOnceIo {
+        inner: Arc<FaultIo>,
+        armed: AtomicBool,
+    }
+
+    impl StorageIo for PanicOnceIo {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            self.inner.write(path, bytes)
+        }
+        fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            if self.armed.swap(false, Ordering::AcqRel) {
+                panic!("append to {} blew up", path.display());
+            }
+            self.inner.append(path, bytes)
+        }
+        fn fsync(&self, path: &Path) -> io::Result<()> {
+            self.inner.fsync(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+            self.inner.truncate(path, len)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+        fn file_len(&self, path: &Path) -> io::Result<u64> {
+            self.inner.file_len(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(path)
+        }
+    }
+
+    #[test]
+    fn a_panic_under_a_shard_lock_quarantines_the_shard() {
+        let io =
+            Arc::new(PanicOnceIo { inner: Arc::new(FaultIo::new()), armed: AtomicBool::new(false) });
+        let (store, _) = ShardedStore::open_with(io.clone(), "db", params(), 2).unwrap();
+        for i in 0..4 {
+            store.insert_image(&format!("img{i}"), &scene(0.1 + 0.2 * i as f32)).unwrap();
+        }
+        let victim = shard_of(4, 2);
+        io.armed.store(true, Ordering::Release);
+        let panicked = catch_unwind(AssertUnwindSafe(|| store.insert_image("boom", &scene(0.5))));
+        assert!(panicked.is_err(), "the panic carries on to the caller");
+
+        assert_eq!(store.quarantined_shards(), vec![victim]);
+        let health = &store.shard_health()[victim];
+        assert!(health.error.as_deref().unwrap().starts_with("panicked: append to"), "{health:?}");
+        assert_eq!(
+            store.query(&scene(0.1)).unwrap().status,
+            ResultStatus::Degraded { shards_unavailable: vec![victim] }
+        );
+        let err = store.insert_image("shed", &scene(0.7)).unwrap_err();
+        assert!(matches!(err, WalrusError::ShardUnavailable { shard } if shard == victim), "{err}");
+
+        store.recover_shard(victim).unwrap();
+        assert!(store.quarantined_shards().is_empty());
+        let id = store.insert_image("after", &scene(0.7)).unwrap();
+        assert_eq!(store.image_meta(id).unwrap().unwrap().name, "after");
+        assert_eq!(store.len(), 5);
     }
 
     #[test]
@@ -1882,19 +1673,13 @@ mod tests {
         assert!(!verdicts[2].scrub.clean());
         assert!(verdicts[2].scrub.error.as_deref().unwrap().starts_with("snapshot:"));
 
-        // A migrating manifest is refused: the layout is ambiguous until
-        // an open resumes or rolls back.
-        let migrating = Manifest {
-            epoch: 0,
-            shard_count: 3,
-            gc_prev: 0,
-            migration: Some(Migration {
-                target_count: 2,
-                states: vec![MigrationState::Stable; 2],
-            }),
-        };
-        write_manifest(io.as_ref(), Path::new("db"), &migrating).unwrap();
-        let err = scrub_store(io.as_ref(), Path::new("db"), None).unwrap_err();
-        assert!(err.to_string().contains("mid-migration"), "{err}");
+        // A staged manifest is walked on its source layout, the one an
+        // open rolls back to.
+        let staged = Manifest { staged: 2, ..Manifest::stable(0, 3) };
+        write_manifest(io.as_ref(), Path::new("db"), &staged).unwrap();
+        let verdicts = scrub_store(io.as_ref(), Path::new("db"), None).unwrap();
+        assert_eq!(verdicts.iter().map(|v| v.shard).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert!(verdicts[0].scrub.clean() && verdicts[1].scrub.clean());
+        assert!(!verdicts[2].scrub.clean());
     }
 }

@@ -48,6 +48,6 @@ pub struct RebalanceStatus {
     pub rebalancing: bool,
     /// Shard count being migrated to (0 when not rebalancing).
     pub target_shards: usize,
-    /// Target shards already built and durably marked `Migrated`.
+    /// Target shards already built.
     pub shards_migrated: usize,
 }

@@ -5,7 +5,7 @@
 //!    operation index of the whole migration (manifest writes, target shard
 //!    builds, GC), under every [`CrashMode`], for (N,M) ∈ {1→4, 4→2, 4→8},
 //!    at every worker-thread count of the matrix:
-//!    the store always reopens (resuming the migration or rolling it back),
+//!    the store always reopens (rolling an uncommitted migration back),
 //!    never quarantines a shard, lands on exactly the source or the target
 //!    layout, answers queries bit-identical to a never-migrated oracle,
 //!    accepts writes, and passes a full scrub.
@@ -167,8 +167,8 @@ fn rebalance_fault_sweep_at(params: WalrusParams, from: usize, to: usize) {
                 drop(store);
                 io.crash(mode);
 
-                // Crash at ANY op leaves the store openable: the interrupted
-                // migration resumes or rolls back, quarantining nothing.
+                // Crash at ANY op leaves the store openable: an uncommitted
+                // migration rolls back, quarantining nothing.
                 let (store, recoveries) =
                     ShardedStore::open_with(io.clone(), "db", params, 0)
                         .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
@@ -203,7 +203,7 @@ fn rebalance_fault_sweep_at(params: WalrusParams, from: usize, to: usize) {
                 let manifest = read_manifest(&*io, Path::new("db"))
                     .unwrap_or_else(|e| panic!("{ctx}: manifest unreadable: {e}"));
                 assert!(
-                    manifest.migration.is_none(),
+                    manifest.staged == 0,
                     "{ctx}: reopen left the manifest migrating"
                 );
                 let verdicts = scrub_store(&*io, Path::new("db"), None)
