@@ -97,7 +97,7 @@ pub use storage::{DiskIo, StorageIo};
 pub use store::{RebalanceStatus, ShardCheckpoint, ShardHealth};
 pub use walrus_guard::{
     monotonic, Budgets, CancelToken, Clock, Deadline, Guard, Interrupt, MonotonicClock,
-    RetryPolicy, SharedClock, Span, TestClock, TraceContext, TraceReport,
+    SharedClock, Span, TestClock, TraceContext, TraceReport,
 };
 pub use walrus_wavelet::SlidingParams;
 

@@ -34,12 +34,11 @@ use crate::database::{ImageDatabase, IndexedImage};
 use crate::params::WalrusParams;
 use crate::persist;
 use crate::region::Region;
-use crate::storage::{is_transient, DiskIo, RetryIo, StorageIo};
+use crate::storage::{DiskIo, StorageIo};
 use crate::wal::{self, WalOp};
 use crate::{Result, WalrusError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use walrus_guard::RetryPolicy;
 use walrus_imagery::Image;
 
 /// Snapshot file name inside a store directory.
@@ -83,10 +82,6 @@ pub struct DurableDatabase {
     /// tail is in an unknown state, so further writes are refused until
     /// the store is reopened (which re-establishes a clean tail).
     poisoned: bool,
-    /// Backoff schedule for transient failures of the WAL append itself
-    /// (the one IO path [`RetryIo`] cannot wrap, because a repeated append
-    /// needs the committed tail restored between attempts).
-    retry: RetryPolicy,
 }
 
 impl DurableDatabase {
@@ -94,15 +89,9 @@ impl DurableDatabase {
     /// `params` is used only when creating a fresh store; an existing
     /// snapshot's parameters always win, except for the runtime-only knobs
     /// a snapshot does not store (`threads`, `budgets`, `prefilter`), which
-    /// are always the caller's. Idempotent IO (reads, full-file
-    /// writes, fsyncs) is wrapped in [`RetryIo`], so transient OS errors
-    /// (EINTR-style) are absorbed with bounded backoff.
+    /// are always the caller's.
     pub fn open(dir: impl AsRef<Path>, params: WalrusParams) -> Result<(Self, RecoveryReport)> {
-        Self::open_with(
-            Arc::new(RetryIo::new(Arc::new(DiskIo), RetryPolicy::default())),
-            dir,
-            params,
-        )
+        Self::open_with(Arc::new(DiskIo), dir, params)
     }
 
     /// Like [`DurableDatabase::open`] but over a pluggable I/O layer —
@@ -140,7 +129,6 @@ impl DurableDatabase {
             records_since_checkpoint: 0,
             last_removal_lsn: 0,
             poisoned: false,
-            retry: RetryPolicy::default(),
         };
 
         if store.io.exists(&wal_path) {
@@ -168,10 +156,7 @@ impl DurableDatabase {
             if scan.torn_tail {
                 report.torn_tail_truncated = true;
                 report.truncated_bytes = wal_bytes - scan.valid_len;
-                store
-                    .io
-                    .truncate(&wal_path, scan.valid_len)
-                    .and_then(|()| store.io.fsync(&wal_path))
+                wal::truncate(store.io.as_ref(), &wal_path, scan.valid_len)
                     .map_err(WalrusError::io_context("truncate torn tail of", &wal_path))?;
             }
         }
@@ -212,12 +197,11 @@ impl DurableDatabase {
     /// Appends one record (write-ahead) and, only on success, applies the
     /// operation in memory.
     ///
-    /// Transient append failures are retried under the store's
-    /// [`RetryPolicy`] — but never blindly: a failed append may have left a
-    /// *partial* record on disk, and re-appending over it would corrupt the
-    /// log middle (unrecoverable, unlike a torn tail). Each retry therefore
-    /// first restores the committed tail (`truncate` to the last good
-    /// length) and only re-appends once that provably succeeded.
+    /// A failed append may have left a *partial* record on disk, so the
+    /// tail is cut back to the committed length before the error returns.
+    /// If that cut fails, the tail is unknown and the store poisons itself
+    /// until reopen: a later append over a partial record would damage the
+    /// middle of the log, which recovery refuses, unlike a torn tail.
     fn log_then_apply(&mut self, op: WalOp) -> Result<()> {
         if self.poisoned {
             return Err(self.poisoned_error());
@@ -235,34 +219,13 @@ impl DurableDatabase {
         let mut buf = if self.wal_len == 0 { wal::wal_header() } else { Vec::new() };
         buf.extend_from_slice(&record);
 
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut attempt = 1u32;
-        loop {
-            let appended = self
-                .io
-                .append(&wal_path, &buf)
-                .and_then(|()| self.io.fsync(&wal_path));
-            let Err(e) = appended else { break };
-            // The on-disk tail may hold a partial record. Cut it back to
-            // the last committed length; a truncate that fails because the
-            // file was never created still counts as a clean (empty) tail.
-            let repaired = self
-                .io
-                .truncate(&wal_path, self.wal_len)
-                .and_then(|()| self.io.fsync(&wal_path));
-            let tail_clean = repaired.is_ok() || !self.io.exists(&wal_path);
-            if tail_clean && is_transient(&e) && attempt < max_attempts {
-                let delay = self.retry.delay_for(attempt);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                attempt += 1;
-                continue;
-            }
-            if !tail_clean {
-                // The tail is unknowable — poison until reopen.
-                self.poisoned = true;
-            }
+        let appended = self.io.append(&wal_path, &buf).and_then(|()| self.io.fsync(&wal_path));
+        if let Err(e) = appended {
+            // A truncate that fails because the file was never created
+            // still leaves a clean (empty) tail.
+            let restored = wal::truncate(self.io.as_ref(), &wal_path, self.wal_len).is_ok()
+                || !self.io.exists(&wal_path);
+            self.poisoned = !restored;
             return Err(WalrusError::io_context("append to", &wal_path)(e));
         }
         self.wal_len += buf.len() as u64;
@@ -359,12 +322,6 @@ impl DurableDatabase {
         self.wal_len = wal::WAL_HEADER_LEN;
         self.records_since_checkpoint = 0;
         Ok(())
-    }
-
-    /// Overrides the transient-append backoff schedule (default:
-    /// [`RetryPolicy::default`]; [`RetryPolicy::none`] disables retries).
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// The wrapped in-memory database (queries go straight to it).
@@ -508,7 +465,7 @@ pub fn scrub_dir(io: &dyn StorageIo, dir: &Path) -> DirScrub {
             Ok(bytes) => {
                 let scan = wal::scan_valid_prefix(&bytes);
                 scrub.wal_records = scan.records.len();
-                if scan.valid_len < bytes.len() as u64 {
+                if scan.torn_tail {
                     scrub.wal_ok = false;
                     let bad = bytes.len() as u64 - scan.valid_len;
                     scrub.error.get_or_insert(format!(

@@ -81,7 +81,7 @@ use crate::params::WalrusParams;
 use crate::persist;
 use crate::recovery::{scrub_dir, DirScrub, DurableDatabase, RecoveryReport, SNAPSHOT_FILE, WAL_FILE};
 use crate::region::Region;
-use crate::storage::{DiskIo, RetryIo, StorageIo};
+use crate::storage::{DiskIo, StorageIo};
 use crate::store::{RebalanceStatus, ShardCheckpoint, ShardHealth};
 use crate::wal;
 use crate::{QueryOutcome, QueryStats, Result, WalrusError};
@@ -90,7 +90,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
-use walrus_guard::{Guard, RetryPolicy};
+use walrus_guard::Guard;
 use walrus_imagery::Image;
 
 mod manifest;
@@ -162,6 +162,17 @@ pub struct ShardScrub {
     pub scrub: DirScrub,
 }
 
+/// `Ok` when `shard` names one of a store's `count` shards.
+fn check_shard(shard: usize, count: usize) -> Result<()> {
+    if shard < count {
+        return Ok(());
+    }
+    Err(WalrusError::BadParams(format!(
+        "shard {shard} out of range (store has {count} shards; valid shards are 0..={})",
+        count - 1
+    )))
+}
+
 /// Read-only integrity walk of a sharded store: every shard's snapshot is
 /// re-read and CRC-validated and its WAL checked to be one clean prefix,
 /// without opening (or mutating) the store. `only` restricts the walk to
@@ -171,13 +182,7 @@ pub fn scrub_store(io: &dyn StorageIo, root: &Path, only: Option<usize>) -> Resu
     refuse_legacy_layout(io, root)?;
     let manifest = read_manifest(io, root)?;
     if let Some(shard) = only {
-        if shard >= manifest.shard_count {
-            return Err(WalrusError::BadParams(format!(
-                "shard {shard} out of range (store has {} shards; valid shards are 0..={})",
-                manifest.shard_count,
-                manifest.shard_count - 1
-            )));
-        }
+        check_shard(shard, manifest.shard_count)?;
     }
     let mut verdicts = Vec::new();
     for shard in 0..manifest.shard_count {
@@ -371,12 +376,7 @@ impl ShardedStore {
         params: WalrusParams,
         shards: usize,
     ) -> Result<(Self, Vec<ShardRecovery>)> {
-        Self::open_with(
-            Arc::new(RetryIo::new(Arc::new(DiskIo), RetryPolicy::default())),
-            root,
-            params,
-            shards,
-        )
+        Self::open_with(Arc::new(DiskIo), root, params, shards)
     }
 
     /// Like [`ShardedStore::open`] but over a pluggable I/O layer — the
@@ -822,13 +822,7 @@ impl ShardedStore {
             return Err(WalrusError::Rebalancing);
         }
         let set = self.layout();
-        if shard >= set.shards.len() {
-            return Err(WalrusError::BadParams(format!(
-                "shard {shard} out of range (store has {} shards; valid shards are 0..={})",
-                set.shards.len(),
-                set.shards.len() - 1
-            )));
-        }
+        check_shard(shard, set.shards.len())?;
         let started = Instant::now();
         self.mutate_shard(&set, shard, |db| {
             db.checkpoint()?;
@@ -903,13 +897,7 @@ impl ShardedStore {
             return Err(WalrusError::Rebalancing);
         }
         let set = self.layout();
-        if shard >= set.shards.len() {
-            return Err(WalrusError::BadParams(format!(
-                "shard {shard} out of range (store has {} shards; valid shards are 0..={})",
-                set.shards.len(),
-                set.shards.len() - 1
-            )));
-        }
+        check_shard(shard, set.shards.len())?;
         // Hold the ingest lock across the swap so id assignment sees the
         // recovered shard's slots atomically.
         let mut next = lock(&self.ingest);
@@ -925,11 +913,9 @@ impl ShardedStore {
                 .map_err(WalrusError::io_context("read", &wal_path))?;
             let scan = wal::scan_valid_prefix(&bytes);
             records_kept = scan.records.len();
-            if scan.valid_len < bytes.len() as u64 {
+            if scan.torn_tail {
                 truncated_bytes = bytes.len() as u64 - scan.valid_len;
-                self.io
-                    .truncate(&wal_path, scan.valid_len)
-                    .and_then(|()| self.io.fsync(&wal_path))
+                wal::truncate(self.io.as_ref(), &wal_path, scan.valid_len)
                     .map_err(WalrusError::io_context("truncate damaged", &wal_path))?;
             }
         }

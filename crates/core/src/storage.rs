@@ -26,8 +26,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-use walrus_guard::RetryPolicy;
+use std::sync::Mutex;
 
 /// The syscall surface the durability layer needs.
 ///
@@ -123,8 +122,9 @@ pub enum FaultKind {
     /// that write no data the fault is a no-op.
     BitFlip,
     /// The operation fails with [`io::ErrorKind::Interrupted`] and nothing
-    /// is persisted, but the filesystem stays healthy — the EINTR-style
-    /// error a retry loop is entitled to retry.
+    /// is persisted, but the filesystem stays healthy: one operation fails
+    /// and every later one runs normally. The only fault that lets a test
+    /// watch the store handle a failed write and then carry on.
     Transient,
 }
 
@@ -202,13 +202,6 @@ fn transient() -> io::Error {
     io::Error::new(io::ErrorKind::Interrupted, "injected transient fault")
 }
 
-/// Whether an I/O error is transient: safe and worthwhile to retry.
-/// `Interrupted` is the canonical case (EINTR; also what
-/// [`FaultKind::Transient`] injects).
-pub fn is_transient(e: &io::Error) -> bool {
-    e.kind() == io::ErrorKind::Interrupted
-}
-
 fn crashed() -> io::Error {
     io::Error::other("filesystem halted by injected fault")
 }
@@ -229,9 +222,8 @@ impl FaultIo {
         self.state.lock().expect("poisoned").faults = fault.into_iter().collect();
     }
 
-    /// Adds a fault to the plan without clearing those already armed —
-    /// lets a test arm a *burst* of transient faults on consecutive
-    /// operations to exercise a retry loop end to end.
+    /// Adds a fault to the plan without clearing those already armed, so a
+    /// test can arm faults on several operations.
     pub fn arm_fault(&self, fault: Fault) {
         self.state.lock().expect("poisoned").faults.push(fault);
     }
@@ -519,83 +511,6 @@ impl StorageIo for FaultIo {
     }
 }
 
-/// A [`StorageIo`] decorator that retries **idempotent** operations on
-/// transient errors with the bounded exponential backoff of a
-/// [`RetryPolicy`].
-///
-/// `append` is deliberately *not* retried here: a failed append may have
-/// persisted a partial record, and blindly re-appending would corrupt the
-/// middle of the WAL (which recovery treats as unrecoverable corruption,
-/// not a torn tail). The WAL layer retries appends itself, truncating the
-/// tail back to the last committed length between attempts. `rename` is
-/// also passed through — it sits inside the atomic-checkpoint protocol,
-/// which has its own failure semantics.
-#[derive(Debug)]
-pub struct RetryIo {
-    inner: Arc<dyn StorageIo>,
-    policy: RetryPolicy,
-}
-
-impl RetryIo {
-    /// Wraps `inner`, retrying per `policy`.
-    pub fn new(inner: Arc<dyn StorageIo>, policy: RetryPolicy) -> Self {
-        Self { inner, policy }
-    }
-
-    /// The wrapped I/O layer.
-    pub fn inner(&self) -> &Arc<dyn StorageIo> {
-        &self.inner
-    }
-
-    /// The active retry policy.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-}
-
-impl StorageIo for RetryIo {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.policy.run(|| self.inner.read(path), is_transient)
-    }
-
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.policy.run(|| self.inner.write(path, bytes), is_transient)
-    }
-
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        // Not idempotent — see the type docs. One attempt only.
-        self.inner.append(path, bytes)
-    }
-
-    fn fsync(&self, path: &Path) -> io::Result<()> {
-        self.policy.run(|| self.inner.fsync(path), is_transient)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.inner.rename(from, to)
-    }
-
-    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-        self.policy.run(|| self.inner.truncate(path, len), is_transient)
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        self.policy.run(|| self.inner.remove(path), is_transient)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.inner.exists(path)
-    }
-
-    fn file_len(&self, path: &Path) -> io::Result<u64> {
-        self.policy.run(|| self.inner.file_len(path), is_transient)
-    }
-
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        self.policy.run(|| self.inner.create_dir_all(path), is_transient)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -714,7 +629,7 @@ mod tests {
         fs.write(p("a"), b"x").unwrap();
         fs.set_fault(Some(Fault { at_op: 1, kind: FaultKind::Transient }));
         let err = fs.write(p("a"), b"y").unwrap_err();
-        assert!(is_transient(&err));
+        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         assert!(!fs.is_halted());
         // Nothing was persisted by the failed write, and the next try works.
         assert_eq!(fs.read(p("a")).unwrap(), b"x");
@@ -730,44 +645,6 @@ mod tests {
         assert!(fs.write(p("a"), b"x").is_err());
         assert!(fs.write(p("a"), b"x").is_err());
         fs.write(p("a"), b"x").unwrap();
-    }
-
-    #[test]
-    fn retry_io_rides_out_transient_bursts() {
-        let fs = Arc::new(FaultIo::new());
-        let retry = RetryIo::new(
-            fs.clone(),
-            RetryPolicy { max_attempts: 3, base_delay: std::time::Duration::ZERO, max_delay: std::time::Duration::ZERO },
-        );
-        // Two consecutive transient faults: the third attempt succeeds.
-        fs.arm_fault(Fault { at_op: 0, kind: FaultKind::Transient });
-        fs.arm_fault(Fault { at_op: 1, kind: FaultKind::Transient });
-        retry.write(p("a"), b"persisted").unwrap();
-        assert_eq!(retry.read(p("a")).unwrap(), b"persisted");
-    }
-
-    #[test]
-    fn retry_io_gives_up_past_the_attempt_budget() {
-        let fs = Arc::new(FaultIo::new());
-        let retry = RetryIo::new(
-            fs.clone(),
-            RetryPolicy { max_attempts: 2, base_delay: std::time::Duration::ZERO, max_delay: std::time::Duration::ZERO },
-        );
-        for op in 0..2 {
-            fs.arm_fault(Fault { at_op: op, kind: FaultKind::Transient });
-        }
-        let err = retry.write(p("a"), b"data").unwrap_err();
-        assert!(is_transient(&err));
-        assert!(!fs.exists(p("a")));
-    }
-
-    #[test]
-    fn retry_io_does_not_retry_permanent_errors() {
-        let fs = Arc::new(FaultIo::new());
-        let retry = RetryIo::new(fs.clone(), RetryPolicy::default());
-        fs.set_fault(Some(Fault { at_op: 0, kind: FaultKind::Error }));
-        assert!(retry.write(p("a"), b"data").is_err());
-        assert!(fs.is_halted(), "halting error must not be retried into");
     }
 
     #[test]

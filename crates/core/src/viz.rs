@@ -59,26 +59,6 @@ pub fn region_overlay(image: &Image, regions: &[Region], opts: OverlayOptions) -
     Ok(out)
 }
 
-/// Renders a single region's coverage as a binary mask (white = covered).
-pub fn region_mask(image_width: usize, image_height: usize, region: &Region) -> Result<Image> {
-    let mut out = Image::zeros(image_width, image_height, ColorSpace::Gray)?;
-    let bm = &region.bitmap;
-    for cy in 0..bm.grid_height() {
-        for cx in 0..bm.grid_width() {
-            if !bm.get_cell(cx, cy) {
-                continue;
-            }
-            let (x0, y0, w, h) = bm.cell_pixels(cx, cy);
-            for y in y0..(y0 + h).min(image_height) {
-                for x in x0..(x0 + w).min(image_width) {
-                    out.channel_mut(0).set(x, y, 1.0);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
 fn paint_bitmap(out: &mut Image, region: &Region, cr: f32, cg: f32, cb: f32, alpha: f32) {
     let bm = &region.bitmap;
     for cy in 0..bm.grid_height() {
@@ -151,15 +131,6 @@ mod tests {
         let (c0r, _, _) = PALETTE[0];
         // Pixel only in the first region.
         assert!((out.pixel(24, 24)[0] - c0r).abs() < 1e-5);
-    }
-
-    #[test]
-    fn mask_matches_bitmap_area() {
-        let region = region_covering(4, 4, 8, 8);
-        let mask = region_mask(64, 64, &region).unwrap();
-        let white: usize =
-            mask.channel(0).as_slice().iter().filter(|&&v| v == 1.0).count();
-        assert_eq!(white, region.area());
     }
 
     #[test]

@@ -27,17 +27,20 @@
 //! ## Torn tails vs. corruption
 //!
 //! A crash mid-append leaves a partial record at the end of the file.
-//! [`read_wal`] stops at the first record that is truncated or fails its
-//! CRC; if nothing but that broken record follows, it is a *torn tail* —
-//! reported so the caller can truncate it away. If a further valid record
-//! parses after the broken one, the damage is in the *middle* of the log:
-//! committed history is unreadable and the log is reported
-//! [`crate::WalrusError::Corrupt`] rather than silently truncated.
+//! [`scan_valid_prefix`] — the one scanner — stops at the first record that
+//! is truncated or fails its CRC; if nothing but that broken record
+//! follows, it is a *torn tail*, which [`truncate`] cuts away. If a further
+//! valid record parses after the broken one, the damage is in the *middle*
+//! of the log: committed history is unreadable, and [`read_wal`] (what an
+//! open uses) reports the log [`crate::WalrusError::Corrupt`] rather than
+//! silently truncating it. Only an explicit repair cuts at damage.
 
 use crate::crc32::crc32;
 use crate::persist::{put_str, put_u32, put_u64, read_region, write_region, Reader};
 use crate::region::Region;
+use crate::storage::StorageIo;
 use crate::{Result, WalrusError};
+use std::path::Path;
 
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"WALRUSWL";
 /// The log version: regions carry their signature lanes.
@@ -80,16 +83,22 @@ pub struct WalRecord {
     pub op: WalOp,
 }
 
-/// Result of scanning a WAL image.
+/// Result of scanning a WAL image: the clean prefix and why the scan
+/// stopped — at the end (`!torn_tail`), at a torn tail (`torn_tail` and no
+/// `damage`), or at damage to committed history (`damage`).
 #[derive(Debug)]
 pub struct WalScan {
-    /// All intact records, in order.
+    /// The intact records of the clean prefix, in order.
     pub records: Vec<WalRecord>,
-    /// Byte length of the valid prefix (header + intact records). Anything
-    /// past this is a torn tail and should be truncated.
+    /// Byte length of the clean prefix (header + intact records): the
+    /// length a repair truncates the file to.
     pub valid_len: u64,
-    /// True when broken bytes trail the valid prefix.
+    /// True when bytes trail the clean prefix.
     pub torn_tail: bool,
+    /// Set when what stopped the scan is damage rather than a torn tail: a
+    /// bad header, a broken frame with an intact one after it, or a
+    /// CRC-clean record that does not decode or does not raise the LSN.
+    pub damage: Option<WalrusError>,
 }
 
 /// The file header of a fresh, empty WAL.
@@ -103,8 +112,16 @@ pub fn wal_header() -> Vec<u8> {
 /// Resets `path` to a fresh, empty log (header only) and
 /// fsyncs it. Used by checkpoints and by shard migration, which hands every
 /// freshly built target shard an empty log.
-pub fn reset(io: &dyn crate::storage::StorageIo, path: &std::path::Path) -> std::io::Result<()> {
+pub fn reset(io: &dyn StorageIo, path: &Path) -> std::io::Result<()> {
     io.write(path, &wal_header())?;
+    io.fsync(path)
+}
+
+/// Cuts the log at `path` back to its first `len` bytes and fsyncs it: how
+/// an open drops a torn tail, a failed append restores the committed tail,
+/// and a repair drops everything past the clean prefix.
+pub fn truncate(io: &dyn StorageIo, path: &Path, len: u64) -> std::io::Result<()> {
+    io.truncate(path, len)?;
     io.fsync(path)
 }
 
@@ -177,103 +194,90 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord> {
 /// empty input *is* 0.
 const MIN_PAYLOAD: usize = 9;
 
+/// The payload length a frame at `bytes[pos..]` claims (0 when not even
+/// its length field is there).
+fn frame_len(bytes: &[u8], pos: usize) -> usize {
+    bytes
+        .get(pos..pos + 4)
+        .map_or(0, |b| u32::from_le_bytes(b.try_into().expect("length checked")) as usize)
+}
+
 /// Checks whether an intact record starts at `bytes[pos..]` (used to
 /// distinguish a torn tail from mid-log damage).
 fn frame_is_intact(bytes: &[u8], pos: usize) -> bool {
     if bytes.len() - pos < 8 {
         return false;
     }
-    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("length checked")) as usize;
+    let len = frame_len(bytes, pos);
     let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("length checked"));
     let start = pos + 8;
     len >= MIN_PAYLOAD && bytes.len() - start >= len && crc32(&bytes[start..start + len]) == crc
 }
 
-/// Scans a WAL image: validates the header, decodes intact records, and
-/// classifies any trailing damage. Errors only on a bad header, a
-/// structurally invalid (but CRC-clean) record, or mid-log corruption.
-pub fn read_wal(bytes: &[u8]) -> Result<WalScan> {
+/// Scans a WAL image for its **longest clean prefix** and says why the scan
+/// stopped (see [`WalScan`]). It never errors: damage is reported in
+/// [`WalScan::damage`], and what the caller does with it is the caller's.
+/// An open refuses it ([`read_wal`]), because silently dropping committed
+/// history is never acceptable *implicitly*; an explicit repair (`walrus
+/// recover <db> --shard <i>`) truncates at it, accepting exactly that loss
+/// to bring a quarantined shard back; a scrub reports it.
+pub fn scan_valid_prefix(bytes: &[u8]) -> WalScan {
+    let mut scan = WalScan {
+        records: Vec::new(),
+        valid_len: 0,
+        torn_tail: !bytes.is_empty(),
+        damage: None,
+    };
     if bytes.len() < WAL_HEADER_LEN as usize {
         // An empty or partially-created log holds no committed records.
-        return Ok(WalScan { records: Vec::new(), valid_len: 0, torn_tail: !bytes.is_empty() });
+        return scan;
     }
     if &bytes[..8] != WAL_MAGIC {
-        return Err(corrupt("bad magic"));
+        scan.damage = Some(corrupt("bad magic"));
+        return scan;
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("length checked"));
     if version != WAL_VERSION {
-        return Err(corrupt(&format!("unsupported version {version}")));
+        scan.damage = Some(corrupt(&format!("unsupported version {version}")));
+        return scan;
     }
 
-    let mut records = Vec::new();
     let mut pos = WAL_HEADER_LEN as usize;
-    let mut last_lsn: Option<u64> = None;
-    while pos < bytes.len() {
+    scan.damage = loop {
+        if pos == bytes.len() {
+            break None;
+        }
         if !frame_is_intact(bytes, pos) {
-            // Broken frame: torn tail iff no intact frame follows anywhere.
-            let frame_len = if bytes.len() - pos >= 8 {
-                u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("length checked"))
-                    as usize
-            } else {
-                0
-            };
-            let after = pos + 8 + frame_len;
-            if after < bytes.len() && frame_is_intact(bytes, after) {
-                return Err(corrupt("mid-log corruption (intact records follow a broken one)"));
-            }
-            return Ok(WalScan { records, valid_len: pos as u64, torn_tail: true });
+            // Broken frame: torn tail iff no intact frame follows it.
+            let after = pos + 8 + frame_len(bytes, pos);
+            break (after < bytes.len() && frame_is_intact(bytes, after)).then(|| {
+                corrupt("mid-log corruption (intact records follow a broken one)")
+            });
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("length checked"))
-            as usize;
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        let rec = decode_payload(payload)?;
-        if let Some(prev) = last_lsn {
-            if rec.lsn <= prev {
-                return Err(corrupt("sequence numbers not increasing"));
-            }
+        let len = frame_len(bytes, pos);
+        let rec = match decode_payload(&bytes[pos + 8..pos + 8 + len]) {
+            Ok(rec) => rec,
+            Err(e) => break Some(e),
+        };
+        if scan.records.last().is_some_and(|prev| rec.lsn <= prev.lsn) {
+            break Some(corrupt("sequence numbers not increasing"));
         }
-        last_lsn = Some(rec.lsn);
-        records.push(rec);
+        scan.records.push(rec);
         pos += 8 + len;
-    }
-    Ok(WalScan { records, valid_len: pos as u64, torn_tail: false })
+    };
+    scan.valid_len = pos as u64;
+    scan.torn_tail = pos < bytes.len();
+    scan
 }
 
-/// Scans the **longest clean prefix** of a WAL image without ever erroring:
-/// decoding stops at the first frame that is broken, structurally invalid,
-/// or carries a non-increasing LSN, regardless of what follows.
-///
-/// This is the basis of explicit repair (`walrus recover <db> --shard <i>`):
-/// where [`read_wal`] refuses mid-log corruption because silently dropping
-/// committed history is never acceptable *implicitly*, an operator who asks
-/// for repair accepts exactly that loss in exchange for bringing a
-/// quarantined shard back. `valid_len` is the byte length to truncate the
-/// file to; `torn_tail` is true whenever anything was dropped.
-pub fn scan_valid_prefix(bytes: &[u8]) -> WalScan {
-    if !bytes.starts_with(&wal_header()) {
-        // No usable header: nothing is recoverable.
-        return WalScan { records: Vec::new(), valid_len: 0, torn_tail: !bytes.is_empty() };
+/// [`scan_valid_prefix`] for an open: damage to committed history is an
+/// error, a torn tail is reported for the caller to [`truncate`].
+pub fn read_wal(bytes: &[u8]) -> Result<WalScan> {
+    let mut scan = scan_valid_prefix(bytes);
+    match scan.damage.take() {
+        Some(e) => Err(e),
+        None => Ok(scan),
     }
-    let mut records = Vec::new();
-    let mut pos = WAL_HEADER_LEN as usize;
-    let mut last_lsn: Option<u64> = None;
-    while pos < bytes.len() {
-        if !frame_is_intact(bytes, pos) {
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("length checked"))
-            as usize;
-        let Ok(rec) = decode_payload(&bytes[pos + 8..pos + 8 + len]) else {
-            break;
-        };
-        if last_lsn.is_some_and(|prev| rec.lsn <= prev) {
-            break;
-        }
-        last_lsn = Some(rec.lsn);
-        records.push(rec);
-        pos += 8 + len;
-    }
-    WalScan { records, valid_len: pos as u64, torn_tail: pos < bytes.len() }
 }
 
 #[cfg(test)]
@@ -447,28 +451,45 @@ mod tests {
 
     #[test]
     fn scan_valid_prefix_stops_at_damage_where_read_wal_errors() {
-        // Mid-log flip: read_wal refuses, the repair scan keeps the prefix.
+        // What stopped the scan, as a message: `None` at the end or at a
+        // torn tail, the `Corrupt` text read_wal would return at damage.
+        let damage = |scan: &WalScan| scan.damage.as_ref().map(|e| e.to_string());
+
+        // Mid-log flip: read_wal refuses, the scan keeps the prefix and
+        // names the damage with read_wal's own message.
         let bytes = log_with(&[(1, insert_op(0)), (2, WalOp::Remove { id: 0 }), (3, insert_op(1))]);
         let first_len = log_with(&[(1, insert_op(0))]).len();
         let mut mid_flip = bytes.clone();
         mid_flip[first_len + 10] ^= 0xFF;
-        assert!(read_wal(&mid_flip).is_err());
+        let refused = read_wal(&mid_flip).unwrap_err().to_string();
         let scan = scan_valid_prefix(&mid_flip);
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.valid_len, first_len as u64);
         assert!(scan.torn_tail);
+        assert_eq!(damage(&scan), Some(refused));
+        assert!(damage(&scan).unwrap().contains("mid-log corruption"));
 
         // Non-monotonic LSN: everything before the regression survives.
         let regressed = log_with(&[(5, insert_op(0)), (4, WalOp::Remove { id: 0 })]);
         let scan = scan_valid_prefix(&regressed);
         assert_eq!(scan.records.len(), 1);
         assert!(scan.torn_tail);
+        assert!(damage(&scan).unwrap().contains("sequence numbers not increasing"));
+
+        // Torn tail: the same prefix, but no damage, so read_wal accepts it.
+        let torn = &bytes[..bytes.len() - 3];
+        let scan = scan_valid_prefix(torn);
+        assert_eq!(scan.records.len(), 2);
+        assert!(scan.torn_tail);
+        assert!(scan.damage.is_none());
+        assert_eq!(read_wal(torn).unwrap().valid_len, scan.valid_len);
 
         // Clean log: identical verdict to read_wal.
         let scan = scan_valid_prefix(&bytes);
         assert_eq!(scan.records.len(), 3);
         assert_eq!(scan.valid_len, bytes.len() as u64);
         assert!(!scan.torn_tail);
+        assert!(scan.damage.is_none());
 
         // Destroyed header: nothing recoverable.
         let mut bad_header = bytes;
@@ -477,5 +498,6 @@ mod tests {
         assert!(scan.records.is_empty());
         assert_eq!(scan.valid_len, 0);
         assert!(scan.torn_tail);
+        assert!(damage(&scan).unwrap().contains("bad magic"));
     }
 }

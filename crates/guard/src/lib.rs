@@ -14,7 +14,6 @@
 //!   transports observability state without signature changes.
 //! - [`Budgets`] — per-request resource ceilings enforced at decode,
 //!   extraction, probe, and WAL-append time.
-//! - [`RetryPolicy`] — bounded exponential backoff for transient IO errors.
 //!
 //! The crate's only dependency is `walrus-trace` (itself dependency-free),
 //! so every layer — `parallel`, `wavelet`, `birch`, `core`, `cli` — can use
@@ -343,89 +342,6 @@ impl Budgets {
     }
 }
 
-/// Bounded exponential backoff for transient IO errors.
-///
-/// Deterministic (no jitter) so fault-injection tests replay exactly; the
-/// delays are tiny because the retry loop targets in-process transient faults
-/// (EINTR-style), not distributed-systems congestion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts including the first (1 = no retry).
-    pub max_attempts: u32,
-    /// Delay before the first retry.
-    pub base_delay: Duration,
-    /// Ceiling applied to the exponential growth.
-    pub max_delay: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(50),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries at all.
-    pub fn none() -> Self {
-        RetryPolicy { max_attempts: 1, base_delay: Duration::ZERO, max_delay: Duration::ZERO }
-    }
-
-    /// Backoff before retry number `retry` (1-based): base × 2^(retry-1),
-    /// clamped to `max_delay`.
-    pub fn delay_for(&self, retry: u32) -> Duration {
-        if retry == 0 {
-            return Duration::ZERO;
-        }
-        let exp = retry.saturating_sub(1).min(31);
-        let delay = self.base_delay.saturating_mul(1u32 << exp);
-        delay.min(self.max_delay)
-    }
-
-    /// Run `op` up to `max_attempts` times, sleeping per [`delay_for`]
-    /// between attempts while `is_transient` says the error is retryable.
-    ///
-    /// [`delay_for`]: RetryPolicy::delay_for
-    pub fn run<T, E>(
-        &self,
-        op: impl FnMut() -> Result<T, E>,
-        is_transient: impl FnMut(&E) -> bool,
-    ) -> Result<T, E> {
-        self.run_on(&MonotonicClock, op, is_transient)
-    }
-
-    /// [`run`](RetryPolicy::run) with the backoff sleeps taken on `clock`,
-    /// so retry tests on a [`TestClock`] observe the exact backoff schedule
-    /// in zero wall time.
-    pub fn run_on<T, E>(
-        &self,
-        clock: &dyn Clock,
-        mut op: impl FnMut() -> Result<T, E>,
-        mut is_transient: impl FnMut(&E) -> bool,
-    ) -> Result<T, E> {
-        let attempts = self.max_attempts.max(1);
-        let mut attempt = 1;
-        loop {
-            match op() {
-                Ok(value) => return Ok(value),
-                Err(err) => {
-                    if attempt >= attempts || !is_transient(&err) {
-                        return Err(err);
-                    }
-                    let delay = self.delay_for(attempt);
-                    if !delay.is_zero() {
-                        clock.sleep(delay);
-                    }
-                    attempt += 1;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,30 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_backoff_on_test_clock_is_sleep_free_and_exact() {
-        let clock = TestClock::new();
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_millis(2),
-            max_delay: Duration::from_millis(50),
-        };
-        let mut calls = 0;
-        let out: Result<u32, &str> = policy.run_on(
-            clock.as_ref(),
-            || {
-                calls += 1;
-                Err("transient")
-            },
-            |e| *e == "transient",
-        );
-        assert_eq!(out, Err("transient"));
-        assert_eq!(calls, 4);
-        // Backoff schedule 2 + 4 + 8 ms elapsed on the test clock, not the
-        // wall clock.
-        assert_eq!(clock.elapsed(), Duration::from_millis(14));
-    }
-
-    #[test]
     fn guard_span_records_only_when_traced() {
         assert!(Guard::none().span("query").is_none());
 
@@ -573,67 +465,5 @@ mod tests {
         assert_eq!(Budgets::check(11, 10), Err((11, 10)));
         let unlimited = Budgets::unlimited();
         assert!(Budgets::check(usize::MAX, unlimited.max_decoded_pixels).is_ok());
-    }
-
-    #[test]
-    fn retry_delays_grow_and_clamp() {
-        let policy = RetryPolicy {
-            max_attempts: 6,
-            base_delay: Duration::from_millis(2),
-            max_delay: Duration::from_millis(10),
-        };
-        assert_eq!(policy.delay_for(1), Duration::from_millis(2));
-        assert_eq!(policy.delay_for(2), Duration::from_millis(4));
-        assert_eq!(policy.delay_for(3), Duration::from_millis(8));
-        assert_eq!(policy.delay_for(4), Duration::from_millis(10));
-        assert_eq!(policy.delay_for(60), Duration::from_millis(10));
-    }
-
-    #[test]
-    fn retry_run_retries_transient_only() {
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-        };
-        // Succeeds on the last allowed attempt.
-        let mut calls = 0;
-        let out: Result<u32, &str> = policy.run(
-            || {
-                calls += 1;
-                if calls < 3 {
-                    Err("transient")
-                } else {
-                    Ok(7)
-                }
-            },
-            |e| *e == "transient",
-        );
-        assert_eq!(out, Ok(7));
-        assert_eq!(calls, 3);
-
-        // Permanent errors are not retried.
-        let mut calls = 0;
-        let out: Result<u32, &str> = policy.run(
-            || {
-                calls += 1;
-                Err("permanent")
-            },
-            |e| *e == "transient",
-        );
-        assert_eq!(out, Err("permanent"));
-        assert_eq!(calls, 1);
-
-        // Attempts are bounded.
-        let mut calls = 0;
-        let out: Result<u32, &str> = policy.run(
-            || {
-                calls += 1;
-                Err("transient")
-            },
-            |e| *e == "transient",
-        );
-        assert_eq!(out, Err("transient"));
-        assert_eq!(calls, 3);
     }
 }

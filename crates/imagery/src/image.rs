@@ -101,12 +101,6 @@ impl Channel {
         &self.data
     }
 
-    /// Mutable access to the row-major buffer.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// One image row as a slice.
     #[inline]
     pub fn row(&self, y: usize) -> &[f32] {

@@ -63,18 +63,6 @@ pub fn color_shift(img: &Image, dr: f32, dg: f32, db: f32) -> Result<Image> {
     rgb.to_space(original_space)
 }
 
-/// Scales brightness by `gain` about zero and adjusts contrast by `contrast`
-/// about mid-gray, per channel, clamped to `[0, 1]`.
-pub fn brightness_contrast(img: &Image, gain: f32, contrast: f32) -> Result<Image> {
-    let original_space = img.space();
-    let mut rgb = img.to_space(ColorSpace::Rgb)?;
-    for c in 0..rgb.channel_count() {
-        rgb.channel_mut(c)
-            .map_in_place(|v| (((v * gain) - 0.5) * contrast + 0.5).clamp(0.0, 1.0));
-    }
-    rgb.to_space(original_space)
-}
-
 /// Floyd–Steinberg error-diffusion dithering to `levels` values per RGB
 /// channel (≥ 2) — the "dithering effects" perturbation. The output looks
 /// grainy up close but preserves local averages, which is exactly why
@@ -234,17 +222,6 @@ mod tests {
         let ycc = demo().to_space(ColorSpace::Ycc).unwrap();
         let shifted = color_shift(&ycc, 0.1, 0.0, 0.0).unwrap();
         assert_eq!(shifted.space(), ColorSpace::Ycc);
-    }
-
-    #[test]
-    fn brightness_contrast_identity() {
-        let img = demo();
-        let same = brightness_contrast(&img, 1.0, 1.0).unwrap();
-        for c in 0..3 {
-            for (a, b) in same.channel(c).as_slice().iter().zip(img.channel(c).as_slice()) {
-                assert!((a - b).abs() < 1e-5);
-            }
-        }
     }
 
     #[test]

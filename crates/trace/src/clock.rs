@@ -1,15 +1,15 @@
 //! Injectable time sources.
 //!
-//! Everything in the workspace that asks "what time is it?" or "wait a
-//! moment" goes through the [`Clock`] trait so tests can substitute a
-//! [`TestClock`] and become sleep-free and exact. Production code uses
-//! [`monotonic()`], a process-wide [`MonotonicClock`] anchored at first use.
+//! Everything in the workspace that asks "what time is it?" goes through
+//! the [`Clock`] trait so tests can substitute a [`TestClock`] and become
+//! sleep-free and exact. Production code uses [`monotonic()`], a
+//! process-wide [`MonotonicClock`] anchored at first use.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// A monotonic time source plus the ability to wait.
+/// A monotonic time source.
 ///
 /// `now_nanos` is nanoseconds since an arbitrary (per-clock) epoch; only
 /// differences are meaningful. Implementations must be monotone
@@ -17,10 +17,6 @@ use std::time::{Duration, Instant};
 pub trait Clock: Send + Sync + std::fmt::Debug {
     /// Nanoseconds since this clock's epoch.
     fn now_nanos(&self) -> u64;
-
-    /// Block the calling thread for `d` — or, for a deterministic clock,
-    /// advance time by `d` without blocking.
-    fn sleep(&self, d: Duration);
 }
 
 /// Shared handle to a clock; cheap to clone and store in request state.
@@ -41,10 +37,6 @@ impl Clock for MonotonicClock {
     fn now_nanos(&self) -> u64 {
         anchor().elapsed().as_nanos() as u64
     }
-
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
 }
 
 /// The process-wide shared real clock.
@@ -53,11 +45,9 @@ pub fn monotonic() -> SharedClock {
     Arc::clone(SHARED.get_or_init(|| Arc::new(MonotonicClock)))
 }
 
-/// A deterministic clock for tests: time moves only when the test says so.
-///
-/// `sleep` advances the clock instead of blocking, so code that waits out a
-/// backoff or polls a deadline runs in zero wall time while still observing
-/// the exact durations it asked for.
+/// A deterministic clock for tests: time moves only when the test says so,
+/// so code that polls a deadline runs in zero wall time while still
+/// observing the exact durations it asked for.
 #[derive(Debug, Default)]
 pub struct TestClock {
     nanos: AtomicU64,
@@ -85,10 +75,6 @@ impl Clock for TestClock {
     fn now_nanos(&self) -> u64 {
         self.nanos.load(Ordering::SeqCst)
     }
-
-    fn sleep(&self, d: Duration) {
-        self.advance(d);
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +95,7 @@ mod tests {
         assert_eq!(c.now_nanos(), 0);
         c.advance(Duration::from_millis(5));
         assert_eq!(c.now_nanos(), 5_000_000);
-        c.sleep(Duration::from_micros(3));
+        c.advance(Duration::from_micros(3));
         assert_eq!(c.elapsed(), Duration::from_micros(5003));
     }
 }

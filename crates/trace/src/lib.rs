@@ -4,8 +4,8 @@
 //!
 //! * [`Clock`] — an injectable monotonic time source with a real
 //!   implementation ([`MonotonicClock`], shared via [`monotonic()`]) and a
-//!   deterministic [`TestClock`] whose `sleep` advances time instead of
-//!   blocking, so deadline/latency/percentile tests run in zero wall time.
+//!   deterministic [`TestClock`] that moves only when a test advances it,
+//!   so deadline/latency/percentile tests run in zero wall time.
 //! * [`TraceContext`] / [`Span`] — per-request span trees with counters,
 //!   opened only by the orchestrating thread so the recorded tree is
 //!   bit-identical at every worker-thread count.

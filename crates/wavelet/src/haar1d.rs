@@ -109,13 +109,6 @@ pub fn denormalize(coeffs: &mut [f32]) {
     }
 }
 
-/// Convenience: forward transform followed by [`normalize`].
-pub fn forward_normalized(data: &[f32]) -> Result<Vec<f32>> {
-    let mut out = forward(data)?;
-    normalize(&mut out);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +123,8 @@ mod tests {
     #[test]
     fn paper_example_normalized() {
         // Paper §3.1: normalized transform is [4, 2, 0, 1/√2].
-        let out = forward_normalized(&[2.0, 2.0, 5.0, 7.0]).unwrap();
+        let mut out = forward(&[2.0, 2.0, 5.0, 7.0]).unwrap();
+        normalize(&mut out);
         assert_eq!(out[0], 4.0);
         assert_eq!(out[1], 2.0);
         assert_eq!(out[2], 0.0);

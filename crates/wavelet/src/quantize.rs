@@ -69,20 +69,6 @@ pub fn quantize(coeffs: &[f32], k: usize) -> QuantizedSignature {
     QuantizedSignature { positive, negative }
 }
 
-/// Zeroes all but the `k` largest-magnitude non-DC coefficients in place and
-/// returns how many were kept — dense truncation for reconstruction-error
-/// experiments.
-pub fn truncate_in_place(coeffs: &mut [f32], k: usize) -> usize {
-    let keep = top_k_indices(coeffs, k);
-    let keep_set: std::collections::HashSet<u32> = keep.iter().copied().collect();
-    for (i, c) in coeffs.iter_mut().enumerate().skip(1) {
-        if !keep_set.contains(&(i as u32)) {
-            *c = 0.0;
-        }
-    }
-    keep.len()
-}
-
 /// Lower edge of the value range the generic thermometer thresholds span.
 /// Region signature coefficients are window averages in `[0, 1]` (index 0 of
 /// each channel block) and level-normalized details centered on 0, so
@@ -333,22 +319,6 @@ mod tests {
     fn self_match_equals_len() {
         let q = quantize(&[0.0, 1.0, -2.0, 0.5, -0.1, 3.0], 4);
         assert_eq!(q.matches(&q), q.len());
-    }
-
-    #[test]
-    fn truncate_zeroes_the_rest() {
-        let mut coeffs = vec![7.0, 0.1, -5.0, 0.2, 3.0];
-        let kept = truncate_in_place(&mut coeffs, 2);
-        assert_eq!(kept, 2);
-        assert_eq!(coeffs, vec![7.0, 0.0, -5.0, 0.0, 3.0]);
-    }
-
-    #[test]
-    fn truncate_keeps_everything_when_k_large() {
-        let mut coeffs = vec![1.0, 2.0, 3.0];
-        let kept = truncate_in_place(&mut coeffs, 10);
-        assert_eq!(kept, 2);
-        assert_eq!(coeffs, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Request lifecycle integration tests: deadlines, cooperative
-//! cancellation, resource budgets, and transient-IO retry — the contract
+//! cancellation, resource budgets, and failed WAL appends — the contract
 //! that a WALRUS request can always be bounded in time and resources
 //! without ever corrupting the store.
 //!
@@ -9,8 +9,8 @@
 //!    returns a `Partial` best-so-far outcome — it never hangs and never
 //!    panics;
 //! 2. a cancelled batch ingest leaves the durable store (every shard's
-//!    snapshot + WAL) byte-for-byte identical, including under injected
-//!    transient write faults that exercise the append retry/backoff path.
+//!    snapshot + WAL) byte-for-byte identical; so does an append that fails
+//!    under an injected transient write fault.
 //!
 //! Every test that runs the engine does so at each worker-thread count of
 //! the matrix, and the store-level ones at each shard count too.
@@ -18,10 +18,10 @@
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use walrus_core::storage::{Fault, FaultIo, FaultKind, RetryIo};
+use walrus_core::storage::{Fault, FaultIo, FaultKind};
 use walrus_core::{
     CancelToken, Deadline, DurableDatabase, Guard, ImageDatabase, Interrupt, ResultStatus,
-    RetryPolicy, ShardedStore, TestClock, WalrusError, WalrusParams,
+    ShardedStore, TestClock, WalrusError, WalrusParams,
 };
 use walrus_imagery::{ColorSpace, Image};
 use walrus_integration_tests::{threads_by_shards, THREAD_COUNTS};
@@ -57,10 +57,6 @@ fn tile(seed: usize) -> Image {
         _ => 0.1 + hue / 2.0,
     })
     .unwrap()
-}
-
-fn zero_delay_retry(max_attempts: u32) -> RetryPolicy {
-    RetryPolicy { max_attempts, base_delay: Duration::ZERO, max_delay: Duration::ZERO }
 }
 
 /// The one real-clock smoke in this suite: everything else that involves
@@ -138,32 +134,6 @@ fn expired_test_clock_deadline_degrades_to_partial_without_sleeping() {
         assert_eq!(full.status, ResultStatus::Complete, "threads {threads}");
         assert!(!full.matches.is_empty());
     }
-}
-
-#[test]
-fn retry_backoff_follows_the_exact_schedule_on_a_test_clock() {
-    // With the sleeps taken on a TestClock the *exact* exponential backoff
-    // schedule is observable — something the zero-delay policies used by
-    // the fault tests deliberately erase.
-    let clock = TestClock::new();
-    let policy = RetryPolicy {
-        max_attempts: 4,
-        base_delay: Duration::from_millis(10),
-        max_delay: Duration::from_millis(25),
-    };
-    let mut calls = 0;
-    let out: Result<(), &str> = policy.run_on(
-        clock.as_ref(),
-        || {
-            calls += 1;
-            Err("transient")
-        },
-        |_| true,
-    );
-    assert_eq!(out, Err("transient"));
-    assert_eq!(calls, 4);
-    // Backoffs between the 4 attempts: 10 ms, 20 ms, 25 ms (clamped).
-    assert_eq!(clock.elapsed(), Duration::from_millis(55));
 }
 
 #[test]
@@ -305,75 +275,37 @@ fn cancelled_shared_batch_ingest_is_all_or_nothing() {
 }
 
 #[test]
-fn transient_append_fault_is_retried_with_tail_repair() {
-    for threads in THREAD_COUNTS {
-        let io = Arc::new(FaultIo::new());
-        let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params(threads)).unwrap();
-        store.set_retry_policy(zero_delay_retry(3));
-
-        // Fail the very next IO op — the WAL append of the insert below. The
-        // retry loop truncates the (unchanged) tail and re-appends.
-        io.arm_fault(Fault { at_op: io.op_count(), kind: FaultKind::Transient });
-        store.insert_image("a", &tile(2)).unwrap();
-        assert!(!store.is_poisoned());
-        assert_eq!(store.len(), 1);
-
-        // And the committed record replays on reopen: retry composes with
-        // recovery.
-        drop(store);
-        let (store, report) = DurableDatabase::open_with(io, "db", params(threads)).unwrap();
-        assert_eq!(report.records_replayed, 1);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.db().image(0).unwrap().name, "a");
-    }
-}
-
-#[test]
 fn transient_append_faults_exhaust_cleanly_without_poisoning() {
     for threads in THREAD_COUNTS {
         let io = Arc::new(FaultIo::new());
         let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params(threads)).unwrap();
-        store.set_retry_policy(zero_delay_retry(2));
         store.insert_image("a", &tile(2)).unwrap();
         let wal_before = io.file_bytes(Path::new("db/wal.log")).unwrap();
 
-        // Per attempt the append path runs: append (fails), truncate, fsync —
-        // so with 2 attempts the appends land at offsets +0 and +3.
-        let base = io.op_count();
-        io.arm_fault(Fault { at_op: base, kind: FaultKind::Transient });
-        io.arm_fault(Fault { at_op: base + 3, kind: FaultKind::Transient });
+        // Fail the very next op: the WAL append of the insert below. The
+        // append path then cuts the tail back (truncate + fsync).
+        io.arm_fault(Fault { at_op: io.op_count(), kind: FaultKind::Transient });
         match store.insert_image("b", &tile(3)) {
             Err(WalrusError::Io { context, source }) => {
                 assert!(context.contains("wal.log"), "context should name the file: {context}");
-                assert!(walrus_core::storage::is_transient(&source));
+                assert_eq!(source.kind(), std::io::ErrorKind::Interrupted);
             }
             other => panic!("expected Io error, got {other:?}"),
         }
-        // The tail was repaired on every attempt: not poisoned, WAL unchanged,
-        // and the store keeps accepting writes.
+        // The tail was restored: not poisoned, WAL unchanged, and the store
+        // keeps accepting writes.
         assert!(!store.is_poisoned());
         assert_eq!(io.file_bytes(Path::new("db/wal.log")).unwrap(), wal_before);
         assert_eq!(store.len(), 1);
         store.insert_image("b", &tile(3)).unwrap();
         assert_eq!(store.len(), 2);
-    }
-}
 
-#[test]
-fn retry_io_absorbs_transient_faults_during_recovery() {
-    for threads in THREAD_COUNTS {
-        let io = Arc::new(FaultIo::new());
-        let (mut store, _) = DurableDatabase::open_with(io.clone(), "db", params(threads)).unwrap();
-        store.insert_image("a", &tile(4)).unwrap();
+        // The log the failure left behind replays cleanly on reopen.
         drop(store);
-
-        // Reopen through RetryIo with a transient fault armed on the first op
-        // (the directory create): recovery retries and succeeds.
-        let retry = Arc::new(RetryIo::new(io.clone(), zero_delay_retry(3)));
-        io.arm_fault(Fault { at_op: io.op_count(), kind: FaultKind::Transient });
-        let (store, report) = DurableDatabase::open_with(retry, "db", params(threads)).unwrap();
-        assert_eq!(report.records_replayed, 1);
-        assert_eq!(store.len(), 1);
+        let (store, report) = DurableDatabase::open_with(io, "db", params(threads)).unwrap();
+        assert_eq!(report.records_replayed, 2);
+        assert!(!report.torn_tail_truncated);
+        assert_eq!(store.db().image(1).unwrap().name, "b");
     }
 }
 

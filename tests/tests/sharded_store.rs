@@ -385,7 +385,7 @@ fn batch_ingest_matches_serial_bytes_at(
 /// What a storage failure in the middle of a batch leaves behind (the
 /// contract documented on the store's commit body). Ids 0..8 over two shards
 /// route `[1, 1, 0, 1, 0, 0, 0, 1]`; shard 1's WAL refuses the append of its
-/// third record (id 3) on every retry, with the filesystem otherwise healthy.
+/// third record (id 3) once, with the filesystem otherwise healthy.
 #[test]
 fn mid_batch_failure_commits_a_per_shard_prefix_and_never_reuses_an_id() {
     const VICTIM: usize = 1;
@@ -406,19 +406,16 @@ fn mid_batch_failure_commits_a_per_shard_prefix_and_never_reuses_an_id() {
     let io = Arc::new(FaultIo::new());
     let (store, _) = ShardedStore::open_with(io.clone(), "db", params, 2).unwrap();
     // A committed record is an append and an fsync, so the victim's third
-    // append is operation 4 on its log; each failed attempt is followed by
-    // the truncate + fsync that restore the committed tail. All four
-    // attempts of the default retry policy fail.
+    // append is operation 4 on its log; the failed append is followed by
+    // the truncate + fsync that restore the committed tail.
     let victim_wal = shard_prefix("db", VICTIM).join(WAL_FILE);
-    for at_op in [4, 7, 10, 13] {
-        io.arm_fault_at_path(&victim_wal, Fault { at_op, kind: FaultKind::Transient });
-    }
+    io.arm_fault_at_path(&victim_wal, Fault { at_op: 4, kind: FaultKind::Transient });
     let err = store.insert_images_batch_guarded(&items, &Guard::none()).unwrap_err();
     assert!(
         matches!(&err, WalrusError::Io { context, .. } if context.contains("shard-001")),
         "expected the failed append on the victim's log, got {err}"
     );
-    assert_eq!(io.op_count_at_path(&victim_wal), 16, "the retry loop ran to exhaustion");
+    assert_eq!(io.op_count_at_path(&victim_wal), 7, "one attempt, then the tail restored");
     assert!(!io.is_halted(), "a transient fault leaves the filesystem up");
     io.clear_path_faults();
 
