@@ -30,7 +30,7 @@
 //! <dir>/snapshot.walrus.tmp   transient; left only by a crash mid-checkpoint
 //! ```
 
-use crate::database::{ImageDatabase, IndexedImage};
+use crate::database::ImageDatabase;
 use crate::params::WalrusParams;
 use crate::persist;
 use crate::region::Region;
@@ -78,6 +78,8 @@ pub struct DurableDatabase {
     records_since_checkpoint: usize,
     /// LSN of the last removal committed since this open (0 = none).
     last_removal_lsn: u64,
+    /// Index repacks that applied operations ran since this open.
+    repacks: u64,
     /// Set when a failed append could not be rolled back: the on-disk WAL
     /// tail is in an unknown state, so further writes are refused until
     /// the store is reopened (which re-establishes a clean tail).
@@ -128,6 +130,7 @@ impl DurableDatabase {
             wal_len: 0,
             records_since_checkpoint: 0,
             last_removal_lsn: 0,
+            repacks: 0,
             poisoned: false,
         };
 
@@ -176,13 +179,14 @@ impl DurableDatabase {
         Ok((store, report))
     }
 
-    /// Applies an operation the log now holds: to the image table, then to
-    /// the live index.
+    /// Applies an operation the log now holds to the image table, then
+    /// repacks the index if that made it due.
     fn replay(&mut self, op: WalOp) -> Result<()> {
-        match apply_to_table(&mut self.db, op)? {
-            Applied::Inserted(id) => self.db.index_image(id),
-            Applied::Removed(img) => self.db.unindex_image(&img),
+        apply_to_table(&mut self.db, op)?;
+        if self.db.repack_if_due()? {
+            self.repacks += 1;
         }
+        Ok(())
     }
 
     fn poisoned_error(&self) -> WalrusError {
@@ -355,6 +359,12 @@ impl DurableDatabase {
         self.records_since_checkpoint
     }
 
+    /// Index repacks run by the operations applied since this open (the
+    /// open's own pack is not one): an apply repacked when this moved.
+    pub fn repacks(&self) -> u64 {
+        self.repacks
+    }
+
     /// True when a failed append has frozen writes (reopen to recover).
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
@@ -371,17 +381,11 @@ impl DurableDatabase {
     }
 }
 
-/// What [`apply_to_table`] changed, for a live index to follow.
-enum Applied {
-    Inserted(usize),
-    Removed(IndexedImage),
-}
-
 /// Applies one logged operation to `db`'s image table, checking it against
-/// the table the way every replay must; the index is not touched. Open
+/// the table the way every replay must; the index is not repacked. Open
 /// replays the whole log through this and packs the index once at the end;
-/// a live operation follows it with the matching index update.
-fn apply_to_table(db: &mut ImageDatabase, op: WalOp) -> Result<Applied> {
+/// a live operation follows it with [`ImageDatabase::repack_if_due`].
+fn apply_to_table(db: &mut ImageDatabase, op: WalOp) -> Result<()> {
     match op {
         WalOp::Insert { expected_id, name, width, height, regions } => {
             let len = db.image_slots().len();
@@ -404,9 +408,9 @@ fn apply_to_table(db: &mut ImageDatabase, op: WalOp) -> Result<Applied> {
                     "wal replay: image got id {got}, log expected {expected_id}"
                 )));
             }
-            Ok(Applied::Inserted(got))
+            Ok(())
         }
-        WalOp::Remove { id } => db.take_image(id).map(Applied::Removed).map_err(|e| {
+        WalOp::Remove { id } => db.take_image(id).map_err(|e| {
             WalrusError::Corrupt(format!("wal replay: remove failed: {e}"))
         }),
     }

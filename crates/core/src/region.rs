@@ -65,8 +65,7 @@ impl Region {
         }
     }
 
-    /// [`Region::index_corners`] as the rectangle a one-at-a-time index
-    /// insert takes.
+    /// [`Region::index_corners`] as a rectangle.
     pub fn index_rect(&self, kind: SignatureKind) -> Rect {
         let (lo, hi) = self.index_corners(kind);
         Rect::new(lo.to_vec(), hi.to_vec())

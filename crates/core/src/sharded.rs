@@ -594,7 +594,8 @@ impl ShardedStore {
             .collect();
 
         // Per shard: the highest id it committed, and the WAL bytes it
-        // appended or its first failure tagged with the failing id.
+        // appended and the index repacks it ran, or its first failure
+        // tagged with the failing id.
         let shard_workers =
             walrus_parallel::resolve_threads(self.params.threads).min(groups.len().max(1));
         let results =
@@ -603,13 +604,13 @@ impl ShardedStore {
                 let mut failing = work[0].0;
                 let mut committed = None;
                 let appended = self.mutate_shard(&set, *shard, |db| {
-                    let wal_before = db.wal_len();
+                    let (wal_before, repacks_before) = (db.wal_len(), db.repacks());
                     for (id, name, width, height, regions) in work {
                         failing = id;
                         db.insert_regions_at(id, name, width, height, regions)?;
                         committed = Some(id);
                     }
-                    Ok(db.wal_len() - wal_before)
+                    Ok((db.wal_len() - wal_before, db.repacks() - repacks_before))
                 });
                 (committed, appended.map_err(|e| (failing, e)))
             });
@@ -617,11 +618,11 @@ impl ShardedStore {
         if let Some(max_id) = results.iter().filter_map(|(committed, _)| *committed).max() {
             *next = max_id + 1;
         }
-        let mut bytes = 0;
+        let (mut bytes, mut repacks) = (0, 0);
         let mut failures = Vec::new();
         for (_, appended) in results {
             match appended {
-                Ok(n) => bytes += n,
+                Ok((n, r)) => (bytes, repacks) = (bytes + n, repacks + r),
                 Err(tagged) => failures.push(tagged),
             }
         }
@@ -631,6 +632,7 @@ impl ShardedStore {
         if let Some(s) = &wal_span {
             s.add("records", count as u64);
             s.add("bytes", bytes);
+            s.add("repacks", repacks);
         }
         Ok((base..base + count).collect())
     }

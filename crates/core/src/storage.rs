@@ -222,12 +222,6 @@ impl FaultIo {
         self.state.lock().expect("poisoned").faults = fault.into_iter().collect();
     }
 
-    /// Adds a fault to the plan without clearing those already armed, so a
-    /// test can arm faults on several operations.
-    pub fn arm_fault(&self, fault: Fault) {
-        self.state.lock().expect("poisoned").faults.push(fault);
-    }
-
     /// Operations executed so far (including the faulted one).
     pub fn op_count(&self) -> usize {
         self.state.lock().expect("poisoned").ops
@@ -312,8 +306,9 @@ impl FaultIo {
     /// operation (0-based) whose path starts with `prefix`, counting only
     /// those operations. Multi-shard fault sweeps use this to hit exactly
     /// one shard's directory no matter how other shards' I/O interleaves.
-    /// Accumulates like [`FaultIo::arm_fault`]; cleared by
-    /// [`FaultIo::crash`] and [`FaultIo::clear_path_faults`].
+    /// Faults accumulate — each call adds one without clearing those already
+    /// armed, so a test can fail several operations in a row — until
+    /// [`FaultIo::crash`] or [`FaultIo::clear_path_faults`] clears them.
     pub fn arm_fault_at_path(&self, prefix: impl Into<PathBuf>, fault: Fault) {
         let mut st = self.state.lock().expect("poisoned");
         let prefix = prefix.into();
@@ -638,13 +633,16 @@ mod tests {
     }
 
     #[test]
-    fn arm_fault_accumulates_a_burst() {
+    fn arm_fault_at_path_accumulates_a_burst() {
         let fs = FaultIo::new();
-        fs.arm_fault(Fault { at_op: 0, kind: FaultKind::Transient });
-        fs.arm_fault(Fault { at_op: 1, kind: FaultKind::Transient });
+        fs.arm_fault_at_path("a", Fault { at_op: 0, kind: FaultKind::Transient });
+        fs.arm_fault_at_path("a", Fault { at_op: 1, kind: FaultKind::Transient });
+        // Operations on other paths do not count towards the prefix.
+        fs.write(p("b"), b"x").unwrap();
         assert!(fs.write(p("a"), b"x").is_err());
         assert!(fs.write(p("a"), b"x").is_err());
         fs.write(p("a"), b"x").unwrap();
+        assert_eq!(fs.op_count_at_path("a"), 3);
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //! * the only queries needed are "all rectangles intersecting an
 //!   ε-extended query rectangle" and "all points within L2 distance ε",
 //!   plus k-nearest-neighbors for ranked retrieval; all are provided;
-//! * insertions dominate (index build), so the R\* heuristics that matter —
+//! * the database builds its trees by variance-bisection packing
+//!   ([`bulk_load`]) and never edits them, so the R\* heuristics —
 //!   ChooseSubtree with minimum overlap enlargement at the leaf level,
 //!   forced reinsertion on first overflow, and the margin-then-overlap
-//!   split — are implemented faithfully.
+//!   split — serve dynamic use outside the engine; they are implemented
+//!   faithfully.
 //!
-//! Deletion is supported with the classic condense-and-reinsert strategy so
-//! a WALRUS database can remove images.
+//! Deletion is supported with the classic condense-and-reinsert strategy.
 //!
 //! [`rect`] holds the geometry; [`tree`] the index. Tests cross-check every
 //! query against linear scans.

@@ -284,7 +284,7 @@ fn transient_append_faults_exhaust_cleanly_without_poisoning() {
 
         // Fail the very next op: the WAL append of the insert below. The
         // append path then cuts the tail back (truncate + fsync).
-        io.arm_fault(Fault { at_op: io.op_count(), kind: FaultKind::Transient });
+        io.set_fault(Some(Fault { at_op: io.op_count(), kind: FaultKind::Transient }));
         match store.insert_image("b", &tile(3)) {
             Err(WalrusError::Io { context, source }) => {
                 assert!(context.contains("wal.log"), "context should name the file: {context}");

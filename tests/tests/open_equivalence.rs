@@ -1,17 +1,17 @@
-//! "Open ≡ live": the R\*-tree is derived state, so a store answers the same
-//! whether its trees grew by live inserts or were packed from the image
-//! table at open — for every way a store can be opened, and for every
-//! matching algorithm.
+//! "Open ≡ live": the index is derived state, so a store answers the same
+//! whether live edits left it a packed base plus an unpacked tail and dead
+//! entries, or it was packed from the image table at open — for every way a
+//! store can be opened, and for every matching algorithm.
 //!
-//! Two tests. The first takes the engine alone: the same regions indexed
-//! one at a time and packed by variance bisection give bit-identical
-//! [`QueryOutcome`]s under Quick, Greedy and Exact matching and both
-//! signature kinds (the tree's traversal order must not reach a score). The
-//! second is a model test over the durable stores: one seeded operation
-//! sequence against a never-closed store and against stores reopened from a
-//! WAL, a snapshot, a snapshot plus a WAL tail, a shard repair and a
-//! rebalance chain — which must agree on every query, then keep agreeing
-//! under further live edits of the packed trees. The model test runs at
+//! Two tests. The first takes the engine alone: the same regions held as a
+//! packed base with a tail and a dead entry, and packed whole by variance
+//! bisection, give bit-identical [`QueryOutcome`]s under Quick, Greedy and
+//! Exact matching and both signature kinds (the traversal order must not
+//! reach a score). The second is a model test over the durable stores: one
+//! seeded operation sequence against a never-closed store and against
+//! stores reopened from a WAL, a snapshot, a snapshot plus a WAL tail, a
+//! shard repair and a rebalance chain — which must agree on every query,
+//! then keep agreeing under further live edits. The model test runs at
 //! every `(threads, shards)` pair of the matrix.
 
 use std::path::{Path, PathBuf};
@@ -75,22 +75,34 @@ fn rankings_do_not_depend_on_tree_shape() {
                 .iter()
                 .map(|img| extract_regions(&img.image, &params).unwrap())
                 .collect();
-            let mut grown = ImageDatabase::new(params).unwrap();
-            for (img, regions) in data.images.iter().zip(&extracted) {
-                grown
-                    .insert_regions(&img.name, img.image.width(), img.image.height(), regions.clone())
-                    .unwrap();
+            // Live inserts, which repack at thresholds; then, on that table
+            // packed whole, the removal of its smallest image and one more
+            // insert: a packed base with dead entries plus an unpacked tail.
+            let (last, history) = data.images.split_last().unwrap();
+            let mut live = ImageDatabase::new(params).unwrap();
+            for (img, regions) in history.iter().zip(&extracted) {
+                let (width, height) = (img.image.width(), img.image.height());
+                live.insert_regions(&img.name, width, height, regions.clone()).unwrap();
             }
-            let packed = persist::load(&persist::save(&grown)).unwrap();
-            assert_eq!(packed.num_regions(), grown.num_regions());
+            let mut tail = persist::load(&persist::save(&live)).unwrap();
+            let smallest = (0..history.len()).min_by_key(|&id| extracted[id].len()).unwrap();
+            tail.remove_image(smallest).unwrap();
+            let (width, height) = (last.image.width(), last.image.height());
+            tail.insert_regions(&last.name, width, height, extracted[history.len()].clone())
+                .unwrap();
+            let (unpacked, dead) = tail.check_invariants();
+            assert!(unpacked > 0 && dead > 0, "{kind:?}: tail {unpacked}, dead {dead}");
+            let packed = persist::load(&persist::save(&tail)).unwrap();
+            assert_eq!(packed.check_invariants(), (0, 0));
+            assert_eq!(packed.num_regions(), tail.num_regions());
             let mut multi_pair_groups = 0;
             for (img, regions) in data.images.iter().zip(&extracted) {
-                let a = grown.query_regions(regions, img.image.area(), 0.0).unwrap();
+                let a = tail.query_regions(regions, img.image.area(), 0.0).unwrap();
                 let b = packed.query_regions(regions, img.image.area(), 0.0).unwrap();
                 assert_eq!(
                     fingerprint(&a),
                     fingerprint(&b),
-                    "{kind:?}/{matching:?}: query {} ranks differently on the packed tree",
+                    "{kind:?}/{matching:?}: query {} ranks differently on the packed index",
                     img.name
                 );
                 multi_pair_groups +=
@@ -175,13 +187,13 @@ fn shard_file(store: &ShardedStore, shard: usize, file: &str) -> PathBuf {
 
 /// Every shard directory of `store`, opened on its own from the same bytes:
 /// the packed tree of each must be well formed and hold exactly the shard's
-/// regions. (`pack_index` asserts as much in debug builds; this says it out
-/// loud, and in release runs too.)
+/// regions, with no unpacked tail and no dead entry. (`pack_index` asserts
+/// as much in debug builds; this says it out loud, and in release runs too.)
 fn check_shard_trees(io: &Arc<FaultIo>, params: WalrusParams, store: &ShardedStore) {
     for shard in 0..store.shard_count() {
         let dir = Path::new("store").join(shard_dir_name_at(store.epoch(), shard));
         let (db, _) = DurableDatabase::open_with(io.clone(), dir, params).unwrap();
-        db.db().check_invariants();
+        assert_eq!(db.db().check_invariants(), (0, 0));
     }
 }
 
@@ -211,8 +223,8 @@ fn reopened_stores_answer_like_the_never_closed_one_at(threads: usize, shards: u
     let (edits, _) = op_sequence(0xB0B, (ids_handed_out, n), ids_handed_out, survivors);
     let (first, second) = history.split_at(history.len() / 2);
 
-    // The oracle: trees grown by live inserts and removes, never packed
-    // (beyond a first batch), never closed.
+    // The oracle: indexes edited live only — packed bases, repacked at
+    // thresholds, with their tails and dead entries — never closed.
     let live_io = Arc::new(FaultIo::new());
     let live = open(&live_io, shards);
     apply(&live, &data, &history);
@@ -310,11 +322,11 @@ fn reopened_stores_answer_like_the_never_closed_one_at(threads: usize, shards: u
     }
     agree("as reopened");
 
-    // Live edits of the packed trees: the inserts land in full leaves
-    // (first-touch splits and forced reinserts), the removes condense them.
+    // Live edits of the packed indexes: the inserts start tails, the
+    // removes leave dead entries, and both repack at thresholds.
     apply(&live, &data, &edits);
     for (_, _, store) in &reopened {
         apply(store, &data, &edits);
     }
-    agree("after live edits of the packed trees");
+    agree("after live edits of the packed indexes");
 }
