@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks for the R\*-tree substrate: one-at-a-time
 //! insertion (what a live ingest pays), the variance-bisection pack (what an
-//! open pays), the ε-ball query WALRUS issues per query region — against a
-//! tree of each origin — and kNN, on the exact data shape WALRUS produces
+//! open pays), and the ε-ball query WALRUS issues per query region —
+//! against a tree of each origin — on the exact data shape WALRUS produces
 //! (12-dimensional signature points in [0,1]).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use walrus_rstar::{bulk_load, RStarParams, RStarTree, Rect};
+use walrus_rstar::{bulk_load, Probe, RStarParams, RStarTree, Rect};
 
 fn points(n: usize, dims: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -32,6 +32,12 @@ fn build(pts: &[Vec<f32>]) -> RStarTree<usize> {
         t.insert(Rect::point(p).unwrap(), i).unwrap();
     }
     t
+}
+
+/// Hits of the engine's per-region probe: an ε = 0.085 ball, unfiltered.
+fn probe(tree: &RStarTree<usize>, q: &[f32]) -> usize {
+    let ball = Probe::within(q, 0.085).unwrap();
+    tree.search_filtered_stats(&ball, |_| true).unwrap().0.len()
 }
 
 fn pack(pts: &[Vec<f32>]) -> RStarTree<usize> {
@@ -62,7 +68,7 @@ fn bench_queries(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for q in &queries {
-                total += tree.search_within(q, 0.085).unwrap().len();
+                total += probe(&tree, q);
             }
             total
         })
@@ -79,21 +85,12 @@ fn bench_queries(c: &mut Criterion) {
             b.iter(|| {
                 let mut total = 0usize;
                 for q in &near {
-                    total += tree.search_within(q, 0.085).unwrap().len();
+                    total += probe(&tree, q);
                 }
                 total
             })
         });
     }
-    group.bench_function("nearest_10", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for q in &queries {
-                total += tree.nearest_k(q, 10).unwrap().len();
-            }
-            total
-        })
-    });
     group.finish();
 }
 

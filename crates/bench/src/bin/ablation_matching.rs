@@ -15,14 +15,16 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use walrus_baselines::eval::precision_at_k;
 use walrus_bench::report::{f3, Table};
 use walrus_bench::workloads::{
-    build_walrus_db, flower_query, id_of_name, precision_at, retrieval_dataset, retrieval_params,
+    build_walrus_db, flower_query, id_of_name, retrieval_dataset, retrieval_params,
 };
 use walrus_bench::{scale, time};
 use walrus_core::bitmap::RegionBitmap;
 use walrus_core::matching::{score_exact, score_greedy, MatchPair};
 use walrus_core::{MatchingKind, Region, SimilarityKind};
+use walrus_imagery::synth::ImageClass;
 
 fn main() {
     end_to_end();
@@ -31,6 +33,7 @@ fn main() {
 
 fn end_to_end() {
     let dataset = retrieval_dataset(scale());
+    let is_flower = |id: usize| dataset.images[id].class == ImageClass::Flowers;
     let query = flower_query();
     println!(
         "Ablation A2 (part 1): matching algorithm end-to-end\n\
@@ -55,7 +58,7 @@ fn end_to_end() {
         table.row(&[
             label.to_string(),
             f3(top.first().map_or(0.0, |t| t.similarity)),
-            f3(precision_at(&dataset, &ids, 14)),
+            f3(precision_at_k(&ids, is_flower, 14)),
             f3(secs),
         ]);
     }

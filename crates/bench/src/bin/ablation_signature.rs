@@ -9,15 +9,18 @@
 //!
 //! Run: `cargo run --release -p walrus-bench --bin ablation_signature`
 
+use walrus_baselines::eval::precision_at_k;
 use walrus_bench::report::{f3, Table};
 use walrus_bench::workloads::{
-    build_walrus_db, flower_query, id_of_name, precision_at, retrieval_dataset, retrieval_params,
+    build_walrus_db, flower_query, id_of_name, retrieval_dataset, retrieval_params,
 };
 use walrus_bench::{scale, time};
 use walrus_core::SignatureKind;
+use walrus_imagery::synth::ImageClass;
 
 fn main() {
     let dataset = retrieval_dataset(scale());
+    let is_flower = |id: usize| dataset.images[id].class == ImageClass::Flowers;
     let query = flower_query();
     println!(
         "Ablation A1: centroid vs bounding-box region signatures\n\
@@ -45,7 +48,7 @@ fn main() {
             label.to_string(),
             f3(outcome.stats.avg_regions_per_query_region),
             outcome.stats.distinct_images.to_string(),
-            f3(precision_at(&dataset, &ids, 14)),
+            f3(precision_at_k(&ids, is_flower, 14)),
             f3(secs),
         ]);
     }

@@ -8,16 +8,19 @@
 //!
 //! Run: `cargo run --release -p walrus-bench --bin ablation_windows`
 
+use walrus_baselines::eval::precision_at_k;
 use walrus_bench::report::{f3, Table};
 use walrus_bench::workloads::{
-    build_walrus_db, flower_query, id_of_name, precision_at, retrieval_dataset, retrieval_params,
+    build_walrus_db, flower_query, id_of_name, retrieval_dataset, retrieval_params,
 };
 use walrus_bench::{scale, time};
 use walrus_core::extract_regions;
 use walrus_wavelet::SlidingParams;
+use walrus_imagery::synth::ImageClass;
 
 fn main() {
     let dataset = retrieval_dataset(scale());
+    let is_flower = |id: usize| dataset.images[id].class == ImageClass::Flowers;
     let query = flower_query();
     println!(
         "Ablation A4: window stride and size-range sweeps\n\
@@ -52,7 +55,7 @@ fn main() {
             windows.to_string(),
             regions.len().to_string(),
             f3(extract_s),
-            f3(precision_at(&dataset, &ids, 14)),
+            f3(precision_at_k(&ids, is_flower, 14)),
         ]);
     }
     table.print();

@@ -15,17 +15,20 @@
 //!
 //! Run: `cargo run --release -p walrus-bench --bin fig7_8`
 
+use walrus_baselines::eval::precision_at_k;
 use walrus_baselines::{FmiqRetriever, HistogramRetriever, Retriever, WbiisRetriever};
 use walrus_bench::report::{f3, Table};
 use walrus_bench::workloads::{
-    build_walrus_db, flower_query, id_of_name, precision_at, retrieval_dataset, retrieval_params,
+    build_walrus_db, flower_query, id_of_name, retrieval_dataset, retrieval_params,
 };
 use walrus_bench::scale;
+use walrus_imagery::synth::ImageClass;
 
 const K: usize = 14;
 
 fn main() {
     let dataset = retrieval_dataset(scale());
+    let is_flower = |id: usize| dataset.images[id].class == ImageClass::Flowers;
     let query = flower_query();
     println!(
         "Figures 7 & 8: top-{K} retrieval quality on {} labeled synthetic images\n\
@@ -71,7 +74,7 @@ fn main() {
     let mut walrus_p = 0.0;
     let mut wbiis_p = 0.0;
     for (name, ids) in &systems {
-        let p = precision_at(&dataset, ids, K);
+        let p = precision_at_k(ids, is_flower, K);
         if name == "WALRUS" {
             walrus_p = p;
         }

@@ -83,19 +83,6 @@ pub fn flower_query() -> Image {
     query
 }
 
-/// Precision of a ranked id list against the flower class.
-pub fn precision_at(dataset: &SyntheticDataset, ids: &[usize], k: usize) -> f64 {
-    let k = k.min(ids.len());
-    if k == 0 {
-        return 0.0;
-    }
-    let hits = ids[..k]
-        .iter()
-        .filter(|&&id| dataset.images[id].class == ImageClass::Flowers)
-        .count();
-    hits as f64 / k as f64
-}
-
 /// Resolves a database/baseline result name (`flowers_0003`) back to the
 /// dataset id. Harness results carry names; the dataset is the ground
 /// truth.
@@ -126,18 +113,6 @@ mod tests {
     #[test]
     fn retrieval_params_validate() {
         retrieval_params().validate().unwrap();
-    }
-
-    #[test]
-    fn precision_math() {
-        let d = retrieval_dataset(Scale::Quick);
-        let flower_ids: Vec<usize> =
-            d.of_class(ImageClass::Flowers).map(|i| i.id).collect();
-        assert_eq!(precision_at(&d, &flower_ids, 8), 1.0);
-        let brick_ids: Vec<usize> =
-            d.of_class(ImageClass::BrickWall).map(|i| i.id).collect();
-        assert_eq!(precision_at(&d, &brick_ids, 8), 0.0);
-        assert_eq!(precision_at(&d, &[], 5), 0.0);
     }
 
     #[test]

@@ -73,7 +73,6 @@ pub mod matching;
 pub mod params;
 pub mod persist;
 pub mod recovery;
-pub mod refine;
 pub mod region;
 pub mod scene_query;
 pub mod sharded;

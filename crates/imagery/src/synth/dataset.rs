@@ -164,16 +164,6 @@ impl SyntheticDataset {
     pub fn of_class(&self, class: ImageClass) -> impl Iterator<Item = &LabeledImage> {
         self.images.iter().filter(move |img| img.class == class)
     }
-
-    /// Precision of a ranked result list against a ground-truth class: the
-    /// fraction of `result_ids` whose class equals `class`.
-    pub fn precision(&self, result_ids: &[usize], class: ImageClass) -> f32 {
-        if result_ids.is_empty() {
-            return 0.0;
-        }
-        let hits = result_ids.iter().filter(|&&id| self.images[id].class == class).count();
-        hits as f32 / result_ids.len() as f32
-    }
 }
 
 /// Builds a random scene of the given class.
@@ -424,18 +414,6 @@ mod tests {
             assert!(g_mean > 0.15, "{}: green too weak ({g_mean})", img.name);
             assert!(r_mean > 0.1, "{}: red too weak ({r_mean})", img.name);
         }
-    }
-
-    #[test]
-    fn precision_metric() {
-        let d = SyntheticDataset::generate(small_spec()).unwrap();
-        let flower_ids: Vec<usize> = d.of_class(ImageClass::Flowers).map(|i| i.id).collect();
-        assert_eq!(d.precision(&flower_ids, ImageClass::Flowers), 1.0);
-        let brick_ids: Vec<usize> = d.of_class(ImageClass::BrickWall).map(|i| i.id).collect();
-        assert_eq!(d.precision(&brick_ids, ImageClass::Flowers), 0.0);
-        let mixed: Vec<usize> = flower_ids.iter().chain(&brick_ids).copied().collect();
-        assert!((d.precision(&mixed, ImageClass::Flowers) - 0.5).abs() < 1e-6);
-        assert_eq!(d.precision(&[], ImageClass::Flowers), 0.0);
     }
 
     #[test]

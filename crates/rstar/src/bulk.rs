@@ -144,6 +144,7 @@ fn widest(centres: &[f32], dims: usize, run: &[u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::Probe;
 
     fn pts(n: usize, dims: usize) -> Vec<Vec<f32>> {
         let mut state = 0x1234_5678u64;
@@ -158,6 +159,14 @@ mod tests {
     fn load(dims: usize, points: &[Vec<f32>]) -> Result<RStarTree<usize>> {
         let corner = |i: usize| (points[i].as_slice(), points[i].as_slice());
         bulk_load(dims, RStarParams::default(), points.len(), corner, |i| i)
+    }
+
+    /// The hits of `probe`, unfiltered, sorted.
+    fn hits(tree: &RStarTree<usize>, probe: &Probe) -> Vec<usize> {
+        let mut ids: Vec<usize> =
+            tree.search_filtered_stats(probe, |_| true).unwrap().0.into_iter().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     fn incremental(dims: usize, points: &[Vec<f32>]) -> RStarTree<usize> {
@@ -203,7 +212,8 @@ mod tests {
         let tree = load(12, &points).unwrap();
         let (mut nodes, mut exact) = (0, 0);
         for q in points.iter().step_by(60) {
-            let (_, stats) = tree.search_within_stats(q, 0.085).unwrap();
+            let (_, stats) =
+                tree.search_filtered_stats(&Probe::within(q, 0.085).unwrap(), |_| true).unwrap();
             nodes += stats.nodes_visited;
             exact += stats.exact_tested;
         }
@@ -236,25 +246,21 @@ mod tests {
         let packed = load(3, &entries).unwrap();
         let incremental = incremental(3, &entries);
         for q in pts(20, 3) {
-            let mut a: Vec<usize> =
-                packed.search_within(&q, 0.15).unwrap().into_iter().copied().collect();
-            let mut b: Vec<usize> =
-                incremental.search_within(&q, 0.15).unwrap().into_iter().copied().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            let probe = Probe::within(&q, 0.15).unwrap();
+            assert_eq!(hits(&packed, &probe), hits(&incremental, &probe));
         }
     }
 
     #[test]
     fn high_dimensional_bulk_load() {
         // WALRUS's 12-d signature points.
-        let tree = load(12, &pts(2000, 12)).unwrap();
+        let points = pts(2000, 12);
+        let tree = load(12, &points).unwrap();
         assert_eq!(tree.len(), 2000);
         tree.check_invariants();
-        let q = vec![0.5f32; 12];
-        let nearest = tree.nearest_k(&q, 5).unwrap();
-        assert_eq!(nearest.len(), 5);
+        for i in [0, 999, 1999] {
+            assert!(hits(&tree, &Probe::within(&points[i], 0.0).unwrap()).contains(&i));
+        }
     }
 
     #[test]
@@ -266,12 +272,10 @@ mod tests {
     #[test]
     fn mutations_after_bulk_load_work() {
         let mut tree = load(2, &pts(300, 2)).unwrap();
-        let extra = Rect::point(&[0.123, 0.456]).unwrap();
-        tree.insert(extra.clone(), 9999).unwrap();
+        tree.insert(Rect::point(&[0.123, 0.456]).unwrap(), 9999).unwrap();
         assert_eq!(tree.len(), 301);
-        assert!(tree.remove(&extra, &9999).unwrap());
-        assert_eq!(tree.len(), 300);
         tree.check_invariants();
+        assert!(hits(&tree, &Probe::within(&[0.123, 0.456], 0.0).unwrap()).contains(&9999));
     }
 
     #[test]
@@ -287,11 +291,8 @@ mod tests {
         assert_eq!(tree.len(), 200);
         tree.check_invariants();
         let probe = Rect::new(vec![0.52, 0.0], vec![0.53, 1.0]).unwrap();
-        let mut hits: Vec<usize> =
-            tree.search_intersecting(&probe).unwrap().into_iter().copied().collect();
-        hits.sort_unstable();
         let want: Vec<usize> = (0..200).filter(|i| [9, 10].contains(&(i % 20))).collect();
-        assert_eq!(hits, want);
+        assert_eq!(hits(&tree, &Probe::intersecting(probe)), want);
     }
 
     /// Packs 2-d points — `n` good ones, with `bad` in the middle.

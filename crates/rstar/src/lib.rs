@@ -1,9 +1,8 @@
 //! # walrus-rstar
 //!
-//! A from-scratch, in-memory **R\*-tree** (Beckmann, Kriegel, Schneider,
-//! Seeger; SIGMOD 1990) over dynamic-dimension `f32` rectangles — the
-//! spatial index WALRUS uses to store region signatures (paper §5.3–5.4; the
-//! original used the libgist R-tree).
+//! A from-scratch, in-memory R-tree over dynamic-dimension `f32`
+//! rectangles — the spatial index WALRUS uses to store region signatures
+//! (paper §5.3–5.4; the original used the libgist R-tree).
 //!
 //! WALRUS's usage pattern shapes the design:
 //!
@@ -12,37 +11,34 @@
 //!   dimensionality at *runtime*; nodes live in an arena, each owning a
 //!   fixed run of one coordinate slab and one value/child-id slab, so a
 //!   probe reads an entry's rectangle beside its neighbours';
-//! * the only queries needed are "all rectangles intersecting an
-//!   ε-extended query rectangle" and "all points within L2 distance ε",
-//!   plus k-nearest-neighbors for ranked retrieval; all are provided;
+//! * the only query the paper needs is "every database region within ε of
+//!   a query region". A [`Probe`] states it — an ε-ball around a point
+//!   ([`Probe::within`]) or an ε-extended box ([`Probe::intersecting`]) —
+//!   and [`RStarTree::search_filtered_stats`] answers it;
 //! * the database builds its trees by variance-bisection packing
-//!   ([`bulk_load`]) and never edits them, so the R\* heuristics —
-//!   ChooseSubtree with minimum overlap enlargement at the leaf level,
-//!   forced reinsertion on first overflow, and the margin-then-overlap
-//!   split — serve dynamic use outside the engine; they are implemented
-//!   faithfully.
-//!
-//! Deletion is supported with the classic condense-and-reinsert strategy.
+//!   ([`bulk_load`]) and never edits them: it repacks instead. The R\*
+//!   insertion heuristics — ChooseSubtree with minimum overlap enlargement
+//!   at the leaf level, forced reinsertion on first overflow, and the
+//!   margin-then-overlap split — serve dynamic use outside the engine; they
+//!   are implemented faithfully. Nothing is ever deleted from a tree.
 //!
 //! [`rect`] holds the geometry; [`tree`] the index. Tests cross-check every
-//! query against linear scans.
+//! search against linear scans.
 //!
 //! ## Example
 //!
 //! ```
-//! use walrus_rstar::{RStarTree, Rect};
+//! use walrus_rstar::{bulk_load, Probe, RStarParams};
 //!
-//! let mut tree = RStarTree::with_dims(2)?;
-//! for i in 0..100 {
-//!     let p = [(i % 10) as f32, (i / 10) as f32];
-//!     tree.insert(Rect::point(&p)?, i)?;
-//! }
+//! let points: Vec<[f32; 2]> = (0..100).map(|i| [(i % 10) as f32, (i / 10) as f32]).collect();
+//! let corners = |i: usize| (&points[i][..], &points[i][..]);
+//! let tree = bulk_load(2, RStarParams::default(), points.len(), corners, |i| i)?;
 //! // ε-ball query around (4.5, 4.5).
-//! let hits = tree.search_within(&[4.5, 4.5], 0.8)?;
-//! assert_eq!(hits.len(), 4); // the four surrounding grid points
-//! // Nearest neighbour.
-//! let nearest = tree.nearest_k(&[0.2, 0.1], 1)?;
-//! assert_eq!(*nearest[0].0, 0);
+//! let (hits, stats) = tree.search_filtered_stats(&Probe::within(&[4.5, 4.5], 0.8)?, |_| true)?;
+//! let mut ids: Vec<usize> = hits.into_iter().copied().collect();
+//! ids.sort_unstable();
+//! assert_eq!(ids, [44, 45, 54, 55]); // the four surrounding grid points
+//! assert!(stats.nodes_visited >= 2);
 //! # Ok::<(), walrus_rstar::RStarError>(())
 //! ```
 

@@ -62,16 +62,12 @@ impl Rect {
         self.coords
     }
 
-    /// Hyper-volume (product of extents).
-    pub fn area(&self) -> f64 {
-        area(&self.coords)
-    }
-
     /// True when `self` and `other` intersect (closed boxes: touching
-    /// counts).
+    /// counts) — the overlap test a [`crate::Probe::intersecting`] search
+    /// answers, one pair at a time.
     pub fn intersects(&self, other: &Rect) -> bool {
         debug_assert_eq!(self.dims(), other.dims());
-        intersects(&self.coords, &other.coords)
+        intersects_corners(self.min(), self.max(), other.min(), other.max())
     }
 
     /// Rectangle extended by `eps` on every side — the paper's "bounding
@@ -82,10 +78,11 @@ impl Rect {
     }
 
     /// Squared minimum L2 distance from `point` to this rectangle (0 when
-    /// the point is inside) — the kNN priority metric.
+    /// the point is inside) — what a [`crate::Probe::within`] search
+    /// compares with ε², one entry at a time.
     pub fn min_dist_sq(&self, point: &[f32]) -> f64 {
         debug_assert_eq!(self.dims(), point.len());
-        min_dist_sq(&self.coords, point)
+        min_dist_sq_corners(self.min(), self.max(), point)
     }
 }
 
@@ -131,17 +128,10 @@ pub(crate) fn margin(r: &[f32]) -> f64 {
     lo.iter().zip(hi).map(|(&a, &b)| (b - a) as f64).sum()
 }
 
-/// True when `a` and `b` intersect (closed boxes: touching counts). Every
-/// dimension is tested, with no early exit: for the dozen dimensions of a
-/// signature the branch-free form vectorises, and a probe's exit dimension
-/// is not predictable.
-#[inline]
-pub(crate) fn intersects(a: &[f32], b: &[f32]) -> bool {
-    let ((alo, ahi), (blo, bhi)) = (corners(a), corners(b));
-    intersects_corners(alo, ahi, blo, bhi)
-}
-
-/// [`intersects`] over boxes given as separate lower and upper corners.
+/// True when the boxes `[alo, ahi]` and `[blo, bhi]` intersect (closed
+/// boxes: touching counts). Every dimension is tested, with no early exit:
+/// for the dozen dimensions of a signature the branch-free form vectorises,
+/// and a probe's exit dimension is not predictable.
 #[inline]
 pub(crate) fn intersects_corners(alo: &[f32], ahi: &[f32], blo: &[f32], bhi: &[f32]) -> bool {
     alo.iter()
@@ -218,17 +208,11 @@ pub(crate) fn union_into(acc: &mut [f32], other: &[f32]) {
     }
 }
 
-/// Squared minimum L2 distance from `point` to `r` (0 when inside). Per
-/// dimension the gap is `lo − p` left of the box, `p − hi` right of it and
-/// 0 inside; at most one of the two differences is positive, so the gap is
-/// their maximum clamped at 0, which needs no branch.
-#[inline]
-pub(crate) fn min_dist_sq(r: &[f32], point: &[f32]) -> f64 {
-    let (lo, hi) = corners(r);
-    min_dist_sq_corners(lo, hi, point)
-}
-
-/// [`min_dist_sq`] to a box given as separate lower and upper corners.
+/// Squared minimum L2 distance from `point` to the box `[lo, hi]` (0 when
+/// inside). Per dimension the gap is `lo − p` left of the box, `p − hi`
+/// right of it and 0 inside; at most one of the two differences is
+/// positive, so the gap is their maximum clamped at 0, which needs no
+/// branch.
 #[inline]
 pub(crate) fn min_dist_sq_corners(lo: &[f32], hi: &[f32], point: &[f32]) -> f64 {
     lo.iter()
@@ -284,7 +268,7 @@ mod tests {
     #[test]
     fn point_rect_has_zero_area_and_margin() {
         let p = Rect::point(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(p.area(), 0.0);
+        assert_eq!(area(p.flat()), 0.0);
         assert_eq!(margin(p.flat()), 0.0);
         assert_eq!(p.min(), p.max());
     }
@@ -292,7 +276,7 @@ mod tests {
     #[test]
     fn area_and_margin() {
         let b = r(&[0.0, 0.0, 0.0], &[2.0, 3.0, 4.0]);
-        assert_eq!(b.area(), 24.0);
+        assert_eq!(area(b.flat()), 24.0);
         assert_eq!(margin(b.flat()), 9.0);
     }
 
@@ -334,7 +318,7 @@ mod tests {
         union_into(&mut u, b.flat());
         assert_eq!(u, [0.0, 0.0, 3.0, 3.0]);
         assert_eq!(union_area(a.flat(), b.flat()), area(&u));
-        assert_eq!(union_area(a.flat(), r(&[0.2, 0.2], &[0.8, 0.8]).flat()), a.area());
+        assert_eq!(union_area(a.flat(), r(&[0.2, 0.2], &[0.8, 0.8]).flat()), area(a.flat()));
         // (a ∪ b) ∩ o computed on the fly equals the materialised form.
         let o = r(&[0.5, -1.0], &[2.5, 1.5]);
         assert_eq!(union_overlap_area(a.flat(), b.flat(), o.flat()), overlap_area(&u, o.flat()));
@@ -346,7 +330,7 @@ mod tests {
         let p = Rect::point(&[1.0, 1.0]).unwrap().extended(0.5);
         assert_eq!(p.min(), &[0.5, 0.5]);
         assert_eq!(p.max(), &[1.5, 1.5]);
-        assert_eq!(p.area(), 1.0);
+        assert_eq!(area(p.flat()), 1.0);
     }
 
     #[test]
@@ -372,7 +356,7 @@ mod tests {
         let min = vec![0.0f32; 12];
         let max = vec![0.01f32; 12];
         let b = Rect::new(min, max).unwrap();
-        assert!(b.area() > 0.0);
-        assert!((b.area() - 1e-24).abs() / 1e-24 < 1e-3);
+        assert!(area(b.flat()) > 0.0);
+        assert!((area(b.flat()) - 1e-24).abs() / 1e-24 < 1e-3);
     }
 }

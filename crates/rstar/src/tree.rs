@@ -14,8 +14,8 @@
 //!   `(m…M+1−m)` distributions of both sortings, then the distribution with
 //!   minimal overlap (ties: minimal combined area).
 //!
-//! Deletion condenses underflowing nodes by reinserting their entries, the
-//! classic R-tree strategy, so the tree stays height-balanced.
+//! Nothing is ever taken out of a tree: the engine rebuilds by packing
+//! ([`crate::bulk`]) instead of editing one.
 
 use crate::rect::{self, Rect};
 use crate::{RStarError, Result};
@@ -104,9 +104,8 @@ impl<V> Slot<V> {
     }
 }
 
-/// Leaf entries lifted out of the tree — a forced-reinsert set, or the
-/// contents of condensed subtrees — as one coordinate run and the values
-/// beside it.
+/// Leaf entries lifted out of the tree — a forced-reinsert set — as one
+/// coordinate run and the values beside it.
 #[derive(Debug)]
 struct Detached<V> {
     coords: Vec<f32>,
@@ -127,8 +126,8 @@ impl<V> Detached<V> {
 /// two parallel slabs — `coords`, `2·dims` floats per entry (lower corner
 /// then upper), and `slots`, the value or child id the entry points at.
 /// Live entries are packed at the front of the run in the node's entry
-/// order, so scanning a node is one slice walk. Dissolved nodes go on a free
-/// list and are handed out again before the slabs grow.
+/// order, so scanning a node is one slice walk. Nodes are only ever added,
+/// so every node in the arena is reachable from the root.
 #[derive(Debug, Clone)]
 pub struct RStarTree<V> {
     dims: usize,
@@ -138,7 +137,6 @@ pub struct RStarTree<V> {
     heads: Vec<NodeHead>,
     coords: Vec<f32>,
     slots: Vec<Slot<V>>,
-    free: Vec<u32>,
 }
 
 impl<V> RStarTree<V> {
@@ -163,11 +161,11 @@ impl<V> RStarTree<V> {
             heads: Vec::new(),
             coords: Vec::new(),
             slots: Vec::new(),
-            free: Vec::new(),
         }
     }
 
-    /// Creates an empty tree with default parameters.
+    /// Creates an empty tree with default parameters. Kept for
+    /// `bench/src/bin/layers.rs`, which grows its trees by [`Self::insert`].
     pub fn with_dims(dims: usize) -> Result<Self> {
         Self::new(dims, RStarParams::default())
     }
@@ -251,25 +249,13 @@ impl<V> RStarTree<V> {
         }
     }
 
-    /// Hands out an empty node: a recycled one if any, else a new run at the
-    /// end of both slabs.
+    /// Hands out an empty node: a new run at the end of both slabs.
     fn alloc(&mut self, leaf: bool) -> u32 {
-        let head = NodeHead { len: 0, leaf };
-        if let Some(node) = self.free.pop() {
-            self.heads[node as usize] = head;
-            return node;
-        }
         let node = u32::try_from(self.heads.len()).expect("node ids fit in u32");
-        self.heads.push(head);
+        self.heads.push(NodeHead { len: 0, leaf });
         self.coords.resize(self.coords.len() + self.stride(), 0.0);
         self.slots.resize_with(self.slots.len() + self.cap(), || Slot::Vacant);
         node
-    }
-
-    /// Puts an emptied node on the free list.
-    fn release(&mut self, node: u32) {
-        self.heads[node as usize].len = 0;
-        self.free.push(node);
     }
 
     /// Appends an entry, its rectangle given as lower and upper corner, to
@@ -333,17 +319,6 @@ impl<V> RStarTree<V> {
         taken
     }
 
-    /// Removes entry `i` of `node`, keeping the order of the rest.
-    fn remove_at(&mut self, node: u32, i: usize) -> Slot<V> {
-        let (n, w) = (self.count(node), self.width());
-        let base = node as usize * self.stride();
-        self.coords.copy_within(base + (i + 1) * w..base + n * w, base + i * w);
-        let first = node as usize * self.cap();
-        self.slots[first + i..first + n].rotate_left(1);
-        self.heads[node as usize].len -= 1;
-        self.slots[first + n - 1].take()
-    }
-
     /// Assembles a tree from entries in leaf order (see [`crate::bulk`]):
     /// each run of `order` that `cuts` measures off becomes one leaf, its
     /// rectangles and values produced by `corners` / `value` as they are
@@ -400,7 +375,9 @@ impl<V> RStarTree<V> {
         tree
     }
 
-    /// Inserts `rect → value`.
+    /// Inserts `rect → value` (ChooseSubtree, forced reinsert, split). The
+    /// engine never calls this; `bench/src/bin/layers.rs` grows its trees
+    /// with it, and [`crate::bulk_load`] fills a lone leaf with it.
     pub fn insert(&mut self, rect: Rect, value: V) -> Result<()> {
         if rect.dims() != self.dims {
             return Err(RStarError::DimensionMismatch { expected: self.dims, got: rect.dims() });
@@ -604,54 +581,8 @@ impl<V> RStarTree<V> {
         sibling
     }
 
-    /// All values whose rectangle intersects `query`, in traversal order.
-    pub fn search_intersecting(&self, query: &Rect) -> Result<Vec<&V>> {
-        self.search_intersecting_stats(query).map(|(out, _)| out)
-    }
-
-    /// [`search_intersecting`](RStarTree::search_intersecting) plus probe
-    /// statistics for observability.
-    pub fn search_intersecting_stats(&self, query: &Rect) -> Result<(Vec<&V>, SearchStats)> {
-        self.search_intersecting_filtered_stats(query, |_| true)
-    }
-
-    /// [`search_intersecting_stats`](RStarTree::search_intersecting_stats)
-    /// with a per-entry prefilter applied to each scanned leaf value
-    /// *before* the exact rectangle test. Entries the prefilter rejects are
-    /// counted in [`SearchStats::prefilter_rejected`] and never reach the
-    /// geometry test; survivors are counted in
-    /// [`SearchStats::exact_tested`]. For the result set to be correct the
-    /// prefilter must be admissible: it may only reject entries the exact
-    /// test would also reject.
-    pub fn search_intersecting_filtered_stats(
-        &self,
-        query: &Rect,
-        prefilter: impl FnMut(&V) -> bool,
-    ) -> Result<(Vec<&V>, SearchStats)> {
-        self.search_filtered_stats(&Probe::intersecting(query.clone()), prefilter)
-    }
-
-    /// All values whose rectangle lies within L2 distance `eps` of `point`
-    /// (for point entries this is the exact ε-ball query WALRUS issues for
-    /// centroid signatures; for box entries it is the ε-extended overlap
-    /// test of Definition 4.1), in traversal order.
-    pub fn search_within(&self, point: &[f32], eps: f32) -> Result<Vec<&V>> {
-        self.search_within_stats(point, eps).map(|(out, _)| out)
-    }
-
-    /// [`search_within`](RStarTree::search_within) plus probe statistics:
-    /// nodes visited during the rectangle descent, and how many rectangle
-    /// candidates the exact ε-ball distance test then pruned.
-    pub fn search_within_stats(&self, point: &[f32], eps: f32) -> Result<(Vec<&V>, SearchStats)> {
-        self.search_within_filtered_stats(point, eps, |_| true)
-    }
-
-    /// [`search_within_stats`](RStarTree::search_within_stats) with a
-    /// per-entry prefilter applied to each scanned leaf value *before* the
-    /// rectangle and ε-ball tests. Rejections are counted in
-    /// [`SearchStats::prefilter_rejected`], survivors in
-    /// [`SearchStats::exact_tested`]. The prefilter must be admissible: it
-    /// may only reject entries the exact distance test would also reject.
+    /// [`Self::search_filtered_stats`] with [`Probe::within`]`(point, eps)`.
+    /// Kept for `bench/src/bin/layers.rs`, which probes its trees with it.
     pub fn search_within_filtered_stats(
         &self,
         point: &[f32],
@@ -665,8 +596,11 @@ impl<V> RStarTree<V> {
     }
 
     /// Every value `probe` hits ([`Probe::test`]) that passes `prefilter`,
-    /// in traversal order, with probe statistics: the search the two above
-    /// name by their probe. The prefilter must be admissible, as there.
+    /// in traversal order, with probe statistics. The prefilter runs on each
+    /// scanned leaf value *before* the geometry test: rejections are counted
+    /// in [`SearchStats::prefilter_rejected`], survivors in
+    /// [`SearchStats::exact_tested`]. It must be admissible: it may only
+    /// reject entries the exact test would also reject.
     pub fn search_filtered_stats(
         &self,
         probe: &Probe,
@@ -719,169 +653,16 @@ impl<V> RStarTree<V> {
         }
     }
 
-    /// The `k` values nearest to `point` by minimum L2 distance to their
-    /// rectangle, ascending, with that distance (best-first
-    /// branch-and-bound).
-    pub fn nearest_k(&self, point: &[f32], k: usize) -> Result<Vec<(&V, f64)>> {
-        if point.len() != self.dims {
-            return Err(RStarError::DimensionMismatch { expected: self.dims, got: point.len() });
-        }
-        if k == 0 || self.len == 0 {
-            return Ok(Vec::new());
-        }
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        // Min-heap over (distance, frontier item).
-        enum Item<'a, V> {
-            Node(u32),
-            Entry(&'a V),
-        }
-        struct Keyed<'a, V>(f64, Item<'a, V>);
-        impl<V> PartialEq for Keyed<'_, V> {
-            fn eq(&self, other: &Self) -> bool {
-                self.0 == other.0
-            }
-        }
-        impl<V> Eq for Keyed<'_, V> {}
-        impl<V> PartialOrd for Keyed<'_, V> {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl<V> Ord for Keyed<'_, V> {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0.partial_cmp(&other.0).unwrap_or(std::cmp::Ordering::Equal)
-            }
-        }
-
-        let mut heap: BinaryHeap<Reverse<Keyed<V>>> = BinaryHeap::new();
-        heap.push(Reverse(Keyed(0.0, Item::Node(self.root))));
-        let mut out = Vec::with_capacity(k);
-        while let Some(Reverse(Keyed(dist, item))) = heap.pop() {
-            match item {
-                Item::Node(node) => {
-                    for (rect, slot) in self.pairs(node) {
-                        let item = match slot {
-                            Slot::Value(value) => Item::Entry(value),
-                            Slot::Child(child) => Item::Node(*child),
-                            Slot::Vacant => continue,
-                        };
-                        heap.push(Reverse(Keyed(rect::min_dist_sq(rect, point), item)));
-                    }
-                }
-                Item::Entry(value) => {
-                    out.push((value, dist.sqrt()));
-                    if out.len() == k {
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Removes one entry matching `rect` exactly whose value equals `value`.
-    /// Returns true when an entry was removed.
-    pub fn remove(&mut self, rect: &Rect, value: &V) -> Result<bool>
-    where
-        V: PartialEq,
-    {
-        if rect.dims() != self.dims {
-            return Err(RStarError::DimensionMismatch { expected: self.dims, got: rect.dims() });
-        }
-        let mut orphans = Detached::new();
-        let removed = self.remove_rec(self.root, rect.flat(), value, &mut orphans);
-        if removed {
-            self.len -= 1;
-            // Shrink the root while it is an internal node with one child.
-            loop {
-                let root = self.root;
-                let head = self.heads[root as usize];
-                if head.leaf || head.len > 1 {
-                    break;
-                }
-                if head.len == 0 {
-                    self.heads[root as usize].leaf = true;
-                    break;
-                }
-                self.root = self.child(root, 0);
-                self.slot_mut(root, 0).take();
-                self.release(root);
-            }
-            let w = self.width();
-            for (rect, value) in orphans.coords.chunks_exact(w).zip(orphans.values) {
-                self.insert_entry(rect, value, false);
-            }
-        }
-        Ok(removed)
-    }
-
-    /// Removes one matching entry below `node`; the entries of condensed
-    /// (underflowed) subtrees go to `orphans`. Returns whether it was found.
-    fn remove_rec(&mut self, node: u32, rect: &[f32], value: &V, orphans: &mut Detached<V>) -> bool
-    where
-        V: PartialEq,
-    {
-        if self.heads[node as usize].leaf {
-            let found = self
-                .pairs(node)
-                .position(|(r, slot)| r == rect && matches!(slot, Slot::Value(v) if v == value));
-            if let Some(i) = found {
-                self.remove_at(node, i);
-            }
-            return found.is_some();
-        }
-        for i in 0..self.count(node) {
-            if !rect::intersects(self.rect(node, i), rect) {
-                continue;
-            }
-            let child = self.child(node, i);
-            if self.remove_rec(child, rect, value, orphans) {
-                if self.count(child) < self.params.min_entries {
-                    // Condense: dissolve the child, reinsert its entries.
-                    self.remove_at(node, i);
-                    self.dissolve(child, orphans);
-                } else {
-                    self.refresh_bound(node, i, child);
-                }
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Lifts every leaf entry below `node` into `out`, in traversal order,
-    /// and frees the subtree's nodes.
-    fn dissolve(&mut self, node: u32, out: &mut Detached<V>) {
-        let leaf = self.heads[node as usize].leaf;
-        if leaf {
-            out.coords.extend_from_slice(self.rects(node));
-        }
-        for i in 0..self.count(node) {
-            match self.slot_mut(node, i).take() {
-                Slot::Child(child) => self.dissolve(child, out),
-                slot => out.values.push(slot.into_value()),
-            }
-        }
-        self.release(node);
-    }
-
     /// Checks structural invariants (used by tests): bounding rectangles
     /// contain their subtrees, all leaves at the same depth, node occupancy
-    /// within `[m, M]` except the root, every arena node either reachable
-    /// exactly once or on the free list, and no slot outside a node's live
-    /// run occupied. Panics on violation; returns each leaf's entry count,
-    /// in depth-first order.
+    /// within `[m, M]` except the root, every arena node reachable exactly
+    /// once, and no slot outside a node's live run occupied. Panics on
+    /// violation; returns each leaf's entry count, in depth-first order.
     pub fn check_invariants(&self) -> Vec<usize> {
         let (mut reached, mut leaves) = (vec![false; self.heads.len()], Vec::new());
         self.check_node(self.root, self.height(), &mut reached, &mut leaves);
         assert_eq!(leaves.iter().sum::<usize>(), self.len, "length bookkeeping diverged");
-        for &node in &self.free {
-            let seen = std::mem::replace(&mut reached[node as usize], true);
-            assert!(!seen, "node {node} freed twice or still linked");
-        }
-        assert!(reached.iter().all(|&r| r), "arena node neither reachable nor free");
+        assert!(reached.iter().all(|&r| r), "arena node not reachable from the root");
         assert_eq!(self.coords.len(), self.heads.len() * self.stride());
         assert_eq!(self.slots.len(), self.heads.len() * self.cap());
         leaves
@@ -941,14 +722,14 @@ pub enum Verdict {
 }
 
 impl<'a> Probe<'a> {
-    /// The probe of [`RStarTree::search_within`]: the box `point ± eps`,
-    /// then the ε-ball around `point`.
+    /// The ε-ball probe of centroid signatures: the box `point ± eps`, then
+    /// the ε-ball around `point`.
     pub fn within(point: &'a [f32], eps: f32) -> Result<Self> {
         let bounds = Rect::point(point)?.extended(eps).into_flat();
         Ok(Probe { bounds, ball: Some((point, (eps as f64) * (eps as f64))) })
     }
 
-    /// The probe of [`RStarTree::search_intersecting`]: `query` itself.
+    /// The overlap probe of bounding-box signatures: `query` itself.
     pub fn intersecting(query: Rect) -> Self {
         Probe { bounds: query.into_flat(), ball: None }
     }
@@ -987,8 +768,8 @@ impl<'a> Probe<'a> {
     }
 }
 
-/// Counters a rectangle search accumulates, reported by the `_stats` search
-/// variants and surfaced in query traces.
+/// Counters a rectangle search accumulates, reported by
+/// [`RStarTree::search_filtered_stats`] and surfaced in query traces.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SearchStats {
     /// Tree nodes (leaf + internal) the descent entered: the root, and each
@@ -1060,6 +841,26 @@ mod tests {
         t
     }
 
+    /// The hits of `probe`, unfiltered, in traversal order.
+    fn hits(t: &RStarTree<usize>, probe: &Probe) -> Vec<usize> {
+        t.search_filtered_stats(probe, |_| true).unwrap().0.into_iter().copied().collect()
+    }
+
+    fn sorted(mut ids: Vec<usize>) -> Vec<usize> {
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The ε-ball hits around `centre`, sorted.
+    fn within(t: &RStarTree<usize>, centre: &[f32], eps: f32) -> Vec<usize> {
+        sorted(hits(t, &Probe::within(centre, eps).unwrap()))
+    }
+
+    /// The entries `query` overlaps, sorted.
+    fn crossing(t: &RStarTree<usize>, query: &Rect) -> Vec<usize> {
+        sorted(hits(t, &Probe::intersecting(query.clone())))
+    }
+
     fn lcg(seed: u64) -> impl FnMut() -> f32 {
         let mut state = seed;
         move || {
@@ -1092,7 +893,8 @@ mod tests {
         for _ in 0..100 {
             let base = &pts[(next() * 4_999.0) as usize];
             let q: Vec<f32> = base.iter().map(|c| c + (next() - 0.5) * 0.02).collect();
-            let (found, stats) = tree.search_within_stats(&q, 0.085).unwrap();
+            let probe = Probe::within(&q, 0.085).unwrap();
+            let (found, stats) = tree.search_filtered_stats(&probe, |_| true).unwrap();
             nodes += stats.nodes_visited;
             exact += stats.exact_tested;
             pruned += stats.pruned;
@@ -1119,64 +921,39 @@ mod tests {
         }
         assert_eq!(inc.height(), 4);
         assert_eq!(pin_probe(&inc, &pts), (1632, 13449, 6798, 5695, 2064370187531075296));
-        // Condense-and-reinsert shapes the tree too.
-        for (i, p) in pts.iter().enumerate().filter(|(i, _)| i % 3 == 0) {
-            assert!(inc.remove(&pt(p), &i).unwrap());
-        }
-        inc.check_invariants();
-        assert_eq!(pin_probe(&inc, &pts), (1392, 8982, 4545, 3785, 1870522267695697345));
     }
 
-    /// The packed tree is pinned to the variance-bisection loader, as
-    /// packed and after a third of its entries were removed and inserted
-    /// again: the loader must stay a pure function of its input.
+    /// The packed tree is pinned to the variance-bisection loader: the
+    /// loader must stay a pure function of its input.
     #[test]
     fn packed_shape_is_pinned() {
         let pts = pin_points();
-        let every_third = || pts.iter().enumerate().filter(|(i, _)| i % 3 == 0);
-        let mut packed =
+        let packed =
             crate::bulk_load(12, RStarParams::default(), pts.len(), |i| (&pts[i], &pts[i]), |i| i)
                 .unwrap();
         assert_eq!(packed.height(), 4);
         assert_eq!(pin_probe(&packed, &pts), (1388, 14308, 6802, 5695, 9349982608175779256));
-        for (i, p) in every_third() {
-            assert!(packed.remove(&pt(p), &i).unwrap());
-        }
-        for (i, p) in every_third() {
-            packed.insert(pt(p), i).unwrap();
-        }
-        packed.check_invariants();
-        assert_eq!(pin_probe(&packed, &pts), (1830, 14527, 6796, 5695, 5607461363958334684));
     }
 
-    /// Rounds of insert-everything / remove-everything, each removing in a
-    /// different order: dissolved nodes must come back off the free list, so
-    /// the arena never outgrows what the first round needed.
+    /// Inserts into a packed tree split its full leaves and grow its root:
+    /// every node the arena then holds hangs off the root exactly once, and
+    /// every entry is still found.
     #[test]
-    fn arena_reuses_freed_nodes() {
-        let mut next = lcg(0xA4E7A);
-        let points: Vec<(Rect, usize)> =
-            (0..1_000).map(|i| (pt(&[next(), next(), next()]), i)).collect();
-        let mut t = RStarTree::with_dims(3).unwrap();
-        let mut high_water = 0;
-        for round in 0..10 {
-            for (r, v) in &points {
-                t.insert(r.clone(), *v).unwrap();
-            }
-            t.check_invariants();
-            // Round-specific removal order: a stride coprime to 1 000.
-            let stride = [1, 3, 7, 9, 11, 13, 17, 19, 21, 999][round];
-            for k in 0..points.len() {
-                let (r, v) = &points[k * stride % points.len()];
-                assert!(t.remove(r, v).unwrap());
-                if round == 0 {
-                    high_water = high_water.max(t.heads.len());
-                }
-            }
-            t.check_invariants();
-            assert!(t.is_empty());
-            assert!(t.heads.len() <= high_water, "round {round}: {} > {high_water}", t.heads.len());
-            assert_eq!(t.free.len(), t.heads.len() - 1, "all but the root leaf are free");
+    fn inserts_into_a_packed_tree_keep_every_node_reachable() {
+        let mut next = lcg(0xB01D_1A5E);
+        let points: Vec<Vec<f32>> = (0..1_200).map(|_| vec![next(), next(), next()]).collect();
+        let (packed, grown) = points.split_at(40);
+        let corners = |i: usize| (packed[i].as_slice(), packed[i].as_slice());
+        let mut t = crate::bulk_load(3, RStarParams::default(), packed.len(), corners, |i| i)
+            .unwrap();
+        let (nodes, height) = (t.heads.len(), t.height());
+        for (i, p) in grown.iter().enumerate() {
+            t.insert(pt(p), packed.len() + i).unwrap();
+        }
+        assert!(t.heads.len() > nodes && t.height() > height, "the inserts must split");
+        t.check_invariants();
+        for (i, p) in points.iter().enumerate() {
+            assert!(within(&t, p, 0.0).contains(&i), "lost entry {i}");
         }
     }
 
@@ -1184,9 +961,8 @@ mod tests {
     fn empty_tree_queries() {
         let t: RStarTree<usize> = RStarTree::with_dims(2).unwrap();
         assert!(t.is_empty());
-        assert!(t.search_intersecting(&pt(&[0.0, 0.0])).unwrap().is_empty());
-        assert!(t.search_within(&[0.0, 0.0], 10.0).unwrap().is_empty());
-        assert!(t.nearest_k(&[0.0, 0.0], 3).unwrap().is_empty());
+        assert!(crossing(&t, &pt(&[0.0, 0.0])).is_empty());
+        assert!(within(&t, &[0.0, 0.0], 10.0).is_empty());
     }
 
     #[test]
@@ -1195,16 +971,13 @@ mod tests {
         let t = build(&points);
         t.check_invariants();
         let query = Rect::new(vec![2.5, 3.5], vec![7.0, 9.0]).unwrap();
-        let mut got: Vec<usize> =
-            t.search_intersecting(&query).unwrap().into_iter().copied().collect();
-        got.sort_unstable();
-        let mut want: Vec<usize> = points
+        let got = crossing(&t, &query);
+        let want: Vec<usize> = points
             .iter()
             .filter(|(r, _)| r.intersects(&query))
             .map(|(_, v)| *v)
             .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
+        assert_eq!(got, sorted(want));
         assert!(!got.is_empty());
     }
 
@@ -1213,39 +986,12 @@ mod tests {
         let points = grid_points(10);
         let t = build(&points);
         for (center, eps) in [([4.2f32, 4.8], 1.5f32), ([0.0, 0.0], 3.0), ([9.0, 9.0], 0.5)] {
-            let mut got: Vec<usize> =
-                t.search_within(&center, eps).unwrap().into_iter().copied().collect();
-            got.sort_unstable();
-            let mut want: Vec<usize> = points
+            let want: Vec<usize> = points
                 .iter()
                 .filter(|(r, _)| r.min_dist_sq(&center) <= (eps as f64) * (eps as f64))
                 .map(|(_, v)| *v)
                 .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "center {center:?} eps {eps}");
-        }
-    }
-
-    #[test]
-    fn nearest_k_matches_linear_scan() {
-        let points = grid_points(9);
-        let t = build(&points);
-        let q = [3.3f32, 6.1];
-        let got = t.nearest_k(&q, 5).unwrap();
-        assert_eq!(got.len(), 5);
-        // Distances ascend.
-        for w in got.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-        let mut want: Vec<(f64, usize)> = points
-            .iter()
-            .map(|(r, v)| (r.min_dist_sq(&q).sqrt(), *v))
-            .collect();
-        want.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let got_dists: Vec<f64> = got.iter().map(|g| g.1).collect();
-        let want_dists: Vec<f64> = want.iter().take(5).map(|w| w.0).collect();
-        for (a, b) in got_dists.iter().zip(&want_dists) {
-            assert!((a - b).abs() < 1e-9);
+            assert_eq!(within(&t, &center, eps), sorted(want), "center {center:?} eps {eps}");
         }
     }
 
@@ -1260,9 +1006,7 @@ mod tests {
         for (r, v) in &boxes {
             t.insert(r.clone(), *v).unwrap();
         }
-        let hits = t.search_intersecting(&Rect::new(vec![1.5, 1.5], vec![1.6, 1.6]).unwrap()).unwrap();
-        let mut ids: Vec<usize> = hits.iter().map(|&&v| v).collect();
-        ids.sort_unstable();
+        let ids = crossing(&t, &Rect::new(vec![1.5, 1.5], vec![1.6, 1.6]).unwrap());
         assert_eq!(ids, vec![0, 1]);
     }
 
@@ -1292,49 +1036,18 @@ mod tests {
         }
         assert_eq!(t.len(), 50);
         t.check_invariants();
-        assert_eq!(t.search_within(&[1.0, 1.0], 0.0).unwrap().len(), 50);
-    }
-
-    #[test]
-    fn remove_and_requery() {
-        let points = grid_points(8);
-        let mut t = build(&points);
-        assert!(t.remove(&pt(&[3.0, 3.0]), &(3 * 8 + 3)).unwrap());
-        assert!(!t.remove(&pt(&[3.0, 3.0]), &(3 * 8 + 3)).unwrap(), "already gone");
-        assert_eq!(t.len(), 63);
-        t.check_invariants();
-        let hits = t.search_within(&[3.0, 3.0], 0.1).unwrap();
-        assert!(hits.is_empty());
-        // Every other point is still findable.
-        for (r, v) in &points {
-            if *v != 3 * 8 + 3 {
-                let found = t.search_within(r.min(), 0.0).unwrap();
-                assert!(found.iter().any(|&&got| got == *v), "lost point {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn remove_everything_empties_tree() {
-        let points = grid_points(6);
-        let mut t = build(&points);
-        for (r, v) in &points {
-            assert!(t.remove(r, v).unwrap());
-        }
-        assert!(t.is_empty());
-        assert_eq!(t.height(), 1);
-        // Insert again after emptying.
-        t.insert(pt(&[0.5, 0.5]), 999).unwrap();
-        assert_eq!(t.len(), 1);
-        t.check_invariants();
+        assert_eq!(within(&t, &[1.0, 1.0], 0.0).len(), 50);
     }
 
     #[test]
     fn dimension_mismatch_rejected() {
         let mut t: RStarTree<usize> = RStarTree::with_dims(3).unwrap();
         assert!(t.insert(pt(&[1.0, 2.0]), 0).is_err());
-        assert!(t.search_within(&[1.0], 0.5).is_err());
-        assert!(t.nearest_k(&[1.0, 2.0, 3.0, 4.0], 1).is_err());
+        let narrow = Probe::within(&[1.0], 0.5).unwrap();
+        assert!(t.search_filtered_stats(&narrow, |_| true).is_err());
+        let wide = Probe::intersecting(pt(&[1.0, 2.0, 3.0, 4.0]));
+        assert!(t.search_filtered_stats(&wide, |_| true).is_err());
+        assert!(t.search_within_filtered_stats(&[1.0], 0.5, |_| true).is_err());
     }
 
     #[test]
@@ -1353,32 +1066,29 @@ mod tests {
         let t = build(&points);
         let center = [3.0, 3.0];
         let eps = 1.5;
-        let (plain, plain_stats) = t.search_within_stats(&center, eps).unwrap();
+        let ball = Probe::within(&center, eps).unwrap();
+        let (plain, plain_stats) = t.search_filtered_stats(&ball, |_| true).unwrap();
         // Unfiltered: every scanned entry reaches the exact test.
         assert_eq!(plain_stats.prefilter_rejected, 0);
         assert!(plain_stats.exact_tested >= plain.len());
-        // An admissible prefilter (accept-all) yields identical results.
+        // The point-and-ε form is the same search.
         let (same, same_stats) =
             t.search_within_filtered_stats(&center, eps, |_| true).unwrap();
-        let ids = |v: &[&usize]| {
-            let mut out: Vec<usize> = v.iter().map(|&&id| id).collect();
-            out.sort_unstable();
-            out
-        };
+        let ids = |v: &[&usize]| sorted(v.iter().map(|&&id| id).collect());
         assert_eq!(ids(&plain), ids(&same));
         assert_eq!(plain_stats, same_stats);
         // A value-keyed prefilter skips rejected entries before the
         // geometry test and counts them.
         let keep = |v: &usize| *v % 2 == 0;
-        let (filtered, fstats) = t.search_within_filtered_stats(&center, eps, keep).unwrap();
+        let (filtered, fstats) = t.search_filtered_stats(&ball, keep).unwrap();
         assert!(fstats.prefilter_rejected > 0);
         assert_eq!(fstats.prefilter_rejected + fstats.exact_tested, plain_stats.exact_tested);
         let expected: Vec<usize> = ids(&plain).into_iter().filter(|v| v % 2 == 0).collect();
         assert_eq!(ids(&filtered), expected);
-        // Same contract for the intersecting variant.
-        let query = Rect::new(vec![2.0, 2.0], vec![4.0, 4.0]).unwrap();
-        let (inter, _) = t.search_intersecting_stats(&query).unwrap();
-        let (inter_f, istats) = t.search_intersecting_filtered_stats(&query, keep).unwrap();
+        // Same contract for a box probe.
+        let square = Probe::intersecting(Rect::new(vec![2.0, 2.0], vec![4.0, 4.0]).unwrap());
+        let (inter, _) = t.search_filtered_stats(&square, |_| true).unwrap();
+        let (inter_f, istats) = t.search_filtered_stats(&square, keep).unwrap();
         assert!(istats.prefilter_rejected > 0);
         let expected: Vec<usize> = ids(&inter).into_iter().filter(|v| v % 2 == 0).collect();
         assert_eq!(ids(&inter_f), expected);
@@ -1386,13 +1096,9 @@ mod tests {
 
     /// [`Probe::test`] over a flat list of entries is the whole search:
     /// on seeded random points and boxes, the entries it calls hits are
-    /// exactly what `search_within` and `search_intersecting` return.
+    /// exactly what the tree's search returns for the same probe.
     #[test]
     fn the_leaf_test_over_a_flat_list_is_the_search() {
-        let ids = |mut v: Vec<usize>| {
-            v.sort_unstable();
-            v
-        };
         let mut next = lcg(0x1EAF_7E57);
         let dims = 6;
         let mut corners = Vec::new();
@@ -1410,20 +1116,17 @@ mod tests {
         let scan = |probe: &Probe| -> Vec<usize> {
             let hits = corners.iter().enumerate();
             let hits = hits.filter(|(_, (lo, hi))| probe.test(lo, hi) == Verdict::Hit);
-            ids(hits.map(|(i, _)| i).collect())
+            sorted(hits.map(|(i, _)| i).collect())
         };
         let mut nonempty = 0;
         for _ in 0..40 {
             let centre: Vec<f32> = (0..dims).map(|_| next()).collect();
             let eps = 0.1 + next() * 0.4;
-            let within =
-                ids(tree.search_within(&centre, eps).unwrap().into_iter().copied().collect());
-            assert_eq!(scan(&Probe::within(&centre, eps).unwrap()), within, "{centre:?} ± {eps}");
+            let near = within(&tree, &centre, eps);
+            assert_eq!(scan(&Probe::within(&centre, eps).unwrap()), near, "{centre:?} ± {eps}");
             let query = Rect::point(&centre).unwrap().extended(eps);
-            let crossing =
-                ids(tree.search_intersecting(&query).unwrap().into_iter().copied().collect());
-            assert_eq!(scan(&Probe::intersecting(query.clone())), crossing, "{query:?}");
-            nonempty += usize::from(!within.is_empty());
+            assert_eq!(scan(&Probe::intersecting(query.clone())), crossing(&tree, &query));
+            nonempty += usize::from(!near.is_empty());
         }
         assert!(nonempty > 10, "the probes must find something");
     }
@@ -1438,15 +1141,15 @@ mod tests {
             t.insert(pt(&[100.0 + off, 100.0 - off]), 1000 + i).unwrap();
         }
         t.check_invariants();
-        let near_origin = t.search_within(&[0.0, 0.0], 1.0).unwrap();
-        assert_eq!(near_origin.len(), 200);
+        assert_eq!(within(&t, &[0.0, 0.0], 1.0).len(), 200);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
-        /// Differential test against a linear scan under interleaved insert
-        /// / remove / re-insert, over point and box entries.
+        /// Differential test against a linear scan, probing after every
+        /// insert of a grown tree: new point and box entries, and copies of
+        /// entries already in the tree.
         #[test]
         fn interleaved_edits_agree_with_a_linear_scan(
             dims in proptest::sample::select(vec![2usize, 3, 12]),
@@ -1459,60 +1162,46 @@ mod tests {
                 Rect::new(lo, hi).unwrap()
             };
             let mut tree = RStarTree::with_dims(dims).unwrap();
-            // Every rectangle ever inserted, and whether it is in the tree.
-            let mut known: Vec<(Rect, bool)> = Vec::new();
+            // Every rectangle inserted, in insertion order.
+            let mut known: Vec<Rect> = Vec::new();
             let mut pick = lcg(seed ^ 0x9E37_79B9);
             for step in 0..160 {
                 let at = (pick() * known.len() as f32) as usize;
-                match (pick() * 4.0) as usize {
-                    // Twice as many inserts as removals, so the tree grows.
-                    0 | 1 => {
-                        known.push((random_rect(step % 3 == 0), true));
-                        tree.insert(known.last().unwrap().0.clone(), known.len() - 1).unwrap();
-                    }
-                    2 if !known.is_empty() => {
-                        let removed = tree.remove(&known[at].0, &at).unwrap();
-                        proptest::prop_assert_eq!(removed, known[at].1);
-                        known[at].1 = false;
-                    }
-                    _ if !known.is_empty() && !known[at].1 => {
-                        tree.insert(known[at].0.clone(), at).unwrap();
-                        known[at].1 = true;
-                    }
-                    _ => {}
-                }
+                let rect = match known.get(at) {
+                    // One insert in four repeats an entry already there.
+                    Some(copy) if pick() < 0.25 => copy.clone(),
+                    _ => random_rect(step % 3 == 0),
+                };
+                known.push(rect.clone());
+                tree.insert(rect, known.len() - 1).unwrap();
                 tree.check_invariants();
-                proptest::prop_assert_eq!(tree.len(), known.iter().filter(|k| k.1).count());
+                proptest::prop_assert_eq!(tree.len(), known.len());
 
                 let probe = random_rect(true);
                 let eps = 0.05 + pick() * 0.4;
-                let live = || known.iter().enumerate().filter(|(_, k)| k.1);
-                let within = tree.search_within(probe.min(), eps).unwrap();
-                let boxed = tree.search_intersecting(&probe).unwrap();
+                let ball = Probe::within(probe.min(), eps).unwrap();
+                let square = Probe::intersecting(probe.clone());
                 // The same probe twice returns the same hits in the same order.
-                proptest::prop_assert_eq!(&within, &tree.search_within(probe.min(), eps).unwrap());
-                proptest::prop_assert_eq!(&boxed, &tree.search_intersecting(&probe).unwrap());
-                let sorted = |hits: Vec<&usize>| {
-                    let mut ids: Vec<usize> = hits.into_iter().copied().collect();
-                    ids.sort_unstable();
-                    ids
-                };
+                proptest::prop_assert_eq!(hits(&tree, &ball), hits(&tree, &ball));
+                proptest::prop_assert_eq!(hits(&tree, &square), hits(&tree, &square));
                 let eps_sq = (eps as f64) * (eps as f64);
-                let want_within: Vec<usize> = live()
-                    .filter(|(_, k)| k.0.min_dist_sq(probe.min()) <= eps_sq)
+                let all = || known.iter().enumerate();
+                let want_within: Vec<usize> = all()
+                    .filter(|(_, r)| r.min_dist_sq(probe.min()) <= eps_sq)
                     .map(|(i, _)| i)
                     .collect();
                 let want_boxed: Vec<usize> =
-                    live().filter(|(_, k)| k.0.intersects(&probe)).map(|(i, _)| i).collect();
-                proptest::prop_assert_eq!(sorted(within), want_within);
-                proptest::prop_assert_eq!(sorted(boxed), want_boxed);
+                    all().filter(|(_, r)| r.intersects(&probe)).map(|(i, _)| i).collect();
+                proptest::prop_assert_eq!(sorted(hits(&tree, &ball)), want_within);
+                proptest::prop_assert_eq!(crossing(&tree, &probe), want_boxed);
             }
         }
 
         /// The same differential test for a packed tree — as loaded, then
-        /// under edits that land in its full leaves — at the sizes where the
-        /// tiling is delicate: none, one, a full leaf (`M` = 16), one more,
-        /// `2M − 1`, tails the `m`-rebalancing has to borrow for, and many.
+        /// under inserts that land in its full leaves — at the sizes where
+        /// the tiling is delicate: none, one, a full leaf (`M` = 16), one
+        /// more, `2M − 1`, tails the `m`-rebalancing has to borrow for, and
+        /// many.
         #[test]
         fn packed_trees_agree_with_a_linear_scan(
             dims in proptest::sample::select(vec![2usize, 3, 12]),
@@ -1526,8 +1215,8 @@ mod tests {
                 let hi = lo.iter().map(|v| v + if boxed { next() * 0.2 } else { 0.0 }).collect();
                 Rect::new(lo, hi).unwrap()
             };
-            let mut known: Vec<(Rect, bool)> = (0..n).map(|_| (random_rect(boxed), true)).collect();
-            let corners = |i: usize| (known[i].0.min(), known[i].0.max());
+            let mut known: Vec<Rect> = (0..n).map(|_| random_rect(boxed)).collect();
+            let corners = |i: usize| (known[i].min(), known[i].max());
             let mut tree =
                 crate::bulk_load(dims, RStarParams::default(), n, corners, |i| i).unwrap();
             if n > tree.params.max_entries {
@@ -1537,44 +1226,31 @@ mod tests {
                 proptest::prop_assert_eq!(tree.slots.capacity(), tree.slots.len());
             }
             let mut pick = lcg(seed ^ 0x9E37_79B9);
-            for step in 0..48 {
+            for _ in 0..48 {
                 tree.check_invariants();
-                proptest::prop_assert_eq!(tree.len(), known.iter().filter(|k| k.1).count());
+                proptest::prop_assert_eq!(tree.len(), known.len());
                 let probe = random_rect(true);
                 let eps = 0.05 + pick() * if dims == 12 { 0.8 } else { 0.2 };
-                let sorted = |hits: Vec<&usize>| {
-                    let mut ids: Vec<usize> = hits.into_iter().copied().collect();
-                    ids.sort_unstable();
-                    ids
-                };
-                let live = || known.iter().enumerate().filter(|(_, k)| k.1);
+                let all = || known.iter().enumerate();
                 let eps_sq = (eps as f64) * (eps as f64);
-                let want_within: Vec<usize> = live()
-                    .filter(|(_, k)| k.0.min_dist_sq(probe.min()) <= eps_sq)
+                let want_within: Vec<usize> = all()
+                    .filter(|(_, r)| r.min_dist_sq(probe.min()) <= eps_sq)
                     .map(|(i, _)| i)
                     .collect();
                 let want_boxed: Vec<usize> =
-                    live().filter(|(_, k)| k.0.intersects(&probe)).map(|(i, _)| i).collect();
-                let within = tree.search_within(probe.min(), eps).unwrap();
-                proptest::prop_assert_eq!(sorted(within), want_within);
-                let hits = tree.search_intersecting(&probe).unwrap();
-                proptest::prop_assert_eq!(sorted(hits), want_boxed);
-                // Step 0 probed the tree as packed; from here on, edit it.
+                    all().filter(|(_, r)| r.intersects(&probe)).map(|(i, _)| i).collect();
+                proptest::prop_assert_eq!(within(&tree, probe.min(), eps), want_within);
+                proptest::prop_assert_eq!(crossing(&tree, &probe), want_boxed);
+                // The first round probed the tree as packed; from here on,
+                // grow it, near an existing entry when there is one, so the
+                // insert descends into a leaf the loader filled.
                 let at = (pick() * known.len() as f32) as usize;
-                if step % 3 == 2 && !known.is_empty() {
-                    let removed = tree.remove(&known[at].0, &at).unwrap();
-                    proptest::prop_assert_eq!(removed, known[at].1);
-                    known[at].1 = false;
-                } else {
-                    // Near an existing entry when there is one, so the insert
-                    // descends into a leaf the loader filled.
-                    let rect = match known.get(at) {
-                        Some((near, _)) => near.clone(),
-                        None => random_rect(boxed),
-                    };
-                    known.push((rect.clone(), true));
-                    tree.insert(rect, known.len() - 1).unwrap();
-                }
+                let rect = match known.get(at) {
+                    Some(near) => near.clone(),
+                    None => random_rect(boxed),
+                };
+                known.push(rect.clone());
+                tree.insert(rect, known.len() - 1).unwrap();
             }
         }
     }

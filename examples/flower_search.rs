@@ -74,8 +74,6 @@ fn main() {
         println!("{:>4}  {:<28} {:<28}", rank + 1, w, b);
     }
 
-    let precision = |top: &[(String,)]| -> f64 { top.len() as f64 };
-    let _ = precision;
     let count_flowers = |names: &[String]| {
         names.iter().filter(|n| class_of(n) == "flowers").count()
     };

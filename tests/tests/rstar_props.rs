@@ -1,9 +1,17 @@
-//! Property-based tests for the R\*-tree: every query compared against a
-//! linear scan, structural invariants under random insert/remove
-//! interleavings, and the bulk loader's leaf occupancy and determinism.
+//! Property-based tests for the R\*-tree: every search compared against a
+//! linear scan, on grown and packed trees, and the bulk loader's leaf
+//! occupancy and determinism.
 
 use proptest::prelude::*;
-use walrus_rstar::{Probe, RStarParams, RStarTree, Rect, Verdict};
+use walrus_rstar::{Probe, RStarParams, RStarTree, Rect, SearchStats, Verdict};
+
+/// The hits of `probe`, unfiltered, sorted.
+fn search(tree: &RStarTree<usize>, probe: &Probe) -> Vec<usize> {
+    let mut ids: Vec<usize> =
+        tree.search_filtered_stats(probe, |_| true).unwrap().0.into_iter().copied().collect();
+    ids.sort_unstable();
+    ids
+}
 
 fn point_vec(dims: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f32>>> {
     proptest::collection::vec(proptest::collection::vec(0.0f32..1.0, dims), n)
@@ -38,9 +46,7 @@ proptest! {
             tree.insert(Rect::point(p).unwrap(), i).unwrap();
         }
         tree.check_invariants();
-        let mut got: Vec<usize> =
-            tree.search_within(&q, eps).unwrap().into_iter().copied().collect();
-        got.sort_unstable();
+        let got = search(&tree, &Probe::within(&q, eps).unwrap());
         let eps_sq = (eps as f64) * (eps as f64);
         let mut want: Vec<usize> = pts
             .iter()
@@ -70,13 +76,7 @@ proptest! {
         }
         let (plo, phi) = &probe[0];
         let probe_rect = Rect::new(plo.clone(), phi.clone()).unwrap();
-        let mut got: Vec<usize> = tree
-            .search_intersecting(&probe_rect)
-            .unwrap()
-            .into_iter()
-            .copied()
-            .collect();
-        got.sort_unstable();
+        let got = search(&tree, &Probe::intersecting(probe_rect.clone()));
         let mut want: Vec<usize> = rects
             .iter()
             .enumerate()
@@ -87,61 +87,6 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    #[test]
-    fn nearest_k_is_sorted_and_matches_scan(pts in point_vec(3, 1..150), q in proptest::collection::vec(0.0f32..1.0, 3), k in 1usize..20) {
-        let mut tree = RStarTree::with_dims(3).unwrap();
-        for (i, p) in pts.iter().enumerate() {
-            tree.insert(Rect::point(p).unwrap(), i).unwrap();
-        }
-        let got = tree.nearest_k(&q, k).unwrap();
-        prop_assert_eq!(got.len(), k.min(pts.len()));
-        for w in got.windows(2) {
-            prop_assert!(w[0].1 <= w[1].1 + 1e-9);
-        }
-        let mut dists: Vec<f64> = pts
-            .iter()
-            .map(|p| {
-                p.iter()
-                    .zip(&q)
-                    .map(|(&a, &b)| (a as f64 - b as f64) * (a as f64 - b as f64))
-                    .sum::<f64>()
-                    .sqrt()
-            })
-            .collect();
-        dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (g, want) in got.iter().zip(&dists) {
-            prop_assert!((g.1 - want).abs() < 1e-6, "{} vs {}", g.1, want);
-        }
-    }
-
-    #[test]
-    fn invariants_survive_insert_remove_interleaving(
-        pts in point_vec(2, 10..120),
-        removals in proptest::collection::vec(any::<prop::sample::Index>(), 1..40),
-    ) {
-        let mut tree = RStarTree::with_dims(2).unwrap();
-        let rects: Vec<Rect> = pts.iter().map(|p| Rect::point(p).unwrap()).collect();
-        for (i, r) in rects.iter().enumerate() {
-            tree.insert(r.clone(), i).unwrap();
-        }
-        let mut alive: Vec<bool> = vec![true; pts.len()];
-        for idx in &removals {
-            let i = idx.index(pts.len());
-            let removed = tree.remove(&rects[i], &i).unwrap();
-            prop_assert_eq!(removed, alive[i], "removal result must reflect liveness");
-            alive[i] = false;
-        }
-        tree.check_invariants();
-        let expected_len = alive.iter().filter(|&&a| a).count();
-        prop_assert_eq!(tree.len(), expected_len);
-        // Every surviving point is still findable.
-        for (i, r) in rects.iter().enumerate() {
-            if alive[i] {
-                let hits = tree.search_within(r.min(), 0.0).unwrap();
-                prop_assert!(hits.iter().any(|&&v| v == i), "lost live point {}", i);
-            }
-        }
-    }
 }
 
 /// A seeded stream of coordinates on a grid of `1/steps`, so that box faces
@@ -173,17 +118,18 @@ fn shaped(kind: usize, n: usize, dims: usize, seed: u64) -> Vec<(Vec<f32>, Vec<f
         .collect()
 }
 
-/// Every probe statistic and hit of a fixed set of ε-ball and box probes.
-fn probe_all(tree: &RStarTree<usize>, dims: usize) -> Vec<(Vec<usize>, walrus_rstar::SearchStats)> {
+/// Every probe statistic and hit, in traversal order, of a fixed set of
+/// ε-ball and box probes.
+fn probe_all(tree: &RStarTree<usize>, dims: usize) -> Vec<(Vec<usize>, SearchStats)> {
     let mut next = grid(0x9E37_79B9, 1 << 16);
     (0..8)
         .flat_map(|_| {
             let q: Vec<f32> = (0..dims).map(|_| next()).collect();
-            let (near, a) = tree.search_within_stats(&q, 0.2).unwrap();
             let boxed = Rect::point(&q).unwrap().extended(0.1);
-            let (inside, b) = tree.search_intersecting_stats(&boxed).unwrap();
-            let ids = |hits: Vec<&usize>| hits.into_iter().copied().collect();
-            [(ids(near), a), (ids(inside), b)]
+            [Probe::within(&q, 0.2).unwrap(), Probe::intersecting(boxed)].map(|probe| {
+                let (hits, stats) = tree.search_filtered_stats(&probe, |_| true).unwrap();
+                (hits.into_iter().copied().collect(), stats)
+            })
         })
         .collect()
 }
@@ -271,10 +217,7 @@ proptest! {
                 let want: Vec<usize> = (0..n)
                     .filter(|&i| probe.test(entries[i].min(), entries[i].max()) == Verdict::Hit)
                     .collect();
-                let mut got: Vec<usize> =
-                    tree.search_within(&q, eps).unwrap().into_iter().copied().collect();
-                got.sort_unstable();
-                prop_assert_eq!(got, want, "eps {}", eps);
+                prop_assert_eq!(search(&tree, &probe), want, "eps {}", eps);
             }
         }
     }
