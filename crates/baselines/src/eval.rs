@@ -4,9 +4,9 @@
 //! labeled dataset the same judgments become numbers. These are the
 //! standard rank-based metrics used by the benchmark harnesses and tests to
 //! compare WALRUS against the single-signature baselines: precision@k,
-//! recall@k, average precision, and the rank of the first relevant result.
+//! average precision and mean average precision.
 //!
-//! All functions take a ranked list of item ids (best first) and a
+//! All functions take ranked lists of item ids (best first) and a
 //! predicate for relevance, so they work unchanged for WALRUS's
 //! similarity-ranked output and the baselines' distance-ranked output.
 
@@ -19,22 +19,6 @@ pub fn precision_at_k(ranked: &[usize], relevant: impl Fn(usize) -> bool, k: usi
     }
     let hits = ranked[..k].iter().filter(|&&id| relevant(id)).count();
     hits as f64 / k as f64
-}
-
-/// Recall@k: fraction of all `total_relevant` items found in the first `k`
-/// results. Returns 0 when `total_relevant` is 0.
-pub fn recall_at_k(
-    ranked: &[usize],
-    relevant: impl Fn(usize) -> bool,
-    k: usize,
-    total_relevant: usize,
-) -> f64 {
-    if total_relevant == 0 {
-        return 0.0;
-    }
-    let k = k.min(ranked.len());
-    let hits = ranked[..k].iter().filter(|&&id| relevant(id)).count();
-    hits as f64 / total_relevant as f64
 }
 
 /// Average precision: mean of precision@r over the ranks `r` where a
@@ -59,23 +43,21 @@ pub fn average_precision(
     sum / total_relevant as f64
 }
 
-/// Mean average precision over several queries' ranked lists.
+/// Mean average precision over several queries' runs, each a ranked list
+/// and its `total_relevant`. `relevant(run, id)` judges item `id` for the
+/// query of `runs[run]`, so every query can have its own relevant set.
 pub fn mean_average_precision(
     runs: &[(Vec<usize>, usize)],
-    relevant: impl Fn(usize) -> bool + Copy,
+    relevant: impl Fn(usize, usize) -> bool,
 ) -> f64 {
     if runs.is_empty() {
         return 0.0;
     }
     runs.iter()
-        .map(|(ranked, total)| average_precision(ranked, relevant, *total))
+        .enumerate()
+        .map(|(run, (ranked, total))| average_precision(ranked, |id| relevant(run, id), *total))
         .sum::<f64>()
         / runs.len() as f64
-}
-
-/// 1-based rank of the first relevant result, or `None` if none appears.
-pub fn first_relevant_rank(ranked: &[usize], relevant: impl Fn(usize) -> bool) -> Option<usize> {
-    ranked.iter().position(|&id| relevant(id)).map(|i| i + 1)
 }
 
 #[cfg(test)]
@@ -97,14 +79,6 @@ mod tests {
         assert_eq!(precision_at_k(&ranked, even, 50), 0.6);
         assert_eq!(precision_at_k(&[], even, 3), 0.0);
         assert_eq!(precision_at_k(&ranked, even, 0), 0.0);
-    }
-
-    #[test]
-    fn recall_basics() {
-        let ranked = vec![2, 1, 4];
-        assert_eq!(recall_at_k(&ranked, even, 3, 4), 0.5);
-        assert_eq!(recall_at_k(&ranked, even, 1, 4), 0.25);
-        assert_eq!(recall_at_k(&ranked, even, 3, 0), 0.0);
     }
 
     #[test]
@@ -140,26 +114,11 @@ mod tests {
     fn map_averages_runs() {
         let runs = vec![(vec![2, 1], 1), (vec![1, 2], 1)];
         // AP of first run = 1.0, second = 0.5 → MAP = 0.75.
-        assert!((mean_average_precision(&runs, even) - 0.75).abs() < 1e-12);
-        assert_eq!(mean_average_precision(&[], even), 0.0);
-    }
-
-    #[test]
-    fn first_relevant() {
-        assert_eq!(first_relevant_rank(&[1, 3, 2], even), Some(3));
-        assert_eq!(first_relevant_rank(&[2], even), Some(1));
-        assert_eq!(first_relevant_rank(&[1, 3, 5], even), None);
-        assert_eq!(first_relevant_rank(&[], even), None);
-    }
-
-    #[test]
-    fn metrics_are_consistent() {
-        // precision@k * k == recall@k * total_relevant (both count hits).
-        let ranked = vec![2, 1, 4, 6, 3, 8];
-        for k in 1..=6 {
-            let p = precision_at_k(&ranked, even, k);
-            let r = recall_at_k(&ranked, even, k, 4);
-            assert!((p * k as f64 - r * 4.0).abs() < 1e-12, "k = {k}");
-        }
+        assert!((mean_average_precision(&runs, |_, id| even(id)) - 0.75).abs() < 1e-12);
+        assert_eq!(mean_average_precision(&[], |_, id| even(id)), 0.0);
+        // Per-run relevance: run 0 wants even ids, run 1 odd ones, so both
+        // rankings are perfect.
+        let per_run = |run: usize, id: usize| even(id) == (run == 0);
+        assert_eq!(mean_average_precision(&runs, per_run), 1.0);
     }
 }

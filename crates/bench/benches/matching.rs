@@ -1,12 +1,11 @@
-//! Criterion micro-benchmarks for the image-matching algorithms (§5.5):
-//! quick union (linear), greedy one-to-one (O(n²)) and exact
-//! branch-and-bound (exponential, small n only).
+//! Criterion micro-benchmark for quick-union image matching (§5.5): one
+//! candidate scored through a reused scratch, as the query path does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use walrus_core::bitmap::RegionBitmap;
-use walrus_core::matching::{score_exact, score_greedy, score_quick, MatchPair};
+use walrus_core::matching::{similarity, MatchPair, QuickScratch};
 use walrus_core::{Region, SimilarityKind};
 
 fn random_regions(n: usize, rng: &mut StdRng) -> Vec<Region> {
@@ -41,20 +40,11 @@ fn instance(pairs: usize, seed: u64) -> (Vec<Region>, Vec<Region>, Vec<MatchPair
 fn bench_matching(c: &mut Criterion) {
     const AREA: usize = 128 * 96;
     let mut group = c.benchmark_group("matching");
+    let mut scratch = QuickScratch::default();
     for pairs in [8usize, 32, 128] {
         let (q, t, p) = instance(pairs, 99);
         group.bench_with_input(BenchmarkId::new("quick", pairs), &p, |b, p| {
-            b.iter(|| score_quick(&q, &t, p, AREA, AREA, SimilarityKind::Symmetric))
-        });
-        group.bench_with_input(BenchmarkId::new("greedy", pairs), &p, |b, p| {
-            b.iter(|| score_greedy(&q, &t, p, AREA, AREA, SimilarityKind::Symmetric))
-        });
-    }
-    // Exact only at small n (exponential).
-    for pairs in [6usize, 10] {
-        let (q, t, p) = instance(pairs, 7);
-        group.bench_with_input(BenchmarkId::new("exact", pairs), &p, |b, p| {
-            b.iter(|| score_exact(&q, &t, p, AREA, AREA, SimilarityKind::Symmetric))
+            b.iter(|| similarity(SimilarityKind::Symmetric, &mut scratch, &q, &t, p, AREA, AREA))
         });
     }
     group.finish();

@@ -12,7 +12,6 @@
 //! | `table1`              | Table 1        | response time / regions retrieved / distinct images over ε |
 //! | `regions_per_image`   | §6.6           | region count over ε_c, RGB vs YCC |
 //! | `ablation_signature`  | Def. 4.1       | centroid vs bounding-box region signatures |
-//! | `ablation_matching`   | §5.5           | quick vs greedy vs exact matching |
 //! | `ablation_bitmap`     | §5.3           | bitmap granularity vs area error and storage |
 //! | `ablation_windows`    | §5.2           | stride / window-range sweeps |
 //! | `ablation_integral`   | beyond paper   | summed-area-table signatures vs DP vs naive |

@@ -124,6 +124,21 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_class_gets_unique_names() {
+        let spec = DatasetSpec { width: 16, height: 16, ..DatasetSpec::default() };
+        let counts = [(ImageClass::Flowers, 2), (ImageClass::Lawn, 1), (ImageClass::Flowers, 2)];
+        let d = SyntheticDataset::generate_mixed(spec, &counts).unwrap();
+        let names: Vec<&str> = d.images.iter().map(|i| i.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["flowers_0000", "flowers_0001", "lawn_0000", "flowers_0002", "flowers_0003"]
+        );
+        for img in &d.images {
+            assert_eq!(id_of_name(&d, &img.name), Some(img.id));
+        }
+    }
+
+    #[test]
     fn query_is_not_a_dataset_member() {
         let d = retrieval_dataset(Scale::Quick);
         let q = flower_query();

@@ -552,7 +552,7 @@ fn cmd_info(opts: &Options, rest: &[String]) -> Result<(), String> {
     }
     println!(
         "  params:  windows {}..{} stride {}, signature {}x{} per {} channel(s) ({}), \
-         eps_c {}, eps {}, tau {}",
+         eps_c {}, eps {}",
         p.sliding.omega_min,
         p.sliding.omega_max,
         p.sliding.stride,
@@ -562,7 +562,6 @@ fn cmd_info(opts: &Options, rest: &[String]) -> Result<(), String> {
         p.color_space.name(),
         p.cluster_epsilon,
         p.query_epsilon,
-        p.tau,
     );
     for id in 0..store.next_id() {
         // Quarantined-shard ids are unknowable; skip them silently — the

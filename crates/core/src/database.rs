@@ -10,8 +10,8 @@
 //! the removed images' entries reach 1/16 of it. A query extracts the
 //! regions of the query image the same way, probes the index with the
 //! querying epsilon `ε`, groups matching regions by target image, and scores
-//! each candidate with the configured matching algorithm. Images whose
-//! similarity reaches `τ` are returned ranked.
+//! each candidate by quick-union matching. Images whose similarity reaches
+//! the request's floor `τ` are returned ranked.
 //!
 //! [`QueryStats`] carries the two selectivity measures of the paper's
 //! Table 1: the average number of regions retrieved per query region, and
@@ -19,7 +19,7 @@
 
 use crate::extract::{extract_batch_guarded, extract_regions, extract_regions_guarded};
 use crate::matching::{self, MatchPair, QuickScratch};
-use crate::params::{MatchingKind, SignatureKind, SimilarityKind, WalrusParams};
+use crate::params::{SignatureKind, SimilarityKind, WalrusParams};
 use crate::region::Region;
 use crate::scene_query::SceneRect;
 use crate::{Result, WalrusError};
@@ -177,14 +177,13 @@ pub struct QueryOutcome {
 /// rankings across the two.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueryOptions {
-    /// Keep only the best `k` matches. Also drops the `τ` similarity floor
-    /// (top-k is "best k regardless of τ") unless `min_similarity` says
-    /// otherwise.
+    /// Keep only the best `k` matches.
     pub k: Option<usize>,
     /// Override of the querying epsilon `ε` for this request only.
     pub epsilon: Option<f32>,
-    /// Explicit similarity floor; defaults to `τ` without `k` and `0.0`
-    /// with `k`.
+    /// The similarity floor `τ` of Definition 4.3: only images scoring at
+    /// least this are returned. Defaults to `0.0`, every image with a
+    /// matched region.
     pub min_similarity: Option<f64>,
     /// Per-request resource ceilings; defaults to the database-wide
     /// [`WalrusParams::budgets`].
@@ -511,7 +510,7 @@ impl ImageDatabase {
     }
 
     /// Runs a full query: extract regions of `query`, match against the
-    /// database, return images with similarity ≥ `τ`.
+    /// database, return every image with a matched region, best first.
     pub fn query(&self, query: &Image) -> Result<QueryOutcome> {
         self.query_guarded(query, &Guard::none())
     }
@@ -554,7 +553,7 @@ impl ImageDatabase {
         self.query_with_options_guarded(query, &opts, &Guard::none())
     }
 
-    /// The `k` most similar images regardless of `τ`.
+    /// The `k` most similar images.
     pub fn top_k(&self, query: &Image, k: usize) -> Result<Vec<RankedImage>> {
         let opts = QueryOptions { k: Some(k), ..QueryOptions::default() };
         Ok(self.query_with_options_guarded(query, &opts, &Guard::none())?.matches)
@@ -718,18 +717,12 @@ impl ImageDatabase {
         }
         // `offsets[id]` is now where image `id`'s run ends and the next begins.
         // Within a run, one query region's hits are in the order the tree's
-        // traversal met them, and the tree's shape depends on when it was
-        // last packed. Greedy and exact matching break ties by position, so
-        // their runs are put in (q, t) order — pairs are distinct, so it is
-        // a total one. Quick matching is a union.
-        let order_pairs = params.matching != MatchingKind::Quick;
+        // traversal met them; quick matching is a union, so that order
+        // reaches no score.
         let mut candidates = Vec::new();
         let mut start = 0;
         for (image_id, &end) in offsets.iter().enumerate() {
             if end > start {
-                if order_pairs {
-                    pairs[start..end].sort_unstable_by_key(|p| (p.q, p.t));
-                }
                 candidates.push((image_id, start..end));
             }
             start = end;
@@ -750,7 +743,7 @@ impl ImageDatabase {
             let pairs = &pairs[run.clone()];
             let similarity = QUICK_SCRATCH.with_borrow_mut(|scratch| {
                 matching::similarity(
-                    params,
+                    params.similarity,
                     scratch,
                     q_regions,
                     &img.regions,
@@ -860,8 +853,7 @@ impl QueryOptions {
                 return Err(WalrusError::BadParams(format!("min_similarity {min} invalid")));
             }
             Some(min) => min,
-            None if self.k.is_some() => 0.0,
-            None => params.tau,
+            None => 0.0,
         };
         Ok((params, min_similarity))
     }
@@ -974,11 +966,12 @@ mod tests {
 
     #[test]
     fn tau_filters_matches() {
-        let mut db = ImageDatabase::new(WalrusParams { tau: 0.95, ..params() }).unwrap();
+        let mut db = ImageDatabase::new(params()).unwrap();
         let q = flower_at(0.5, 0.5, 0.5);
         db.insert_image("same", &q).unwrap();
         db.insert_image("different", &flower_at(0.3, 0.3, 0.25)).unwrap();
-        let out = db.query(&q).unwrap();
+        let opts = QueryOptions { min_similarity: Some(0.95), ..QueryOptions::default() };
+        let out = db.query_with_options_guarded(&q, &opts, &Guard::none()).unwrap();
         // Only the (near-)identical image clears τ = 0.95.
         assert!(out.matches.iter().all(|m| m.similarity >= 0.95));
         assert!(out.matches.iter().any(|m| m.name == "same"));

@@ -17,11 +17,9 @@
 //! 3. **Region matching** — all database regions are indexed in a
 //!    `walrus-rstar` R\*-tree; a query probes it for regions within `ε`
 //!    (paper §5.4).
-//! 4. **Image matching** — matched region pairs are combined into a similar
-//!    region pair set and scored by Definition 4.3 ([`matching`], paper
-//!    §5.5): the fast quick-union metric, the `O(n²)` greedy one-to-one
-//!    heuristic, or the exact (exponential; the problem is NP-hard,
-//!    Theorem 5.1) optimum for small pair counts.
+//! 4. **Image matching** — each candidate image's matched regions are
+//!    unioned on both sides and scored by Definition 4.3 ([`matching`],
+//!    paper §5.5): the quick-union metric the paper's §6.4 experiments use.
 //!
 //! ## Entry points
 //!
@@ -85,7 +83,7 @@ pub use database::{
     ImageDatabase, ImageMeta, QueryOptions, QueryOutcome, QueryStats, RankedImage, ResultStatus,
 };
 pub use extract::{extract_regions, extract_regions_guarded};
-pub use params::{MatchingKind, SignatureKind, SimilarityKind, WalrusParams};
+pub use params::{SignatureKind, SimilarityKind, WalrusParams};
 pub use recovery::{scrub_dir, DirScrub, DurableDatabase, RecoveryReport};
 pub use region::Region;
 pub use sharded::{

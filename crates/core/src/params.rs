@@ -4,8 +4,9 @@
 //! defaults reproduce the configuration of the paper's retrieval-quality
 //! experiment (§6.4): 64×64 sliding windows, 2×2 signatures per channel in
 //! YCC space, cluster epsilon `ε_c = 0.05`, query epsilon `ε = 0.085`,
-//! centroid region signatures, 16×16 region bitmaps, and the quick-union
-//! image-matching metric.
+//! centroid region signatures and 16×16 region bitmaps. Images are always
+//! matched by quick union (§6.4), and the similarity floor `τ` is set per
+//! request (`QueryOptions::min_similarity`), so neither is a knob here.
 
 use crate::{Result, WalrusError};
 use walrus_guard::Budgets;
@@ -24,30 +25,14 @@ pub enum SignatureKind {
     BoundingBox,
 }
 
-/// Which image-matching algorithm combines matched region pairs (§5.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchingKind {
-    /// Union the bitmaps of all matched regions — linear time, relaxes the
-    /// one-to-one constraint of Definition 4.2. The paper's §6.4 choice.
-    Quick,
-    /// Greedy `O(n²)` heuristic for the one-to-one constrained similar
-    /// region pair set.
-    Greedy,
-    /// Exact maximum (exponential; Theorem 5.1 shows the problem NP-hard).
-    /// Falls back to greedy above `exact_pair_limit` pairs.
-    Exact,
-}
-
-/// The denominator variant of the similarity measure (§4 discusses all
-/// three).
+/// The denominator of the similarity measure (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimilarityKind {
     /// Definition 4.3: `(area(∪Qᵢ) + area(∪Tᵢ)) / (area(Q) + area(T))`.
     Symmetric,
-    /// Fraction of the *query* image covered by matching regions.
+    /// Fraction of the *query* image covered by matching regions: how a
+    /// scene query is scored.
     QueryFraction,
-    /// For differently sized images: denominator `2 · area(smaller image)`.
-    MinImage,
 }
 
 /// Full engine configuration.
@@ -61,21 +46,14 @@ pub struct WalrusParams {
     pub cluster_epsilon: f64,
     /// Region-matching distance `ε` (the querying epsilon of Table 1).
     pub query_epsilon: f32,
-    /// Image-similarity acceptance threshold `τ` (Definition 4.3).
-    pub tau: f64,
     /// Region signature representation.
     pub signature_kind: SignatureKind,
-    /// Image-matching algorithm.
-    pub matching: MatchingKind,
     /// Similarity denominator variant.
     pub similarity: SimilarityKind,
     /// Region bitmap grid (`grid × grid` bits per region; §6.4 uses 16).
     pub bitmap_grid: usize,
     /// Optional cap on clusters per image (CF-tree rebuild budget).
     pub max_regions_per_image: Option<usize>,
-    /// Pair-count ceiling beyond which [`MatchingKind::Exact`] degrades to
-    /// greedy (the exact algorithm is exponential).
-    pub exact_pair_limit: usize,
     /// Worker threads for the two fan-outs the engine has: a batch ingest
     /// spreads its images' extraction and its shards' commits over them, and
     /// a query its region probes and candidate scoring (per shard).
@@ -108,13 +86,10 @@ impl WalrusParams {
             color_space: ColorSpace::Ycc,
             cluster_epsilon: 0.05,
             query_epsilon: 0.085,
-            tau: 0.0,
             signature_kind: SignatureKind::Centroid,
-            matching: MatchingKind::Quick,
             similarity: SimilarityKind::Symmetric,
             bitmap_grid: 16,
             max_regions_per_image: None,
-            exact_pair_limit: 16,
             threads: 0,
             budgets: Budgets::default(),
             prefilter: true,
@@ -145,9 +120,6 @@ impl WalrusParams {
                 self.query_epsilon
             )));
         }
-        if !self.tau.is_finite() || !(0.0..=1.0).contains(&self.tau) {
-            return Err(WalrusError::BadParams(format!("tau {} must be in [0, 1]", self.tau)));
-        }
         if self.bitmap_grid == 0 {
             return Err(WalrusError::BadParams("bitmap_grid must be >= 1".into()));
         }
@@ -155,9 +127,6 @@ impl WalrusParams {
             if m < 2 {
                 return Err(WalrusError::BadParams("max_regions_per_image must be >= 2".into()));
             }
-        }
-        if self.exact_pair_limit == 0 {
-            return Err(WalrusError::BadParams("exact_pair_limit must be >= 1".into()));
         }
         let b = &self.budgets;
         if b.max_decoded_pixels == 0
@@ -209,9 +178,6 @@ mod tests {
         p = WalrusParams::paper_defaults();
         p.query_epsilon = f32::NAN;
         assert!(p.validate().is_err());
-        p = WalrusParams::paper_defaults();
-        p.tau = 1.5;
-        assert!(p.validate().is_err());
     }
 
     #[test]
@@ -221,9 +187,6 @@ mod tests {
         assert!(p.validate().is_err());
         p = WalrusParams::paper_defaults();
         p.max_regions_per_image = Some(1);
-        assert!(p.validate().is_err());
-        p = WalrusParams::paper_defaults();
-        p.exact_pair_limit = 0;
         assert!(p.validate().is_err());
     }
 

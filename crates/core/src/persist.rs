@@ -54,7 +54,7 @@
 use crate::bitmap::RegionBitmap;
 use crate::crc32::crc32;
 use crate::database::{ImageDatabase, IndexedImage};
-use crate::params::{MatchingKind, SignatureKind, SimilarityKind, WalrusParams};
+use crate::params::{SignatureKind, SimilarityKind, WalrusParams};
 use crate::region::Region;
 use crate::storage::StorageIo;
 use crate::{Result, WalrusError};
@@ -381,25 +381,28 @@ fn write_params(out: &mut Vec<u8>, p: &WalrusParams) {
     put_u32(out, color_space_tag(p.color_space));
     put_f64(out, p.cluster_epsilon);
     put_f32(out, p.query_epsilon);
-    put_f64(out, p.tau);
+    put_f64(out, RETIRED_TAU);
     put_u32(out, match p.signature_kind {
         SignatureKind::Centroid => 0,
         SignatureKind::BoundingBox => 1,
     });
-    put_u32(out, match p.matching {
-        MatchingKind::Quick => 0,
-        MatchingKind::Greedy => 1,
-        MatchingKind::Exact => 2,
-    });
+    put_u32(out, QUICK_MATCHING_TAG);
     put_u32(out, match p.similarity {
         SimilarityKind::Symmetric => 0,
         SimilarityKind::QueryFraction => 1,
-        SimilarityKind::MinImage => 2,
     });
     put_u64(out, p.bitmap_grid as u64);
     put_u64(out, p.max_regions_per_image.map(|m| m as u64 + 1).unwrap_or(0));
-    put_u64(out, p.exact_pair_limit as u64);
+    put_u64(out, RETIRED_PAIR_LIMIT);
 }
+
+// Three slots of the params block outlived their knobs. The writer keeps
+// putting the values every store holds, so the format does not move: the
+// store-wide similarity floor `τ` (0.0), the matching algorithm (tag 0,
+// quick union) and exact matching's pair ceiling (16; read and ignored).
+const RETIRED_TAU: f64 = 0.0;
+const QUICK_MATCHING_TAG: u32 = 0;
+const RETIRED_PAIR_LIMIT: u64 = 16;
 
 fn read_params(r: &mut Reader<'_>) -> Result<WalrusParams> {
     let sliding = SlidingParams {
@@ -411,22 +414,24 @@ fn read_params(r: &mut Reader<'_>) -> Result<WalrusParams> {
     let color_space = color_space_from_tag(r.u32()?)?;
     let cluster_epsilon = r.f64()?;
     let query_epsilon = r.f32()?;
+    // A store that filtered, matched or scored any other way would answer
+    // differently here, so it is refused rather than loaded.
     let tau = r.f64()?;
+    if tau != RETIRED_TAU {
+        return Err(corrupt(&format!("unsupported tau {tau}")));
+    }
     let signature_kind = match r.u32()? {
         0 => SignatureKind::Centroid,
         1 => SignatureKind::BoundingBox,
         other => return Err(corrupt(&format!("bad signature kind {other}"))),
     };
-    let matching = match r.u32()? {
-        0 => MatchingKind::Quick,
-        1 => MatchingKind::Greedy,
-        2 => MatchingKind::Exact,
-        other => return Err(corrupt(&format!("bad matching kind {other}"))),
-    };
+    match r.u32()? {
+        QUICK_MATCHING_TAG => {}
+        other => return Err(corrupt(&format!("unsupported matching kind {other}"))),
+    }
     let similarity = match r.u32()? {
         0 => SimilarityKind::Symmetric,
         1 => SimilarityKind::QueryFraction,
-        2 => SimilarityKind::MinImage,
         other => return Err(corrupt(&format!("bad similarity kind {other}"))),
     };
     let bitmap_grid = r.u64()? as usize;
@@ -434,19 +439,16 @@ fn read_params(r: &mut Reader<'_>) -> Result<WalrusParams> {
         0 => None,
         v => Some((v - 1) as usize),
     };
-    let exact_pair_limit = r.u64()? as usize;
+    r.u64()?; // the retired pair ceiling
     Ok(WalrusParams {
         sliding,
         color_space,
         cluster_epsilon,
         query_epsilon,
-        tau,
         signature_kind,
-        matching,
         similarity,
         bitmap_grid,
         max_regions_per_image: max_regions,
-        exact_pair_limit,
         // Runtime knobs; deliberately not part of the snapshot format —
         // a loaded snapshot starts from the defaults, and every reopen path
         // replaces them with its caller's (`set_runtime_knobs`).

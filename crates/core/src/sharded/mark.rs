@@ -269,8 +269,6 @@ impl ShardedStore {
                         break 'shards;
                     }
                 }
-                // Query region by query region, so the pairs come in the
-                // (q, t) order the full query puts an image's run in.
                 pairs.clear();
                 for (q, probe) in probes.iter().enumerate() {
                     for (t, region) in img.regions.iter().enumerate() {
@@ -286,7 +284,7 @@ impl ShardedStore {
                 hits += pairs.len();
                 images += 1;
                 let similarity = matching::similarity(
-                    &params,
+                    params.similarity,
                     &mut scratch,
                     &q_regions,
                     &img.regions,

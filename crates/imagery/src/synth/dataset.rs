@@ -27,6 +27,7 @@ use crate::synth::texture::{Rgb, Texture};
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// Semantic class of a synthetic image; doubles as retrieval ground truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,13 +131,18 @@ impl SyntheticDataset {
     /// query class among abundant distractors, the regime of the paper's
     /// 10,000-image collection where flower photos were a small minority.
     /// `spec.images_per_class` and `spec.classes` are ignored in favour of
-    /// `counts`; everything else (sizes, seed) applies.
+    /// `counts`; everything else (sizes, seed) applies. A class may appear
+    /// in several entries: its images are numbered on across them, so every
+    /// name is unique.
     pub fn generate_mixed(spec: DatasetSpec, counts: &[(ImageClass, usize)]) -> Result<Self> {
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let total: usize = counts.iter().map(|(_, n)| n).sum();
         let mut images = Vec::with_capacity(total);
+        let mut numbered = HashMap::new();
         for &(class, n) in counts {
-            for i in 0..n {
+            for _ in 0..n {
+                let next: &mut usize = numbered.entry(class).or_default();
+                let i = std::mem::replace(next, *next + 1);
                 let scene = scene_for_class(class, &mut rng);
                 let image = scene.render(spec.width, spec.height)?;
                 images.push(LabeledImage {

@@ -104,8 +104,8 @@ enum Ask {
     Eps(bool),
     /// An explicit similarity floor, no `k`.
     MinSim,
-    /// No parameter at all: every image at or above `τ`.
-    Tau,
+    /// No parameter at all: every image with a matched region.
+    Bare,
 }
 
 impl Ask {
@@ -114,7 +114,7 @@ impl Ask {
             Ask::K(k) => format!("/query?k={k}"),
             Ask::Eps(wide) => format!("/query?k=3&eps={}", if wide { "0.2" } else { "0.05" }),
             Ask::MinSim => "/query?min_sim=0.3".to_string(),
-            Ask::Tau => "/query".to_string(),
+            Ask::Bare => "/query".to_string(),
         }
     }
 
@@ -126,7 +126,7 @@ impl Ask {
                 QueryOptions { k: Some(3), epsilon: Some(if wide { 0.2 } else { 0.05 }), ..none }
             }
             Ask::MinSim => QueryOptions { min_similarity: Some(0.3), ..none },
-            Ask::Tau => none,
+            Ask::Bare => none,
         }
     }
 }
@@ -151,7 +151,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     let ask = (0usize..6, 1usize..4).prop_map(|(shape, k)| match shape {
         0 => Ask::Eps(k % 2 == 0),
         1 => Ask::MinSim,
-        2 => Ask::Tau,
+        2 => Ask::Bare,
         _ => Ask::K(k),
     });
     let op = (0usize..12, 0usize..6, ask).prop_map(|(which, seed, ask)| match which {

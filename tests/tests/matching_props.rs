@@ -1,14 +1,12 @@
-//! Property-based tests for the image-matching algorithms: dominance
-//! relations (quick ≥ exact ≥ greedy in covered area), validity of selected
-//! pair sets, similarity bounds, and symmetry.
+//! Property-based tests for quick-union image matching: it equals its
+//! definition through a reused scratch, similarity stays in `[0, 1]`, more
+//! pairs never lower it, it is symmetric under a role swap, and no pairs
+//! score zero.
 
 use proptest::prelude::*;
 use walrus_core::bitmap::RegionBitmap;
-use walrus_core::matching::{
-    quick_covered, score, score_exact, score_greedy, score_quick, similarity, MatchPair,
-    QuickScratch,
-};
-use walrus_core::{Region, SimilarityKind, WalrusParams};
+use walrus_core::matching::{quick_covered, similarity, MatchPair, QuickScratch};
+use walrus_core::{Region, SimilarityKind};
 
 const W: usize = 64;
 const H: usize = 48;
@@ -78,54 +76,22 @@ fn quick_covered_by_definition(inst: &Inst) -> (usize, usize) {
     (covered(&inst.q, qs), covered(&inst.t, ts))
 }
 
-fn one_to_one(pairs: &[MatchPair]) -> bool {
-    let mut qs: Vec<usize> = pairs.iter().map(|p| p.q).collect();
-    let mut ts: Vec<usize> = pairs.iter().map(|p| p.t).collect();
-    qs.sort_unstable();
-    ts.sort_unstable();
-    let ql = qs.len();
-    let tl = ts.len();
-    qs.dedup();
-    ts.dedup();
-    qs.len() == ql && ts.len() == tl
+/// The similarity of `inst` under `kind`, through a fresh scratch.
+fn score(inst: &Inst, kind: SimilarityKind) -> f64 {
+    similarity(kind, &mut QuickScratch::default(), &inst.q, &inst.t, &inst.pairs, AREA, AREA)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn dominance_chain_holds(inst in instance()) {
-        let quick = score_quick(&inst.q, &inst.t, &inst.pairs, AREA, AREA, SimilarityKind::Symmetric);
-        let greedy = score_greedy(&inst.q, &inst.t, &inst.pairs, AREA, AREA, SimilarityKind::Symmetric);
-        let exact = score_exact(&inst.q, &inst.t, &inst.pairs, AREA, AREA, SimilarityKind::Symmetric);
-        let cov = |s: &walrus_core::matching::MatchScore| s.covered_query_area + s.covered_target_area;
-        // Quick relaxes the one-to-one constraint: it covers at least what
-        // the exact one-to-one optimum covers; exact dominates greedy.
-        prop_assert!(cov(&quick) >= cov(&exact), "quick {} < exact {}", cov(&quick), cov(&exact));
-        prop_assert!(cov(&exact) >= cov(&greedy), "exact {} < greedy {}", cov(&exact), cov(&greedy));
-    }
-
-    #[test]
-    fn selected_sets_are_valid_matchings(inst in instance()) {
-        let greedy = score_greedy(&inst.q, &inst.t, &inst.pairs, AREA, AREA, SimilarityKind::Symmetric);
-        let exact = score_exact(&inst.q, &inst.t, &inst.pairs, AREA, AREA, SimilarityKind::Symmetric);
-        prop_assert!(one_to_one(&greedy.pairs_used));
-        prop_assert!(one_to_one(&exact.pairs_used));
-        // Every selected pair came from the input.
-        for p in greedy.pairs_used.iter().chain(&exact.pairs_used) {
-            prop_assert!(inst.pairs.contains(p));
-        }
-    }
-
-    #[test]
     fn similarity_bounded_for_all_variants(inst in instance()) {
-        for kind in [SimilarityKind::Symmetric, SimilarityKind::QueryFraction, SimilarityKind::MinImage] {
-            for f in [score_quick, score_greedy, score_exact] {
-                let s = f(&inst.q, &inst.t, &inst.pairs, AREA, AREA, kind);
-                prop_assert!((0.0..=1.0).contains(&s.similarity), "{kind:?}: {}", s.similarity);
-                prop_assert!(s.covered_query_area <= AREA);
-                prop_assert!(s.covered_target_area <= AREA);
-            }
+        let (covered_q, covered_t) = quick_covered(&mut QuickScratch::default(), &inst.q, &inst.t, &inst.pairs);
+        prop_assert!(covered_q <= AREA);
+        prop_assert!(covered_t <= AREA);
+        for kind in [SimilarityKind::Symmetric, SimilarityKind::QueryFraction] {
+            let s = score(&inst, kind);
+            prop_assert!((0.0..=1.0).contains(&s), "{kind:?}: {s}");
         }
     }
 
@@ -133,11 +99,9 @@ proptest! {
     fn symmetric_under_role_swap(inst in instance()) {
         let swapped: Vec<MatchPair> =
             inst.pairs.iter().map(|p| MatchPair { q: p.t, t: p.q }).collect();
-        for f in [score_quick, score_exact] {
-            let ab = f(&inst.q, &inst.t, &inst.pairs, AREA, AREA, SimilarityKind::Symmetric);
-            let ba = f(&inst.t, &inst.q, &swapped, AREA, AREA, SimilarityKind::Symmetric);
-            prop_assert!((ab.similarity - ba.similarity).abs() < 1e-12);
-        }
+        let swapped = Inst { q: inst.t.clone(), t: inst.q.clone(), pairs: swapped };
+        let (ab, ba) = (score(&inst, SimilarityKind::Symmetric), score(&swapped, SimilarityKind::Symmetric));
+        prop_assert!((ab - ba).abs() < 1e-12);
     }
 
     #[test]
@@ -153,32 +117,32 @@ proptest! {
         quick_covered(&mut scratch, &other.q, &other.t, &other.pairs);
         let got = quick_covered(&mut scratch, &inst.q, &inst.t, &inst.pairs);
         prop_assert_eq!(got, quick_covered_by_definition(&inst));
+        // The query path's entry point, on the same dirty scratch, reports
+        // what a fresh one does.
         let (q, t, pairs) = (&inst.q, &inst.t, &inst.pairs);
-        let full = score_quick(q, t, pairs, AREA, AREA, SimilarityKind::Symmetric);
-        prop_assert_eq!(got, (full.covered_query_area, full.covered_target_area));
-        // The query path's entry point reports the same number as `score`.
-        let params = WalrusParams::paper_defaults();
-        let direct = similarity(&params, &mut scratch, q, t, pairs, AREA, AREA);
-        prop_assert_eq!(direct.to_bits(), score(&params, q, t, pairs, AREA, AREA).similarity.to_bits());
+        let direct = similarity(SimilarityKind::Symmetric, &mut scratch, q, t, pairs, AREA, AREA);
+        prop_assert_eq!(direct.to_bits(), score(&inst, SimilarityKind::Symmetric).to_bits());
+        let by_definition = (got.0 + got.1) as f64 / (2 * AREA) as f64;
+        prop_assert_eq!(direct.to_bits(), by_definition.to_bits());
     }
 
     #[test]
     fn more_pairs_never_hurt_quick(inst in instance()) {
         // Quick union is monotone in the pair set.
         if inst.pairs.len() >= 2 {
-            let half = &inst.pairs[..inst.pairs.len() / 2];
-            let part = score_quick(&inst.q, &inst.t, half, AREA, AREA, SimilarityKind::Symmetric);
-            let full = score_quick(&inst.q, &inst.t, &inst.pairs, AREA, AREA, SimilarityKind::Symmetric);
-            prop_assert!(full.similarity >= part.similarity - 1e-12);
+            let half = Inst { pairs: inst.pairs[..inst.pairs.len() / 2].to_vec(), ..inst.clone() };
+            let part = score(&half, SimilarityKind::Symmetric);
+            let full = score(&inst, SimilarityKind::Symmetric);
+            prop_assert!(full >= part - 1e-12);
         }
     }
 
     #[test]
     fn empty_pairs_score_zero(q in proptest::collection::vec(region_strategy(), 1..4), t in proptest::collection::vec(region_strategy(), 1..4)) {
-        for f in [score_quick, score_greedy, score_exact] {
-            let s = f(&q, &t, &[], AREA, AREA, SimilarityKind::Symmetric);
-            prop_assert_eq!(s.similarity, 0.0);
-            prop_assert!(s.pairs_used.is_empty());
+        let inst = Inst { q, t, pairs: Vec::new() };
+        prop_assert_eq!(quick_covered(&mut QuickScratch::default(), &inst.q, &inst.t, &[]), (0, 0));
+        for kind in [SimilarityKind::Symmetric, SimilarityKind::QueryFraction] {
+            prop_assert_eq!(score(&inst, kind), 0.0);
         }
     }
 }

@@ -1,13 +1,12 @@
 //! "Open ≡ live": the index is derived state, so a store answers the same
 //! whether live edits left it a packed base plus an unpacked tail and dead
 //! entries, or it was packed from the image table at open — for every way a
-//! store can be opened, and for every matching algorithm.
+//! store can be opened.
 //!
 //! Two tests. The first takes the engine alone: the same regions held as a
 //! packed base with a tail and a dead entry, and packed whole by variance
-//! bisection, give bit-identical [`QueryOutcome`]s under Quick, Greedy and
-//! Exact matching and both signature kinds (the traversal order must not
-//! reach a score). The second is a model test over the durable stores: one
+//! bisection, give bit-identical [`QueryOutcome`]s under both signature
+//! kinds (the traversal order must not reach a score). The second is a model test over the durable stores: one
 //! seeded operation sequence against a never-closed store and against
 //! stores reopened from a WAL, a snapshot, a snapshot plus a WAL tail, a
 //! shard repair and a rebalance chain — which must agree on every query,
@@ -16,7 +15,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use walrus_core::params::{MatchingKind, SignatureKind};
+use walrus_core::params::SignatureKind;
 use walrus_core::sharded::shard_dir_name_at;
 use walrus_core::storage::FaultIo;
 use walrus_core::{
@@ -60,60 +59,52 @@ fn fingerprint(out: &QueryOutcome) -> String {
 fn rankings_do_not_depend_on_tree_shape() {
     let data = dataset(6, 0x5A9E);
     for kind in [SignatureKind::Centroid, SignatureKind::BoundingBox] {
-        for matching in [MatchingKind::Quick, MatchingKind::Greedy, MatchingKind::Exact] {
-            // A wide ε and a high pair limit, so candidate images carry
-            // several pairs per query region and Exact really runs.
-            let params = WalrusParams {
-                signature_kind: kind,
-                matching,
-                query_epsilon: 0.12,
-                exact_pair_limit: 12,
-                ..params()
-            };
-            let extracted: Vec<Vec<Region>> = data
-                .images
-                .iter()
-                .map(|img| extract_regions(&img.image, &params).unwrap())
-                .collect();
-            // Live inserts, which repack at thresholds; then, on that table
-            // packed whole, the removal of its smallest image and one more
-            // insert: a packed base with dead entries plus an unpacked tail.
-            let (last, history) = data.images.split_last().unwrap();
-            let mut live = ImageDatabase::new(params).unwrap();
-            for (img, regions) in history.iter().zip(&extracted) {
-                let (width, height) = (img.image.width(), img.image.height());
-                live.insert_regions(&img.name, width, height, regions.clone()).unwrap();
-            }
-            let mut tail = persist::load(&persist::save(&live)).unwrap();
-            let smallest = (0..history.len()).min_by_key(|&id| extracted[id].len()).unwrap();
-            tail.remove_image(smallest).unwrap();
-            let (width, height) = (last.image.width(), last.image.height());
-            tail.insert_regions(&last.name, width, height, extracted[history.len()].clone())
-                .unwrap();
-            let (unpacked, dead) = tail.check_invariants();
-            assert!(unpacked > 0 && dead > 0, "{kind:?}: tail {unpacked}, dead {dead}");
-            let packed = persist::load(&persist::save(&tail)).unwrap();
-            assert_eq!(packed.check_invariants(), (0, 0));
-            assert_eq!(packed.num_regions(), tail.num_regions());
-            let mut multi_pair_groups = 0;
-            for (img, regions) in data.images.iter().zip(&extracted) {
-                let a = tail.query_regions(regions, img.image.area(), 0.0).unwrap();
-                let b = packed.query_regions(regions, img.image.area(), 0.0).unwrap();
-                assert_eq!(
-                    fingerprint(&a),
-                    fingerprint(&b),
-                    "{kind:?}/{matching:?}: query {} ranks differently on the packed index",
-                    img.name
-                );
-                multi_pair_groups +=
-                    a.matches.iter().filter(|m| m.matched_pairs > regions.len()).count();
-            }
-            assert!(
-                multi_pair_groups > 0,
-                "{kind:?}/{matching:?}: no image matched one query region twice — \
-                 the fixture no longer exercises pair order"
-            );
+        // A wide ε, so candidate images carry several pairs per query
+        // region, met in whatever order the traversal takes.
+        let params = WalrusParams { signature_kind: kind, query_epsilon: 0.12, ..params() };
+        let extracted: Vec<Vec<Region>> = data
+            .images
+            .iter()
+            .map(|img| extract_regions(&img.image, &params).unwrap())
+            .collect();
+        // Live inserts, which repack at thresholds; then, on that table
+        // packed whole, the removal of its smallest image and one more
+        // insert: a packed base with dead entries plus an unpacked tail.
+        let (last, history) = data.images.split_last().unwrap();
+        let mut live = ImageDatabase::new(params).unwrap();
+        for (img, regions) in history.iter().zip(&extracted) {
+            let (width, height) = (img.image.width(), img.image.height());
+            live.insert_regions(&img.name, width, height, regions.clone()).unwrap();
         }
+        let mut tail = persist::load(&persist::save(&live)).unwrap();
+        let smallest = (0..history.len()).min_by_key(|&id| extracted[id].len()).unwrap();
+        tail.remove_image(smallest).unwrap();
+        let (width, height) = (last.image.width(), last.image.height());
+        tail.insert_regions(&last.name, width, height, extracted[history.len()].clone())
+            .unwrap();
+        let (unpacked, dead) = tail.check_invariants();
+        assert!(unpacked > 0 && dead > 0, "{kind:?}: tail {unpacked}, dead {dead}");
+        let packed = persist::load(&persist::save(&tail)).unwrap();
+        assert_eq!(packed.check_invariants(), (0, 0));
+        assert_eq!(packed.num_regions(), tail.num_regions());
+        let mut multi_pair_groups = 0;
+        for (img, regions) in data.images.iter().zip(&extracted) {
+            let a = tail.query_regions(regions, img.image.area(), 0.0).unwrap();
+            let b = packed.query_regions(regions, img.image.area(), 0.0).unwrap();
+            assert_eq!(
+                fingerprint(&a),
+                fingerprint(&b),
+                "{kind:?}: query {} ranks differently on the packed index",
+                img.name
+            );
+            multi_pair_groups +=
+                a.matches.iter().filter(|m| m.matched_pairs > regions.len()).count();
+        }
+        assert!(
+            multi_pair_groups > 0,
+            "{kind:?}: no image matched one query region twice — \
+             the fixture no longer exercises pair order"
+        );
     }
 }
 

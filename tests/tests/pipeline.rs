@@ -198,7 +198,7 @@ fn all_similarity_variants_rank_self_first() {
     use walrus_core::SimilarityKind;
     let dataset = small_dataset();
     let target = &dataset.images[3]; // a flower image
-    for kind in [SimilarityKind::Symmetric, SimilarityKind::QueryFraction, SimilarityKind::MinImage] {
+    for kind in [SimilarityKind::Symmetric, SimilarityKind::QueryFraction] {
         let mut params = engine_params();
         params.similarity = kind;
         let mut db = ImageDatabase::new(params).unwrap();

@@ -20,7 +20,7 @@
 //! these pins say how *good* the answers are.
 
 use std::sync::OnceLock;
-use walrus_baselines::eval::{average_precision, precision_at_k};
+use walrus_baselines::eval::{mean_average_precision, precision_at_k};
 use walrus_baselines::{Retriever, WbiisRetriever};
 use walrus_core::{ImageDatabase, WalrusParams};
 use walrus_imagery::synth::dataset::flower_query_scenario;
@@ -97,16 +97,19 @@ fn score<'a>(
     rank: &dyn Fn(&Image) -> Vec<usize>,
 ) -> (f64, f64) {
     let entries = &corpus().entries;
-    let (mut ap, mut p, mut n) = (0.0, 0.0, 0);
-    for (query, relevant) in queries {
-        let ranked = rank(query);
-        let is_relevant = |id: usize| relevant(&entries[id]);
-        let total = entries.iter().filter(|e| relevant(e)).count();
-        ap += average_precision(&ranked, is_relevant, total);
-        p += precision_at_k(&ranked, is_relevant, k);
-        n += 1;
-    }
-    (ap / n as f64, p / n as f64)
+    let (queries, relevant): (Vec<_>, Vec<_>) = queries.unzip();
+    let runs: Vec<(Vec<usize>, usize)> = queries
+        .iter()
+        .zip(&relevant)
+        .map(|(query, relevant)| (rank(query), entries.iter().filter(|e| relevant(e)).count()))
+        .collect();
+    let is_relevant = |run: usize, id: usize| relevant[run](&entries[id]);
+    let precision: f64 = runs
+        .iter()
+        .enumerate()
+        .map(|(run, (ranked, _))| precision_at_k(ranked, |id| is_relevant(run, id), k))
+        .sum();
+    (mean_average_precision(&runs, is_relevant), precision / runs.len() as f64)
 }
 
 /// `[class MAP, class P@10, instance MAP, instance P@4]` of one system,

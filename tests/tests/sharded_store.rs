@@ -256,15 +256,16 @@ fn reopen_keeps_the_callers_runtime_knobs() {
         threads: 1,
         prefilter: false,
         // A persisted parameter the store must *not* take from the caller.
-        tau: created.tau / 2.0,
+        query_epsilon: created.query_epsilon / 2.0,
         ..created
     };
     reopened.budgets.max_decoded_pixels = 16 * 16;
+    assert_eq!((created.query_epsilon, reopened.query_epsilon), (0.085, 0.0425));
     let assert_knobs = |got: WalrusParams, ctx: &str| {
         assert_eq!(got.threads, 1, "{ctx}: threads");
         assert_eq!(got.budgets, reopened.budgets, "{ctx}: budgets");
         assert!(!got.prefilter, "{ctx}: prefilter");
-        assert_eq!(got.tau, created.tau, "{ctx}: a persisted parameter must win");
+        assert_eq!(got.query_epsilon, 0.085, "{ctx}: a persisted parameter must win");
     };
     let assert_refuses_oversized = |result: Result<QueryOutcome>, ctx: &str| match result {
         Err(WalrusError::BudgetExceeded { what: "decoded pixels", used, limit }) => {

@@ -210,3 +210,46 @@ fn crc_clean_snapshots_with_unindexable_regions_are_corrupt() {
         }
     }
 }
+
+/// The params block still carries three slots whose knobs are gone: the
+/// store-wide floor `τ`, the matching-algorithm tag and the pair ceiling.
+/// A block that says anything but `τ = 0`, quick matching (tag 0) and one of
+/// the two similarity denominators would answer differently from the store
+/// that wrote it, so — checksums all correct — it is refused as corrupt,
+/// naming the field. The pair ceiling meant nothing without exact matching
+/// and is ignored.
+#[test]
+fn crc_clean_params_with_retired_settings_are_corrupt() {
+    // Offsets into the params block: four u64 window fields, the u32 colour
+    // space, the f64 cluster ε and the f32 query ε come first.
+    const TAU: usize = 48;
+    const MATCHING: usize = 60;
+    const SIMILARITY: usize = 64;
+    const PAIR_LIMIT: usize = 84;
+    let good = persist::save(&populated());
+    let params_len = u32::from_le_bytes(good[20..24].try_into().unwrap()) as usize;
+    assert_eq!(params_len, 92, "params block layout moved");
+    let patched = |at: usize, value: &[u8]| {
+        let mut bytes = good.clone();
+        bytes[24 + at..24 + at + value.len()].copy_from_slice(value);
+        let crc = crc32(&bytes[24..24 + params_len]);
+        bytes[24 + params_len..28 + params_len].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut bytes);
+        bytes
+    };
+    let refused: [(usize, Vec<u8>, &str); 4] = [
+        (MATCHING, 1u32.to_le_bytes().to_vec(), "matching kind 1"),
+        (MATCHING, 2u32.to_le_bytes().to_vec(), "matching kind 2"),
+        (TAU, 0.95f64.to_le_bytes().to_vec(), "tau 0.95"),
+        (SIMILARITY, 2u32.to_le_bytes().to_vec(), "similarity kind 2"),
+    ];
+    for (at, value, field) in refused {
+        match persist::load(&patched(at, &value)) {
+            Err(WalrusError::Corrupt(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+            Err(other) => panic!("{field}: non-corrupt error {other}"),
+            Ok(_) => panic!("{field}: the snapshot loaded"),
+        }
+    }
+    let db = persist::load(&patched(PAIR_LIMIT, &12u64.to_le_bytes())).unwrap();
+    assert_eq!(db.params(), persist::load(&good).unwrap().params());
+}
