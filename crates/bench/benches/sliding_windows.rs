@@ -6,9 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use walrus_bench::workloads::timing_planes;
 use walrus_imagery::ColorSpace;
-use walrus_wavelet::sliding::{
-    compute_signatures, compute_signatures_integral, compute_signatures_naive,
-};
+use walrus_wavelet::sliding::{compute_signatures, compute_signatures_naive};
 use walrus_wavelet::SlidingParams;
 
 fn bench_window_sizes(c: &mut Criterion) {
@@ -22,9 +20,6 @@ fn bench_window_sizes(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("naive", omega), &params, |b, p| {
             b.iter(|| compute_signatures_naive(&refs, side, side, p).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("integral", omega), &params, |b, p| {
-            b.iter(|| compute_signatures_integral(&refs, side, side, p).unwrap())
         });
     }
     group.finish();

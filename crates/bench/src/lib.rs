@@ -14,7 +14,6 @@
 //! | `ablation_signature`  | Def. 4.1       | centroid vs bounding-box region signatures |
 //! | `ablation_bitmap`     | §5.3           | bitmap granularity vs area error and storage |
 //! | `ablation_windows`    | §5.2           | stride / window-range sweeps |
-//! | `ablation_integral`   | beyond paper   | summed-area-table signatures vs DP vs naive |
 //! | `robustness_curves`   | §1.1           | perturbation dose–response, WALRUS vs WBIIS |
 //!
 //! Every binary prints a plain-text table (and machine-readable CSV lines

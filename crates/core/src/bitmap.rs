@@ -109,18 +109,12 @@ impl RegionBitmap {
         }
     }
 
-    /// Number of image pixels in set cells.
+    /// Number of image pixels in set cells. Integer-exact against summing
+    /// [`Self::cell_pixels`] over the set cells.
     pub fn area(&self) -> usize {
-        self.area_of(self.bits.iter().copied())
-    }
-
-    /// Pixel area of the cells set in `words`, a bit set laid out like this
-    /// bitmap's own. Integer-exact against summing [`Self::cell_pixels`]
-    /// over the set cells.
-    fn area_of(&self, words: impl Iterator<Item = u64>) -> usize {
         if self.width % self.gw == 0 && self.height % self.gh == 0 {
             // The grid divides the image: every cell has the same extent.
-            let cells: usize = words.map(|w| w.count_ones() as usize).sum();
+            let cells: usize = self.bits.iter().map(|w| w.count_ones() as usize).sum();
             return cells * (self.width / self.gw) * (self.height / self.gh);
         }
         // Cells differ by a pixel: tabulate column widths and row heights
@@ -131,7 +125,7 @@ impl RegionBitmap {
         let (col_w, row_h) = (extents(self.width, self.gw), extents(self.height, self.gh));
         let mut cells = (0..self.gh).flat_map(|cy| (0..self.gw).map(move |cx| (cx, cy)));
         let mut total = 0;
-        for word in words {
+        for word in &self.bits {
             for (bit, (cx, cy)) in (0..64).zip(&mut cells) {
                 if word >> bit & 1 == 1 {
                     total += col_w[cx] * row_h[cy];
@@ -169,19 +163,6 @@ impl RegionBitmap {
         (self.width, self.height, self.gw, self.gh) = (like.width, like.height, like.gw, like.gh);
         self.bits.clear();
         self.bits.resize(like.bits.len(), 0);
-    }
-
-    /// The union of `self` and `other`.
-    pub fn union(&self, other: &RegionBitmap) -> RegionBitmap {
-        let mut out = self.clone();
-        out.union_in_place(other);
-        out
-    }
-
-    /// Pixel area of the union without materializing it.
-    pub fn union_area(&self, other: &RegionBitmap) -> usize {
-        self.assert_same_layout(other);
-        self.area_of(self.bits.iter().zip(&other.bits).map(|(a, b)| a | b))
     }
 
     /// True when no cell is set.
@@ -314,18 +295,21 @@ mod tests {
     }
 
     #[test]
-    fn union_and_union_area() {
+    fn union_in_place_counts_shared_cells_once() {
         let mut a = RegionBitmap::new(64, 64, 16);
         let mut b = RegionBitmap::new(64, 64, 16);
         a.mark_window(0, 0, 16, 16); // cells (0..=3, 0..=3)
         b.mark_window(8, 8, 16, 16); // cells (2..=5, 2..=5)
-        let union = a.union(&b);
+        let mut union = a.clone();
+        union.union_in_place(&b);
         assert_eq!(union.cells_set(), 16 + 16 - 4);
-        assert_eq!(a.union_area(&b), union.area());
+        assert_eq!(union.area(), 28 * 16);
         // Union is commutative.
-        assert_eq!(b.union(&a), union);
-        // a unchanged by non-destructive union.
-        assert_eq!(a.cells_set(), 16);
+        let mut other_way = b.clone();
+        other_way.union_in_place(&a);
+        assert_eq!(other_way, union);
+        // The operand is left as it was.
+        assert_eq!(b.cells_set(), 16);
     }
 
     #[test]
@@ -338,8 +322,9 @@ mod tests {
         assert_eq!(b.area(), area1, "re-marking covered space adds nothing");
     }
 
-    /// The definition `area` and `union_area` must reproduce: the pixel
-    /// extent of every cell set in either bitmap, summed cell by cell.
+    /// The definition `area` must reproduce, of one bitmap or of a union:
+    /// the pixel extent of every cell set in either bitmap, summed cell by
+    /// cell.
     fn area_by_cells(a: &RegionBitmap, b: &RegionBitmap) -> usize {
         let mut total = 0;
         for cy in 0..a.grid_height() {
@@ -385,13 +370,13 @@ mod tests {
                 }
                 let empty = RegionBitmap::new(width, height, grid);
                 assert_eq!(a.area(), area_by_cells(&a, &empty), "{width}x{height}/{grid}");
-                assert_eq!(a.union_area(&b), area_by_cells(&a, &b), "{width}x{height}/{grid}");
-                assert_eq!(a.union(&b).area(), a.union_area(&b));
                 let mut acc = RegionBitmap::new(1, 1, 1);
                 acc.reset_like(&a);
                 assert_eq!(acc, empty);
                 acc.union_in_place(&a);
                 assert_eq!(acc, a);
+                acc.union_in_place(&b);
+                assert_eq!(acc.area(), area_by_cells(&a, &b), "{width}x{height}/{grid}");
             }
             let mut full = RegionBitmap::new(width, height, grid);
             full.mark_window(0, 0, width, height);
@@ -402,9 +387,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "bitmap layouts differ")]
     fn union_layout_mismatch_panics() {
-        let a = RegionBitmap::new(64, 64, 16);
+        let mut a = RegionBitmap::new(64, 64, 16);
         let b = RegionBitmap::new(32, 64, 16);
-        let _ = a.union_area(&b);
+        a.union_in_place(&b);
     }
 
     #[test]

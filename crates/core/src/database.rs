@@ -539,7 +539,7 @@ impl ImageDatabase {
         guard: &Guard,
     ) -> Result<QueryOutcome> {
         let probe = |params: &WalrusParams, regions: &[Region], area, min_similarity| {
-            self.query_regions_with_params_guarded(params, regions, area, min_similarity, guard)
+            self.query_regions_with_params_guarded(params, regions, area, min_similarity, 0, guard)
         };
         Ok(opts.run(&self.params, query, guard, probe)?.0)
     }
@@ -586,16 +586,24 @@ impl ImageDatabase {
             q_regions,
             query_area,
             min_similarity,
+            0,
             guard,
         )
     }
 
+    /// The query body (paper §5.4–5.5) over the image slots from `from`
+    /// on, which must not pass the slot count: a full query reads from 0,
+    /// a cached answer's revalidation from the slot count its mark recorded.
+    /// A `from` above 0 probes the packed tree only when it holds slots at
+    /// or above `from`; the unpacked tail is scanned from the later of the
+    /// watermark and `from`.
     pub(crate) fn query_regions_with_params_guarded(
         &self,
         params: &WalrusParams,
         q_regions: &[Region],
         query_area: usize,
         min_similarity: f64,
+        from: usize,
         guard: &Guard,
     ) -> Result<QueryOutcome> {
         let threads = resolve_threads(params.threads);
@@ -605,12 +613,12 @@ impl ImageDatabase {
         // query region, fanned out across the pool: the packed tree, then
         // its unpacked tail entry by entry under the same prefilter and leaf
         // test, so the hits are exactly those of one tree over every live
-        // region. Each probe's hit list is in a deterministic order: the
-        // tree's traversal, then the tail's slots. Under a deadline the
-        // probe fan-out may stop early; the merge below then sees only the
-        // completed probes. The probe span is opened here on the
-        // orchestrating thread and its counters are order-independent sums
-        // over completed probes, so traces are thread-count-invariant.
+        // region from slot `from` on. Each probe's hit list is in a
+        // deterministic order: the tree's traversal, then the tail's slots.
+        // Under a deadline the probe fan-out may stop early; the merge below
+        // then sees only the completed probes. The probe span is opened here
+        // on the orchestrating thread and its counters are order-independent
+        // sums over completed probes, so traces are thread-count-invariant.
         let probe_span = guard.span("rstar_probe");
         let prefilter_on = params.prefilter_enabled();
         let slack = params.query_epsilon + PREFILTER_SLACK;
@@ -629,21 +637,30 @@ impl ImageDatabase {
                         QueryCode::from_interval(&lo, &hi)
                     }
                 });
-                // The tree's own prefilter is one of two closures, so a probe
-                // of an index with no tail and no dead entries runs the
-                // straight tree search and one exact-size collect.
-                let (hits, mut stats) = match &code {
-                    Some(code) => self
-                        .index
-                        .search_filtered_stats(&probe, |(_, sig)| !code.certainly_disjoint(sig))?,
-                    None => self.index.search_filtered_stats(&probe, |_| true)?,
+                // A full query searches the tree even while it is empty (its
+                // trace counts the root visits); a later `from` only when the
+                // tree holds slots at or above it, that is after a repack.
+                let (mut keys, mut stats) = if from == 0 || from < self.packed_slots {
+                    // The tree's own prefilter is one of two closures, so a
+                    // probe of an index with no tail and no dead entries runs
+                    // the straight tree search and one exact-size collect.
+                    let (hits, stats) = match &code {
+                        Some(code) => self.index.search_filtered_stats(&probe, |(_, sig)| {
+                            !code.certainly_disjoint(sig)
+                        })?,
+                        None => self.index.search_filtered_stats(&probe, |_| true)?,
+                    };
+                    let mut keys: Vec<RegionKey> = hits.into_iter().map(|(key, _)| *key).collect();
+                    // Entries of images removed since the last pack are dead,
+                    // and those below `from` are not asked for.
+                    if self.dead_regions > 0 || from > 0 {
+                        keys.retain(|key| key.image >= from && self.images[key.image].is_some());
+                    }
+                    (keys, stats)
+                } else {
+                    (Vec::new(), SearchStats::default())
                 };
-                let mut keys: Vec<RegionKey> = hits.into_iter().map(|(key, _)| *key).collect();
-                // Entries of images removed since the last pack are dead.
-                if self.dead_regions > 0 {
-                    keys.retain(|key| self.images[key.image].is_some());
-                }
-                for img in self.images[self.packed_slots..].iter().flatten() {
+                for img in self.images[from.max(self.packed_slots)..].iter().flatten() {
                     for (region, r) in img.regions.iter().enumerate() {
                         if code.as_ref().is_some_and(|code| code.certainly_disjoint(&r.signature)) {
                             stats.prefilter_rejected += 1;
@@ -697,12 +714,12 @@ impl ImageDatabase {
         }
 
         // Deterministic merge: a counting sort of the hits on target image
-        // id (every indexed id is below `images.len()`). It is stable, so an
+        // id (every hit's id is in `from..images.len()`). It is stable, so an
         // image's pairs stay in (query region, hit) order and candidates
         // come out in ascending-id order, reproducible run to run.
-        let mut offsets = vec![0usize; self.images.len()];
+        let mut offsets = vec![0usize; self.images.len() - from];
         for key in probes.iter().flat_map(|(_, keys)| keys) {
-            offsets[key.image] += 1;
+            offsets[key.image - from] += 1;
         }
         let mut start = 0;
         for offset in &mut offsets {
@@ -711,17 +728,17 @@ impl ImageDatabase {
         let mut pairs = vec![MatchPair { q: 0, t: 0 }; total_hits];
         for (qi, keys) in &probes {
             for key in keys {
-                pairs[offsets[key.image]] = MatchPair { q: *qi, t: key.region };
-                offsets[key.image] += 1;
+                pairs[offsets[key.image - from]] = MatchPair { q: *qi, t: key.region };
+                offsets[key.image - from] += 1;
             }
         }
-        // `offsets[id]` is now where image `id`'s run ends and the next begins.
-        // Within a run, one query region's hits are in the order the tree's
-        // traversal met them; quick matching is a union, so that order
-        // reaches no score.
+        // `offsets[id - from]` is now where image `id`'s run ends and the
+        // next begins. Within a run, one query region's hits are in the order
+        // the tree's traversal met them; quick matching is a union, so that
+        // order reaches no score.
         let mut candidates = Vec::new();
         let mut start = 0;
-        for (image_id, &end) in offsets.iter().enumerate() {
+        for (image_id, &end) in (from..).zip(&offsets) {
             if end > start {
                 candidates.push((image_id, start..end));
             }
@@ -871,11 +888,12 @@ impl QueryOutcome {
         }
     }
 
-    /// This complete answer with `new` — the same query scored over images
-    /// this one never saw (see [`ShardedStore::score_since`]) — folded in:
-    /// the matches merged in rank order and cut to `k`, the hit and image
-    /// counts summed. Each image's score depends on that image alone, so
-    /// the result is what the query returns over both image sets at once.
+    /// This complete answer with `new` — the same query run over only the
+    /// images this one never saw (see [`ShardedStore::score_since`]) —
+    /// folded in: the matches merged in rank order and cut to `k`, the hit
+    /// and image counts summed. Each image's score depends on that image
+    /// alone, so the result is what the query returns over both image sets
+    /// at once.
     ///
     /// [`ShardedStore::score_since`]: crate::sharded::ShardedStore::score_since
     pub fn splice(&self, new: QueryOutcome, k: Option<usize>) -> QueryOutcome {
@@ -1247,7 +1265,7 @@ mod tests {
         let polls = q_regions.len() + 2;
         let guard = Guard::none().trip_after(polls, Interrupt::DeadlineExceeded);
         let part = db
-            .query_regions_with_params_guarded(db.params(), &q_regions, q.area(), 0.0, &guard)
+            .query_regions_with_params_guarded(db.params(), &q_regions, q.area(), 0.0, 0, &guard)
             .unwrap();
         assert_eq!(part.status, ResultStatus::Partial);
         assert_eq!(part.stats.total_matching_regions, full.stats.total_matching_regions);

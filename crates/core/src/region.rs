@@ -74,10 +74,8 @@ impl Region {
 
     /// How a query region probes for the regions within `eps` of it: the
     /// ε-ball around its centroid, or its signature box grown by `eps`
-    /// (paper §5.4). The index probe and [`ShardedStore::score_since`]'s
-    /// scan both take their probe from here.
-    ///
-    /// [`ShardedStore::score_since`]: crate::ShardedStore::score_since
+    /// (paper §5.4). The packed tree's search and the scan of its unpacked
+    /// tail both take their probe from here.
     pub fn probe(&self, kind: SignatureKind, eps: f32) -> Result<Probe<'_>, RStarError> {
         match kind {
             SignatureKind::Centroid => Probe::within(&self.centroid, eps),

@@ -709,7 +709,7 @@ impl ShardedStore {
 
     /// [`ShardedStore::query_with_options_guarded`], also handing back the
     /// regions extracted from `query` (none when a deadline stopped the
-    /// extraction) — what [`ShardedStore::score_since`] scores again.
+    /// extraction) — what [`ShardedStore::score_since`] queries with again.
     pub fn query_with_regions_guarded(
         &self,
         query: &Image,
@@ -717,7 +717,8 @@ impl ShardedStore {
         guard: &Guard,
     ) -> Result<(QueryOutcome, Vec<Region>)> {
         opts.run(&self.params, query, guard, |params, regions, area, min_similarity| {
-            self.scatter_gather(&self.layout(), params, regions, area, min_similarity, guard)
+            let set = self.layout();
+            self.scatter_gather(&set, params, regions, area, min_similarity, guard, |_, _| Some(0))
         })
     }
 
@@ -732,6 +733,10 @@ impl ShardedStore {
         self.query_guarded(query, &Guard::none())
     }
 
+    /// The query body over every shard of `set`, each from the image slot
+    /// `from(shard, slot)` names, read under that shard's lock; a shard it
+    /// names none for is skipped as a quarantined one is.
+    #[allow(clippy::too_many_arguments)] // the shard query's, plus the layout and `from`
     fn scatter_gather(
         &self,
         set: &ShardSet,
@@ -740,6 +745,7 @@ impl ShardedStore {
         query_area: usize,
         min_similarity: f64,
         guard: &Guard,
+        from: impl Fn(usize, &ShardSlot) -> Option<usize>,
     ) -> Result<QueryOutcome> {
         // Shards are probed one after another on this thread, under the
         // request's own guard and trace: each probe fans out per query
@@ -756,7 +762,7 @@ impl ShardedStore {
                 s.add("shard", i as u64);
             }
             let slot = read(shard);
-            let ShardSlot::Healthy(db) = &*slot else {
+            let (ShardSlot::Healthy(db), Some(from)) = (&*slot, from(i, &slot)) else {
                 shards_unavailable.push(i);
                 continue;
             };
@@ -770,6 +776,7 @@ impl ShardedStore {
                 q_regions,
                 query_area,
                 min_similarity,
+                from,
                 guard,
             )?;
             if let Some(s) = &probe_span {

@@ -6,20 +6,19 @@
 //! So committing an image can add at most one entry to a ranking and never
 //! changes another image's score. [`ShardedStore::content_mark`] records
 //! enough of the store to tell whether *only* inserts happened since, and
-//! [`ShardedStore::score_since`] then scores a query's regions against the
-//! images committed after the mark and nothing else.
-//! [`QueryOutcome::splice`] folds that into the earlier answer.
+//! each shard's image-slot count; [`ShardedStore::score_since`] then runs
+//! the shard query from those slots on, over the images committed after the
+//! mark and nothing else. [`QueryOutcome::splice`] folds that into the
+//! earlier answer.
 
 use super::{read, ShardSlot, ShardedStore};
 use crate::bitmap::RegionBitmap;
-use crate::database::{rank_order, QueryOptions, QueryOutcome, QueryStats, RankedImage};
-use crate::matching::{self, MatchPair, QuickScratch};
-use crate::params::SignatureKind;
+use crate::database::{QueryOptions, QueryOutcome};
+use crate::params::{SignatureKind, WalrusParams};
 use crate::region::Region;
-use crate::{Result, ResultStatus, WalrusError};
+use crate::{Result, ResultStatus};
 use std::sync::atomic::Ordering;
-use walrus_guard::{Guard, Interrupt};
-use walrus_rstar::Verdict;
+use walrus_guard::Guard;
 
 /// One shard's part of a [`ContentMark`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +100,7 @@ impl ContentMark {
     }
 }
 
-/// What [`ShardedStore::score_since`] reads of a query's regions, in one
+/// What [`ShardedStore::score_since`] keeps of a query's regions, in one
 /// allocation: each region's index corners (its centroid for centroid
 /// signatures, its signature box otherwise) and its bitmap words, beside
 /// the query's pixel area and the layout its bitmaps share. At the serving
@@ -159,9 +158,9 @@ impl CompactRegions {
         self.floats().div_ceil(2) + (gw * gh).div_ceil(64)
     }
 
-    /// The regions again, as the scan and the scorer read them: index
-    /// corners and bitmap. A centroid-indexed region's box is its centroid,
-    /// a box-indexed region's centroid is its lower corner, and no window
+    /// The regions again, as the shard query reads them: index corners and
+    /// bitmap. A centroid-indexed region's box is its centroid, a
+    /// box-indexed region's centroid is its lower corner, and no window
     /// count is kept — none of these is read by the probe or the scorer.
     fn regions(&self) -> Vec<Region> {
         let [width, height, gw, gh] = self.layout;
@@ -213,16 +212,16 @@ impl ShardedStore {
     }
 
     /// Scores `query` under `opts` against only the images committed since
-    /// `since`, the way the full query scores each of them: the same leaf
-    /// test ([`Probe::test`]) over every pair of a query region and a new
-    /// region, and the same [`matching::similarity`]. The outcome ranks the
-    /// new images at or above the similarity floor (uncut by `k`) and
-    /// counts their hits and images; [`QueryOutcome::splice`] folds it into
-    /// the answer recorded at `since`.
+    /// `since`: the shard query itself, each shard read from the slot count
+    /// the mark recorded for it. The outcome ranks the new images at or
+    /// above the similarity floor (uncut by `k`) and counts their hits and
+    /// images; [`QueryOutcome::splice`] folds it into the answer recorded
+    /// at `since`.
     ///
     /// `None` when anything but inserts happened since the mark: a removal,
-    /// a quarantine or recovery, a rebalance. A deadline during the scan
-    /// gives a [`ResultStatus::Partial`] outcome, cancellation an error.
+    /// a quarantine or recovery, a rebalance. Each shard is checked under
+    /// the lock it is read under. A deadline gives a
+    /// [`ResultStatus::Partial`] outcome, cancellation an error.
     pub fn score_since(
         &self,
         since: &ContentMark,
@@ -239,71 +238,20 @@ impl ShardedStore {
         {
             return None;
         }
-        let q_regions = query.regions();
-        let probes = q_regions
-            .iter()
-            .map(|r| r.probe(query.kind, params.query_epsilon))
-            .collect::<std::result::Result<Vec<_>, _>>()
-            .ok()?;
-
-        let mut scratch = QuickScratch::default();
-        let mut pairs = Vec::new();
-        let mut matches = Vec::new();
-        let (mut hits, mut images) = (0, 0);
-        let mut status = ResultStatus::Complete;
-        'shards: for ((slot, generation), was) in
-            set.shards.iter().zip(&set.generations).zip(&since.shards)
-        {
-            let slot = read(slot);
-            let now = ShardMark::of(generation.load(Ordering::Acquire), &slot);
-            let ShardSlot::Healthy(db) = &*slot else { return None };
-            if !now.grew_from(was) {
-                return None;
-            }
-            for img in db.db().image_slots()[was.slots..].iter().flatten() {
-                match guard.poll() {
-                    Ok(()) => {}
-                    Err(Interrupt::Cancelled) => return Some(Err(WalrusError::Cancelled)),
-                    Err(Interrupt::DeadlineExceeded) => {
-                        status = ResultStatus::Partial;
-                        break 'shards;
-                    }
-                }
-                pairs.clear();
-                for (q, probe) in probes.iter().enumerate() {
-                    for (t, region) in img.regions.iter().enumerate() {
-                        let (lo, hi) = region.index_corners(query.kind);
-                        if probe.test(lo, hi) == Verdict::Hit {
-                            pairs.push(MatchPair { q, t });
-                        }
-                    }
-                }
-                if pairs.is_empty() {
-                    continue;
-                }
-                hits += pairs.len();
-                images += 1;
-                let similarity = matching::similarity(
-                    params.similarity,
-                    &mut scratch,
-                    &q_regions,
-                    &img.regions,
-                    &pairs,
-                    query.query_area,
-                    img.width * img.height,
-                );
-                if similarity >= min_similarity {
-                    matches.push(RankedImage {
-                        image_id: img.id,
-                        name: img.name.clone(),
-                        similarity,
-                        matched_pairs: pairs.len(),
-                    });
-                }
-            }
+        let regions = query.regions();
+        // The slots since a mark are a few images: a scan of them on this
+        // thread costs less than waking the pool for it.
+        let params = WalrusParams { threads: 1, ..params };
+        let from = |i: usize, slot: &ShardSlot| {
+            let was = &since.shards[i];
+            let now = ShardMark::of(set.generations[i].load(Ordering::Acquire), slot);
+            now.grew_from(was).then_some(was.slots)
+        };
+        let area = query.query_area;
+        // A shard that did more than grow is skipped as unavailable.
+        match self.scatter_gather(&set, &params, &regions, area, min_similarity, guard, from) {
+            Ok(QueryOutcome { status: ResultStatus::Degraded { .. }, .. }) => None,
+            outcome => Some(outcome),
         }
-        matches.sort_by(rank_order);
-        let stats = QueryStats::new(q_regions.len(), hits, images);
-        Some(Ok(QueryOutcome { matches, stats, status }))
     }
 }

@@ -21,13 +21,13 @@
 //! * a stale entry is never served as it is: it leaves the cache on sight,
 //!   and is either revalidated or dropped. An entry with a [`Recorded`]
 //!   answer, when only inserts happened since its
-//!   [`ContentMark`], is revalidated: the router
-//!   scores its query regions against just the images committed since
+//!   [`ContentMark`], is revalidated: the router runs the shard query
+//!   over just the image slots committed since
 //!   ([`ShardedStore::score_since`]), splices them into the recorded
 //!   ranking, and serves and re-inserts that — the answer a fresh run
 //!   gives, because each image's score depends on that image alone.
 //!   Anything else (a removal, a quarantine or recovery, a rebalance, a
-//!   scan cut short, a tripped candidate budget) drops the entry, counted
+//!   run cut short, a tripped candidate budget) drops the entry, counted
 //!   as an invalidation, and the query runs;
 //! * an entry is inserted only if the stamp captured *before* the query
 //!   (or the revalidation) ran still matches the store afterwards — a

@@ -543,13 +543,15 @@ fn query(state: &AppState, req: &Request) -> Response {
 }
 
 /// The recorded answer brought up to date: the images committed since it
-/// was recorded, scored by [`ShardedStore::score_since`], spliced into the
+/// was recorded, queried by [`ShardedStore::score_since`], spliced into the
 /// recorded ranking in rank order and cut to `k`. `None` when that cannot
 /// stand in for running the query: the store changed by more than inserts,
-/// the scan was cut short, or the old and new hits together exceed the
+/// the run was cut short, or the old and new hits together exceed the
 /// candidate budget (the query itself then answers `413`).
 fn revalidate(state: &AppState, recorded: &Recorded, guard: &Guard) -> Option<QueryOutcome> {
-    let new = state.store.score_since(&recorded.mark, &recorded.opts, &recorded.query, guard)?;
+    // Untraced: a hit's trace is the `cache` stage alone, revalidated or not.
+    let guard = guard.without_trace();
+    let new = state.store.score_since(&recorded.mark, &recorded.opts, &recorded.query, &guard)?;
     let new = new.ok().filter(|new| new.status == ResultStatus::Complete)?;
     let outcome = recorded.outcome.splice(new, recorded.opts.k);
     let budgets = recorded.opts.budgets.unwrap_or_else(|| state.store.params().budgets);

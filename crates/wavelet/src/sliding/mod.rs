@@ -21,13 +21,11 @@
 //! the two outputs element-wise.
 
 pub mod dynamic;
-pub mod integral;
 pub mod naive;
 
 pub use dynamic::{
     compute_signature_matrix, compute_signatures, compute_signatures_with_threads, SignatureMatrix,
 };
-pub use integral::{compute_signatures_integral, SummedAreaTable};
 pub use naive::compute_signatures_naive;
 
 use crate::{is_pow2, Result, WaveletError};

@@ -346,7 +346,8 @@ proptest! {
 }
 
 /// One body asked twice with only ingests (and a checkpoint) between is
-/// revalidated; asked around a `DELETE` or a rebalance it is invalidated.
+/// revalidated, also when an ingest repacked a shard's index since; asked
+/// around a `DELETE` or a rebalance it is invalidated.
 #[test]
 fn inserts_revalidate_and_a_delete_or_a_rebalance_invalidates() {
     for (threads, shards) in threads_by_shards() {
@@ -383,6 +384,24 @@ fn inserts_revalidate_and_a_delete_or_a_rebalance_invalidates() {
         let rebalanced = counts(&state);
         let moved = (rebalanced[2], rebalanced[3] - deleted[3]);
         assert_eq!(moved, (deleted[2], 1), "{label}: rebalance");
+
+        // Ingests until one repacks a shard, so the re-ask reads images the
+        // mark never saw out of that shard's packed tree as well.
+        let repacked = (0..64).any(|seed| {
+            let resp = handle(&state, &request("POST", "/ingest", ppm_bytes(seed % 6)));
+            assert_eq!(resp.status, 200, "{label}: ingest {seed}");
+            let body = String::from_utf8(resp.body).unwrap();
+            let id = body.rsplit("\"request_id\":").next().unwrap().trim_end_matches('}');
+            let trace = handle(&state, &request("GET", &format!("/trace/{id}"), Vec::new()));
+            let trace = String::from_utf8(trace.body).unwrap();
+            let repacks = trace.split_once("repacks=").expect("an ingest trace counts repacks").1;
+            !repacks.starts_with('0')
+        });
+        assert!(repacked, "{label}: 64 ingests and no repack");
+        ask_and_check(&state, 0, ask, &label).unwrap();
+        let spliced_over_a_repack = counts(&state);
+        assert_eq!(spliced_over_a_repack[2] - rebalanced[2], 1, "{label}: repack splices +1");
+        assert_eq!(spliced_over_a_repack[3] - rebalanced[3], 0, "{label}: repack invalidations +0");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -54,10 +54,10 @@ fn quick_covered_by_definition(inst: &Inst) -> (usize, usize) {
         let mut acc: Option<RegionBitmap> = None;
         for i in picked {
             if !std::mem::replace(&mut seen[i], true) {
-                acc = Some(match acc {
-                    Some(a) => a.union(&regions[i].bitmap),
-                    None => regions[i].bitmap.clone(),
-                });
+                match &mut acc {
+                    Some(a) => a.union_in_place(&regions[i].bitmap),
+                    None => acc = Some(regions[i].bitmap.clone()),
+                }
             }
         }
         let Some(acc) = acc else { return 0 };
