@@ -1,11 +1,12 @@
 //! Criterion micro-benchmark for quick-union image matching (§5.5): one
-//! candidate scored through a reused scratch, as the query path does.
+//! candidate scored from its region marks through a reused scratch, as the
+//! query path does. The parameter is the number of random pairs marked.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use walrus_core::bitmap::RegionBitmap;
-use walrus_core::matching::{similarity, MatchPair, QuickScratch};
+use walrus_core::matching::{similarity, QuickScratch};
 use walrus_core::{Region, SimilarityKind};
 
 fn random_regions(n: usize, rng: &mut StdRng) -> Vec<Region> {
@@ -25,16 +26,20 @@ fn random_regions(n: usize, rng: &mut StdRng) -> Vec<Region> {
         .collect()
 }
 
-fn instance(pairs: usize, seed: u64) -> (Vec<Region>, Vec<Region>, Vec<MatchPair>) {
+/// Query and target regions, and the one-word marks of `pairs` random
+/// region pairs between them.
+fn instance(pairs: usize, seed: u64) -> (Vec<Region>, Vec<Region>, [u64; 2]) {
     let mut rng = StdRng::seed_from_u64(seed);
     let nq = 8;
     let nt = 8;
     let q = random_regions(nq, &mut rng);
     let t = random_regions(nt, &mut rng);
-    let p = (0..pairs)
-        .map(|_| MatchPair { q: rng.gen_range(0..nq), t: rng.gen_range(0..nt) })
-        .collect();
-    (q, t, p)
+    let mut marks = [0u64; 2];
+    for _ in 0..pairs {
+        marks[0] |= 1 << rng.gen_range(0..nq);
+        marks[1] |= 1 << rng.gen_range(0..nt);
+    }
+    (q, t, marks)
 }
 
 fn bench_matching(c: &mut Criterion) {
@@ -42,9 +47,11 @@ fn bench_matching(c: &mut Criterion) {
     let mut group = c.benchmark_group("matching");
     let mut scratch = QuickScratch::default();
     for pairs in [8usize, 32, 128] {
-        let (q, t, p) = instance(pairs, 99);
-        group.bench_with_input(BenchmarkId::new("quick", pairs), &p, |b, p| {
-            b.iter(|| similarity(SimilarityKind::Symmetric, &mut scratch, &q, &t, p, AREA, AREA))
+        let (q, t, marks) = instance(pairs, 99);
+        group.bench_with_input(BenchmarkId::new("quick", pairs), &marks, |b, [qm, tm]| {
+            let (q_marks, t_marks) = (std::slice::from_ref(qm), std::slice::from_ref(tm));
+            let kind = SimilarityKind::Symmetric;
+            b.iter(|| similarity(kind, &mut scratch, &q, &t, q_marks, t_marks, AREA, AREA))
         });
     }
     group.finish();

@@ -37,7 +37,9 @@ fn build(pts: &[Vec<f32>]) -> RStarTree<usize> {
 /// Hits of the engine's per-region probe: an ε = 0.085 ball, unfiltered.
 fn probe(tree: &RStarTree<usize>, q: &[f32]) -> usize {
     let ball = Probe::within(q, 0.085).unwrap();
-    tree.search_filtered_stats(&ball, |_| true).unwrap().0.len()
+    let mut hits = 0;
+    tree.search_filtered_stats(&ball, |_| true, |_| hits += 1).unwrap();
+    hits
 }
 
 fn pack(pts: &[Vec<f32>]) -> RStarTree<usize> {

@@ -23,7 +23,7 @@
 //!   threshold, leaf/node splits seeded by the farthest entry pair, and
 //!   automatic threshold escalation + rebuild when a leaf-entry budget is
 //!   exceeded (BIRCH's memory-bound rebuilding).
-//! * [`precluster`] — the driver WALRUS calls, over a flat row-major point
+//! * [`precluster()`] — the driver WALRUS calls, over a flat row-major point
 //!   matrix: fit all points, harvest leaf entries as clusters, and assign
 //!   each input point to its nearest cluster so callers can recover
 //!   per-cluster membership (WALRUS needs the member windows to build

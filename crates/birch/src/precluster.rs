@@ -95,7 +95,7 @@ pub fn precluster(points: &[Vec<f32>], epsilon: f64, budget: Option<usize>) -> R
 /// Pre-clusters the rows of a `points.len() / dims × dims` row-major matrix
 /// — the layout the sliding-window sweep produces — under a request
 /// [`Guard`]: both linear passes (CF-tree insertion and nearest-centroid
-/// assignment) poll the guard every [`GUARD_POLL_STRIDE`] points, returning
+/// assignment) poll the guard every 256 points, returning
 /// [`BirchError::Interrupted`] when it trips. Member and assignment indices
 /// are row numbers.
 pub fn precluster_flat(

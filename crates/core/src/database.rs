@@ -18,7 +18,7 @@
 //! the number of distinct images containing at least one matching region.
 
 use crate::extract::{extract_batch_guarded, extract_regions, extract_regions_guarded};
-use crate::matching::{self, MatchPair, QuickScratch};
+use crate::matching::{self, QuickScratch};
 use crate::params::{SignatureKind, SimilarityKind, WalrusParams};
 use crate::region::Region;
 use crate::scene_query::SceneRect;
@@ -96,6 +96,18 @@ pub(crate) fn rank_order(a: &RankedImage, b: &RankedImage) -> std::cmp::Ordering
         .partial_cmp(&a.similarity)
         .unwrap_or(std::cmp::Ordering::Equal)
         .then(a.image_id.cmp(&b.image_id))
+}
+
+/// Cuts `matches` to the best `k` in [`rank_order`] (keeps all with no `k`)
+/// and sorts them into that order: a selection, then a sort of the `k`.
+pub(crate) fn keep_best(matches: &mut Vec<RankedImage>, k: Option<usize>) {
+    if let Some(k) = k.filter(|&k| k < matches.len()) {
+        if k > 0 {
+            matches.select_nth_unstable_by(k - 1, rank_order);
+        }
+        matches.truncate(k);
+    }
+    matches.sort_by(rank_order);
 }
 
 /// Selectivity statistics of one query (the measures of paper Table 1).
@@ -538,8 +550,16 @@ impl ImageDatabase {
         opts: &QueryOptions,
         guard: &Guard,
     ) -> Result<QueryOutcome> {
-        let probe = |params: &WalrusParams, regions: &[Region], area, min_similarity| {
-            self.query_regions_with_params_guarded(params, regions, area, min_similarity, 0, guard)
+        let probe = |params: &WalrusParams, regions: &[Region], area, min_similarity, k| {
+            self.query_regions_with_params_guarded(
+                params,
+                regions,
+                area,
+                min_similarity,
+                0,
+                k,
+                guard,
+            )
         };
         Ok(opts.run(&self.params, query, guard, probe)?.0)
     }
@@ -587,6 +607,7 @@ impl ImageDatabase {
             query_area,
             min_similarity,
             0,
+            None,
             guard,
         )
     }
@@ -596,7 +617,10 @@ impl ImageDatabase {
     /// a cached answer's revalidation from the slot count its mark recorded.
     /// A `from` above 0 probes the packed tree only when it holds slots at
     /// or above `from`; the unpacked tail is scanned from the later of the
-    /// watermark and `from`.
+    /// watermark and `from`. The answer holds the best `k` of the images at
+    /// or above the similarity floor (all of them with no `k`); its
+    /// statistics count every hit and candidate.
+    #[allow(clippy::too_many_arguments)] // the request's knobs, `from` and `k`
     pub(crate) fn query_regions_with_params_guarded(
         &self,
         params: &WalrusParams,
@@ -604,6 +628,7 @@ impl ImageDatabase {
         query_area: usize,
         min_similarity: f64,
         from: usize,
+        k: Option<usize>,
         guard: &Guard,
     ) -> Result<QueryOutcome> {
         let threads = resolve_threads(params.threads);
@@ -615,8 +640,8 @@ impl ImageDatabase {
         // test, so the hits are exactly those of one tree over every live
         // region from slot `from` on. Each probe's hit list is in a
         // deterministic order: the tree's traversal, then the tail's slots.
-        // Under a deadline the probe fan-out may stop early; the merge below
-        // then sees only the completed probes. The probe span is opened here
+        // Under a deadline the probe fan-out may stop early; the marks below
+        // then see only the completed probes. The probe span is opened here
         // on the orchestrating thread and its counters are order-independent
         // sums over completed probes, so traces are thread-count-invariant.
         let probe_span = guard.span("rstar_probe");
@@ -640,26 +665,29 @@ impl ImageDatabase {
                 // A full query searches the tree even while it is empty (its
                 // trace counts the root visits); a later `from` only when the
                 // tree holds slots at or above it, that is after a repack.
-                let (mut keys, mut stats) = if from == 0 || from < self.packed_slots {
-                    // The tree's own prefilter is one of two closures, so a
-                    // probe of an index with no tail and no dead entries runs
-                    // the straight tree search and one exact-size collect.
-                    let (hits, stats) = match &code {
-                        Some(code) => self.index.search_filtered_stats(&probe, |(_, sig)| {
-                            !code.certainly_disjoint(sig)
-                        })?,
-                        None => self.index.search_filtered_stats(&probe, |_| true)?,
-                    };
-                    let mut keys: Vec<RegionKey> = hits.into_iter().map(|(key, _)| *key).collect();
+                let mut keys = Vec::new();
+                let mut stats = SearchStats::default();
+                if from == 0 || from < self.packed_slots {
                     // Entries of images removed since the last pack are dead,
-                    // and those below `from` are not asked for.
-                    if self.dead_regions > 0 || from > 0 {
-                        keys.retain(|key| key.image >= from && self.images[key.image].is_some());
-                    }
-                    (keys, stats)
-                } else {
-                    (Vec::new(), SearchStats::default())
-                };
+                    // and those below `from` are not asked for. The tree's
+                    // own prefilter is one of two closures, so a probe of an
+                    // index with no tail and no dead entries runs the
+                    // straight tree search.
+                    let sift = self.dead_regions > 0 || from > 0;
+                    let sink = |(key, _): &(RegionKey, _)| {
+                        if !sift || key.image >= from && self.images[key.image].is_some() {
+                            keys.push(*key);
+                        }
+                    };
+                    stats = match &code {
+                        Some(code) => self.index.search_filtered_stats(
+                            &probe,
+                            |(_, sig)| !code.certainly_disjoint(sig),
+                            sink,
+                        )?,
+                        None => self.index.search_filtered_stats(&probe, |_| true, sink)?,
+                    };
+                }
                 for img in self.images[from.max(self.packed_slots)..].iter().flatten() {
                     for (region, r) in img.regions.iter().enumerate() {
                         if code.as_ref().is_some_and(|code| code.certainly_disjoint(&r.signature)) {
@@ -693,7 +721,6 @@ impl ImageDatabase {
             probe_stats.exact_tested += stats.exact_tested;
             probes.push((qi, keys));
         }
-        probes.sort_unstable_by_key(|(qi, _)| *qi);
 
         let total_hits: usize = probes.iter().map(|(_, keys)| keys.len()).sum();
         if let Some(s) = &probe_span {
@@ -713,86 +740,96 @@ impl ImageDatabase {
             });
         }
 
-        // Deterministic merge: a counting sort of the hits on target image
-        // id (every hit's id is in `from..images.len()`). It is stable, so an
-        // image's pairs stay in (query region, hit) order and candidates
-        // come out in ascending-id order, reproducible run to run.
-        let mut offsets = vec![0usize; self.images.len() - from];
+        // Candidates, in ascending id order: a first pass over the hits
+        // counts them per image slot (every hit's id is in
+        // `from..images.len()`); each image with a hit gets a run of mark
+        // words, `⌈|Q|/64⌉` for the query's regions then `⌈|T|/64⌉` for its
+        // own, and the slot's count becomes the run's start. A second pass
+        // marks both regions of every hit. Quick matching is a union, so a
+        // region that matched once or many times, in any order, scores alike.
+        let q_words = q_regions.len().div_ceil(64);
+        let mut runs = vec![0usize; self.images.len() - from];
         for key in probes.iter().flat_map(|(_, keys)| keys) {
-            offsets[key.image - from] += 1;
+            runs[key.image - from] += 1;
         }
-        let mut start = 0;
-        for offset in &mut offsets {
-            start += std::mem::replace(offset, start);
+        let mut candidates = Vec::new();
+        let mut words = 0;
+        for (slot, run) in self.images[from..].iter().zip(&mut runs) {
+            if *run == 0 {
+                continue;
+            }
+            // A hit on a dead slot would mean the index and the image store
+            // desynced; that is a bug, but its hits are dropped (the run
+            // start points past the marks) rather than panicking inside the
+            // worker pool.
+            let Some(img) = slot else {
+                debug_assert!(false, "index points at a dead image slot");
+                *run = usize::MAX;
+                continue;
+            };
+            candidates.push((img, *run, words));
+            *run = words;
+            words += q_words + img.regions.len().div_ceil(64);
         }
-        let mut pairs = vec![MatchPair { q: 0, t: 0 }; total_hits];
+        let mut marks = vec![0u64; words];
         for (qi, keys) in &probes {
             for key in keys {
-                pairs[offsets[key.image - from]] = MatchPair { q: *qi, t: key.region };
-                offsets[key.image - from] += 1;
+                if let Some(run) = marks.get_mut(runs[key.image - from]..) {
+                    run[qi / 64] |= 1 << (qi % 64);
+                    run[q_words + key.region / 64] |= 1 << (key.region % 64);
+                }
             }
-        }
-        // `offsets[id - from]` is now where image `id`'s run ends and the
-        // next begins. Within a run, one query region's hits are in the order
-        // the tree's traversal met them; quick matching is a union, so that
-        // order reaches no score.
-        let mut candidates = Vec::new();
-        let mut start = 0;
-        for (image_id, &end) in (from..).zip(&offsets) {
-            if end > start {
-                candidates.push((image_id, start..end));
-            }
-            start = end;
         }
 
-        // Step 2 (paper §5.5): score each candidate image, fanned out
-        // across the pool. A dead image slot would mean the index and the
-        // image store desynced; that is a bug, but it degrades to an
-        // impossible score (filtered below) rather than a panic inside the
-        // worker pool.
+        // Step 2 (paper §5.5): score each candidate image from its marks,
+        // fanned out across the pool.
         let distinct_images = candidates.len();
         let match_span = guard.span("match");
-        let score_out = parallel_map_partial(threads, guard, &candidates, |_, (image_id, run)| {
-            let Some(img) = self.images.get(*image_id).and_then(|s| s.as_ref()) else {
-                debug_assert!(false, "index points at dead image slot {image_id}");
-                return (*image_id, f64::NEG_INFINITY, 0);
-            };
-            let pairs = &pairs[run.clone()];
-            let similarity = QUICK_SCRATCH.with_borrow_mut(|scratch| {
-                matching::similarity(
-                    params.similarity,
-                    scratch,
-                    q_regions,
-                    &img.regions,
-                    pairs,
-                    query_area,
-                    img.width * img.height,
-                )
+        let score_out =
+            parallel_map_partial(threads, guard, &candidates, |_, &(img, hits, run)| {
+                let (q_marks, t_marks) = marks[run..].split_at(q_words);
+                let t_marks = &t_marks[..img.regions.len().div_ceil(64)];
+                let similarity = QUICK_SCRATCH.with_borrow_mut(|scratch| {
+                    matching::similarity(
+                        params.similarity,
+                        scratch,
+                        q_regions,
+                        &img.regions,
+                        q_marks,
+                        t_marks,
+                        query_area,
+                        img.width * img.height,
+                    )
+                });
+                (img, similarity, hits)
             });
-            (*image_id, similarity, pairs.len())
-        });
         match score_out.interrupted {
             Some(Interrupt::Cancelled) => return Err(WalrusError::Cancelled),
             Some(Interrupt::DeadlineExceeded) => partial = true,
             None => {}
         }
-        let mut matches = Vec::new();
-        for (_, (image_id, similarity, matched_pairs)) in score_out.completed {
-            if similarity >= min_similarity {
-                if let Some(img) = self.images.get(image_id).and_then(|s| s.as_ref()) {
-                    matches.push(RankedImage {
-                        image_id,
-                        name: img.name.clone(),
-                        similarity,
-                        matched_pairs,
-                    });
-                }
-            }
-        }
-        matches.sort_by(rank_order);
+        // Every image at or above the floor is ranked; only the best `k`
+        // are named.
+        let mut matches: Vec<RankedImage> = score_out
+            .completed
+            .into_iter()
+            .filter(|(_, (_, similarity, _))| *similarity >= min_similarity)
+            .map(|(_, (img, similarity, matched_pairs))| RankedImage {
+                image_id: img.id,
+                name: String::new(),
+                similarity,
+                matched_pairs,
+            })
+            .collect();
         if let Some(s) = &match_span {
             s.add("candidates", distinct_images as u64);
             s.add("matches", matches.len() as u64);
+        }
+        keep_best(&mut matches, k);
+        for m in &mut matches {
+            if let Some(img) = &self.images[m.image_id] {
+                m.name.clone_from(&img.name);
+            }
         }
         drop(match_span);
 
@@ -808,15 +845,22 @@ impl QueryOptions {
     /// is one, extract the query's regions — a deadline that expires there
     /// is an empty [`ResultStatus::Partial`] answer, not an error — hand
     /// them to `probe` (one index for [`ImageDatabase`], a scatter-gather
-    /// over the shards for the store) with the query's pixel area and the
-    /// similarity floor, and keep the best `k`. The query's regions come
-    /// back beside the outcome, for a caller that scores them again later.
+    /// over the shards for the store) with the query's pixel area, the
+    /// similarity floor and `k`, which `probe` answers with the best `k`.
+    /// The query's regions come back beside the outcome, for a caller that
+    /// scores them again later.
     pub(crate) fn run(
         &self,
         base: &WalrusParams,
         query: &Image,
         guard: &Guard,
-        probe: impl FnOnce(&WalrusParams, &[Region], usize, f64) -> Result<QueryOutcome>,
+        probe: impl FnOnce(
+            &WalrusParams,
+            &[Region],
+            usize,
+            f64,
+            Option<usize>,
+        ) -> Result<QueryOutcome>,
     ) -> Result<(QueryOutcome, Vec<Region>)> {
         let (params, min_similarity) = self.resolve(base)?;
         let cropped;
@@ -835,10 +879,7 @@ impl QueryOptions {
             }
             Err(e) => return Err(e),
         };
-        let mut outcome = probe(&params, &regions, query.area(), min_similarity)?;
-        if let Some(k) = self.k {
-            outcome.matches.truncate(k);
-        }
+        let outcome = probe(&params, &regions, query.area(), min_similarity, self.k)?;
         Ok((outcome, regions))
     }
 
@@ -900,10 +941,7 @@ impl QueryOutcome {
         let mut matches = Vec::with_capacity(self.matches.len() + new.matches.len());
         matches.extend(self.matches.iter().cloned());
         matches.extend(new.matches);
-        matches.sort_by(rank_order);
-        if let Some(k) = k {
-            matches.truncate(k);
-        }
+        keep_best(&mut matches, k);
         let stats = QueryStats::new(
             self.stats.query_regions,
             self.stats.total_matching_regions + new.stats.total_matching_regions,
@@ -1265,7 +1303,15 @@ mod tests {
         let polls = q_regions.len() + 2;
         let guard = Guard::none().trip_after(polls, Interrupt::DeadlineExceeded);
         let part = db
-            .query_regions_with_params_guarded(db.params(), &q_regions, q.area(), 0.0, 0, &guard)
+            .query_regions_with_params_guarded(
+                db.params(),
+                &q_regions,
+                q.area(),
+                0.0,
+                0,
+                None,
+                &guard,
+            )
             .unwrap();
         assert_eq!(part.status, ResultStatus::Partial);
         assert_eq!(part.stats.total_matching_regions, full.stats.total_matching_regions);

@@ -7,7 +7,7 @@
 //! database — parameters, image metadata, every region's signature, bbox
 //! and bitmap — round-trips through a versioned, endian-stable byte format.
 //! The R\*-tree is derived state: a load fills the image table and then
-//! packs the tree once ([`ImageDatabase::pack_index`]), which keeps the
+//! packs the tree once (`ImageDatabase::pack_index`), which keeps the
 //! format independent of index implementation details.
 //!
 //! ## The format (version 3; little-endian throughout)

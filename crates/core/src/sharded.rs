@@ -75,7 +75,7 @@
 //! and assert the reopened store is bit-identical to a never-migrated
 //! oracle.
 
-use crate::database::{rank_order, ImageDatabase, ImageMeta, QueryOptions, ResultStatus};
+use crate::database::{keep_best, ImageDatabase, ImageMeta, QueryOptions, ResultStatus};
 use crate::extract::{extract_batch_guarded, extract_regions};
 use crate::params::WalrusParams;
 use crate::persist;
@@ -716,9 +716,12 @@ impl ShardedStore {
         opts: &QueryOptions,
         guard: &Guard,
     ) -> Result<(QueryOutcome, Vec<Region>)> {
-        opts.run(&self.params, query, guard, |params, regions, area, min_similarity| {
+        opts.run(&self.params, query, guard, |params, regions, area, min_similarity, k| {
             let set = self.layout();
-            self.scatter_gather(&set, params, regions, area, min_similarity, guard, |_, _| Some(0))
+            let full = |_: usize, _: &ShardSlot| Some(0);
+            let outcome =
+                self.scatter_gather(&set, params, regions, area, min_similarity, k, guard, full)?;
+            Ok(outcome.expect("a full query reads every shard from slot 0"))
         })
     }
 
@@ -734,8 +737,10 @@ impl ShardedStore {
     }
 
     /// The query body over every shard of `set`, each from the image slot
-    /// `from(shard, slot)` names, read under that shard's lock; a shard it
-    /// names none for is skipped as a quarantined one is.
+    /// `from(shard, slot)` names, read under that shard's lock: the best `k`
+    /// of the images at or above the similarity floor across the shards.
+    /// Quarantined shards are skipped. `None` as soon as `from` names no
+    /// slot for a shard; no later shard is read.
     #[allow(clippy::too_many_arguments)] // the shard query's, plus the layout and `from`
     fn scatter_gather(
         &self,
@@ -744,9 +749,10 @@ impl ShardedStore {
         q_regions: &[Region],
         query_area: usize,
         min_similarity: f64,
+        k: Option<usize>,
         guard: &Guard,
         from: impl Fn(usize, &ShardSlot) -> Option<usize>,
-    ) -> Result<QueryOutcome> {
+    ) -> Result<Option<QueryOutcome>> {
         // Shards are probed one after another on this thread, under the
         // request's own guard and trace: each probe fans out per query
         // region and per candidate image inside the shard, the query's one
@@ -762,7 +768,8 @@ impl ShardedStore {
                 s.add("shard", i as u64);
             }
             let slot = read(shard);
-            let (ShardSlot::Healthy(db), Some(from)) = (&*slot, from(i, &slot)) else {
+            let Some(from) = from(i, &slot) else { return Ok(None) };
+            let ShardSlot::Healthy(db) = &*slot else {
                 shards_unavailable.push(i);
                 continue;
             };
@@ -777,6 +784,7 @@ impl ShardedStore {
                 query_area,
                 min_similarity,
                 from,
+                k,
                 guard,
             )?;
             if let Some(s) = &probe_span {
@@ -796,9 +804,10 @@ impl ShardedStore {
             });
         }
         // Deterministic gather: the same total order a single index sorts
-        // into (each image lives on exactly one shard, with a
-        // distinct id, so the comparator is total).
-        matches.sort_by(rank_order);
+        // into (each image lives on exactly one shard, with a distinct id,
+        // so the comparator is total). The best `k` overall are among the
+        // shards' best `k` each.
+        keep_best(&mut matches, k);
         let stats = QueryStats::new(q_regions.len(), total_hits, distinct_images);
         let status = if !shards_unavailable.is_empty() {
             ResultStatus::Degraded { shards_unavailable }
@@ -807,7 +816,7 @@ impl ShardedStore {
         } else {
             ResultStatus::Complete
         };
-        Ok(QueryOutcome { matches, stats, status })
+        Ok(Some(QueryOutcome { matches, stats, status }))
     }
 
     /// Owned metadata for an image. `Ok(None)` = unknown or removed;
@@ -1608,6 +1617,47 @@ mod tests {
         fn create_dir_all(&self, path: &Path) -> io::Result<()> {
             self.inner.create_dir_all(path)
         }
+    }
+
+    #[test]
+    fn revalidation_stops_at_the_first_shard_that_did_more_than_grow() {
+        let (store, _) =
+            ShardedStore::open_with(Arc::new(FaultIo::new()), "db", params(), 3).unwrap();
+        for i in 0..9 {
+            store.insert_image(&format!("img{i}"), &scene(0.1 + 0.08 * i as f32)).unwrap();
+        }
+        let (_, regions) = store
+            .query_with_regions_guarded(&scene(0.3), &QueryOptions::default(), &Guard::none())
+            .unwrap();
+        let query = CompactRegions::new(&regions, params().signature_kind, 32 * 32);
+        let opts = QueryOptions::default();
+        // The shards each `shard_probe` span of a traced revalidation names.
+        let probed = |mark: &ContentMark| {
+            let trace = crate::TraceContext::monotonic();
+            let guard = Guard::none().tracing(trace.clone());
+            let answer = store.score_since(mark, &opts, &query, &guard);
+            let spans = trace.report().spans.into_iter().filter(|s| s.name == "shard_probe");
+            let shards = spans.flat_map(|s| s.counters).filter(|(name, _)| *name == "shard");
+            let shards: Vec<u64> = shards.map(|(_, shard)| shard).collect();
+            (answer.map(|outcome| outcome.unwrap()), shards)
+        };
+
+        // Inserts alone: every shard is read from its marked slot count.
+        let mark = store.content_mark();
+        store.insert_image("new", &scene(0.5)).unwrap();
+        let (answer, shards) = probed(&mark);
+        assert!(answer.is_some());
+        assert_eq!(shards, vec![0, 1, 2]);
+
+        // A removal in shard 0: the answer is `None` before any later shard
+        // is read.
+        let mark = store.content_mark();
+        let victim = (0..9).find(|&id| shard_of(id, 3) == 0).unwrap();
+        store.remove_image(victim).unwrap();
+        store.insert_image("newer", &scene(0.6)).unwrap();
+        let (answer, shards) = probed(&mark);
+        assert!(answer.is_none());
+        assert!(shards.iter().all(|&shard| shard == 0), "{shards:?}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::bitmap::RegionBitmap;
 use crate::database::{QueryOptions, QueryOutcome};
 use crate::params::{SignatureKind, WalrusParams};
 use crate::region::Region;
-use crate::{Result, ResultStatus};
+use crate::Result;
 use std::sync::atomic::Ordering;
 use walrus_guard::Guard;
 
@@ -213,15 +213,16 @@ impl ShardedStore {
 
     /// Scores `query` under `opts` against only the images committed since
     /// `since`: the shard query itself, each shard read from the slot count
-    /// the mark recorded for it. The outcome ranks the new images at or
-    /// above the similarity floor (uncut by `k`) and counts their hits and
-    /// images; [`QueryOutcome::splice`] folds it into the answer recorded
-    /// at `since`.
+    /// the mark recorded for it. The outcome ranks the best `k` of the new
+    /// images at or above the similarity floor and counts all their hits
+    /// and images; [`QueryOutcome::splice`] folds it into the answer
+    /// recorded at `since`, which is cut to the same `k`.
     ///
     /// `None` when anything but inserts happened since the mark: a removal,
     /// a quarantine or recovery, a rebalance. Each shard is checked under
-    /// the lock it is read under. A deadline gives a
-    /// [`ResultStatus::Partial`] outcome, cancellation an error.
+    /// the lock it is read under, and the first shard that fails the check
+    /// ends the gather. A deadline gives a [`crate::ResultStatus::Partial`]
+    /// outcome, cancellation an error.
     pub fn score_since(
         &self,
         since: &ContentMark,
@@ -247,11 +248,8 @@ impl ShardedStore {
             let now = ShardMark::of(set.generations[i].load(Ordering::Acquire), slot);
             now.grew_from(was).then_some(was.slots)
         };
-        let area = query.query_area;
-        // A shard that did more than grow is skipped as unavailable.
-        match self.scatter_gather(&set, &params, &regions, area, min_similarity, guard, from) {
-            Ok(QueryOutcome { status: ResultStatus::Degraded { .. }, .. }) => None,
-            outcome => Some(outcome),
-        }
+        let (area, k) = (query.query_area, opts.k);
+        self.scatter_gather(&set, &params, &regions, area, min_similarity, k, guard, from)
+            .transpose()
     }
 }

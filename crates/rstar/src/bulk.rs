@@ -12,7 +12,7 @@
 //!    leaves' worth of entries going to the low side (the VAMSplit idea of
 //!    White and Jain, "Similarity Indexing: Algorithms and Performance",
 //!    1996), and each side recurses;
-//! 3. [`RStarTree::from_leaf_runs`] packs the leaves upwards, `M` siblings
+//! 3. `RStarTree::from_leaf_runs` packs the leaves upwards, `M` siblings
 //!    to a parent, until a single root remains.
 //!
 //! Splitting where the data spreads spends the cuts on the dimensions that
@@ -163,8 +163,8 @@ mod tests {
 
     /// The hits of `probe`, unfiltered, sorted.
     fn hits(tree: &RStarTree<usize>, probe: &Probe) -> Vec<usize> {
-        let mut ids: Vec<usize> =
-            tree.search_filtered_stats(probe, |_| true).unwrap().0.into_iter().copied().collect();
+        let mut ids = Vec::new();
+        tree.search_filtered_stats(probe, |_| true, |id| ids.push(*id)).unwrap();
         ids.sort_unstable();
         ids
     }
@@ -212,8 +212,8 @@ mod tests {
         let tree = load(12, &points).unwrap();
         let (mut nodes, mut exact) = (0, 0);
         for q in points.iter().step_by(60) {
-            let (_, stats) =
-                tree.search_filtered_stats(&Probe::within(q, 0.085).unwrap(), |_| true).unwrap();
+            let probe = Probe::within(q, 0.085).unwrap();
+            let stats = tree.search_filtered_stats(&probe, |_| true, |_| {}).unwrap();
             nodes += stats.nodes_visited;
             exact += stats.exact_tested;
         }

@@ -34,8 +34,9 @@
 //! let corners = |i: usize| (&points[i][..], &points[i][..]);
 //! let tree = bulk_load(2, RStarParams::default(), points.len(), corners, |i| i)?;
 //! // ε-ball query around (4.5, 4.5).
-//! let (hits, stats) = tree.search_filtered_stats(&Probe::within(&[4.5, 4.5], 0.8)?, |_| true)?;
-//! let mut ids: Vec<usize> = hits.into_iter().copied().collect();
+//! let mut ids = Vec::new();
+//! let probe = Probe::within(&[4.5, 4.5], 0.8)?;
+//! let stats = tree.search_filtered_stats(&probe, |_| true, |id| ids.push(*id))?;
 //! ids.sort_unstable();
 //! assert_eq!(ids, [44, 45, 54, 55]); // the four surrounding grid points
 //! assert!(stats.nodes_visited >= 2);

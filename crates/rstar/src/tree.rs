@@ -592,27 +592,31 @@ impl<V> RStarTree<V> {
         if point.len() != self.dims {
             return Err(RStarError::DimensionMismatch { expected: self.dims, got: point.len() });
         }
-        self.search_filtered_stats(&Probe::within(point, eps)?, prefilter)
+        let mut hits = Vec::new();
+        let stats =
+            self.search_filtered_stats(&Probe::within(point, eps)?, prefilter, |v| hits.push(v))?;
+        Ok((hits, stats))
     }
 
-    /// Every value `probe` hits ([`Probe::test`]) that passes `prefilter`,
-    /// in traversal order, with probe statistics. The prefilter runs on each
-    /// scanned leaf value *before* the geometry test: rejections are counted
-    /// in [`SearchStats::prefilter_rejected`], survivors in
+    /// Hands every value `probe` hits ([`Probe::test`]) that passes
+    /// `prefilter` to `sink`, in traversal order, and returns the probe
+    /// statistics. The prefilter runs on each scanned leaf value *before*
+    /// the geometry test: rejections are counted in
+    /// [`SearchStats::prefilter_rejected`], survivors in
     /// [`SearchStats::exact_tested`]. It must be admissible: it may only
     /// reject entries the exact test would also reject.
-    pub fn search_filtered_stats(
-        &self,
+    pub fn search_filtered_stats<'a>(
+        &'a self,
         probe: &Probe,
         mut prefilter: impl FnMut(&V) -> bool,
-    ) -> Result<(Vec<&V>, SearchStats)> {
+        mut sink: impl FnMut(&'a V),
+    ) -> Result<SearchStats> {
         if probe.dims() != self.dims {
             return Err(RStarError::DimensionMismatch { expected: self.dims, got: probe.dims() });
         }
-        let mut out = Vec::new();
         let mut stats = SearchStats::default();
-        self.search_rec(self.root, probe, &mut out, &mut stats, &mut prefilter);
-        Ok((out, stats))
+        self.search_rec(self.root, probe, &mut stats, &mut prefilter, &mut sink);
+        Ok(stats)
     }
 
     /// The descent: a child is entered when [`Probe::enters`] its bound, and
@@ -621,16 +625,16 @@ impl<V> RStarTree<V> {
         &'a self,
         node: u32,
         probe: &Probe,
-        out: &mut Vec<&'a V>,
         stats: &mut SearchStats,
         prefilter: &mut impl FnMut(&V) -> bool,
+        sink: &mut impl FnMut(&'a V),
     ) {
         stats.nodes_visited += 1;
         if !self.heads[node as usize].leaf {
             for (rect, slot) in self.pairs(node) {
                 match slot {
                     Slot::Child(child) if probe.enters(rect) => {
-                        self.search_rec(*child, probe, out, stats, prefilter);
+                        self.search_rec(*child, probe, stats, prefilter, sink);
                     }
                     _ => {}
                 }
@@ -648,7 +652,7 @@ impl<V> RStarTree<V> {
             match probe.test(lo, hi) {
                 Verdict::Outside => {}
                 Verdict::Pruned => stats.pruned += 1,
-                Verdict::Hit => out.push(value),
+                Verdict::Hit => sink(value),
             }
         }
     }
@@ -841,9 +845,21 @@ mod tests {
         t
     }
 
+    /// The hits of `probe` that pass `prefilter`, in traversal order, and
+    /// the search's statistics.
+    fn search(
+        t: &RStarTree<usize>,
+        probe: &Probe,
+        prefilter: impl FnMut(&usize) -> bool,
+    ) -> (Vec<usize>, SearchStats) {
+        let mut hits = Vec::new();
+        let stats = t.search_filtered_stats(probe, prefilter, |id| hits.push(*id)).unwrap();
+        (hits, stats)
+    }
+
     /// The hits of `probe`, unfiltered, in traversal order.
     fn hits(t: &RStarTree<usize>, probe: &Probe) -> Vec<usize> {
-        t.search_filtered_stats(probe, |_| true).unwrap().0.into_iter().copied().collect()
+        search(t, probe, |_| true).0
     }
 
     fn sorted(mut ids: Vec<usize>) -> Vec<usize> {
@@ -894,13 +910,13 @@ mod tests {
             let base = &pts[(next() * 4_999.0) as usize];
             let q: Vec<f32> = base.iter().map(|c| c + (next() - 0.5) * 0.02).collect();
             let probe = Probe::within(&q, 0.085).unwrap();
-            let (found, stats) = tree.search_filtered_stats(&probe, |_| true).unwrap();
+            let (found, stats) = search(tree, &probe, |_| true);
             nodes += stats.nodes_visited;
             exact += stats.exact_tested;
             pruned += stats.pruned;
             hits += found.len();
             mix(found.len());
-            found.into_iter().for_each(|&v| mix(v));
+            found.into_iter().for_each(&mut mix);
         }
         (nodes, exact, pruned, hits, fnv)
     }
@@ -1044,9 +1060,9 @@ mod tests {
         let mut t: RStarTree<usize> = RStarTree::with_dims(3).unwrap();
         assert!(t.insert(pt(&[1.0, 2.0]), 0).is_err());
         let narrow = Probe::within(&[1.0], 0.5).unwrap();
-        assert!(t.search_filtered_stats(&narrow, |_| true).is_err());
+        assert!(t.search_filtered_stats(&narrow, |_| true, |_| {}).is_err());
         let wide = Probe::intersecting(pt(&[1.0, 2.0, 3.0, 4.0]));
-        assert!(t.search_filtered_stats(&wide, |_| true).is_err());
+        assert!(t.search_filtered_stats(&wide, |_| true, |_| {}).is_err());
         assert!(t.search_within_filtered_stats(&[1.0], 0.5, |_| true).is_err());
     }
 
@@ -1067,28 +1083,28 @@ mod tests {
         let center = [3.0, 3.0];
         let eps = 1.5;
         let ball = Probe::within(&center, eps).unwrap();
-        let (plain, plain_stats) = t.search_filtered_stats(&ball, |_| true).unwrap();
+        let (plain, plain_stats) = search(&t, &ball, |_| true);
         // Unfiltered: every scanned entry reaches the exact test.
         assert_eq!(plain_stats.prefilter_rejected, 0);
         assert!(plain_stats.exact_tested >= plain.len());
         // The point-and-ε form is the same search.
         let (same, same_stats) =
             t.search_within_filtered_stats(&center, eps, |_| true).unwrap();
-        let ids = |v: &[&usize]| sorted(v.iter().map(|&&id| id).collect());
-        assert_eq!(ids(&plain), ids(&same));
+        let ids = |v: &[usize]| sorted(v.to_vec());
+        assert_eq!(ids(&plain), sorted(same.into_iter().copied().collect()));
         assert_eq!(plain_stats, same_stats);
         // A value-keyed prefilter skips rejected entries before the
         // geometry test and counts them.
         let keep = |v: &usize| *v % 2 == 0;
-        let (filtered, fstats) = t.search_filtered_stats(&ball, keep).unwrap();
+        let (filtered, fstats) = search(&t, &ball, keep);
         assert!(fstats.prefilter_rejected > 0);
         assert_eq!(fstats.prefilter_rejected + fstats.exact_tested, plain_stats.exact_tested);
         let expected: Vec<usize> = ids(&plain).into_iter().filter(|v| v % 2 == 0).collect();
         assert_eq!(ids(&filtered), expected);
         // Same contract for a box probe.
         let square = Probe::intersecting(Rect::new(vec![2.0, 2.0], vec![4.0, 4.0]).unwrap());
-        let (inter, _) = t.search_filtered_stats(&square, |_| true).unwrap();
-        let (inter_f, istats) = t.search_filtered_stats(&square, keep).unwrap();
+        let (inter, _) = search(&t, &square, |_| true);
+        let (inter_f, istats) = search(&t, &square, keep);
         assert!(istats.prefilter_rejected > 0);
         let expected: Vec<usize> = ids(&inter).into_iter().filter(|v| v % 2 == 0).collect();
         assert_eq!(ids(&inter_f), expected);

@@ -525,7 +525,8 @@ fn query(state: &AppState, req: &Request) -> Response {
             };
             let response = Response::json(status, outcome_json_with_id(&outcome, Some(request_id)));
             // Only `Complete` answers are cacheable. The ranking was cut to
-            // `k` in a buffer sized for every candidate; the entry keeps k.
+            // `k` in a buffer that held every shard's best `k`; the entry
+            // keeps k.
             if status == 200 {
                 outcome.matches.shrink_to_fit();
                 let query = CompactRegions::new(

@@ -2,7 +2,7 @@
 //!
 //! Threading model (DESIGN.md §11): one accept thread blocks on the
 //! listener and is the **only** job submitter; a fixed
-//! [`WorkerPool`](walrus_parallel::WorkerPool) runs one connection per job.
+//! [`WorkerPool`] runs one connection per job.
 //! A connection holds its worker while it is open, with one exception: an
 //! *idle* keep-alive connection closes on its next read tick when other
 //! connections are queued for a worker, so parked clients cannot starve new

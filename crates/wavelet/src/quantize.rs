@@ -145,8 +145,8 @@ fn canonical_thermometer_code(values: &[f32]) -> u64 {
 /// Each dimension owns a fixed run of threshold bits in the lane; bit `k`
 /// of a dimension is set iff the value strictly exceeds that dimension's
 /// threshold `t_k` (see [`thermometer_code`]). The engine's canonical
-/// 12-dim layout uses role-aware per-dimension ladders ([`AVG_LADDER`] /
-/// [`DETAIL_LADDER`]); any other dimensionality packs `b = 64 / min(D, 64)`
+/// 12-dim layout uses role-aware per-dimension ladders (`AVG_LADDER` /
+/// `DETAIL_LADDER`); any other dimensionality packs `b = 64 / min(D, 64)`
 /// uniformly spaced thresholds per dimension. Because every encoding is
 /// monotone — a bit set in `code(x)` and clear in `code(y)` proves
 /// `x > t_k >= y`, hence `x > y` strictly — comparing lanes yields
@@ -171,7 +171,7 @@ impl BinarySignature {
 /// Thermometer-encodes a signature vector into one 64-bit lane.
 ///
 /// Canonical 12-dim vectors use the role-aware per-dimension ladders (see
-/// [`canonical_ladder`]): the three window-average dimensions and the last
+/// `canonical_ladder`): the three window-average dimensions and the last
 /// channel block's details carry essentially all of the measured pruning
 /// power, so they get dense thresholds and the remaining detail dimensions
 /// get none. Every other dimensionality uses the generic uniform ladder:

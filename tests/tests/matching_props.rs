@@ -1,22 +1,43 @@
-//! Property-based tests for quick-union image matching: it equals its
-//! definition through a reused scratch, similarity stays in `[0, 1]`, more
-//! pairs never lower it, it is symmetric under a role swap, and no pairs
-//! score zero.
+//! Property-based tests for quick-union image matching: scored from region
+//! marks it equals its definition over the pair list the marks came from,
+//! through a reused scratch; similarity stays in `[0, 1]`, more pairs never
+//! lower it, it is symmetric under a role swap, and no pairs score zero.
 
 use proptest::prelude::*;
 use walrus_core::bitmap::RegionBitmap;
-use walrus_core::matching::{quick_covered, similarity, MatchPair, QuickScratch};
+use walrus_core::matching::{quick_covered, similarity, QuickScratch};
 use walrus_core::{Region, SimilarityKind};
 
 const W: usize = 64;
 const H: usize = 48;
 const AREA: usize = W * H;
 
+/// A query and a target image's regions, and matched `(query, target)`
+/// region index pairs between them, duplicates included.
 #[derive(Debug, Clone)]
 struct Inst {
     q: Vec<Region>,
     t: Vec<Region>,
-    pairs: Vec<MatchPair>,
+    pairs: Vec<(usize, usize)>,
+}
+
+impl Inst {
+    /// The pairs as the query body hands them to the scorer: one mark bit
+    /// per region on each side, `⌈n/64⌉` words for `n` regions.
+    fn marks(&self) -> (Vec<u64>, Vec<u64>) {
+        let mut q_marks = vec![0u64; self.q.len().div_ceil(64)];
+        let mut t_marks = vec![0u64; self.t.len().div_ceil(64)];
+        for &(q, t) in &self.pairs {
+            q_marks[q / 64] |= 1 << (q % 64);
+            t_marks[t / 64] |= 1 << (t % 64);
+        }
+        (q_marks, t_marks)
+    }
+
+    fn covered(&self, scratch: &mut QuickScratch) -> (usize, usize) {
+        let (q_marks, t_marks) = self.marks();
+        quick_covered(scratch, &self.q, &self.t, &q_marks, &t_marks)
+    }
 }
 
 fn region_strategy() -> impl Strategy<Value = Region> {
@@ -30,19 +51,33 @@ fn region_strategy() -> impl Strategy<Value = Region> {
         })
 }
 
-fn instance() -> impl Strategy<Value = Inst> {
+/// An instance with `regions` regions a side and up to `pairs` pairs.
+fn instance_of(
+    regions: std::ops::Range<usize>,
+    pairs: std::ops::Range<usize>,
+) -> impl Strategy<Value = Inst> {
     (
-        proptest::collection::vec(region_strategy(), 1..5),
-        proptest::collection::vec(region_strategy(), 1..5),
-        proptest::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 0..9),
+        proptest::collection::vec(region_strategy(), regions.clone()),
+        proptest::collection::vec(region_strategy(), regions),
+        proptest::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), pairs),
     )
         .prop_map(|(q, t, raw_pairs)| {
             let pairs = raw_pairs
                 .into_iter()
-                .map(|(a, b)| MatchPair { q: a.index(q.len()), t: b.index(t.len()) })
+                .flat_map(|(a, b)| {
+                    // Every third pair is listed twice, as a region that
+                    // two probes both hit is.
+                    let pair = (a.index(q.len()), b.index(t.len()));
+                    let copies = if a.index(3) == 0 { 2 } else { 1 };
+                    std::iter::repeat(pair).take(copies)
+                })
                 .collect();
             Inst { q, t, pairs }
         })
+}
+
+fn instance() -> impl Strategy<Value = Inst> {
+    instance_of(1..5, 0..9)
 }
 
 /// Quick matching by its definition, allocating as it goes: clone the first
@@ -72,13 +107,19 @@ fn quick_covered_by_definition(inst: &Inst) -> (usize, usize) {
         }
         total
     }
-    let (qs, ts) = (inst.pairs.iter().map(|p| p.q), inst.pairs.iter().map(|p| p.t));
+    let (qs, ts) = (inst.pairs.iter().map(|p| p.0), inst.pairs.iter().map(|p| p.1));
     (covered(&inst.q, qs), covered(&inst.t, ts))
+}
+
+/// The similarity of `inst` under `kind`, through `scratch`.
+fn score_with(inst: &Inst, kind: SimilarityKind, scratch: &mut QuickScratch) -> f64 {
+    let (q_marks, t_marks) = inst.marks();
+    similarity(kind, scratch, &inst.q, &inst.t, &q_marks, &t_marks, AREA, AREA)
 }
 
 /// The similarity of `inst` under `kind`, through a fresh scratch.
 fn score(inst: &Inst, kind: SimilarityKind) -> f64 {
-    similarity(kind, &mut QuickScratch::default(), &inst.q, &inst.t, &inst.pairs, AREA, AREA)
+    score_with(inst, kind, &mut QuickScratch::default())
 }
 
 proptest! {
@@ -86,7 +127,7 @@ proptest! {
 
     #[test]
     fn similarity_bounded_for_all_variants(inst in instance()) {
-        let (covered_q, covered_t) = quick_covered(&mut QuickScratch::default(), &inst.q, &inst.t, &inst.pairs);
+        let (covered_q, covered_t) = inst.covered(&mut QuickScratch::default());
         prop_assert!(covered_q <= AREA);
         prop_assert!(covered_t <= AREA);
         for kind in [SimilarityKind::Symmetric, SimilarityKind::QueryFraction] {
@@ -97,8 +138,7 @@ proptest! {
 
     #[test]
     fn symmetric_under_role_swap(inst in instance()) {
-        let swapped: Vec<MatchPair> =
-            inst.pairs.iter().map(|p| MatchPair { q: p.t, t: p.q }).collect();
+        let swapped = inst.pairs.iter().map(|&(q, t)| (t, q)).collect();
         let swapped = Inst { q: inst.t.clone(), t: inst.q.clone(), pairs: swapped };
         let (ab, ba) = (score(&inst, SimilarityKind::Symmetric), score(&swapped, SimilarityKind::Symmetric));
         prop_assert!((ab - ba).abs() < 1e-12);
@@ -113,17 +153,24 @@ proptest! {
         let mut odd = RegionBitmap::new(100, 75, 16);
         odd.mark_window(3, 5, 60, 40);
         let odd = [Region::new(vec![0.0; 4], vec![0.0; 4], vec![0.0; 4], odd, 1)];
-        quick_covered(&mut scratch, &odd, &odd, &[MatchPair { q: 0, t: 0 }]);
-        quick_covered(&mut scratch, &other.q, &other.t, &other.pairs);
-        let got = quick_covered(&mut scratch, &inst.q, &inst.t, &inst.pairs);
+        quick_covered(&mut scratch, &odd, &odd, &[1], &[1]);
+        other.covered(&mut scratch);
+        let got = inst.covered(&mut scratch);
         prop_assert_eq!(got, quick_covered_by_definition(&inst));
         // The query path's entry point, on the same dirty scratch, reports
         // what a fresh one does.
-        let (q, t, pairs) = (&inst.q, &inst.t, &inst.pairs);
-        let direct = similarity(SimilarityKind::Symmetric, &mut scratch, q, t, pairs, AREA, AREA);
+        let direct = score_with(&inst, SimilarityKind::Symmetric, &mut scratch);
         prop_assert_eq!(direct.to_bits(), score(&inst, SimilarityKind::Symmetric).to_bits());
         let by_definition = (got.0 + got.1) as f64 / (2 * AREA) as f64;
         prop_assert_eq!(direct.to_bits(), by_definition.to_bits());
+    }
+
+    #[test]
+    fn marks_past_the_first_word_equal_definition(inst in instance_of(60..140, 0..40), other in instance()) {
+        // Images with more than 64 regions a side need several mark words.
+        let mut scratch = QuickScratch::default();
+        other.covered(&mut scratch);
+        prop_assert_eq!(inst.covered(&mut scratch), quick_covered_by_definition(&inst));
     }
 
     #[test]
@@ -140,7 +187,9 @@ proptest! {
     #[test]
     fn empty_pairs_score_zero(q in proptest::collection::vec(region_strategy(), 1..4), t in proptest::collection::vec(region_strategy(), 1..4)) {
         let inst = Inst { q, t, pairs: Vec::new() };
-        prop_assert_eq!(quick_covered(&mut QuickScratch::default(), &inst.q, &inst.t, &[]), (0, 0));
+        prop_assert_eq!(inst.covered(&mut QuickScratch::default()), (0, 0));
+        let mut scratch = QuickScratch::default();
+        prop_assert_eq!(quick_covered(&mut scratch, &inst.q, &inst.t, &[], &[]), (0, 0));
         for kind in [SimilarityKind::Symmetric, SimilarityKind::QueryFraction] {
             prop_assert_eq!(score(&inst, kind), 0.0);
         }

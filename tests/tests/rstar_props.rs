@@ -7,8 +7,8 @@ use walrus_rstar::{Probe, RStarParams, RStarTree, Rect, SearchStats, Verdict};
 
 /// The hits of `probe`, unfiltered, sorted.
 fn search(tree: &RStarTree<usize>, probe: &Probe) -> Vec<usize> {
-    let mut ids: Vec<usize> =
-        tree.search_filtered_stats(probe, |_| true).unwrap().0.into_iter().copied().collect();
+    let mut ids = Vec::new();
+    tree.search_filtered_stats(probe, |_| true, |id| ids.push(*id)).unwrap();
     ids.sort_unstable();
     ids
 }
@@ -127,8 +127,10 @@ fn probe_all(tree: &RStarTree<usize>, dims: usize) -> Vec<(Vec<usize>, SearchSta
             let q: Vec<f32> = (0..dims).map(|_| next()).collect();
             let boxed = Rect::point(&q).unwrap().extended(0.1);
             [Probe::within(&q, 0.2).unwrap(), Probe::intersecting(boxed)].map(|probe| {
-                let (hits, stats) = tree.search_filtered_stats(&probe, |_| true).unwrap();
-                (hits.into_iter().copied().collect(), stats)
+                let mut hits = Vec::new();
+                let stats =
+                    tree.search_filtered_stats(&probe, |_| true, |id| hits.push(*id)).unwrap();
+                (hits, stats)
             })
         })
         .collect()

@@ -49,7 +49,7 @@ use walrus_imagery::synth::scene::{Scene, SceneObject};
 use walrus_imagery::synth::shapes::Shape;
 use walrus_imagery::synth::texture::{Rgb, Texture};
 use walrus_imagery::{ColorSpace, Image};
-use walrus_integration_tests::{threads_by_shards, SHARD_COUNTS};
+use walrus_integration_tests::{threads_by_shards, SHARD_COUNTS, THREAD_COUNTS};
 use walrus_server::{Client, Server, ServerConfig};
 
 fn sweep_params() -> WalrusParams {
@@ -243,6 +243,65 @@ fn scene_queries_match_at(threads: usize, shards: usize) {
     assert_eq!(out.status, ResultStatus::Partial, "{ctx}");
     assert!(out.matches.is_empty(), "{ctx}");
     assert_eq!(out.stats.query_regions, 0, "{ctx}");
+}
+
+fn flower(cx: f32, cy: f32, scale: f32) -> Image {
+    Scene::new(Texture::Solid(Rgb(0.1, 0.5, 0.15)))
+        .with(SceneObject::new(
+            Shape::Flower { petals: 6, core_radius: 0.3, petal_len: 0.95, petal_width: 0.22 },
+            Texture::Solid(Rgb(0.85, 0.12, 0.18)),
+            (cx, cy),
+            scale,
+        ))
+        .render(64, 64)
+        .unwrap()
+}
+
+/// A query with `k` answers exactly the first `k` of the same query's
+/// whole ranking — the shards' own cuts lose nothing — for `k` of 1, 10 and
+/// past the candidate count, at shard counts 1, 2 and 4 × the thread
+/// counts. Twelve copies of the query image tie at similarity 1.0 and
+/// spread over the shards, so the cut falls inside a tie that only the
+/// id order breaks, and that order spans shards.
+#[test]
+fn top_k_is_the_first_k_of_the_whole_ranking() {
+    let same = flower(0.5, 0.5, 0.45);
+    let mut images = Vec::new();
+    for i in 0..12 {
+        images.push((format!("same{i}"), same.clone()));
+        let other = flower(0.3 + 0.035 * i as f32, 0.4 + 0.02 * i as f32, 0.3 + 0.02 * i as f32);
+        images.push((format!("other{i}"), other));
+    }
+    let items: Vec<(&str, &Image)> = images.iter().map(|(n, i)| (n.as_str(), i)).collect();
+    for shards in [1, 2, 4] {
+        for threads in THREAD_COUNTS {
+            let params = WalrusParams { threads, ..engine_params() };
+            let (store, _) =
+                ShardedStore::open_with(Arc::new(FaultIo::new()), "k", params, shards).unwrap();
+            store.insert_images_batch_guarded(&items, &Guard::none()).unwrap();
+            let ask = |k| {
+                let opts = QueryOptions { k, ..QueryOptions::default() };
+                store.query_with_options_guarded(&same, &opts, &Guard::none()).unwrap()
+            };
+            let all = ask(None);
+            let ctx = format!("threads {threads}, shards {shards}");
+            let tied: Vec<usize> =
+                all.matches.iter().filter(|m| m.similarity == 1.0).map(|m| m.image_id).collect();
+            assert!(tied.len() >= 12, "{ctx}: {} images tie at 1.0", tied.len());
+            let tied_shards: std::collections::BTreeSet<usize> =
+                tied.iter().map(|&id| shard_of(id, shards)).collect();
+            assert_eq!(tied_shards.len(), shards, "{ctx}: the tie must span every shard");
+            assert!(all.matches.len() > 10, "{ctx}: too few candidates to cut");
+            for k in [1, 10, all.matches.len() + 3] {
+                let top = ask(Some(k));
+                let first = QueryOutcome {
+                    matches: all.matches[..k.min(all.matches.len())].to_vec(),
+                    ..all.clone()
+                };
+                assert_outcomes_identical(&first, &top, &format!("{ctx}, k {k}"));
+            }
+        }
+    }
 }
 
 /// The three runtime-only knobs (`threads`, `budgets`, `prefilter`) are not
