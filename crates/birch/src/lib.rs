@@ -24,10 +24,11 @@
 //!   automatic threshold escalation + rebuild when a leaf-entry budget is
 //!   exceeded (BIRCH's memory-bound rebuilding).
 //! * [`precluster()`] — the driver WALRUS calls, over a flat row-major point
-//!   matrix: fit all points, harvest leaf entries as clusters, and assign
-//!   each input point to its nearest cluster so callers can recover
-//!   per-cluster membership (WALRUS needs the member windows to build
-//!   region bitmaps).
+//!   matrix of finite coordinates: fit all points, harvest leaf entries as
+//!   clusters, and assign each input point to its nearest cluster — by an
+//!   exact search over the centroids sorted on their widest axis, not a scan
+//!   of every cluster — so callers can recover per-cluster membership
+//!   (WALRUS needs the member windows to build region bitmaps).
 
 pub mod cf;
 pub mod precluster;

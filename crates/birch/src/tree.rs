@@ -379,9 +379,13 @@ impl CfTree {
     /// Index of the entry of `node` whose centroid is closest to the
     /// probe's — the first one on ties, and a NaN distance never displaces
     /// the incumbent (`Iterator::min_by` with `partial_cmp` or `Equal`).
-    /// Every distance is computed once, from the cached centroids.
+    /// Every distance is computed once, from the cached centroids; a lone
+    /// entry wins whatever its distance, so none is computed for it.
     fn closest_entry(&mut self, node: u32) -> Option<usize> {
         let len = self.len(node);
+        if len == 1 {
+            return Some(0);
+        }
         let dims = self.dims;
         let base = self.base(node) * dims;
         let centroids = &self.centroid[base..base + len * dims];

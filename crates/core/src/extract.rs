@@ -84,6 +84,7 @@ pub fn extract_regions_guarded(
         s.add("clusters", clustering.clusters.len() as u64);
         s.add("cf_splits", clustering.splits as u64);
         s.add("cf_rebuilds", clustering.rebuilds as u64);
+        s.add("assign_distances", clustering.assign_distances as u64);
     }
     drop(birch_span);
     if clustering.clusters.len() > params.budgets.max_regions_per_image {
